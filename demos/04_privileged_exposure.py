@@ -11,8 +11,6 @@ from routedkl import (
     ContextSet,
     ExposureLedger,
     exposure_accumulate,
-    privileged_deviation,
-    privileged_variance,
     rlsd_weight,
 )
 from routedkl.privileged import expected_deviation_sq
@@ -23,10 +21,10 @@ ctx = ContextSet(
     probs=np.array([0.5, 0.5]),
     dists_by_position={0: np.array([[0.8, 0.2], [0.6, 0.4]])},
 )
-print("two contexts (0.8,0.2) and (0.6,0.4): V =", privileged_variance(ctx, 0))
+print("two contexts (0.8,0.2) and (0.6,0.4): V =", ctx.variance(0))
 
 student = np.array([0.5, 0.5])
-mean_dev = sum(ctx.probs[c] * privileged_deviation(ctx, c, student, 0) for c in range(2))
+mean_dev = sum(ctx.probs[c] * ctx.deviation(c, student, 0) for c in range(2))
 print("context-mean deviation (exact zero)  :", mean_dev)
 print("E_c ||delta||^2 equals V exactly     :",
       expected_deviation_sq(ctx.probs, ctx.dists_by_position[0]))

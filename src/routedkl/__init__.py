@@ -23,8 +23,6 @@ from .privileged import (
     ExposureLedger,
     RlsdWeight,
     exposure_accumulate,
-    privileged_deviation,
-    privileged_variance,
     rlsd_weight,
 )
 from .routing import (

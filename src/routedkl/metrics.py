@@ -62,20 +62,6 @@ def credit_concentration(
     return float(inside.mean()) / outside_mean
 
 
-@dataclass
-class EmaSeries:
-    """Raw series with its exponentially smoothed companion.
-
-    alpha is the retention weight: smoothed_k = alpha * smoothed_{k-1}
-    + (1 - alpha) * raw_k, seeded at the first raw value, so alpha -> 0
-    recovers the raw series.
-    """
-
-    alpha: float
-    raw: list
-    smoothed: list
-
-
 def ema(series, alpha: float) -> list[float]:
     """Exponential moving average with retention weight alpha in (0, 1]."""
     if not (0.0 < alpha <= 1.0):
@@ -88,7 +74,3 @@ def ema(series, alpha: float) -> list[float]:
         out.append(alpha * out[-1] + (1.0 - alpha) * x)
     return out
 
-
-def ema_series(series, alpha: float) -> EmaSeries:
-    values = [float(x) for x in series]
-    return EmaSeries(alpha=alpha, raw=values, smoothed=ema(values, alpha))

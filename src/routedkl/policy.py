@@ -118,7 +118,6 @@ class PolicyTable:
 
     vocab: int
     init_logits: Callable[[str, PrefixKey], np.ndarray]
-    shared_parameters: bool = True
     rows: dict = field(default_factory=dict)
     synced_rows: dict = field(default_factory=dict)
     teacher_lookups: int = 0
@@ -149,11 +148,7 @@ class PolicyTable:
         self.sync_count += 1
 
     def teacher_logits(
-        self,
-        prompt: str,
-        context_id: int | None,
-        prefix: PrefixKey,
-        offset: np.ndarray | None = None,
+        self, prompt: str, prefix: PrefixKey, offset: np.ndarray | None = None
     ) -> np.ndarray:
         """Teacher row: last-synced student row plus the context offset.
 
@@ -174,13 +169,9 @@ class PolicyTable:
         return out
 
     def teacher_dist(
-        self,
-        prompt: str,
-        context_id: int | None,
-        prefix: PrefixKey,
-        offset: np.ndarray | None = None,
+        self, prompt: str, prefix: PrefixKey, offset: np.ndarray | None = None
     ) -> np.ndarray:
-        return softmax(self.teacher_logits(prompt, context_id, prefix, offset))
+        return softmax(self.teacher_logits(prompt, prefix, offset))
 
     def apply_gradients(self, grads: dict, learning_rate: float) -> None:
         """One descent step on the student rows: theta <- theta - lr * g."""
@@ -189,11 +180,7 @@ class PolicyTable:
             row -= learning_rate * np.asarray(g, dtype=float)
 
     def copy(self) -> "PolicyTable":
-        dup = PolicyTable(
-            vocab=self.vocab,
-            init_logits=self.init_logits,
-            shared_parameters=self.shared_parameters,
-        )
+        dup = PolicyTable(vocab=self.vocab, init_logits=self.init_logits)
         dup.rows = {k: v.copy() for k, v in self.rows.items()}
         dup.synced_rows = {k: v.copy() for k, v in self.synced_rows.items()}
         dup.sync_count = self.sync_count

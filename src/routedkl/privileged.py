@@ -84,26 +84,13 @@ class ContextSet:
             raise RangeError("context probabilities must sum to 1")
 
     def variance(self, t: int) -> float:
+        """Per-position privileged variance; zero iff context-independent."""
         return context_variance(self.probs, self.dists_by_position[t])
-
-    def mean_dist(self, t: int) -> np.ndarray:
-        return context_mean(self.probs, self.dists_by_position[t])
 
     def deviation(self, context_index: int, student: np.ndarray, t: int) -> np.ndarray:
         return deviation_vector(
             self.probs, self.dists_by_position[t], context_index, student
         )
-
-
-def privileged_variance(ctx: ContextSet, t: int) -> float:
-    """Per-position privileged variance; zero iff context-independent."""
-    return ctx.variance(t)
-
-
-def privileged_deviation(
-    ctx: ContextSet, context_index: int, student: np.ndarray, t: int
-) -> np.ndarray:
-    return ctx.deviation(context_index, student, t)
 
 
 @dataclass(frozen=True)
@@ -131,10 +118,6 @@ class ExposureLedger:
     records: list = field(default_factory=list)
     exposure: float = 0.0
     bound: float = 0.0
-
-    @property
-    def last_step(self) -> int | None:
-        return self.records[-1].k if self.records else None
 
     def to_csv(self) -> str:
         buf = io.StringIO()

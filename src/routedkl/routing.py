@@ -204,7 +204,9 @@ class RolloutLossInput:
     ``teacher`` maps span positions to teacher distributions and may be
     None whenever the KL channel is closed; the loss never touches it in
     that case (the stop-gradient contract is implicit: gradients are taken
-    only with respect to the student rows).
+    only with respect to the student rows). ``adv_scale`` multiplies the
+    rollout advantage token by token inside the GRPO surrogate (the RLSD
+    baseline's clipped teacher/student ratio); None means 1.
     """
 
     student: np.ndarray  # (L, V) student distributions
@@ -212,6 +214,7 @@ class RolloutLossInput:
     sampled: np.ndarray  # (L,) sampled token ids
     part: SpanPartition
     teacher: dict | None = None
+    adv_scale: np.ndarray | None = None  # (L,) per-token advantage multiplier
 
 
 @dataclass
@@ -223,7 +226,8 @@ class RoutedLossReport:
 
     Branch values are reported in the per-token 1/|y| normalization; the
     span-mean times |S|/|y| form coincides with it and is recorded too.
-    Gradient maps are keyed by (rollout index, position).
+    The gradient map is keyed by (rollout index, position); a position's
+    span class is read from its rollout's mask.
     """
 
     total: float
@@ -236,8 +240,6 @@ class RoutedLossReport:
     lam: float
     rho: float
     per_token_logit_grads: dict = field(default_factory=dict)
-    span_grads: dict = field(default_factory=dict)
-    nonspan_grads: dict = field(default_factory=dict)
 
 
 def routed_step_loss(
@@ -254,7 +256,8 @@ def routed_step_loss(
     (teacher first); per-vocabulary contributions are clamped at tau with
     gradient flowing through the unclipped region only. Both distributions
     are floored before any divergence so log ratios stay bounded. With
-    lambda = 0 the teacher inputs are never consulted.
+    lambda = 0 the teacher inputs are never consulted. A rollout's
+    ``adv_scale`` multiplies its advantage per token in the surrogate.
     """
     advantages = np.asarray(advantages, dtype=float)
     if advantages.size != len(items):
@@ -270,8 +273,6 @@ def routed_step_loss(
     kl_error_sm = 0.0
     kl_key_sm = 0.0
     grads: dict = {}
-    span_grads: dict = {}
-    nonspan_grads: dict = {}
 
     for i, item in enumerate(items):
         length, vocab = item.student.shape
@@ -280,11 +281,19 @@ def routed_step_loss(
         part = item.part
         if len(part.mask) != length or item.log_ratio.shape != (length,):
             raise DimensionError("partition/rollout length mismatch")
+        scale = item.adv_scale
+        if scale is not None and len(scale) != length:
+            raise DimensionError("advantage multiplier/rollout length mismatch")
         n_span = len(part.span_idx)
         if n_span > coverage_cap(cfg.alpha, length):
             raise InternalConsistencyError("span mask exceeds the coverage cap")
         adv = float(advantages[i])
         inv_len = 1.0 / length
+        # Span positions are all error spans on a failed rollout, all key
+        # spans on an accepted one.
+        is_error = part.outcome == 0
+        kl_on = lam > 0.0 and (cfg.mu_e if is_error else cfg.mu_k)
+        top_k = cfg.floor_top_k or vocab
         err_sum = 0.0
         key_sum = 0.0
 
@@ -292,7 +301,8 @@ def routed_step_loss(
             p_t = item.student[t]
             in_span = part.mask[t] == 1
             # GRPO term, rho-scaled on span tokens while the channel is open.
-            loss_t, factor = grpo_token_loss(float(item.log_ratio[t]), adv, clip)
+            tok_adv = adv if scale is None else adv * float(scale[t])
+            loss_t, factor = grpo_token_loss(float(item.log_ratio[t]), tok_adv, clip)
             weight = (rho_k if in_span else 1.0) * inv_len / g
             if in_span:
                 grpo_span += loss_t * inv_len / g
@@ -305,38 +315,28 @@ def routed_step_loss(
                 token_grad = score
 
             # Routed KL on the active branch.
-            if lam > 0.0 and in_span:
-                branch_mu = cfg.mu_e if t in part.error_idx else cfg.mu_k
-                is_error = t in part.error_idx
-                if branch_mu:
-                    if item.teacher is None or t not in item.teacher:
-                        raise DimensionError(
-                            f"teacher distribution missing at span position {t}"
-                        )
-                    top_k = cfg.floor_top_k or vocab
-                    p_f = truncate_and_floor(p_t, top_k, cfg.floor_p_min)
-                    q_f = truncate_and_floor(
-                        item.teacher[t], top_k, cfg.floor_p_min
+            if kl_on and in_span:
+                if item.teacher is None or t not in item.teacher:
+                    raise DimensionError(
+                        f"teacher distribution missing at span position {t}"
                     )
-                    if is_error:
-                        value, kl_grad = rkl_clipped_value_and_grad(
-                            p_f, q_f, cfg.tau, cfg.clip_two_sided
-                        )
-                        err_sum += value
-                    else:
-                        value, kl_grad = fkl_clipped_value_and_grad(
-                            p_f, q_f, cfg.tau, cfg.clip_two_sided
-                        )
-                        key_sum += value
-                    kl_term = kl_grad * (lam * inv_len / g)
-                    token_grad = kl_term if token_grad is None else token_grad + kl_term
+                p_f = truncate_and_floor(p_t, top_k, cfg.floor_p_min)
+                q_f = truncate_and_floor(item.teacher[t], top_k, cfg.floor_p_min)
+                if is_error:
+                    value, kl_grad = rkl_clipped_value_and_grad(
+                        p_f, q_f, cfg.tau, cfg.clip_two_sided
+                    )
+                    err_sum += value
+                else:
+                    value, kl_grad = fkl_clipped_value_and_grad(
+                        p_f, q_f, cfg.tau, cfg.clip_two_sided
+                    )
+                    key_sum += value
+                kl_term = kl_grad * (lam * inv_len / g)
+                token_grad = kl_term if token_grad is None else token_grad + kl_term
 
             if token_grad is not None:
                 grads[(i, t)] = token_grad
-                if in_span:
-                    span_grads[(i, t)] = token_grad
-                else:
-                    nonspan_grads[(i, t)] = token_grad
 
         kl_error += err_sum * inv_len / g
         kl_key += key_sum * inv_len / g
@@ -361,8 +361,6 @@ def routed_step_loss(
         lam=lam,
         rho=rho_k,
         per_token_logit_grads=grads,
-        span_grads=span_grads,
-        nonspan_grads=nonspan_grads,
     )
 
 

@@ -1,8 +1,10 @@
 """Experiment orchestration: the mini-batch training loop and baselines.
 
-One step samples a group of rollouts, verifies and annotates them, routes
-the loss per the configured method, and applies a single gradient step to
-the shared policy table. Methods:
+One step samples a group of rollouts, verifies and annotates them, builds
+one loss input per rollout, and applies a single gradient step to the
+shared policy table. All six methods share one loss assembly,
+``routed_step_loss``; a method only decides the span mask, the teacher
+rows, the KL weight and a per-token advantage multiplier. Methods:
 
 * ``routed_fkl_key``     forward KL on key spans (default corner action)
 * ``routed_rkl_error``   reverse KL on error spans
@@ -10,8 +12,9 @@ the shared policy table. Methods:
 * ``grpo_only``          no distillation channel
 * ``alltoken_kl_persistent``  mask of all ones, constant KL weight, both
   branches, frozen teacher: the persistent all-token baseline
-* ``rlsd_weighted``      GRPO with the teacher/student probability ratio
-  damping positive advantages while the KL window is open
+* ``rlsd_weighted``      GRPO with the clipped teacher/student probability
+  ratio as the per-token advantage multiplier on rollouts with positive
+  advantage while the KL window is open; empty mask, no KL
 
 Runs are deterministic given (config, seed): sampling, annotation, and
 evaluation each draw from their own spawned generator so methods sharing
@@ -24,13 +27,14 @@ import copy
 import dataclasses
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigError, InternalConsistencyError, NumericFailureError
-from .grpo import ClipConfig, group_advantages, grpo_token_loss
+from .grpo import ClipConfig, group_advantages
 from .metrics import LiftSample, credit_concentration, delta_lift
 from .policy import PolicyTable, entropy
 from .privileged import (
@@ -111,8 +115,12 @@ class RunConfig:
             raise ConfigError("steps must be >= 1")
         if self.group_size < 2:
             raise ConfigError("group size must be >= 2")
-        if self.learning_rate < 0:
-            raise ConfigError("learning rate must be nonnegative")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ConfigError(
+                f"learning_rate must be finite and nonnegative, got {self.learning_rate!r}"
+            )
+        if not (0.0 <= self.rlsd_eps_w < 1.0):
+            raise ConfigError(f"rlsd_eps_w must lie in [0, 1), got {self.rlsd_eps_w!r}")
         if self.teacher_sync not in ("interval", "frozen"):
             raise ConfigError("teacher_sync must be 'interval' or 'frozen'")
         if not (0.0 <= self.annotator_precision <= 1.0):
@@ -131,9 +139,6 @@ class RunConfig:
 class RunLog:
     rows: list = field(default_factory=list)
     summary: dict = field(default_factory=dict)
-
-    def column(self, name: str) -> list:
-        return [row[name] for row in self.rows]
 
     def to_csv(self) -> str:
         lines = [",".join(CSV_COLUMNS)]
@@ -194,22 +199,17 @@ def effective_lambda(cfg: RunConfig, k: int) -> float:
     return 0.0
 
 
+_SPAN_ACTIONS = {
+    "routed_fkl_key": dict(mu_e=0, mu_k=1),
+    "routed_rkl_error": dict(mu_e=1, mu_k=0),
+    "routed_both": dict(mu_e=1, mu_k=1),
+    "alltoken_kl_persistent": dict(mu_e=1, mu_k=1, alpha=1.0),
+}
+
+
 def effective_routing(cfg: RunConfig) -> RoutingConfig:
-    """Method tag selects exactly one loss assembly."""
-    r = cfg.routing
-    if cfg.method == "routed_fkl_key":
-        return replace(r, mu_e=0, mu_k=1)
-    if cfg.method == "routed_rkl_error":
-        return replace(r, mu_e=1, mu_k=0)
-    if cfg.method == "routed_both":
-        return replace(r, mu_e=1, mu_k=1)
-    if cfg.method == "alltoken_kl_persistent":
-        return replace(r, mu_e=1, mu_k=1, alpha=1.0)
-    return r
-
-
-def _uses_teacher(method: str) -> bool:
-    return method != "grpo_only"
+    """The method's span actions (mu_e, mu_k) and coverage cap."""
+    return replace(cfg.routing, **_SPAN_ACTIONS.get(cfg.method, {}))
 
 
 def build_eval_token_set(task: SynthTask, table: PolicyTable) -> list:
@@ -235,7 +235,7 @@ def init_run(cfg: RunConfig) -> RunState:
     # Snapshot-policy eval set, built on a scratch table so the run
     # table's teacher-lookup counter reflects training only.
     eval_tokens = build_eval_token_set(task, task.make_table())
-    if _uses_teacher(cfg.method):
+    if cfg.method != "grpo_only":
         table.sync_teacher()  # teacher starts as the step-0 student
     return RunState(
         cfg=cfg,
@@ -273,97 +273,68 @@ def _fresh_log_ratio(state: RunState, rollout: Rollout) -> tuple[np.ndarray, np.
     return dists, log_ratio
 
 
-def _grpo_items(state: RunState, rollouts: list) -> list:
-    """Loss inputs with empty span masks: plain GRPO on every token."""
+def _loss_items(
+    state: RunState,
+    rollouts: list,
+    advantages: np.ndarray,
+    routing: RoutingConfig,
+    lam: float,
+    rlsd_open: bool,
+) -> list:
+    """One loss input per rollout, for every method.
+
+    With the KL channel open (lam > 0) the rollout is annotated, masked,
+    capped and partitioned, and teacher rows are gathered on the active
+    span branch. Otherwise the mask is empty and every token is plain
+    GRPO; inside the RLSD window one context is drawn per rollout and
+    rollouts with positive advantage carry the clipped teacher/student
+    ratio of each sampled token as their advantage multiplier.
+    """
+    cfg, task, table = state.cfg, state.task, state.table
     items = []
-    for rollout in rollouts:
+    for rollout, adv in zip(rollouts, advantages):
+        length = len(rollout)
         dists, log_ratio = _fresh_log_ratio(state, rollout)
-        part = partition(len(rollout), np.zeros(len(rollout), dtype=np.int8), rollout.outcome)
-        items.append(
-            RolloutLossInput(
-                student=dists,
-                log_ratio=log_ratio,
-                sampled=np.asarray(rollout.tokens),
-                part=part,
-                teacher=None,
-            )
+        mask = np.zeros(length, dtype=np.int8)
+        if lam > 0.0:
+            if cfg.method == "alltoken_kl_persistent":
+                ann = oracle_annotate(rollout, task, 1.0, state.rng_annot)
+                mask = np.ones(length, dtype=np.int8)
+            else:
+                ann = oracle_annotate(rollout, task, cfg.annotator_precision, state.rng_annot)
+                mask = project_spans_to_mask(list(ann.spans), rollout.token_char_intervals())
+                mask = enforce_coverage_cap(mask, np.ones(length), routing.alpha)
+        item = RolloutLossInput(
+            student=dists,
+            log_ratio=log_ratio,
+            sampled=np.asarray(rollout.tokens),
+            part=partition(length, mask, rollout.outcome),
         )
+        if lam > 0.0:
+            item.teacher = {}
+            if routing.mu_e if rollout.outcome == 0 else routing.mu_k:
+                for t in item.part.span_idx:
+                    item.teacher[t] = task.teacher_dist(table, ann.context_index, rollout.prefix(t))
+        elif rlsd_open:
+            ctx = int(state.rng_annot.choice(len(task.contexts), p=task.context_probs))
+            if adv > 0:
+                item.adv_scale = np.array([
+                    rlsd_weight(
+                        float(task.teacher_dist(table, ctx, rollout.prefix(t))[y]),
+                        float(dists[t][y]),
+                        cfg.rlsd_eps_w,
+                    ).clipped
+                    for t, y in enumerate(rollout.tokens)
+                ])
+        items.append(item)
     return items
-
-
-def _routed_items(
-    state: RunState, rollouts: list, routing: RoutingConfig
-) -> tuple[list, list]:
-    """Annotate, mask, cap, partition, and gather teacher rows per rollout."""
-    cfg, task, table = state.cfg, state.task, state.table
-    items, annotations = [], []
-    for rollout in rollouts:
-        dists, log_ratio = _fresh_log_ratio(state, rollout)
-        if cfg.method == "alltoken_kl_persistent":
-            ann = oracle_annotate(rollout, task, 1.0, state.rng_annot)
-            mask = np.ones(len(rollout), dtype=np.int8)
-        else:
-            ann = oracle_annotate(
-                rollout, task, cfg.annotator_precision, state.rng_annot
-            )
-            mask = project_spans_to_mask(list(ann.spans), rollout.token_char_intervals())
-            mask = enforce_coverage_cap(mask, np.ones(len(rollout)), routing.alpha)
-        part = partition(len(rollout), mask, rollout.outcome)
-        teacher: dict = {}
-        mu_for = {True: routing.mu_e, False: routing.mu_k}
-        for t in part.span_idx:
-            if mu_for[t in part.error_idx]:
-                teacher[t] = task.teacher_dist(table, ann.context_index, rollout.prefix(t))
-        items.append(
-            RolloutLossInput(
-                student=dists,
-                log_ratio=log_ratio,
-                sampled=np.asarray(rollout.tokens),
-                part=part,
-                teacher=teacher,
-            )
-        )
-        annotations.append(ann)
-    return items, annotations
-
-
-def _rlsd_grads(state: RunState, rollouts: list, advantages: np.ndarray, active: bool):
-    """GRPO with the per-token probability-ratio damping on positive advantages."""
-    cfg, task, table = state.cfg, state.task, state.table
-    g = len(rollouts)
-    grads: dict = {}
-    total = 0.0
-    entropies = []
-    for i, rollout in enumerate(rollouts):
-        dists, log_ratio = _fresh_log_ratio(state, rollout)
-        ctx = int(state.rng_annot.choice(len(task.contexts), p=task.context_probs)) if active else 0
-        adv = float(advantages[i])
-        inv_len = 1.0 / len(rollout)
-        for t in range(len(rollout)):
-            entropies.append(entropy(dists[t]))
-            tok_adv = adv
-            if active and adv > 0:
-                q = task.teacher_dist(table, ctx, rollout.prefix(t))
-                w = rlsd_weight(float(q[rollout.tokens[t]]), float(dists[t][rollout.tokens[t]]), cfg.rlsd_eps_w)
-                tok_adv = adv * w.clipped
-            loss_t, factor = grpo_token_loss(float(log_ratio[t]), tok_adv, cfg.clip)
-            total += loss_t * inv_len / g
-            if factor != 0.0:
-                key = (task.prompt_id, rollout.prefix(t))
-                vec = -dists[t] * (factor * inv_len / g)
-                vec[rollout.tokens[t]] += factor * inv_len / g
-                grads[key] = grads.get(key, 0.0) + vec
-    return grads, total, float(np.mean(entropies))
 
 
 def _accumulate_row_grads(task: SynthTask, rollouts: list, report: RoutedLossReport) -> dict:
     grads: dict = {}
     for (i, t), vec in report.per_token_logit_grads.items():
         key = (task.prompt_id, rollouts[i].prefix(t))
-        if key in grads:
-            grads[key] = grads[key] + vec
-        else:
-            grads[key] = vec.copy()
+        grads[key] = grads[key] + vec if key in grads else vec
     return grads
 
 
@@ -372,12 +343,11 @@ def _update_ledger(state: RunState, rollouts: list, items: list, lam: float) -> 
     task, table = state.task, state.table
     mv_terms, dev_terms = [], []
     for rollout, item in zip(rollouts, items):
-        mask = item.part.mask
         inv_len = 1.0 / len(rollout)
         mv = 0.0
         dev = 0.0
-        for t in np.flatnonzero(mask):
-            matrix = task.teacher_dist_matrix(table, rollout.prefix(int(t)))
+        for t in item.part.span_idx:
+            matrix = task.teacher_dist_matrix(table, rollout.prefix(t))
             mv += context_variance(task.context_probs, matrix)
             dev += expected_deviation_sq(task.context_probs, matrix)
         mv_terms.append(mv * inv_len)
@@ -392,14 +362,13 @@ def _track_credit_concentration(
 ) -> None:
     """Per-token update magnitude (L2 logit-gradient norm times step size)
     inside the span mask versus outside, averaged over the batch."""
+    grads, lr = report.per_token_logit_grads, state.cfg.learning_rate
     ratios = []
     for i, item in enumerate(items):
-        length = item.student.shape[0]
-        credit = np.zeros(length)
-        for t in range(length):
-            grad = report.per_token_logit_grads.get((i, t))
-            if grad is not None:
-                credit[t] = state.cfg.learning_rate * float(np.linalg.norm(grad))
+        credit = np.array([
+            lr * float(np.linalg.norm(grads[(i, t)])) if (i, t) in grads else 0.0
+            for t in range(len(item.sampled))
+        ])
         ratio = credit_concentration(credit, item.part.mask.astype(bool))
         if ratio is not None:
             ratios.append(ratio)
@@ -434,8 +403,9 @@ def train_step(state: RunState) -> dict:
     k = state.k
     lam = effective_lambda(cfg, k)
     routing = effective_routing(cfg)
+    rlsd_open = cfg.method == "rlsd_weighted" and lambda_schedule(k, cfg.routing) > 0.0
 
-    if _uses_teacher(cfg.method) and cfg.teacher_sync == "interval":
+    if cfg.method != "grpo_only" and cfg.teacher_sync == "interval":
         if should_sync(k, routing.sync_n, lam):
             table.sync_teacher()
 
@@ -444,46 +414,21 @@ def train_step(state: RunState) -> dict:
     advantages = group_advantages(rewards)
 
     lookups_before = table.teacher_lookups
-    rho_k = None
-    if cfg.method == "rlsd_weighted":
-        active = lambda_schedule(k, cfg.routing) > 0.0
-        grads, total, mean_entropy = _rlsd_grads(state, rollouts, advantages, active)
-        lam_row = 0.0
-    elif cfg.method == "grpo_only" or lam == 0.0:
-        items = _grpo_items(state, rollouts)
-        report = routed_step_loss(items, advantages, k, routing, cfg.clip, lam_override=0.0)
-        if table.teacher_lookups != lookups_before:
-            raise InternalConsistencyError(
-                "teacher consulted while the KL channel is closed"
-            )
-        grads = _accumulate_row_grads(task, rollouts, report)
-        total = report.total
-        rho_k = report.rho
-        mean_entropy = float(
-            np.mean([entropy(item.student[t]) for item in items for t in range(item.student.shape[0])])
-        )
-        lam_row = 0.0
-    else:
-        items, _ = _routed_items(state, rollouts, routing)
-        report = routed_step_loss(
-            items, advantages, k, routing, cfg.clip, lam_override=lam
-        )
-        grads = _accumulate_row_grads(task, rollouts, report)
-        total = report.total
-        rho_k = report.rho
-        mean_entropy = float(
-            np.mean([entropy(item.student[t]) for item in items for t in range(item.student.shape[0])])
-        )
-        lam_row = lam
+    items = _loss_items(state, rollouts, advantages, routing, lam, rlsd_open)
+    report = routed_step_loss(items, advantages, k, routing, cfg.clip, lam_override=lam)
+    if not (lam > 0.0 or rlsd_open) and table.teacher_lookups != lookups_before:
+        raise InternalConsistencyError("teacher consulted while the KL channel is closed")
+    if lam > 0.0:
         _update_ledger(state, rollouts, items, lam)
         _track_credit_concentration(state, items, report)
 
+    total = report.total
     if not np.isfinite(total):
         _dump_diagnostics(state, rewards, total)
         raise NumericFailureError(f"non-finite loss at step {k}: {total!r}")
 
     lift_before = _eval_logprobs(state)
-    table.apply_gradients(grads, cfg.learning_rate)
+    table.apply_gradients(_accumulate_row_grads(task, rollouts, report), cfg.learning_rate)
     lift_after = _eval_logprobs(state)
     samples = [
         LiftSample(0, v, float(b), float(a), True)
@@ -495,13 +440,17 @@ def train_step(state: RunState) -> dict:
         "step": k,
         "train_reward": float(rewards.mean()),
         "validation_reward": float(task.expected_reward(table)),
-        "entropy": mean_entropy,
-        "lambda": lam_row,
-        "rho": rho_k if rho_k is not None else 1.0,
+        "entropy": float(np.mean([entropy(p) for item in items for p in item.student])),
+        "lambda": lam,
+        "rho": report.rho,
         "exposure": state.ledger.exposure,
         "delta_lift": lift,
         "response_length": float(np.mean([len(r) for r in rollouts])),
     }
+    for col, value in row.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            _dump_diagnostics(state, rewards, total)
+            raise NumericFailureError(f"non-finite {col} at step {k}: {value!r}")
     state.k += 1
     return row
 

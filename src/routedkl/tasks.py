@@ -138,7 +138,7 @@ class SynthTask:
         self, table: PolicyTable, context_index: int, prefix: PrefixKey
     ) -> np.ndarray:
         offset = self.context_offset(context_index, len(prefix))
-        return table.teacher_dist(self.prompt_id, context_index, prefix, offset)
+        return table.teacher_dist(self.prompt_id, prefix, offset)
 
     def teacher_dist_matrix(
         self, table: PolicyTable, prefix: PrefixKey

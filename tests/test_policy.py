@@ -121,7 +121,7 @@ class TestPolicyTable:
         row += 1.5
         table.sync_teacher()
         offset = np.array([2.0, 0.0, 0.0, 0.0])
-        teacher = table.teacher_logits("p", 0, (), offset)
+        teacher = table.teacher_logits("p", (), offset)
         np.testing.assert_allclose(teacher, row + offset, atol=1e-15)
 
     def test_teacher_is_stale_between_syncs(self):
@@ -129,13 +129,13 @@ class TestPolicyTable:
         table.student_logits("p", ())
         table.sync_teacher()
         table.rows[("p", ())] += 3.0
-        teacher = table.teacher_logits("p", 0, ())
+        teacher = table.teacher_logits("p", ())
         np.testing.assert_allclose(teacher, np.zeros(4), atol=1e-15)
 
     def test_teacher_lookup_counter(self):
         table = self._table()
         assert table.teacher_lookups == 0
-        table.teacher_dist("p", 0, ())
+        table.teacher_dist("p", ())
         assert table.teacher_lookups == 1
 
     def test_apply_gradients_descends(self):

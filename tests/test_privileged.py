@@ -10,8 +10,6 @@ from routedkl.privileged import (
     deviation_vector,
     expected_deviation_sq,
     exposure_accumulate,
-    privileged_deviation,
-    privileged_variance,
     rlsd_weight,
 )
 from routedkl.routing import RoutingConfig, lambda_schedule
@@ -25,18 +23,18 @@ TWO_CTX = ContextSet(
 class TestPrivilegedVariance:
     def test_single_context_zero(self):
         ctx = ContextSet(probs=np.array([1.0]), dists_by_position={0: np.array([[0.7, 0.3]])})
-        assert privileged_variance(ctx, 0) == 0.0
+        assert ctx.variance(0) == 0.0
 
     def test_two_context_frozen_value(self):
         # Per-entry population variance 0.01 each, summed over the vocabulary.
-        assert privileged_variance(TWO_CTX, 0) == pytest.approx(0.02, abs=1e-15)
+        assert TWO_CTX.variance(0) == pytest.approx(0.02, abs=1e-15)
 
     def test_identical_dists_zero(self):
         ctx = ContextSet(
             probs=np.array([0.3, 0.7]),
             dists_by_position={0: np.array([[0.5, 0.5], [0.5, 0.5]])},
         )
-        assert privileged_variance(ctx, 0) == 0.0
+        assert ctx.variance(0) == 0.0
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=200)
@@ -52,19 +50,19 @@ class TestPrivilegedDeviation:
     def test_single_context_zero_vector(self):
         ctx = ContextSet(probs=np.array([1.0]), dists_by_position={0: np.array([[0.7, 0.3]])})
         np.testing.assert_allclose(
-            privileged_deviation(ctx, 0, np.array([0.5, 0.5]), 0), 0.0, atol=1e-15
+            ctx.deviation(0, np.array([0.5, 0.5]), 0), 0.0, atol=1e-15
         )
 
     def test_zero_mean_over_contexts(self):
         student = np.array([0.5, 0.5])
         total = np.zeros(2)
         for c in range(2):
-            total += TWO_CTX.probs[c] * privileged_deviation(TWO_CTX, c, student, 0)
+            total += TWO_CTX.probs[c] * TWO_CTX.deviation(c, student, 0)
         np.testing.assert_allclose(total, 0.0, atol=1e-12)
 
     def test_norm_squared_matches_enumeration(self):
         student = np.array([0.5, 0.5])
-        delta = privileged_deviation(TWO_CTX, 0, student, 0)
+        delta = TWO_CTX.deviation(0, student, 0)
         assert float((delta**2).sum()) == pytest.approx(0.02, abs=1e-12)
 
     @given(st.integers(min_value=0, max_value=10**6))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -235,19 +237,36 @@ class TestRoutedStepLoss:
         assert rep.kl_error_branch == pytest.approx(0.0, abs=1e-9)
         assert rep.kl_key_branch == pytest.approx(0.0, abs=1e-9)
 
-    def test_span_nonspan_decomposition_disjoint_and_additive(self):
+    def test_advantage_multiplier(self):
+        # An all-ones multiplier is the absent one, bit for bit, with the KL
+        # channel open; a per-token scale on the positive-advantage
+        # rollouts scales their GRPO gradients and leaves the others alone.
         rng = np.random.default_rng(5)
         items = _loss_inputs(rng, outcomes=[1, 0, 1])
         adv = group_advantages(np.array([1.0, 0.0, 1.0]))
         cfg = RoutingConfig(tau=100.0, alpha=0.5, mu_e=1, mu_k=1)
-        rep = routed_step_loss(items, adv, 5, cfg)
-        span_keys = set(rep.span_grads)
-        nonspan_keys = set(rep.nonspan_grads)
-        assert span_keys.isdisjoint(nonspan_keys)
-        assert span_keys | nonspan_keys == set(rep.per_token_logit_grads)
-        for key, grad in rep.per_token_logit_grads.items():
-            part = rep.span_grads.get(key, 0.0) + rep.nonspan_grads.get(key, 0.0)
-            np.testing.assert_allclose(grad, part, atol=1e-10)
+        ones = [replace(item, adv_scale=np.ones(4)) for item in items]
+        for k in (5, 100):
+            plain, scaled = routed_step_loss(items, adv, k, cfg), routed_step_loss(ones, adv, k, cfg)
+            assert plain.total == scaled.total
+            assert plain.per_token_logit_grads.keys() == scaled.per_token_logit_grads.keys()
+            for key, grad in plain.per_token_logit_grads.items():
+                np.testing.assert_array_equal(grad, scaled.per_token_logit_grads[key])
+
+        # Powers of two keep the comparison exact.
+        scale = np.array([2.0, 0.5, 4.0, 0.25])
+        weighted = [
+            replace(item, adv_scale=scale) if a > 0 else item for item, a in zip(items, adv)
+        ]
+        plain = routed_step_loss(items, adv, 100, cfg)
+        rep = routed_step_loss(weighted, adv, 100, cfg)
+        assert rep.per_token_logit_grads.keys() == plain.per_token_logit_grads.keys()
+        for (i, t), grad in plain.per_token_logit_grads.items():
+            factor = scale[t] if adv[i] > 0 else 1.0
+            np.testing.assert_array_equal(rep.per_token_logit_grads[(i, t)], grad * factor)
+
+        with pytest.raises(DimensionError):
+            routed_step_loss([replace(items[0], adv_scale=np.ones(3))], adv[:1], 100, cfg)
 
     def test_action_endpoint_consistency(self):
         # (mu_e, mu_k) = (0, 0) with lambda > 0 equals the lambda = 0

@@ -3,12 +3,14 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from routedkl.errors import ConfigError
-from routedkl.routing import RoutingConfig
+from routedkl import cli, runner
+from routedkl.errors import ConfigError, InternalConsistencyError
+from routedkl.routing import RoutingConfig, lambda_schedule
 from routedkl.runner import (
     RunConfig,
     build_eval_token_set,
@@ -59,6 +61,20 @@ class TestConfigValidation:
     def test_bad_group(self):
         with pytest.raises(ConfigError):
             RunConfig(group_size=1)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("learning_rate", float("nan")),
+            ("learning_rate", float("inf")),
+            ("learning_rate", -0.1),
+            ("rlsd_eps_w", 1.5),
+            ("rlsd_eps_w", float("nan")),
+        ],
+    )
+    def test_bad_float_names_key(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            RunConfig(method="grpo_only", **{key: value})
 
     def test_method_selects_assembly(self):
         assert effective_routing(fast_cfg("routed_fkl_key")).mu_k == 1
@@ -184,10 +200,39 @@ class TestMethodBehaviour:
         # Syncs at k = 0, 5, 10 while the channel is open (decay ends at 12).
         assert state.table.sync_count == 1 + 3
 
+    def _rlsd_past_window(self):
+        cfg = fast_cfg("rlsd_weighted", steps=1)
+        state = init_run(cfg)
+        while lambda_schedule(state.k, cfg.routing) > 0.0:
+            train_step(state)
+        return cfg, state
+
     def test_rlsd_runs_and_matches_grpo_after_window(self):
-        cfg = fast_cfg("rlsd_weighted", steps=16)
-        log, _ = run_experiment(cfg)
-        assert all(np.isfinite(row["validation_reward"]) for row in log.rows)
+        # Past its window RLSD is plain GRPO: a fork switched to grpo_only
+        # steps bit-identically and neither consults the teacher again.
+        cfg, state = self._rlsd_past_window()
+        lookups = state.table.teacher_lookups
+        assert lookups > 0  # the window did weight some positive advantages
+        fork = state.fork()
+        fork.cfg = replace(cfg, method="grpo_only")
+        for _ in range(8):
+            assert train_step(state) == train_step(fork)
+            assert state.table.rows.keys() == fork.table.rows.keys()
+            for key, row in state.table.rows.items():
+                np.testing.assert_array_equal(row, fork.table.rows[key])
+        assert state.table.teacher_lookups == fork.table.teacher_lookups == lookups
+
+    def test_rlsd_teacher_guard_after_window(self, monkeypatch):
+        _, state = self._rlsd_past_window()
+        build = runner._loss_items
+
+        def peeking(state, *args):
+            state.task.teacher_dist(state.table, 0, ())
+            return build(state, *args)
+
+        monkeypatch.setattr(runner, "_loss_items", peeking)
+        with pytest.raises(InternalConsistencyError, match="KL channel is closed"):
+            train_step(state)
 
     def test_first_step_ratio_is_exactly_one(self):
         # One optimizer step per batch: the recomputed log-prob matches the
@@ -282,6 +327,29 @@ seed = 0, 1
         )
         out = self._cli("run", str(cfg_path))
         assert out.returncode == 3  # distinct from the parse-error code
+
+    @pytest.mark.parametrize(
+        "line", ["learning_rate = nan", "learning_rate = inf", "rlsd_eps_w = 1.5"]
+    )
+    def test_bad_float_exit_code_names_key(self, tmp_path, capsys, line):
+        cfg_path = tmp_path / "bad.ini"
+        cfg_path.write_text(self.CONFIG.replace("learning_rate = 0.3", line))
+        assert cli.main(["run", str(cfg_path)]) == 2
+        assert line.split(" = ")[0] in capsys.readouterr().err
+
+    def test_non_finite_row_aborts_with_diagnostics(self, tmp_path, capsys):
+        # A huge step drives policy entries to exact zero, so the key-token
+        # lift turns -inf; the run must not exit 0 with it in the CSV.
+        cfg_path = tmp_path / "corner.ini"
+        text = (Path(__file__).parents[1] / "configs" / "corner_under.ini").read_text()
+        cfg_path.write_text(text.replace("learning_rate = 0.7", "learning_rate = 1e6"))
+        with np.errstate(divide="ignore"):
+            code = cli.main(["run", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "non-finite delta_lift" in capsys.readouterr().err
+        diag = json.loads((tmp_path / "out" / "abort_diagnostics.json").read_text())
+        assert diag["method"] == "routed_fkl_key"
+        assert not (tmp_path / "out" / "routed_fkl_key_under_allocated_seed0.csv").exists()
 
     def test_sweep_subcommand(self, tmp_path):
         cfg_path = tmp_path / "sweep.ini"
