@@ -29,6 +29,11 @@ Config files are INI-style key-value text with nested sections:
     method = routed_fkl_key, grpo_only
     seed = 0, 1, 2
 
+Every float must be finite. A run writes its files under the stem
+``{method}_{regime}_seed{seed}``, so a sweep whose axes would give two runs
+one stem is refused before anything runs, and a run never replaces a
+summary written by a different config.
+
 Exit codes: 0 success, 2 config error, 3 numeric failure (including an
 exceeded enumeration budget), 4 invariant violation.
 """
@@ -50,7 +55,7 @@ from .errors import (
 )
 from .grpo import ClipConfig
 from .routing import RoutingConfig
-from .runner import RunConfig, run_experiment
+from .runner import RunConfig, output_stem, run_experiment
 from .tasks import TaskParams
 
 EXIT_OK = 0
@@ -148,6 +153,21 @@ def load_sweep(path: str) -> list[dict]:
     return combos
 
 
+def _check_distinct_stems(combos: list[dict], cfgs: list[RunConfig]) -> None:
+    """Refuse a sweep in which two runs would write one output stem."""
+    seen: dict = {}
+    for combo, cfg in zip(combos, cfgs):
+        stem = output_stem(cfg)
+        where = (cfg.out_dir, stem)
+        if where in seen:
+            axes = sorted(key for key in combo if combo[key] != seen[where][key])
+            raise ConfigError(
+                f"sweep axis {', '.join(axes) or '(repeated value)'} is not part of the "
+                f"output stem {{method}}_{{regime}}_seed{{seed}}: two runs would write {stem!r}"
+            )
+        seen[where] = combo
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="routedkl", description="Span-routed distillation experiments"
@@ -189,11 +209,10 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK if failures == 0 else EXIT_INVARIANT
         if args.command == "sweep":
             combos = load_sweep(args.config)
-            for combo in combos:
-                overrides = dict(combo)
-                if args.out is not None:
-                    overrides["out_dir"] = args.out
-                cfg = load_config(args.config, overrides)
+            out = {} if args.out is None else {"out_dir": args.out}
+            cfgs = [load_config(args.config, {**combo, **out}) for combo in combos]
+            _check_distinct_stems(combos, cfgs)
+            for cfg in cfgs:
                 log, _ = run_experiment(cfg)
                 print(
                     f"method={cfg.method} regime={cfg.regime} seed={cfg.seed} "

@@ -4,6 +4,9 @@ Every class subclasses ValueError so callers that only know stdlib
 semantics still get sensible behaviour; the CLI maps them to exit codes.
 """
 
+import dataclasses
+import math
+
 
 class RoutedKlError(ValueError):
     """Base class for all library errors."""
@@ -55,3 +58,12 @@ class NumericFailureError(RoutedKlError):
 
 class ConfigError(RoutedKlError):
     """Run configuration is missing, malformed, or inconsistent."""
+
+
+def require_finite_fields(config) -> None:
+    """Raise RangeError naming the first float field of a config
+    dataclass that is NaN or infinite."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise RangeError(f"{f.name} must be finite, got {value!r}")

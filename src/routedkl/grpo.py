@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteInputError, RangeError
+from .errors import NonFiniteInputError, RangeError, require_finite_fields
 
 
 @dataclass(frozen=True)
@@ -17,6 +17,7 @@ class ClipConfig:
     eps_high: float = 0.28
 
     def __post_init__(self) -> None:
+        require_finite_fields(self)
         if not (0 < self.eps_low <= self.eps_high):
             raise RangeError(
                 f"need 0 < eps_low <= eps_high, got ({self.eps_low}, {self.eps_high})"
@@ -73,4 +74,24 @@ def grpo_token_loss(
     s_clip = clamped * advantage
     loss = -min(s_free, s_clip)
     grad_factor = -s_free if s_free <= s_clip else 0.0
+    return loss, grad_factor
+
+
+def grpo_token_losses(
+    log_ratio: np.ndarray, advantage: np.ndarray, clip: ClipConfig = ClipConfig()
+) -> tuple[np.ndarray, np.ndarray]:
+    """``grpo_token_loss`` over matching token arrays, element for element.
+
+    Returns the (loss, grad_factor) arrays; each entry equals the scalar
+    routine's result bit for bit.
+    """
+    log_ratio = np.asarray(log_ratio, dtype=float)
+    if not np.all(np.isfinite(log_ratio)):
+        raise NonFiniteInputError("log ratio must be finite")
+    ratio = np.exp(log_ratio)
+    clamped = np.minimum(np.maximum(ratio, 1.0 - clip.eps_low), 1.0 + clip.eps_high)
+    s_free = ratio * advantage
+    s_clip = clamped * advantage
+    loss = -np.minimum(s_free, s_clip)
+    grad_factor = np.where(s_free <= s_clip, -s_free, 0.0)
     return loss, grad_factor

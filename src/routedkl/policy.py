@@ -57,6 +57,18 @@ def entropy(dist: np.ndarray) -> float:
     return float(-(nz * np.log(nz)).sum())
 
 
+def check_floor(n: int, top_k: int, p_min: float) -> None:
+    """Raise unless a top_k-truncated, p_min-floored length-n vector exists."""
+    if not (1 <= top_k <= n):
+        raise InfeasibleFloorError(f"top_k={top_k} outside [1, {n}]")
+    if p_min < 0:
+        raise InfeasibleFloorError("p_min must be nonnegative")
+    if p_min * top_k >= 1.0:
+        raise InfeasibleFloorError(
+            f"infeasible floor: p_min*top_k = {p_min * top_k} >= 1"
+        )
+
+
 def truncate_and_floor(dist: np.ndarray, top_k: int, p_min: float) -> np.ndarray:
     """Restrict to the top_k largest entries, then floor and renormalize.
 
@@ -69,14 +81,7 @@ def truncate_and_floor(dist: np.ndarray, top_k: int, p_min: float) -> np.ndarray
     """
     p = validate_distribution(dist, "truncate_and_floor input")
     n = p.size
-    if not (1 <= top_k <= n):
-        raise InfeasibleFloorError(f"top_k={top_k} outside [1, {n}]")
-    if p_min < 0:
-        raise InfeasibleFloorError("p_min must be nonnegative")
-    if p_min * top_k >= 1.0:
-        raise InfeasibleFloorError(
-            f"infeasible floor: p_min*top_k = {p_min * top_k} >= 1"
-        )
+    check_floor(n, top_k, p_min)
     # Top-k support, ties broken toward lower index for determinism.
     order = np.argsort(-p, kind="stable")
     support = np.sort(order[:top_k])

@@ -25,9 +25,10 @@ from .errors import (
     InternalConsistencyError,
     RangeError,
     SpanAlignmentError,
+    require_finite_fields,
 )
-from .grpo import ClipConfig, grpo_token_loss
-from .policy import truncate_and_floor
+from .grpo import ClipConfig, grpo_token_losses
+from .policy import check_floor, truncate_and_floor
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,7 @@ class RoutingConfig:
     clip_two_sided: bool = True
 
     def __post_init__(self) -> None:
+        require_finite_fields(self)
         if self.mu_e not in (0, 1) or self.mu_k not in (0, 1):
             raise RangeError("mu_e and mu_k are binary action selectors")
         if not (0 < self.alpha <= 1):
@@ -242,6 +244,87 @@ class RoutedLossReport:
     per_token_logit_grads: dict = field(default_factory=dict)
 
 
+def _running_sum(values: np.ndarray) -> float:
+    """0.0 + values[0] + values[1] + ..., left to right.
+
+    The order a per-token loop accumulates in; ``np.sum`` adds pairwise.
+    Adding 0.0 at the end gives the loop's +0.0 for an all-zero input.
+    """
+    return float(np.cumsum(values)[-1]) + 0.0 if values.size else 0.0
+
+
+def _simplex_rows(rows: np.ndarray) -> np.ndarray:
+    """Mask of the rows ``validate_distribution`` accepts."""
+    ok = np.isfinite(rows).all(axis=1)
+    ok[ok] = (rows[ok] >= 0).all(axis=1) & (np.abs(rows[ok].sum(axis=1) - 1.0) <= 1e-9)
+    return ok
+
+
+def _floor_rows(rows: np.ndarray, p_min: float) -> tuple[np.ndarray, np.ndarray]:
+    """``truncate_and_floor`` at full support over valid rows.
+
+    Returns the floored rows and the mask of rows whose fixed point pins
+    no entry; the other rows are not the reference's output.
+    """
+    q = rows / rows.sum(axis=1, keepdims=True)
+    if p_min == 0.0:
+        return q, np.ones(len(q), dtype=bool)
+    scale = 1.0 / np.sort(q, axis=1).sum(axis=1)
+    return q * scale[:, None], q.min(axis=1) * scale >= p_min
+
+
+def _floored_kl_rows(
+    student: np.ndarray, teacher: list, reverse: np.ndarray, cfg: RoutingConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Floored, clipped KL value and student-logit gradient of each row.
+
+    ``reverse`` marks the reverse-KL (error-span) rows. Array arithmetic
+    covers the rows where it reproduces the per-row reference bit for bit:
+    full-vocabulary support, no pinned floor entry and no clipped
+    per-vocabulary term. Every other row, including any that fails
+    validation, goes through ``truncate_and_floor`` and the scalar
+    clipped-KL routines, which raise the reference's errors.
+    """
+    m, vocab = student.shape
+    values = np.empty(m)
+    grads = np.empty((m, vocab))
+    if m == 0:
+        return values, grads
+    top_k = cfg.floor_top_k or vocab
+    check_floor(vocab, top_k, cfg.floor_p_min)
+    done = np.zeros(m, dtype=bool)
+    try:
+        q_raw = np.array(teacher, dtype=float)
+    except ValueError:  # ragged teacher rows
+        q_raw = None
+    if top_k == vocab and vocab >= 2 and q_raw is not None and q_raw.shape == (m, vocab):
+        idx = np.flatnonzero(_simplex_rows(student) & _simplex_rows(q_raw))
+        p, p_free = _floor_rows(student[idx], cfg.floor_p_min)
+        q, q_free = _floor_rows(q_raw[idx], cfg.floor_p_min)
+        keep = p_free & q_free & (p > 0).all(axis=1) & (q > 0).all(axis=1)
+        idx, p, q = idx[keep], p[keep], q[keep]
+        rev = reverse[idx][:, None]
+        log_p, log_q = np.log(p), np.log(q)
+        terms = np.where(rev, p * (log_p - log_q), q * (log_q - log_p))
+        if cfg.clip_two_sided:
+            live = ((terms >= -cfg.tau) & (terms <= cfg.tau)).all(axis=1)
+        else:
+            live = (terms <= cfg.tau).all(axis=1)
+        # d(p_v r_v)/d l = p_v (e_v - p)(r_v + 1) for reverse KL; p - q forward.
+        w = p * ((log_p - log_q) + 1.0)
+        grad = np.where(rev, -p * w.sum(axis=1)[:, None] + w, p * q.sum(axis=1)[:, None] - q)
+        idx = idx[live]
+        values[idx] = terms[live].sum(axis=1)
+        grads[idx] = grad[live]
+        done[idx] = True
+    for j in np.flatnonzero(~done):
+        p_f = truncate_and_floor(student[j], top_k, cfg.floor_p_min)
+        q_f = truncate_and_floor(teacher[j], top_k, cfg.floor_p_min)
+        kl = rkl_clipped_value_and_grad if reverse[j] else fkl_clipped_value_and_grad
+        values[j], grads[j] = kl(p_f, q_f, cfg.tau, cfg.clip_two_sided)
+    return values, grads
+
+
 def routed_step_loss(
     items: list[RolloutLossInput],
     advantages: np.ndarray,
@@ -258,98 +341,105 @@ def routed_step_loss(
     are floored before any divergence so log ratios stay bounded. With
     lambda = 0 the teacher inputs are never consulted. A rollout's
     ``adv_scale`` multiplies its advantage per token in the surrogate.
+
+    The loss is array arithmetic over the group's concatenated (N, V)
+    token rows; gradients, and sums taken in (rollout, position) order,
+    equal a per-token loop over the scalar reference routines
+    (``grpo_token_loss``, ``truncate_and_floor`` and the clipped KLs) bit
+    for bit. KL rows the array form cannot reproduce exactly run through
+    those routines.
     """
     advantages = np.asarray(advantages, dtype=float)
     if advantages.size != len(items):
         raise DimensionError("one advantage per rollout required")
+    if not items:
+        raise DimensionError("empty rollout group")
     lam = lambda_schedule(k, cfg) if lam_override is None else lam_override
     rho_k = rho(lam, cfg.w0)
     g = len(items)
+    vocab = items[0].student.shape[1]
 
-    grpo_nonspan = 0.0
-    grpo_span = 0.0
-    kl_error = 0.0
-    kl_key = 0.0
-    kl_error_sm = 0.0
-    kl_key_sm = 0.0
-    grads: dict = {}
-
-    for i, item in enumerate(items):
-        length, vocab = item.student.shape
+    teacher_rows = []
+    for item in items:
+        length = item.student.shape[0]
+        part = item.part
         if length == 0:
             raise DimensionError("degenerate rollout of length 0")
-        part = item.part
+        if item.student.shape[1] != vocab:
+            raise DimensionError("rollouts disagree on the vocabulary size")
         if len(part.mask) != length or item.log_ratio.shape != (length,):
             raise DimensionError("partition/rollout length mismatch")
-        scale = item.adv_scale
-        if scale is not None and len(scale) != length:
+        if item.adv_scale is not None and len(item.adv_scale) != length:
             raise DimensionError("advantage multiplier/rollout length mismatch")
-        n_span = len(part.span_idx)
-        if n_span > coverage_cap(cfg.alpha, length):
+        if len(part.span_idx) > coverage_cap(cfg.alpha, length):
             raise InternalConsistencyError("span mask exceeds the coverage cap")
-        adv = float(advantages[i])
-        inv_len = 1.0 / length
         # Span positions are all error spans on a failed rollout, all key
         # spans on an accepted one.
-        is_error = part.outcome == 0
-        kl_on = lam > 0.0 and (cfg.mu_e if is_error else cfg.mu_k)
-        top_k = cfg.floor_top_k or vocab
-        err_sum = 0.0
-        key_sum = 0.0
-
-        for t in range(length):
-            p_t = item.student[t]
-            in_span = part.mask[t] == 1
-            # GRPO term, rho-scaled on span tokens while the channel is open.
-            tok_adv = adv if scale is None else adv * float(scale[t])
-            loss_t, factor = grpo_token_loss(float(item.log_ratio[t]), tok_adv, clip)
-            weight = (rho_k if in_span else 1.0) * inv_len / g
-            if in_span:
-                grpo_span += loss_t * inv_len / g
-            else:
-                grpo_nonspan += loss_t * inv_len / g
-            token_grad = None
-            if factor != 0.0 and weight != 0.0:
-                score = -p_t * (factor * weight)
-                score[item.sampled[t]] += factor * weight
-                token_grad = score
-
-            # Routed KL on the active branch.
-            if kl_on and in_span:
+        if lam > 0.0 and (cfg.mu_e if part.outcome == 0 else cfg.mu_k):
+            for t in part.span_idx:
                 if item.teacher is None or t not in item.teacher:
-                    raise DimensionError(
-                        f"teacher distribution missing at span position {t}"
-                    )
-                p_f = truncate_and_floor(p_t, top_k, cfg.floor_p_min)
-                q_f = truncate_and_floor(item.teacher[t], top_k, cfg.floor_p_min)
-                if is_error:
-                    value, kl_grad = rkl_clipped_value_and_grad(
-                        p_f, q_f, cfg.tau, cfg.clip_two_sided
-                    )
-                    err_sum += value
-                else:
-                    value, kl_grad = fkl_clipped_value_and_grad(
-                        p_f, q_f, cfg.tau, cfg.clip_two_sided
-                    )
-                    key_sum += value
-                kl_term = kl_grad * (lam * inv_len / g)
-                token_grad = kl_term if token_grad is None else token_grad + kl_term
+                    raise DimensionError(f"teacher distribution missing at span position {t}")
+                teacher_rows.append(item.teacher[t])
 
-            if token_grad is not None:
-                grads[(i, t)] = token_grad
+    lengths = np.array([len(item.part.mask) for item in items])
+    inv_len = 1.0 / lengths
+    n_err = np.array([len(item.part.error_idx) for item in items])
+    n_key = np.array([len(item.part.key_idx) for item in items])
+    is_error = np.array([item.part.outcome == 0 for item in items])
+    kl_on = (lam > 0.0) & np.where(is_error, bool(cfg.mu_e), bool(cfg.mu_k))
 
-        kl_error += err_sum * inv_len / g
-        kl_key += key_sum * inv_len / g
-        if part.error_idx:
-            kl_error_sm += (err_sum / len(part.error_idx)) * (n_span * inv_len) / g
-        if part.key_idx:
-            kl_key_sm += (key_sum / len(part.key_idx)) * (n_span * inv_len) / g
+    # Token rows in (rollout, position) order.
+    row_item = np.repeat(np.arange(g), lengths)
+    position = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    student = np.concatenate([item.student for item in items])
+    in_span = np.concatenate([item.part.mask for item in items]) == 1
+    tok_inv_len = inv_len[row_item]
+
+    # GRPO term, rho-scaled on span tokens while the channel is open.
+    tok_adv = advantages[row_item]
+    if any(item.adv_scale is not None for item in items):
+        tok_adv = tok_adv * np.concatenate([
+            np.ones(len(item.part.mask)) if item.adv_scale is None else item.adv_scale
+            for item in items
+        ])
+    loss, factor = grpo_token_losses(
+        np.concatenate([item.log_ratio for item in items]), tok_adv, clip
+    )
+    share = loss * tok_inv_len / g
+    grpo_span = _running_sum(share[in_span])
+    grpo_nonspan = _running_sum(share[~in_span])
+    weight = np.where(in_span, rho_k, 1.0) * tok_inv_len / g
+    has_grpo = (factor != 0.0) & (weight != 0.0)
+    fw = (factor * weight)[has_grpo]
+    score = -student[has_grpo] * fw[:, None]
+    score[np.arange(fw.size), np.concatenate([item.sampled for item in items])[has_grpo]] += fw
+    grads = np.zeros_like(student)
+    grads[has_grpo] = score
+
+    # Routed KL on the active branch.
+    kl_mask = in_span & kl_on[row_item]
+    kl_rows = np.flatnonzero(kl_mask)
+    kl_item = row_item[kl_rows]
+    kl_error_row = is_error[kl_item]
+    kl_values, kl_grads = _floored_kl_rows(student[kl_rows], teacher_rows, kl_error_row, cfg)
+    kl_term = kl_grads * (lam * tok_inv_len[kl_rows] / g)[:, None]
+    grads[kl_rows] = np.where(has_grpo[kl_rows, None], grads[kl_rows] + kl_term, kl_term)
+    err_sum = np.bincount(kl_item[kl_error_row], kl_values[kl_error_row], minlength=g)
+    key_sum = np.bincount(kl_item[~kl_error_row], kl_values[~kl_error_row], minlength=g)
+    kl_error = _running_sum(err_sum * inv_len / g)
+    kl_key = _running_sum(key_sum * inv_len / g)
+    n_span = n_err + n_key
+    e, s = n_err > 0, n_key > 0
+    kl_error_sm = _running_sum((err_sum[e] / n_err[e]) * (n_span[e] * inv_len[e]) / g)
+    kl_key_sm = _running_sum((key_sum[s] / n_key[s]) * (n_span[s] * inv_len[s]) / g)
 
     total = (
         grpo_nonspan
         + rho_k * grpo_span
         + lam * (cfg.mu_e * kl_error + cfg.mu_k * kl_key)
     )
+    has_grad = has_grpo | kl_mask
+    keys = zip(row_item[has_grad].tolist(), position[has_grad].tolist())
     return RoutedLossReport(
         total=total,
         grpo_nonspan=grpo_nonspan,
@@ -360,7 +450,7 @@ def routed_step_loss(
         kl_key_span_mean_form=kl_key_sm,
         lam=lam,
         rho=rho_k,
-        per_token_logit_grads=grads,
+        per_token_logit_grads=dict(zip(keys, grads[has_grad])),
     )
 
 

@@ -19,6 +19,25 @@ rows, the KL weight and a per-token advantage multiplier. Methods:
 Runs are deterministic given (config, seed): sampling, annotation, and
 evaluation each draw from their own spawned generator so methods sharing
 a seed see identical rollout streams until their parameters diverge.
+
+Each distinct distribution is computed once per step. Teacher rows change
+only at ``sync_teacher`` and student rows only at ``apply_gradients``:
+
+* ``RunState.teacher_cache`` holds, per prefix, the read-only
+  (n_contexts, V) teacher matrix and its context variance and expected
+  squared deviation, the ledger's two terms. An entry lives for one sync
+  generation (``table.sync_count``), and the cache is emptied on every
+  step whose channel is closed, so a teacher read then misses, goes
+  through ``PolicyTable.teacher_logits`` and trips the closed-channel
+  guard.
+* A step-local ``{prefix: student distribution}`` map is filled while the
+  group is sampled and read by the log ratios, the entropy column and the
+  pre-update lift; it is dropped at ``apply_gradients``. Nothing is cached
+  on ``PolicyTable``, whose rows are mutated in place.
+* ``routed_step_loss`` is array arithmetic over the group's (N, V) token
+  rows. KL rows where a floor entry pins, a per-vocabulary term clips, or
+  ``floor_top_k < V`` run through the scalar ``truncate_and_floor`` and
+  clipped-KL routines, so every gradient equals the per-token reference.
 """
 
 from __future__ import annotations
@@ -178,10 +197,16 @@ class RunState:
     eval_tokens: list
     k: int = 0
     credit_ratios: list = field(default_factory=list)
+    # prefix -> (teacher matrix, context variance, expected deviation^2),
+    # valid while table.sync_count == teacher_cache_sync; see _teacher_rows.
+    teacher_cache: dict = field(default_factory=dict)
+    teacher_cache_sync: int = -1
 
     def fork(self) -> "RunState":
         """Deep snapshot so two methods can be advanced from one state."""
-        return copy.deepcopy(self)
+        dup = copy.deepcopy(self)
+        dup.teacher_cache.clear()  # copies of the read-only rows are writable
+        return dup
 
 
 def should_sync(k: int, n: int, lam_k: float) -> bool:
@@ -228,6 +253,7 @@ def build_eval_token_set(task: SynthTask, table: PolicyTable) -> list:
 def init_run(cfg: RunConfig) -> RunState:
     task_seed = cfg.seed if cfg.task_seed is None else cfg.task_seed
     task = generate_task(cfg.regime, task_seed, cfg.task_params)
+    task.check_budget()  # exact evaluation runs every step; fail before the first
     table = task.make_table()
     seeds = np.random.SeedSequence(cfg.seed).spawn(3)
     rng_rollout = np.random.default_rng(seeds[0])
@@ -248,34 +274,62 @@ def init_run(cfg: RunConfig) -> RunState:
     )
 
 
-def _eval_logprobs(state: RunState) -> np.ndarray:
-    task, table = state.task, state.table
+def _student_dist(state: RunState, dists: dict, prefix: tuple) -> np.ndarray:
+    """Student row at ``prefix`` from the step-local map, filled on a miss."""
+    dist = dists.get(prefix)
+    if dist is None:
+        dist = dists[prefix] = state.table.student_dist(state.task.prompt_id, prefix)
+    return dist
+
+
+def _teacher_rows(state: RunState, prefix: tuple) -> tuple[np.ndarray, float, float]:
+    """Read-only (n_contexts, V) teacher rows at ``prefix`` and their
+    context variance and expected squared deviation, cached per sync.
+
+    A miss goes through ``PolicyTable.teacher_logits`` and so counts as
+    teacher lookups.
+    """
+    table, task = state.table, state.task
+    if state.teacher_cache_sync != table.sync_count:
+        state.teacher_cache.clear()
+        state.teacher_cache_sync = table.sync_count
+    entry = state.teacher_cache.get(prefix)
+    if entry is None:
+        matrix = task.teacher_dist_matrix(table, prefix)
+        matrix.flags.writeable = False
+        entry = state.teacher_cache[prefix] = (
+            matrix,
+            context_variance(task.context_probs, matrix),
+            expected_deviation_sq(task.context_probs, matrix),
+        )
+    return entry
+
+
+def _eval_logprobs(state: RunState, dists: dict) -> np.ndarray:
     out = np.empty(len(state.eval_tokens))
     for i, (prefix, v) in enumerate(state.eval_tokens):
-        out[i] = np.log(table.student_dist(task.prompt_id, prefix)[v])
+        out[i] = np.log(_student_dist(state, dists, prefix)[v])
     return out
 
 
-def _fresh_log_ratio(state: RunState, rollout: Rollout) -> tuple[np.ndarray, np.ndarray]:
-    """Student dists and log ratios against the sample-time log-probs.
+def _fresh_log_ratio(
+    state: RunState, rollout: Rollout, dists: dict
+) -> tuple[np.ndarray, np.ndarray]:
+    """Student rows and log ratios against the sample-time log-probs.
 
     One optimizer step per batch means the recomputed log-probs equal the
     sample-time ones bit for bit, so the ratio is exactly one.
     """
-    task, table = state.task, state.table
-    length = len(rollout)
-    dists = np.empty((length, task.vocab))
-    log_ratio = np.empty(length)
-    for t in range(length):
-        dist = table.student_dist(task.prompt_id, rollout.prefix(t))
-        dists[t] = dist
-        log_ratio[t] = np.log(dist[rollout.tokens[t]]) - rollout.logprobs[t]
-    return dists, log_ratio
+    positions = range(len(rollout))
+    student = np.stack([_student_dist(state, dists, rollout.prefix(t)) for t in positions])
+    log_ratio = np.log(student[positions, rollout.tokens]) - rollout.logprobs
+    return student, log_ratio
 
 
 def _loss_items(
     state: RunState,
     rollouts: list,
+    dists: dict,
     advantages: np.ndarray,
     routing: RoutingConfig,
     lam: float,
@@ -290,11 +344,11 @@ def _loss_items(
     rollouts with positive advantage carry the clipped teacher/student
     ratio of each sampled token as their advantage multiplier.
     """
-    cfg, task, table = state.cfg, state.task, state.table
+    cfg, task = state.cfg, state.task
     items = []
     for rollout, adv in zip(rollouts, advantages):
         length = len(rollout)
-        dists, log_ratio = _fresh_log_ratio(state, rollout)
+        student, log_ratio = _fresh_log_ratio(state, rollout, dists)
         mask = np.zeros(length, dtype=np.int8)
         if lam > 0.0:
             if cfg.method == "alltoken_kl_persistent":
@@ -305,7 +359,7 @@ def _loss_items(
                 mask = project_spans_to_mask(list(ann.spans), rollout.token_char_intervals())
                 mask = enforce_coverage_cap(mask, np.ones(length), routing.alpha)
         item = RolloutLossInput(
-            student=dists,
+            student=student,
             log_ratio=log_ratio,
             sampled=np.asarray(rollout.tokens),
             part=partition(length, mask, rollout.outcome),
@@ -314,14 +368,14 @@ def _loss_items(
             item.teacher = {}
             if routing.mu_e if rollout.outcome == 0 else routing.mu_k:
                 for t in item.part.span_idx:
-                    item.teacher[t] = task.teacher_dist(table, ann.context_index, rollout.prefix(t))
+                    item.teacher[t] = _teacher_rows(state, rollout.prefix(t))[0][ann.context_index]
         elif rlsd_open:
             ctx = int(state.rng_annot.choice(len(task.contexts), p=task.context_probs))
             if adv > 0:
                 item.adv_scale = np.array([
                     rlsd_weight(
-                        float(task.teacher_dist(table, ctx, rollout.prefix(t))[y]),
-                        float(dists[t][y]),
+                        float(_teacher_rows(state, rollout.prefix(t))[0][ctx, y]),
+                        float(student[t][y]),
                         cfg.rlsd_eps_w,
                     ).clipped
                     for t, y in enumerate(rollout.tokens)
@@ -340,16 +394,15 @@ def _accumulate_row_grads(task: SynthTask, rollouts: list, report: RoutedLossRep
 
 def _update_ledger(state: RunState, rollouts: list, items: list, lam: float) -> None:
     """Per-step exposure record: exact context variance and deviation moment."""
-    task, table = state.task, state.table
     mv_terms, dev_terms = [], []
     for rollout, item in zip(rollouts, items):
         inv_len = 1.0 / len(rollout)
         mv = 0.0
         dev = 0.0
         for t in item.part.span_idx:
-            matrix = task.teacher_dist_matrix(table, rollout.prefix(t))
-            mv += context_variance(task.context_probs, matrix)
-            dev += expected_deviation_sq(task.context_probs, matrix)
+            _, variance, deviation = _teacher_rows(state, rollout.prefix(t))
+            mv += variance
+            dev += deviation
         mv_terms.append(mv * inv_len)
         dev_terms.append(dev * inv_len)
     exposure_accumulate(
@@ -374,6 +427,19 @@ def _track_credit_concentration(
             ratios.append(ratio)
     if ratios:
         state.credit_ratios.append(float(np.mean(ratios)))
+
+
+def _mean_entropy(items: list) -> float:
+    """Mean Shannon entropy over the student rows of the step's rollouts.
+
+    Rows with a zero entry take the scalar ``entropy`` (0 log 0 = 0).
+    """
+    rows = np.concatenate([item.student for item in items])
+    positive = (rows > 0).all(axis=1)
+    ent = np.empty(len(rows))
+    ent[positive] = -(rows[positive] * np.log(rows[positive])).sum(axis=1)
+    ent[~positive] = [entropy(p) for p in rows[~positive]]
+    return float(np.mean(ent))
 
 
 def _dump_diagnostics(state: RunState, rewards: np.ndarray, total: float) -> None:
@@ -408,13 +474,18 @@ def train_step(state: RunState) -> dict:
     if cfg.method != "grpo_only" and cfg.teacher_sync == "interval":
         if should_sync(k, routing.sync_n, lam):
             table.sync_teacher()
+    if not (lam > 0.0 or rlsd_open):
+        state.teacher_cache.clear()  # any teacher read now misses and is counted
 
-    rollouts = [sample_rollout(table, task, state.rng_rollout) for _ in range(cfg.group_size)]
+    dists: dict = {}  # student rows of this step, until apply_gradients
+    rollouts = [
+        sample_rollout(table, task, state.rng_rollout, dists) for _ in range(cfg.group_size)
+    ]
     rewards = np.array([r.outcome for r in rollouts], dtype=float)
     advantages = group_advantages(rewards)
 
     lookups_before = table.teacher_lookups
-    items = _loss_items(state, rollouts, advantages, routing, lam, rlsd_open)
+    items = _loss_items(state, rollouts, dists, advantages, routing, lam, rlsd_open)
     report = routed_step_loss(items, advantages, k, routing, cfg.clip, lam_override=lam)
     if not (lam > 0.0 or rlsd_open) and table.teacher_lookups != lookups_before:
         raise InternalConsistencyError("teacher consulted while the KL channel is closed")
@@ -427,9 +498,9 @@ def train_step(state: RunState) -> dict:
         _dump_diagnostics(state, rewards, total)
         raise NumericFailureError(f"non-finite loss at step {k}: {total!r}")
 
-    lift_before = _eval_logprobs(state)
+    lift_before = _eval_logprobs(state, dists)
     table.apply_gradients(_accumulate_row_grads(task, rollouts, report), cfg.learning_rate)
-    lift_after = _eval_logprobs(state)
+    lift_after = _eval_logprobs(state, {})
     samples = [
         LiftSample(0, v, float(b), float(a), True)
         for ((_, v), b, a) in zip(state.eval_tokens, lift_before, lift_after)
@@ -440,7 +511,7 @@ def train_step(state: RunState) -> dict:
         "step": k,
         "train_reward": float(rewards.mean()),
         "validation_reward": float(task.expected_reward(table)),
-        "entropy": float(np.mean([entropy(p) for item in items for p in item.student])),
+        "entropy": _mean_entropy(items),
         "lambda": lam,
         "rho": report.rho,
         "exposure": state.ledger.exposure,
@@ -455,12 +526,37 @@ def train_step(state: RunState) -> dict:
     return row
 
 
+def output_stem(cfg: RunConfig) -> str:
+    """File stem of a run's artifacts in ``cfg.out_dir``."""
+    return f"{cfg.method}_{cfg.regime}_seed{cfg.seed}"
+
+
+def _refuse_overwrite(cfg: RunConfig) -> None:
+    """Raise ConfigError if out_dir holds another config's run under this stem."""
+    path = os.path.join(cfg.out_dir, f"{output_stem(cfg)}_summary.json")
+    if not os.path.exists(path):
+        return
+    try:
+        with open(path) as fh:
+            found = json.load(fh).get("config_hash")
+    except (OSError, ValueError, AttributeError):
+        found = None
+    if found != cfg.config_hash():
+        raise ConfigError(
+            f"{path} belongs to config {found}, not {cfg.config_hash()}; "
+            "refusing to overwrite it"
+        )
+
+
 def run_experiment(cfg: RunConfig, state: RunState | None = None) -> tuple[RunLog, RunState]:
     """Run the configured training loop; optionally emit CSV artifacts.
 
     Deterministic given (config, seed): two runs produce byte-identical
-    CSV output.
+    CSV output. Outputs of a run with a different config hash under the
+    same stem are never replaced: the run is refused before it starts.
     """
+    if cfg.out_dir is not None:
+        _refuse_overwrite(cfg)
     state = state or init_run(cfg)
     log = RunLog()
     for _ in range(cfg.steps):
@@ -487,7 +583,7 @@ def run_experiment(cfg: RunConfig, state: RunState | None = None) -> tuple[RunLo
 
     if cfg.out_dir is not None:
         os.makedirs(cfg.out_dir, exist_ok=True)
-        stem = f"{cfg.method}_{cfg.regime}_seed{cfg.seed}"
+        stem = output_stem(cfg)
         with open(os.path.join(cfg.out_dir, f"{stem}.csv"), "w", newline="") as fh:
             fh.write(log.to_csv())
         with open(os.path.join(cfg.out_dir, f"{stem}_summary.json"), "w") as fh:

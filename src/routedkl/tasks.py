@@ -31,6 +31,7 @@ from .errors import (
     EnumerationBudgetError,
     InternalConsistencyError,
     RangeError,
+    require_finite_fields,
 )
 from .policy import PolicyTable, PrefixKey, softmax
 from .routing import CharSpan
@@ -64,6 +65,7 @@ class TaskParams:
     distractor_mass: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite_fields(self)
         if self.vocab < 4 or self.horizon < 2:
             raise RangeError("need vocab >= 4 and horizon >= 2")
         if not (0 < self.trap_position < self.horizon):
@@ -197,7 +199,8 @@ class SynthTask:
 
     # ----- exact enumeration -----------------------------------------------
 
-    def _check_budget(self) -> None:
+    def check_budget(self) -> None:
+        """Raise unless V^T sequences are few enough to enumerate exactly."""
         if self.vocab**self.horizon > 10**6:
             raise EnumerationBudgetError(
                 f"V^T = {self.vocab}^{self.horizon} exceeds the enumeration budget"
@@ -205,7 +208,7 @@ class SynthTask:
 
     def expected_reward(self, table: PolicyTable) -> float:
         """Exact E[R] under the student policy, by pruned tree enumeration."""
-        self._check_budget()
+        self.check_budget()
 
         def value(prefix: PrefixKey, state: int, t: int) -> float:
             if state == _DEAD:
@@ -229,7 +232,7 @@ class SynthTask:
         holds the child values; rows on decided branches get zero and are
         omitted.
         """
-        self._check_budget()
+        self.check_budget()
         grads: dict = {}
 
         def walk(prefix: PrefixKey, state: int, t: int, reach: float) -> float:
@@ -494,13 +497,26 @@ def generate_task(
 
 
 def sample_rollout(
-    table: PolicyTable, task: SynthTask, rng: np.random.Generator
+    table: PolicyTable,
+    task: SynthTask,
+    rng: np.random.Generator,
+    dists: dict | None = None,
 ) -> Rollout:
-    """Sample one sequence from the student policy and verify it."""
+    """Sample one sequence from the student policy and verify it.
+
+    ``dists`` is an optional ``{prefix: student distribution}`` map shared
+    by the rollouts of one step: a row found there is reused and a row
+    computed is added, so a group takes one softmax per distinct prefix.
+    The map is stale once the student rows change.
+    """
+    dists = {} if dists is None else dists
     tokens: list[int] = []
     logprobs = np.empty(task.horizon)
     for t in range(task.horizon):
-        dist = table.student_dist(task.prompt_id, tuple(tokens))
+        prefix = tuple(tokens)
+        dist = dists.get(prefix)
+        if dist is None:
+            dist = dists[prefix] = table.student_dist(task.prompt_id, prefix)
         tok = int(rng.choice(task.vocab, p=dist))
         logprobs[t] = math.log(dist[tok])
         tokens.append(tok)

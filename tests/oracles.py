@@ -2,10 +2,24 @@
 
 Everything here is deliberately naive: central finite differences, direct
 enumeration, and brute-force grids. None of it shares code with the paths
-it validates.
+it validates, except ``reference_routed_step_loss``: the per-token loop
+over the scalar routines that the array-form routed loss must reproduce.
 """
 
 import numpy as np
+
+from routedkl.divergence import fkl_clipped_value_and_grad, rkl_clipped_value_and_grad
+from routedkl.errors import DimensionError, InternalConsistencyError
+from routedkl.grpo import ClipConfig, grpo_token_loss
+from routedkl.policy import truncate_and_floor
+from routedkl.routing import (
+    RolloutLossInput,
+    RoutedLossReport,
+    RoutingConfig,
+    coverage_cap,
+    lambda_schedule,
+    rho,
+)
 
 
 def fd_kl_logit_grad(logits, teacher, forward, h=1e-6):
@@ -101,3 +115,128 @@ def fd_reward_gradient(task, table, key, h=1e-6):
         row[v] += h
         grad[v] = (up - down) / (2 * h)
     return grad
+
+
+def reference_routed_step_loss(
+    items: list[RolloutLossInput],
+    advantages: np.ndarray,
+    k: int,
+    cfg: RoutingConfig,
+    clip: ClipConfig = ClipConfig(),
+    lam_override: float | None = None,
+) -> RoutedLossReport:
+    """Per-token reference for ``routing.routed_step_loss``.
+
+    The loss as one Python loop over tokens calling the scalar routines,
+    kept verbatim from before the loss became array arithmetic.
+
+    Error spans use reverse KL (student first), key spans forward KL
+    (teacher first); per-vocabulary contributions are clamped at tau with
+    gradient flowing through the unclipped region only. Both distributions
+    are floored before any divergence so log ratios stay bounded. With
+    lambda = 0 the teacher inputs are never consulted. A rollout's
+    ``adv_scale`` multiplies its advantage per token in the surrogate.
+    """
+    advantages = np.asarray(advantages, dtype=float)
+    if advantages.size != len(items):
+        raise DimensionError("one advantage per rollout required")
+    lam = lambda_schedule(k, cfg) if lam_override is None else lam_override
+    rho_k = rho(lam, cfg.w0)
+    g = len(items)
+
+    grpo_nonspan = 0.0
+    grpo_span = 0.0
+    kl_error = 0.0
+    kl_key = 0.0
+    kl_error_sm = 0.0
+    kl_key_sm = 0.0
+    grads: dict = {}
+
+    for i, item in enumerate(items):
+        length, vocab = item.student.shape
+        if length == 0:
+            raise DimensionError("degenerate rollout of length 0")
+        part = item.part
+        if len(part.mask) != length or item.log_ratio.shape != (length,):
+            raise DimensionError("partition/rollout length mismatch")
+        scale = item.adv_scale
+        if scale is not None and len(scale) != length:
+            raise DimensionError("advantage multiplier/rollout length mismatch")
+        n_span = len(part.span_idx)
+        if n_span > coverage_cap(cfg.alpha, length):
+            raise InternalConsistencyError("span mask exceeds the coverage cap")
+        adv = float(advantages[i])
+        inv_len = 1.0 / length
+        # Span positions are all error spans on a failed rollout, all key
+        # spans on an accepted one.
+        is_error = part.outcome == 0
+        kl_on = lam > 0.0 and (cfg.mu_e if is_error else cfg.mu_k)
+        top_k = cfg.floor_top_k or vocab
+        err_sum = 0.0
+        key_sum = 0.0
+
+        for t in range(length):
+            p_t = item.student[t]
+            in_span = part.mask[t] == 1
+            # GRPO term, rho-scaled on span tokens while the channel is open.
+            tok_adv = adv if scale is None else adv * float(scale[t])
+            loss_t, factor = grpo_token_loss(float(item.log_ratio[t]), tok_adv, clip)
+            weight = (rho_k if in_span else 1.0) * inv_len / g
+            if in_span:
+                grpo_span += loss_t * inv_len / g
+            else:
+                grpo_nonspan += loss_t * inv_len / g
+            token_grad = None
+            if factor != 0.0 and weight != 0.0:
+                score = -p_t * (factor * weight)
+                score[item.sampled[t]] += factor * weight
+                token_grad = score
+
+            # Routed KL on the active branch.
+            if kl_on and in_span:
+                if item.teacher is None or t not in item.teacher:
+                    raise DimensionError(
+                        f"teacher distribution missing at span position {t}"
+                    )
+                p_f = truncate_and_floor(p_t, top_k, cfg.floor_p_min)
+                q_f = truncate_and_floor(item.teacher[t], top_k, cfg.floor_p_min)
+                if is_error:
+                    value, kl_grad = rkl_clipped_value_and_grad(
+                        p_f, q_f, cfg.tau, cfg.clip_two_sided
+                    )
+                    err_sum += value
+                else:
+                    value, kl_grad = fkl_clipped_value_and_grad(
+                        p_f, q_f, cfg.tau, cfg.clip_two_sided
+                    )
+                    key_sum += value
+                kl_term = kl_grad * (lam * inv_len / g)
+                token_grad = kl_term if token_grad is None else token_grad + kl_term
+
+            if token_grad is not None:
+                grads[(i, t)] = token_grad
+
+        kl_error += err_sum * inv_len / g
+        kl_key += key_sum * inv_len / g
+        if part.error_idx:
+            kl_error_sm += (err_sum / len(part.error_idx)) * (n_span * inv_len) / g
+        if part.key_idx:
+            kl_key_sm += (key_sum / len(part.key_idx)) * (n_span * inv_len) / g
+
+    total = (
+        grpo_nonspan
+        + rho_k * grpo_span
+        + lam * (cfg.mu_e * kl_error + cfg.mu_k * kl_key)
+    )
+    return RoutedLossReport(
+        total=total,
+        grpo_nonspan=grpo_nonspan,
+        grpo_span=grpo_span,
+        kl_error_branch=kl_error,
+        kl_key_branch=kl_key,
+        kl_error_span_mean_form=kl_error_sm,
+        kl_key_span_mean_form=kl_key_sm,
+        lam=lam,
+        rho=rho_k,
+        per_token_logit_grads=grads,
+    )

@@ -1,17 +1,21 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from routedkl.divergence import fkl_logit_grad, rkl_logit_grad
 from routedkl.errors import (
     DimensionError,
     InternalConsistencyError,
+    InvalidDistributionError,
+    NonFiniteInputError,
     RangeError,
+    RoutedKlError,
     SpanAlignmentError,
 )
-from routedkl.grpo import group_advantages
+from routedkl.grpo import ClipConfig, group_advantages
 from routedkl.routing import (
     CharSpan,
     RolloutLossInput,
@@ -28,7 +32,7 @@ from routedkl.routing import (
     spans_to_json,
 )
 
-from oracles import interval_intersection_mask
+from oracles import interval_intersection_mask, reference_routed_step_loss
 
 ATOMIC = [(t, t + 1) for t in range(8)]
 
@@ -320,6 +324,142 @@ class TestRoutedStepLoss:
         grad = rep.per_token_logit_grads[(0, 1)]
         expected = rkl_logit_grad(items[0].student[1], teacher) * cfg.w0 / 4.0
         np.testing.assert_allclose(grad, expected, atol=1e-10)
+
+
+@st.composite
+def loss_groups(draw):
+    """A random group and loss config covering every array-form fallback:
+    pinned floors (p_min near 1/V), clipped terms (tau = 1e-3, or a teacher
+    near the student so that single terms clip on either side), top-k
+    truncation, zero student entries, and both KL directions."""
+    vocab = draw(st.sampled_from([4, 6, 8, 9]))
+    g = draw(st.integers(1, 4))
+    lengths = draw(st.lists(st.integers(1, 5), min_size=g, max_size=g))
+    outcomes = draw(st.lists(st.integers(0, 1), min_size=g, max_size=g))
+    scaled = draw(st.lists(st.booleans(), min_size=g, max_size=g))
+    alpha = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    floor = draw(st.sampled_from(["plain", "pin", "zero", "top_k"]))
+    p_min = {"plain": 1e-6, "pin": 0.9 / vocab, "zero": 0.0, "top_k": 1e-6}[floor]
+    top_k = draw(st.integers(1, vocab - 1)) if floor == "top_k" else None
+    cfg = RoutingConfig(
+        mu_e=draw(st.integers(0, 1)),
+        mu_k=draw(st.integers(0, 1)),
+        alpha=alpha,
+        tau=draw(st.sampled_from([1e-3, 0.02, 0.05, 10.0])),
+        floor_top_k=top_k,
+        floor_p_min=p_min,
+        clip_two_sided=draw(st.booleans()),
+    )
+    lam = draw(st.sampled_from([0.0, cfg.w0, 0.3 * cfg.w0]))
+    concentration = draw(st.sampled_from([0.1, 1.0, 5.0]))
+    near = draw(st.booleans())  # teacher = student with noisy logits
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    items = []
+    for length, outcome, scale in zip(lengths, outcomes, scaled):
+        student = rng.dirichlet(np.full(vocab, concentration), size=length)
+        if floor == "zero" and rng.random() < 0.5:
+            student[rng.integers(length), rng.integers(vocab)] = 0.0
+            student /= student.sum(axis=1, keepdims=True)
+        n_span = rng.integers(0, coverage_cap(alpha, length) + 1)
+        mask = np.zeros(length, dtype=np.int8)
+        mask[rng.choice(length, size=n_span, replace=False)] = 1
+        part = partition(length, mask, outcome)
+        log_ratio = np.where(rng.random(length) < 0.3, 0.0, rng.normal(0.0, 0.3, length))
+        items.append(
+            RolloutLossInput(
+                student=student,
+                log_ratio=log_ratio,
+                sampled=rng.integers(0, vocab, size=length),
+                part=part,
+                teacher={t: _teacher_row(rng, student[t], near) for t in part.span_idx},
+                adv_scale=rng.uniform(0.8, 1.2, length) if scale else None,
+            )
+        )
+    rewards = np.asarray(outcomes, dtype=float)
+    advantages = group_advantages(rewards) if g > 1 else rng.normal(size=1)
+    return items, advantages, cfg, lam
+
+
+def _teacher_row(rng, student_row, near):
+    if not near:
+        return rng.dirichlet(np.ones(len(student_row)))
+    q = (student_row + 1e-3) * np.exp(rng.normal(0.0, 0.3, len(student_row)))
+    return q / q.sum()
+
+
+def _report_or_error(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs), None
+    except RoutedKlError as exc:
+        return None, type(exc)
+
+
+class TestBatchMatchesReference:
+    """The array-form loss against the per-token reference loop."""
+
+    CLIP = ClipConfig(eps_low=0.2, eps_high=0.28)
+    CFG_KEY = RoutingConfig(tau=100.0, alpha=0.5)
+    BRANCHES = (
+        "total", "grpo_nonspan", "grpo_span", "kl_error_branch", "kl_key_branch",
+        "kl_error_span_mean_form", "kl_key_span_mean_form",
+    )
+
+    def _compare(self, items, advantages, cfg, lam):
+        ref, ref_err = _report_or_error(
+            reference_routed_step_loss, items, advantages, 0, cfg, self.CLIP, lam_override=lam
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got, got_err = _report_or_error(
+                routed_step_loss, items, advantages, 0, cfg, self.CLIP, lam_override=lam
+            )
+        assert got_err == ref_err
+        if ref is None:
+            return
+        assert list(got.per_token_logit_grads) == list(ref.per_token_logit_grads)
+        for key, grad in ref.per_token_logit_grads.items():
+            assert got.per_token_logit_grads[key].tobytes() == grad.tobytes(), key
+        for name in self.BRANCHES:
+            assert getattr(got, name) == pytest.approx(getattr(ref, name), rel=1e-12, abs=1e-300)
+        assert (got.lam, got.rho) == (ref.lam, ref.rho)
+
+    @given(loss_groups())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, group):
+        self._compare(*group)
+
+    @given(loss_groups(), st.sampled_from([np.nan, np.inf, -np.inf]))
+    @settings(max_examples=40, deadline=None)
+    def test_non_finite_log_ratio_raises_like_reference(self, group, bad):
+        items, advantages, cfg, lam = group
+        # One fault per group: which of two errors comes first is not pinned.
+        assume(_report_or_error(routed_step_loss, *group[:2], 0, cfg, lam_override=lam)[1] is None)
+        items[-1].log_ratio[-1] = bad
+        with pytest.raises(NonFiniteInputError):
+            routed_step_loss(items, advantages, 0, cfg, self.CLIP, lam_override=lam)
+        self._compare(items, advantages, cfg, lam)
+
+    @pytest.mark.parametrize("row", [[0.5, 0.5, 0.5, 0.5], [np.nan, 0.5, 0.25, 0.25]])
+    def test_off_simplex_student_row_raises_like_reference(self, row):
+        items = _loss_inputs(np.random.default_rng(9), vocab=4, outcomes=[1, 0, 1])
+        items[2].student[1] = row  # a key-span row on the active branch
+        adv = group_advantages(np.array([1.0, 0.0, 1.0]))
+        _, ref_err = _report_or_error(reference_routed_step_loss, items, adv, 0, self.CFG_KEY)
+        assert ref_err in (InvalidDistributionError, NonFiniteInputError)
+        with pytest.raises(ref_err):
+            routed_step_loss(items, adv, 0, self.CFG_KEY)
+
+    def test_underflowed_rows_emit_no_warning(self):
+        # A policy pushed to exact zeros (a huge step) pins the floor on
+        # every KL row; the array form must route them without log(0).
+        items = _loss_inputs(np.random.default_rng(10), vocab=6, outcomes=[1, 0, 1])
+        for item in items:
+            item.student[:] = np.eye(6)[np.arange(4) % 6]
+            item.teacher = {t: np.eye(6)[t % 6] for t in item.teacher}
+        adv = group_advantages(np.array([1.0, 0.0, 1.0]))
+        cfg = RoutingConfig(tau=10.0, alpha=0.5, mu_e=1, mu_k=1)
+        self._compare(items, adv, cfg, cfg.w0)
 
 
 class TestSpanSchema:

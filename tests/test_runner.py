@@ -1,3 +1,4 @@
+import configparser
 import json
 import os
 import subprocess
@@ -9,8 +10,9 @@ import numpy as np
 import pytest
 
 from routedkl import cli, runner
-from routedkl.errors import ConfigError, InternalConsistencyError
-from routedkl.routing import RoutingConfig, lambda_schedule
+from routedkl.errors import ConfigError, EnumerationBudgetError, InternalConsistencyError
+from routedkl.privileged import context_variance, expected_deviation_sq
+from routedkl.routing import RoutingConfig, lambda_schedule, routed_step_loss
 from routedkl.runner import (
     RunConfig,
     build_eval_token_set,
@@ -241,8 +243,9 @@ class TestMethodBehaviour:
         from routedkl.tasks import sample_rollout
 
         state = init_run(fast_cfg(steps=1))
-        rollout = sample_rollout(state.table, state.task, state.rng_rollout)
-        _, log_ratio = _fresh_log_ratio(state, rollout)
+        dists = {}
+        rollout = sample_rollout(state.table, state.task, state.rng_rollout, dists)
+        _, log_ratio = _fresh_log_ratio(state, rollout, dists)
         assert np.all(log_ratio == 0.0)
 
     def test_eval_token_set_is_teacher_supported(self):
@@ -257,6 +260,63 @@ class TestMethodBehaviour:
         for prefix, v in eval_set:
             assert prefix == ()
             assert mean_teacher[v] > student[v]
+
+
+class TestTeacherCache:
+    def test_rows_after_sync_match_the_synced_table(self, monkeypatch):
+        cfg = fast_cfg("routed_both")
+        state = init_run(cfg)
+        for _ in range(FAST_ROUTING.sync_n):  # steps 0..4; step 5 syncs first
+            train_step(state)
+        stale = runner._teacher_rows(state, ())[0]
+        used = []
+
+        def capture(items, *args, **kwargs):
+            used.extend(items)
+            return routed_step_loss(items, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "routed_step_loss", capture)
+        train_step(state)
+        assert state.table.sync_count == 3  # init snapshot, k = 0, k = 5
+        synced = state.table.copy()  # same teacher snapshot, separate counter
+        task = state.task
+        fresh = {p: task.teacher_dist_matrix(synced, p) for p in state.teacher_cache}
+        assert not np.array_equal(fresh[()], stale)
+        for prefix, (matrix, variance, deviation) in state.teacher_cache.items():
+            np.testing.assert_array_equal(matrix, fresh[prefix])
+            assert variance == context_variance(task.context_probs, fresh[prefix])
+            assert deviation == expected_deviation_sq(task.context_probs, fresh[prefix])
+        rows = [
+            (tuple(item.sampled[:t]), q) for item in used for t, q in item.teacher.items()
+        ]
+        assert rows
+        for prefix, q in rows:
+            assert any(np.array_equal(q, row) for row in fresh[prefix])
+
+    def test_closed_channel_read_through_cache_raises(self, monkeypatch):
+        cfg = fast_cfg("routed_fkl_key")
+        state = init_run(cfg)
+        while effective_lambda(cfg, state.k) > 0.0:
+            train_step(state)
+        assert () in state.teacher_cache  # filled while the channel was open
+        build = runner._loss_items
+
+        def peeking(state, *args):
+            runner._teacher_rows(state, ())
+            return build(state, *args)
+
+        monkeypatch.setattr(runner, "_loss_items", peeking)
+        with pytest.raises(InternalConsistencyError, match="KL channel is closed"):
+            train_step(state)
+
+    def test_cached_rows_are_read_only(self):
+        state = init_run(fast_cfg("alltoken_kl_persistent"))
+        train_step(state)
+        matrix, _, _ = runner._teacher_rows(state, ())
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 0.5
+        with pytest.raises(ValueError):
+            matrix[0][1] = 0.5
 
 
 class TestCli:
@@ -350,6 +410,75 @@ seed = 0, 1
         diag = json.loads((tmp_path / "out" / "abort_diagnostics.json").read_text())
         assert diag["method"] == "routed_fkl_key"
         assert not (tmp_path / "out" / "routed_fkl_key_under_allocated_seed0.csv").exists()
+
+    def test_enumeration_budget_checked_before_any_step(self, tmp_path, monkeypatch):
+        params = TaskParams(vocab=20, horizon=6)
+        with pytest.raises(EnumerationBudgetError):
+            init_run(RunConfig(method="grpo_only", task_params=params))
+
+        def no_step(state):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(runner, "train_step", no_step)
+        cfg_path = tmp_path / "huge.ini"
+        cfg_path.write_text(
+            self.CONFIG.replace("vocab = 6", "vocab = 20").replace("horizon = 3", "horizon = 6")
+        )
+        assert cli.main(["run", str(cfg_path)]) == 3
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("routing", "tau", "nan"),
+            ("routing", "w0", "inf"),
+            ("routing", "floor_p_min", "nan"),
+            ("routing", "alpha", "nan"),
+            ("clip", "eps_high", "inf"),
+            ("clip", "eps_low", "nan"),
+            ("task", "p_star", "nan"),
+            ("task", "trap_mass", "-inf"),
+            ("task", "teacher_boost_high", "inf"),
+        ],
+    )
+    def test_non_finite_config_float_names_key(self, tmp_path, capsys, section, key, value):
+        parser = configparser.ConfigParser()
+        parser.read(Path(__file__).parents[1] / "configs" / "corner_under.ini")
+        parser[section][key] = value
+        cfg_path = tmp_path / "bad.ini"
+        with open(cfg_path, "w") as fh:
+            parser.write(fh)
+        assert cli.main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert f"{key} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    LR_SWEEP = CONFIG + """
+[sweep]
+learning_rate = 0.1, 0.7
+"""
+
+    def test_sweep_refuses_stem_collisions(self, tmp_path, capsys):
+        cfg_path = tmp_path / "sweep.ini"
+        cfg_path.write_text(self.LR_SWEEP)
+        assert cli.main(["sweep", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "learning_rate" in err and "grpo_only_under_allocated_seed3" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_run_refuses_to_replace_another_configs_outputs(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        summary = out / "grpo_only_under_allocated_seed3_summary.json"
+        for lr in ("0.1", "0.7"):
+            (tmp_path / f"lr{lr}.ini").write_text(
+                self.CONFIG.replace("learning_rate = 0.3", f"learning_rate = {lr}")
+            )
+        assert cli.main(["run", str(tmp_path / "lr0.1.ini"), "--out", str(out)]) == 0
+        written = summary.read_bytes()
+        assert cli.main(["run", str(tmp_path / "lr0.7.ini"), "--out", str(out)]) == 2
+        assert "refusing to overwrite" in capsys.readouterr().err
+        assert summary.read_bytes() == written
+        # The same config may rewrite its own outputs.
+        assert cli.main(["run", str(tmp_path / "lr0.1.ini"), "--out", str(out)]) == 0
+        assert summary.read_bytes() == written
 
     def test_sweep_subcommand(self, tmp_path):
         cfg_path = tmp_path / "sweep.ini"
