@@ -29,10 +29,18 @@ Config files are INI-style key-value text with nested sections:
     method = routed_fkl_key, grpo_only
     seed = 0, 1, 2
 
-Every float must be finite. A run writes its files under the stem
-``{method}_{regime}_seed{seed}``, so a sweep whose axes would give two runs
-one stem is refused before anything runs, and a run never replaces a
-summary written by a different config.
+The keys of a section are the fields of its config dataclass, typed by
+their annotations: ``[run]`` takes the scalar fields of ``RunConfig``,
+``[routing]`` those of ``RoutingConfig``, ``[clip]`` those of
+``ClipConfig`` and ``[task]`` those of ``TaskParams``; each ``[sweep]``
+key is a ``[run]`` field with a comma-separated list of values. A bool is
+one of ``1/true/yes/0/false/no``, and ``none`` or an empty value sets an
+optional field to None. Any other key, section or value, a malformed file,
+and every value its dataclass rejects (every float must be finite) is a
+config error that names the key, section or line. A run writes its files
+under the stem ``{method}_{regime}_seed{seed}``, so a sweep whose axes
+would give two runs one stem is refused before anything runs, and a run
+never replaces a summary written by a different config.
 
 Exit codes: 0 success, 2 config error, 3 numeric failure (including an
 exceeded enumeration budget), 4 invariant violation.
@@ -63,100 +71,101 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_INVARIANT = 4
 
-_RUN_KEYS = {
-    "method": str,
-    "regime": str,
-    "seed": int,
-    "steps": int,
-    "group_size": int,
-    "learning_rate": float,
-    "annotator_precision": float,
-    "teacher_sync": str,
-    "rlsd_eps_w": float,
-    "out_dir": str,
-    "emit_plot_data": lambda s: s.lower() in ("1", "true", "yes"),
-    "task_seed": int,
+# Section -> (RunConfig field, config dataclass) of the nested configs.
+_NESTED = {
+    "routing": ("routing", RoutingConfig),
+    "clip": ("clip", ClipConfig),
+    "task": ("task_params", TaskParams),
 }
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
-def _typed_section(parser: configparser.ConfigParser, name: str, fields) -> dict:
-    if name not in parser:
-        return {}
+def _field_types(cls) -> dict:
+    """Field name -> annotation string, without RunConfig's nested configs."""
+    nested = {name for name, _ in _NESTED.values()}
+    return {f.name: f.type for f in dataclasses.fields(cls) if f.name not in nested}
+
+
+def _typed_value(section: str, key: str, raw: str, annotation: str):
+    base, _, optional = annotation.partition(" | ")
+    text = raw.strip().lower()
+    try:
+        if optional and text in ("", "none"):
+            return None
+        if base == "int":
+            return int(raw)
+        if base == "float":
+            return float(raw)
+        if base == "bool":
+            return _BOOLS[text]
+        return raw
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"bad value for {key!r} in [{section}]: {raw!r}") from exc
+
+
+def _typed_section(sections: dict, name: str, cls) -> dict:
+    types = _field_types(cls)
     out = {}
-    types = {f.name: f.type for f in dataclasses.fields(fields)}
-    for key, raw in parser[name].items():
+    for key, raw in sections.get(name, {}).items():
         if key not in types:
             raise ConfigError(f"unknown key {key!r} in [{name}]")
-        target = types[key]
-        try:
-            if target in ("int", int):
-                out[key] = int(raw)
-            elif target in ("float", float):
-                out[key] = float(raw)
-            elif target in ("bool", bool):
-                out[key] = raw.lower() in ("1", "true", "yes")
-            elif target in ("int | None",):
-                out[key] = None if raw.lower() in ("none", "") else int(raw)
-            else:
-                out[key] = raw
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key!r} in [{name}]: {raw!r}") from exc
+        out[key] = _typed_value(name, key, raw, types[key])
     return out
 
 
-def load_config(path: str, overrides: dict | None = None) -> RunConfig:
+def _read(path: str) -> dict:
+    """Section name -> {key: raw value} of the INI file at ``path``."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path!r}")
-    run_kwargs: dict = {}
-    if "run" in parser:
-        for key, raw in parser["run"].items():
-            if key not in _RUN_KEYS:
-                raise ConfigError(f"unknown key {key!r} in [run]")
-            try:
-                run_kwargs[key] = _RUN_KEYS[key](raw)
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
-    routing_kwargs = _typed_section(parser, "routing", RoutingConfig)
-    clip_kwargs = _typed_section(parser, "clip", ClipConfig)
-    task_kwargs = _typed_section(parser, "task", TaskParams)
-    if overrides:
-        run_kwargs.update(overrides)
     try:
-        cfg = RunConfig(
-            routing=RoutingConfig(**routing_kwargs),
-            clip=ClipConfig(**clip_kwargs),
-            task_params=TaskParams(**task_kwargs) if task_kwargs else None,
-            **run_kwargs,
-        )
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-    return cfg
+        if not parser.read(path, encoding="utf-8"):
+            raise ConfigError(f"cannot read config file {path!r}")
+        sections = {name: dict(parser[name]) for name in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"malformed config file: {exc}") from exc
+    unknown = sorted(set(sections) - {"run", "sweep", *_NESTED})
+    if unknown:
+        raise ConfigError(f"unknown section [{unknown[0]}]")
+    return sections
 
 
-def load_sweep(path: str) -> list[dict]:
-    parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise ConfigError(f"cannot read config file {path!r}")
-    if "sweep" not in parser:
-        return [{}]
+def _run_config(sections: dict, overrides: dict) -> RunConfig:
+    kwargs = {**_typed_section(sections, "run", RunConfig), **overrides}
+    for section, (name, cls) in _NESTED.items():
+        values = _typed_section(sections, section, cls)
+        # No [task] section means the regime's default task parameters.
+        if values or name != "task_params":
+            kwargs[name] = cls(**values)
+    return RunConfig(**kwargs)
+
+
+def load_config(path: str, overrides: dict | None = None) -> RunConfig:
+    """The run config of the INI file at ``path``, with ``overrides``
+    (typed ``RunConfig`` fields) replacing its ``[run]`` values."""
+    return _run_config(_read(path), overrides or {})
+
+
+def load_sweep(path: str, overrides: dict | None = None) -> list[tuple[dict, RunConfig]]:
+    """(axis values, run config) of every combination of the ``[sweep]``
+    axes of the INI file at ``path``, read once; one run without axes."""
+    sections = _read(path)
+    types = _field_types(RunConfig)
     axes = {}
-    for key, raw in parser["sweep"].items():
-        if key not in _RUN_KEYS:
-            raise ConfigError(f"unknown sweep key {key!r}")
-        axes[key] = [_RUN_KEYS[key](v.strip()) for v in raw.split(",") if v.strip()]
+    for key, raw in sections.get("sweep", {}).items():
+        if key not in types:
+            raise ConfigError(f"unknown key {key!r} in [sweep]")
+        values = [v.strip() for v in raw.split(",") if v.strip()]
+        if not values:
+            raise ConfigError(f"sweep axis {key!r} has no values")
+        axes[key] = [_typed_value("sweep", key, v, types[key]) for v in values]
     keys = sorted(axes)
-    combos = []
-    for values in itertools.product(*(axes[k] for k in keys)):
-        combos.append(dict(zip(keys, values)))
-    return combos
+    combos = [dict(zip(keys, values)) for values in itertools.product(*(axes[k] for k in keys))]
+    return [(combo, _run_config(sections, {**combo, **(overrides or {})})) for combo in combos]
 
 
-def _check_distinct_stems(combos: list[dict], cfgs: list[RunConfig]) -> None:
+def _check_distinct_stems(runs: list[tuple[dict, RunConfig]]) -> None:
     """Refuse a sweep in which two runs would write one output stem."""
     seen: dict = {}
-    for combo, cfg in zip(combos, cfgs):
+    for combo, cfg in runs:
         stem = output_stem(cfg)
         where = (cfg.out_dir, stem)
         if where in seen:
@@ -208,11 +217,9 @@ def main(argv: list[str] | None = None) -> int:
             failures = run_checks(fast=args.fast)
             return EXIT_OK if failures == 0 else EXIT_INVARIANT
         if args.command == "sweep":
-            combos = load_sweep(args.config)
-            out = {} if args.out is None else {"out_dir": args.out}
-            cfgs = [load_config(args.config, {**combo, **out}) for combo in combos]
-            _check_distinct_stems(combos, cfgs)
-            for cfg in cfgs:
+            runs = load_sweep(args.config, {} if args.out is None else {"out_dir": args.out})
+            _check_distinct_stems(runs)
+            for _, cfg in runs:
                 log, _ = run_experiment(cfg)
                 print(
                     f"method={cfg.method} regime={cfg.regime} seed={cfg.seed} "

@@ -60,10 +60,10 @@ class ConfigError(RoutedKlError):
     """Run configuration is missing, malformed, or inconsistent."""
 
 
-def require_finite_fields(config) -> None:
-    """Raise RangeError naming the first float field of a config
+def require_finite_fields(config, error: type = RangeError) -> None:
+    """Raise ``error`` naming the first float field of a config
     dataclass that is NaN or infinite."""
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
         if isinstance(value, float) and not math.isfinite(value):
-            raise RangeError(f"{f.name} must be finite, got {value!r}")
+            raise error(f"{f.name} must be finite, got {value!r}")

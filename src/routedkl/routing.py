@@ -56,9 +56,7 @@ class RoutingConfig:
     t_start: int = 10
     t_decay: int = 30
     sync_n: int = 10
-    floor_top_k: int | None = None  # None: keep the full vocabulary
     floor_p_min: float = 1e-6
-    clip_two_sided: bool = True
 
     def __post_init__(self) -> None:
         require_finite_fields(self)
@@ -68,10 +66,12 @@ class RoutingConfig:
             raise RangeError(f"alpha={self.alpha} outside (0, 1]")
         if self.tau <= 0:
             raise RangeError("tau must be positive")
+        if self.floor_p_min < 0:
+            raise RangeError("floor_p_min must be nonnegative")
         if self.w0 <= 0:
             raise RangeError("w0 must be positive")
         if self.t_start < 0 or self.t_decay <= 0 or self.sync_n <= 0:
-            raise RangeError("schedule constants must be nonnegative/positive")
+            raise RangeError("need t_start >= 0, t_decay > 0 and sync_n > 0")
 
 
 @dataclass
@@ -278,26 +278,26 @@ def _floored_kl_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Floored, clipped KL value and student-logit gradient of each row.
 
-    ``reverse`` marks the reverse-KL (error-span) rows. Array arithmetic
-    covers the rows where it reproduces the per-row reference bit for bit:
-    full-vocabulary support, no pinned floor entry and no clipped
-    per-vocabulary term. Every other row, including any that fails
-    validation, goes through ``truncate_and_floor`` and the scalar
-    clipped-KL routines, which raise the reference's errors.
+    ``reverse`` marks the reverse-KL (error-span) rows. The floor keeps
+    the full vocabulary and the clip is two-sided. Array arithmetic covers
+    the rows where it reproduces the per-row reference bit for bit: no
+    pinned floor entry and no clipped per-vocabulary term. Every other
+    row, including any that fails validation, goes through
+    ``truncate_and_floor`` and the scalar clipped-KL routines, which raise
+    the reference's errors.
     """
     m, vocab = student.shape
     values = np.empty(m)
     grads = np.empty((m, vocab))
     if m == 0:
         return values, grads
-    top_k = cfg.floor_top_k or vocab
-    check_floor(vocab, top_k, cfg.floor_p_min)
+    check_floor(vocab, vocab, cfg.floor_p_min)
     done = np.zeros(m, dtype=bool)
     try:
         q_raw = np.array(teacher, dtype=float)
     except ValueError:  # ragged teacher rows
         q_raw = None
-    if top_k == vocab and vocab >= 2 and q_raw is not None and q_raw.shape == (m, vocab):
+    if vocab >= 2 and q_raw is not None and q_raw.shape == (m, vocab):
         idx = np.flatnonzero(_simplex_rows(student) & _simplex_rows(q_raw))
         p, p_free = _floor_rows(student[idx], cfg.floor_p_min)
         q, q_free = _floor_rows(q_raw[idx], cfg.floor_p_min)
@@ -306,10 +306,7 @@ def _floored_kl_rows(
         rev = reverse[idx][:, None]
         log_p, log_q = np.log(p), np.log(q)
         terms = np.where(rev, p * (log_p - log_q), q * (log_q - log_p))
-        if cfg.clip_two_sided:
-            live = ((terms >= -cfg.tau) & (terms <= cfg.tau)).all(axis=1)
-        else:
-            live = (terms <= cfg.tau).all(axis=1)
+        live = ((terms >= -cfg.tau) & (terms <= cfg.tau)).all(axis=1)
         # d(p_v r_v)/d l = p_v (e_v - p)(r_v + 1) for reverse KL; p - q forward.
         w = p * ((log_p - log_q) + 1.0)
         grad = np.where(rev, -p * w.sum(axis=1)[:, None] + w, p * q.sum(axis=1)[:, None] - q)
@@ -318,10 +315,10 @@ def _floored_kl_rows(
         grads[idx] = grad[live]
         done[idx] = True
     for j in np.flatnonzero(~done):
-        p_f = truncate_and_floor(student[j], top_k, cfg.floor_p_min)
-        q_f = truncate_and_floor(teacher[j], top_k, cfg.floor_p_min)
+        p_f = truncate_and_floor(student[j], vocab, cfg.floor_p_min)
+        q_f = truncate_and_floor(teacher[j], vocab, cfg.floor_p_min)
         kl = rkl_clipped_value_and_grad if reverse[j] else fkl_clipped_value_and_grad
-        values[j], grads[j] = kl(p_f, q_f, cfg.tau, cfg.clip_two_sided)
+        values[j], grads[j] = kl(p_f, q_f, cfg.tau)
     return values, grads
 
 

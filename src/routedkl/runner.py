@@ -35,9 +35,9 @@ only at ``sync_teacher`` and student rows only at ``apply_gradients``:
   pre-update lift; it is dropped at ``apply_gradients``. Nothing is cached
   on ``PolicyTable``, whose rows are mutated in place.
 * ``routed_step_loss`` is array arithmetic over the group's (N, V) token
-  rows. KL rows where a floor entry pins, a per-vocabulary term clips, or
-  ``floor_top_k < V`` run through the scalar ``truncate_and_floor`` and
-  clipped-KL routines, so every gradient equals the per-token reference.
+  rows. KL rows where a floor entry pins or a per-vocabulary term clips
+  run through the scalar ``truncate_and_floor`` and clipped-KL routines,
+  so every gradient equals the per-token reference.
 """
 
 from __future__ import annotations
@@ -52,7 +52,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, InternalConsistencyError, NumericFailureError
+from .errors import (
+    ConfigError,
+    InternalConsistencyError,
+    NumericFailureError,
+    require_finite_fields,
+)
 from .grpo import ClipConfig, group_advantages
 from .metrics import LiftSample, credit_concentration, delta_lift
 from .policy import PolicyTable, entropy
@@ -126,24 +131,31 @@ class RunConfig:
     emit_plot_data: bool = False
 
     def __post_init__(self) -> None:
+        require_finite_fields(self, ConfigError)
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
         if self.regime not in REGIMES:
             raise ConfigError(f"unknown regime {self.regime!r}")
+        for key in ("seed", "task_seed"):
+            if (getattr(self, key) or 0) < 0:
+                raise ConfigError(f"{key} must be nonnegative")
         if self.steps < 1:
             raise ConfigError("steps must be >= 1")
         if self.group_size < 2:
             raise ConfigError("group size must be >= 2")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
-            raise ConfigError(
-                f"learning_rate must be finite and nonnegative, got {self.learning_rate!r}"
-            )
+        if self.learning_rate < 0:
+            raise ConfigError(f"learning_rate must be nonnegative, got {self.learning_rate!r}")
         if not (0.0 <= self.rlsd_eps_w < 1.0):
             raise ConfigError(f"rlsd_eps_w must lie in [0, 1), got {self.rlsd_eps_w!r}")
         if self.teacher_sync not in ("interval", "frozen"):
             raise ConfigError("teacher_sync must be 'interval' or 'frozen'")
         if not (0.0 <= self.annotator_precision <= 1.0):
             raise ConfigError("annotator precision must lie in [0, 1]")
+        vocab = (self.task_params or TaskParams()).vocab
+        if self.routing.floor_p_min * vocab >= 1.0:
+            raise ConfigError(
+                f"floor_p_min * vocab must be < 1, got {self.routing.floor_p_min!r} * {vocab}"
+            )
 
     def config_hash(self) -> str:
         """Hash of the run-defining fields; output plumbing excluded."""

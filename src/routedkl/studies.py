@@ -126,12 +126,6 @@ class CornerStudyResult:
     regime: str
     finals: dict = field(default_factory=dict)  # method -> list per seed
 
-    def ordering_counts(self, first: str, second: str, strict: bool) -> int:
-        a, b = self.finals[first], self.finals[second]
-        if strict:
-            return sum(x > y for x, y in zip(a, b))
-        return sum(x >= y for x, y in zip(a, b))
-
 
 def corner_inversion_study(
     regime: str, seeds: range | list = range(10)

@@ -69,9 +69,21 @@ class TaskParams:
         if self.vocab < 4 or self.horizon < 2:
             raise RangeError("need vocab >= 4 and horizon >= 2")
         if not (0 < self.trap_position < self.horizon):
-            raise RangeError("trap position must be interior")
+            raise RangeError("trap_position must be interior: in [1, horizon - 1]")
         if self.n_contexts < 1 or self.n_contexts > len(_CONTEXT_LABELS):
-            raise RangeError("unsupported context count")
+            raise RangeError(f"n_contexts must lie in [1, {len(_CONTEXT_LABELS)}]")
+        # The accepting token and the alternative leave vocab - 2 trap tokens.
+        if not (1 <= self.n_trap_tokens <= self.vocab - 2):
+            raise RangeError(f"n_trap_tokens must lie in [1, vocab - 2 = {self.vocab - 2}]")
+        for key in ("alt_mass", "quirk_mass", "distractor_mass"):
+            if getattr(self, key) < 0:
+                raise RangeError(f"{key} must be nonnegative")
+        for kind in ("boost", "suppress"):
+            low, high = getattr(self, f"teacher_{kind}_low"), getattr(self, f"teacher_{kind}_high")
+            if not (0 < low <= high < 1):
+                raise RangeError(
+                    f"need 0 < teacher_{kind}_low <= teacher_{kind}_high < 1, got ({low}, {high})"
+                )
 
 
 @dataclass(frozen=True)

@@ -61,30 +61,6 @@ def euclidean_fkl_descent_step(
     return np.asarray(logits, dtype=float) - eta * fkl_logit_grad(p, pi_t)
 
 
-def find_euclidean_overshoot(
-    rng: np.random.Generator,
-    eta: float = 1.0,
-    max_tries: int = 10000,
-) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]] | None:
-    """Search for a 3-token instance where Euclidean descent on forward KL
-    transiently moves pi(U) away from pi_T(U).
-
-    The natural-gradient flow never does this, so any hit is a witness
-    that Euclidean logit descent is not monotone in set mass.
-    """
-    for _ in range(max_tries):
-        logits = rng.normal(scale=2.0, size=3)
-        pi_t = rng.dirichlet(np.ones(3))
-        u = (int(rng.integers(0, 3)),)
-        p0 = softmax(logits)
-        gap0 = abs(p0[list(u)].sum() - pi_t[list(u)].sum())
-        p1 = softmax(euclidean_fkl_descent_step(logits, pi_t, eta))
-        gap1 = abs(p1[list(u)].sum() - pi_t[list(u)].sum())
-        if gap1 > gap0 + 1e-6:
-            return logits, pi_t, u
-    return None
-
-
 def score_operator_check(a: np.ndarray, dist: np.ndarray) -> tuple[float, float]:
     """(lhs, rhs) of the score-operator bound at tabular parameterization.
 

@@ -128,7 +128,8 @@ def reference_routed_step_loss(
     """Per-token reference for ``routing.routed_step_loss``.
 
     The loss as one Python loop over tokens calling the scalar routines,
-    kept verbatim from before the loss became array arithmetic.
+    kept from before the loss became array arithmetic; the floor keeps the
+    full vocabulary and the clip is two-sided, as in ``RoutingConfig``.
 
     Error spans use reverse KL (student first), key spans forward KL
     (teacher first); per-vocabulary contributions are clamped at tau with
@@ -171,7 +172,6 @@ def reference_routed_step_loss(
         # spans on an accepted one.
         is_error = part.outcome == 0
         kl_on = lam > 0.0 and (cfg.mu_e if is_error else cfg.mu_k)
-        top_k = cfg.floor_top_k or vocab
         err_sum = 0.0
         key_sum = 0.0
 
@@ -198,17 +198,13 @@ def reference_routed_step_loss(
                     raise DimensionError(
                         f"teacher distribution missing at span position {t}"
                     )
-                p_f = truncate_and_floor(p_t, top_k, cfg.floor_p_min)
-                q_f = truncate_and_floor(item.teacher[t], top_k, cfg.floor_p_min)
+                p_f = truncate_and_floor(p_t, vocab, cfg.floor_p_min)
+                q_f = truncate_and_floor(item.teacher[t], vocab, cfg.floor_p_min)
                 if is_error:
-                    value, kl_grad = rkl_clipped_value_and_grad(
-                        p_f, q_f, cfg.tau, cfg.clip_two_sided
-                    )
+                    value, kl_grad = rkl_clipped_value_and_grad(p_f, q_f, cfg.tau)
                     err_sum += value
                 else:
-                    value, kl_grad = fkl_clipped_value_and_grad(
-                        p_f, q_f, cfg.tau, cfg.clip_two_sided
-                    )
+                    value, kl_grad = fkl_clipped_value_and_grad(p_f, q_f, cfg.tau)
                     key_sum += value
                 kl_term = kl_grad * (lam * inv_len / g)
                 token_grad = kl_term if token_grad is None else token_grad + kl_term

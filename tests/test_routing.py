@@ -330,25 +330,22 @@ class TestRoutedStepLoss:
 def loss_groups(draw):
     """A random group and loss config covering every array-form fallback:
     pinned floors (p_min near 1/V), clipped terms (tau = 1e-3, or a teacher
-    near the student so that single terms clip on either side), top-k
-    truncation, zero student entries, and both KL directions."""
+    near the student so that single terms clip on either side), zero
+    student entries, and both KL directions."""
     vocab = draw(st.sampled_from([4, 6, 8, 9]))
     g = draw(st.integers(1, 4))
     lengths = draw(st.lists(st.integers(1, 5), min_size=g, max_size=g))
     outcomes = draw(st.lists(st.integers(0, 1), min_size=g, max_size=g))
     scaled = draw(st.lists(st.booleans(), min_size=g, max_size=g))
     alpha = draw(st.sampled_from([0.25, 0.5, 1.0]))
-    floor = draw(st.sampled_from(["plain", "pin", "zero", "top_k"]))
-    p_min = {"plain": 1e-6, "pin": 0.9 / vocab, "zero": 0.0, "top_k": 1e-6}[floor]
-    top_k = draw(st.integers(1, vocab - 1)) if floor == "top_k" else None
+    floor = draw(st.sampled_from(["plain", "pin", "zero"]))
+    p_min = {"plain": 1e-6, "pin": 0.9 / vocab, "zero": 0.0}[floor]
     cfg = RoutingConfig(
         mu_e=draw(st.integers(0, 1)),
         mu_k=draw(st.integers(0, 1)),
         alpha=alpha,
         tau=draw(st.sampled_from([1e-3, 0.02, 0.05, 10.0])),
-        floor_top_k=top_k,
         floor_p_min=p_min,
-        clip_two_sided=draw(st.booleans()),
     )
     lam = draw(st.sampled_from([0.0, cfg.w0, 0.3 * cfg.w0]))
     concentration = draw(st.sampled_from([0.1, 1.0, 5.0]))
