@@ -34,6 +34,7 @@ from .routing import (
     partition,
     project_spans_to_mask,
     rho,
+    routed_loss_rows,
     routed_step_loss,
     schedule_weight_sums,
 )
@@ -46,6 +47,7 @@ from .tasks import (
     generate_task,
     oracle_annotate,
     oracle_reward_gradient,
+    sample_group,
     sample_rollout,
 )
 from .theory import (

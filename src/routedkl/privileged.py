@@ -164,24 +164,27 @@ def exposure_accumulate(
 class RlsdWeight:
     """Teacher/student probability ratio with its clipped value."""
 
-    raw: float
-    clipped: float
+    raw: float | np.ndarray
+    clipped: float | np.ndarray
     eps_w: float
 
 
-def rlsd_weight(teacher_prob: float, student_prob: float, eps_w: float) -> RlsdWeight:
+def rlsd_weight(
+    teacher_prob: float | np.ndarray, student_prob: float | np.ndarray, eps_w: float
+) -> RlsdWeight:
     """Per-token reweighting factor w = q(y_t) / p(y_t), clipped to 1 +- eps.
 
     The unclipped ratio damps positive advantages to at most A * delta/p0
     whenever the teacher puts at most delta on a token the student holds
     with at least p0; clipping bounds the damping below by 1 - eps_w.
+    Probabilities may be floats or equal-shape arrays (one weight per entry).
     """
-    if student_prob <= 0:
+    if np.any(np.asarray(student_prob) <= 0):
         raise RangeError("student probability must be positive")
-    if teacher_prob < 0:
+    if np.any(np.asarray(teacher_prob) < 0):
         raise RangeError("teacher probability must be nonnegative")
     if not (0 <= eps_w < 1):
         raise RangeError("eps_w must lie in [0, 1)")
     raw = teacher_prob / student_prob
-    clipped = min(max(raw, 1.0 - eps_w), 1.0 + eps_w)
+    clipped = np.minimum(np.maximum(raw, 1.0 - eps_w), 1.0 + eps_w)
     return RlsdWeight(raw=raw, clipped=clipped, eps_w=eps_w)

@@ -229,7 +229,8 @@ class RoutedLossReport:
     Branch values are reported in the per-token 1/|y| normalization; the
     span-mean times |S|/|y| form coincides with it and is recorded too.
     The gradient map is keyed by (rollout index, position); a position's
-    span class is read from its rollout's mask.
+    span class is read from its rollout's mask. ``routed_step_loss`` fills
+    it; ``routed_loss_rows`` returns the gradients as arrays instead.
     """
 
     total: float
@@ -322,6 +323,104 @@ def _floored_kl_rows(
     return values, grads
 
 
+def routed_loss_rows(
+    student: np.ndarray,
+    log_ratio: np.ndarray,
+    sampled: np.ndarray,
+    in_span: np.ndarray,
+    lengths: np.ndarray,
+    failed: np.ndarray,
+    teacher: np.ndarray | list,
+    advantages: np.ndarray,
+    lam: float,
+    cfg: RoutingConfig,
+    clip: ClipConfig = ClipConfig(),
+    adv_scale: np.ndarray | None = None,
+) -> tuple[RoutedLossReport, np.ndarray, np.ndarray]:
+    """The routed loss of a rollout group given as flat token arrays.
+
+    Token arrays run in (rollout, position) order: ``student`` (N, V),
+    ``log_ratio``, ``sampled``, ``in_span`` and the optional per-token
+    advantage multiplier ``adv_scale`` (N,); ``lengths``, ``failed``
+    (outcome 0) and ``advantages`` have one entry per rollout. ``teacher``
+    holds one row per KL position, the span positions of the rollouts
+    whose branch is active (error spans on failed rollouts under mu_e, key
+    spans on accepted ones under mu_k) while lam > 0, in token order.
+
+    Returns the report without its gradient map, the token indices that
+    carry a logit gradient, ascending, and their (K, V) gradient rows.
+    Sums taken in (rollout, position) order, and every gradient row, equal
+    a per-token loop over the scalar reference routines
+    (``grpo_token_loss``, ``truncate_and_floor`` and the clipped KLs) bit
+    for bit. KL rows the array form cannot reproduce exactly run through
+    those routines.
+    """
+    rho_k = rho(lam, cfg.w0)
+    g = lengths.size
+    inv_len = 1.0 / lengths
+    row_item = np.repeat(np.arange(g), lengths)
+    n_span = np.bincount(row_item[in_span], minlength=g)
+    if np.any(n_span > np.ceil(cfg.alpha * lengths)):
+        raise InternalConsistencyError("span mask exceeds the coverage cap")
+    n_err = np.where(failed, n_span, 0)
+    n_key = n_span - n_err
+    kl_on = (lam > 0.0) & np.where(failed, bool(cfg.mu_e), bool(cfg.mu_k))
+    tok_inv_len = inv_len[row_item]
+
+    # GRPO term, rho-scaled on span tokens while the channel is open.
+    tok_adv = advantages[row_item]
+    if adv_scale is not None:
+        tok_adv = tok_adv * adv_scale
+    loss, factor = grpo_token_losses(log_ratio, tok_adv, clip)
+    share = loss * tok_inv_len / g
+    grpo_span = _running_sum(share[in_span])
+    grpo_nonspan = _running_sum(share[~in_span])
+    weight = np.where(in_span, rho_k, 1.0) * tok_inv_len / g
+    has_grpo = (factor != 0.0) & (weight != 0.0)
+    fw = (factor * weight)[has_grpo]
+    score = -student[has_grpo] * fw[:, None]
+    score[np.arange(fw.size), sampled[has_grpo]] += fw
+    grads = np.zeros_like(student)
+    grads[has_grpo] = score
+
+    # Routed KL on the active branch.
+    kl_mask = in_span & kl_on[row_item]
+    kl_rows = np.flatnonzero(kl_mask)
+    if len(teacher) != kl_rows.size:
+        raise DimensionError(f"{len(teacher)} teacher rows for {kl_rows.size} KL positions")
+    kl_item = row_item[kl_rows]
+    kl_error_row = failed[kl_item]
+    kl_values, kl_grads = _floored_kl_rows(student[kl_rows], teacher, kl_error_row, cfg)
+    kl_term = kl_grads * (lam * tok_inv_len[kl_rows] / g)[:, None]
+    grads[kl_rows] = np.where(has_grpo[kl_rows, None], grads[kl_rows] + kl_term, kl_term)
+    err_sum = np.bincount(kl_item[kl_error_row], kl_values[kl_error_row], minlength=g)
+    key_sum = np.bincount(kl_item[~kl_error_row], kl_values[~kl_error_row], minlength=g)
+    kl_error = _running_sum(err_sum * inv_len / g)
+    kl_key = _running_sum(key_sum * inv_len / g)
+    e, s = n_err > 0, n_key > 0
+    kl_error_sm = _running_sum((err_sum[e] / n_err[e]) * (n_span[e] * inv_len[e]) / g)
+    kl_key_sm = _running_sum((key_sum[s] / n_key[s]) * (n_span[s] * inv_len[s]) / g)
+
+    total = (
+        grpo_nonspan
+        + rho_k * grpo_span
+        + lam * (cfg.mu_e * kl_error + cfg.mu_k * kl_key)
+    )
+    report = RoutedLossReport(
+        total=total,
+        grpo_nonspan=grpo_nonspan,
+        grpo_span=grpo_span,
+        kl_error_branch=kl_error,
+        kl_key_branch=kl_key,
+        kl_error_span_mean_form=kl_error_sm,
+        kl_key_span_mean_form=kl_key_sm,
+        lam=lam,
+        rho=rho_k,
+    )
+    has_grad = np.flatnonzero(has_grpo | kl_mask)
+    return report, has_grad, grads[has_grad]
+
+
 def routed_step_loss(
     items: list[RolloutLossInput],
     advantages: np.ndarray,
@@ -339,12 +438,9 @@ def routed_step_loss(
     lambda = 0 the teacher inputs are never consulted. A rollout's
     ``adv_scale`` multiplies its advantage per token in the surrogate.
 
-    The loss is array arithmetic over the group's concatenated (N, V)
-    token rows; gradients, and sums taken in (rollout, position) order,
-    equal a per-token loop over the scalar reference routines
-    (``grpo_token_loss``, ``truncate_and_floor`` and the clipped KLs) bit
-    for bit. KL rows the array form cannot reproduce exactly run through
-    those routines.
+    Validates the per-rollout inputs, concatenates them and runs
+    ``routed_loss_rows``; the gradient map is keyed by (rollout index,
+    position).
     """
     advantages = np.asarray(advantages, dtype=float)
     if advantages.size != len(items):
@@ -352,8 +448,7 @@ def routed_step_loss(
     if not items:
         raise DimensionError("empty rollout group")
     lam = lambda_schedule(k, cfg) if lam_override is None else lam_override
-    rho_k = rho(lam, cfg.w0)
-    g = len(items)
+    rho(lam, cfg.w0)  # a lam outside [0, w0] fails before the per-item checks
     vocab = items[0].student.shape[1]
 
     teacher_rows = []
@@ -379,76 +474,30 @@ def routed_step_loss(
                 teacher_rows.append(item.teacher[t])
 
     lengths = np.array([len(item.part.mask) for item in items])
-    inv_len = 1.0 / lengths
-    n_err = np.array([len(item.part.error_idx) for item in items])
-    n_key = np.array([len(item.part.key_idx) for item in items])
-    is_error = np.array([item.part.outcome == 0 for item in items])
-    kl_on = (lam > 0.0) & np.where(is_error, bool(cfg.mu_e), bool(cfg.mu_k))
-
-    # Token rows in (rollout, position) order.
-    row_item = np.repeat(np.arange(g), lengths)
-    position = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    student = np.concatenate([item.student for item in items])
-    in_span = np.concatenate([item.part.mask for item in items]) == 1
-    tok_inv_len = inv_len[row_item]
-
-    # GRPO term, rho-scaled on span tokens while the channel is open.
-    tok_adv = advantages[row_item]
+    adv_scale = None
     if any(item.adv_scale is not None for item in items):
-        tok_adv = tok_adv * np.concatenate([
+        adv_scale = np.concatenate([
             np.ones(len(item.part.mask)) if item.adv_scale is None else item.adv_scale
             for item in items
         ])
-    loss, factor = grpo_token_losses(
-        np.concatenate([item.log_ratio for item in items]), tok_adv, clip
-    )
-    share = loss * tok_inv_len / g
-    grpo_span = _running_sum(share[in_span])
-    grpo_nonspan = _running_sum(share[~in_span])
-    weight = np.where(in_span, rho_k, 1.0) * tok_inv_len / g
-    has_grpo = (factor != 0.0) & (weight != 0.0)
-    fw = (factor * weight)[has_grpo]
-    score = -student[has_grpo] * fw[:, None]
-    score[np.arange(fw.size), np.concatenate([item.sampled for item in items])[has_grpo]] += fw
-    grads = np.zeros_like(student)
-    grads[has_grpo] = score
-
-    # Routed KL on the active branch.
-    kl_mask = in_span & kl_on[row_item]
-    kl_rows = np.flatnonzero(kl_mask)
-    kl_item = row_item[kl_rows]
-    kl_error_row = is_error[kl_item]
-    kl_values, kl_grads = _floored_kl_rows(student[kl_rows], teacher_rows, kl_error_row, cfg)
-    kl_term = kl_grads * (lam * tok_inv_len[kl_rows] / g)[:, None]
-    grads[kl_rows] = np.where(has_grpo[kl_rows, None], grads[kl_rows] + kl_term, kl_term)
-    err_sum = np.bincount(kl_item[kl_error_row], kl_values[kl_error_row], minlength=g)
-    key_sum = np.bincount(kl_item[~kl_error_row], kl_values[~kl_error_row], minlength=g)
-    kl_error = _running_sum(err_sum * inv_len / g)
-    kl_key = _running_sum(key_sum * inv_len / g)
-    n_span = n_err + n_key
-    e, s = n_err > 0, n_key > 0
-    kl_error_sm = _running_sum((err_sum[e] / n_err[e]) * (n_span[e] * inv_len[e]) / g)
-    kl_key_sm = _running_sum((key_sum[s] / n_key[s]) * (n_span[s] * inv_len[s]) / g)
-
-    total = (
-        grpo_nonspan
-        + rho_k * grpo_span
-        + lam * (cfg.mu_e * kl_error + cfg.mu_k * kl_key)
-    )
-    has_grad = has_grpo | kl_mask
-    keys = zip(row_item[has_grad].tolist(), position[has_grad].tolist())
-    return RoutedLossReport(
-        total=total,
-        grpo_nonspan=grpo_nonspan,
-        grpo_span=grpo_span,
-        kl_error_branch=kl_error,
-        kl_key_branch=kl_key,
-        kl_error_span_mean_form=kl_error_sm,
-        kl_key_span_mean_form=kl_key_sm,
+    report, rows, grads = routed_loss_rows(
+        student=np.concatenate([item.student for item in items]),
+        log_ratio=np.concatenate([item.log_ratio for item in items]),
+        sampled=np.concatenate([item.sampled for item in items]),
+        in_span=np.concatenate([item.part.mask for item in items]) == 1,
+        lengths=lengths,
+        failed=np.array([item.part.outcome == 0 for item in items]),
+        teacher=teacher_rows,
+        advantages=advantages,
         lam=lam,
-        rho=rho_k,
-        per_token_logit_grads=dict(zip(keys, grads[has_grad])),
+        cfg=cfg,
+        clip=clip,
+        adv_scale=adv_scale,
     )
+    item_of = np.repeat(np.arange(len(items)), lengths)[rows]
+    position = rows - (np.cumsum(lengths) - lengths)[item_of]
+    report.per_token_logit_grads = dict(zip(zip(item_of.tolist(), position.tolist()), grads))
+    return report
 
 
 def spans_to_json(spans: list[CharSpan], outcome: int) -> str:

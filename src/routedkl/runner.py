@@ -1,10 +1,10 @@
 """Experiment orchestration: the mini-batch training loop and baselines.
 
 One step samples a group of rollouts, verifies and annotates them, builds
-one loss input per rollout, and applies a single gradient step to the
-shared policy table. All six methods share one loss assembly,
-``routed_step_loss``; a method only decides the span mask, the teacher
-rows, the KL weight and a per-token advantage multiplier. Methods:
+the group's loss inputs, and applies a single gradient step to the shared
+policy table. All six methods share one loss assembly,
+``routing.routed_loss_rows``; a method only decides the span mask, the
+teacher rows, the KL weight and a per-token advantage multiplier. Methods:
 
 * ``routed_fkl_key``     forward KL on key spans (default corner action)
 * ``routed_rkl_error``   reverse KL on error spans
@@ -20,6 +20,26 @@ Runs are deterministic given (config, seed): sampling, annotation, and
 evaluation each draw from their own spawned generator so methods sharing
 a seed see identical rollout streams until their parameters diverge.
 
+The step carries its G rollouts of the task's horizon T as one batch:
+
+* ``tasks.sample_group`` draws ``rng.random((G, T))`` once and picks each
+  token by the inverse CDF of its prefix's distribution, which is what
+  ``Generator.choice(p=dist)`` does with the uniform it draws: same
+  tokens, same log-probs, same stream position as G per-token loops. The
+  annotator's and RLSD's context draws use the same inverse CDF, one
+  uniform per rollout, in rollout order.
+* ``_step_tensors`` builds the student rows (G, T, V), the log ratios and
+  the span mask (G, T), the teacher rows of the KL positions in
+  (rollout, position) order, and the ledger's two terms at every span
+  position. ``routed_loss_rows`` takes them flattened to (G T, ...) and
+  returns the gradient rows of the positions that carry one; the
+  parameter update, the ledger, the entropy column and credit
+  concentration read those arrays.
+* The policy stays a dict of logit rows built on first visit. A dense
+  (n_rows, V) table would hold every prefix the horizon allows (37,449
+  rows at V = 8, T = 6, against the ~1.9k a run visits), and the run and
+  its synced copy would pay that in memory.
+
 Each distinct distribution is computed once per step. Teacher rows change
 only at ``sync_teacher`` and student rows only at ``apply_gradients``:
 
@@ -31,13 +51,12 @@ only at ``sync_teacher`` and student rows only at ``apply_gradients``:
   through ``PolicyTable.teacher_logits`` and trips the closed-channel
   guard.
 * A step-local ``{prefix: student distribution}`` map is filled while the
-  group is sampled and read by the log ratios, the entropy column and the
-  pre-update lift; it is dropped at ``apply_gradients``. Nothing is cached
-  on ``PolicyTable``, whose rows are mutated in place.
-* ``routed_step_loss`` is array arithmetic over the group's (N, V) token
-  rows. KL rows where a floor entry pins or a per-vocabulary term clips
-  run through the scalar ``truncate_and_floor`` and clipped-KL routines,
-  so every gradient equals the per-token reference.
+  group is sampled and read by the loss inputs and the pre-update lift;
+  it is dropped at ``apply_gradients``. Nothing is cached on
+  ``PolicyTable``, whose rows are mutated in place.
+* KL rows where a floor entry pins or a per-vocabulary term clips run
+  through the scalar ``truncate_and_floor`` and clipped-KL routines, so
+  every gradient equals the per-token reference.
 """
 
 from __future__ import annotations
@@ -69,23 +88,21 @@ from .privileged import (
     rlsd_weight,
 )
 from .routing import (
-    RolloutLossInput,
-    RoutedLossReport,
     RoutingConfig,
     enforce_coverage_cap,
     lambda_schedule,
-    partition,
     project_spans_to_mask,
-    routed_step_loss,
+    routed_loss_rows,
 )
 from .tasks import (
     REGIMES,
-    Rollout,
+    SampledGroup,
     SynthTask,
     TaskParams,
+    draw_contexts,
     generate_task,
     oracle_annotate,
-    sample_rollout,
+    sample_group,
 )
 
 METHODS = (
@@ -324,129 +341,158 @@ def _eval_logprobs(state: RunState, dists: dict) -> np.ndarray:
     return out
 
 
-def _fresh_log_ratio(
-    state: RunState, rollout: Rollout, dists: dict
-) -> tuple[np.ndarray, np.ndarray]:
-    """Student rows and log ratios against the sample-time log-probs.
+@dataclass
+class _StepTensors:
+    """The loss inputs of one step's rollout group; see ``_step_tensors``."""
 
-    One optimizer step per batch means the recomputed log-probs equal the
-    sample-time ones bit for bit, so the ratio is exactly one.
-    """
-    positions = range(len(rollout))
-    student = np.stack([_student_dist(state, dists, rollout.prefix(t)) for t in positions])
-    log_ratio = np.log(student[positions, rollout.tokens]) - rollout.logprobs
-    return student, log_ratio
+    student: np.ndarray  # (G, T, V) student rows
+    log_ratio: np.ndarray  # (G, T) log pi_theta(y_t) - log pi_old(y_t)
+    mask: np.ndarray  # (G, T) span mask after the coverage cap
+    kl_rows: np.ndarray  # (M,) flat positions whose span branch is active
+    teacher: np.ndarray  # (M, V) teacher rows of kl_rows
+    variance: np.ndarray | None = None  # (G, T) ledger terms at span positions, 0 elsewhere
+    deviation: np.ndarray | None = None
+    adv_scale: np.ndarray | None = None  # (G, T) per-token advantage multiplier
 
 
-def _loss_items(
+def _teacher_stack(state: RunState, group: SampledGroup, flat: np.ndarray) -> tuple:
+    """Cache entries of the distinct prefixes at flat positions ``flat``,
+    and each position's index into them."""
+    slot: dict = {}
+    inverse = [slot.setdefault(r, len(slot)) for r in group.prefix_index.ravel()[flat].tolist()]
+    entries = [_teacher_rows(state, group.prefixes[r]) for r in slot]
+    return entries, np.array(inverse, dtype=np.int64)
+
+
+def _step_tensors(
     state: RunState,
-    rollouts: list,
+    group: SampledGroup,
     dists: dict,
     advantages: np.ndarray,
     routing: RoutingConfig,
     lam: float,
     rlsd_open: bool,
-) -> list:
-    """One loss input per rollout, for every method.
+) -> _StepTensors:
+    """The step's loss inputs as (G, T) arrays, for every method.
 
-    With the KL channel open (lam > 0) the rollout is annotated, masked,
-    capped and partitioned, and teacher rows are gathered on the active
-    span branch. Otherwise the mask is empty and every token is plain
-    GRPO; inside the RLSD window one context is drawn per rollout and
-    rollouts with positive advantage carry the clipped teacher/student
-    ratio of each sampled token as their advantage multiplier.
+    The log ratios compare the student rows with the sample-time
+    log-probs; one optimizer step per batch makes them zero up to the last
+    bit of ``np.log`` against ``math.log``. With the KL channel open
+    (lam > 0) each rollout is annotated, masked and capped (the all-token
+    baseline masks every position and draws only the context), teacher
+    rows are gathered at the span positions of the active branch and the
+    ledger's two terms at every span position. Otherwise the mask is empty
+    and every token is plain GRPO; inside the RLSD window one context is
+    drawn per rollout and rollouts with positive advantage carry the
+    clipped teacher/student ratio of each sampled token as their advantage
+    multiplier.
     """
     cfg, task = state.cfg, state.task
-    items = []
-    for rollout, adv in zip(rollouts, advantages):
-        length = len(rollout)
-        student, log_ratio = _fresh_log_ratio(state, rollout, dists)
-        mask = np.zeros(length, dtype=np.int8)
-        if lam > 0.0:
-            if cfg.method == "alltoken_kl_persistent":
-                ann = oracle_annotate(rollout, task, 1.0, state.rng_annot)
-                mask = np.ones(length, dtype=np.int8)
-            else:
+    size, horizon = group.tokens.shape
+    student = np.stack([dists[p] for p in group.prefixes])[group.prefix_index]
+    picked = np.take_along_axis(student, group.tokens[..., None], axis=2)[..., 0]
+    step = _StepTensors(
+        student=student,
+        log_ratio=np.log(picked) - group.logprobs,
+        mask=np.zeros((size, horizon), dtype=bool),
+        kl_rows=np.empty(0, dtype=np.int64),
+        teacher=np.empty((0, task.vocab)),
+    )
+    if lam > 0.0:
+        if cfg.method == "alltoken_kl_persistent":
+            ctx = draw_contexts(task, state.rng_annot, size)
+            step.mask[:] = True
+        else:
+            ctx = np.empty(size, dtype=np.int64)
+            ones = np.ones(horizon)
+            for i, rollout in enumerate(group.rollouts):
                 ann = oracle_annotate(rollout, task, cfg.annotator_precision, state.rng_annot)
+                ctx[i] = ann.context_index
                 mask = project_spans_to_mask(list(ann.spans), rollout.token_char_intervals())
-                mask = enforce_coverage_cap(mask, np.ones(length), routing.alpha)
-        item = RolloutLossInput(
-            student=student,
-            log_ratio=log_ratio,
-            sampled=np.asarray(rollout.tokens),
-            part=partition(length, mask, rollout.outcome),
-        )
-        if lam > 0.0:
-            item.teacher = {}
-            if routing.mu_e if rollout.outcome == 0 else routing.mu_k:
-                for t in item.part.span_idx:
-                    item.teacher[t] = _teacher_rows(state, rollout.prefix(t))[0][ann.context_index]
-        elif rlsd_open:
-            ctx = int(state.rng_annot.choice(len(task.contexts), p=task.context_probs))
-            if adv > 0:
-                item.adv_scale = np.array([
-                    rlsd_weight(
-                        float(_teacher_rows(state, rollout.prefix(t))[0][ctx, y]),
-                        float(student[t][y]),
-                        cfg.rlsd_eps_w,
-                    ).clipped
-                    for t, y in enumerate(rollout.tokens)
-                ])
-        items.append(item)
-    return items
+                step.mask[i] = enforce_coverage_cap(mask, ones, routing.alpha)
+        span = np.flatnonzero(step.mask)
+        entries, inverse = _teacher_stack(state, group, span)
+        variance, deviation = np.zeros((2, size * horizon))
+        variance[span] = np.array([e[1] for e in entries])[inverse]
+        deviation[span] = np.array([e[2] for e in entries])[inverse]
+        step.variance = variance.reshape(size, horizon)
+        step.deviation = deviation.reshape(size, horizon)
+        # Span positions are all error spans on a failed rollout, all key
+        # spans on an accepted one.
+        branch = np.where(group.outcomes == 0, routing.mu_e, routing.mu_k)[span // horizon] == 1
+        step.kl_rows = span[branch]
+        if entries:
+            matrices = np.stack([e[0] for e in entries])
+            step.teacher = matrices[inverse[branch], ctx[step.kl_rows // horizon]]
+    elif rlsd_open:
+        ctx = draw_contexts(task, state.rng_annot, size)
+        winners = np.flatnonzero(advantages > 0)
+        if winners.size:
+            flat = (winners[:, None] * horizon + np.arange(horizon)).ravel()
+            entries, inverse = _teacher_stack(state, group, flat)
+            matrices = np.stack([e[0] for e in entries])
+            teacher_prob = matrices[inverse, ctx[flat // horizon], group.tokens.ravel()[flat]]
+            scale = np.ones(size * horizon)
+            scale[flat] = rlsd_weight(teacher_prob, picked.ravel()[flat], cfg.rlsd_eps_w).clipped
+            step.adv_scale = scale.reshape(size, horizon)
+    return step
 
 
-def _accumulate_row_grads(task: SynthTask, rollouts: list, report: RoutedLossReport) -> dict:
-    grads: dict = {}
-    for (i, t), vec in report.per_token_logit_grads.items():
-        key = (task.prompt_id, rollouts[i].prefix(t))
-        grads[key] = grads[key] + vec if key in grads else vec
-    return grads
+def _apply_row_grads(
+    state: RunState, group: SampledGroup, rows: np.ndarray, grads: np.ndarray
+) -> None:
+    """Sum the token gradient rows per prefix, in token order, and step."""
+    summed: dict = {}
+    for r, vec in zip(group.prefix_index.ravel()[rows].tolist(), grads):
+        summed[r] = summed[r] + vec if r in summed else vec
+    prompt = state.task.prompt_id
+    state.table.apply_gradients(
+        {(prompt, group.prefixes[r]): vec for r, vec in summed.items()},
+        state.cfg.learning_rate,
+    )
 
 
-def _update_ledger(state: RunState, rollouts: list, items: list, lam: float) -> None:
-    """Per-step exposure record: exact context variance and deviation moment."""
-    mv_terms, dev_terms = [], []
-    for rollout, item in zip(rollouts, items):
-        inv_len = 1.0 / len(rollout)
-        mv = 0.0
-        dev = 0.0
-        for t in item.part.span_idx:
-            _, variance, deviation = _teacher_rows(state, rollout.prefix(t))
-            mv += variance
-            dev += deviation
-        mv_terms.append(mv * inv_len)
-        dev_terms.append(dev * inv_len)
+def _update_ledger(state: RunState, step: _StepTensors, lam: float) -> None:
+    """Per-step exposure record: exact context variance and deviation moment.
+
+    Each rollout's terms are summed left to right over its span positions
+    and divided by its length; the record takes their mean.
+    """
+    inv_len = 1.0 / step.mask.shape[1]
     exposure_accumulate(
-        state.ledger, state.k, lam, float(np.mean(mv_terms)), float(np.mean(dev_terms))
+        state.ledger,
+        state.k,
+        lam,
+        float(np.mean(np.cumsum(step.variance, axis=1)[:, -1] * inv_len)),
+        float(np.mean(np.cumsum(step.deviation, axis=1)[:, -1] * inv_len)),
     )
 
 
 def _track_credit_concentration(
-    state: RunState, items: list, report: RoutedLossReport
+    state: RunState, mask: np.ndarray, rows: np.ndarray, grads: np.ndarray
 ) -> None:
     """Per-token update magnitude (L2 logit-gradient norm times step size)
-    inside the span mask versus outside, averaged over the batch."""
-    grads, lr = report.per_token_logit_grads, state.cfg.learning_rate
-    ratios = []
-    for i, item in enumerate(items):
-        credit = np.array([
-            lr * float(np.linalg.norm(grads[(i, t)])) if (i, t) in grads else 0.0
-            for t in range(len(item.sampled))
-        ])
-        ratio = credit_concentration(credit, item.part.mask.astype(bool))
-        if ratio is not None:
-            ratios.append(ratio)
+    inside the span mask versus outside, averaged over the rollouts that
+    have both."""
+    mixed = np.flatnonzero(mask.any(axis=1) & ~mask.all(axis=1))
+    if not mixed.size:
+        return
+    credit = np.zeros(mask.size)
+    # Equals np.linalg.norm row by row; norm(axis=1) rounds differently.
+    norms = np.sqrt(np.matmul(grads[:, None, :], grads[:, :, None]))[:, 0, 0]
+    credit[rows] = state.cfg.learning_rate * norms
+    credit = credit.reshape(mask.shape)
+    ratios = [credit_concentration(credit[i], mask[i]) for i in mixed.tolist()]
+    ratios = [r for r in ratios if r is not None]
     if ratios:
         state.credit_ratios.append(float(np.mean(ratios)))
 
 
-def _mean_entropy(items: list) -> float:
-    """Mean Shannon entropy over the student rows of the step's rollouts.
+def _mean_entropy(rows: np.ndarray) -> float:
+    """Mean Shannon entropy over the student rows of the step's tokens.
 
     Rows with a zero entry take the scalar ``entropy`` (0 log 0 = 0).
     """
-    rows = np.concatenate([item.student for item in items])
     positive = (rows > 0).all(axis=1)
     ent = np.empty(len(rows))
     ent[positive] = -(rows[positive] * np.log(rows[positive])).sum(axis=1)
@@ -490,20 +536,32 @@ def train_step(state: RunState) -> dict:
         state.teacher_cache.clear()  # any teacher read now misses and is counted
 
     dists: dict = {}  # student rows of this step, until apply_gradients
-    rollouts = [
-        sample_rollout(table, task, state.rng_rollout, dists) for _ in range(cfg.group_size)
-    ]
-    rewards = np.array([r.outcome for r in rollouts], dtype=float)
+    group = sample_group(table, task, state.rng_rollout, cfg.group_size, dists)
+    rewards = group.outcomes.astype(float)
     advantages = group_advantages(rewards)
 
     lookups_before = table.teacher_lookups
-    items = _loss_items(state, rollouts, dists, advantages, routing, lam, rlsd_open)
-    report = routed_step_loss(items, advantages, k, routing, cfg.clip, lam_override=lam)
+    step = _step_tensors(state, group, dists, advantages, routing, lam, rlsd_open)
+    size, horizon, vocab = step.student.shape
+    report, grad_rows, grads = routed_loss_rows(
+        student=step.student.reshape(-1, vocab),
+        log_ratio=step.log_ratio.ravel(),
+        sampled=group.tokens.ravel(),
+        in_span=step.mask.ravel(),
+        lengths=np.full(size, horizon),
+        failed=group.outcomes == 0,
+        teacher=step.teacher,
+        advantages=advantages,
+        lam=lam,
+        cfg=routing,
+        clip=cfg.clip,
+        adv_scale=None if step.adv_scale is None else step.adv_scale.ravel(),
+    )
     if not (lam > 0.0 or rlsd_open) and table.teacher_lookups != lookups_before:
         raise InternalConsistencyError("teacher consulted while the KL channel is closed")
     if lam > 0.0:
-        _update_ledger(state, rollouts, items, lam)
-        _track_credit_concentration(state, items, report)
+        _update_ledger(state, step, lam)
+        _track_credit_concentration(state, step.mask, grad_rows, grads)
 
     total = report.total
     if not np.isfinite(total):
@@ -511,7 +569,7 @@ def train_step(state: RunState) -> dict:
         raise NumericFailureError(f"non-finite loss at step {k}: {total!r}")
 
     lift_before = _eval_logprobs(state, dists)
-    table.apply_gradients(_accumulate_row_grads(task, rollouts, report), cfg.learning_rate)
+    _apply_row_grads(state, group, grad_rows, grads)
     lift_after = _eval_logprobs(state, {})
     samples = [
         LiftSample(0, v, float(b), float(a), True)
@@ -523,12 +581,12 @@ def train_step(state: RunState) -> dict:
         "step": k,
         "train_reward": float(rewards.mean()),
         "validation_reward": float(task.expected_reward(table)),
-        "entropy": _mean_entropy(items),
+        "entropy": _mean_entropy(step.student.reshape(-1, vocab)),
         "lambda": lam,
         "rho": report.rho,
         "exposure": state.ledger.exposure,
         "delta_lift": lift,
-        "response_length": float(np.mean([len(r) for r in rollouts])),
+        "response_length": float(horizon),
     }
     for col, value in row.items():
         if isinstance(value, float) and not math.isfinite(value):

@@ -362,23 +362,27 @@ def task_from_json(text: str) -> SynthTask:
 # ----- construction ---------------------------------------------------------
 
 
-def _logits_from_probs(probs: np.ndarray) -> np.ndarray:
+def _logits_from_probs(probs: np.ndarray, need: str) -> np.ndarray:
+    """Logits of ``probs``; ``need`` names the keys that keep them positive."""
     probs = np.asarray(probs, dtype=float)
     if np.any(probs <= 0):
-        raise RangeError("construction probabilities must be strictly positive")
+        raise RangeError(f"construction probabilities must be strictly positive: need {need}")
     return np.log(probs / probs.sum())
 
 
-def _offset_for_targets(base_logits: np.ndarray, targets: dict) -> np.ndarray:
+def _offset_for_targets(base_logits: np.ndarray, targets: dict, keys: str) -> np.ndarray:
     """Logit offset achieving the target probabilities on selected tokens.
 
     Solves softmax(base + offset)[v] = targets[v] for each targeted token
-    with the offset supported only on those tokens.
+    with the offset supported only on those tokens. ``keys`` names what
+    sets the targets.
     """
     base_p = softmax(base_logits)
     target_total = sum(targets.values())
     if target_total >= 1.0:
-        raise RangeError("teacher targets must leave mass for the rest")
+        raise RangeError(
+            f"teacher targets must leave mass for the rest: need {keys} < 1, got {target_total!r}"
+        )
     rest_mass = 1.0 - sum(base_p[v] for v in targets)
     offset = np.zeros_like(base_logits)
     for v, tv in targets.items():
@@ -433,12 +437,16 @@ def generate_task(
         probs0 = np.full(v, (1.0 - p.confident_mass) / (v - 1))
         probs0[bad_token] = p.confident_mass
 
-    init_rows = {0: _logits_from_probs(probs0)}
+    if regime == "confident_wrong":
+        need = f"0 < confident_mass < 1, got {p.confident_mass!r}"
+    else:
+        need = f"p_star > 0 and p_star + alt_mass < 1, got {p.p_star!r} + {p.alt_mass!r}"
+    init_rows = {0: _logits_from_probs(probs0, need)}
     for t in range(1, p.horizon):
         if trap_position is not None and t == trap_position:
             trap_probs = np.full(v, (1.0 - p.trap_mass) / (v - len(trap_tokens)))
             trap_probs[list(trap_tokens)] = p.trap_mass / len(trap_tokens)
-            init_rows[t] = _logits_from_probs(trap_probs)
+            init_rows[t] = _logits_from_probs(trap_probs, f"0 < trap_mass < 1, got {p.trap_mass!r}")
         else:
             init_rows[t] = np.zeros(v)
 
@@ -448,28 +456,35 @@ def generate_task(
 
     quirk_pool = [t for t in token_pool if t not in trap_tokens]
     contexts = []
+    drawn = []  # each context's teacher boost or suppression target
     for i in range(p.n_contexts):
         offsets: dict = {}
         targets: dict = {}
         if regime in ("under_allocated", "mixed"):
             boost = float(rng.uniform(p.teacher_boost_low, p.teacher_boost_high))
             targets[v_star] = boost
+            drawn.append(boost)
+            keys = "the teacher boost (drawn from [teacher_boost_low, teacher_boost_high])"
             if p.quirk_mass > 0 and quirk_pool:
                 quirk = int(quirk_pool[i % len(quirk_pool)])
                 targets[quirk] = p.quirk_mass
+                keys += " + quirk_mass"
         else:
             suppress = float(
                 rng.uniform(p.teacher_suppress_low, p.teacher_suppress_high)
             )
             targets[bad_token] = suppress
-        offsets[0] = _offset_for_targets(init_rows[0], targets)
+            drawn.append(suppress)
+            keys = "the teacher suppression"
+        offsets[0] = _offset_for_targets(init_rows[0], targets, keys)
         if regime == "mixed" and trap_position is not None:
             # The context also flags the guarded trap for suppression.
             trap_target = {
                 tok: float(rng.uniform(0.005, 0.02)) for tok in trap_tokens
             }
             offsets[trap_position] = _offset_for_targets(
-                init_rows[trap_position], trap_target
+                init_rows[trap_position], trap_target,
+                "n_trap_tokens x the trap suppression (0.005 to 0.02 each)",
             )
         elif p.distractor_mass > 0 and trap_position is not None:
             # Misleading hint: the teacher pulls toward the trap tokens.
@@ -477,7 +492,7 @@ def generate_task(
                 tok: p.distractor_mass / len(trap_tokens) for tok in trap_tokens
             }
             offsets[trap_position] = _offset_for_targets(
-                init_rows[trap_position], trap_target
+                init_rows[trap_position], trap_target, "distractor_mass"
             )
         contexts.append(
             PrivilegedContext(
@@ -501,11 +516,134 @@ def generate_task(
         context_probs=np.full(p.n_contexts, 1.0 / p.n_contexts),
         params=p,
     )
+    _check_certificate_params(regime, p, drawn)
     task.assert_certificates()
     return task
 
 
+def _check_certificate_params(regime: str, p: TaskParams, drawn: list) -> None:
+    """Raise a RangeError naming the key when the parameters themselves
+    break a regime certificate; ``assert_certificates`` then guards the
+    construction only. ``drawn`` holds each context's teacher boost
+    (under-allocated, mixed) or suppression target (confident-wrong).
+    """
+    if regime == "confident_wrong":
+        if p.confident_mass < 0.7:
+            raise RangeError(
+                f"confident_mass = {p.confident_mass!r} is below the confident-wrong "
+                "certificate's 0.7"
+            )
+        if max(drawn) > 0.05:
+            raise RangeError(
+                f"teacher suppression {max(drawn)!r} (drawn from [teacher_suppress_low, "
+                "teacher_suppress_high]) is above the confident-wrong certificate's 0.05"
+            )
+    elif p.p_star > 0.01 * min(drawn):
+        raise RangeError(
+            f"p_star = {p.p_star!r} is above the under-allocation certificate's "
+            f"0.01 x teacher boost = {0.01 * min(drawn)!r}: lower p_star or raise "
+            "teacher_boost_low"
+        )
+
+
 # ----- sampling and annotation ----------------------------------------------
+
+
+def inverse_cdf(dist: np.ndarray, u) -> np.ndarray:
+    """Indices drawn from ``dist`` by the uniforms ``u``.
+
+    ``dist`` is one distribution shared by all uniforms, or a (n, V)
+    stack with one row per uniform. Each index is ``cdf.searchsorted(u, side="right")`` with
+    ``cdf = dist.cumsum(); cdf /= cdf[-1]``, what ``Generator.choice(
+    len(dist), p=dist)`` returns for the uniform it draws, so a caller
+    that draws ``rng.random()`` itself consumes the stream exactly as
+    ``choice`` would. The cdf is sorted, so the search is a count of the
+    entries at most ``u``.
+    """
+    cdf = np.cumsum(dist, axis=-1)
+    cdf /= cdf[..., -1:]
+    return (cdf <= np.asarray(u)[..., None]).sum(axis=-1)
+
+
+def draw_contexts(task: SynthTask, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` privileged-context indices, one uniform each."""
+    return inverse_cdf(task.context_probs, rng.random(size))
+
+
+@dataclass
+class SampledGroup:
+    """Rollouts of the task's horizon sampled together, as (G, T) arrays.
+
+    ``prefixes`` lists the distinct prefixes the group visited, in
+    sampling order, and ``prefix_index[i, t]`` is the entry of position t
+    of rollout i. Each rollout's ``logprobs`` is a row of ``logprobs``.
+    """
+
+    rollouts: list
+    tokens: np.ndarray  # (G, T) sampled token ids
+    logprobs: np.ndarray  # (G, T) sample-time log-probs
+    outcomes: np.ndarray  # (G,) verifier outcomes
+    prefixes: list
+    prefix_index: np.ndarray  # (G, T) indices into prefixes
+
+
+def sample_group(
+    table: PolicyTable,
+    task: SynthTask,
+    rng: np.random.Generator,
+    size: int,
+    dists: dict | None = None,
+) -> SampledGroup:
+    """Sample ``size`` sequences from the student policy and verify them.
+
+    One ``rng.random((size, T))`` draw supplies a uniform per token in
+    rollout-major order, and each token is picked by ``inverse_cdf`` of
+    its prefix's distribution: the tokens, log-probs and stream position
+    of ``size`` successive per-token ``Generator.choice`` loops. Positions
+    are filled left to right, all rollouts at once.
+
+    ``dists`` is an optional ``{prefix: student distribution}`` map: a row
+    found there is reused and a row computed is added, so a group takes
+    one softmax per distinct prefix. The map is stale once the student
+    rows change.
+    """
+    dists = {} if dists is None else dists
+    horizon = task.horizon
+    uniforms = rng.random((size, horizon))
+    tokens = np.empty((size, horizon), dtype=np.int64)
+    probs = np.empty((size, horizon))
+    prefix_index = np.empty((size, horizon), dtype=np.int64)
+    prefixes: list = []
+    keys = [()] * size  # each rollout's prefix at position t
+    for t in range(horizon):
+        slot: dict = {}
+        which = np.array([slot.setdefault(key, len(slot)) for key in keys])
+        rows = []
+        for prefix in slot:
+            dist = dists.get(prefix)
+            if dist is None:
+                dist = dists[prefix] = table.student_dist(task.prompt_id, prefix)
+            rows.append(dist)
+        row_of = np.stack(rows)[which]
+        picked = inverse_cdf(row_of, uniforms[:, t])
+        tokens[:, t] = picked
+        probs[:, t] = row_of[np.arange(size), picked]
+        prefix_index[:, t] = len(prefixes) + which
+        prefixes.extend(slot)
+        keys = [key + (tok,) for key, tok in zip(keys, picked.tolist())]
+    # math.log, not np.log: the two differ in the last bit on some inputs.
+    logprobs = np.array([math.log(p) for p in probs.ravel().tolist()]).reshape(size, horizon)
+    rollouts = []
+    for row, seq in enumerate(map(tuple, tokens.tolist())):
+        rollouts.append(Rollout(task.prompt_id, seq, task.verifier(seq), logprobs[row]))
+    return SampledGroup(
+        rollouts=rollouts,
+        tokens=tokens,
+        logprobs=logprobs,
+        outcomes=np.array([r.outcome for r in rollouts]),
+        prefixes=prefixes,
+        prefix_index=prefix_index,
+    )
 
 
 def sample_rollout(
@@ -514,31 +652,9 @@ def sample_rollout(
     rng: np.random.Generator,
     dists: dict | None = None,
 ) -> Rollout:
-    """Sample one sequence from the student policy and verify it.
-
-    ``dists`` is an optional ``{prefix: student distribution}`` map shared
-    by the rollouts of one step: a row found there is reused and a row
-    computed is added, so a group takes one softmax per distinct prefix.
-    The map is stale once the student rows change.
-    """
-    dists = {} if dists is None else dists
-    tokens: list[int] = []
-    logprobs = np.empty(task.horizon)
-    for t in range(task.horizon):
-        prefix = tuple(tokens)
-        dist = dists.get(prefix)
-        if dist is None:
-            dist = dists[prefix] = table.student_dist(task.prompt_id, prefix)
-        tok = int(rng.choice(task.vocab, p=dist))
-        logprobs[t] = math.log(dist[tok])
-        tokens.append(tok)
-    seq = tuple(tokens)
-    return Rollout(
-        prompt_id=task.prompt_id,
-        tokens=seq,
-        outcome=task.verifier(seq),
-        logprobs=logprobs,
-    )
+    """Sample one sequence from the student policy and verify it; see
+    ``sample_group``."""
+    return sample_group(table, task, rng, 1, dists).rollouts[0]
 
 
 @dataclass(frozen=True)
@@ -592,7 +708,7 @@ def oracle_annotate(
     if not (0.0 <= precision <= 1.0):
         raise RangeError("precision must lie in [0, 1]")
     rng = rng or np.random.default_rng(0)
-    context_index = int(rng.choice(len(task.contexts), p=task.context_probs))
+    context_index = int(draw_contexts(task, rng, 1)[0])
     label = task.contexts[context_index].label
 
     if rollout.outcome == 1:

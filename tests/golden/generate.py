@@ -7,17 +7,21 @@ to the numbers a run writes changes a hash.
 
     PYTHONPATH=src python tests/golden/generate.py            # rewrite hashes.json
     PYTHONPATH=src python tests/golden/generate.py --dump DIR # also write the CSVs
+    PYTHONPATH=src python tests/golden/generate.py --compare OLD NEW # diff two dumps
 
 A change that moves the numbers on purpose regenerates ``hashes.json`` and
 records in CHANGES.md why, with a per-row comparison of the dumped CSVs
-against the previous code's.
+against the previous code's: ``--compare`` prints, for every CSV of the two
+dumps, the largest absolute difference and the max abs diff of each row.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
+import math
 import os
 from dataclasses import replace
 
@@ -73,10 +77,54 @@ def golden_hashes(dump_dir: str | None = None) -> dict:
     return out
 
 
+def _cell_diff(old: str, new: str) -> float:
+    if old == new:
+        return 0.0
+    try:
+        return abs(float(old) - float(new))
+    except ValueError:  # an empty or non-numeric cell changed
+        return math.inf
+
+
+def _read_rows(path: str) -> list[list[str]]:
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def compare(old_dir: str, new_dir: str) -> list[str]:
+    """One line per CSV of either dump: the file's max abs diff, then each
+    data row's, in row order. A missing file, a changed header or row count,
+    and a changed non-numeric cell are reported as such or as inf."""
+    lines = []
+    names = sorted(n for n in set(os.listdir(old_dir)) | set(os.listdir(new_dir)) if n.endswith(".csv"))
+    for name in names:
+        paths = [os.path.join(old_dir, name), os.path.join(new_dir, name)]
+        absent = [d for d, path in zip((old_dir, new_dir), paths) if not os.path.exists(path)]
+        if absent:
+            lines.append(f"{name}: missing in {absent[0]}")
+            continue
+        old, new = map(_read_rows, paths)
+        if old[:1] != new[:1] or len(old) != len(new):
+            lines.append(f"{name}: header or row count differs ({len(old)} vs {len(new)} lines)")
+            continue
+        per_row = [
+            max((_cell_diff(a, b) for a, b in zip(r_old, r_new)), default=0.0)
+            if len(r_old) == len(r_new) else math.inf
+            for r_old, r_new in zip(old[1:], new[1:])
+        ]
+        cells = " ".join(f"{d:.3g}" for d in per_row) or "none"
+        lines.append(f"{name}: max {max(per_row, default=0.0):.3g} | rows {cells}")
+    return lines
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--dump", metavar="DIR", default=None)
+    parser.add_argument("--compare", nargs=2, metavar=("OLD_DIR", "NEW_DIR"), default=None)
     args = parser.parse_args()
+    if args.compare is not None:
+        print("\n".join(compare(*args.compare)))
+        return
     with open(HASHES, "w") as fh:
         json.dump(golden_hashes(args.dump), fh, sort_keys=True, indent=2)
         fh.write("\n")

@@ -3,8 +3,12 @@
 Everything here is deliberately naive: central finite differences, direct
 enumeration, and brute-force grids. None of it shares code with the paths
 it validates, except ``reference_routed_step_loss``: the per-token loop
-over the scalar routines that the array-form routed loss must reproduce.
+over the scalar routines that the array-form routed loss must reproduce,
+and ``reference_sample_rollout``, the per-token ``Generator.choice`` loop
+that group sampling must reproduce draw for draw.
 """
+
+import math
 
 import numpy as np
 
@@ -20,6 +24,7 @@ from routedkl.routing import (
     lambda_schedule,
     rho,
 )
+from routedkl.tasks import Rollout
 
 
 def fd_kl_logit_grad(logits, teacher, forward, h=1e-6):
@@ -235,4 +240,28 @@ def reference_routed_step_loss(
         lam=lam,
         rho=rho_k,
         per_token_logit_grads=grads,
+    )
+
+
+def reference_sample_rollout(table, task, rng, dists=None) -> Rollout:
+    """Per-token reference for ``tasks.sample_group``: one sequence, one
+    ``Generator.choice`` per token, kept from before groups were sampled
+    as arrays."""
+    dists = {} if dists is None else dists
+    tokens: list[int] = []
+    logprobs = np.empty(task.horizon)
+    for t in range(task.horizon):
+        prefix = tuple(tokens)
+        dist = dists.get(prefix)
+        if dist is None:
+            dist = dists[prefix] = table.student_dist(task.prompt_id, prefix)
+        tok = int(rng.choice(task.vocab, p=dist))
+        logprobs[t] = math.log(dist[tok])
+        tokens.append(tok)
+    seq = tuple(tokens)
+    return Rollout(
+        prompt_id=task.prompt_id,
+        tokens=seq,
+        outcome=task.verifier(seq),
+        logprobs=logprobs,
     )

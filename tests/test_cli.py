@@ -174,11 +174,40 @@ class TestBadInputsNameTheKey:
             ("routing", "floor_p_min", "-0.1"),
             ("run", "emit_plot_data", "ture"),
             ("run", "seed", "-1"),
+            ("task", "p_star", "0.05"),
+            ("task", "trap_mass", "1.0"),
+            ("task", "alt_mass", "0.9999"),
+            ("task", "quirk_mass", "0.4"),
         ],
     )
     def test_rejected_before_any_step(self, tmp_path, capsys, section, key, value):
         assert _run(tmp_path, _edit(self.CORNER, section, key, value)) == 2
         assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_p_star_bound_is_the_drawn_teacher_boost(self, tmp_path, capsys):
+        # corner_under.ini's smallest drawn boost is 0.7320: the
+        # under-allocation certificate needs p_star <= 0.01 x 0.7320.
+        text = _edit(self.CORNER, "run", "steps", "1")
+        assert _run(tmp_path, _edit(text, "task", "p_star", "0.0073")) == 0
+        (tmp_path / "b").mkdir()  # a fresh output directory for the second config
+        assert _run(tmp_path / "b", _edit(text, "task", "p_star", "0.0074")) == 2
+        assert "p_star" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [
+            ("confident_mass", "1.0", "confident_mass"),
+            ("confident_mass", "0.5", "confident_mass"),
+            ("teacher_suppress_low", "0.1", "teacher_suppress_low"),
+        ],
+    )
+    def test_confident_wrong_task_keys(self, tmp_path, capsys, key, value, named):
+        text = _edit(self.CORNER, "run", "regime", "confident_wrong")
+        if key == "teacher_suppress_low":
+            text = _edit(text, "task", "teacher_suppress_high", "0.2")
+        assert _run(tmp_path, _edit(text, "task", key, value)) == 2
+        assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_floor_checked_against_the_default_vocabulary(self, tmp_path, capsys):

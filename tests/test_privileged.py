@@ -147,6 +147,15 @@ class TestRlsdWeight:
     def test_zero_student_rejected(self):
         with pytest.raises(RangeError):
             rlsd_weight(0.1, 0.0, 0.2)
+        with pytest.raises(RangeError):
+            rlsd_weight(np.array([0.1, 0.2]), np.array([0.5, 0.0]), 0.2)
+
+    def test_arrays_match_scalars(self):
+        teacher, student = np.array([0.02, 0.3, 0.5, 0.9]), np.array([0.5, 0.3, 0.45, 0.2])
+        w = rlsd_weight(teacher, student, 0.2)
+        for i in range(teacher.size):
+            raw = float(teacher[i]) / float(student[i])
+            assert (w.raw[i], w.clipped[i]) == (raw, min(max(raw, 0.8), 1.2))
 
     def test_damping_bound_on_grid(self):
         # Whenever teacher <= delta and student >= p0 the raw weight is at

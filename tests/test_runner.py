@@ -1,4 +1,5 @@
 import configparser
+import copy
 import json
 import os
 import subprocess
@@ -11,8 +12,9 @@ import pytest
 
 from routedkl import cli, runner
 from routedkl.errors import ConfigError, EnumerationBudgetError, InternalConsistencyError
+from routedkl.grpo import group_advantages
 from routedkl.privileged import context_variance, expected_deviation_sq
-from routedkl.routing import RoutingConfig, lambda_schedule, routed_step_loss
+from routedkl.routing import RoutingConfig, lambda_schedule
 from routedkl.runner import (
     RunConfig,
     build_eval_token_set,
@@ -226,27 +228,31 @@ class TestMethodBehaviour:
 
     def test_rlsd_teacher_guard_after_window(self, monkeypatch):
         _, state = self._rlsd_past_window()
-        build = runner._loss_items
+        build = runner._step_tensors
 
         def peeking(state, *args):
             state.task.teacher_dist(state.table, 0, ())
             return build(state, *args)
 
-        monkeypatch.setattr(runner, "_loss_items", peeking)
+        monkeypatch.setattr(runner, "_step_tensors", peeking)
         with pytest.raises(InternalConsistencyError, match="KL channel is closed"):
             train_step(state)
 
     def test_first_step_ratio_is_exactly_one(self):
         # One optimizer step per batch: the recomputed log-prob matches the
         # sample-time value bit for bit, so exp(log ratio) == 1.0 exactly.
-        from routedkl.runner import _fresh_log_ratio
-        from routedkl.tasks import sample_rollout
+        from routedkl.tasks import sample_group
 
-        state = init_run(fast_cfg(steps=1))
+        cfg = fast_cfg(steps=1)
+        state = init_run(cfg)
         dists = {}
-        rollout = sample_rollout(state.table, state.task, state.rng_rollout, dists)
-        _, log_ratio = _fresh_log_ratio(state, rollout, dists)
-        assert np.all(log_ratio == 0.0)
+        group = sample_group(state.table, state.task, state.rng_rollout, cfg.group_size, dists)
+        advantages = np.zeros(cfg.group_size)
+        step = runner._step_tensors(
+            state, group, dists, advantages, effective_routing(cfg), 0.0, False
+        )
+        assert step.log_ratio.shape == (cfg.group_size, state.task.horizon)
+        assert np.all(step.log_ratio == 0.0)
 
     def test_eval_token_set_is_teacher_supported(self):
         cfg = fast_cfg(steps=1)
@@ -269,13 +275,19 @@ class TestTeacherCache:
         for _ in range(FAST_ROUTING.sync_n):  # steps 0..4; step 5 syncs first
             train_step(state)
         stale = runner._teacher_rows(state, ())[0]
+        build = runner._step_tensors
         used = []
 
-        def capture(items, *args, **kwargs):
-            used.extend(items)
-            return routed_step_loss(items, *args, **kwargs)
+        def capture(state, group, *args):
+            step = build(state, group, *args)
+            horizon = group.tokens.shape[1]
+            used.extend(
+                (tuple(group.tokens[f // horizon, : f % horizon].tolist()), q)
+                for f, q in zip(step.kl_rows.tolist(), step.teacher)
+            )
+            return step
 
-        monkeypatch.setattr(runner, "routed_step_loss", capture)
+        monkeypatch.setattr(runner, "_step_tensors", capture)
         train_step(state)
         assert state.table.sync_count == 3  # init snapshot, k = 0, k = 5
         synced = state.table.copy()  # same teacher snapshot, separate counter
@@ -286,11 +298,8 @@ class TestTeacherCache:
             np.testing.assert_array_equal(matrix, fresh[prefix])
             assert variance == context_variance(task.context_probs, fresh[prefix])
             assert deviation == expected_deviation_sq(task.context_probs, fresh[prefix])
-        rows = [
-            (tuple(item.sampled[:t]), q) for item in used for t, q in item.teacher.items()
-        ]
-        assert rows
-        for prefix, q in rows:
+        assert used
+        for prefix, q in used:
             assert any(np.array_equal(q, row) for row in fresh[prefix])
 
     def test_closed_channel_read_through_cache_raises(self, monkeypatch):
@@ -299,13 +308,13 @@ class TestTeacherCache:
         while effective_lambda(cfg, state.k) > 0.0:
             train_step(state)
         assert () in state.teacher_cache  # filled while the channel was open
-        build = runner._loss_items
+        build = runner._step_tensors
 
         def peeking(state, *args):
             runner._teacher_rows(state, ())
             return build(state, *args)
 
-        monkeypatch.setattr(runner, "_loss_items", peeking)
+        monkeypatch.setattr(runner, "_step_tensors", peeking)
         with pytest.raises(InternalConsistencyError, match="KL channel is closed"):
             train_step(state)
 
@@ -317,6 +326,84 @@ class TestTeacherCache:
             matrix[0, 0] = 0.5
         with pytest.raises(ValueError):
             matrix[0][1] = 0.5
+
+
+class TestGroupArrays:
+    """What the step reads from its (G, T) arrays against per-token
+    recomputation from the table."""
+
+    @staticmethod
+    def _capture(monkeypatch):
+        """Record each step's group, loss inputs and gradient rows, the
+        annotation stream before the inputs are built, and the table."""
+        steps = []
+        build, loss = runner._step_tensors, runner.routed_loss_rows
+
+        def tensors(state, group, *args):
+            record = {"group": group, "annot": copy.deepcopy(state.rng_annot)}
+            record["table"] = state.table.copy()
+            record["step"] = build(state, group, *args)
+            steps.append(record)
+            return record["step"]
+
+        def rows(*args, **kwargs):
+            report, grad_rows, grads = loss(*args, **kwargs)
+            steps[-1]["grads"] = dict(zip(grad_rows.tolist(), grads))
+            return report, grad_rows, grads
+
+        monkeypatch.setattr(runner, "_step_tensors", tensors)
+        monkeypatch.setattr(runner, "routed_loss_rows", rows)
+        return steps
+
+    def test_credit_concentration_reads_per_token_norms(self, monkeypatch):
+        steps = self._capture(monkeypatch)
+        credits = []
+        real = runner.credit_concentration
+
+        def spy(credit, mask):
+            credits.append(credit.copy())
+            return real(credit, mask)
+
+        monkeypatch.setattr(runner, "credit_concentration", spy)
+        cfg = fast_cfg("routed_both", steps=10)
+        _, state = run_experiment(cfg)
+        expected = []
+        for record in steps:
+            mask, grads = record["step"].mask, record["grads"]
+            horizon = mask.shape[1]
+            for i in np.flatnonzero(mask.any(axis=1) & ~mask.all(axis=1)):
+                flat = [i * horizon + t for t in range(horizon)]
+                expected.append(np.array([
+                    cfg.learning_rate * float(np.linalg.norm(grads[f])) if f in grads else 0.0
+                    for f in flat
+                ]))
+        assert expected and state.credit_ratios
+        assert [c.tobytes() for c in credits] == [e.tobytes() for e in expected]
+
+    def test_rlsd_multiplier_matches_the_scalar_weight(self, monkeypatch):
+        steps = self._capture(monkeypatch)
+        eps = 0.9  # a wide clip, so the drawn context shows in the weight
+        _, state = run_experiment(fast_cfg("rlsd_weighted", steps=6, rlsd_eps_w=eps))
+        task, weighted = state.task, 0
+        for record in steps:
+            group, table, scale = record["group"], record["table"], record["step"].adv_scale
+            annot = record["annot"]
+            contexts = [
+                int(annot.choice(len(task.contexts), p=task.context_probs)) for _ in group.rollouts
+            ]
+            advantages = group_advantages(group.outcomes.astype(float))
+            assert (scale is None) == (not np.any(advantages > 0))
+            for i, rollout in enumerate(group.rollouts):
+                for t, y in enumerate(rollout.tokens):
+                    if advantages[i] <= 0:
+                        assert scale is None or scale[i, t] == 1.0
+                        continue
+                    prefix = rollout.tokens[:t]
+                    q = task.teacher_dist(table, contexts[i], prefix)[y]
+                    p = table.student_dist(task.prompt_id, prefix)[y]
+                    assert scale[i, t] == min(max(q / p, 1.0 - eps), 1.0 + eps)
+                    weighted += 1.0 - eps < scale[i, t] < 1.0 + eps
+        assert weighted > 0
 
 
 class TestCli:

@@ -1,21 +1,26 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from routedkl.errors import EnumerationBudgetError, RangeError
-from routedkl.policy import softmax
+from routedkl.policy import PolicyTable, softmax
 from routedkl.routing import coverage_cap, enforce_coverage_cap, project_spans_to_mask
 from routedkl.tasks import (
     TaskParams,
     chain_params,
+    draw_contexts,
     generate_task,
     oracle_annotate,
     oracle_reward_gradient,
+    sample_group,
     sample_rollout,
     single_route_params,
     task_from_json,
 )
 
-from oracles import enumerate_expected_reward, fd_reward_gradient
+from oracles import enumerate_expected_reward, fd_reward_gradient, reference_sample_rollout
 
 SMALL = TaskParams(vocab=4, horizon=3, p_star=0.004, n_contexts=2)
 
@@ -163,6 +168,87 @@ class TestSampling:
         a = sample_rollout(task.make_table(), task, np.random.default_rng(7))
         b = sample_rollout(task.make_table(), task, np.random.default_rng(7))
         assert a.tokens == b.tokens
+
+
+def _random_table(vocab, seed, zero_frac):
+    """Random logit rows; entries set to -1000 get probability exactly 0."""
+
+    def init(prompt, prefix):
+        rng = np.random.default_rng([seed, len(prefix), *prefix])
+        logits = rng.normal(0.0, 2.0, vocab)
+        logits[rng.random(vocab) < zero_frac] = -1000.0
+        return logits
+
+    return PolicyTable(vocab=vocab, init_logits=init)
+
+
+class TestGroupStreamAlignment:
+    """Group sampling against the per-token ``Generator.choice`` loop."""
+
+    @given(
+        vocab=st.integers(4, 9),
+        horizon=st.integers(2, 5),
+        size=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        zero_frac=st.sampled_from([0.0, 0.3, 0.7]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_same_tokens_logprobs_and_stream(self, vocab, horizon, size, seed, zero_frac):
+        params = TaskParams(vocab=vocab, horizon=horizon, trap_position=1)
+        task = generate_task("under_allocated", 0, params)
+        table = _random_table(vocab, seed, zero_frac)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        dists = {}
+        group = sample_group(table, task, rng, size, dists)
+        ref = [reference_sample_rollout(table, task, ref_rng) for _ in range(size)]
+        assert [r.tokens for r in group.rollouts] == [r.tokens for r in ref]
+        assert [r.outcome for r in group.rollouts] == [r.outcome for r in ref]
+        assert group.outcomes.tolist() == [r.outcome for r in ref]
+        for got, want in zip(group.rollouts, ref):
+            assert got.logprobs.tobytes() == want.logprobs.tobytes()
+        assert group.tokens.tolist() == [list(r.tokens) for r in ref]
+        assert group.logprobs.tobytes() == np.stack([r.logprobs for r in ref]).tobytes()
+        assert rng.random() == ref_rng.random()
+        # Every position points at its prefix, listed once, with its row.
+        assert len(set(group.prefixes)) == len(group.prefixes) == len(dists)
+        for i, r in enumerate(ref):
+            for t in range(horizon):
+                prefix = group.prefixes[group.prefix_index[i, t]]
+                assert prefix == r.tokens[:t]
+                assert dists[prefix].tobytes() == table.student_dist(task.prompt_id, prefix).tobytes()
+
+    def test_rows_with_zero_entries_are_exercised(self):
+        table = _random_table(6, 3, 0.7)
+        assert any((table.student_dist("p", (v,)) == 0).any() for v in range(6))
+
+    def test_sample_rollout_is_the_size_one_group(self):
+        task = generate_task("mixed", 2)
+        table = task.make_table()
+        a, b = np.random.default_rng(4), np.random.default_rng(4)
+        for _ in range(20):
+            got, want = sample_rollout(table, task, a), reference_sample_rollout(table, task, b)
+            assert got.tokens == want.tokens
+            assert got.logprobs.tobytes() == want.logprobs.tobytes()
+        assert a.random() == b.random()
+
+    @given(
+        n_contexts=st.integers(1, 6),
+        size=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        zero_frac=st.sampled_from([0.0, 0.4]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_context_draws_match_choice(self, n_contexts, size, seed, zero_frac):
+        task = generate_task("under_allocated", 0, TaskParams(n_contexts=n_contexts))
+        weights = np.random.default_rng(seed).random(n_contexts)
+        weights[np.random.default_rng(seed + 1).random(n_contexts) < zero_frac] = 0.0
+        weights[seed % n_contexts] += 0.5  # at least one context has mass
+        task = replace(task, context_probs=weights / weights.sum())
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = draw_contexts(task, rng, size)
+        want = [int(ref_rng.choice(n_contexts, p=task.context_probs)) for _ in range(size)]
+        assert got.tolist() == want
+        assert rng.random() == ref_rng.random()
 
 
 class TestOracleAnnotate:
