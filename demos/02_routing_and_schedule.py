@@ -7,14 +7,12 @@ from routedkl import (
     RoutingConfig,
     enforce_coverage_cap,
     lambda_schedule,
-    partition,
     project_spans_to_mask,
     rho,
-    routed_step_loss,
+    routed_loss_rows,
     schedule_weight_sums,
 )
 from routedkl.grpo import group_advantages
-from routedkl.routing import RolloutLossInput
 
 print("== span projection and the coverage cap ==")
 intervals = [(t, t + 1) for t in range(12)]
@@ -24,10 +22,9 @@ print("projected mask  ->", mask.tolist())
 capped = enforce_coverage_cap(mask, np.ones(12), alpha=0.25)
 print("after 25% cap   ->", capped.tolist(), f"({capped.sum()} of ceil(0.25*12)={int(np.ceil(3.0))})")
 
-part = partition(12, capped, verifier_outcome=1)
-print("outcome 1 routes the mask to key spans:", part.key_idx)
-part = partition(12, capped, verifier_outcome=0)
-print("outcome 0 routes the mask to error spans:", part.error_idx)
+marked = tuple(np.flatnonzero(capped).tolist())
+print("outcome 1 routes the mask to key spans:", marked)
+print("outcome 0 routes the mask to error spans:", marked)
 
 print("\n== decay schedule ==")
 cfg = RoutingConfig()  # w0=0.5, flat 10 steps, 30-step ramp
@@ -41,24 +38,26 @@ print("\n== routed loss on a toy group ==")
 rng = np.random.default_rng(0)
 vocab, length = 6, 4
 teacher = rng.dirichlet(np.ones(vocab))
-items = []
-outcomes = [1, 1, 0]
-for outcome in outcomes:
-    student = np.stack([rng.dirichlet(np.ones(vocab)) for _ in range(length)])
-    m = np.zeros(length, dtype=np.int8)
-    m[1] = 1
-    p = partition(length, m, outcome)
-    items.append(
-        RolloutLossInput(
-            student=student,
-            log_ratio=np.zeros(length),
-            sampled=rng.integers(0, vocab, size=length),
-            part=p,
-            teacher={1: teacher},
-        )
-    )
-adv = group_advantages(np.array(outcomes, dtype=float))
-report = routed_step_loss(items, adv, k=0, cfg=RoutingConfig(tau=10.0, alpha=0.5, mu_e=1, mu_k=1))
+outcomes = np.array([1, 1, 0])
+student = np.empty((len(outcomes), length, vocab))
+sampled = np.empty((len(outcomes), length), dtype=np.int64)
+for i in range(len(outcomes)):
+    student[i] = [rng.dirichlet(np.ones(vocab)) for _ in range(length)]
+    sampled[i] = rng.integers(0, vocab, size=length)
+in_span = np.zeros((len(outcomes), length), dtype=bool)
+in_span[:, 1] = True  # both branches active: one teacher row per rollout
+cfg = RoutingConfig(tau=10.0, alpha=0.5, mu_e=1, mu_k=1)
+report, _, _ = routed_loss_rows(
+    student=student,
+    log_ratio=np.zeros((len(outcomes), length)),
+    sampled=sampled,
+    in_span=in_span,
+    failed=outcomes == 0,
+    teacher=np.tile(teacher, (len(outcomes), 1)),
+    advantages=group_advantages(outcomes.astype(float)),
+    lam=lambda_schedule(0, cfg),
+    cfg=cfg,
+)
 print("total             ", round(report.total, 6))
 print("  grpo nonspan    ", round(report.grpo_nonspan, 6))
 print("  rho * grpo span ", round(report.rho * report.grpo_span, 6))

@@ -4,7 +4,7 @@ import numpy as np
 
 from routedkl import group_advantages, grpo_token_loss
 from routedkl.grpo import ClipConfig
-from routedkl.routing import RolloutLossInput, RoutingConfig, partition, routed_step_loss
+from routedkl.routing import RoutingConfig, lambda_schedule, routed_loss_rows
 
 print("== standardized advantages ==")
 for rewards in ([1, 1, 1, 1], [1, 0], [1, 1, 0, 0, 0, 0, 0, 0]):
@@ -23,26 +23,34 @@ print("\n== dead-zone signal preservation ==")
 rng = np.random.default_rng(1)
 vocab, length, group = 6, 4, 4
 teacher = rng.dirichlet(np.ones(vocab))
-items = []
-for _ in range(group):
-    student = np.stack([rng.dirichlet(np.ones(vocab)) for _ in range(length)])
-    mask = np.zeros(length, dtype=np.int8)
-    mask[1] = 1
-    items.append(
-        RolloutLossInput(
-            student=student,
-            log_ratio=np.zeros(length),
-            sampled=rng.integers(0, vocab, size=length),
-            part=partition(length, mask, 1),
-            teacher={1: teacher},
-        )
-    )
+student = np.empty((group, length, vocab))
+sampled = np.empty((group, length), dtype=np.int64)
+for i in range(group):
+    student[i] = [rng.dirichlet(np.ones(vocab)) for _ in range(length)]
+    sampled[i] = rng.integers(0, vocab, size=length)
+in_span = np.zeros((group, length), dtype=bool)
+in_span[:, 1] = True
 adv = group_advantages(np.ones(group))  # all-correct group
 cfg = RoutingConfig(tau=10.0, alpha=0.5)
 
-after_decay = routed_step_loss(items, adv, k=100, cfg=cfg)
-print("after decay (pure GRPO): touched positions ->", sorted(after_decay.per_token_logit_grads))
 
-active = routed_step_loss(items, adv, k=0, cfg=cfg)
-print("KL window open: touched positions         ->", sorted(active.per_token_logit_grads))
+def touched(k):
+    """(rollout, position) pairs that get a logit gradient at step k."""
+    lam = lambda_schedule(k, cfg)
+    _, idx, _ = routed_loss_rows(
+        student=student,
+        log_ratio=np.zeros((group, length)),
+        sampled=sampled,
+        in_span=in_span,
+        failed=np.zeros(group, dtype=bool),
+        teacher=np.tile(teacher, (group if lam > 0 else 0, 1)),  # key spans under mu_k
+        advantages=adv,
+        lam=lam,
+        cfg=cfg,
+    )
+    return [divmod(i, length) for i in idx.tolist()]
+
+
+print("after decay (pure GRPO): touched positions ->", touched(100))
+print("KL window open: touched positions         ->", touched(0))
 print("the routed channel keeps learning from groups GRPO cannot see")

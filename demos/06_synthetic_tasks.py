@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from routedkl import generate_task, oracle_annotate, oracle_reward_gradient, sample_rollout
+from routedkl import generate_task, oracle_annotate, sample_group
 from routedkl.policy import softmax
 from routedkl.tasks import chain_params
 
@@ -26,7 +26,7 @@ chain_table = chain.make_table()
 rng = np.random.default_rng(0)
 shown = 0
 while shown < 4:
-    rollout = sample_rollout(chain_table, chain, rng)
+    rollout = sample_group(chain_table, chain, rng, 1).rollouts[0]
     ann = oracle_annotate(rollout, chain, precision=1.0, rng=rng)
     spans = [(s.start, s.end) for s in ann.spans]
     print(f"tokens {rollout.tokens}  outcome {rollout.outcome}  spans {spans}  type {ann.span_type}")
@@ -37,7 +37,7 @@ print("failures are marked only when the root cause is a critical position")
 print("\n== annotator precision model ==")
 hits, total = 0, 0
 while total < 3000:
-    rollout = sample_rollout(chain_table, chain, rng)
+    rollout = sample_group(chain_table, chain, rng, 1).rollouts[0]
     ann = oracle_annotate(rollout, chain, precision=0.7, rng=rng)
     for s in ann.spans:
         for t in range(s.start, s.end):
@@ -47,7 +47,7 @@ print(f"requested precision 0.7, measured {hits / total:.3f} over {total} select
 
 print("\n== exact enumeration oracles ==")
 print("expected reward:", round(task.expected_reward(table), 6))
-grads = oracle_reward_gradient(task, table)
+grads = task.reward_gradient(table)
 root = grads[(task.prompt_id, ())]
 print("reward gradient at the first row (zero-sum):", np.round(root, 4))
 print("largest entry sits on the accepting token:", int(np.argmax(root)) == task.v_star)

@@ -15,8 +15,8 @@ from .divergence import (
     mixed_beta_grad,
     rkl_logit_grad,
 )
-from .grpo import ClipConfig, RolloutGroup, group_advantages, grpo_token_loss
-from .metrics import LiftSample, credit_concentration, delta_lift, ema
+from .grpo import ClipConfig, group_advantages, grpo_token_loss
+from .metrics import LiftSample, credit_concentration, delta_lift
 from .policy import PolicyTable, entropy, softmax, truncate_and_floor
 from .privileged import (
     ContextSet,
@@ -28,14 +28,11 @@ from .privileged import (
 from .routing import (
     CharSpan,
     RoutingConfig,
-    SpanPartition,
     enforce_coverage_cap,
     lambda_schedule,
-    partition,
     project_spans_to_mask,
     rho,
     routed_loss_rows,
-    routed_step_loss,
     schedule_weight_sums,
 )
 from .runner import RunConfig, RunLog, init_run, run_experiment, should_sync, train_step
@@ -46,9 +43,7 @@ from .tasks import (
     TaskParams,
     generate_task,
     oracle_annotate,
-    oracle_reward_gradient,
     sample_group,
-    sample_rollout,
 )
 from .theory import (
     AlignmentParams,

@@ -14,14 +14,7 @@ import numpy as np
 from .divergence import fkl_logit_grad, kl, rkl_logit_grad
 from .grpo import group_advantages
 from .policy import softmax
-from .routing import (
-    RoutingConfig,
-    lambda_schedule,
-    partition,
-    routed_step_loss,
-    schedule_weight_sums,
-    RolloutLossInput,
-)
+from .routing import RoutingConfig, lambda_schedule, routed_loss_rows, schedule_weight_sums
 from .runner import RunConfig, run_experiment
 from .studies import (
     CORNER_UNDER_PARAMS,
@@ -119,24 +112,22 @@ def run_checks(fast: bool = False, report=print) -> int:
     # Dead-zone preservation.
     adv = group_advantages(np.ones(4))
     check("uniform-reward group has zero advantages", bool(np.all(adv == 0.0)))
-    student = np.tile(rng.dirichlet(np.ones(6)), (3, 1))
-    teacher = {1: rng.dirichlet(np.ones(6))}
-    mask = np.array([0, 1, 0], dtype=np.int8)
-    items = [
-        RolloutLossInput(
-            student=student,
-            log_ratio=np.zeros(3),
-            sampled=np.array([0, 1, 2]),
-            part=partition(3, mask, 1),
-            teacher=teacher,
-        )
-    ]
-    report_obj = routed_step_loss(
-        items, np.zeros(1), k=0, cfg=RoutingConfig(tau=10.0, alpha=0.5)
+    student = np.tile(rng.dirichlet(np.ones(6)), (1, 3, 1))
+    teacher = rng.dirichlet(np.ones(6))[None]  # the one key-span position
+    cfg = RoutingConfig(tau=10.0, alpha=0.5)
+    _, rows, grads = routed_loss_rows(
+        student=student,
+        log_ratio=np.zeros((1, 3)),
+        sampled=np.array([[0, 1, 2]]),
+        in_span=np.array([[False, True, False]]),
+        failed=np.array([False]),
+        teacher=teacher,
+        advantages=np.zeros(1),
+        lam=lambda_schedule(0, cfg),
+        cfg=cfg,
     )
-    keys = set(report_obj.per_token_logit_grads)
     check("dead zone: routed update lives on key positions only",
-          keys == {(0, 1)} and np.abs(report_obj.per_token_logit_grads[(0, 1)]).max() > 0)
+          rows.tolist() == [1] and np.abs(grads[0]).max() > 0)
 
     # Endpoint dominance and threshold classifier.
     mismatches = 0

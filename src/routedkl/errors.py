@@ -29,7 +29,7 @@ class UndefinedDivergenceError(RoutedKlError):
 
 
 class DimensionError(RoutedKlError):
-    """Mismatched vector lengths or partition/rollout lengths."""
+    """Mismatched vector lengths or array shapes."""
 
 
 class RangeError(RoutedKlError):

@@ -24,21 +24,6 @@ class ClipConfig:
             )
 
 
-@dataclass
-class RolloutGroup:
-    """G rollouts for one prompt with their binary verifier rewards."""
-
-    rollouts: list
-    rewards: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.rewards = np.asarray(self.rewards, dtype=float)
-        if len(self.rollouts) < 2 or self.rewards.size != len(self.rollouts):
-            raise RangeError("a rollout group needs G >= 2 matching rewards")
-        if not np.all(np.isin(self.rewards, (0.0, 1.0))):
-            raise RangeError("rewards must be binary")
-
-
 def group_advantages(rewards: np.ndarray) -> np.ndarray:
     """Standardized advantages (R - mean) / std with the 0/0 = 0 dead zone.
 

@@ -1,4 +1,4 @@
-"""Run diagnostics: key-token probability lift, credit concentration, EMA."""
+"""Run diagnostics: key-token probability lift and credit concentration."""
 
 from __future__ import annotations
 
@@ -60,17 +60,3 @@ def credit_concentration(
     if outside_mean == 0.0:
         return None
     return float(inside.mean()) / outside_mean
-
-
-def ema(series, alpha: float) -> list[float]:
-    """Exponential moving average with retention weight alpha in (0, 1]."""
-    if not (0.0 < alpha <= 1.0):
-        raise RangeError(f"alpha={alpha} outside (0, 1]")
-    values = [float(x) for x in series]
-    if not values:
-        return []
-    out = [values[0]]
-    for x in values[1:]:
-        out.append(alpha * out[-1] + (1.0 - alpha) * x)
-    return out
-

@@ -10,9 +10,8 @@ returns span tokens to GRPO as the channel closes.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,31 +73,6 @@ class RoutingConfig:
             raise RangeError("need t_start >= 0, t_decay > 0 and sync_n > 0")
 
 
-@dataclass
-class SpanPartition:
-    """Disjoint (error, key, non-span) index sets covering a rollout."""
-
-    error_idx: tuple[int, ...]
-    key_idx: tuple[int, ...]
-    nonspan_idx: tuple[int, ...]
-    mask: np.ndarray
-    outcome: int
-
-    def __post_init__(self) -> None:
-        n = len(self.mask)
-        all_idx = sorted((*self.error_idx, *self.key_idx, *self.nonspan_idx))
-        if all_idx != list(range(n)):
-            raise InternalConsistencyError("partition is not a disjoint cover")
-        if self.outcome == 1 and self.error_idx:
-            raise InternalConsistencyError("error spans on a correct rollout")
-        if self.outcome == 0 and self.key_idx:
-            raise InternalConsistencyError("key spans on a failed rollout")
-
-    @property
-    def span_idx(self) -> tuple[int, ...]:
-        return tuple(sorted((*self.error_idx, *self.key_idx)))
-
-
 def project_spans_to_mask(
     spans: list[CharSpan], token_char_intervals: list[tuple[int, int]]
 ) -> np.ndarray:
@@ -144,22 +118,6 @@ def enforce_coverage_cap(
     return capped
 
 
-def partition(rollout_len: int, mask: np.ndarray, verifier_outcome: int) -> SpanPartition:
-    """Route masked indices to error (outcome 0) or key (outcome 1) spans."""
-    mask = np.asarray(mask, dtype=np.int8)
-    if mask.size != rollout_len:
-        raise DimensionError(
-            f"mask length {mask.size} != rollout length {rollout_len}"
-        )
-    if verifier_outcome not in (0, 1):
-        raise RangeError("verifier outcome must be 0 or 1")
-    marked = tuple(int(t) for t in np.flatnonzero(mask))
-    rest = tuple(t for t in range(rollout_len) if mask[t] == 0)
-    if verifier_outcome == 1:
-        return SpanPartition((), marked, rest, mask.copy(), 1)
-    return SpanPartition(marked, (), rest, mask.copy(), 0)
-
-
 def lambda_schedule(k: int, cfg: RoutingConfig) -> float:
     """Flat w0 warm-up, linear ramp over t_decay steps, then zero."""
     if k < 0:
@@ -200,37 +158,15 @@ def schedule_weight_sums(
 
 
 @dataclass
-class RolloutLossInput:
-    """Per-rollout tensors the routed loss consumes.
-
-    ``teacher`` maps span positions to teacher distributions and may be
-    None whenever the KL channel is closed; the loss never touches it in
-    that case (the stop-gradient contract is implicit: gradients are taken
-    only with respect to the student rows). ``adv_scale`` multiplies the
-    rollout advantage token by token inside the GRPO surrogate (the RLSD
-    baseline's clipped teacher/student ratio); None means 1.
-    """
-
-    student: np.ndarray  # (L, V) student distributions
-    log_ratio: np.ndarray  # (L,) log pi_theta(y_t) - log pi_old(y_t)
-    sampled: np.ndarray  # (L,) sampled token ids
-    part: SpanPartition
-    teacher: dict | None = None
-    adv_scale: np.ndarray | None = None  # (L,) per-token advantage multiplier
-
-
-@dataclass
 class RoutedLossReport:
-    """Loss decomposition plus per-position logit gradients.
+    """Loss decomposition of one rollout group.
 
     total = grpo_nonspan + rho * grpo_span
             + lam * (mu_e * kl_error_branch + mu_k * kl_key_branch)
 
     Branch values are reported in the per-token 1/|y| normalization; the
     span-mean times |S|/|y| form coincides with it and is recorded too.
-    The gradient map is keyed by (rollout index, position); a position's
-    span class is read from its rollout's mask. ``routed_step_loss`` fills
-    it; ``routed_loss_rows`` returns the gradients as arrays instead.
+    ``routed_loss_rows`` returns the logit gradients beside the report.
     """
 
     total: float
@@ -242,7 +178,6 @@ class RoutedLossReport:
     kl_key_span_mean_form: float
     lam: float
     rho: float
-    per_token_logit_grads: dict = field(default_factory=dict)
 
 
 def _running_sum(values: np.ndarray) -> float:
@@ -275,7 +210,7 @@ def _floor_rows(rows: np.ndarray, p_min: float) -> tuple[np.ndarray, np.ndarray]
 
 
 def _floored_kl_rows(
-    student: np.ndarray, teacher: list, reverse: np.ndarray, cfg: RoutingConfig
+    student: np.ndarray, teacher: np.ndarray, reverse: np.ndarray, cfg: RoutingConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Floored, clipped KL value and student-logit gradient of each row.
 
@@ -294,14 +229,10 @@ def _floored_kl_rows(
         return values, grads
     check_floor(vocab, vocab, cfg.floor_p_min)
     done = np.zeros(m, dtype=bool)
-    try:
-        q_raw = np.array(teacher, dtype=float)
-    except ValueError:  # ragged teacher rows
-        q_raw = None
-    if vocab >= 2 and q_raw is not None and q_raw.shape == (m, vocab):
-        idx = np.flatnonzero(_simplex_rows(student) & _simplex_rows(q_raw))
+    if vocab >= 2:
+        idx = np.flatnonzero(_simplex_rows(student) & _simplex_rows(teacher))
         p, p_free = _floor_rows(student[idx], cfg.floor_p_min)
-        q, q_free = _floor_rows(q_raw[idx], cfg.floor_p_min)
+        q, q_free = _floor_rows(teacher[idx], cfg.floor_p_min)
         keep = p_free & q_free & (p > 0).all(axis=1) & (q > 0).all(axis=1)
         idx, p, q = idx[keep], p[keep], q[keep]
         rev = reverse[idx][:, None]
@@ -328,26 +259,30 @@ def routed_loss_rows(
     log_ratio: np.ndarray,
     sampled: np.ndarray,
     in_span: np.ndarray,
-    lengths: np.ndarray,
     failed: np.ndarray,
-    teacher: np.ndarray | list,
+    teacher: np.ndarray,
     advantages: np.ndarray,
     lam: float,
     cfg: RoutingConfig,
     clip: ClipConfig = ClipConfig(),
     adv_scale: np.ndarray | None = None,
 ) -> tuple[RoutedLossReport, np.ndarray, np.ndarray]:
-    """The routed loss of a rollout group given as flat token arrays.
+    """The routed loss of a group of G rollouts of length T.
 
-    Token arrays run in (rollout, position) order: ``student`` (N, V),
-    ``log_ratio``, ``sampled``, ``in_span`` and the optional per-token
-    advantage multiplier ``adv_scale`` (N,); ``lengths``, ``failed``
-    (outcome 0) and ``advantages`` have one entry per rollout. ``teacher``
-    holds one row per KL position, the span positions of the rollouts
-    whose branch is active (error spans on failed rollouts under mu_e, key
-    spans on accepted ones under mu_k) while lam > 0, in token order.
+    ``student`` holds the (G, T, V) student rows; ``log_ratio``,
+    ``sampled``, ``in_span`` (the span mask) and the optional per-token
+    advantage multiplier ``adv_scale`` are (G, T); ``failed`` (outcome 0)
+    and ``advantages`` are (G,). ``teacher`` holds one (M, V) row per KL
+    position in (rollout, position) order: the span positions of the
+    rollouts whose branch is active (error spans on failed rollouts under
+    mu_e, key spans on accepted ones under mu_k) while lam > 0.
 
-    Returns the report without its gradient map, the token indices that
+    Error spans use reverse KL (student first), key spans forward KL
+    (teacher first); per-vocabulary contributions are clamped at tau with
+    gradient flowing through the unclipped region only, and both rows are
+    floored first. With lam = 0 there are no teacher rows.
+
+    Returns the report, the flat indices into G*T of the positions that
     carry a logit gradient, ascending, and their (K, V) gradient rows.
     Sums taken in (rollout, position) order, and every gradient row, equal
     a per-token loop over the scalar reference routines
@@ -356,50 +291,70 @@ def routed_loss_rows(
     those routines.
     """
     rho_k = rho(lam, cfg.w0)
-    g = lengths.size
-    inv_len = 1.0 / lengths
-    row_item = np.repeat(np.arange(g), lengths)
-    n_span = np.bincount(row_item[in_span], minlength=g)
-    if np.any(n_span > np.ceil(cfg.alpha * lengths)):
+    student = np.asarray(student, dtype=float)
+    if student.ndim != 3:
+        raise DimensionError(f"student rows must be (G, T, V), got shape {student.shape}")
+    g, horizon, vocab = student.shape
+    if g == 0 or horizon == 0:
+        raise DimensionError(f"empty rollout group: (G, T) = {(g, horizon)}")
+    for name, arr, shape in (
+        ("log_ratio", log_ratio, (g, horizon)),
+        ("sampled", sampled, (g, horizon)),
+        ("in_span", in_span, (g, horizon)),
+        ("adv_scale", adv_scale, (g, horizon)),
+        ("failed", failed, (g,)),
+        ("advantages", advantages, (g,)),
+    ):
+        if arr is not None and np.shape(arr) != shape:
+            raise DimensionError(f"{name} has shape {np.shape(arr)}, not {shape}")
+    failed = np.asarray(failed, dtype=bool)
+    in_span = np.asarray(in_span, dtype=bool)
+    n_span = in_span.sum(axis=1)
+    if np.any(n_span > coverage_cap(cfg.alpha, horizon)):
         raise InternalConsistencyError("span mask exceeds the coverage cap")
+    student, in_span = student.reshape(-1, vocab), in_span.ravel()
+    kl_on = (lam > 0.0) & np.where(failed, bool(cfg.mu_e), bool(cfg.mu_k))
+    kl_mask = in_span & np.repeat(kl_on, horizon)
+    kl_rows = np.flatnonzero(kl_mask)
+    teacher = np.asarray(teacher, dtype=float)
+    if teacher.shape != (kl_rows.size, vocab):
+        raise DimensionError(
+            f"teacher rows have shape {teacher.shape}, not {(kl_rows.size, vocab)} "
+            "(one per KL position)"
+        )
     n_err = np.where(failed, n_span, 0)
     n_key = n_span - n_err
-    kl_on = (lam > 0.0) & np.where(failed, bool(cfg.mu_e), bool(cfg.mu_k))
-    tok_inv_len = inv_len[row_item]
+    inv_len = 1.0 / horizon
 
     # GRPO term, rho-scaled on span tokens while the channel is open.
-    tok_adv = advantages[row_item]
+    tok_adv = np.repeat(np.asarray(advantages, dtype=float), horizon)
     if adv_scale is not None:
-        tok_adv = tok_adv * adv_scale
-    loss, factor = grpo_token_losses(log_ratio, tok_adv, clip)
-    share = loss * tok_inv_len / g
+        tok_adv = tok_adv * np.ravel(adv_scale)
+    loss, factor = grpo_token_losses(np.ravel(log_ratio), tok_adv, clip)
+    share = loss * inv_len / g
     grpo_span = _running_sum(share[in_span])
     grpo_nonspan = _running_sum(share[~in_span])
-    weight = np.where(in_span, rho_k, 1.0) * tok_inv_len / g
+    weight = np.where(in_span, rho_k, 1.0) * inv_len / g
     has_grpo = (factor != 0.0) & (weight != 0.0)
     fw = (factor * weight)[has_grpo]
     score = -student[has_grpo] * fw[:, None]
-    score[np.arange(fw.size), sampled[has_grpo]] += fw
+    score[np.arange(fw.size), np.ravel(sampled)[has_grpo]] += fw
     grads = np.zeros_like(student)
     grads[has_grpo] = score
 
     # Routed KL on the active branch.
-    kl_mask = in_span & kl_on[row_item]
-    kl_rows = np.flatnonzero(kl_mask)
-    if len(teacher) != kl_rows.size:
-        raise DimensionError(f"{len(teacher)} teacher rows for {kl_rows.size} KL positions")
-    kl_item = row_item[kl_rows]
+    kl_item = kl_rows // horizon
     kl_error_row = failed[kl_item]
     kl_values, kl_grads = _floored_kl_rows(student[kl_rows], teacher, kl_error_row, cfg)
-    kl_term = kl_grads * (lam * tok_inv_len[kl_rows] / g)[:, None]
+    kl_term = kl_grads * (lam * inv_len / g)
     grads[kl_rows] = np.where(has_grpo[kl_rows, None], grads[kl_rows] + kl_term, kl_term)
     err_sum = np.bincount(kl_item[kl_error_row], kl_values[kl_error_row], minlength=g)
     key_sum = np.bincount(kl_item[~kl_error_row], kl_values[~kl_error_row], minlength=g)
     kl_error = _running_sum(err_sum * inv_len / g)
     kl_key = _running_sum(key_sum * inv_len / g)
     e, s = n_err > 0, n_key > 0
-    kl_error_sm = _running_sum((err_sum[e] / n_err[e]) * (n_span[e] * inv_len[e]) / g)
-    kl_key_sm = _running_sum((key_sum[s] / n_key[s]) * (n_span[s] * inv_len[s]) / g)
+    kl_error_sm = _running_sum((err_sum[e] / n_err[e]) * (n_span[e] * inv_len) / g)
+    kl_key_sm = _running_sum((key_sum[s] / n_key[s]) * (n_span[s] * inv_len) / g)
 
     total = (
         grpo_nonspan
@@ -419,102 +374,3 @@ def routed_loss_rows(
     )
     has_grad = np.flatnonzero(has_grpo | kl_mask)
     return report, has_grad, grads[has_grad]
-
-
-def routed_step_loss(
-    items: list[RolloutLossInput],
-    advantages: np.ndarray,
-    k: int,
-    cfg: RoutingConfig,
-    clip: ClipConfig = ClipConfig(),
-    lam_override: float | None = None,
-) -> RoutedLossReport:
-    """Assemble the per-step routed loss over a group of rollouts.
-
-    Error spans use reverse KL (student first), key spans forward KL
-    (teacher first); per-vocabulary contributions are clamped at tau with
-    gradient flowing through the unclipped region only. Both distributions
-    are floored before any divergence so log ratios stay bounded. With
-    lambda = 0 the teacher inputs are never consulted. A rollout's
-    ``adv_scale`` multiplies its advantage per token in the surrogate.
-
-    Validates the per-rollout inputs, concatenates them and runs
-    ``routed_loss_rows``; the gradient map is keyed by (rollout index,
-    position).
-    """
-    advantages = np.asarray(advantages, dtype=float)
-    if advantages.size != len(items):
-        raise DimensionError("one advantage per rollout required")
-    if not items:
-        raise DimensionError("empty rollout group")
-    lam = lambda_schedule(k, cfg) if lam_override is None else lam_override
-    rho(lam, cfg.w0)  # a lam outside [0, w0] fails before the per-item checks
-    vocab = items[0].student.shape[1]
-
-    teacher_rows = []
-    for item in items:
-        length = item.student.shape[0]
-        part = item.part
-        if length == 0:
-            raise DimensionError("degenerate rollout of length 0")
-        if item.student.shape[1] != vocab:
-            raise DimensionError("rollouts disagree on the vocabulary size")
-        if len(part.mask) != length or item.log_ratio.shape != (length,):
-            raise DimensionError("partition/rollout length mismatch")
-        if item.adv_scale is not None and len(item.adv_scale) != length:
-            raise DimensionError("advantage multiplier/rollout length mismatch")
-        if len(part.span_idx) > coverage_cap(cfg.alpha, length):
-            raise InternalConsistencyError("span mask exceeds the coverage cap")
-        # Span positions are all error spans on a failed rollout, all key
-        # spans on an accepted one.
-        if lam > 0.0 and (cfg.mu_e if part.outcome == 0 else cfg.mu_k):
-            for t in part.span_idx:
-                if item.teacher is None or t not in item.teacher:
-                    raise DimensionError(f"teacher distribution missing at span position {t}")
-                teacher_rows.append(item.teacher[t])
-
-    lengths = np.array([len(item.part.mask) for item in items])
-    adv_scale = None
-    if any(item.adv_scale is not None for item in items):
-        adv_scale = np.concatenate([
-            np.ones(len(item.part.mask)) if item.adv_scale is None else item.adv_scale
-            for item in items
-        ])
-    report, rows, grads = routed_loss_rows(
-        student=np.concatenate([item.student for item in items]),
-        log_ratio=np.concatenate([item.log_ratio for item in items]),
-        sampled=np.concatenate([item.sampled for item in items]),
-        in_span=np.concatenate([item.part.mask for item in items]) == 1,
-        lengths=lengths,
-        failed=np.array([item.part.outcome == 0 for item in items]),
-        teacher=teacher_rows,
-        advantages=advantages,
-        lam=lam,
-        cfg=cfg,
-        clip=clip,
-        adv_scale=adv_scale,
-    )
-    item_of = np.repeat(np.arange(len(items)), lengths)[rows]
-    position = rows - (np.cumsum(lengths) - lengths)[item_of]
-    report.per_token_logit_grads = dict(zip(zip(item_of.tolist(), position.tolist()), grads))
-    return report
-
-
-def spans_to_json(spans: list[CharSpan], outcome: int) -> str:
-    """Serialize one rollout's annotation record."""
-    record = {
-        "spans": [
-            {"start": s.start, "end": s.end, "type": s.span_type} for s in spans
-        ],
-        "outcome": int(outcome),
-    }
-    return json.dumps(record, sort_keys=True)
-
-
-def spans_from_json(text: str) -> tuple[list[CharSpan], int]:
-    record = json.loads(text)
-    spans = [
-        CharSpan(int(s["start"]), int(s["end"]), str(s["type"]))
-        for s in record["spans"]
-    ]
-    return spans, int(record["outcome"])

@@ -31,10 +31,10 @@ The step carries its G rollouts of the task's horizon T as one batch:
 * ``_step_tensors`` builds the student rows (G, T, V), the log ratios and
   the span mask (G, T), the teacher rows of the KL positions in
   (rollout, position) order, and the ledger's two terms at every span
-  position. ``routed_loss_rows`` takes them flattened to (G T, ...) and
-  returns the gradient rows of the positions that carry one; the
-  parameter update, the ledger, the entropy column and credit
-  concentration read those arrays.
+  position. ``routed_loss_rows`` takes them as they are and returns the
+  flat (G T) indices of the positions that carry a logit gradient with
+  their gradient rows; the parameter update, the ledger, the entropy
+  column and credit concentration read those arrays.
 * The policy stays a dict of logit rows built on first visit. A dense
   (n_rows, V) table would hold every prefix the horizon allows (37,449
   rows at V = 8, T = 6, against the ~1.9k a run visits), and the run and
@@ -542,20 +542,18 @@ def train_step(state: RunState) -> dict:
 
     lookups_before = table.teacher_lookups
     step = _step_tensors(state, group, dists, advantages, routing, lam, rlsd_open)
-    size, horizon, vocab = step.student.shape
     report, grad_rows, grads = routed_loss_rows(
-        student=step.student.reshape(-1, vocab),
-        log_ratio=step.log_ratio.ravel(),
-        sampled=group.tokens.ravel(),
-        in_span=step.mask.ravel(),
-        lengths=np.full(size, horizon),
+        student=step.student,
+        log_ratio=step.log_ratio,
+        sampled=group.tokens,
+        in_span=step.mask,
         failed=group.outcomes == 0,
         teacher=step.teacher,
         advantages=advantages,
         lam=lam,
         cfg=routing,
         clip=cfg.clip,
-        adv_scale=None if step.adv_scale is None else step.adv_scale.ravel(),
+        adv_scale=step.adv_scale,
     )
     if not (lam > 0.0 or rlsd_open) and table.teacher_lookups != lookups_before:
         raise InternalConsistencyError("teacher consulted while the KL channel is closed")
@@ -581,12 +579,12 @@ def train_step(state: RunState) -> dict:
         "step": k,
         "train_reward": float(rewards.mean()),
         "validation_reward": float(task.expected_reward(table)),
-        "entropy": _mean_entropy(step.student.reshape(-1, vocab)),
+        "entropy": _mean_entropy(step.student.reshape(-1, task.vocab)),
         "lambda": lam,
         "rho": report.rho,
         "exposure": state.ledger.exposure,
         "delta_lift": lift,
-        "response_length": float(horizon),
+        "response_length": float(task.horizon),
     }
     for col, value in row.items():
         if isinstance(value, float) and not math.isfinite(value):

@@ -23,7 +23,7 @@ from .tasks import (
     TaskParams,
     chain_params,
     generate_task,
-    sample_rollout,
+    sample_group,
     single_route_params,
 )
 
@@ -320,7 +320,7 @@ def alignment_threshold_study(
 
     true_aligns, false_aligns = [], []
     for _ in range(n_rollouts):
-        rollout = sample_rollout(table, task, rng)
+        rollout = sample_group(table, task, rng, 1).rollouts[0]
         if rollout.outcome != 1:
             continue
         ctx = int(rng.choice(len(task.contexts), p=task.context_probs))

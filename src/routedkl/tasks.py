@@ -329,36 +329,6 @@ class SynthTask:
         return json.dumps(payload, sort_keys=True)
 
 
-def task_from_json(text: str) -> SynthTask:
-    payload = json.loads(text)
-    contexts = tuple(
-        PrivilegedContext(
-            context_id=c["context_id"],
-            label=c["label"],
-            offsets={int(t): np.asarray(o, dtype=float) for t, o in c["offsets"].items()},
-        )
-        for c in payload["contexts"]
-    )
-    return SynthTask(
-        regime=payload["regime"],
-        prompt_id=payload["prompt_id"],
-        horizon=payload["horizon"],
-        vocab=payload["vocab"],
-        critical_positions=tuple(payload["critical_positions"]),
-        v_star=payload["v_star"],
-        alt_token=payload["alt_token"],
-        trap_position=payload["trap_position"],
-        trap_tokens=tuple(payload["trap_tokens"]),
-        bad_token=payload["bad_token"],
-        init_rows={
-            int(t): np.asarray(row, dtype=float)
-            for t, row in payload["init_rows"].items()
-        },
-        contexts=contexts,
-        context_probs=np.asarray(payload["context_probs"], dtype=float),
-    )
-
-
 # ----- construction ---------------------------------------------------------
 
 
@@ -370,12 +340,14 @@ def _logits_from_probs(probs: np.ndarray, need: str) -> np.ndarray:
     return np.log(probs / probs.sum())
 
 
-def _offset_for_targets(base_logits: np.ndarray, targets: dict, keys: str) -> np.ndarray:
+def _offset_for_targets(
+    base_logits: np.ndarray, targets: dict, keys: str, base_keys: str
+) -> np.ndarray:
     """Logit offset achieving the target probabilities on selected tokens.
 
     Solves softmax(base + offset)[v] = targets[v] for each targeted token
     with the offset supported only on those tokens. ``keys`` names what
-    sets the targets.
+    sets the targets and ``base_keys`` what sets the base row.
     """
     base_p = softmax(base_logits)
     target_total = sum(targets.values())
@@ -387,7 +359,14 @@ def _offset_for_targets(base_logits: np.ndarray, targets: dict, keys: str) -> np
     offset = np.zeros_like(base_logits)
     for v, tv in targets.items():
         scaled = tv * rest_mass / (1.0 - target_total)
-        offset[v] = math.log(scaled / base_p[v])
+        with np.errstate(over="ignore", divide="ignore"):
+            ratio = scaled / base_p[v]
+        if not math.isfinite(ratio):
+            raise RangeError(
+                f"construction probability {float(base_p[v])!r} (set by {base_keys}) is too "
+                f"small for a finite teacher offset toward {keys}"
+            )
+        offset[v] = math.log(ratio)
     return offset
 
 
@@ -438,8 +417,10 @@ def generate_task(
         probs0[bad_token] = p.confident_mass
 
     if regime == "confident_wrong":
+        base_keys = "confident_mass"
         need = f"0 < confident_mass < 1, got {p.confident_mass!r}"
     else:
+        base_keys = "p_star and alt_mass"
         need = f"p_star > 0 and p_star + alt_mass < 1, got {p.p_star!r} + {p.alt_mass!r}"
     init_rows = {0: _logits_from_probs(probs0, need)}
     for t in range(1, p.horizon):
@@ -476,7 +457,7 @@ def generate_task(
             targets[bad_token] = suppress
             drawn.append(suppress)
             keys = "the teacher suppression"
-        offsets[0] = _offset_for_targets(init_rows[0], targets, keys)
+        offsets[0] = _offset_for_targets(init_rows[0], targets, keys, base_keys)
         if regime == "mixed" and trap_position is not None:
             # The context also flags the guarded trap for suppression.
             trap_target = {
@@ -484,7 +465,7 @@ def generate_task(
             }
             offsets[trap_position] = _offset_for_targets(
                 init_rows[trap_position], trap_target,
-                "n_trap_tokens x the trap suppression (0.005 to 0.02 each)",
+                "n_trap_tokens x the trap suppression (0.005 to 0.02 each)", "trap_mass",
             )
         elif p.distractor_mass > 0 and trap_position is not None:
             # Misleading hint: the teacher pulls toward the trap tokens.
@@ -492,7 +473,7 @@ def generate_task(
                 tok: p.distractor_mass / len(trap_tokens) for tok in trap_tokens
             }
             offsets[trap_position] = _offset_for_targets(
-                init_rows[trap_position], trap_target, "distractor_mass"
+                init_rows[trap_position], trap_target, "distractor_mass", "trap_mass"
             )
         contexts.append(
             PrivilegedContext(
@@ -646,17 +627,6 @@ def sample_group(
     )
 
 
-def sample_rollout(
-    table: PolicyTable,
-    task: SynthTask,
-    rng: np.random.Generator,
-    dists: dict | None = None,
-) -> Rollout:
-    """Sample one sequence from the student policy and verify it; see
-    ``sample_group``."""
-    return sample_group(table, task, rng, 1, dists).rollouts[0]
-
-
 @dataclass(frozen=True)
 class OracleAnnotation:
     """Span record mirroring the annotator output schema.
@@ -734,11 +704,6 @@ def oracle_annotate(
         outcome=rollout.outcome,
         context_index=context_index,
     )
-
-
-def oracle_reward_gradient(task: SynthTask, table: PolicyTable) -> dict:
-    """Exact gradient of expected verifier reward; see SynthTask.reward_gradient."""
-    return task.reward_gradient(table)
 
 
 def single_route_params(**overrides) -> TaskParams:

@@ -2,9 +2,9 @@
 
 Everything here is deliberately naive: central finite differences, direct
 enumeration, and brute-force grids. None of it shares code with the paths
-it validates, except ``reference_routed_step_loss``: the per-token loop
+it validates, except ``reference_routed_loss_rows``: the per-token loop
 over the scalar routines that the array-form routed loss must reproduce,
-and ``reference_sample_rollout``, the per-token ``Generator.choice`` loop
+and ``reference_sample_sequence``, the per-token ``Generator.choice`` loop
 that group sampling must reproduce draw for draw.
 """
 
@@ -16,14 +16,7 @@ from routedkl.divergence import fkl_clipped_value_and_grad, rkl_clipped_value_an
 from routedkl.errors import DimensionError, InternalConsistencyError
 from routedkl.grpo import ClipConfig, grpo_token_loss
 from routedkl.policy import truncate_and_floor
-from routedkl.routing import (
-    RolloutLossInput,
-    RoutedLossReport,
-    RoutingConfig,
-    coverage_cap,
-    lambda_schedule,
-    rho,
-)
+from routedkl.routing import RoutedLossReport, RoutingConfig, coverage_cap, rho
 from routedkl.tasks import Rollout
 
 
@@ -122,33 +115,43 @@ def fd_reward_gradient(task, table, key, h=1e-6):
     return grad
 
 
-def reference_routed_step_loss(
-    items: list[RolloutLossInput],
+def reference_routed_loss_rows(
+    student: np.ndarray,
+    log_ratio: np.ndarray,
+    sampled: np.ndarray,
+    in_span: np.ndarray,
+    failed: np.ndarray,
+    teacher: np.ndarray,
     advantages: np.ndarray,
-    k: int,
+    lam: float,
     cfg: RoutingConfig,
     clip: ClipConfig = ClipConfig(),
-    lam_override: float | None = None,
-) -> RoutedLossReport:
-    """Per-token reference for ``routing.routed_step_loss``.
+    adv_scale: np.ndarray | None = None,
+) -> tuple[RoutedLossReport, dict]:
+    """Per-token reference for ``routing.routed_loss_rows``, on its inputs.
 
     The loss as one Python loop over tokens calling the scalar routines,
     kept from before the loss became array arithmetic; the floor keeps the
     full vocabulary and the clip is two-sided, as in ``RoutingConfig``.
+    Teacher rows are consumed in order, one per span position of a
+    rollout whose branch is active. Returns the report and the logit
+    gradients keyed by (rollout, position).
 
     Error spans use reverse KL (student first), key spans forward KL
     (teacher first); per-vocabulary contributions are clamped at tau with
     gradient flowing through the unclipped region only. Both distributions
     are floored before any divergence so log ratios stay bounded. With
-    lambda = 0 the teacher inputs are never consulted. A rollout's
-    ``adv_scale`` multiplies its advantage per token in the surrogate.
+    lambda = 0 no teacher row is read. ``adv_scale`` multiplies the
+    rollout's advantage per token in the surrogate.
     """
+    g, length, vocab = student.shape
     advantages = np.asarray(advantages, dtype=float)
-    if advantages.size != len(items):
+    if advantages.shape != (g,):
         raise DimensionError("one advantage per rollout required")
-    lam = lambda_schedule(k, cfg) if lam_override is None else lam_override
+    if length == 0:
+        raise DimensionError("degenerate rollout of length 0")
     rho_k = rho(lam, cfg.w0)
-    g = len(items)
+    teacher_rows = iter(teacher)
 
     grpo_nonspan = 0.0
     grpo_span = 0.0
@@ -157,54 +160,44 @@ def reference_routed_step_loss(
     kl_error_sm = 0.0
     kl_key_sm = 0.0
     grads: dict = {}
+    inv_len = 1.0 / length
 
-    for i, item in enumerate(items):
-        length, vocab = item.student.shape
-        if length == 0:
-            raise DimensionError("degenerate rollout of length 0")
-        part = item.part
-        if len(part.mask) != length or item.log_ratio.shape != (length,):
-            raise DimensionError("partition/rollout length mismatch")
-        scale = item.adv_scale
-        if scale is not None and len(scale) != length:
-            raise DimensionError("advantage multiplier/rollout length mismatch")
-        n_span = len(part.span_idx)
+    for i in range(g):
+        n_span = int(np.count_nonzero(in_span[i]))
         if n_span > coverage_cap(cfg.alpha, length):
             raise InternalConsistencyError("span mask exceeds the coverage cap")
         adv = float(advantages[i])
-        inv_len = 1.0 / length
         # Span positions are all error spans on a failed rollout, all key
         # spans on an accepted one.
-        is_error = part.outcome == 0
+        is_error = bool(failed[i])
         kl_on = lam > 0.0 and (cfg.mu_e if is_error else cfg.mu_k)
         err_sum = 0.0
         key_sum = 0.0
 
         for t in range(length):
-            p_t = item.student[t]
-            in_span = part.mask[t] == 1
+            p_t = student[i, t]
+            span_t = bool(in_span[i, t])
             # GRPO term, rho-scaled on span tokens while the channel is open.
-            tok_adv = adv if scale is None else adv * float(scale[t])
-            loss_t, factor = grpo_token_loss(float(item.log_ratio[t]), tok_adv, clip)
-            weight = (rho_k if in_span else 1.0) * inv_len / g
-            if in_span:
+            tok_adv = adv if adv_scale is None else adv * float(adv_scale[i, t])
+            loss_t, factor = grpo_token_loss(float(log_ratio[i, t]), tok_adv, clip)
+            weight = (rho_k if span_t else 1.0) * inv_len / g
+            if span_t:
                 grpo_span += loss_t * inv_len / g
             else:
                 grpo_nonspan += loss_t * inv_len / g
             token_grad = None
             if factor != 0.0 and weight != 0.0:
                 score = -p_t * (factor * weight)
-                score[item.sampled[t]] += factor * weight
+                score[sampled[i, t]] += factor * weight
                 token_grad = score
 
             # Routed KL on the active branch.
-            if kl_on and in_span:
-                if item.teacher is None or t not in item.teacher:
-                    raise DimensionError(
-                        f"teacher distribution missing at span position {t}"
-                    )
+            if kl_on and span_t:
+                q_t = next(teacher_rows, None)
+                if q_t is None:
+                    raise DimensionError(f"teacher rows run out at position {(i, t)}")
                 p_f = truncate_and_floor(p_t, vocab, cfg.floor_p_min)
-                q_f = truncate_and_floor(item.teacher[t], vocab, cfg.floor_p_min)
+                q_f = truncate_and_floor(q_t, vocab, cfg.floor_p_min)
                 if is_error:
                     value, kl_grad = rkl_clipped_value_and_grad(p_f, q_f, cfg.tau)
                     err_sum += value
@@ -219,17 +212,19 @@ def reference_routed_step_loss(
 
         kl_error += err_sum * inv_len / g
         kl_key += key_sum * inv_len / g
-        if part.error_idx:
-            kl_error_sm += (err_sum / len(part.error_idx)) * (n_span * inv_len) / g
-        if part.key_idx:
-            kl_key_sm += (key_sum / len(part.key_idx)) * (n_span * inv_len) / g
+        if n_span and is_error:
+            kl_error_sm += (err_sum / n_span) * (n_span * inv_len) / g
+        if n_span and not is_error:
+            kl_key_sm += (key_sum / n_span) * (n_span * inv_len) / g
 
+    if next(teacher_rows, None) is not None:
+        raise DimensionError("more teacher rows than KL positions")
     total = (
         grpo_nonspan
         + rho_k * grpo_span
         + lam * (cfg.mu_e * kl_error + cfg.mu_k * kl_key)
     )
-    return RoutedLossReport(
+    report = RoutedLossReport(
         total=total,
         grpo_nonspan=grpo_nonspan,
         grpo_span=grpo_span,
@@ -239,11 +234,11 @@ def reference_routed_step_loss(
         kl_key_span_mean_form=kl_key_sm,
         lam=lam,
         rho=rho_k,
-        per_token_logit_grads=grads,
     )
+    return report, grads
 
 
-def reference_sample_rollout(table, task, rng, dists=None) -> Rollout:
+def reference_sample_sequence(table, task, rng, dists=None) -> Rollout:
     """Per-token reference for ``tasks.sample_group``: one sequence, one
     ``Generator.choice`` per token, kept from before groups were sampled
     as arrays."""

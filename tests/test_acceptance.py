@@ -17,14 +17,12 @@ from routedkl.metrics import delta_lift
 from routedkl.policy import PolicyTable, softmax
 from routedkl.privileged import rlsd_weight
 from routedkl.routing import (
-    RolloutLossInput,
     RoutingConfig,
     coverage_cap,
     enforce_coverage_cap,
     lambda_schedule,
-    partition,
     project_spans_to_mask,
-    routed_step_loss,
+    routed_loss_rows,
     schedule_weight_sums,
 )
 from routedkl.runner import init_run, run_experiment, train_step
@@ -38,7 +36,7 @@ from routedkl.studies import (
     lift_ordering_study,
     study_run_config,
 )
-from routedkl.tasks import generate_task, oracle_annotate, sample_rollout
+from routedkl.tasks import generate_task, oracle_annotate, sample_group
 from routedkl.theory import (
     CornerInstance,
     corner_best_action,
@@ -107,32 +105,39 @@ def test_criterion_03_dead_zone_preservation():
     rng = np.random.default_rng(103)
     vocab, length, g = 6, 4, 4
     teacher = rng.dirichlet(np.ones(vocab))
-    items = []
-    for _ in range(g):
-        student = np.stack([rng.dirichlet(np.ones(vocab)) for _ in range(length)])
-        mask = np.zeros(length, dtype=np.int8)
-        mask[1] = 1
-        part = partition(length, mask, 1)
-        items.append(
-            RolloutLossInput(
-                student=student,
-                log_ratio=np.zeros(length),
-                sampled=rng.integers(0, vocab, size=length),
-                part=part,
-                teacher={1: teacher},
-            )
-        )
+    student = np.empty((g, length, vocab))
+    sampled = np.empty((g, length), dtype=np.int64)
+    for i in range(g):
+        student[i] = [rng.dirichlet(np.ones(vocab)) for _ in range(length)]
+        sampled[i] = rng.integers(0, vocab, size=length)
+    in_span = np.zeros((g, length), dtype=bool)
+    in_span[:, 1] = True  # one key span per accepted rollout
     advantages = group_advantages(np.ones(g))
     assert np.all(advantages == 0.0)
 
     cfg = RoutingConfig(tau=10.0, alpha=0.5)  # default action: FKL on key spans
-    grpo_report = routed_step_loss(items, advantages, k=100, cfg=cfg)
-    assert grpo_report.per_token_logit_grads == {}
 
-    routed_report = routed_step_loss(items, advantages, k=0, cfg=cfg)
-    keys = set(routed_report.per_token_logit_grads)
+    def loss_at(k):
+        lam = lambda_schedule(k, cfg)
+        return routed_loss_rows(
+            student=student,
+            log_ratio=np.zeros((g, length)),
+            sampled=sampled,
+            in_span=in_span,
+            failed=np.zeros(g, dtype=bool),
+            teacher=np.tile(teacher, (g if lam > 0 else 0, 1)),
+            advantages=advantages,
+            lam=lam,
+            cfg=cfg,
+        )
+
+    _, grpo_rows, _ = loss_at(100)
+    assert grpo_rows.size == 0
+
+    _, rows, grads = loss_at(0)
+    keys = {divmod(i, length) for i in rows.tolist()}
     assert keys == {(i, 1) for i in range(g)}
-    for grad in routed_report.per_token_logit_grads.values():
+    for grad in grads:
         assert np.abs(grad).max() > 0
     _report(3, "all-correct group: GRPO silent, routed update on key positions only")
 
@@ -326,7 +331,7 @@ def test_criterion_12_coverage_and_schedule_constants():
     table = task.make_table()
     rng = np.random.default_rng(112)
     for _ in range(300):
-        rollout = sample_rollout(table, task, rng)
+        rollout = sample_group(table, task, rng, 1).rollouts[0]
         ann = oracle_annotate(rollout, task, 0.8, rng)
         mask = project_spans_to_mask(list(ann.spans), rollout.token_char_intervals())
         mask = enforce_coverage_cap(mask, np.ones(len(rollout)), 0.25)

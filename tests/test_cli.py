@@ -4,6 +4,7 @@ file is read once, and every bad input exits 2, 3 or 4 naming its key."""
 import configparser
 import dataclasses
 import tempfile
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -193,6 +194,31 @@ class TestBadInputsNameTheKey:
         (tmp_path / "b").mkdir()  # a fresh output directory for the second config
         assert _run(tmp_path / "b", _edit(text, "task", "p_star", "0.0074")) == 2
         assert "p_star" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edits, named",
+        [
+            ([("task", "p_star", "1e-310")], "p_star"),
+            ([("run", "regime", "mixed"), ("task", "trap_mass", "1e-320")], "trap_mass"),
+            (
+                [("run", "regime", "mixed"), ("task", "trap_mass", "1e-320"), ("routing", "alpha", "1.0")],
+                "trap_mass",
+            ),
+        ],
+        ids=["p_star", "trap_mass-alpha0.25", "trap_mass-alpha1.0"],
+    )
+    def test_subnormal_construction_mass(self, tmp_path, capsys, edits, named):
+        # A base probability this small needs a teacher offset that
+        # overflows: refused at task construction, without a warning.
+        text = self.CORNER
+        for section, key, value in edits:
+            text = _edit(text, section, key, value)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert _run(tmp_path, text) == 2
+        assert named in capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "key, value, named",

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from routedkl.errors import RangeError
-from routedkl.grpo import ClipConfig, RolloutGroup, group_advantages, grpo_token_loss
+from routedkl.grpo import ClipConfig, group_advantages, grpo_token_loss
 
 
 class TestGroupAdvantages:
@@ -30,16 +30,6 @@ class TestGroupAdvantages:
     def test_group_too_small(self):
         with pytest.raises(RangeError):
             group_advantages(np.array([1.0]))
-
-
-class TestRolloutGroup:
-    def test_validates_rewards(self):
-        with pytest.raises(RangeError):
-            RolloutGroup(rollouts=[0, 1], rewards=np.array([0.5, 1.0]))
-
-    def test_requires_two(self):
-        with pytest.raises(RangeError):
-            RolloutGroup(rollouts=[0], rewards=np.array([1.0]))
 
 
 class TestGrpoTokenLoss:

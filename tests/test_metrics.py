@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from routedkl.errors import RangeError
-from routedkl.metrics import LiftSample, credit_concentration, delta_lift, ema
+from routedkl.metrics import LiftSample, credit_concentration, delta_lift
 
 
 def sample(before, after, supported=True):
@@ -64,34 +63,3 @@ class TestCreditConcentration:
         ratio = credit_concentration(credit, mask)
         if ratio is not None:
             assert ratio >= 1.0
-
-
-class TestEma:
-    def test_constant_series(self):
-        assert ema([2.0, 2.0, 2.0], 0.85) == [2.0, 2.0, 2.0]
-
-    def test_alpha_to_zero_returns_raw(self):
-        raw = [0.0, 1.0, -2.0, 0.5]
-        np.testing.assert_allclose(ema(raw, 1e-12), raw, atol=1e-10)
-
-    def test_unrolled_recurrence(self):
-        out = ema([0.0, 1.0, 1.0], 0.85)
-        np.testing.assert_allclose(out, [0.0, 0.15, 0.2775], atol=1e-12)
-
-    def test_empty_series(self):
-        assert ema([], 0.85) == []
-
-    def test_alpha_validation(self):
-        with pytest.raises(RangeError):
-            ema([1.0], 0.0)
-        with pytest.raises(RangeError):
-            ema([1.0], 1.2)
-
-    @given(
-        st.lists(st.floats(min_value=-100, max_value=100), min_size=1, max_size=40),
-        st.floats(min_value=0.01, max_value=1.0),
-    )
-    @settings(max_examples=300)
-    def test_output_within_raw_range(self, raw, alpha):
-        out = ema(raw, alpha)
-        assert min(raw) - 1e-9 <= min(out) and max(out) <= max(raw) + 1e-9

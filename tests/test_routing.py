@@ -1,5 +1,4 @@
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,21 +17,17 @@ from routedkl.errors import (
 from routedkl.grpo import ClipConfig, group_advantages
 from routedkl.routing import (
     CharSpan,
-    RolloutLossInput,
     RoutingConfig,
     coverage_cap,
     enforce_coverage_cap,
     lambda_schedule,
-    partition,
     project_spans_to_mask,
     rho,
-    routed_step_loss,
+    routed_loss_rows,
     schedule_weight_sums,
-    spans_from_json,
-    spans_to_json,
 )
 
-from oracles import interval_intersection_mask, reference_routed_step_loss
+from oracles import interval_intersection_mask, reference_routed_loss_rows
 
 ATOMIC = [(t, t + 1) for t in range(8)]
 
@@ -95,28 +90,39 @@ class TestCoverageCap:
 
 
 class TestPartition:
+    """The outcome routes a rollout's span positions: key spans (forward
+    KL) on an accepted rollout, error spans (reverse KL) on a failed one."""
+
+    CFG = RoutingConfig(tau=100.0, alpha=0.25, mu_e=1, mu_k=1)
+
+    def _spans_at(self, outcome):
+        group = _group(np.random.default_rng(11), g=1, length=8, masked=(2, 5), outcomes=[outcome])
+        return _run_kernel(group, np.zeros(1), 0, self.CFG)
+
     def test_key_spans_on_accept(self):
-        mask = np.zeros(8, dtype=np.int8)
-        mask[[2, 5]] = 1
-        part = partition(8, mask, 1)
-        assert part.key_idx == (2, 5)
-        assert part.error_idx == ()
-        assert len(part.nonspan_idx) == 6
+        rep, grads = self._spans_at(1)
+        assert rep.kl_key_branch > 0 and rep.kl_error_branch == 0.0
+        assert rep.kl_key_span_mean_form > 0 and rep.kl_error_span_mean_form == 0.0
+        assert set(grads) == {(0, 2), (0, 5)}
 
     def test_error_spans_on_reject(self):
-        mask = np.zeros(8, dtype=np.int8)
-        mask[[2, 5]] = 1
-        part = partition(8, mask, 0)
-        assert part.error_idx == (2, 5)
-        assert part.key_idx == ()
+        rep, grads = self._spans_at(0)
+        assert rep.kl_error_branch > 0 and rep.kl_key_branch == 0.0
+        assert rep.kl_error_span_mean_form > 0 and rep.kl_key_span_mean_form == 0.0
+        assert set(grads) == {(0, 2), (0, 5)}
 
     def test_empty_mask_all_nonspan(self):
-        part = partition(5, np.zeros(5, dtype=np.int8), 1)
-        assert part.nonspan_idx == tuple(range(5))
+        group = _group(np.random.default_rng(12), g=1, length=5, masked=())
+        rep, grads = _run_kernel(group, np.ones(1), 0, self.CFG)
+        assert rep.grpo_span == 0.0 and rep.kl_key_branch == 0.0
+        assert rep.grpo_nonspan == pytest.approx(-1.0, abs=1e-12)  # ratio 1, advantage 1
+        assert set(grads) == {(0, t) for t in range(5)}
 
     def test_length_mismatch(self):
+        inputs = _kernel_inputs(_group(np.random.default_rng(13), g=1, length=4), np.zeros(1), 0.0, self.CFG)
+        inputs["in_span"] = np.zeros((1, 5), dtype=bool)
         with pytest.raises(DimensionError):
-            partition(4, np.zeros(5, dtype=np.int8), 1)
+            routed_loss_rows(**inputs)
 
 
 class TestSchedule:
@@ -147,25 +153,49 @@ class TestSchedule:
             rho(0.6, 0.5)
 
 
-def _loss_inputs(rng, g=3, length=4, vocab=6, masked=(1,), outcomes=None, teacher_dist=None):
-    items = []
-    outcomes = outcomes or [1] * g
+def _group(rng, g=3, length=4, vocab=6, masked=(1,), outcomes=None, teacher_dist=None):
+    """Kernel inputs of a toy group marked at ``masked`` in every rollout.
+
+    ``span_teacher`` (G, T, V) holds a teacher row at every span position;
+    ``_kernel_inputs`` passes the rows of the active branch.
+    """
+    outcomes = np.array(outcomes or [1] * g)
+    student = np.empty((g, length, vocab))
+    span_teacher = np.zeros((g, length, vocab))
+    sampled = np.empty((g, length), dtype=np.int64)
+    in_span = np.zeros((g, length), dtype=bool)
+    in_span[:, list(masked)] = True
     for i in range(g):
-        student = np.stack([rng.dirichlet(np.ones(vocab)) for _ in range(length)])
-        mask = np.zeros(length, dtype=np.int8)
-        mask[list(masked)] = 1
-        part = partition(length, mask, outcomes[i])
-        teacher = {t: (teacher_dist if teacher_dist is not None else rng.dirichlet(np.ones(vocab))) for t in part.span_idx}
-        items.append(
-            RolloutLossInput(
-                student=student,
-                log_ratio=np.zeros(length),
-                sampled=rng.integers(0, vocab, size=length),
-                part=part,
-                teacher=teacher,
-            )
-        )
-    return items
+        student[i] = [rng.dirichlet(np.ones(vocab)) for _ in range(length)]
+        for t in masked:
+            span_teacher[i, t] = teacher_dist if teacher_dist is not None else rng.dirichlet(np.ones(vocab))
+        sampled[i] = rng.integers(0, vocab, size=length)
+    return dict(
+        student=student,
+        log_ratio=np.zeros((g, length)),
+        sampled=sampled,
+        in_span=in_span,
+        failed=outcomes == 0,
+        span_teacher=span_teacher,
+    )
+
+
+def _kernel_inputs(group, advantages, lam, cfg):
+    """``routed_loss_rows`` arguments of a ``_group``, with the teacher
+    rows of the active branch."""
+    inputs = dict(group)
+    span_teacher = inputs.pop("span_teacher")
+    active = (lam > 0.0) & (np.where(inputs["failed"], cfg.mu_e, cfg.mu_k) == 1)
+    teacher = span_teacher[inputs["in_span"] & active[:, None]]
+    return dict(inputs, teacher=teacher, advantages=advantages, lam=lam, cfg=cfg)
+
+
+def _run_kernel(group, advantages, k, cfg, **kwargs):
+    """``routed_loss_rows`` at step k; the gradients keyed by (rollout, position)."""
+    inputs = _kernel_inputs(group, advantages, lambda_schedule(k, cfg), cfg)
+    rep, idx, grads = routed_loss_rows(**inputs, **kwargs)
+    length = group["student"].shape[1]
+    return rep, {divmod(i, length): grad for i, grad in zip(idx.tolist(), grads)}
 
 
 class TestRoutedStepLoss:
@@ -175,10 +205,10 @@ class TestRoutedStepLoss:
         rng = np.random.default_rng(0)
         for outcome in (0, 1):
             for k in (0, 20, 100):
-                items = _loss_inputs(rng, outcomes=[outcome] * 3)
+                group = _group(rng, outcomes=[outcome] * 3)
                 adv = group_advantages(np.array([1.0, 0.0, outcome]))
                 cfg = RoutingConfig(tau=100.0, alpha=0.5, mu_e=1, mu_k=1)
-                rep = routed_step_loss(items, adv, k, cfg)
+                rep, _ = _run_kernel(group, adv, k, cfg)
                 expected = (
                     rep.grpo_nonspan
                     + rep.rho * rep.grpo_span
@@ -188,56 +218,46 @@ class TestRoutedStepLoss:
 
     def test_span_mean_form_coincides(self):
         rng = np.random.default_rng(1)
-        items = _loss_inputs(rng, outcomes=[1, 0, 1])
+        group = _group(rng, outcomes=[1, 0, 1])
         adv = group_advantages(np.array([1.0, 0.0, 1.0]))
         cfg = RoutingConfig(tau=100.0, alpha=0.5, mu_e=1, mu_k=1)
-        rep = routed_step_loss(items, adv, 0, cfg)
+        rep, _ = _run_kernel(group, adv, 0, cfg)
         assert rep.kl_error_branch == pytest.approx(rep.kl_error_span_mean_form, abs=1e-12)
         assert rep.kl_key_branch == pytest.approx(rep.kl_key_span_mean_form, abs=1e-12)
 
     def test_post_decay_ignores_teacher(self):
+        # lambda = 0 takes no teacher rows at all; any row is one too many.
         rng = np.random.default_rng(2)
-        items = _loss_inputs(rng)
-        for item in items:
-            item.teacher = None  # must never be consulted at lambda = 0
+        group = _group(rng)
         adv = group_advantages(np.array([1.0, 0.0, 1.0]))
-        rep = routed_step_loss(items, adv, k=100, cfg=self.CFG)
+        rep, _ = _run_kernel(group, adv, k=100, cfg=self.CFG)
         assert rep.lam == 0.0
         assert rep.kl_key_branch == 0.0
+        inputs = _kernel_inputs(group, adv, 0.0, self.CFG)
+        inputs["teacher"] = group["span_teacher"][:, 1]
+        with pytest.raises(DimensionError):
+            routed_loss_rows(**inputs)
 
     def test_dead_zone_key_gradient(self):
         # All-correct group: GRPO silent, forward-KL alive on key spans only.
         rng = np.random.default_rng(3)
         teacher = rng.dirichlet(np.ones(6))
-        items = _loss_inputs(rng, teacher_dist=teacher)
+        group = _group(rng, teacher_dist=teacher)
         adv = group_advantages(np.ones(3))
-        rep = routed_step_loss(items, adv, 0, self.CFG)
-        assert set(rep.per_token_logit_grads) == {(i, 1) for i in range(3)}
-        for (i, t), grad in rep.per_token_logit_grads.items():
+        _, grads = _run_kernel(group, adv, 0, self.CFG)
+        assert set(grads) == {(i, 1) for i in range(3)}
+        for (i, t), grad in grads.items():
             assert np.abs(grad).max() > 0
             assert abs(grad.sum()) < 1e-10
 
     def test_student_equals_teacher_kills_kl(self):
         rng = np.random.default_rng(4)
-        vocab = 6
-        shared = rng.dirichlet(np.ones(vocab))
-        items = []
-        for outcome in (1, 0, 1):
-            student = np.tile(shared, (4, 1))
-            mask = np.zeros(4, dtype=np.int8)
-            mask[1] = 1
-            part = partition(4, mask, outcome)
-            items.append(
-                RolloutLossInput(
-                    student=student,
-                    log_ratio=np.zeros(4),
-                    sampled=np.zeros(4, dtype=int),
-                    part=part,
-                    teacher={t: shared for t in part.span_idx},
-                )
-            )
+        shared = rng.dirichlet(np.ones(6))
+        group = _group(rng, outcomes=[1, 0, 1], teacher_dist=shared)
+        group["student"][:] = shared
+        group["sampled"][:] = 0
         cfg = RoutingConfig(tau=100.0, alpha=0.5, mu_e=1, mu_k=1)
-        rep = routed_step_loss(items, group_advantages(np.array([1.0, 0.0, 1.0])), 0, cfg)
+        rep, _ = _run_kernel(group, group_advantages(np.array([1.0, 0.0, 1.0])), 0, cfg)
         assert rep.kl_error_branch == pytest.approx(0.0, abs=1e-9)
         assert rep.kl_key_branch == pytest.approx(0.0, abs=1e-9)
 
@@ -246,41 +266,39 @@ class TestRoutedStepLoss:
         # channel open; a per-token scale on the positive-advantage
         # rollouts scales their GRPO gradients and leaves the others alone.
         rng = np.random.default_rng(5)
-        items = _loss_inputs(rng, outcomes=[1, 0, 1])
+        group = _group(rng, outcomes=[1, 0, 1])
         adv = group_advantages(np.array([1.0, 0.0, 1.0]))
         cfg = RoutingConfig(tau=100.0, alpha=0.5, mu_e=1, mu_k=1)
-        ones = [replace(item, adv_scale=np.ones(4)) for item in items]
         for k in (5, 100):
-            plain, scaled = routed_step_loss(items, adv, k, cfg), routed_step_loss(ones, adv, k, cfg)
-            assert plain.total == scaled.total
-            assert plain.per_token_logit_grads.keys() == scaled.per_token_logit_grads.keys()
-            for key, grad in plain.per_token_logit_grads.items():
-                np.testing.assert_array_equal(grad, scaled.per_token_logit_grads[key])
+            plain = _run_kernel(group, adv, k, cfg)
+            scaled = _run_kernel(group, adv, k, cfg, adv_scale=np.ones((3, 4)))
+            assert plain[0].total == scaled[0].total
+            assert plain[1].keys() == scaled[1].keys()
+            for key, grad in plain[1].items():
+                np.testing.assert_array_equal(grad, scaled[1][key])
 
         # Powers of two keep the comparison exact.
         scale = np.array([2.0, 0.5, 4.0, 0.25])
-        weighted = [
-            replace(item, adv_scale=scale) if a > 0 else item for item, a in zip(items, adv)
-        ]
-        plain = routed_step_loss(items, adv, 100, cfg)
-        rep = routed_step_loss(weighted, adv, 100, cfg)
-        assert rep.per_token_logit_grads.keys() == plain.per_token_logit_grads.keys()
-        for (i, t), grad in plain.per_token_logit_grads.items():
+        weighted = np.where(adv[:, None] > 0, scale, 1.0)
+        _, plain = _run_kernel(group, adv, 100, cfg)
+        _, grads = _run_kernel(group, adv, 100, cfg, adv_scale=weighted)
+        assert grads.keys() == plain.keys()
+        for (i, t), grad in plain.items():
             factor = scale[t] if adv[i] > 0 else 1.0
-            np.testing.assert_array_equal(rep.per_token_logit_grads[(i, t)], grad * factor)
+            np.testing.assert_array_equal(grads[(i, t)], grad * factor)
 
         with pytest.raises(DimensionError):
-            routed_step_loss([replace(items[0], adv_scale=np.ones(3))], adv[:1], 100, cfg)
+            _run_kernel(group, adv, 100, cfg, adv_scale=np.ones((3, 3)))
 
     def test_action_endpoint_consistency(self):
         # (mu_e, mu_k) = (0, 0) with lambda > 0 equals the lambda = 0
         # output except for the rho scaling of span-token GRPO.
         rng = np.random.default_rng(6)
-        items = _loss_inputs(rng, outcomes=[1, 0, 1])
+        group = _group(rng, outcomes=[1, 0, 1])
         adv = group_advantages(np.array([1.0, 0.0, 1.0]))
         cfg_off = RoutingConfig(tau=100.0, alpha=0.5, mu_e=0, mu_k=0)
-        rep_on = routed_step_loss(items, adv, 0, cfg_off)
-        rep_post = routed_step_loss(items, adv, 100, cfg_off)
+        rep_on, _ = _run_kernel(group, adv, 0, cfg_off)
+        rep_post, _ = _run_kernel(group, adv, 100, cfg_off)
         assert rep_on.lam > 0 and rep_on.rho == 0.0
         assert rep_on.grpo_nonspan == pytest.approx(rep_post.grpo_nonspan, abs=1e-12)
         assert rep_on.grpo_span == pytest.approx(rep_post.grpo_span, abs=1e-12)
@@ -288,21 +306,37 @@ class TestRoutedStepLoss:
 
     def test_coverage_cap_enforced(self):
         rng = np.random.default_rng(7)
-        items = _loss_inputs(rng, masked=(0, 1, 2), outcomes=[1, 1, 1])
+        group = _group(rng, masked=(0, 1, 2), outcomes=[1, 1, 1])
         adv = np.zeros(3)
         with pytest.raises(InternalConsistencyError):
-            routed_step_loss(items, adv, 0, RoutingConfig(tau=100.0, alpha=0.25))
+            _run_kernel(group, adv, 0, RoutingConfig(tau=100.0, alpha=0.25))
 
     def test_zero_length_rollout_rejected(self):
-        item = RolloutLossInput(
-            student=np.zeros((0, 4)),
-            log_ratio=np.zeros(0),
-            sampled=np.zeros(0, dtype=int),
-            part=partition(0, np.zeros(0, dtype=np.int8), 1),
-            teacher=None,
-        )
         with pytest.raises(DimensionError):
-            routed_step_loss([item], np.zeros(1), 0, RoutingConfig())
+            routed_loss_rows(
+                student=np.zeros((1, 0, 4)),
+                log_ratio=np.zeros((1, 0)),
+                sampled=np.zeros((1, 0), dtype=int),
+                in_span=np.zeros((1, 0), dtype=bool),
+                failed=np.zeros(1, dtype=bool),
+                teacher=np.zeros((0, 4)),
+                advantages=np.zeros(1),
+                lam=0.0,
+                cfg=RoutingConfig(),
+            )
+
+    def test_teacher_and_advantage_counts_checked(self):
+        rng = np.random.default_rng(14)
+        group = _group(rng, outcomes=[1, 0, 1])
+        cfg = RoutingConfig(tau=100.0, alpha=0.5)  # key spans only: two teacher rows
+        inputs = _kernel_inputs(group, np.zeros(3), cfg.w0, cfg)
+        routed_loss_rows(**inputs)
+        span_teacher = group["span_teacher"]
+        for teacher in (span_teacher[:, 1], span_teacher[:1, 1], span_teacher[:2, 1, :5]):
+            with pytest.raises(DimensionError):
+                routed_loss_rows(**dict(inputs, teacher=teacher))
+        with pytest.raises(DimensionError):
+            routed_loss_rows(**dict(inputs, advantages=np.zeros(2)))
 
     def test_gradients_match_branch_identities(self):
         # lambda-weighted branch gradients equal the closed-form KL
@@ -310,31 +344,29 @@ class TestRoutedStepLoss:
         rng = np.random.default_rng(8)
         vocab = 6
         teacher = rng.dirichlet(np.ones(vocab))
-        items = _loss_inputs(rng, g=1, teacher_dist=teacher, outcomes=[1])
+        group = _group(rng, g=1, teacher_dist=teacher, outcomes=[1])
         adv = np.zeros(1)
         cfg = RoutingConfig(tau=1e6, alpha=0.5, floor_p_min=0.0)
-        rep = routed_step_loss(items, adv, 0, cfg)
-        grad = rep.per_token_logit_grads[(0, 1)]
-        expected = fkl_logit_grad(items[0].student[1], teacher) * cfg.w0 / 4.0
-        np.testing.assert_allclose(grad, expected, atol=1e-10)
+        _, grads = _run_kernel(group, adv, 0, cfg)
+        expected = fkl_logit_grad(group["student"][0, 1], teacher) * cfg.w0 / 4.0
+        np.testing.assert_allclose(grads[(0, 1)], expected, atol=1e-10)
 
-        items = _loss_inputs(rng, g=1, teacher_dist=teacher, outcomes=[0])
+        group = _group(rng, g=1, teacher_dist=teacher, outcomes=[0])
         cfg = RoutingConfig(tau=1e6, alpha=0.5, floor_p_min=0.0, mu_e=1, mu_k=0)
-        rep = routed_step_loss(items, adv, 0, cfg)
-        grad = rep.per_token_logit_grads[(0, 1)]
-        expected = rkl_logit_grad(items[0].student[1], teacher) * cfg.w0 / 4.0
-        np.testing.assert_allclose(grad, expected, atol=1e-10)
+        _, grads = _run_kernel(group, adv, 0, cfg)
+        expected = rkl_logit_grad(group["student"][0, 1], teacher) * cfg.w0 / 4.0
+        np.testing.assert_allclose(grads[(0, 1)], expected, atol=1e-10)
 
 
 @st.composite
 def loss_groups(draw):
-    """A random group and loss config covering every array-form fallback:
+    """Kernel inputs of a random group covering every array-form fallback:
     pinned floors (p_min near 1/V), clipped terms (tau = 1e-3, or a teacher
     near the student so that single terms clip on either side), zero
     student entries, and both KL directions."""
     vocab = draw(st.sampled_from([4, 6, 8, 9]))
     g = draw(st.integers(1, 4))
-    lengths = draw(st.lists(st.integers(1, 5), min_size=g, max_size=g))
+    length = draw(st.integers(1, 5))
     outcomes = draw(st.lists(st.integers(0, 1), min_size=g, max_size=g))
     scaled = draw(st.lists(st.booleans(), min_size=g, max_size=g))
     alpha = draw(st.sampled_from([0.25, 0.5, 1.0]))
@@ -352,30 +384,41 @@ def loss_groups(draw):
     near = draw(st.booleans())  # teacher = student with noisy logits
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
-    items = []
-    for length, outcome, scale in zip(lengths, outcomes, scaled):
-        student = rng.dirichlet(np.full(vocab, concentration), size=length)
+    student = np.empty((g, length, vocab))
+    log_ratio = np.empty((g, length))
+    sampled = np.empty((g, length), dtype=np.int64)
+    in_span = np.zeros((g, length), dtype=bool)
+    adv_scale = np.ones((g, length))
+    teacher = []
+    for i, (outcome, scale) in enumerate(zip(outcomes, scaled)):
+        student[i] = rng.dirichlet(np.full(vocab, concentration), size=length)
         if floor == "zero" and rng.random() < 0.5:
-            student[rng.integers(length), rng.integers(vocab)] = 0.0
-            student /= student.sum(axis=1, keepdims=True)
+            student[i, rng.integers(length), rng.integers(vocab)] = 0.0
+            student[i] /= student[i].sum(axis=1, keepdims=True)
         n_span = rng.integers(0, coverage_cap(alpha, length) + 1)
-        mask = np.zeros(length, dtype=np.int8)
-        mask[rng.choice(length, size=n_span, replace=False)] = 1
-        part = partition(length, mask, outcome)
-        log_ratio = np.where(rng.random(length) < 0.3, 0.0, rng.normal(0.0, 0.3, length))
-        items.append(
-            RolloutLossInput(
-                student=student,
-                log_ratio=log_ratio,
-                sampled=rng.integers(0, vocab, size=length),
-                part=part,
-                teacher={t: _teacher_row(rng, student[t], near) for t in part.span_idx},
-                adv_scale=rng.uniform(0.8, 1.2, length) if scale else None,
-            )
-        )
+        in_span[i, rng.choice(length, size=n_span, replace=False)] = True
+        log_ratio[i] = np.where(rng.random(length) < 0.3, 0.0, rng.normal(0.0, 0.3, length))
+        sampled[i] = rng.integers(0, vocab, size=length)
+        active = lam > 0.0 and (cfg.mu_e if outcome == 0 else cfg.mu_k)
+        for t in np.flatnonzero(in_span[i]):
+            row = _teacher_row(rng, student[i, t], near)
+            if active:
+                teacher.append(row)
+        if scale:
+            adv_scale[i] = rng.uniform(0.8, 1.2, length)
     rewards = np.asarray(outcomes, dtype=float)
-    advantages = group_advantages(rewards) if g > 1 else rng.normal(size=1)
-    return items, advantages, cfg, lam
+    return dict(
+        student=student,
+        log_ratio=log_ratio,
+        sampled=sampled,
+        in_span=in_span,
+        failed=rewards == 0.0,
+        teacher=np.array(teacher).reshape(-1, vocab),
+        advantages=group_advantages(rewards) if g > 1 else rng.normal(size=1),
+        lam=lam,
+        cfg=cfg,
+        adv_scale=adv_scale if any(scaled) else None,
+    )
 
 
 def _teacher_row(rng, student_row, near):
@@ -402,71 +445,61 @@ class TestBatchMatchesReference:
         "kl_error_span_mean_form", "kl_key_span_mean_form",
     )
 
-    def _compare(self, items, advantages, cfg, lam):
-        ref, ref_err = _report_or_error(
-            reference_routed_step_loss, items, advantages, 0, cfg, self.CLIP, lam_override=lam
-        )
+    def _compare(self, inputs):
+        ref, ref_err = _report_or_error(reference_routed_loss_rows, **inputs, clip=self.CLIP)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got, got_err = _report_or_error(
-                routed_step_loss, items, advantages, 0, cfg, self.CLIP, lam_override=lam
-            )
+            got, got_err = _report_or_error(routed_loss_rows, **inputs, clip=self.CLIP)
         assert got_err == ref_err
         if ref is None:
             return
-        assert list(got.per_token_logit_grads) == list(ref.per_token_logit_grads)
-        for key, grad in ref.per_token_logit_grads.items():
-            assert got.per_token_logit_grads[key].tobytes() == grad.tobytes(), key
+        (ref_report, ref_grads), (report, idx, grads) = ref, got
+        length = inputs["student"].shape[1]
+        assert [divmod(i, length) for i in idx.tolist()] == list(ref_grads)
+        for grad, (key, want) in zip(grads, ref_grads.items()):
+            assert grad.tobytes() == want.tobytes(), key
         for name in self.BRANCHES:
-            assert getattr(got, name) == pytest.approx(getattr(ref, name), rel=1e-12, abs=1e-300)
-        assert (got.lam, got.rho) == (ref.lam, ref.rho)
+            assert getattr(report, name) == pytest.approx(getattr(ref_report, name), rel=1e-12, abs=1e-300)
+        assert (report.lam, report.rho) == (ref_report.lam, ref_report.rho)
 
     @given(loss_groups())
     @settings(max_examples=300, deadline=None)
-    def test_matches_reference(self, group):
-        self._compare(*group)
+    def test_matches_reference(self, inputs):
+        self._compare(inputs)
 
     @given(loss_groups(), st.sampled_from([np.nan, np.inf, -np.inf]))
     @settings(max_examples=40, deadline=None)
-    def test_non_finite_log_ratio_raises_like_reference(self, group, bad):
-        items, advantages, cfg, lam = group
+    def test_non_finite_log_ratio_raises_like_reference(self, inputs, bad):
         # One fault per group: which of two errors comes first is not pinned.
-        assume(_report_or_error(routed_step_loss, *group[:2], 0, cfg, lam_override=lam)[1] is None)
-        items[-1].log_ratio[-1] = bad
+        assume(_report_or_error(routed_loss_rows, **inputs)[1] is None)
+        inputs["log_ratio"][-1, -1] = bad
         with pytest.raises(NonFiniteInputError):
-            routed_step_loss(items, advantages, 0, cfg, self.CLIP, lam_override=lam)
-        self._compare(items, advantages, cfg, lam)
+            routed_loss_rows(**inputs, clip=self.CLIP)
+        self._compare(inputs)
 
     @pytest.mark.parametrize("row", [[0.5, 0.5, 0.5, 0.5], [np.nan, 0.5, 0.25, 0.25]])
     def test_off_simplex_student_row_raises_like_reference(self, row):
-        items = _loss_inputs(np.random.default_rng(9), vocab=4, outcomes=[1, 0, 1])
-        items[2].student[1] = row  # a key-span row on the active branch
+        group = _group(np.random.default_rng(9), vocab=4, outcomes=[1, 0, 1])
+        group["student"][2, 1] = row  # a key-span row on the active branch
         adv = group_advantages(np.array([1.0, 0.0, 1.0]))
-        _, ref_err = _report_or_error(reference_routed_step_loss, items, adv, 0, self.CFG_KEY)
+        inputs = _kernel_inputs(group, adv, self.CFG_KEY.w0, self.CFG_KEY)
+        _, ref_err = _report_or_error(reference_routed_loss_rows, **inputs)
         assert ref_err in (InvalidDistributionError, NonFiniteInputError)
         with pytest.raises(ref_err):
-            routed_step_loss(items, adv, 0, self.CFG_KEY)
+            routed_loss_rows(**inputs)
 
     def test_underflowed_rows_emit_no_warning(self):
         # A policy pushed to exact zeros (a huge step) pins the floor on
         # every KL row; the array form must route them without log(0).
-        items = _loss_inputs(np.random.default_rng(10), vocab=6, outcomes=[1, 0, 1])
-        for item in items:
-            item.student[:] = np.eye(6)[np.arange(4) % 6]
-            item.teacher = {t: np.eye(6)[t % 6] for t in item.teacher}
+        group = _group(np.random.default_rng(10), vocab=6, outcomes=[1, 0, 1])
+        group["student"][:] = np.eye(6)[np.arange(4) % 6]
+        group["span_teacher"][:, 1] = np.eye(6)[1]
         adv = group_advantages(np.array([1.0, 0.0, 1.0]))
         cfg = RoutingConfig(tau=10.0, alpha=0.5, mu_e=1, mu_k=1)
-        self._compare(items, adv, cfg, cfg.w0)
+        self._compare(_kernel_inputs(group, adv, cfg.w0, cfg))
 
 
 class TestSpanSchema:
-    def test_round_trip(self):
-        spans = [CharSpan(0, 3, "type_a"), CharSpan(5, 6, "type_b")]
-        text = spans_to_json(spans, 1)
-        back, outcome = spans_from_json(text)
-        assert back == spans
-        assert outcome == 1
-
     def test_cap_helper(self):
         assert coverage_cap(0.25, 100) == 25
         assert coverage_cap(0.25, 3) == 1
