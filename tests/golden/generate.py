@@ -2,8 +2,17 @@
 
 The matrix is 6 methods x 3 regimes x 2 seeds at group size 4 and 16 steps
 on a vocab-6 chain task (horizon 3, horizon 4 for ``mixed``), with a short
-KL window so every method crosses its open and closed phases. Any change
-to the numbers a run writes changes a hash.
+KL window so every method crosses its open and closed phases. Two blocks
+follow it, stored with the hash of the run's summary JSON as well (the
+credit concentration is in no CSV):
+
+* ``deep_*``: the shape of perfbench's deep-cli sweep (``mixed``, V = 8,
+  T = 6, G = 8) for 24 steps with a KL window that opens and closes, for
+  ``routed_both``, ``rlsd_weighted`` and ``routed_fkl_key`` x 2 seeds;
+* ``precision_*``: two ``routed_both`` runs of that shape with annotator
+  precision 0.6, whose annotator draws depend on the data.
+
+Any change to the numbers a run writes changes a hash.
 
     PYTHONPATH=src python tests/golden/generate.py            # rewrite hashes.json
     PYTHONPATH=src python tests/golden/generate.py --dump DIR # also write the CSVs
@@ -27,7 +36,7 @@ from dataclasses import replace
 
 from routedkl.routing import RoutingConfig
 from routedkl.runner import METHODS, RunConfig, run_experiment
-from routedkl.tasks import REGIMES, chain_params
+from routedkl.tasks import REGIMES, TaskParams, chain_params
 
 HASHES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "hashes.json")
 
@@ -35,26 +44,49 @@ SEEDS = (0, 1)
 PARAMS = chain_params(vocab=6, horizon=3, p_star=0.004, alt_mass=0.85, n_contexts=2)
 ROUTING = RoutingConfig(w0=1.0, t_start=4, t_decay=8, sync_n=5, tau=10.0, alpha=0.5)
 
+DEEP_ROUTING = RoutingConfig(w0=2.0, t_start=4, t_decay=10, sync_n=5, tau=10.0, alpha=0.25)
+DEEP_METHODS = ("routed_both", "rlsd_weighted", "routed_fkl_key")
 
-def matrix() -> list[RunConfig]:
-    cfgs = []
+
+def _deep(method: str, seed: int, **overrides) -> RunConfig:
+    return RunConfig(
+        method=method,
+        regime="mixed",
+        seed=seed,
+        steps=24,
+        group_size=8,
+        learning_rate=0.5,
+        routing=DEEP_ROUTING,
+        task_params=TaskParams(vocab=8, horizon=6),
+        **overrides,
+    )
+
+
+def matrix() -> list[tuple[str, RunConfig, bool]]:
+    """(stem, config, whether the summary JSON is hashed) for every run."""
+    runs = []
     for method in METHODS:
         for regime in REGIMES:
             params = replace(PARAMS, horizon=4) if regime == "mixed" else PARAMS
             for seed in SEEDS:
-                cfgs.append(
-                    RunConfig(
-                        method=method,
-                        regime=regime,
-                        seed=seed,
-                        steps=16,
-                        group_size=4,
-                        learning_rate=0.3,
-                        routing=ROUTING,
-                        task_params=params,
-                    )
+                cfg = RunConfig(
+                    method=method,
+                    regime=regime,
+                    seed=seed,
+                    steps=16,
+                    group_size=4,
+                    learning_rate=0.3,
+                    routing=ROUTING,
+                    task_params=params,
                 )
-    return cfgs
+                runs.append((f"{method}_{regime}_seed{seed}", cfg, False))
+    for method in DEEP_METHODS:
+        for seed in SEEDS:
+            runs.append((f"deep_{method}_mixed_seed{seed}", _deep(method, seed), True))
+    for seed in SEEDS:
+        cfg = _deep("routed_both", seed, annotator_precision=0.6)
+        runs.append((f"precision_routed_both_mixed_seed{seed}", cfg, True))
+    return runs
 
 
 def _sha(text: str) -> str:
@@ -62,16 +94,20 @@ def _sha(text: str) -> str:
 
 
 def golden_hashes(dump_dir: str | None = None) -> dict:
-    """{stem: {"csv": sha256, "ledger": sha256}} for every run of the matrix."""
+    """{stem: {"csv": sha256, "ledger": sha256[, "summary": sha256]}} for
+    every run of the matrix; the summary text is what ``run_experiment``
+    writes to ``{stem}_summary.json``."""
     out = {}
-    for cfg in matrix():
+    for stem, cfg, with_summary in matrix():
         log, state = run_experiment(cfg)
-        stem = f"{cfg.method}_{cfg.regime}_seed{cfg.seed}"
-        csv, ledger = log.to_csv(), state.ledger.to_csv()
-        out[stem] = {"csv": _sha(csv), "ledger": _sha(ledger)}
+        texts = {".csv": log.to_csv(), "_ledger.csv": state.ledger.to_csv()}
+        if with_summary:
+            texts["_summary.json"] = json.dumps(log.summary, sort_keys=True, indent=2) + "\n"
+        kinds = {".csv": "csv", "_ledger.csv": "ledger", "_summary.json": "summary"}
+        out[stem] = {kinds[suffix]: _sha(text) for suffix, text in texts.items()}
         if dump_dir is not None:
             os.makedirs(dump_dir, exist_ok=True)
-            for suffix, text in ((".csv", csv), ("_ledger.csv", ledger)):
+            for suffix, text in texts.items():
                 with open(os.path.join(dump_dir, stem + suffix), "w", newline="") as fh:
                     fh.write(text)
     return out
