@@ -27,13 +27,14 @@ _SIMPLEX_ATOL = 1e-12
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax with max-subtraction; exact under shift invariance."""
+    """Softmax over the last axis with max-subtraction; exact under shift
+    invariance. Each row of a stack gets the bytes it gets on its own."""
     logits = np.asarray(logits, dtype=float)
-    if not np.all(np.isfinite(logits)):
+    if not np.isfinite(logits).all():
         raise NonFiniteInputError("softmax requires finite logits")
-    shifted = logits - logits.max()
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     expd = np.exp(shifted)
-    return expd / expd.sum()
+    return expd / expd.sum(axis=-1, keepdims=True)
 
 
 def validate_distribution(probs: np.ndarray, name: str = "dist") -> np.ndarray:
@@ -146,6 +147,11 @@ class PolicyTable:
 
     def student_dist(self, prompt: str, prefix: PrefixKey) -> np.ndarray:
         return softmax(self.student_logits(prompt, prefix))
+
+    def student_dists(self, prompt: str, prefixes: list) -> np.ndarray:
+        """(P, V) student distributions at ``prefixes``, one softmax for
+        all; rows are materialized in the order given."""
+        return softmax(np.array([self.student_logits(prompt, p) for p in prefixes]))
 
     def sync_teacher(self) -> None:
         """Snapshot current student rows as the teacher base."""

@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -78,7 +79,7 @@ from .errors import (
     require_finite_fields,
 )
 from .grpo import ClipConfig, group_advantages
-from .metrics import LiftSample, credit_concentration, delta_lift
+from .metrics import LiftSample, delta_lift
 from .policy import PolicyTable, entropy
 from .privileged import (
     ExposureLedger,
@@ -89,7 +90,7 @@ from .privileged import (
 )
 from .routing import (
     RoutingConfig,
-    enforce_coverage_cap,
+    coverage_cap,
     lambda_schedule,
     project_spans_to_mask,
     routed_loss_rows,
@@ -102,6 +103,7 @@ from .tasks import (
     draw_contexts,
     generate_task,
     oracle_annotate,
+    oracle_span_mask,
     sample_group,
 )
 
@@ -263,7 +265,14 @@ _SPAN_ACTIONS = {
 
 def effective_routing(cfg: RunConfig) -> RoutingConfig:
     """The method's span actions (mu_e, mu_k) and coverage cap."""
-    return replace(cfg.routing, **_SPAN_ACTIONS.get(cfg.method, {}))
+    return _method_routing(cfg.method, cfg.routing)
+
+
+@functools.lru_cache(maxsize=64)
+def _method_routing(method: str, routing: RoutingConfig) -> RoutingConfig:
+    # Keyed on the values, not stored on the run state: a forked state's
+    # cfg can be swapped for another method's.
+    return replace(routing, **_SPAN_ACTIONS.get(method, {}))
 
 
 def build_eval_token_set(task: SynthTask, table: PolicyTable) -> list:
@@ -334,11 +343,9 @@ def _teacher_rows(state: RunState, prefix: tuple) -> tuple[np.ndarray, float, fl
     return entry
 
 
-def _eval_logprobs(state: RunState, dists: dict) -> np.ndarray:
-    out = np.empty(len(state.eval_tokens))
-    for i, (prefix, v) in enumerate(state.eval_tokens):
-        out[i] = np.log(_student_dist(state, dists, prefix)[v])
-    return out
+def _eval_probs(state: RunState, dists: dict) -> np.ndarray:
+    """Student probability of each lift-evaluation token."""
+    return np.array([_student_dist(state, dists, prefix)[v] for prefix, v in state.eval_tokens])
 
 
 @dataclass
@@ -362,6 +369,36 @@ def _teacher_stack(state: RunState, group: SampledGroup, flat: np.ndarray) -> tu
     inverse = [slot.setdefault(r, len(slot)) for r in group.prefix_index.ravel()[flat].tolist()]
     entries = [_teacher_rows(state, group.prefixes[r]) for r in slot]
     return entries, np.array(inverse, dtype=np.int64)
+
+
+def _annotate(
+    task: SynthTask,
+    group: SampledGroup,
+    precision: float,
+    rng: np.random.Generator,
+    alpha: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each rollout's oracle context and (G, T) span mask after the cap.
+
+    At precision 1 the annotator's only draw is one context uniform per
+    rollout, so the contexts are one ``draw_contexts`` call and the mask is
+    ``oracle_span_mask``: the same stream and the same spans as the
+    per-rollout ``oracle_annotate``. Below 1, whether and where a span is
+    faked depends on draws made span by span, so each rollout is
+    annotated in turn. The cap keeps a row's lowest marked positions, as
+    ``enforce_coverage_cap`` does with unit weights.
+    """
+    size, horizon = group.tokens.shape
+    if precision == 1.0:
+        ctx, mask = draw_contexts(task, rng, size), oracle_span_mask(task, group)
+    else:
+        ctx = np.empty(size, dtype=np.int64)
+        mask = np.zeros((size, horizon), dtype=bool)
+        for i, rollout in enumerate(group.rollouts):
+            ann = oracle_annotate(rollout, task, precision, rng)
+            ctx[i] = ann.context_index
+            mask[i] = project_spans_to_mask(list(ann.spans), rollout.token_char_intervals())
+    return ctx, mask & (np.cumsum(mask, axis=1) <= coverage_cap(alpha, horizon))
 
 
 def _step_tensors(
@@ -389,7 +426,7 @@ def _step_tensors(
     """
     cfg, task = state.cfg, state.task
     size, horizon = group.tokens.shape
-    student = np.stack([dists[p] for p in group.prefixes])[group.prefix_index]
+    student = np.array([dists[p] for p in group.prefixes])[group.prefix_index]
     picked = np.take_along_axis(student, group.tokens[..., None], axis=2)[..., 0]
     step = _StepTensors(
         student=student,
@@ -403,13 +440,9 @@ def _step_tensors(
             ctx = draw_contexts(task, state.rng_annot, size)
             step.mask[:] = True
         else:
-            ctx = np.empty(size, dtype=np.int64)
-            ones = np.ones(horizon)
-            for i, rollout in enumerate(group.rollouts):
-                ann = oracle_annotate(rollout, task, cfg.annotator_precision, state.rng_annot)
-                ctx[i] = ann.context_index
-                mask = project_spans_to_mask(list(ann.spans), rollout.token_char_intervals())
-                step.mask[i] = enforce_coverage_cap(mask, ones, routing.alpha)
+            ctx, step.mask = _annotate(
+                task, group, cfg.annotator_precision, state.rng_annot, routing.alpha
+            )
         span = np.flatnonzero(step.mask)
         entries, inverse = _teacher_stack(state, group, span)
         variance, deviation = np.zeros((2, size * horizon))
@@ -422,7 +455,7 @@ def _step_tensors(
         branch = np.where(group.outcomes == 0, routing.mu_e, routing.mu_k)[span // horizon] == 1
         step.kl_rows = span[branch]
         if entries:
-            matrices = np.stack([e[0] for e in entries])
+            matrices = np.array([e[0] for e in entries])
             step.teacher = matrices[inverse[branch], ctx[step.kl_rows // horizon]]
     elif rlsd_open:
         ctx = draw_contexts(task, state.rng_annot, size)
@@ -430,7 +463,7 @@ def _step_tensors(
         if winners.size:
             flat = (winners[:, None] * horizon + np.arange(horizon)).ravel()
             entries, inverse = _teacher_stack(state, group, flat)
-            matrices = np.stack([e[0] for e in entries])
+            matrices = np.array([e[0] for e in entries])
             teacher_prob = matrices[inverse, ctx[flat // horizon], group.tokens.ravel()[flat]]
             scale = np.ones(size * horizon)
             scale[flat] = rlsd_weight(teacher_prob, picked.ravel()[flat], cfg.rlsd_eps_w).clipped
@@ -468,23 +501,45 @@ def _update_ledger(state: RunState, step: _StepTensors, lam: float) -> None:
     )
 
 
+def _region_means(credit: np.ndarray, region: np.ndarray) -> np.ndarray:
+    """Row means of ``credit`` over ``region``, each with at least one entry.
+
+    A row's entries are packed in order and rows of one count are summed as
+    one (R, count) array, which sums each row as the 1-d ``mean`` does.
+    """
+    counts = region.sum(axis=1)
+    packed = np.take_along_axis(credit, np.argsort(~region, axis=1, kind="stable"), axis=1)
+    sums = np.empty(len(credit))
+    for count in np.unique(counts).tolist():
+        rows = counts == count
+        sums[rows] = packed[rows, :count].sum(axis=1)
+    return sums / counts
+
+
+def _credit_ratios(credit: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``metrics.credit_concentration`` of every (G, T) row it is defined
+    for (both regions present, nonzero outside mean), in row order."""
+    mixed = mask.any(axis=1) & ~mask.all(axis=1)
+    credit, mask = credit[mixed], mask[mixed]
+    inside, outside = _region_means(credit, mask), _region_means(credit, ~mask)
+    kept = outside != 0.0
+    return inside[kept] / outside[kept]
+
+
 def _track_credit_concentration(
     state: RunState, mask: np.ndarray, rows: np.ndarray, grads: np.ndarray
 ) -> None:
     """Per-token update magnitude (L2 logit-gradient norm times step size)
     inside the span mask versus outside, averaged over the rollouts that
     have both."""
-    mixed = np.flatnonzero(mask.any(axis=1) & ~mask.all(axis=1))
-    if not mixed.size:
+    if not (mask.any(axis=1) & ~mask.all(axis=1)).any():
         return
     credit = np.zeros(mask.size)
     # Equals np.linalg.norm row by row; norm(axis=1) rounds differently.
     norms = np.sqrt(np.matmul(grads[:, None, :], grads[:, :, None]))[:, 0, 0]
     credit[rows] = state.cfg.learning_rate * norms
-    credit = credit.reshape(mask.shape)
-    ratios = [credit_concentration(credit[i], mask[i]) for i in mixed.tolist()]
-    ratios = [r for r in ratios if r is not None]
-    if ratios:
+    ratios = _credit_ratios(credit.reshape(mask.shape), mask)
+    if ratios.size:
         state.credit_ratios.append(float(np.mean(ratios)))
 
 
@@ -566,12 +621,20 @@ def train_step(state: RunState) -> dict:
         _dump_diagnostics(state, rewards, total)
         raise NumericFailureError(f"non-finite loss at step {k}: {total!r}")
 
-    lift_before = _eval_logprobs(state, dists)
+    probs_before = _eval_probs(state, dists)
     _apply_row_grads(state, group, grad_rows, grads)
-    lift_after = _eval_logprobs(state, {})
+    probs_after = _eval_probs(state, {})
+    for probs in (probs_before, probs_after):
+        if not probs.all():
+            _dump_diagnostics(state, rewards, total)
+            token = state.eval_tokens[int(np.argmin(probs))][1]
+            raise NumericFailureError(
+                f"non-finite delta_lift at step {k}: the student probability of eval "
+                f"token {token} underflowed to 0"
+            )
     samples = [
-        LiftSample(0, v, float(b), float(a), True)
-        for ((_, v), b, a) in zip(state.eval_tokens, lift_before, lift_after)
+        LiftSample(0, v, float(np.log(b)), float(np.log(a)), True)
+        for ((_, v), b, a) in zip(state.eval_tokens, probs_before, probs_after)
     ]
     lift = delta_lift(samples)
 

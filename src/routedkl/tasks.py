@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -157,10 +158,13 @@ class SynthTask:
     def teacher_dist_matrix(
         self, table: PolicyTable, prefix: PrefixKey
     ) -> np.ndarray:
-        """(n_contexts, vocab) teacher distributions at one row."""
-        return np.stack(
-            [self.teacher_dist(table, c, prefix) for c in range(len(self.contexts))]
-        )
+        """(n_contexts, vocab) teacher distributions at one row: one teacher
+        lookup per context, one softmax for all of them."""
+        position = len(prefix)
+        return softmax(np.array([
+            table.teacher_logits(self.prompt_id, prefix, self.context_offset(c, position))
+            for c in range(len(self.contexts))
+        ]))
 
     # ----- acceptance machine ----------------------------------------------
 
@@ -180,8 +184,29 @@ class SynthTask:
             return _DEAD if token in self.trap_tokens else _FREE
         return _GUARD
 
+    @cached_property
+    def transitions(self) -> np.ndarray:
+        """(T, 4, V) table of ``_step_state``: the next state by position,
+        state and token. Built on first use, so constructing a task does
+        not pay for it; the acceptance fields must not change after."""
+        return np.array([
+            [[self._step_state(state, t, v) for v in range(self.vocab)] for state in range(4)]
+            for t in range(self.horizon)
+        ])
+
+    @cached_property
+    def _tree_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """``transitions`` as the evaluation tree reads it: a child's value
+        as a leaf (0 dead, 1 otherwise) and whether it is an inner node
+        (neither dead nor free, before the horizon)."""
+        trans = self.transitions
+        inner = (trans != _DEAD) & (trans != _FREE)
+        inner[-1] = False
+        return np.where(trans == _DEAD, 0.0, 1.0), inner
+
     def verifier(self, tokens: tuple[int, ...]) -> int:
-        """Deterministic binary outcome for a full sequence."""
+        """Deterministic binary outcome for a full sequence; the per-sequence
+        reference for the outcomes ``sample_group`` reads off ``transitions``."""
         if len(tokens) != self.horizon:
             raise RangeError("sequence length must equal the horizon")
         state = _START
@@ -199,7 +224,8 @@ class SynthTask:
         """Earliest position whose token cut off every accepting continuation.
 
         Returns None when that position is not a critical one: the oracle
-        then declines to mark a root cause rather than guess.
+        then declines to mark a root cause rather than guess. The
+        per-sequence reference for ``oracle_span_mask``.
         """
         state = _START
         for t, tok in enumerate(tokens):
@@ -219,23 +245,35 @@ class SynthTask:
             )
 
     def expected_reward(self, table: PolicyTable) -> float:
-        """Exact E[R] under the student policy, by pruned tree enumeration."""
+        """Exact E[R] under the student policy, by pruned tree enumeration.
+
+        The tree is walked one level at a time. A level's live prefixes
+        (neither dead nor free, before the horizon) take one
+        ``student_dists`` call; a child is expanded only if its probability
+        is nonzero, so the rows materialized are those of a depth-first walk.
+        A dead child is worth 0, a free or final one 1. Values are summed
+        bottom-up left to right over the children, ``cumsum(dist * value)``,
+        which is the depth-first sum's order: a skipped zero-probability
+        child adds an exact 0.
+        """
         self.check_budget()
-
-        def value(prefix: PrefixKey, state: int, t: int) -> float:
-            if state == _DEAD:
-                return 0.0
-            if state == _FREE or t == self.horizon:
-                return 1.0 if state != _DEAD else 0.0
-            dist = table.student_dist(self.prompt_id, prefix)
-            total = 0.0
-            for v in range(self.vocab):
-                if dist[v] == 0.0:
-                    continue
-                total += dist[v] * value(prefix + (v,), self._step_state(state, t, v), t + 1)
-            return total
-
-        return value((), _START, 0)
+        trans = self.transitions
+        leaf_value, inner = self._tree_tables
+        levels = []
+        prefixes, states = [()], np.array([_START])
+        for t in range(self.horizon):
+            dist = table.student_dists(self.prompt_id, prefixes)
+            rows, tokens = np.nonzero(inner[t, states] & (dist != 0.0))
+            levels.append((dist, leaf_value[t, states], rows, tokens))
+            if not rows.size:
+                break
+            prefixes = [prefixes[r] + (v,) for r, v in zip(rows.tolist(), tokens.tolist())]
+            states = trans[t, states[rows], tokens]
+        below = np.empty(0)  # the deepest level has no inner children
+        for dist, value, rows, tokens in reversed(levels):
+            value[rows, tokens] = below
+            below = (dist * value).cumsum(axis=1)[:, -1]
+        return float(below[0])
 
     def reward_gradient(self, table: PolicyTable) -> dict:
         """Exact gradient of E[R] w.r.t. every student logit row.
@@ -558,6 +596,8 @@ class SampledGroup:
     ``prefixes`` lists the distinct prefixes the group visited, in
     sampling order, and ``prefix_index[i, t]`` is the entry of position t
     of rollout i. Each rollout's ``logprobs`` is a row of ``logprobs``.
+    ``states[i, t]`` is the acceptance-machine state of rollout i before
+    position t; the outcomes are read off its last column.
     """
 
     rollouts: list
@@ -566,6 +606,7 @@ class SampledGroup:
     outcomes: np.ndarray  # (G,) verifier outcomes
     prefixes: list
     prefix_index: np.ndarray  # (G, T) indices into prefixes
+    states: np.ndarray  # (G, T + 1) acceptance-machine states
 
 
 def sample_group(
@@ -584,9 +625,12 @@ def sample_group(
     are filled left to right, all rollouts at once.
 
     ``dists`` is an optional ``{prefix: student distribution}`` map: a row
-    found there is reused and a row computed is added, so a group takes
-    one softmax per distinct prefix. The map is stale once the student
-    rows change.
+    found there is reused and the rows missing at a position are computed
+    by one ``student_dists`` call and added, so a group takes one softmax
+    per position. The map is stale once the student rows change.
+
+    Each rollout's machine state advances through ``task.transitions``
+    with its token, so the group is verified as it is sampled.
     """
     dists = {} if dists is None else dists
     horizon = task.horizon
@@ -594,36 +638,39 @@ def sample_group(
     tokens = np.empty((size, horizon), dtype=np.int64)
     probs = np.empty((size, horizon))
     prefix_index = np.empty((size, horizon), dtype=np.int64)
+    states = np.full((size, horizon + 1), _START, dtype=np.int64)
+    trans = task.transitions
     prefixes: list = []
     keys = [()] * size  # each rollout's prefix at position t
     for t in range(horizon):
         slot: dict = {}
         which = np.array([slot.setdefault(key, len(slot)) for key in keys])
-        rows = []
-        for prefix in slot:
-            dist = dists.get(prefix)
-            if dist is None:
-                dist = dists[prefix] = table.student_dist(task.prompt_id, prefix)
-            rows.append(dist)
-        row_of = np.stack(rows)[which]
+        missing = [prefix for prefix in slot if prefix not in dists]
+        if missing:
+            dists.update(zip(missing, table.student_dists(task.prompt_id, missing)))
+        row_of = np.array([dists[prefix] for prefix in slot])[which]
         picked = inverse_cdf(row_of, uniforms[:, t])
         tokens[:, t] = picked
         probs[:, t] = row_of[np.arange(size), picked]
+        states[:, t + 1] = trans[t, states[:, t], picked]
         prefix_index[:, t] = len(prefixes) + which
         prefixes.extend(slot)
         keys = [key + (tok,) for key, tok in zip(keys, picked.tolist())]
     # math.log, not np.log: the two differ in the last bit on some inputs.
     logprobs = np.array([math.log(p) for p in probs.ravel().tolist()]).reshape(size, horizon)
-    rollouts = []
-    for row, seq in enumerate(map(tuple, tokens.tolist())):
-        rollouts.append(Rollout(task.prompt_id, seq, task.verifier(seq), logprobs[row]))
+    outcomes = (states[:, -1] != _DEAD).astype(np.int64)
+    rollouts = [
+        Rollout(task.prompt_id, seq, outcome, logprobs[row])
+        for row, (seq, outcome) in enumerate(zip(map(tuple, tokens.tolist()), outcomes.tolist()))
+    ]
     return SampledGroup(
         rollouts=rollouts,
         tokens=tokens,
         logprobs=logprobs,
-        outcomes=np.array([r.outcome for r in rollouts]),
+        outcomes=outcomes,
         prefixes=prefixes,
         prefix_index=prefix_index,
+        states=states,
     )
 
 
@@ -704,6 +751,31 @@ def oracle_annotate(
         outcome=rollout.outcome,
         context_index=context_index,
     )
+
+
+def oracle_span_mask(task: SynthTask, group: SampledGroup) -> np.ndarray:
+    """(G, T) span mask of ``oracle_annotate`` at precision 1, before the
+    coverage cap, as ``project_spans_to_mask`` gives it row by row.
+
+    An accepted rollout is marked on the runs of critical positions
+    (``_runs``, so at most three of them); a rejected one on its root cause
+    when that position is critical. The root cause is the first position
+    where the group's machine state goes dead. No generator is read: at
+    precision 1 the annotator's only draw is its context.
+    """
+    size, horizon = group.tokens.shape
+    critical = sorted(t for t in task.critical_positions if t < horizon)
+    key = np.zeros(horizon, dtype=bool)
+    for start, end in _runs(critical):
+        key[start:end] = True
+    is_critical = np.zeros(horizon, dtype=bool)
+    is_critical[critical] = True
+    dead = group.states[:, 1:] == _DEAD
+    root = dead.argmax(axis=1)
+    mask = np.where(dead[:, -1:], False, key)
+    marked = np.flatnonzero(dead[:, -1] & is_critical[root])
+    mask[marked, root[marked]] = True
+    return mask
 
 
 def single_route_params(**overrides) -> TaskParams:

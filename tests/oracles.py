@@ -2,10 +2,20 @@
 
 Everything here is deliberately naive: central finite differences, direct
 enumeration, and brute-force grids. None of it shares code with the paths
-it validates, except ``reference_routed_loss_rows``: the per-token loop
-over the scalar routines that the array-form routed loss must reproduce,
-and ``reference_sample_sequence``, the per-token ``Generator.choice`` loop
-that group sampling must reproduce draw for draw.
+it validates, except the per-row and per-rollout loops that the batched
+library code must reproduce bit for bit, each kept from before its path
+was batched:
+
+* ``reference_routed_loss_rows``: the per-token loop over the scalar
+  routines behind the array-form routed loss;
+* ``reference_sample_sequence``: the per-token ``Generator.choice`` loop
+  behind group sampling, draw for draw;
+* ``reference_softmax``: the one-row softmax behind the stacked one;
+* ``reference_expected_reward``: the depth-first recursion behind the
+  level-wise exact evaluation;
+* ``reference_annotate``: per-rollout ``oracle_annotate``, span projection
+  and coverage cap behind the group's span mask;
+* ``reference_credit_ratios``: per-rollout ``credit_concentration``.
 """
 
 import math
@@ -15,9 +25,17 @@ import numpy as np
 from routedkl.divergence import fkl_clipped_value_and_grad, rkl_clipped_value_and_grad
 from routedkl.errors import DimensionError, InternalConsistencyError
 from routedkl.grpo import ClipConfig, grpo_token_loss
+from routedkl.metrics import credit_concentration
 from routedkl.policy import truncate_and_floor
-from routedkl.routing import RoutedLossReport, RoutingConfig, coverage_cap, rho
-from routedkl.tasks import Rollout
+from routedkl.routing import (
+    RoutedLossReport,
+    RoutingConfig,
+    coverage_cap,
+    enforce_coverage_cap,
+    project_spans_to_mask,
+    rho,
+)
+from routedkl.tasks import _DEAD, _FREE, _START, Rollout, oracle_annotate
 
 
 def fd_kl_logit_grad(logits, teacher, forward, h=1e-6):
@@ -260,3 +278,57 @@ def reference_sample_sequence(table, task, rng, dists=None) -> Rollout:
         outcome=task.verifier(seq),
         logprobs=logprobs,
     )
+
+
+def reference_softmax(logits):
+    """One-row softmax with max-subtraction, as ``policy.softmax`` was
+    before it reduced over the last axis of a stack."""
+    logits = np.asarray(logits, dtype=float)
+    shifted = logits - logits.max()
+    expd = np.exp(shifted)
+    return expd / expd.sum()
+
+
+def reference_expected_reward(task, table):
+    """Depth-first E[R] with dead/free pruning, one ``student_dist`` per
+    visited prefix: the recursion behind the level-wise
+    ``SynthTask.expected_reward``."""
+
+    def value(prefix, state, t):
+        if state == _DEAD:
+            return 0.0
+        if state == _FREE or t == task.horizon:
+            return 1.0
+        dist = table.student_dist(task.prompt_id, prefix)
+        total = 0.0
+        for v in range(task.vocab):
+            if dist[v] == 0.0:
+                continue
+            total += dist[v] * value(prefix + (v,), task._step_state(state, t, v), t + 1)
+        return total
+
+    return value((), _START, 0)
+
+
+def reference_annotate(task, rollouts, precision, rng, alpha):
+    """Per-rollout contexts and capped span masks: ``oracle_annotate``,
+    ``project_spans_to_mask`` and ``enforce_coverage_cap`` with unit
+    weights, rollout by rollout on one generator."""
+    contexts, masks = [], []
+    for rollout in rollouts:
+        ann = oracle_annotate(rollout, task, precision, rng)
+        mask = project_spans_to_mask(list(ann.spans), rollout.token_char_intervals())
+        contexts.append(ann.context_index)
+        masks.append(enforce_coverage_cap(mask, np.ones(len(rollout)), alpha).astype(bool))
+    return np.array(contexts), np.array(masks)
+
+
+def reference_credit_ratios(credit, mask):
+    """``credit_concentration`` of every row with both regions, dropping
+    the rows it leaves undefined."""
+    ratios = [
+        credit_concentration(credit[i], mask[i])
+        for i in range(len(mask))
+        if mask[i].any() and not mask[i].all()
+    ]
+    return np.array([r for r in ratios if r is not None])

@@ -260,6 +260,16 @@ class TestBadInputsNameTheKey:
         assert cli.main(["sweep", str(tmp_path / "cfg.ini"), "--out", str(tmp_path)]) == 2
         assert "'seed'" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_eval_probability_underflow_exits_3_without_a_warning(self, tmp_path, capsys):
+        # A huge step drives an eval token's student probability to exact
+        # 0: the run stops before taking its log, names the column and
+        # leaves an abort snapshot.
+        assert _run(tmp_path, _edit(SMALL, "run", "learning_rate", "1e9")) == 3
+        assert "non-finite delta_lift" in capsys.readouterr().err
+        assert (tmp_path / "out" / "abort_diagnostics.json").exists()
+        assert not list((tmp_path / "out").glob("*.csv"))
+
 
 # ----- fuzz ---------------------------------------------------------------
 

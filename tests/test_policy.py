@@ -10,7 +10,7 @@ from routedkl.policy import (
     truncate_and_floor,
 )
 
-from oracles import brute_force_floor_fixed_point
+from oracles import brute_force_floor_fixed_point, reference_softmax
 
 
 def logits_arrays(min_size=2, max_size=16):
@@ -43,6 +43,37 @@ class TestSoftmax:
     @settings(max_examples=200)
     def test_sums_to_one(self, logits):
         assert abs(softmax(logits).sum() - 1.0) < 1e-12
+
+
+class TestBatchedSoftmax:
+    """A stack of rows against the one-row reference, byte for byte."""
+
+    @given(
+        vocab=st.integers(2, 20),
+        n_rows=st.integers(1, 30),
+        scale=st.sampled_from([1e-3, 1.0, 10.0, 100.0, 1e3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_rows_equal_the_one_row_reference(self, vocab, n_rows, scale, seed):
+        logits = np.random.default_rng(seed).normal(0.0, scale, (n_rows, vocab))
+        batched = softmax(logits)
+        for row, got in zip(logits, batched):
+            want = reference_softmax(row)
+            assert got.tobytes() == want.tobytes()
+            assert softmax(row).tobytes() == want.tobytes()
+
+    def test_stack_rejects_non_finite(self):
+        with pytest.raises(NonFiniteInputError):
+            softmax(np.array([[0.0, 1.0], [0.0, np.inf]]))
+
+    def test_student_dists_materialize_in_order(self):
+        table = PolicyTable(vocab=5, init_logits=lambda prompt, prefix: np.arange(5.0) * len(prefix))
+        prefixes = [(2,), (), (0, 1)]
+        got = table.student_dists("p", prefixes)
+        assert list(table.rows) == [("p", p) for p in prefixes]
+        for prefix, row in zip(prefixes, got):
+            assert row.tobytes() == table.student_dist("p", prefix).tobytes()
 
 
 class TestEntropy:

@@ -9,10 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from routedkl import cli, runner
 from routedkl.errors import ConfigError, EnumerationBudgetError, InternalConsistencyError
 from routedkl.grpo import group_advantages
+from routedkl.metrics import credit_concentration
+from routedkl.policy import PolicyTable
 from routedkl.privileged import context_variance, expected_deviation_sq
 from routedkl.routing import RoutingConfig, lambda_schedule
 from routedkl.runner import (
@@ -25,7 +28,9 @@ from routedkl.runner import (
     should_sync,
     train_step,
 )
-from routedkl.tasks import TaskParams, chain_params
+from routedkl.tasks import TaskParams, chain_params, generate_task, sample_group
+
+from oracles import reference_annotate, reference_credit_ratios
 
 FAST_PARAMS = chain_params(vocab=6, horizon=3, p_star=0.004, alt_mass=0.85, n_contexts=2)
 FAST_ROUTING = RoutingConfig(w0=1.0, t_start=4, t_decay=8, sync_n=5, tau=10.0, alpha=0.5)
@@ -356,29 +361,35 @@ class TestGroupArrays:
         return steps
 
     def test_credit_concentration_reads_per_token_norms(self, monkeypatch):
+        # Each step's ratio is the mean of metrics.credit_concentration
+        # over the rollouts with both regions, on per-token gradient norms.
         steps = self._capture(monkeypatch)
-        credits = []
-        real = runner.credit_concentration
-
-        def spy(credit, mask):
-            credits.append(credit.copy())
-            return real(credit, mask)
-
-        monkeypatch.setattr(runner, "credit_concentration", spy)
         cfg = fast_cfg("routed_both", steps=10)
         _, state = run_experiment(cfg)
         expected = []
         for record in steps:
             mask, grads = record["step"].mask, record["grads"]
             horizon = mask.shape[1]
+            ratios = []
             for i in np.flatnonzero(mask.any(axis=1) & ~mask.all(axis=1)):
-                flat = [i * horizon + t for t in range(horizon)]
-                expected.append(np.array([
+                credit = np.array([
                     cfg.learning_rate * float(np.linalg.norm(grads[f])) if f in grads else 0.0
-                    for f in flat
-                ]))
-        assert expected and state.credit_ratios
-        assert [c.tobytes() for c in credits] == [e.tobytes() for e in expected]
+                    for f in range(i * horizon, (i + 1) * horizon)
+                ])
+                ratios.append(credit_concentration(credit, mask[i]))
+            ratios = [r for r in ratios if r is not None]
+            if ratios:
+                expected.append(float(np.mean(ratios)))
+        assert expected
+        assert np.array(state.credit_ratios).tobytes() == np.array(expected).tobytes()
+
+    def test_setup_leaves_the_automaton_unbuilt(self):
+        # init_run is timed as set-up; the transition table is first built
+        # by the first sampled group.
+        state = init_run(fast_cfg("routed_both"))
+        assert "transitions" not in vars(state.task)
+        train_step(state)
+        assert "transitions" in vars(state.task)
 
     def test_rlsd_multiplier_matches_the_scalar_weight(self, monkeypatch):
         steps = self._capture(monkeypatch)
@@ -404,6 +415,52 @@ class TestGroupArrays:
                     assert scale[i, t] == min(max(q / p, 1.0 - eps), 1.0 + eps)
                     weighted += 1.0 - eps < scale[i, t] < 1.0 + eps
         assert weighted > 0
+
+
+class TestArrayAnnotationAndCredit:
+    """The group's span mask and credit ratios against the per-rollout
+    references, byte for byte."""
+
+    @given(
+        regime=st.sampled_from(["under_allocated", "confident_wrong", "mixed"]),
+        vocab=st.integers(4, 8),
+        horizon=st.integers(2, 7),
+        trap=st.integers(1, 6),
+        size=st.integers(1, 16),
+        precision=st.sampled_from([1.0, 1.0, 0.6, 0.0]),
+        alpha=st.sampled_from([0.1, 0.2, 0.25, 0.5, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_annotation_equals_the_per_rollout_loop(
+        self, regime, vocab, horizon, trap, size, precision, alpha, seed
+    ):
+        params = chain_params(vocab=vocab, horizon=horizon, trap_position=1 + trap % (horizon - 1))
+        task = generate_task(regime, seed % 100, params)
+        # Uniform logits, so every branch of the acceptance machine is sampled.
+        table = PolicyTable(vocab=vocab, init_logits=lambda prompt, prefix: np.zeros(vocab))
+        group = sample_group(table, task, np.random.default_rng(seed), size)
+        rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        ctx, mask = runner._annotate(task, group, precision, rng, alpha)
+        want_ctx, want_mask = reference_annotate(task, group.rollouts, precision, ref_rng, alpha)
+        assert ctx.tolist() == want_ctx.tolist()
+        assert mask.dtype == bool and mask.tolist() == want_mask.tolist()
+        assert rng.random() == ref_rng.random()
+
+    @given(
+        size=st.integers(1, 12),
+        horizon=st.integers(2, 12),
+        zero_frac=st.sampled_from([0.0, 0.3, 0.8]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_credit_ratios_equal_credit_concentration(self, size, horizon, zero_frac, seed):
+        rng = np.random.default_rng(seed)
+        credit = rng.random((size, horizon)) * 10.0 ** rng.integers(-8, 4, (size, horizon))
+        credit[rng.random((size, horizon)) < zero_frac] = 0.0
+        mask = rng.random((size, horizon)) < rng.random()
+        got = runner._credit_ratios(credit, mask)
+        assert got.tobytes() == reference_credit_ratios(credit, mask).tobytes()
 
 
 class TestCli:

@@ -9,6 +9,8 @@ from routedkl.errors import EnumerationBudgetError, RangeError
 from routedkl.policy import PolicyTable, softmax
 from routedkl.routing import coverage_cap, enforce_coverage_cap, project_spans_to_mask
 from routedkl.tasks import (
+    _DEAD,
+    _START,
     TaskParams,
     chain_params,
     draw_contexts,
@@ -18,7 +20,12 @@ from routedkl.tasks import (
     single_route_params,
 )
 
-from oracles import enumerate_expected_reward, fd_reward_gradient, reference_sample_sequence
+from oracles import (
+    enumerate_expected_reward,
+    fd_reward_gradient,
+    reference_expected_reward,
+    reference_sample_sequence,
+)
 
 SMALL = TaskParams(vocab=4, horizon=3, p_star=0.004, n_contexts=2)
 
@@ -240,6 +247,70 @@ class TestGroupStreamAlignment:
         want = [int(ref_rng.choice(n_contexts, p=task.context_probs)) for _ in range(size)]
         assert got.tolist() == want
         assert rng.random() == ref_rng.random()
+
+
+def _random_task(regime, vocab, horizon, trap_position, seed):
+    params = chain_params(vocab=vocab, horizon=horizon, trap_position=trap_position)
+    return generate_task(regime, seed, params)
+
+
+task_shapes = dict(
+    regime=st.sampled_from(["under_allocated", "confident_wrong", "mixed"]),
+    vocab=st.integers(4, 8),
+    horizon=st.integers(2, 5),
+    trap=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+class TestBatchedTaskPaths:
+    """The level-wise evaluation, the tabulated automaton and the stacked
+    teacher rows against their per-prefix and per-sequence references."""
+
+    @given(zero_frac=st.sampled_from([0.0, 0.3, 0.6]), **task_shapes)
+    @settings(max_examples=200, deadline=None)
+    def test_level_wise_expected_reward_is_the_recursion(self, regime, vocab, horizon, trap, seed, zero_frac):
+        task = _random_task(regime, vocab, horizon, 1 + trap % (horizon - 1), seed % 100)
+        ref_table, table = (_random_table(vocab, seed, zero_frac) for _ in range(2))
+        want = reference_expected_reward(task, ref_table)
+        got = task.expected_reward(table)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert set(table.rows) == set(ref_table.rows)
+
+    @given(size=st.integers(1, 16), zero_frac=st.sampled_from([0.0, 0.5]), **task_shapes)
+    @settings(max_examples=200, deadline=None)
+    def test_automaton_outcomes_and_root_cause(self, regime, vocab, horizon, trap, seed, size, zero_frac):
+        task = _random_task(regime, vocab, horizon, 1 + trap % (horizon - 1), seed % 100)
+        group = sample_group(_random_table(vocab, seed, zero_frac), task, np.random.default_rng(seed), size)
+        for i, seq in enumerate(map(tuple, group.tokens.tolist())):
+            assert group.outcomes[i] == group.rollouts[i].outcome == task.verifier(seq)
+            state = _START
+            for t, tok in enumerate(seq):
+                assert group.states[i, t] == state
+                state = task._step_state(state, t, tok)
+            assert group.states[i, -1] == state
+            dead = np.flatnonzero(group.states[i, 1:] == _DEAD)
+            first = int(dead[0]) if dead.size else None
+            want = task.root_cause(seq)
+            assert want == (first if first in task.critical_positions else None)
+
+    def test_automaton_is_built_on_first_use(self):
+        task = generate_task("mixed", 0)
+        assert "transitions" not in vars(task)
+        task.expected_reward(task.make_table())
+        assert task.transitions.shape == (task.horizon, 4, task.vocab)
+
+    @pytest.mark.parametrize("regime", ["under_allocated", "confident_wrong", "mixed"])
+    def test_teacher_matrix_is_the_per_context_rows(self, regime):
+        task = generate_task(regime, 3, TaskParams(n_contexts=4, horizon=4))
+        table = _random_table(task.vocab, 3, 0.3)
+        table.sync_teacher()
+        for prefix in [(), (1,), (2, 5), (0, 3, 1)]:
+            before = table.teacher_lookups
+            matrix = task.teacher_dist_matrix(table, prefix)
+            assert table.teacher_lookups - before == len(task.contexts)
+            for c in range(len(task.contexts)):
+                assert matrix[c].tobytes() == task.teacher_dist(table, c, prefix).tobytes()
 
 
 class TestOracleAnnotate:
