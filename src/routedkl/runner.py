@@ -26,15 +26,32 @@ The step carries its G rollouts of the task's horizon T as one batch:
   token by the inverse CDF of its prefix's distribution, which is what
   ``Generator.choice(p=dist)`` does with the uniform it draws: same
   tokens, same log-probs, same stream position as G per-token loops. The
-  annotator's and RLSD's context draws use the same inverse CDF, one
-  uniform per rollout, in rollout order.
+  rows missing at a position come from one ``PolicyTable.student_dists``
+  call, one softmax for all of them. Each rollout's acceptance-machine
+  state advances through the task's (T, 4, V) transition table
+  (``SynthTask.transitions``, built on first use), so the outcomes and
+  the root causes are read off the group's (G, T + 1) state array.
+* Annotation splits by precision. At ``annotator_precision == 1`` the
+  annotator's only draw is one context uniform per rollout: the contexts
+  are one ``draw_contexts`` call and the span mask is
+  ``tasks.oracle_span_mask``, key runs on accepted rollouts and the root
+  cause, when critical, on rejected ones. Below 1, whether and where a
+  span is faked depends on draws made span by span, so each rollout goes
+  through ``oracle_annotate`` in turn. Either way the coverage cap keeps
+  each row's lowest ``ceil(alpha T)`` marked positions. The annotator's
+  and RLSD's context draws use the same inverse CDF, one uniform per
+  rollout, in rollout order.
 * ``_step_tensors`` builds the student rows (G, T, V), the log ratios and
   the span mask (G, T), the teacher rows of the KL positions in
   (rollout, position) order, and the ledger's two terms at every span
   position. ``routed_loss_rows`` takes them as they are and returns the
   flat (G T) indices of the positions that carry a logit gradient with
   their gradient rows; the parameter update, the ledger, the entropy
-  column and credit concentration read those arrays.
+  column and the credit ratios read those arrays. The credit ratios of
+  all rollouts are computed over the (G, T) credit array and equal
+  ``metrics.credit_concentration`` row by row.
+* Exact evaluation (``SynthTask.expected_reward``) walks the tree one
+  level at a time, one ``student_dists`` call per level.
 * The policy stays a dict of logit rows built on first visit. A dense
   (n_rows, V) table would hold every prefix the horizon allows (37,449
   rows at V = 8, T = 6, against the ~1.9k a run visits), and the run and
@@ -44,12 +61,12 @@ Each distinct distribution is computed once per step. Teacher rows change
 only at ``sync_teacher`` and student rows only at ``apply_gradients``:
 
 * ``RunState.teacher_cache`` holds, per prefix, the read-only
-  (n_contexts, V) teacher matrix and its context variance and expected
-  squared deviation, the ledger's two terms. An entry lives for one sync
-  generation (``table.sync_count``), and the cache is emptied on every
-  step whose channel is closed, so a teacher read then misses, goes
-  through ``PolicyTable.teacher_logits`` and trips the closed-channel
-  guard.
+  (n_contexts, V) teacher matrix (one softmax over its context rows) and
+  its context variance and expected squared deviation, the ledger's two
+  terms. An entry lives for one sync generation (``table.sync_count``),
+  and the cache is emptied on every step whose channel is closed, so a
+  teacher read then misses, goes through ``PolicyTable.teacher_logits``
+  and trips the closed-channel guard.
 * A step-local ``{prefix: student distribution}`` map is filled while the
   group is sampled and read by the loss inputs and the pre-update lift;
   it is dropped at ``apply_gradients``. Nothing is cached on
@@ -57,6 +74,9 @@ only at ``sync_teacher`` and student rows only at ``apply_gradients``:
 * KL rows where a floor entry pins or a per-vocabulary term clips run
   through the scalar ``truncate_and_floor`` and clipped-KL routines, so
   every gradient equals the per-token reference.
+
+Every batched piece has its per-row or per-rollout reference in
+``tests/oracles.py``, and property tests require equal bytes.
 """
 
 from __future__ import annotations

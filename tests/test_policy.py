@@ -68,7 +68,7 @@ class TestBatchedSoftmax:
             softmax(np.array([[0.0, 1.0], [0.0, np.inf]]))
 
     def test_student_dists_materialize_in_order(self):
-        table = PolicyTable(vocab=5, init_logits=lambda prompt, prefix: np.arange(5.0) * len(prefix))
+        table = PolicyTable(vocab=5, init_logits=lambda _, prefix: np.arange(5.0) * len(prefix))
         prefixes = [(2,), (), (0, 1)]
         got = table.student_dists("p", prefixes)
         assert list(table.rows) == [("p", p) for p in prefixes]

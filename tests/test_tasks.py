@@ -269,7 +269,9 @@ class TestBatchedTaskPaths:
 
     @given(zero_frac=st.sampled_from([0.0, 0.3, 0.6]), **task_shapes)
     @settings(max_examples=200, deadline=None)
-    def test_level_wise_expected_reward_is_the_recursion(self, regime, vocab, horizon, trap, seed, zero_frac):
+    def test_level_wise_expected_reward_is_the_recursion(
+        self, regime, vocab, horizon, trap, seed, zero_frac
+    ):
         task = _random_task(regime, vocab, horizon, 1 + trap % (horizon - 1), seed % 100)
         ref_table, table = (_random_table(vocab, seed, zero_frac) for _ in range(2))
         want = reference_expected_reward(task, ref_table)
@@ -279,9 +281,12 @@ class TestBatchedTaskPaths:
 
     @given(size=st.integers(1, 16), zero_frac=st.sampled_from([0.0, 0.5]), **task_shapes)
     @settings(max_examples=200, deadline=None)
-    def test_automaton_outcomes_and_root_cause(self, regime, vocab, horizon, trap, seed, size, zero_frac):
+    def test_automaton_outcomes_and_root_cause(
+        self, regime, vocab, horizon, trap, seed, size, zero_frac
+    ):
         task = _random_task(regime, vocab, horizon, 1 + trap % (horizon - 1), seed % 100)
-        group = sample_group(_random_table(vocab, seed, zero_frac), task, np.random.default_rng(seed), size)
+        table = _random_table(vocab, seed, zero_frac)
+        group = sample_group(table, task, np.random.default_rng(seed), size)
         for i, seq in enumerate(map(tuple, group.tokens.tolist())):
             assert group.outcomes[i] == group.rollouts[i].outcome == task.verifier(seq)
             state = _START
@@ -293,12 +298,6 @@ class TestBatchedTaskPaths:
             first = int(dead[0]) if dead.size else None
             want = task.root_cause(seq)
             assert want == (first if first in task.critical_positions else None)
-
-    def test_automaton_is_built_on_first_use(self):
-        task = generate_task("mixed", 0)
-        assert "transitions" not in vars(task)
-        task.expected_reward(task.make_table())
-        assert task.transitions.shape == (task.horizon, 4, task.vocab)
 
     @pytest.mark.parametrize("regime", ["under_allocated", "confident_wrong", "mixed"])
     def test_teacher_matrix_is_the_per_context_rows(self, regime):
