@@ -10,7 +10,13 @@ credit concentration is in no CSV):
   T = 6, G = 8) for 24 steps with a KL window that opens and closes, for
   ``routed_both``, ``rlsd_weighted`` and ``routed_fkl_key`` x 2 seeds;
 * ``precision_*``: two ``routed_both`` runs of that shape with annotator
-  precision 0.6, whose annotator draws depend on the data.
+  precision 0.6, whose annotator draws depend on the data;
+* ``lift_*``: ``routed_fkl_key`` at the lift study's config (300 steps,
+  G = 12, lr 1.0) x 2 seeds, where peaked student rows pin the 1e-6 floor
+  on most KL rows;
+* ``clip_*`` and ``nofloor_*``: ``routed_both`` of the deep shape with
+  tau = 1e-3, where per-vocabulary terms clip in both KL directions, and
+  with floor_p_min = 0.
 
 Any change to the numbers a run writes changes a hash.
 
@@ -36,6 +42,7 @@ from dataclasses import replace
 
 from routedkl.routing import RoutingConfig
 from routedkl.runner import METHODS, RunConfig, run_experiment
+from routedkl.studies import LIFT_GROUP, LIFT_LR, LIFT_PARAMS, LIFT_ROUTING, LIFT_STEPS, study_run_config
 from routedkl.tasks import REGIMES, TaskParams, chain_params
 
 HASHES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "hashes.json")
@@ -48,7 +55,7 @@ DEEP_ROUTING = RoutingConfig(w0=2.0, t_start=4, t_decay=10, sync_n=5, tau=10.0, 
 DEEP_METHODS = ("routed_both", "rlsd_weighted", "routed_fkl_key")
 
 
-def _deep(method: str, seed: int, **overrides) -> RunConfig:
+def _deep(method: str, seed: int, routing: RoutingConfig = DEEP_ROUTING, **overrides) -> RunConfig:
     return RunConfig(
         method=method,
         regime="mixed",
@@ -56,7 +63,7 @@ def _deep(method: str, seed: int, **overrides) -> RunConfig:
         steps=24,
         group_size=8,
         learning_rate=0.5,
-        routing=DEEP_ROUTING,
+        routing=routing,
         task_params=TaskParams(vocab=8, horizon=6),
         **overrides,
     )
@@ -86,6 +93,16 @@ def matrix() -> list[tuple[str, RunConfig, bool]]:
     for seed in SEEDS:
         cfg = _deep("routed_both", seed, annotator_precision=0.6)
         runs.append((f"precision_routed_both_mixed_seed{seed}", cfg, True))
+    for seed in SEEDS:
+        cfg = study_run_config(
+            "routed_fkl_key", "under_allocated", seed, LIFT_PARAMS, steps=LIFT_STEPS,
+            learning_rate=LIFT_LR, routing=LIFT_ROUTING, group_size=LIFT_GROUP,
+        )
+        runs.append((f"lift_routed_fkl_key_under_allocated_seed{seed}", cfg, True))
+    cfg = _deep("routed_both", 0, replace(DEEP_ROUTING, tau=1e-3))
+    runs.append(("clip_routed_both_mixed_seed0", cfg, True))
+    cfg = _deep("routed_both", 0, replace(DEEP_ROUTING, floor_p_min=0.0))
+    runs.append(("nofloor_routed_both_mixed_seed0", cfg, True))
     return runs
 
 
