@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, RangeError, UndefinedDivergenceError
-from .policy import validate_distribution
+from .policy import masked_row_sum, validate_distribution
 
 
 def _check_pair(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -46,14 +46,19 @@ class LogRatioStats:
     r_bar: float
 
 
-def log_ratio_stats(student: np.ndarray, teacher: np.ndarray) -> LogRatioStats:
+def _log_ratio(student: np.ndarray, teacher: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The validated student and r = log p - log q, entry by entry."""
     p, q = _check_pair(student, teacher)
     if np.any(q <= 0) or np.any(p <= 0):
         raise UndefinedDivergenceError(
             "log ratios need strictly positive entries; floor both "
             "distributions first"
         )
-    r = np.log(p) - np.log(q)
+    return p, np.log(p) - np.log(q)
+
+
+def log_ratio_stats(student: np.ndarray, teacher: np.ndarray) -> LogRatioStats:
+    p, r = _log_ratio(student, teacher)
     return LogRatioStats(r=r, r_bar=float((p * r).sum()))
 
 
@@ -81,73 +86,60 @@ def mixed_beta_grad(
     )
 
 
-def clip_per_vocab_kl(
-    kl_terms: np.ndarray, tau: float, two_sided: bool = True
-) -> np.ndarray:
-    """Clamp per-vocabulary KL contributions before the position sum.
-
-    Two-sided by default; one-sided clips only the positive tail.
-    """
+def clip_per_vocab_kl(kl_terms: np.ndarray, tau: float) -> np.ndarray:
+    """Clamp per-vocabulary KL contributions to [-tau, tau] before the
+    position sum."""
     if tau <= 0:
         raise RangeError(f"tau={tau} must be positive")
-    terms = np.asarray(kl_terms, dtype=float)
-    if two_sided:
-        return np.clip(terms, -tau, tau)
-    return np.minimum(terms, tau)
+    return np.clip(np.asarray(kl_terms, dtype=float), -tau, tau)
 
 
 def fkl_per_vocab_terms(student: np.ndarray, teacher: np.ndarray) -> np.ndarray:
-    """Entries q_v * log(q_v / p_v); they sum to KL(teacher || student)."""
+    """Entries q_v * log(q_v / p_v), 0 where q_v = 0 (no log of 0 is taken);
+    they sum to KL(teacher || student)."""
     p, q = _check_pair(student, teacher)
-    if np.any(p[q > 0] <= 0):
-        raise UndefinedDivergenceError("student vanishes on teacher support")
-    terms = np.zeros_like(q)
     nz = q > 0
-    terms[nz] = q[nz] * (np.log(q[nz]) - np.log(p[nz]))
-    return terms
+    if np.any(p[nz] <= 0):
+        raise UndefinedDivergenceError("student vanishes on teacher support")
+    if nz.all():
+        return q * (np.log(q) - np.log(p))
+    return np.where(nz, q * (np.log(np.where(nz, q, 1.0)) - np.log(np.where(nz, p, 1.0))), 0.0)
 
 
-def rkl_per_vocab_terms(student: np.ndarray, teacher: np.ndarray) -> np.ndarray:
-    """Entries p_v * log(p_v / q_v); they sum to KL(student || teacher)."""
-    p, q = _check_pair(student, teacher)
-    if np.any(q[p > 0] <= 0):
-        raise UndefinedDivergenceError("teacher vanishes on student support")
-    terms = np.zeros_like(p)
-    nz = p > 0
-    terms[nz] = p[nz] * (np.log(p[nz]) - np.log(q[nz]))
-    return terms
+def _row_values(clipped: np.ndarray) -> float | np.ndarray:
+    """Sum of each row's clipped terms; a float for one row."""
+    values = clipped.sum(axis=-1)
+    return float(values) if values.ndim == 0 else values
 
 
 def fkl_clipped_value_and_grad(
-    student: np.ndarray, teacher: np.ndarray, tau: float, two_sided: bool = True
-) -> tuple[float, np.ndarray]:
-    """Clipped forward-KL value and its exact student-logit gradient.
+    student: np.ndarray, teacher: np.ndarray, tau: float
+) -> tuple[float | np.ndarray, np.ndarray]:
+    """Clipped forward-KL value and its exact student-logit gradient, of one
+    row or of each row of a (N, V) stack.
 
     Per-vocabulary terms are clamped at tau; gradient flows only through
     entries in the unclipped region. With every entry unclipped this
     reduces to p - q.
     """
-    p, q = _check_pair(student, teacher)
-    terms = fkl_per_vocab_terms(p, q)
-    clipped = clip_per_vocab_kl(terms, tau, two_sided)
+    terms = fkl_per_vocab_terms(student, teacher)
+    p, q = np.asarray(student, dtype=float), np.asarray(teacher, dtype=float)
+    clipped = clip_per_vocab_kl(terms, tau)
     live = clipped == terms
-    q_live = float(q[live].sum())
-    grad = p * q_live
-    grad[live] -= q[live]
-    return float(clipped.sum()), grad
+    grad = p * masked_row_sum(q, live)[..., None]
+    return _row_values(clipped), np.where(live, grad - q, grad)
 
 
 def rkl_clipped_value_and_grad(
-    student: np.ndarray, teacher: np.ndarray, tau: float, two_sided: bool = True
-) -> tuple[float, np.ndarray]:
-    """Clipped reverse-KL value and its exact student-logit gradient."""
-    p, q = _check_pair(student, teacher)
-    stats = log_ratio_stats(p, q)
-    terms = p * stats.r
-    clipped = clip_per_vocab_kl(terms, tau, two_sided)
+    student: np.ndarray, teacher: np.ndarray, tau: float
+) -> tuple[float | np.ndarray, np.ndarray]:
+    """Clipped reverse-KL value and its exact student-logit gradient, of one
+    row or of each row of a (N, V) stack."""
+    p, r = _log_ratio(student, teacher)
+    terms = p * r
+    clipped = clip_per_vocab_kl(terms, tau)
     live = clipped == terms
     # d(p_v r_v)/d l_u = p_v (1[u=v] - p_u)(r_v + 1); summed over live v.
-    weighted = float((p[live] * (stats.r[live] + 1.0)).sum())
-    grad = -p * weighted
-    grad[live] += p[live] * (stats.r[live] + 1.0)
-    return float(clipped.sum()), grad
+    w = p * (r + 1.0)
+    pull = -p * masked_row_sum(w, live)[..., None]
+    return _row_values(clipped), np.where(live, pull + w, pull)

@@ -40,35 +40,16 @@ def group_advantages(rewards: np.ndarray) -> np.ndarray:
     return (r - mu) / sigma
 
 
-def grpo_token_loss(
-    log_ratio: float, advantage: float, clip: ClipConfig = ClipConfig()
-) -> tuple[float, float]:
-    """Clipped surrogate for one token.
-
-    Returns (loss, grad_factor) where loss = -min(rho*A, clamp(rho)*A),
-    rho = exp(log_ratio), and grad_factor = d loss / d log pi(y_t). The
-    factor is zero exactly when the clip binds against the improvement
-    direction; multiply it by the score vector (e_y - pi) to get the
-    logit gradient.
-    """
-    if not np.isfinite(log_ratio):
-        raise NonFiniteInputError("log ratio must be finite")
-    rho = float(np.exp(log_ratio))
-    clamped = min(max(rho, 1.0 - clip.eps_low), 1.0 + clip.eps_high)
-    s_free = rho * advantage
-    s_clip = clamped * advantage
-    loss = -min(s_free, s_clip)
-    grad_factor = -s_free if s_free <= s_clip else 0.0
-    return loss, grad_factor
-
-
 def grpo_token_losses(
     log_ratio: np.ndarray, advantage: np.ndarray, clip: ClipConfig = ClipConfig()
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``grpo_token_loss`` over matching token arrays, element for element.
+    """Clipped surrogate of each token of matching token arrays.
 
-    Returns the (loss, grad_factor) arrays; each entry equals the scalar
-    routine's result bit for bit.
+    Returns the (loss, grad_factor) arrays, where loss = -min(rho*A,
+    clamp(rho)*A), rho = exp(log_ratio), and grad_factor = d loss / d log
+    pi(y_t). A factor is zero exactly when the clip binds against the
+    improvement direction; multiply it by the score vector (e_y - pi) to get
+    the logit gradient.
     """
     log_ratio = np.asarray(log_ratio, dtype=float)
     if not np.all(np.isfinite(log_ratio)):
@@ -80,3 +61,11 @@ def grpo_token_losses(
     loss = -np.minimum(s_free, s_clip)
     grad_factor = np.where(s_free <= s_clip, -s_free, 0.0)
     return loss, grad_factor
+
+
+def grpo_token_loss(
+    log_ratio: float, advantage: float, clip: ClipConfig = ClipConfig()
+) -> tuple[float, float]:
+    """``grpo_token_losses`` of one token, as (loss, grad_factor) floats."""
+    loss, factor = grpo_token_losses(np.array([log_ratio]), np.array([advantage]), clip)
+    return float(loss[0]), float(factor[0])

@@ -23,8 +23,6 @@ from .errors import (
 PrefixKey = tuple[int, ...]
 RowKey = tuple[str, PrefixKey]
 
-_SIMPLEX_ATOL = 1e-12
-
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax over the last axis with max-subtraction; exact under shift
@@ -38,10 +36,17 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def validate_distribution(probs: np.ndarray, name: str = "dist") -> np.ndarray:
-    """Check simplex membership and return the array as float64."""
+    """Check simplex membership of a vector, or of each row of a (N, V)
+    stack, and return the array as float64. A stack raises what its first
+    failing row raises on its own."""
     probs = np.asarray(probs, dtype=float)
+    if probs.ndim == 2 and probs.shape[1] >= 2:
+        bad = ~simplex_rows(probs)
+        if bad.any():
+            validate_distribution(probs[bad.argmax()], name)
+        return probs
     if probs.ndim != 1 or probs.size < 2:
-        raise InvalidDistributionError(f"{name}: need a 1-d vector of length >= 2")
+        raise InvalidDistributionError(f"{name}: need a vector or a stack of rows of length >= 2")
     if not np.all(np.isfinite(probs)):
         raise NonFiniteInputError(f"{name}: non-finite entries")
     if np.any(probs < 0):
@@ -51,11 +56,46 @@ def validate_distribution(probs: np.ndarray, name: str = "dist") -> np.ndarray:
     return probs
 
 
-def entropy(dist: np.ndarray) -> float:
-    """Shannon entropy in nats, with the 0*log(0) = 0 convention."""
+def simplex_rows(rows: np.ndarray) -> np.ndarray:
+    """Mask of the rows of a (N, V) stack that ``validate_distribution``
+    accepts one by one."""
+    if not rows.min(initial=np.inf) >= 0:  # a NaN, -inf or negative entry
+        ok = np.isfinite(rows).all(axis=1) & (rows >= 0).all(axis=1)
+        rows = np.where(ok[:, None], rows, 0.0)
+        return ok & (np.abs(rows.sum(axis=1) - 1.0) <= 1e-9)
+    return np.abs(rows.sum(axis=1) - 1.0) <= 1e-9
+
+
+def masked_row_sum(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Sum over the last axis of the entries of ``values`` where ``mask``
+    holds, each equal to the 1-d ``values[mask].sum()`` of its row.
+
+    Each row's entries are packed in order and rows of one count are summed
+    as one (R, count) array, which sums each row as the 1-d sum does.
+    """
+    if mask.all():
+        return values.sum(axis=-1)
+    shape = values.shape[:-1]
+    values, mask = values.reshape(-1, values.shape[-1]), mask.reshape(-1, mask.shape[-1])
+    counts = mask.sum(axis=1)
+    packed = np.take_along_axis(values, np.argsort(~mask, axis=1, kind="stable"), axis=1)
+    sums = np.empty(len(values))
+    for count in np.unique(counts).tolist():
+        rows = counts == count
+        sums[rows] = packed[rows, :count].sum(axis=1)
+    return sums.reshape(shape)
+
+
+def entropy(dist: np.ndarray) -> float | np.ndarray:
+    """Shannon entropy in nats of a distribution, or of each row of a stack,
+    with the 0*log(0) = 0 convention: a row sums over its nonzero entries."""
     p = validate_distribution(dist, "entropy input")
-    nz = p[p > 0]
-    return float(-(nz * np.log(nz)).sum())
+    nz = p > 0
+    if nz.all():
+        ent = -(p * np.log(p)).sum(axis=-1)
+    else:
+        ent = -masked_row_sum(p * np.log(np.where(nz, p, 1.0)), nz)
+    return float(ent) if p.ndim == 1 else ent
 
 
 def check_floor(n: int, top_k: int, p_min: float) -> None:
@@ -70,43 +110,60 @@ def check_floor(n: int, top_k: int, p_min: float) -> None:
         )
 
 
-def truncate_and_floor(dist: np.ndarray, top_k: int, p_min: float) -> np.ndarray:
-    """Restrict to the top_k largest entries, then floor and renormalize.
+def floor_fixed_point(q: np.ndarray, p_min: float) -> np.ndarray:
+    """Floor a distribution on the simplex, or each row of a stack, at p_min
+    and renormalize, to the fixed point: the smallest entries pin at
+    exactly p_min and the rest rescale. The pinned count is found directly,
+    not by iterating, which near p_min * V = 1 would converge too slowly. A
+    row that pins nothing takes one sorted sum; a row that pins takes the
+    suffix sums of its stable ascending order, each summed as on its own.
+    """
+    rows = np.atleast_2d(q)
+    vocab = rows.shape[1]
+    check_floor(vocab, vocab, p_min)
+    if p_min == 0.0:
+        return q
+    vals = np.sort(rows, axis=1)
+    scale = 1.0 / vals.sum(axis=1)
+    out = rows * scale[:, None]
+    pinned = np.flatnonzero(vals[:, 0] * scale < p_min)
+    if pinned.size:
+        order = np.argsort(rows[pinned], axis=1, kind="stable")
+        vals = np.take_along_axis(rows[pinned], order, axis=1)
+        floored = np.empty_like(vals)
+        todo = np.arange(len(pinned))
+        for n_pinned in range(1, vocab):
+            scale = (1.0 - p_min * n_pinned) / vals[todo, n_pinned:].sum(axis=1)
+            fits = vals[todo, n_pinned] * scale >= p_min
+            done = todo[fits]
+            floored[done, :n_pinned] = p_min
+            floored[done, n_pinned:] = vals[done, n_pinned:] * scale[fits, None]
+            todo = todo[~fits]
+            if not todo.size:
+                break
+        else:
+            raise InfeasibleFloorError("floor fixed point infeasible")  # pragma: no cover
+        out[pinned[:, None], order] = floored
+    return out.reshape(np.shape(q))
 
-    Renormalizing can push a previously floored entry back under p_min, so
-    the floor-renormalize pass is taken to its fixed point: the smallest
-    supported entries pin at exactly p_min and the remainder rescale. The
-    pinned set is found directly rather than by iterating, which near
-    p_min * top_k = 1 would converge too slowly. Feasible whenever
-    p_min * top_k < 1.
+
+def truncate_and_floor(dist: np.ndarray, top_k: int, p_min: float) -> np.ndarray:
+    """Restrict to the top_k largest entries, renormalize, then floor at
+    p_min to the fixed point (``floor_fixed_point``) over that support.
+    Feasible whenever p_min * top_k < 1.
     """
     p = validate_distribution(dist, "truncate_and_floor input")
+    if p.ndim != 1:
+        raise InvalidDistributionError("truncate_and_floor takes one distribution")
     n = p.size
     check_floor(n, top_k, p_min)
     # Top-k support, ties broken toward lower index for determinism.
-    order = np.argsort(-p, kind="stable")
-    support = np.sort(order[:top_k])
+    support = np.sort(np.argsort(-p, kind="stable")[:top_k])
     q = np.zeros(n)
     q[support] = p[support]
-    total = q.sum()
-    if total <= 0:
-        # Degenerate truncation (all selected mass zero): fall back to
-        # uniform over the support before flooring.
-        q[support] = 1.0 / top_k
-    else:
-        q /= total
-    if p_min == 0.0:
-        return q
-    ascending = support[np.argsort(q[support], kind="stable")]
-    vals = q[ascending]
-    for n_pinned in range(top_k):
-        rest = vals[n_pinned:].sum()
-        scale = (1.0 - p_min * n_pinned) / rest
-        if vals[n_pinned] * scale >= p_min:
-            q[ascending[:n_pinned]] = p_min
-            q[ascending[n_pinned:]] = vals[n_pinned:] * scale
-            return q
-    raise InfeasibleFloorError("floor fixed point infeasible")  # pragma: no cover
+    q /= q.sum()  # positive: the support holds the largest entry
+    q[support] = floor_fixed_point(q[support], p_min)
+    return q
 
 
 @dataclass

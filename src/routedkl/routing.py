@@ -27,7 +27,7 @@ from .errors import (
     require_finite_fields,
 )
 from .grpo import ClipConfig, grpo_token_losses
-from .policy import check_floor, truncate_and_floor
+from .policy import floor_fixed_point, simplex_rows, truncate_and_floor
 
 
 @dataclass(frozen=True)
@@ -189,68 +189,45 @@ def _running_sum(values: np.ndarray) -> float:
     return float(np.cumsum(values)[-1]) + 0.0 if values.size else 0.0
 
 
-def _simplex_rows(rows: np.ndarray) -> np.ndarray:
-    """Mask of the rows ``validate_distribution`` accepts."""
-    ok = np.isfinite(rows).all(axis=1)
-    ok[ok] = (rows[ok] >= 0).all(axis=1) & (np.abs(rows[ok].sum(axis=1) - 1.0) <= 1e-9)
-    return ok
-
-
-def _floor_rows(rows: np.ndarray, p_min: float) -> tuple[np.ndarray, np.ndarray]:
-    """``truncate_and_floor`` at full support over valid rows.
-
-    Returns the floored rows and the mask of rows whose fixed point pins
-    no entry; the other rows are not the reference's output.
-    """
-    q = rows / rows.sum(axis=1, keepdims=True)
-    if p_min == 0.0:
-        return q, np.ones(len(q), dtype=bool)
-    scale = 1.0 / np.sort(q, axis=1).sum(axis=1)
-    return q * scale[:, None], q.min(axis=1) * scale >= p_min
-
-
 def _floored_kl_rows(
     student: np.ndarray, teacher: np.ndarray, reverse: np.ndarray, cfg: RoutingConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Floored, clipped KL value and student-logit gradient of each row.
 
-    ``reverse`` marks the reverse-KL (error-span) rows. The floor keeps
-    the full vocabulary and the clip is two-sided. Array arithmetic covers
-    the rows where it reproduces the per-row reference bit for bit: no
-    pinned floor entry and no clipped per-vocabulary term. Every other
-    row, including any that fails validation, goes through
-    ``truncate_and_floor`` and the scalar clipped-KL routines, which raise
-    the reference's errors.
+    ``reverse`` marks the reverse-KL (error-span) rows. Both rows are
+    floored over the full vocabulary in one ``floor_fixed_point`` stack,
+    and each direction's rows go through its clipped KL as one stack. The
+    per-row reference is ``truncate_and_floor`` on both rows followed by
+    the clipped KL; if it rejects a row, the first such row is run through
+    it and raises its error.
     """
     m, vocab = student.shape
-    values = np.empty(m)
-    grads = np.empty((m, vocab))
     if m == 0:
-        return values, grads
-    check_floor(vocab, vocab, cfg.floor_p_min)
-    done = np.zeros(m, dtype=bool)
-    if vocab >= 2:
-        idx = np.flatnonzero(_simplex_rows(student) & _simplex_rows(teacher))
-        p, p_free = _floor_rows(student[idx], cfg.floor_p_min)
-        q, q_free = _floor_rows(teacher[idx], cfg.floor_p_min)
-        keep = p_free & q_free & (p > 0).all(axis=1) & (q > 0).all(axis=1)
-        idx, p, q = idx[keep], p[keep], q[keep]
-        rev = reverse[idx][:, None]
-        log_p, log_q = np.log(p), np.log(q)
-        terms = np.where(rev, p * (log_p - log_q), q * (log_q - log_p))
-        live = ((terms >= -cfg.tau) & (terms <= cfg.tau)).all(axis=1)
-        # d(p_v r_v)/d l = p_v (e_v - p)(r_v + 1) for reverse KL; p - q forward.
-        w = p * ((log_p - log_q) + 1.0)
-        grad = np.where(rev, -p * w.sum(axis=1)[:, None] + w, p * q.sum(axis=1)[:, None] - q)
-        idx = idx[live]
-        values[idx] = terms[live].sum(axis=1)
-        grads[idx] = grad[live]
-        done[idx] = True
-    for j in np.flatnonzero(~done):
-        p_f = truncate_and_floor(student[j], vocab, cfg.floor_p_min)
-        q_f = truncate_and_floor(teacher[j], vocab, cfg.floor_p_min)
+        return np.empty(0), np.empty((0, vocab))
+    p_min = cfg.floor_p_min
+    both = np.concatenate((student, teacher))
+    ok = simplex_rows(both)
+    ok = ok[:m] & ok[m:]
+    if vocab >= 2 and p_min * vocab < 1.0:
+        if not ok.all():
+            both = both[np.concatenate((ok, ok))]
+        floored = floor_fixed_point(both / both.sum(axis=1, keepdims=True), p_min)
+        p, q = floored[: len(floored) // 2], floored[len(floored) // 2 :]
+        if p_min == 0.0:  # zero entries survive; the KL may be undefined
+            fkl_ok = ~((p <= 0) & (q > 0)).any(axis=1)
+            rkl_ok = (p > 0).all(axis=1) & (q > 0).all(axis=1)
+            ok[ok] = np.where(reverse[ok], rkl_ok, fkl_ok)
+    else:
+        ok[:] = False
+    if not ok.all():
+        j = int(np.argmin(ok))
         kl = rkl_clipped_value_and_grad if reverse[j] else fkl_clipped_value_and_grad
-        values[j], grads[j] = kl(p_f, q_f, cfg.tau)
+        kl(*(truncate_and_floor(row[j], vocab, p_min) for row in (student, teacher)), cfg.tau)
+        raise InternalConsistencyError(f"KL row {j} was rejected only as part of the stack")
+    values, grads = np.empty(m), np.empty((m, vocab))
+    for sel, kl in ((~reverse, fkl_clipped_value_and_grad), (reverse, rkl_clipped_value_and_grad)):
+        if sel.any():
+            values[sel], grads[sel] = kl(p[sel], q[sel], cfg.tau)
     return values, grads
 
 
@@ -285,10 +262,8 @@ def routed_loss_rows(
     Returns the report, the flat indices into G*T of the positions that
     carry a logit gradient, ascending, and their (K, V) gradient rows.
     Sums taken in (rollout, position) order, and every gradient row, equal
-    a per-token loop over the scalar reference routines
-    (``grpo_token_loss``, ``truncate_and_floor`` and the clipped KLs) bit
-    for bit. KL rows the array form cannot reproduce exactly run through
-    those routines.
+    a per-token loop over the one-row routines (``grpo_token_loss``,
+    ``truncate_and_floor`` and the clipped KLs) bit for bit.
     """
     rho_k = rho(lam, cfg.w0)
     student = np.asarray(student, dtype=float)

@@ -71,12 +71,13 @@ only at ``sync_teacher`` and student rows only at ``apply_gradients``:
   group is sampled and read by the loss inputs and the pre-update lift;
   it is dropped at ``apply_gradients``. Nothing is cached on
   ``PolicyTable``, whose rows are mutated in place.
-* KL rows where a floor entry pins or a per-vocabulary term clips run
-  through the scalar ``truncate_and_floor`` and clipped-KL routines, so
-  every gradient equals the per-token reference.
 
 Every batched piece has its per-row or per-rollout reference in
 ``tests/oracles.py``, and property tests require equal bytes.
+
+A non-finite loss, lift or logged value raises ``NumericFailureError``
+after writing the abort snapshot ``{stem}_abort_diagnostics.json`` to
+``out_dir``, one per run stem.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ from .errors import (
 )
 from .grpo import ClipConfig, group_advantages
 from .metrics import LiftSample, delta_lift
-from .policy import PolicyTable, entropy
+from .policy import PolicyTable, entropy, masked_row_sum
 from .privileged import (
     ExposureLedger,
     context_variance,
@@ -521,27 +522,13 @@ def _update_ledger(state: RunState, step: _StepTensors, lam: float) -> None:
     )
 
 
-def _region_means(credit: np.ndarray, region: np.ndarray) -> np.ndarray:
-    """Row means of ``credit`` over ``region``, each with at least one entry.
-
-    A row's entries are packed in order and rows of one count are summed as
-    one (R, count) array, which sums each row as the 1-d ``mean`` does.
-    """
-    counts = region.sum(axis=1)
-    packed = np.take_along_axis(credit, np.argsort(~region, axis=1, kind="stable"), axis=1)
-    sums = np.empty(len(credit))
-    for count in np.unique(counts).tolist():
-        rows = counts == count
-        sums[rows] = packed[rows, :count].sum(axis=1)
-    return sums / counts
-
-
 def _credit_ratios(credit: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """``metrics.credit_concentration`` of every (G, T) row it is defined
     for (both regions present, nonzero outside mean), in row order."""
     mixed = mask.any(axis=1) & ~mask.all(axis=1)
     credit, mask = credit[mixed], mask[mixed]
-    inside, outside = _region_means(credit, mask), _region_means(credit, ~mask)
+    inside = masked_row_sum(credit, mask) / mask.sum(axis=1)
+    outside = masked_row_sum(credit, ~mask) / (~mask).sum(axis=1)
     kept = outside != 0.0
     return inside[kept] / outside[kept]
 
@@ -563,18 +550,6 @@ def _track_credit_concentration(
         state.credit_ratios.append(float(np.mean(ratios)))
 
 
-def _mean_entropy(rows: np.ndarray) -> float:
-    """Mean Shannon entropy over the student rows of the step's tokens.
-
-    Rows with a zero entry take the scalar ``entropy`` (0 log 0 = 0).
-    """
-    positive = (rows > 0).all(axis=1)
-    ent = np.empty(len(rows))
-    ent[positive] = -(rows[positive] * np.log(rows[positive])).sum(axis=1)
-    ent[~positive] = [entropy(p) for p in rows[~positive]]
-    return float(np.mean(ent))
-
-
 def _dump_diagnostics(state: RunState, rewards: np.ndarray, total: float) -> None:
     """Write an abort snapshot next to the run output when possible."""
     if state.cfg.out_dir is None:
@@ -591,7 +566,7 @@ def _dump_diagnostics(state: RunState, rewards: np.ndarray, total: float) -> Non
             for (prompt, prefix), row in state.table.rows.items()
         },
     }
-    path = os.path.join(state.cfg.out_dir, "abort_diagnostics.json")
+    path = os.path.join(state.cfg.out_dir, f"{output_stem(state.cfg)}_abort_diagnostics.json")
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
 
@@ -662,7 +637,7 @@ def train_step(state: RunState) -> dict:
         "step": k,
         "train_reward": float(rewards.mean()),
         "validation_reward": float(task.expected_reward(table)),
-        "entropy": _mean_entropy(step.student.reshape(-1, task.vocab)),
+        "entropy": float(np.mean(entropy(step.student.reshape(-1, task.vocab)))),
         "lambda": lam,
         "rho": report.rho,
         "exposure": state.ledger.exposure,
@@ -683,7 +658,13 @@ def output_stem(cfg: RunConfig) -> str:
 
 
 def _refuse_overwrite(cfg: RunConfig) -> None:
-    """Raise ConfigError if out_dir holds another config's run under this stem."""
+    """Raise ConfigError if out_dir is not a directory and cannot become
+    one, or if it holds another config's run under this stem."""
+    found = os.path.abspath(cfg.out_dir)
+    while not os.path.exists(found):
+        found = os.path.dirname(found)
+    if not os.path.isdir(found):
+        raise ConfigError(f"out_dir {cfg.out_dir!r}: {found!r} is not a directory")
     path = os.path.join(cfg.out_dir, f"{output_stem(cfg)}_summary.json")
     if not os.path.exists(path):
         return

@@ -6,8 +6,12 @@ it validates, except the per-row and per-rollout loops that the batched
 library code must reproduce bit for bit, each kept from before its path
 was batched:
 
-* ``reference_routed_loss_rows``: the per-token loop over the scalar
-  routines behind the array-form routed loss;
+* ``reference_routed_loss_rows``: the per-token loop behind the
+  array-form routed loss, over the one-row routines below;
+* ``reference_truncate_and_floor``, ``reference_fkl_clipped_value_and_grad``,
+  ``reference_rkl_clipped_value_and_grad``, ``reference_entropy`` and
+  ``reference_grpo_token_loss``: the one-row floor, clipped KLs, entropy
+  and GRPO surrogate behind the routines that take a stack;
 * ``reference_sample_sequence``: the per-token ``Generator.choice`` loop
   behind group sampling, draw for draw;
 * ``reference_softmax``: the one-row softmax behind the stacked one;
@@ -22,11 +26,17 @@ import math
 
 import numpy as np
 
-from routedkl.divergence import fkl_clipped_value_and_grad, rkl_clipped_value_and_grad
-from routedkl.errors import DimensionError, InternalConsistencyError
-from routedkl.grpo import ClipConfig, grpo_token_loss
+from routedkl.errors import (
+    DimensionError,
+    InfeasibleFloorError,
+    InternalConsistencyError,
+    NonFiniteInputError,
+    RangeError,
+    UndefinedDivergenceError,
+)
+from routedkl.grpo import ClipConfig
 from routedkl.metrics import credit_concentration
-from routedkl.policy import truncate_and_floor
+from routedkl.policy import check_floor, validate_distribution
 from routedkl.routing import (
     RoutedLossReport,
     RoutingConfig,
@@ -133,6 +143,111 @@ def fd_reward_gradient(task, table, key, h=1e-6):
     return grad
 
 
+def reference_truncate_and_floor(dist, top_k, p_min):
+    """Top-k truncation and the floor fixed point of one distribution, as
+    ``policy.truncate_and_floor`` was before the floor took stacks."""
+    p = validate_distribution(dist, "truncate_and_floor input")
+    n = p.size
+    check_floor(n, top_k, p_min)
+    # Top-k support, ties broken toward lower index for determinism.
+    order = np.argsort(-p, kind="stable")
+    support = np.sort(order[:top_k])
+    q = np.zeros(n)
+    q[support] = p[support]
+    total = q.sum()
+    if total <= 0:
+        # Degenerate truncation (all selected mass zero): fall back to
+        # uniform over the support before flooring.
+        q[support] = 1.0 / top_k
+    else:
+        q /= total
+    if p_min == 0.0:
+        return q
+    ascending = support[np.argsort(q[support], kind="stable")]
+    vals = q[ascending]
+    for n_pinned in range(top_k):
+        rest = vals[n_pinned:].sum()
+        scale = (1.0 - p_min * n_pinned) / rest
+        if vals[n_pinned] * scale >= p_min:
+            q[ascending[:n_pinned]] = p_min
+            q[ascending[n_pinned:]] = vals[n_pinned:] * scale
+            return q
+    raise InfeasibleFloorError("floor fixed point infeasible")  # pragma: no cover
+
+
+def _reference_pair(p, q):
+    p = validate_distribution(p, "p")
+    q = validate_distribution(q, "q")
+    if p.shape != q.shape:
+        raise DimensionError(f"vocabulary sizes differ: {p.size} vs {q.size}")
+    return p, q
+
+
+def _reference_clip(terms, tau):
+    if tau <= 0:
+        raise RangeError(f"tau={tau} must be positive")
+    return np.clip(np.asarray(terms, dtype=float), -tau, tau)
+
+
+def reference_fkl_clipped_value_and_grad(student, teacher, tau):
+    """Clipped forward KL of one row and its student-logit gradient, as
+    ``divergence.fkl_clipped_value_and_grad`` was before it took stacks
+    (its per-vocabulary terms inlined)."""
+    p, q = _reference_pair(student, teacher)
+    if np.any(p[q > 0] <= 0):
+        raise UndefinedDivergenceError("student vanishes on teacher support")
+    terms = np.zeros_like(q)
+    nz = q > 0
+    terms[nz] = q[nz] * (np.log(q[nz]) - np.log(p[nz]))
+    clipped = _reference_clip(terms, tau)
+    live = clipped == terms
+    q_live = float(q[live].sum())
+    grad = p * q_live
+    grad[live] -= q[live]
+    return float(clipped.sum()), grad
+
+
+def reference_rkl_clipped_value_and_grad(student, teacher, tau):
+    """Clipped reverse KL of one row and its student-logit gradient, as
+    ``divergence.rkl_clipped_value_and_grad`` was before it took stacks
+    (its log ratios inlined)."""
+    p, q = _reference_pair(student, teacher)
+    if np.any(q <= 0) or np.any(p <= 0):
+        raise UndefinedDivergenceError("log ratios need strictly positive entries")
+    r = np.log(p) - np.log(q)
+    terms = p * r
+    clipped = _reference_clip(terms, tau)
+    live = clipped == terms
+    # d(p_v r_v)/d l_u = p_v (1[u=v] - p_u)(r_v + 1); summed over live v.
+    weighted = float((p[live] * (r[live] + 1.0)).sum())
+    grad = -p * weighted
+    grad[live] += p[live] * (r[live] + 1.0)
+    return float(clipped.sum()), grad
+
+
+def reference_entropy(dist):
+    """Shannon entropy of one distribution with 0 log 0 = 0, as
+    ``policy.entropy`` was before it took stacks."""
+    p = validate_distribution(dist, "entropy input")
+    nz = p[p > 0]
+    return float(-(nz * np.log(nz)).sum())
+
+
+def reference_grpo_token_loss(log_ratio, advantage, clip=ClipConfig()):
+    """Clipped surrogate (loss, grad_factor) of one token in Python floats,
+    as ``grpo.grpo_token_loss`` was before it became the one-element case
+    of ``grpo_token_losses``."""
+    if not np.isfinite(log_ratio):
+        raise NonFiniteInputError("log ratio must be finite")
+    rho = float(np.exp(log_ratio))
+    clamped = min(max(rho, 1.0 - clip.eps_low), 1.0 + clip.eps_high)
+    s_free = rho * advantage
+    s_clip = clamped * advantage
+    loss = -min(s_free, s_clip)
+    grad_factor = -s_free if s_free <= s_clip else 0.0
+    return loss, grad_factor
+
+
 def reference_routed_loss_rows(
     student: np.ndarray,
     log_ratio: np.ndarray,
@@ -148,9 +263,10 @@ def reference_routed_loss_rows(
 ) -> tuple[RoutedLossReport, dict]:
     """Per-token reference for ``routing.routed_loss_rows``, on its inputs.
 
-    The loss as one Python loop over tokens calling the scalar routines,
-    kept from before the loss became array arithmetic; the floor keeps the
-    full vocabulary and the clip is two-sided, as in ``RoutingConfig``.
+    The loss as one Python loop over tokens calling the one-row reference
+    routines, kept from before the loss became array arithmetic; the floor
+    keeps the full vocabulary and the clip is two-sided, as in
+    ``RoutingConfig``.
     Teacher rows are consumed in order, one per span position of a
     rollout whose branch is active. Returns the report and the logit
     gradients keyed by (rollout, position).
@@ -197,7 +313,7 @@ def reference_routed_loss_rows(
             span_t = bool(in_span[i, t])
             # GRPO term, rho-scaled on span tokens while the channel is open.
             tok_adv = adv if adv_scale is None else adv * float(adv_scale[i, t])
-            loss_t, factor = grpo_token_loss(float(log_ratio[i, t]), tok_adv, clip)
+            loss_t, factor = reference_grpo_token_loss(float(log_ratio[i, t]), tok_adv, clip)
             weight = (rho_k if span_t else 1.0) * inv_len / g
             if span_t:
                 grpo_span += loss_t * inv_len / g
@@ -214,13 +330,13 @@ def reference_routed_loss_rows(
                 q_t = next(teacher_rows, None)
                 if q_t is None:
                     raise DimensionError(f"teacher rows run out at position {(i, t)}")
-                p_f = truncate_and_floor(p_t, vocab, cfg.floor_p_min)
-                q_f = truncate_and_floor(q_t, vocab, cfg.floor_p_min)
+                p_f = reference_truncate_and_floor(p_t, vocab, cfg.floor_p_min)
+                q_f = reference_truncate_and_floor(q_t, vocab, cfg.floor_p_min)
                 if is_error:
-                    value, kl_grad = rkl_clipped_value_and_grad(p_f, q_f, cfg.tau)
+                    value, kl_grad = reference_rkl_clipped_value_and_grad(p_f, q_f, cfg.tau)
                     err_sum += value
                 else:
-                    value, kl_grad = fkl_clipped_value_and_grad(p_f, q_f, cfg.tau)
+                    value, kl_grad = reference_fkl_clipped_value_and_grad(p_f, q_f, cfg.tau)
                     key_sum += value
                 kl_term = kl_grad * (lam * inv_len / g)
                 token_grad = kl_term if token_grad is None else token_grad + kl_term

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from routedkl import cli
+from routedkl import cli, runner
 from routedkl.grpo import ClipConfig
 from routedkl.routing import RoutingConfig
 from routedkl.runner import METHODS, RunConfig
@@ -267,8 +267,32 @@ class TestBadInputsNameTheKey:
         # leaves an abort snapshot.
         assert _run(tmp_path, _edit(SMALL, "run", "learning_rate", "1e9")) == 3
         assert "non-finite delta_lift" in capsys.readouterr().err
-        assert (tmp_path / "out" / "abort_diagnostics.json").exists()
+        assert (tmp_path / "out" / "routed_both_mixed_seed1_abort_diagnostics.json").exists()
         assert not list((tmp_path / "out").glob("*.csv"))
+
+    def test_abort_snapshots_of_two_runs_are_both_kept(self, tmp_path):
+        text = _edit(SMALL, "run", "learning_rate", "1e9")
+        assert _run(tmp_path, text) == 3
+        assert _run(tmp_path, _edit(text, "run", "method", "grpo_only")) == 3
+        snapshots = sorted(p.name for p in (tmp_path / "out").glob("*abort_diagnostics.json"))
+        assert snapshots == [
+            "grpo_only_mixed_seed1_abort_diagnostics.json",
+            "routed_both_mixed_seed1_abort_diagnostics.json",
+        ]
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_out_naming_a_file_is_refused_before_any_step(self, tmp_path, capsys, monkeypatch, command):
+        # Refused as a config error naming out_dir, before the run starts.
+        monkeypatch.setattr(runner, "init_run", lambda *a: pytest.fail("the run started"))
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(SMALL)
+        taken = tmp_path / "taken.txt"
+        taken.write_text("not a directory\n")
+        for out in (taken, taken / "sub"):
+            assert cli.main([command, str(cfg_path), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert "out_dir" in err and str(out) in err
+        assert taken.read_text() == "not a directory\n"
 
 
 # ----- fuzz ---------------------------------------------------------------

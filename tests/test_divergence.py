@@ -12,12 +12,16 @@ from routedkl.divergence import (
     mixed_beta_grad,
     rkl_clipped_value_and_grad,
     rkl_logit_grad,
-    rkl_per_vocab_terms,
 )
-from routedkl.errors import DimensionError, RangeError, UndefinedDivergenceError
+from routedkl.errors import DimensionError, RangeError, RoutedKlError, UndefinedDivergenceError
 from routedkl.policy import softmax
 
-from oracles import fd_kl_logit_grad
+from oracles import (
+    fd_kl_logit_grad,
+    reference_fkl_clipped_value_and_grad,
+    reference_rkl_clipped_value_and_grad,
+    reference_truncate_and_floor,
+)
 
 STUDENT = np.array([0.9, 0.1])
 TEACHER = np.array([0.5, 0.5])
@@ -190,20 +194,13 @@ class TestClipping:
             clip_per_vocab_kl(np.array([0.30, -0.30]), 0.05), [0.05, -0.05], atol=1e-15
         )
 
-    def test_one_sided(self):
-        np.testing.assert_allclose(
-            clip_per_vocab_kl(np.array([0.30, -0.30]), 0.05, two_sided=False),
-            [0.05, -0.30],
-            atol=1e-15,
-        )
-
     def test_clipped_values_sum_matches_terms(self):
         rng = np.random.default_rng(4)
         p, q = random_pair(rng, 8)
         val, _ = fkl_clipped_value_and_grad(p, q, tau=0.05)
         assert val == pytest.approx(clip_per_vocab_kl(fkl_per_vocab_terms(p, q), 0.05).sum(), abs=1e-12)
         val, _ = rkl_clipped_value_and_grad(p, q, tau=0.05)
-        assert val == pytest.approx(clip_per_vocab_kl(rkl_per_vocab_terms(p, q), 0.05).sum(), abs=1e-12)
+        assert val == pytest.approx(clip_per_vocab_kl(p * np.log(p / q), 0.05).sum(), abs=1e-12)
 
     def test_unclipped_gradients_reduce_to_identities(self):
         rng = np.random.default_rng(5)
@@ -235,3 +232,79 @@ class TestClipping:
             down[v] -= h
             fd[v] = (clipped_total(up) - clipped_total(down)) / (2 * h)
         np.testing.assert_allclose(grad, fd, atol=1e-5)
+
+
+@st.composite
+def floored_pairs(draw):
+    """(N, V) student and teacher rows floored by the reference, a tau from
+    1e-3 to 10 and the floor used; at p_min = 0 some entries are exact
+    zeros, and a teacher near the student makes single terms clip on
+    either side."""
+    vocab = draw(st.integers(2, 20))
+    n_rows = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p_min = draw(st.sampled_from([0.0, 1e-6, 1e-3]))
+    student = rng.dirichlet(np.full(vocab, draw(st.sampled_from([0.1, 1.0, 5.0]))), size=n_rows)
+    if draw(st.booleans()):
+        teacher = student * np.exp(rng.normal(0.0, 0.3, student.shape)) + 1e-3
+    else:
+        teacher = rng.dirichlet(np.ones(vocab), size=n_rows)
+    if p_min == 0.0:
+        for rows in (student, teacher):
+            rows[rng.random(rows.shape) < draw(st.sampled_from([0.0, 0.1, 0.3]))] = 0.0
+            rows[np.arange(n_rows), rng.integers(0, vocab, n_rows)] += 0.1
+    student /= student.sum(axis=1, keepdims=True)
+    teacher /= teacher.sum(axis=1, keepdims=True)
+    floor = [[reference_truncate_and_floor(row, vocab, p_min) for row in rows] for rows in (student, teacher)]
+    tau = 10.0 ** draw(st.floats(-3.0, 1.0))
+    return np.array(floor[0]), np.array(floor[1]), tau
+
+
+def _result_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except RoutedKlError as exc:
+        return type(exc)
+
+
+class TestClippedKlMatchesReference:
+    """Stacked and one-row clipped KL against the moved one-row reference,
+    byte for byte, in both directions."""
+
+    PAIRS = (
+        (fkl_clipped_value_and_grad, reference_fkl_clipped_value_and_grad),
+        (rkl_clipped_value_and_grad, reference_rkl_clipped_value_and_grad),
+    )
+
+    @given(floored_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_rows_equal_the_reference(self, pair):
+        student, teacher, tau = pair
+        for kl_fn, reference in self.PAIRS:
+            want = [_result_or_error(reference, p, q, tau) for p, q in zip(student, teacher)]
+            errors = [w for w in want if isinstance(w, type)]
+            if errors:
+                with pytest.raises(errors[0]):
+                    kl_fn(student, teacher, tau)
+            else:
+                values, grads = kl_fn(student, teacher, tau)
+                for (value, grad), got_value, got_grad in zip(want, values, grads):
+                    assert got_value.tobytes() == np.float64(value).tobytes()
+                    assert got_grad.tobytes() == grad.tobytes()
+            for p, q, w in zip(student, teacher, want):
+                got = _result_or_error(kl_fn, p, q, tau)
+                if isinstance(w, type):
+                    assert got is w
+                else:
+                    assert type(got[0]) is float
+                    assert np.float64(got[0]).tobytes() == np.float64(w[0]).tobytes()
+                    assert got[1].tobytes() == w[1].tobytes()
+
+    def test_zero_entries_take_no_log_of_zero(self):
+        # Zero teacher entries leave forward KL defined; reverse KL is not.
+        p = np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]])
+        q = np.array([[0.4, 0.6, 0.0], [0.3, 0.3, 0.4]])
+        values, _ = fkl_clipped_value_and_grad(p, q, 10.0)
+        assert np.isfinite(values).all()
+        with pytest.raises(UndefinedDivergenceError):
+            rkl_clipped_value_and_grad(p, q, 10.0)

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from routedkl.errors import RangeError
-from routedkl.grpo import ClipConfig, group_advantages, grpo_token_loss
+from routedkl.errors import NonFiniteInputError, RangeError
+from routedkl.grpo import ClipConfig, group_advantages, grpo_token_loss, grpo_token_losses
+
+from oracles import reference_grpo_token_loss
 
 
 class TestGroupAdvantages:
@@ -85,6 +87,40 @@ class TestGrpoTokenLoss:
             expected = -min(rho * adv, clamped * adv)
             loss, _ = grpo_token_loss(lr_, adv, clip)
             assert loss == pytest.approx(expected, abs=1e-12)
+
+    @given(
+        # exp overflows past 709.78 in both, with a RuntimeWarning.
+        log_ratio=st.one_of(st.just(0.0), st.floats(-800.0, 700.0)),
+        advantage=st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-5.0, 5.0)),
+        eps=st.sampled_from([(0.2, 0.28), (0.1, 0.1), (0.05, 0.5)]),
+    )
+    @settings(max_examples=500)
+    def test_one_token_equals_the_reference(self, log_ratio, advantage, eps):
+        clip = ClipConfig(*eps)
+        want = reference_grpo_token_loss(log_ratio, advantage, clip)
+        got = grpo_token_loss(log_ratio, advantage, clip)
+        assert all(type(x) is float for x in got)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        loss, factor = grpo_token_losses(np.array([log_ratio]), np.array([advantage]), clip)
+        assert np.array([loss[0], factor[0]]).tobytes() == np.array(want).tobytes()
+
+    @given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200)
+    def test_token_arrays_equal_the_reference_element_for_element(self, n, seed):
+        rng = np.random.default_rng(seed)
+        log_ratio = np.where(rng.random(n) < 0.3, 0.0, rng.normal(0.0, 0.5, n))
+        advantage = np.where(rng.random(n) < 0.2, 0.0, rng.normal(0.0, 1.0, n))
+        loss, factor = grpo_token_losses(log_ratio, advantage)
+        for i in range(n):
+            want = reference_grpo_token_loss(float(log_ratio[i]), float(advantage[i]))
+            assert np.array([loss[i], factor[i]]).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_log_ratio_raises(self, bad):
+        with pytest.raises(NonFiniteInputError):
+            grpo_token_loss(bad, 1.0)
+        with pytest.raises(NonFiniteInputError):
+            reference_grpo_token_loss(bad, 1.0)
 
     def test_clip_config_validation(self):
         with pytest.raises(RangeError):

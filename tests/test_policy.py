@@ -2,15 +2,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from routedkl.errors import InfeasibleFloorError, NonFiniteInputError
+from routedkl.errors import InfeasibleFloorError, InvalidDistributionError, NonFiniteInputError
 from routedkl.policy import (
     PolicyTable,
     entropy,
+    floor_fixed_point,
+    masked_row_sum,
     softmax,
     truncate_and_floor,
+    validate_distribution,
 )
 
-from oracles import brute_force_floor_fixed_point, reference_softmax
+from oracles import (
+    brute_force_floor_fixed_point,
+    reference_entropy,
+    reference_softmax,
+    reference_truncate_and_floor,
+)
 
 
 def logits_arrays(min_size=2, max_size=16):
@@ -87,11 +95,128 @@ class TestEntropy:
         # Frozen from direct high-precision summation.
         assert entropy(np.array([0.9, 0.1])) == pytest.approx(0.32508297339144845, abs=1e-12)
 
+    @given(
+        vocab=st.integers(2, 20),
+        n_rows=st.integers(1, 12),
+        zero_frac=st.sampled_from([0.0, 0.3, 0.8]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_stack_rows_equal_the_one_row_reference(self, vocab, n_rows, zero_frac, seed):
+        # Rows with exact zeros sum over their nonzero entries only.
+        rng = np.random.default_rng(seed)
+        rows = rng.dirichlet(np.ones(vocab), size=n_rows)
+        rows[rng.random(rows.shape) < zero_frac] = 0.0
+        rows[np.arange(n_rows), rng.integers(0, vocab, n_rows)] += 0.5
+        rows /= rows.sum(axis=1, keepdims=True)
+        got = entropy(rows)
+        for row, ent in zip(rows, got):
+            want = reference_entropy(row)
+            assert ent.tobytes() == np.float64(want).tobytes()
+            assert np.float64(entropy(row)).tobytes() == np.float64(want).tobytes()
+
     @given(logits_arrays(min_size=3, max_size=8))
     @settings(max_examples=150)
     def test_equal_logits_maximize(self, logits):
         p = softmax(logits)
         assert entropy(p) <= np.log(p.size) + 1e-12
+
+
+@st.composite
+def floor_stacks(draw):
+    """(N, V) rows on the simplex: Dirichlet rows, rows of tied entries, and
+    peaked softmax rows (logit scale up to 50) whose small entries pin."""
+    vocab = draw(st.integers(2, 20))
+    n_rows = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["dirichlet", "tied", "peaked"]))
+    if kind == "dirichlet":
+        rows = rng.dirichlet(np.full(vocab, draw(st.sampled_from([0.1, 1.0, 5.0]))), size=n_rows)
+    elif kind == "tied":
+        rows = rng.integers(1, 4, size=(n_rows, vocab)).astype(float)
+        rows /= rows.sum(axis=1, keepdims=True)
+    else:
+        scale = draw(st.floats(1.0, 50.0))
+        rows = softmax(rng.normal(0.0, scale, (n_rows, vocab)))
+    return rows
+
+
+def floor_levels(top_k):
+    """p_min from 0 up to just below 1/top_k, the production 1e-6 included."""
+    return st.one_of(
+        st.sampled_from([0.0, 1e-6]),
+        st.floats(0.0, 0.999).map(lambda frac: frac / top_k),
+        st.floats(0.999, 1.0, exclude_max=True).map(lambda frac: frac / top_k),
+    ).filter(lambda p_min: p_min * top_k < 1.0)
+
+
+class TestFloorMatchesReference:
+    """The stacked floor and the one-row call against the moved reference,
+    byte for byte."""
+
+    @given(rows=floor_stacks(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_stack_rows_equal_the_one_row_reference(self, rows, data):
+        p_min = data.draw(floor_levels(rows.shape[1]))
+        got = floor_fixed_point(rows / rows.sum(axis=1, keepdims=True), p_min)
+        for row, floored in zip(rows, got):
+            want = reference_truncate_and_floor(row, row.size, p_min)
+            assert floored.tobytes() == want.tobytes()
+            assert truncate_and_floor(row, row.size, p_min).tobytes() == want.tobytes()
+
+    @given(rows=floor_stacks(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_top_k_truncation_equals_the_reference(self, rows, data):
+        row = rows[0]
+        top_k = data.draw(st.integers(1, row.size))
+        p_min = data.draw(floor_levels(top_k))
+        want = reference_truncate_and_floor(row, top_k, p_min)
+        assert truncate_and_floor(row, top_k, p_min).tobytes() == want.tobytes()
+
+    def test_infeasible_floor_raises_in_the_stack(self):
+        with pytest.raises(InfeasibleFloorError):
+            floor_fixed_point(np.full((3, 4), 0.25), 0.25)
+
+    def test_pinned_and_free_rows_in_one_stack(self):
+        rows = np.array([[0.25, 0.25, 0.25, 0.25], [1.0 - 3e-9, 1e-9, 1e-9, 1e-9]])
+        got = floor_fixed_point(rows, 1e-6)
+        np.testing.assert_array_equal(got[1, 1:], 1e-6)
+        for row, floored in zip(rows, got):
+            assert floored.tobytes() == reference_truncate_and_floor(row, 4, 1e-6).tobytes()
+
+
+class TestMaskedRowSum:
+    @given(
+        vocab=st.integers(1, 20),
+        n_rows=st.integers(0, 12),
+        live=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_compacted_sum_of_each_row(self, vocab, n_rows, live, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(0.0, 1.0, (n_rows, vocab)) * 10.0 ** rng.integers(-8, 8, (n_rows, vocab))
+        mask = rng.random((n_rows, vocab)) < live
+        got = masked_row_sum(values, mask)
+        assert got.shape == (n_rows,)
+        for row, m, total in zip(values, mask, got):
+            assert np.float64(total).tobytes() == row[m].sum().tobytes()
+
+
+class TestStackValidation:
+    def test_first_failing_row_sets_the_error(self):
+        rows = np.full((3, 2), 0.5)
+        rows[1] = [0.5, 0.6]
+        rows[2] = [np.nan, 1.0]
+        with pytest.raises(InvalidDistributionError):
+            validate_distribution(rows)
+        rows[1] = [0.5, 0.5]
+        with pytest.raises(NonFiniteInputError):
+            validate_distribution(rows)
+
+    def test_mixed_infinities_raise_without_a_warning(self):
+        with pytest.raises(NonFiniteInputError):
+            validate_distribution(np.array([[0.5, 0.5], [np.inf, -np.inf]]))
 
 
 class TestTruncateAndFloor:

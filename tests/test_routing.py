@@ -15,6 +15,7 @@ from routedkl.errors import (
     SpanAlignmentError,
 )
 from routedkl.grpo import ClipConfig, group_advantages
+from routedkl.policy import softmax
 from routedkl.routing import (
     CharSpan,
     RoutingConfig,
@@ -360,18 +361,20 @@ class TestRoutedStepLoss:
 
 @st.composite
 def loss_groups(draw):
-    """Kernel inputs of a random group covering every array-form fallback:
-    pinned floors (p_min near 1/V), clipped terms (tau = 1e-3, or a teacher
-    near the student so that single terms clip on either side), zero
-    student entries, and both KL directions."""
+    """Kernel inputs of a random group covering every floor and clip case:
+    pinned floors (p_min near 1/V, or peaked student and teacher rows at
+    the production floor 1e-6, the lift config's pin pattern), clipped
+    terms (tau = 1e-3, or a teacher near the student so that single terms
+    clip on either side), zero student entries, and both KL directions."""
     vocab = draw(st.sampled_from([4, 6, 8, 9]))
     g = draw(st.integers(1, 4))
     length = draw(st.integers(1, 5))
     outcomes = draw(st.lists(st.integers(0, 1), min_size=g, max_size=g))
     scaled = draw(st.lists(st.booleans(), min_size=g, max_size=g))
     alpha = draw(st.sampled_from([0.25, 0.5, 1.0]))
-    floor = draw(st.sampled_from(["plain", "pin", "zero"]))
-    p_min = {"plain": 1e-6, "pin": 0.9 / vocab, "zero": 0.0}[floor]
+    floor = draw(st.sampled_from(["plain", "pin", "zero", "peaked"]))
+    p_min = {"plain": 1e-6, "pin": 0.9 / vocab, "zero": 0.0, "peaked": 1e-6}[floor]
+    logit_scale = draw(st.sampled_from([10.0, 30.0, 50.0]))
     cfg = RoutingConfig(
         mu_e=draw(st.integers(0, 1)),
         mu_k=draw(st.integers(0, 1)),
@@ -391,7 +394,11 @@ def loss_groups(draw):
     adv_scale = np.ones((g, length))
     teacher = []
     for i, (outcome, scale) in enumerate(zip(outcomes, scaled)):
-        student[i] = rng.dirichlet(np.full(vocab, concentration), size=length)
+        if floor == "peaked":
+            logits = rng.normal(0.0, logit_scale, (length, vocab))
+            student[i] = softmax(logits)
+        else:
+            student[i] = rng.dirichlet(np.full(vocab, concentration), size=length)
         if floor == "zero" and rng.random() < 0.5:
             student[i, rng.integers(length), rng.integers(vocab)] = 0.0
             student[i] /= student[i].sum(axis=1, keepdims=True)
@@ -401,7 +408,10 @@ def loss_groups(draw):
         sampled[i] = rng.integers(0, vocab, size=length)
         active = lam > 0.0 and (cfg.mu_e if outcome == 0 else cfg.mu_k)
         for t in np.flatnonzero(in_span[i]):
-            row = _teacher_row(rng, student[i, t], near)
+            if floor == "peaked":  # a synced teacher: the student's logits plus an offset
+                row = softmax(logits[t] + rng.normal(0.0, 1.0, vocab))
+            else:
+                row = _teacher_row(rng, student[i, t], near)
             if active:
                 teacher.append(row)
         if scale:

@@ -551,7 +551,8 @@ seed = 0, 1
             code = cli.main(["run", str(cfg_path), "--out", str(tmp_path / "out")])
         assert code == 3
         assert "non-finite delta_lift" in capsys.readouterr().err
-        diag = json.loads((tmp_path / "out" / "abort_diagnostics.json").read_text())
+        diag_path = tmp_path / "out" / "routed_fkl_key_under_allocated_seed0_abort_diagnostics.json"
+        diag = json.loads(diag_path.read_text())
         assert diag["method"] == "routed_fkl_key"
         assert not (tmp_path / "out" / "routed_fkl_key_under_allocated_seed0.csv").exists()
 
