@@ -41,9 +41,9 @@ def validate_distribution(probs: np.ndarray, name: str = "dist") -> np.ndarray:
     failing row raises on its own."""
     probs = np.asarray(probs, dtype=float)
     if probs.ndim == 2 and probs.shape[1] >= 2:
-        bad = ~simplex_rows(probs)
-        if bad.any():
-            validate_distribution(probs[bad.argmax()], name)
+        ok = simplex_rows(probs)
+        if not ok.all():
+            validate_distribution(probs[ok.argmin()], name)
         return probs
     if probs.ndim != 1 or probs.size < 2:
         raise InvalidDistributionError(f"{name}: need a vector or a stack of rows of length >= 2")
