@@ -18,14 +18,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, RangeError, UndefinedDivergenceError
-from .policy import masked_row_sum, validate_distribution
+from .policy import masked_row_sum, validate_distribution, validate_rows
 
 
-def _check_pair(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    p = validate_distribution(p, "p")
-    q = validate_distribution(q, "q")
+def _check_pair(p: np.ndarray, q: np.ndarray, validate=validate_distribution) -> tuple:
+    """Check p and q with ``validate`` (one row each, or ``validate_rows``
+    for two stacks) and require equal shapes."""
+    p, q = validate(p, "p"), validate(q, "q")
     if p.shape != q.shape:
-        raise DimensionError(f"vocabulary sizes differ: {p.size} vs {q.size}")
+        raise DimensionError(f"shapes differ: {p.shape} vs {q.shape}")
+    return p, q
+
+
+def _require_positive(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    if np.any(q <= 0) or np.any(p <= 0):
+        raise UndefinedDivergenceError(
+            "log ratios need strictly positive entries; floor both distributions first"
+        )
     return p, q
 
 
@@ -46,19 +55,9 @@ class LogRatioStats:
     r_bar: float
 
 
-def _log_ratio(student: np.ndarray, teacher: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The validated student and r = log p - log q, entry by entry."""
-    p, q = _check_pair(student, teacher)
-    if np.any(q <= 0) or np.any(p <= 0):
-        raise UndefinedDivergenceError(
-            "log ratios need strictly positive entries; floor both "
-            "distributions first"
-        )
-    return p, np.log(p) - np.log(q)
-
-
 def log_ratio_stats(student: np.ndarray, teacher: np.ndarray) -> LogRatioStats:
-    p, r = _log_ratio(student, teacher)
+    p, q = _require_positive(*_check_pair(student, teacher))
+    r = np.log(p) - np.log(q)
     return LogRatioStats(r=r, r_bar=float((p * r).sum()))
 
 
@@ -81,9 +80,8 @@ def mixed_beta_grad(
     """Gradient of beta*FKL + (1-beta)*RKL; affine in beta."""
     if not (0.0 <= beta <= 1.0):
         raise RangeError(f"beta={beta} outside [0, 1]")
-    return beta * fkl_logit_grad(student, teacher) + (1.0 - beta) * rkl_logit_grad(
-        student, teacher
-    )
+    fkl, rkl = fkl_logit_grad(student, teacher), rkl_logit_grad(student, teacher)
+    return beta * fkl + (1.0 - beta) * rkl
 
 
 def clip_per_vocab_kl(kl_terms: np.ndarray, tau: float) -> np.ndarray:
@@ -92,18 +90,6 @@ def clip_per_vocab_kl(kl_terms: np.ndarray, tau: float) -> np.ndarray:
     if tau <= 0:
         raise RangeError(f"tau={tau} must be positive")
     return np.clip(np.asarray(kl_terms, dtype=float), -tau, tau)
-
-
-def fkl_per_vocab_terms(student: np.ndarray, teacher: np.ndarray) -> np.ndarray:
-    """Entries q_v * log(q_v / p_v), 0 where q_v = 0 (no log of 0 is taken);
-    they sum to KL(teacher || student)."""
-    p, q = _check_pair(student, teacher)
-    nz = q > 0
-    if np.any(p[nz] <= 0):
-        raise UndefinedDivergenceError("student vanishes on teacher support")
-    if nz.all():
-        return q * (np.log(q) - np.log(p))
-    return np.where(nz, q * (np.log(np.where(nz, q, 1.0)) - np.log(np.where(nz, p, 1.0))), 0.0)
 
 
 def _row_values(clipped: np.ndarray) -> float | np.ndarray:
@@ -122,8 +108,17 @@ def fkl_clipped_value_and_grad(
     entries in the unclipped region. With every entry unclipped this
     reduces to p - q.
     """
-    terms = fkl_per_vocab_terms(student, teacher)
-    p, q = np.asarray(student, dtype=float), np.asarray(teacher, dtype=float)
+    p, q = _check_pair(student, teacher, validate_rows)
+    if np.any(p[q > 0] <= 0):
+        raise UndefinedDivergenceError("student vanishes on teacher support")
+    return _fkl_clipped(p, q, tau)
+
+
+def _fkl_clipped(p: np.ndarray, q: np.ndarray, tau: float) -> tuple[float | np.ndarray, np.ndarray]:
+    """``fkl_clipped_value_and_grad`` of rows already checked. The terms
+    q_v log(q_v / p_v) are 0 where q_v = 0; no log of 0 is taken."""
+    nz = q > 0
+    terms = np.where(nz, q * (np.log(np.where(nz, q, 1.0)) - np.log(np.where(nz, p, 1.0))), 0.0)
     clipped = clip_per_vocab_kl(terms, tau)
     live = clipped == terms
     grad = p * masked_row_sum(q, live)[..., None]
@@ -135,7 +130,12 @@ def rkl_clipped_value_and_grad(
 ) -> tuple[float | np.ndarray, np.ndarray]:
     """Clipped reverse-KL value and its exact student-logit gradient, of one
     row or of each row of a (N, V) stack."""
-    p, r = _log_ratio(student, teacher)
+    return _rkl_clipped(*_require_positive(*_check_pair(student, teacher, validate_rows)), tau)
+
+
+def _rkl_clipped(p: np.ndarray, q: np.ndarray, tau: float) -> tuple[float | np.ndarray, np.ndarray]:
+    """``rkl_clipped_value_and_grad`` of rows already checked."""
+    r = np.log(p) - np.log(q)
     terms = p * r
     clipped = clip_per_vocab_kl(terms, tau)
     live = clipped == terms

@@ -36,17 +36,10 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def validate_distribution(probs: np.ndarray, name: str = "dist") -> np.ndarray:
-    """Check simplex membership of a vector, or of each row of a (N, V)
-    stack, and return the array as float64. A stack raises what its first
-    failing row raises on its own."""
+    """Check simplex membership and return the array as float64."""
     probs = np.asarray(probs, dtype=float)
-    if probs.ndim == 2 and probs.shape[1] >= 2:
-        ok = simplex_rows(probs)
-        if not ok.all():
-            validate_distribution(probs[ok.argmin()], name)
-        return probs
     if probs.ndim != 1 or probs.size < 2:
-        raise InvalidDistributionError(f"{name}: need a vector or a stack of rows of length >= 2")
+        raise InvalidDistributionError(f"{name}: need a 1-d vector of length >= 2")
     if not np.all(np.isfinite(probs)):
         raise NonFiniteInputError(f"{name}: non-finite entries")
     if np.any(probs < 0):
@@ -59,11 +52,22 @@ def validate_distribution(probs: np.ndarray, name: str = "dist") -> np.ndarray:
 def simplex_rows(rows: np.ndarray) -> np.ndarray:
     """Mask of the rows of a (N, V) stack that ``validate_distribution``
     accepts one by one."""
-    if not rows.min(initial=np.inf) >= 0:  # a NaN, -inf or negative entry
-        ok = np.isfinite(rows).all(axis=1) & (rows >= 0).all(axis=1)
-        rows = np.where(ok[:, None], rows, 0.0)
-        return ok & (np.abs(rows.sum(axis=1) - 1.0) <= 1e-9)
-    return np.abs(rows.sum(axis=1) - 1.0) <= 1e-9
+    ok = np.isfinite(rows).all(axis=1)
+    ok[ok] = (rows[ok] >= 0).all(axis=1) & (np.abs(rows[ok].sum(axis=1) - 1.0) <= 1e-9)
+    return ok
+
+
+def validate_rows(rows: np.ndarray, name: str = "dist") -> np.ndarray:
+    """``validate_distribution`` of one distribution, or of each row of a
+    (N, V) stack, returned as float64. A stack raises what its first failing
+    row raises on its own."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] < 2:
+        return validate_distribution(rows, name)
+    ok = simplex_rows(rows)
+    if not ok.all():
+        validate_distribution(rows[ok.argmin()], name)
+    return rows
 
 
 def masked_row_sum(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -88,14 +92,15 @@ def masked_row_sum(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 def entropy(dist: np.ndarray) -> float | np.ndarray:
     """Shannon entropy in nats of a distribution, or of each row of a stack,
-    with the 0*log(0) = 0 convention: a row sums over its nonzero entries."""
-    p = validate_distribution(dist, "entropy input")
+    with the 0*log(0) = 0 convention."""
+    p = validate_rows(dist, "entropy input")
+    return float(_entropy(p)) if p.ndim == 1 else _entropy(p)
+
+
+def _entropy(p: np.ndarray) -> np.ndarray:
+    """``entropy`` of rows already on the simplex, unchecked."""
     nz = p > 0
-    if nz.all():
-        ent = -(p * np.log(p)).sum(axis=-1)
-    else:
-        ent = -masked_row_sum(p * np.log(np.where(nz, p, 1.0)), nz)
-    return float(ent) if p.ndim == 1 else ent
+    return -masked_row_sum(p * np.log(np.where(nz, p, 1.0)), nz)
 
 
 def check_floor(n: int, top_k: int, p_min: float) -> None:
@@ -153,8 +158,6 @@ def truncate_and_floor(dist: np.ndarray, top_k: int, p_min: float) -> np.ndarray
     Feasible whenever p_min * top_k < 1.
     """
     p = validate_distribution(dist, "truncate_and_floor input")
-    if p.ndim != 1:
-        raise InvalidDistributionError("truncate_and_floor takes one distribution")
     n = p.size
     check_floor(n, top_k, p_min)
     # Top-k support, ties broken toward lower index for determinism.

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergence import (
+    _fkl_clipped,
+    _rkl_clipped,
     fkl_clipped_value_and_grad,
     rkl_clipped_value_and_grad,
 )
@@ -194,12 +196,12 @@ def _floored_kl_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Floored, clipped KL value and student-logit gradient of each row.
 
-    ``reverse`` marks the reverse-KL (error-span) rows. Both rows are
-    floored over the full vocabulary in one ``floor_fixed_point`` stack,
-    and each direction's rows go through its clipped KL as one stack. The
-    per-row reference is ``truncate_and_floor`` on both rows followed by
-    the clipped KL; if it rejects a row, the first such row is run through
-    it and raises its error.
+    ``reverse`` marks the reverse-KL (error-span) rows. Input rows are
+    checked once, here; both rows are floored in one ``floor_fixed_point``
+    stack, and each direction's rows go through its unchecked clipped KL
+    as one stack. The per-row reference is ``truncate_and_floor`` on both
+    rows followed by the clipped KL; if it rejects a row, the first such
+    row is run through it and raises its error.
     """
     m, vocab = student.shape
     if m == 0:
@@ -225,7 +227,7 @@ def _floored_kl_rows(
         kl(*(truncate_and_floor(row[j], vocab, p_min) for row in (student, teacher)), cfg.tau)
         raise InternalConsistencyError(f"KL row {j} was rejected only as part of the stack")
     values, grads = np.empty(m), np.empty((m, vocab))
-    for sel, kl in ((~reverse, fkl_clipped_value_and_grad), (reverse, rkl_clipped_value_and_grad)):
+    for sel, kl in ((~reverse, _fkl_clipped), (reverse, _rkl_clipped)):
         if sel.any():
             values[sel], grads[sel] = kl(p[sel], q[sel], cfg.tau)
     return values, grads

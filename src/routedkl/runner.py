@@ -101,7 +101,7 @@ from .errors import (
 )
 from .grpo import ClipConfig, group_advantages
 from .metrics import LiftSample, delta_lift
-from .policy import PolicyTable, entropy, masked_row_sum
+from .policy import PolicyTable, _entropy, masked_row_sum
 from .privileged import (
     ExposureLedger,
     context_variance,
@@ -637,7 +637,7 @@ def train_step(state: RunState) -> dict:
         "step": k,
         "train_reward": float(rewards.mean()),
         "validation_reward": float(task.expected_reward(table)),
-        "entropy": float(np.mean(entropy(step.student.reshape(-1, task.vocab)))),
+        "entropy": float(np.mean(_entropy(step.student.reshape(-1, task.vocab)))),
         "lambda": lam,
         "rho": report.rho,
         "exposure": state.ledger.exposure,

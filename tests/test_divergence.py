@@ -6,14 +6,19 @@ from routedkl.divergence import (
     clip_per_vocab_kl,
     fkl_clipped_value_and_grad,
     fkl_logit_grad,
-    fkl_per_vocab_terms,
     kl,
     log_ratio_stats,
     mixed_beta_grad,
     rkl_clipped_value_and_grad,
     rkl_logit_grad,
 )
-from routedkl.errors import DimensionError, RangeError, RoutedKlError, UndefinedDivergenceError
+from routedkl.errors import (
+    DimensionError,
+    InvalidDistributionError,
+    RangeError,
+    RoutedKlError,
+    UndefinedDivergenceError,
+)
 from routedkl.policy import softmax
 
 from oracles import (
@@ -72,6 +77,15 @@ class TestLogitGradients:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             fkl_logit_grad(np.array([0.5, 0.5]), np.array([0.3, 0.3, 0.4]))
+
+    def test_one_row_routines_reject_a_stack(self):
+        # Only the clipped KLs and their terms take (N, V) stacks.
+        stack = np.array([[0.9, 0.1], [0.5, 0.5]])
+        for fn in (kl, log_ratio_stats, fkl_logit_grad, rkl_logit_grad):
+            with pytest.raises(InvalidDistributionError):
+                fn(stack, stack)
+        with pytest.raises(InvalidDistributionError):
+            mixed_beta_grad(stack, stack, 0.5)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(0)
@@ -198,7 +212,7 @@ class TestClipping:
         rng = np.random.default_rng(4)
         p, q = random_pair(rng, 8)
         val, _ = fkl_clipped_value_and_grad(p, q, tau=0.05)
-        assert val == pytest.approx(clip_per_vocab_kl(fkl_per_vocab_terms(p, q), 0.05).sum(), abs=1e-12)
+        assert val == pytest.approx(clip_per_vocab_kl(q * np.log(q / p), 0.05).sum(), abs=1e-12)
         val, _ = rkl_clipped_value_and_grad(p, q, tau=0.05)
         assert val == pytest.approx(clip_per_vocab_kl(p * np.log(p / q), 0.05).sum(), abs=1e-12)
 
@@ -220,7 +234,7 @@ class TestClipping:
 
         def clipped_total(logits):
             s = softmax(logits)
-            terms = np.clip(fkl_per_vocab_terms(s, q), -tau, tau)
+            terms = np.clip(q * np.log(q / s), -tau, tau)
             return terms.sum()
 
         logits = np.log(p)

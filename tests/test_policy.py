@@ -11,6 +11,7 @@ from routedkl.policy import (
     softmax,
     truncate_and_floor,
     validate_distribution,
+    validate_rows,
 )
 
 from oracles import (
@@ -209,14 +210,24 @@ class TestStackValidation:
         rows[1] = [0.5, 0.6]
         rows[2] = [np.nan, 1.0]
         with pytest.raises(InvalidDistributionError):
-            validate_distribution(rows)
+            validate_rows(rows)
         rows[1] = [0.5, 0.5]
         with pytest.raises(NonFiniteInputError):
-            validate_distribution(rows)
+            validate_rows(rows)
 
     def test_mixed_infinities_raise_without_a_warning(self):
         with pytest.raises(NonFiniteInputError):
-            validate_distribution(np.array([[0.5, 0.5], [np.inf, -np.inf]]))
+            validate_rows(np.array([[0.5, 0.5], [np.inf, -np.inf]]))
+
+    def test_rows_of_one_entry_are_rejected(self):
+        with pytest.raises(InvalidDistributionError):
+            validate_rows(np.ones((3, 1)))
+
+    def test_one_distribution_checks_one_vector(self):
+        with pytest.raises(InvalidDistributionError):
+            validate_distribution(np.full((2, 2), 0.5))
+        with pytest.raises(InvalidDistributionError):
+            truncate_and_floor(np.full((2, 2), 0.5), 2, 0.0)
 
 
 class TestTruncateAndFloor:
