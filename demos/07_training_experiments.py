@@ -2,7 +2,7 @@
 
 The full-scale orderings (10 seeds per regime, plus the lift study) run
 in the acceptance suite; this demo reproduces the direction with three
-seeds per regime in about half a minute.
+seeds per regime in a few seconds.
 """
 
 import numpy as np
