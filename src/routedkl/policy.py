@@ -210,8 +210,11 @@ class PolicyTable:
 
     def student_dists(self, prompt: str, prefixes: list) -> np.ndarray:
         """(P, V) student distributions at ``prefixes``, one softmax for
-        all; rows are materialized in the order given."""
-        return softmax(np.array([self.student_logits(prompt, p) for p in prefixes]))
+        all; rows are materialized in the order given. The stack is
+        read-only, so its rows can be shared through distribution maps."""
+        dists = softmax(np.array([self.student_logits(prompt, p) for p in prefixes]))
+        dists.flags.writeable = False
+        return dists
 
     def sync_teacher(self) -> None:
         """Snapshot current student rows as the teacher base."""

@@ -51,14 +51,16 @@ The step carries its G rollouts of the task's horizon T as one batch:
   all rollouts are computed over the (G, T) credit array and equal
   ``metrics.credit_concentration`` row by row.
 * Exact evaluation (``SynthTask.expected_reward``) walks the tree one
-  level at a time, one ``student_dists`` call per level.
+  level at a time and reads each level's rows from the student cache,
+  computing the missing ones with one ``student_dists`` call.
 * The policy stays a dict of logit rows built on first visit. A dense
   (n_rows, V) table would hold every prefix the horizon allows (37,449
   rows at V = 8, T = 6, against the ~1.9k a run visits), and the run and
   its synced copy would pay that in memory.
 
-Each distinct distribution is computed once per step. Teacher rows change
-only at ``sync_teacher`` and student rows only at ``apply_gradients``:
+Each distinct distribution is computed once per parameter change. Teacher
+rows change only at ``sync_teacher`` and student rows only at
+``apply_gradients``:
 
 * ``RunState.teacher_cache`` holds, per prefix, the read-only
   (n_contexts, V) teacher matrix (one softmax over its context rows) and
@@ -67,10 +69,21 @@ only at ``sync_teacher`` and student rows only at ``apply_gradients``:
   and the cache is emptied on every step whose channel is closed, so a
   teacher read then misses, goes through ``PolicyTable.teacher_logits``
   and trips the closed-channel guard.
-* A step-local ``{prefix: student distribution}`` map is filled while the
-  group is sampled and read by the loss inputs and the pre-update lift;
-  it is dropped at ``apply_gradients``. Nothing is cached on
-  ``PolicyTable``, whose rows are mutated in place.
+* ``RunState.student_cache`` maps a prefix to its read-only student
+  distribution for the whole run. Sampling, the loss inputs, both lift
+  reads and exact evaluation read it and add the rows they miss. After
+  ``apply_gradients`` the prefixes it changed are recomputed with one
+  ``student_dists`` call, so an entry always equals a fresh
+  ``student_dist``: ``softmax`` gives each row of a stack the bytes it
+  gets on its own. The cache is kept on the run state, not on
+  ``PolicyTable``, whose rows callers may mutate in place.
+* ``RunState.validation_reward`` keeps the last exact E[R]. An update
+  that changes a row drops it; a step that changes no row (a dead-zone
+  GRPO group has zero advantage) reuses it and skips the tree walk,
+  which would materialize no new row either.
+
+``fork`` empties both caches of the copy, and ``run_experiment`` empties
+them when the run ends, so a kept state holds its parameters only.
 
 Every batched piece has its per-row or per-rollout reference in
 ``tests/oracles.py``, and property tests require equal bytes.
@@ -253,12 +266,19 @@ class RunState:
     # valid while table.sync_count == teacher_cache_sync; see _teacher_rows.
     teacher_cache: dict = field(default_factory=dict)
     teacher_cache_sync: int = -1
+    # prefix -> read-only student distribution, recomputed for the rows
+    # apply_gradients changes; see _apply_row_grads.
+    student_cache: dict = field(default_factory=dict)
+    # Exact E[R] of the current rows, None once an update changed a row.
+    validation_reward: float | None = None
 
     def fork(self) -> "RunState":
-        """Deep snapshot so two methods can be advanced from one state."""
-        dup = copy.deepcopy(self)
-        dup.teacher_cache.clear()  # copies of the read-only rows are writable
-        return dup
+        """Deep snapshot so two methods can be advanced from one state.
+
+        The copy starts with empty caches: deep copies of read-only rows
+        would be writable.
+        """
+        return copy.deepcopy(replace(self, teacher_cache={}, student_cache={}))
 
 
 def should_sync(k: int, n: int, lam_k: float) -> bool:
@@ -333,14 +353,6 @@ def init_run(cfg: RunConfig) -> RunState:
     )
 
 
-def _student_dist(state: RunState, dists: dict, prefix: tuple) -> np.ndarray:
-    """Student row at ``prefix`` from the step-local map, filled on a miss."""
-    dist = dists.get(prefix)
-    if dist is None:
-        dist = dists[prefix] = state.table.student_dist(state.task.prompt_id, prefix)
-    return dist
-
-
 def _teacher_rows(state: RunState, prefix: tuple) -> tuple[np.ndarray, float, float]:
     """Read-only (n_contexts, V) teacher rows at ``prefix`` and their
     context variance and expected squared deviation, cached per sync.
@@ -364,9 +376,12 @@ def _teacher_rows(state: RunState, prefix: tuple) -> tuple[np.ndarray, float, fl
     return entry
 
 
-def _eval_probs(state: RunState, dists: dict) -> np.ndarray:
-    """Student probability of each lift-evaluation token."""
-    return np.array([_student_dist(state, dists, prefix)[v] for prefix, v in state.eval_tokens])
+def _eval_probs(state: RunState) -> np.ndarray:
+    """Student probability of each lift-evaluation token, read from the
+    student cache: every eval token sits at the root, which sampling reads
+    first."""
+    cache = state.student_cache
+    return np.array([cache[prefix][v] for prefix, v in state.eval_tokens])
 
 
 @dataclass
@@ -425,7 +440,6 @@ def _annotate(
 def _step_tensors(
     state: RunState,
     group: SampledGroup,
-    dists: dict,
     advantages: np.ndarray,
     routing: RoutingConfig,
     lam: float,
@@ -447,7 +461,8 @@ def _step_tensors(
     """
     cfg, task = state.cfg, state.task
     size, horizon = group.tokens.shape
-    student = np.array([dists[p] for p in group.prefixes])[group.prefix_index]
+    cache = state.student_cache
+    student = np.array([cache[p] for p in group.prefixes])[group.prefix_index]
     picked = np.take_along_axis(student, group.tokens[..., None], axis=2)[..., 0]
     step = _StepTensors(
         student=student,
@@ -495,15 +510,24 @@ def _step_tensors(
 def _apply_row_grads(
     state: RunState, group: SampledGroup, rows: np.ndarray, grads: np.ndarray
 ) -> None:
-    """Sum the token gradient rows per prefix, in token order, and step."""
+    """Sum the token gradient rows per prefix, in token order, and step.
+
+    The changed rows are recomputed in the student cache with one
+    ``student_dists`` call, and the stored exact E[R] is dropped.
+    """
+    if not rows.size:
+        return
     summed: dict = {}
     for r, vec in zip(group.prefix_index.ravel()[rows].tolist(), grads):
         summed[r] = summed[r] + vec if r in summed else vec
     prompt = state.task.prompt_id
+    changed = [group.prefixes[r] for r in summed]
     state.table.apply_gradients(
-        {(prompt, group.prefixes[r]): vec for r, vec in summed.items()},
+        {(prompt, prefix): vec for prefix, vec in zip(changed, summed.values())},
         state.cfg.learning_rate,
     )
+    state.student_cache.update(zip(changed, state.table.student_dists(prompt, changed)))
+    state.validation_reward = None
 
 
 def _update_ledger(state: RunState, step: _StepTensors, lam: float) -> None:
@@ -585,13 +609,12 @@ def train_step(state: RunState) -> dict:
     if not (lam > 0.0 or rlsd_open):
         state.teacher_cache.clear()  # any teacher read now misses and is counted
 
-    dists: dict = {}  # student rows of this step, until apply_gradients
-    group = sample_group(table, task, state.rng_rollout, cfg.group_size, dists)
+    group = sample_group(table, task, state.rng_rollout, cfg.group_size, state.student_cache)
     rewards = group.outcomes.astype(float)
     advantages = group_advantages(rewards)
 
     lookups_before = table.teacher_lookups
-    step = _step_tensors(state, group, dists, advantages, routing, lam, rlsd_open)
+    step = _step_tensors(state, group, advantages, routing, lam, rlsd_open)
     report, grad_rows, grads = routed_loss_rows(
         student=step.student,
         log_ratio=step.log_ratio,
@@ -616,9 +639,9 @@ def train_step(state: RunState) -> dict:
         _dump_diagnostics(state, rewards, total)
         raise NumericFailureError(f"non-finite loss at step {k}: {total!r}")
 
-    probs_before = _eval_probs(state, dists)
+    probs_before = _eval_probs(state)
     _apply_row_grads(state, group, grad_rows, grads)
-    probs_after = _eval_probs(state, {})
+    probs_after = _eval_probs(state)
     for probs in (probs_before, probs_after):
         if not probs.all():
             _dump_diagnostics(state, rewards, total)
@@ -632,11 +655,13 @@ def train_step(state: RunState) -> dict:
         for ((_, v), b, a) in zip(state.eval_tokens, probs_before, probs_after)
     ]
     lift = delta_lift(samples)
+    if state.validation_reward is None:
+        state.validation_reward = task.expected_reward(table, state.student_cache)
 
     row = {
         "step": k,
         "train_reward": float(rewards.mean()),
-        "validation_reward": float(task.expected_reward(table)),
+        "validation_reward": state.validation_reward,
         "entropy": float(np.mean(_entropy(step.student.reshape(-1, task.vocab)))),
         "lambda": lam,
         "rho": report.rho,
@@ -693,6 +718,8 @@ def run_experiment(cfg: RunConfig, state: RunState | None = None) -> tuple[RunLo
     log = RunLog()
     for _ in range(cfg.steps):
         log.rows.append(train_step(state))
+    state.student_cache.clear()  # a kept state holds its parameters only
+    state.teacher_cache.clear()
 
     lifts = [row["delta_lift"] for row in log.rows if row["delta_lift"] is not None]
     log.summary = {

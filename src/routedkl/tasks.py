@@ -244,25 +244,28 @@ class SynthTask:
                 f"V^T = {self.vocab}^{self.horizon} exceeds the enumeration budget"
             )
 
-    def expected_reward(self, table: PolicyTable) -> float:
+    def expected_reward(self, table: PolicyTable, dists: dict | None = None) -> float:
         """Exact E[R] under the student policy, by pruned tree enumeration.
 
         The tree is walked one level at a time. A level's live prefixes
-        (neither dead nor free, before the horizon) take one
-        ``student_dists`` call; a child is expanded only if its probability
-        is nonzero, so the rows materialized are those of a depth-first walk.
-        A dead child is worth 0, a free or final one 1. Values are summed
-        bottom-up left to right over the children, ``cumsum(dist * value)``,
-        which is the depth-first sum's order: a skipped zero-probability
-        child adds an exact 0.
+        (neither dead nor free, before the horizon) are read from ``dists``,
+        an optional ``{prefix: student distribution}`` map as in
+        ``sample_group``; the ones missing there take one ``student_dists``
+        call and are added to it. A child is expanded only if its
+        probability is nonzero, so the rows materialized are those of a
+        depth-first walk, in its order. A dead child is worth 0, a free or
+        final one 1. Values are summed bottom-up left to right over the
+        children, ``cumsum(dist * value)``, which is the depth-first sum's
+        order: a skipped zero-probability child adds an exact 0.
         """
         self.check_budget()
+        dists = {} if dists is None else dists
         trans = self.transitions
         leaf_value, inner = self._tree_tables
         levels = []
         prefixes, states = [()], np.array([_START])
         for t in range(self.horizon):
-            dist = table.student_dists(self.prompt_id, prefixes)
+            dist = _student_rows(table, self.prompt_id, prefixes, dists)
             rows, tokens = np.nonzero(inner[t, states] & (dist != 0.0))
             levels.append((dist, leaf_value[t, states], rows, tokens))
             if not rows.size:
@@ -609,6 +612,21 @@ class SampledGroup:
     states: np.ndarray  # (G, T + 1) acceptance-machine states
 
 
+def _student_rows(table: PolicyTable, prompt: str, prefixes: list, dists: dict) -> np.ndarray:
+    """(P, V) student distributions at ``prefixes`` through the
+    ``{prefix: distribution}`` map ``dists``: the rows found there are
+    reused, the missing ones come from one ``student_dists`` call, in the
+    order given, and are added to it. Only missing rows reach the table, so
+    rows are materialized in the order of their first read, and a reused row
+    has the bytes a fresh one would (``softmax`` gives each row of a stack
+    the bytes it gets on its own) while its logits are unchanged.
+    """
+    missing = [prefix for prefix in prefixes if prefix not in dists]
+    if missing:
+        dists.update(zip(missing, table.student_dists(prompt, missing)))
+    return np.array([dists[prefix] for prefix in prefixes])
+
+
 def sample_group(
     table: PolicyTable,
     task: SynthTask,
@@ -624,10 +642,12 @@ def sample_group(
     of ``size`` successive per-token ``Generator.choice`` loops. Positions
     are filled left to right, all rollouts at once.
 
-    ``dists`` is an optional ``{prefix: student distribution}`` map: a row
-    found there is reused and the rows missing at a position are computed
-    by one ``student_dists`` call and added, so a group takes one softmax
-    per position. The map is stale once the student rows change.
+    ``dists`` is an optional ``{prefix: student distribution}`` map (see
+    ``_student_rows``): a row found there is reused and the rows missing at
+    a position are computed by one ``student_dists`` call and added, so a
+    group takes at most one softmax per position. The caller keeps the map
+    current: a run's map lives across steps and its changed rows are
+    recomputed at the update (``runner``).
 
     Each rollout's machine state advances through ``task.transitions``
     with its token, so the group is verified as it is sampled.
@@ -645,10 +665,7 @@ def sample_group(
     for t in range(horizon):
         slot: dict = {}
         which = np.array([slot.setdefault(key, len(slot)) for key in keys])
-        missing = [prefix for prefix in slot if prefix not in dists]
-        if missing:
-            dists.update(zip(missing, table.student_dists(task.prompt_id, missing)))
-        row_of = np.array([dists[prefix] for prefix in slot])[which]
+        row_of = _student_rows(table, task.prompt_id, list(slot), dists)[which]
         picked = inverse_cdf(row_of, uniforms[:, t])
         tokens[:, t] = picked
         probs[:, t] = row_of[np.arange(size), picked]

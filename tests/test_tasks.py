@@ -279,6 +279,25 @@ class TestBatchedTaskPaths:
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
         assert set(table.rows) == set(ref_table.rows)
 
+    @pytest.mark.parametrize("regime", ["under_allocated", "mixed"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_expected_reward_through_a_filled_map(self, regime, seed):
+        # One sampled rollout puts part of the tree's rows in the map.
+        task = generate_task(regime, seed, chain_params(vocab=5, horizon=4))
+        table = task.make_table()
+        dists = {}
+        sample_group(table, task, np.random.default_rng(seed), 1, dists)
+        filled = dict(dists)
+        ref = table.copy()
+        got = task.expected_reward(table, dists)
+        want = task.expected_reward(ref)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert list(table.rows) == list(ref.rows)
+        assert set(dists) == {prefix for _, prefix in table.rows} > set(filled)
+        assert all(dists[prefix] is dist for prefix, dist in filled.items())
+        for prefix, dist in dists.items():
+            assert dist.tobytes() == ref.student_dist(task.prompt_id, prefix).tobytes()
+
     @given(size=st.integers(1, 16), zero_frac=st.sampled_from([0.0, 0.5]), **task_shapes)
     @settings(max_examples=200, deadline=None)
     def test_automaton_outcomes_and_root_cause(
