@@ -273,11 +273,8 @@ class RunState:
     validation_reward: float | None = None
 
     def fork(self) -> "RunState":
-        """Deep snapshot so two methods can be advanced from one state.
-
-        The copy starts with empty caches: deep copies of read-only rows
-        would be writable.
-        """
+        """Deep snapshot so two methods can be advanced from one state."""
+        # Empty caches: deep copies of the read-only rows would be writable.
         return copy.deepcopy(replace(self, teacher_cache={}, student_cache={}))
 
 

@@ -613,14 +613,10 @@ class SampledGroup:
 
 
 def _student_rows(table: PolicyTable, prompt: str, prefixes: list, dists: dict) -> np.ndarray:
-    """(P, V) student distributions at ``prefixes`` through the
-    ``{prefix: distribution}`` map ``dists``: the rows found there are
-    reused, the missing ones come from one ``student_dists`` call, in the
-    order given, and are added to it. Only missing rows reach the table, so
-    rows are materialized in the order of their first read, and a reused row
-    has the bytes a fresh one would (``softmax`` gives each row of a stack
-    the bytes it gets on its own) while its logits are unchanged.
-    """
+    """(P, V) student distributions at ``prefixes``: rows found in the
+    ``{prefix: distribution}`` map ``dists`` are reused, and the missing
+    ones come from one ``student_dists`` call, in the order given, and are
+    added to it."""
     missing = [prefix for prefix in prefixes if prefix not in dists]
     if missing:
         dists.update(zip(missing, table.student_dists(prompt, missing)))
@@ -642,12 +638,11 @@ def sample_group(
     of ``size`` successive per-token ``Generator.choice`` loops. Positions
     are filled left to right, all rollouts at once.
 
-    ``dists`` is an optional ``{prefix: student distribution}`` map (see
-    ``_student_rows``): a row found there is reused and the rows missing at
-    a position are computed by one ``student_dists`` call and added, so a
-    group takes at most one softmax per position. The caller keeps the map
-    current: a run's map lives across steps and its changed rows are
-    recomputed at the update (``runner``).
+    ``dists`` is an optional ``{prefix: student distribution}`` map: a row
+    found there is reused and the rows missing at a position are computed
+    by one ``student_dists`` call and added, so a group takes at most one
+    softmax per position. The caller keeps the map current; a run's map
+    lives across steps and is refreshed at the update (``runner``).
 
     Each rollout's machine state advances through ``task.transitions``
     with its token, so the group is verified as it is sampled.
