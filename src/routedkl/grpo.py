@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,16 +29,19 @@ def group_advantages(rewards: np.ndarray) -> np.ndarray:
     """Standardized advantages (R - mean) / std with the 0/0 = 0 dead zone.
 
     Population standard deviation, so a (1, 0) group maps to (1, -1).
-    Every token of a rollout shares its rollout's advantage.
+    Every token of a rollout shares its rollout's advantage. The mean and
+    the variance are the ``add.reduce`` sums that ``np.mean`` and
+    ``np.std`` take, divided by the group size, so the bytes equal
+    ``(r - r.mean()) / r.std()`` without their Python dispatch.
     """
     r = np.asarray(rewards, dtype=float)
     if r.size < 2:
         raise RangeError("need at least two rollouts per group")
-    mu = r.mean()
-    sigma = r.std()
+    dev = r - r.sum() / r.size
+    sigma = math.sqrt((dev * dev).sum() / r.size)
     if sigma == 0.0:
         return np.zeros_like(r)
-    return (r - mu) / sigma
+    return dev / sigma
 
 
 def grpo_token_losses(

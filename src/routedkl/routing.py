@@ -5,7 +5,9 @@ error spans (failed rollouts, reverse KL toward the teacher), key spans
 (successful rollouts, forward KL), or non-span (plain GRPO). The KL
 channel carries weight lambda_k, which is flat during warm-up, ramps
 linearly to zero, and stays there; rho_k = 1 - lambda_k / w0 smoothly
-returns span tokens to GRPO as the channel closes.
+returns span tokens to GRPO as the channel closes. The kernel runs its
+KL block only when a KL row exists, so a step whose channel is closed
+costs only the GRPO surrogate.
 """
 
 from __future__ import annotations
@@ -259,7 +261,10 @@ def routed_loss_rows(
     Error spans use reverse KL (student first), key spans forward KL
     (teacher first); per-vocabulary contributions are clamped at tau with
     gradient flowing through the unclipped region only, and both rows are
-    floored first. With lam = 0 there are no teacher rows.
+    floored first. With lam = 0 there are no teacher rows. The KL block
+    runs only when a KL row exists; without one the KL fields are the +0.0
+    of an empty sum and the GRPO score rows are the result, so a
+    closed-channel group costs only the GRPO surrogate.
 
     Returns the report, the flat indices into G*T of the positions that
     carry a logit gradient, ascending, and their (K, V) gradient rows.
@@ -299,8 +304,6 @@ def routed_loss_rows(
             f"teacher rows have shape {teacher.shape}, not {(kl_rows.size, vocab)} "
             "(one per KL position)"
         )
-    n_err = np.where(failed, n_span, 0)
-    n_key = n_span - n_err
     inv_len = 1.0 / horizon
 
     # GRPO term, rho-scaled on span tokens while the channel is open.
@@ -313,25 +316,33 @@ def routed_loss_rows(
     grpo_nonspan = _running_sum(share[~in_span])
     weight = np.where(in_span, rho_k, 1.0) * inv_len / g
     has_grpo = (factor != 0.0) & (weight != 0.0)
-    fw = (factor * weight)[has_grpo]
-    score = -student[has_grpo] * fw[:, None]
-    score[np.arange(fw.size), np.ravel(sampled)[has_grpo]] += fw
-    grads = np.zeros_like(student)
-    grads[has_grpo] = score
+    grpo_rows = np.flatnonzero(has_grpo)
+    fw = (factor * weight)[grpo_rows]
+    score = -student[grpo_rows] * fw[:, None]
+    score[np.arange(fw.size), np.ravel(sampled)[grpo_rows]] += fw
 
-    # Routed KL on the active branch.
-    kl_item = kl_rows // horizon
-    kl_error_row = failed[kl_item]
-    kl_values, kl_grads = _floored_kl_rows(student[kl_rows], teacher, kl_error_row, cfg)
-    kl_term = kl_grads * (lam * inv_len / g)
-    grads[kl_rows] = np.where(has_grpo[kl_rows, None], grads[kl_rows] + kl_term, kl_term)
-    err_sum = np.bincount(kl_item[kl_error_row], kl_values[kl_error_row], minlength=g)
-    key_sum = np.bincount(kl_item[~kl_error_row], kl_values[~kl_error_row], minlength=g)
-    kl_error = _running_sum(err_sum * inv_len / g)
-    kl_key = _running_sum(key_sum * inv_len / g)
-    e, s = n_err > 0, n_key > 0
-    kl_error_sm = _running_sum((err_sum[e] / n_err[e]) * (n_span[e] * inv_len) / g)
-    kl_key_sm = _running_sum((key_sum[s] / n_key[s]) * (n_span[s] * inv_len) / g)
+    # Routed KL on the active branch, when it has a row.
+    kl_error = kl_key = kl_error_sm = kl_key_sm = 0.0
+    has_grad, grads = grpo_rows, score
+    if kl_rows.size:
+        grads = np.zeros_like(student)
+        grads[grpo_rows] = score
+        kl_item = kl_rows // horizon
+        kl_error_row = failed[kl_item]
+        kl_values, kl_grads = _floored_kl_rows(student[kl_rows], teacher, kl_error_row, cfg)
+        kl_term = kl_grads * (lam * inv_len / g)
+        grads[kl_rows] = np.where(has_grpo[kl_rows, None], grads[kl_rows] + kl_term, kl_term)
+        err_sum = np.bincount(kl_item[kl_error_row], kl_values[kl_error_row], minlength=g)
+        key_sum = np.bincount(kl_item[~kl_error_row], kl_values[~kl_error_row], minlength=g)
+        kl_error = _running_sum(err_sum * inv_len / g)
+        kl_key = _running_sum(key_sum * inv_len / g)
+        n_err = np.where(failed, n_span, 0)
+        n_key = n_span - n_err
+        e, s = n_err > 0, n_key > 0
+        kl_error_sm = _running_sum((err_sum[e] / n_err[e]) * (n_span[e] * inv_len) / g)
+        kl_key_sm = _running_sum((key_sum[s] / n_key[s]) * (n_span[s] * inv_len) / g)
+        has_grad = np.flatnonzero(has_grpo | kl_mask)
+        grads = grads[has_grad]
 
     total = (
         grpo_nonspan
@@ -349,5 +360,4 @@ def routed_loss_rows(
         lam=lam,
         rho=rho_k,
     )
-    has_grad = np.flatnonzero(has_grpo | kl_mask)
-    return report, has_grad, grads[has_grad]
+    return report, has_grad, grads

@@ -47,7 +47,10 @@ The step carries its G rollouts of the task's horizon T as one batch:
   position. ``routed_loss_rows`` takes them as they are and returns the
   flat (G T) indices of the positions that carry a logit gradient with
   their gradient rows; the parameter update, the ledger, the entropy
-  column and the credit ratios read those arrays. The credit ratios of
+  column and the credit ratios read those arrays. Its KL block runs only
+  when a KL row exists, so a closed-channel step (most steps after the
+  KL window) pays only for the GRPO surrogate, and a dead-zone group
+  yields no gradient row and no update. The credit ratios of
   all rollouts are computed over the (G, T) credit array and equal
   ``metrics.credit_concentration`` row by row.
 * Exact evaluation (``SynthTask.expected_reward``) walks the tree one

@@ -248,6 +248,18 @@ def reference_grpo_token_loss(log_ratio, advantage, clip=ClipConfig()):
     return loss, grad_factor
 
 
+def reference_group_advantages(rewards):
+    """Standardized advantages through ``np.mean`` and ``np.std``, as
+    ``grpo.group_advantages`` computed them before it took the same
+    reductions directly."""
+    r = np.asarray(rewards, dtype=float)
+    mu = r.mean()
+    sigma = r.std()
+    if sigma == 0.0:
+        return np.zeros_like(r)
+    return (r - mu) / sigma
+
+
 def reference_routed_loss_rows(
     student: np.ndarray,
     log_ratio: np.ndarray,

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from routedkl.errors import NonFiniteInputError, RangeError
 from routedkl.grpo import ClipConfig, group_advantages, grpo_token_loss, grpo_token_losses
 
-from oracles import reference_grpo_token_loss
+from oracles import reference_group_advantages, reference_grpo_token_loss
 
 
 class TestGroupAdvantages:
@@ -28,6 +28,22 @@ class TestGroupAdvantages:
         else:
             assert abs(adv.mean()) < 1e-12
             assert abs(adv.var() - 1.0) < 1e-10
+
+    @given(
+        st.integers(min_value=2, max_value=40).flatmap(
+            lambda g: st.one_of(
+                st.lists(st.sampled_from([0.0, 1.0]), min_size=g, max_size=g),
+                st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=g, max_size=g),
+                st.floats(min_value=-1e6, max_value=1e6).map(lambda r: [r] * g),
+            )
+        )
+    )
+    @settings(max_examples=500)
+    def test_bytes_equal_mean_std_reference(self, rewards):
+        # From G = 8 on, numpy adds in 8-way pairwise blocks, not left to right.
+        rewards = np.array(rewards)
+        got = group_advantages(rewards)
+        assert got.tobytes() == reference_group_advantages(rewards).tobytes()
 
     def test_group_too_small(self):
         with pytest.raises(RangeError):

@@ -477,6 +477,38 @@ class TestBatchMatchesReference:
     def test_matches_reference(self, inputs):
         self._compare(inputs)
 
+    def _compare_closed(self, inputs):
+        """``_compare``, and the KL fields are the +0.0 of an empty sum."""
+        self._compare(inputs)
+        report, idx, grads = routed_loss_rows(**inputs, clip=self.CLIP)
+        for name in self.BRANCHES[3:]:
+            value = getattr(report, name)
+            assert value == 0.0 and np.copysign(1.0, value) == 1.0, name
+        return idx, grads
+
+    def test_closed_channel_dead_zone_has_no_gradient_rows(self):
+        group = _group(np.random.default_rng(11), vocab=5, masked=(), outcomes=[1, 1, 1])
+        adv = group_advantages(np.array([1.0, 1.0, 1.0]))
+        idx, grads = self._compare_closed(_kernel_inputs(group, adv, 0.0, self.CFG_KEY))
+        assert idx.shape == (0,) and grads.shape == (0, 5)
+
+    def test_closed_channel_live_group(self):
+        group = _group(np.random.default_rng(12), vocab=5, masked=(), outcomes=[1, 0, 1])
+        adv = group_advantages(np.array([1.0, 0.0, 1.0]))
+        idx, grads = self._compare_closed(_kernel_inputs(group, adv, 0.0, self.CFG_KEY))
+        assert idx.size == 12 and grads.shape == (12, 5)
+
+    def test_open_channel_with_spans_only_on_the_inactive_branch(self):
+        # mu_e = 0: the error spans of the two failed rollouts carry no KL,
+        # only their rho-scaled GRPO term.
+        group = _group(np.random.default_rng(13), vocab=5, outcomes=[1, 0, 0])
+        group["in_span"][0] = False
+        adv = group_advantages(np.array([1.0, 0.0, 0.0]))
+        inputs = _kernel_inputs(group, adv, 0.5 * self.CFG_KEY.w0, self.CFG_KEY)
+        assert inputs["teacher"].shape == (0, 5)
+        idx, grads = self._compare_closed(inputs)
+        assert idx.size == 12 and grads.shape == (12, 5)
+
     @given(loss_groups(), st.sampled_from([np.nan, np.inf, -np.inf]))
     @settings(max_examples=40, deadline=None)
     def test_non_finite_log_ratio_raises_like_reference(self, inputs, bad):

@@ -420,6 +420,60 @@ class TestStudentCache:
         assert seen[False] and seen[True]
 
 
+class TestKlBlockGuard:
+    """The routed kernel floors KL rows only on steps that have one."""
+
+    @staticmethod
+    def _count_kl_blocks(monkeypatch):
+        from routedkl import routing
+
+        calls = []
+        floored = routing._floored_kl_rows
+
+        def counting(*args):
+            calls.append(1)
+            return floored(*args)
+
+        monkeypatch.setattr(routing, "_floored_kl_rows", counting)
+        return calls
+
+    def test_grpo_only_never_enters_the_kl_block(self, monkeypatch):
+        calls = self._count_kl_blocks(monkeypatch)
+        run_experiment(fast_cfg("grpo_only"))
+        assert calls == []
+
+    def test_one_block_per_step_with_kl_rows_and_none_after_the_window(self, monkeypatch):
+        from routedkl.studies import CORNER_LR, CORNER_UNDER_PARAMS, study_run_config
+
+        regime = "under_allocated"
+        cfg = study_run_config(
+            "routed_fkl_key", regime, 1, CORNER_UNDER_PARAMS, steps=100,
+            learning_rate=CORNER_LR[regime],
+        )
+        state = init_run(cfg)
+        calls = self._count_kl_blocks(monkeypatch)
+        kl_rows = []
+        kernel = runner.routed_loss_rows
+
+        def recording(**kwargs):
+            kl_rows.append(len(kwargs["teacher"]))
+            return kernel(**kwargs)
+
+        monkeypatch.setattr(runner, "routed_loss_rows", recording)
+        end = cfg.routing.t_start + cfg.routing.t_decay + 1
+        seen = {False: 0, True: 0}
+        for k in range(end + 20):
+            calls.clear()
+            kl_rows.clear()
+            train_step(state)
+            if k >= end:
+                assert calls == [] and kl_rows == [0]
+            else:
+                assert len(calls) == int(kl_rows[0] > 0)
+                seen[kl_rows[0] > 0] += 1
+        assert seen[True]
+
+
 class TestGroupArrays:
     """What the step reads from its (G, T) arrays against per-token
     recomputation from the table."""

@@ -1,0 +1,211 @@
+"""Per-phase time of a training step on the perfbench workload configs.
+
+    python3 tools/phase_times.py --src src --workload corner alltoken deep-cli \\
+        --seed 1 --cycles 2 --repeats 3 --json phases.json
+
+Imports ``routedkl`` from ``--src`` and runs the configs of the three
+perfbench workloads (``perfbench/worker.py``) through ``studies`` and
+``RunConfig`` with ``run_experiment``, writing no artifacts. Each phase of
+``runner.train_step`` is timed by wrapping the ``runner`` module attribute
+that performs it; exact evaluation is ``SynthTask.expected_reward``, which
+the step calls on its task. "rest" is the step's wall time outside those
+phases (schedule, teacher sync, checks, the log row). Only calls made
+inside ``train_step`` count.
+
+A repetition runs every cycle of the workload once; cycle ``c`` uses the
+config seeds perfbench's worker gives it for ``--seed``. The printed
+µs/step of each phase is the median over repetitions, and its share is of
+the median step. The numbers are wall-clock and vary with the host, so
+compare two source trees by alternating runs on one machine.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+
+PHASES = (
+    ("sampling", "sample_group"),
+    ("advantages", "group_advantages"),
+    ("loss inputs", "_step_tensors"),
+    ("routed loss", "routed_loss_rows"),
+    ("ledger", "_update_ledger"),
+    ("credit", "_track_credit_concentration"),
+    ("update", "_apply_row_grads"),
+    ("lift reads", "_eval_probs"),
+    ("exact evaluation", "SynthTask.expected_reward"),
+)
+SEEDS_PER_RUN = 1000  # as perfbench/worker.py: cycle c of --seed n uses seeds from n * 1000 + c
+
+
+def workload_configs(lib, workload: str, seed: int, cycle: int) -> list:
+    """The run configs of one perfbench workload cycle."""
+    st, runner = lib.studies, lib.runner
+    base = seed * SEEDS_PER_RUN
+    if workload == "corner":
+        return [
+            st.study_run_config(
+                method, regime, base + cycle, params,
+                steps=st.CORNER_STEPS[regime], learning_rate=st.CORNER_LR[regime],
+            )
+            for regime, params in (
+                ("under_allocated", st.CORNER_UNDER_PARAMS),
+                ("confident_wrong", st.CORNER_CONFIDENT_PARAMS),
+            )
+            for method in ("routed_fkl_key", "routed_rkl_error", "grpo_only")
+        ]
+    if workload == "alltoken":
+        return [st.study_run_config(
+            "alltoken_kl_persistent", "under_allocated", base + cycle, st.LIFT_PARAMS,
+            steps=st.LIFT_STEPS, learning_rate=st.LIFT_LR, teacher_sync="frozen",
+            routing=st.LIFT_ROUTING, group_size=st.LIFT_GROUP,
+        )]
+    # deep-cli: the configs its `routedkl sweep` INI parses to.
+    routing = lib.routing.RoutingConfig(
+        w0=2.0, t_start=10, t_decay=50, sync_n=10, tau=10.0, alpha=0.25
+    )
+    return [
+        runner.RunConfig(
+            method=method, regime="mixed", seed=s, steps=120, group_size=8,
+            learning_rate=0.5, routing=routing,
+            task_params=lib.tasks.TaskParams(vocab=8, horizon=6), emit_plot_data=True,
+        )
+        for method in ("routed_both", "rlsd_weighted")
+        for s in (base + 2 * cycle, base + 2 * cycle + 1)
+    ]
+
+
+class PhaseClock:
+    """Wall time per phase, counted only inside ``train_step``."""
+
+    def __init__(self, runner) -> None:
+        self.runner = runner
+        self.in_step = False
+        self.totals = dict.fromkeys([name for name, _ in PHASES] + ["step"], 0.0)
+        self.steps = 0
+
+    def _timed(self, name: str, fn):
+        clock = time.perf_counter
+
+        def timed(*args, **kwargs):
+            if not self.in_step:
+                return fn(*args, **kwargs)
+            t0 = clock()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self.totals[name] += clock() - t0
+
+        return timed
+
+    def install(self) -> None:
+        runner = self.runner
+        for name, attr in PHASES:
+            owner = runner
+            *path, leaf = attr.split(".")
+            for part in path:
+                owner = getattr(owner, part)
+            setattr(owner, leaf, self._timed(name, getattr(owner, leaf)))
+        step = runner.train_step
+        clock = time.perf_counter
+
+        def timed_step(state):
+            self.in_step = True
+            t0 = clock()
+            try:
+                return step(state)
+            finally:
+                self.totals["step"] += clock() - t0
+                self.in_step = False
+                self.steps += 1
+
+        runner.train_step = timed_step
+
+    def reset(self) -> None:
+        self.totals = dict.fromkeys(self.totals, 0.0)
+        self.steps = 0
+
+
+def measure(lib, clock: PhaseClock, workload: str, seed: int, cycles: int, repeats: int) -> dict:
+    """Median µs/step of each phase over ``repeats`` passes of the cycles."""
+    per_rep = []
+    for _ in range(repeats):
+        clock.reset()
+        for cycle in range(cycles):
+            for cfg in workload_configs(lib, workload, seed, cycle):
+                lib.runner.run_experiment(cfg)
+        us = {name: 1e6 * t / clock.steps for name, t in clock.totals.items()}
+        us["rest"] = us["step"] - sum(us[name] for name, _ in PHASES)
+        per_rep.append(us)
+    median = {name: statistics.median(rep[name] for rep in per_rep) for name in per_rep[0]}
+    step = median.pop("step")
+    return {
+        "steps_per_repeat": clock.steps,
+        "step_us": step,
+        "phases": {
+            name: {"us_per_step": us, "share": us / step} for name, us in median.items()
+        },
+    }
+
+
+def machine() -> dict:
+    import numpy
+
+    model = platform.processor()
+    try:
+        with open("/proc/cpuinfo") as fh:
+            model = next(line.split(":", 1)[1].strip() for line in fh if line.startswith("model name"))
+    except (OSError, StopIteration):
+        pass
+    return {
+        "nproc": os.cpu_count(),
+        "cpu": model,
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", required=True, help="directory that holds the routedkl package")
+    parser.add_argument("--workload", nargs="+", choices=("corner", "alltoken", "deep-cli"),
+                        default=["corner", "alltoken", "deep-cli"])
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--cycles", type=int, default=2)
+    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--json", default=None, help="also write the results here")
+    args = parser.parse_args(argv)
+    if args.seed < 0 or args.cycles < 1 or args.repeats < 1:
+        parser.error("need --seed >= 0, --cycles >= 1 and --repeats >= 1")
+    if not os.path.isfile(os.path.join(args.src, "routedkl", "__init__.py")):
+        parser.error(f"no routedkl package under {args.src}")
+
+    sys.path.insert(0, os.path.abspath(args.src))
+    import routedkl
+    import routedkl.studies
+
+    clock = PhaseClock(routedkl.runner)
+    clock.install()
+    out = {"machine": machine(), "seed": args.seed, "cycles": args.cycles,
+           "repeats": args.repeats, "workloads": {}}
+    for workload in args.workload:
+        res = measure(routedkl, clock, workload, args.seed, args.cycles, args.repeats)
+        out["workloads"][workload] = res
+        print(f"{workload}: {res['step_us']:.1f} us/step, "
+              f"{res['steps_per_repeat']} steps per repetition")
+        for name, phase in res["phases"].items():
+            print(f"  {name:18s} {phase['us_per_step']:9.1f} us/step {100 * phase['share']:6.1f}%")
+    if args.json:
+        with open(args.json, "w") as fh:
+            json.dump(out, fh, indent=1)
+            fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
