@@ -3,24 +3,24 @@
 import numpy as np
 
 from routedkl import (
-    CharSpan,
     RoutingConfig,
-    enforce_coverage_cap,
     lambda_schedule,
-    project_spans_to_mask,
     rho,
     routed_loss_rows,
     schedule_weight_sums,
 )
 from routedkl.grpo import group_advantages
+from routedkl.routing import coverage_cap
 
 print("== span projection and the coverage cap ==")
-intervals = [(t, t + 1) for t in range(12)]
-spans = [CharSpan(2, 4, "type_a"), CharSpan(8, 9, "type_a")]
-mask = project_spans_to_mask(spans, intervals)
+# Tokens are atomic, so a span [start, end) marks positions start..end-1.
+mask = np.zeros(12, dtype=np.int8)
+for start, end in [(2, 4), (8, 9)]:
+    mask[start:end] = 1
 print("projected mask  ->", mask.tolist())
-capped = enforce_coverage_cap(mask, np.ones(12), alpha=0.25)
-print("after 25% cap   ->", capped.tolist(), f"({capped.sum()} of ceil(0.25*12)={int(np.ceil(3.0))})")
+cap = coverage_cap(0.25, mask.size)
+capped = mask * (np.cumsum(mask) <= cap)  # the lowest `cap` marked positions
+print("after 25% cap   ->", capped.tolist(), f"({capped.sum()} of ceil(0.25*12)={cap})")
 
 marked = tuple(np.flatnonzero(capped).tolist())
 print("outcome 1 routes the mask to key spans:", marked)

@@ -20,16 +20,24 @@ cw_student = cw.make_table().student_dist(cw.prompt_id, ())
 print(f"confident-wrong: trap = token {cw.bad_token}, student mass {cw_student[cw.bad_token]:.3f}, "
       f"teacher suppresses it below 0.05 in every context")
 
+
+
+def runs(row):
+    """(start, end) of each run of marked positions in a mask row."""
+    edges = np.flatnonzero(np.diff(np.concatenate([[0], row.astype(int), [0]])))
+    return list(zip(edges[::2].tolist(), edges[1::2].tolist()))
+
+
 print("\n== rollouts, verification, annotation ==")
 chain = generate_task("under_allocated", seed=1, params=chain_params())
 chain_table = chain.make_table()
 rng = np.random.default_rng(0)
 shown = 0
 while shown < 4:
-    rollout = sample_group(chain_table, chain, rng, 1).rollouts[0]
-    ann = oracle_annotate(rollout, chain, precision=1.0, rng=rng)
-    spans = [(s.start, s.end) for s in ann.spans]
-    print(f"tokens {rollout.tokens}  outcome {rollout.outcome}  spans {spans}  type {ann.span_type}")
+    group = sample_group(chain_table, chain, rng, 1)
+    ctx, mask = oracle_annotate(chain, group, precision=1.0, rng=rng)
+    tokens, label = tuple(group.tokens[0].tolist()), chain.contexts[ctx[0]].label
+    print(f"tokens {tokens}  outcome {group.outcomes[0]}  spans {runs(mask[0])}  type {label}")
     shown += 1
 print("accepted rollouts carry key spans on critical positions;")
 print("failures are marked only when the root cause is a critical position")
@@ -37,12 +45,10 @@ print("failures are marked only when the root cause is a critical position")
 print("\n== annotator precision model ==")
 hits, total = 0, 0
 while total < 3000:
-    rollout = sample_group(chain_table, chain, rng, 1).rollouts[0]
-    ann = oracle_annotate(rollout, chain, precision=0.7, rng=rng)
-    for s in ann.spans:
-        for t in range(s.start, s.end):
-            total += 1
-            hits += t in chain.critical_positions
+    group = sample_group(chain_table, chain, rng, 1)
+    _, mask = oracle_annotate(chain, group, precision=0.7, rng=rng)
+    total += int(mask.sum())
+    hits += int(mask[0, list(chain.critical_positions)].sum())
 print(f"requested precision 0.7, measured {hits / total:.3f} over {total} selections")
 
 print("\n== exact enumeration oracles ==")

@@ -6,15 +6,7 @@ exposure accounting, executable theory checks, and synthetic tasks that
 reproduce the regime-dependent choice between the two KL directions.
 """
 
-from .divergence import (
-    LogRatioStats,
-    clip_per_vocab_kl,
-    fkl_logit_grad,
-    kl,
-    log_ratio_stats,
-    mixed_beta_grad,
-    rkl_logit_grad,
-)
+from .divergence import clip_per_vocab_kl, fkl_logit_grad, kl, rkl_logit_grad
 from .grpo import ClipConfig, group_advantages, grpo_token_loss
 from .metrics import LiftSample, credit_concentration, delta_lift
 from .policy import PolicyTable, entropy, softmax, truncate_and_floor
@@ -26,18 +18,14 @@ from .privileged import (
     rlsd_weight,
 )
 from .routing import (
-    CharSpan,
     RoutingConfig,
-    enforce_coverage_cap,
     lambda_schedule,
-    project_spans_to_mask,
     rho,
     routed_loss_rows,
     schedule_weight_sums,
 )
 from .runner import RunConfig, RunLog, init_run, run_experiment, should_sync, train_step
 from .tasks import (
-    OracleAnnotation,
     PrivilegedContext,
     SynthTask,
     TaskParams,

@@ -13,8 +13,6 @@ Both are zero-sum because softmax is shift invariant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionError, RangeError, UndefinedDivergenceError
@@ -47,20 +45,6 @@ def kl(p: np.ndarray, q: np.ndarray) -> float:
     return float((p[mask] * (np.log(p[mask]) - np.log(q[mask]))).sum())
 
 
-@dataclass(frozen=True)
-class LogRatioStats:
-    """Per-token log ratios r_v = log(p_v / q_v) and their p-mean."""
-
-    r: np.ndarray
-    r_bar: float
-
-
-def log_ratio_stats(student: np.ndarray, teacher: np.ndarray) -> LogRatioStats:
-    p, q = _require_positive(*_check_pair(student, teacher))
-    r = np.log(p) - np.log(q)
-    return LogRatioStats(r=r, r_bar=float((p * r).sum()))
-
-
 def fkl_logit_grad(student: np.ndarray, teacher: np.ndarray) -> np.ndarray:
     """Gradient of KL(teacher || student) w.r.t. student logits: p - q."""
     p, q = _check_pair(student, teacher)
@@ -69,19 +53,9 @@ def fkl_logit_grad(student: np.ndarray, teacher: np.ndarray) -> np.ndarray:
 
 def rkl_logit_grad(student: np.ndarray, teacher: np.ndarray) -> np.ndarray:
     """Gradient of KL(student || teacher) w.r.t. student logits."""
-    stats = log_ratio_stats(student, teacher)
-    p = np.asarray(student, dtype=float)
-    return p * (stats.r - stats.r_bar)
-
-
-def mixed_beta_grad(
-    student: np.ndarray, teacher: np.ndarray, beta: float
-) -> np.ndarray:
-    """Gradient of beta*FKL + (1-beta)*RKL; affine in beta."""
-    if not (0.0 <= beta <= 1.0):
-        raise RangeError(f"beta={beta} outside [0, 1]")
-    fkl, rkl = fkl_logit_grad(student, teacher), rkl_logit_grad(student, teacher)
-    return beta * fkl + (1.0 - beta) * rkl
+    p, q = _require_positive(*_check_pair(student, teacher))
+    r = np.log(p) - np.log(q)
+    return p * (r - float((p * r).sum()))
 
 
 def clip_per_vocab_kl(kl_terms: np.ndarray, tau: float) -> np.ndarray:

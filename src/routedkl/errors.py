@@ -36,10 +36,6 @@ class RangeError(RoutedKlError):
     """Scalar argument outside its declared range."""
 
 
-class SpanAlignmentError(RoutedKlError):
-    """Token character intervals overlap or are out of order."""
-
-
 class StepSizeError(RoutedKlError):
     """Euler step left the probability simplex."""
 

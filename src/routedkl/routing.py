@@ -1,4 +1,4 @@
-"""Span masks, the coverage cap, the KL weight schedule, and the routed loss.
+"""The coverage cap, the KL weight schedule, and the routed loss.
 
 Routing puts each rollout position in exactly one of three classes:
 error spans (failed rollouts, reverse KL toward the teacher), key spans
@@ -27,24 +27,10 @@ from .errors import (
     DimensionError,
     InternalConsistencyError,
     RangeError,
-    SpanAlignmentError,
     require_finite_fields,
 )
 from .grpo import ClipConfig, grpo_token_losses
 from .policy import floor_fixed_point, simplex_rows, truncate_and_floor
-
-
-@dataclass(frozen=True)
-class CharSpan:
-    """Half-open annotated interval with a coarse type label."""
-
-    start: int
-    end: int
-    span_type: str
-
-    def __post_init__(self) -> None:
-        if not self.start < self.end:
-            raise RangeError(f"span [{self.start}, {self.end}) is empty")
 
 
 @dataclass(frozen=True)
@@ -77,49 +63,8 @@ class RoutingConfig:
             raise RangeError("need t_start >= 0, t_decay > 0 and sync_n > 0")
 
 
-def project_spans_to_mask(
-    spans: list[CharSpan], token_char_intervals: list[tuple[int, int]]
-) -> np.ndarray:
-    """Mark token t iff its character interval intersects any span."""
-    prev_end = None
-    for start, end in token_char_intervals:
-        if start >= end:
-            raise SpanAlignmentError("empty token interval")
-        if prev_end is not None and start < prev_end:
-            raise SpanAlignmentError("token intervals overlap or are unordered")
-        prev_end = end
-    mask = np.zeros(len(token_char_intervals), dtype=np.int8)
-    for span in spans:
-        for t, (start, end) in enumerate(token_char_intervals):
-            if span.start < end and start < span.end:
-                mask[t] = 1
-    return mask
-
-
 def coverage_cap(alpha: float, length: int) -> int:
     return math.ceil(alpha * length)
-
-
-def enforce_coverage_cap(
-    mask: np.ndarray, weights: np.ndarray, alpha: float
-) -> np.ndarray:
-    """Keep at most ceil(alpha * len) marked tokens, by descending weight.
-
-    Ties break toward the lower index so binary annotator weights give a
-    deterministic mask.
-    """
-    mask = np.asarray(mask, dtype=np.int8)
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != mask.shape:
-        raise DimensionError("weights and mask lengths differ")
-    cap = coverage_cap(alpha, mask.size)
-    marked = np.flatnonzero(mask)
-    if marked.size <= cap:
-        return mask.copy()
-    order = sorted(marked, key=lambda t: (-weights[t], t))
-    capped = np.zeros_like(mask)
-    capped[order[:cap]] = 1
-    return capped
 
 
 def lambda_schedule(k: int, cfg: RoutingConfig) -> float:

@@ -31,15 +31,12 @@ The step carries its G rollouts of the task's horizon T as one batch:
   state advances through the task's (T, 4, V) transition table
   (``SynthTask.transitions``, built on first use), so the outcomes and
   the root causes are read off the group's (G, T + 1) state array.
-* Annotation splits by precision. At ``annotator_precision == 1`` the
-  annotator's only draw is one context uniform per rollout: the contexts
-  are one ``draw_contexts`` call and the span mask is
-  ``tasks.oracle_span_mask``, key runs on accepted rollouts and the root
-  cause, when critical, on rejected ones. Below 1, whether and where a
-  span is faked depends on draws made span by span, so each rollout goes
-  through ``oracle_annotate`` in turn. Either way the coverage cap keeps
-  each row's lowest ``ceil(alpha T)`` marked positions. The annotator's
-  and RLSD's context draws use the same inverse CDF, one uniform per
+* ``tasks.oracle_annotate`` annotates the whole group: one context per
+  rollout and a (G, T) span mask, key runs on accepted rollouts and the
+  root cause, when critical, on rejected ones, each span faked with
+  probability ``1 - annotator_precision``. The coverage cap keeps each
+  row's lowest ``ceil(alpha T)`` marked positions. The annotator's and
+  RLSD's context draws use the same inverse CDF, one uniform per
   rollout, in rollout order.
 * ``_step_tensors`` builds the student rows (G, T, V), the log ratios and
   the span mask (G, T), the teacher rows of the KL positions in
@@ -129,7 +126,6 @@ from .routing import (
     RoutingConfig,
     coverage_cap,
     lambda_schedule,
-    project_spans_to_mask,
     routed_loss_rows,
 )
 from .tasks import (
@@ -140,7 +136,6 @@ from .tasks import (
     draw_contexts,
     generate_task,
     oracle_annotate,
-    oracle_span_mask,
     sample_group,
 )
 
@@ -414,27 +409,10 @@ def _annotate(
     rng: np.random.Generator,
     alpha: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Each rollout's oracle context and (G, T) span mask after the cap.
-
-    At precision 1 the annotator's only draw is one context uniform per
-    rollout, so the contexts are one ``draw_contexts`` call and the mask is
-    ``oracle_span_mask``: the same stream and the same spans as the
-    per-rollout ``oracle_annotate``. Below 1, whether and where a span is
-    faked depends on draws made span by span, so each rollout is
-    annotated in turn. The cap keeps a row's lowest marked positions, as
-    ``enforce_coverage_cap`` does with unit weights.
-    """
-    size, horizon = group.tokens.shape
-    if precision == 1.0:
-        ctx, mask = draw_contexts(task, rng, size), oracle_span_mask(task, group)
-    else:
-        ctx = np.empty(size, dtype=np.int64)
-        mask = np.zeros((size, horizon), dtype=bool)
-        for i, rollout in enumerate(group.rollouts):
-            ann = oracle_annotate(rollout, task, precision, rng)
-            ctx[i] = ann.context_index
-            mask[i] = project_spans_to_mask(list(ann.spans), rollout.token_char_intervals())
-    return ctx, mask & (np.cumsum(mask, axis=1) <= coverage_cap(alpha, horizon))
+    """Each rollout's oracle context and (G, T) span mask after the cap,
+    which keeps a row's lowest ``ceil(alpha T)`` marked positions."""
+    ctx, mask = oracle_annotate(task, group, precision, rng)
+    return ctx, mask & (np.cumsum(mask, axis=1) <= coverage_cap(alpha, mask.shape[1]))
 
 
 def _step_tensors(
@@ -530,6 +508,12 @@ def _apply_row_grads(
     state.validation_reward = None
 
 
+def _mean(values: np.ndarray) -> float:
+    """``np.mean`` of a float array: the same ``add.reduce`` sum over the
+    size, as in ``group_advantages``, without its Python dispatch."""
+    return float(values.sum() / values.size)
+
+
 def _update_ledger(state: RunState, step: _StepTensors, lam: float) -> None:
     """Per-step exposure record: exact context variance and deviation moment.
 
@@ -541,8 +525,8 @@ def _update_ledger(state: RunState, step: _StepTensors, lam: float) -> None:
         state.ledger,
         state.k,
         lam,
-        float(np.mean(np.cumsum(step.variance, axis=1)[:, -1] * inv_len)),
-        float(np.mean(np.cumsum(step.deviation, axis=1)[:, -1] * inv_len)),
+        _mean(np.cumsum(step.variance, axis=1)[:, -1] * inv_len),
+        _mean(np.cumsum(step.deviation, axis=1)[:, -1] * inv_len),
     )
 
 
@@ -571,7 +555,7 @@ def _track_credit_concentration(
     credit[rows] = state.cfg.learning_rate * norms
     ratios = _credit_ratios(credit.reshape(mask.shape), mask)
     if ratios.size:
-        state.credit_ratios.append(float(np.mean(ratios)))
+        state.credit_ratios.append(_mean(ratios))
 
 
 def _dump_diagnostics(state: RunState, rewards: np.ndarray, total: float) -> None:
@@ -660,9 +644,9 @@ def train_step(state: RunState) -> dict:
 
     row = {
         "step": k,
-        "train_reward": float(rewards.mean()),
+        "train_reward": _mean(rewards),
         "validation_reward": state.validation_reward,
-        "entropy": float(np.mean(_entropy(step.student.reshape(-1, task.vocab)))),
+        "entropy": _mean(_entropy(step.student.reshape(-1, task.vocab))),
         "lambda": lam,
         "rho": report.rho,
         "exposure": state.ledger.exposure,

@@ -282,14 +282,10 @@ ALIGNMENT_PARAMS = chain_params(
 )
 
 
-def _span_pull(task: SynthTask, table, rollout, position: int, ctx: int):
-    """Forward-KL update direction (negative loss gradient) at one position."""
-    student = truncate_and_floor(
-        table.student_dist(task.prompt_id, rollout.prefix(position)), task.vocab, 1e-6
-    )
-    teacher = truncate_and_floor(
-        task.teacher_dist(table, ctx, rollout.prefix(position)), task.vocab, 1e-6
-    )
+def _span_pull(task: SynthTask, table, prefix: tuple, ctx: int):
+    """Forward-KL update direction (negative loss gradient) at one prefix."""
+    student = truncate_and_floor(table.student_dist(task.prompt_id, prefix), task.vocab, 1e-6)
+    teacher = truncate_and_floor(task.teacher_dist(table, ctx, prefix), task.vocab, 1e-6)
     return -fkl_logit_grad(student, teacher)
 
 
@@ -320,19 +316,18 @@ def alignment_threshold_study(
 
     true_aligns, false_aligns = [], []
     for _ in range(n_rollouts):
-        rollout = sample_group(table, task, rng, 1).rollouts[0]
-        if rollout.outcome != 1:
+        group = sample_group(table, task, rng, 1)
+        if group.outcomes[0] != 1:
             continue
+        tokens = tuple(group.tokens[0].tolist())
         ctx = int(rng.choice(len(task.contexts), p=task.context_probs))
         for t in task.critical_positions:
-            g = _span_pull(task, table, rollout, t, ctx)
-            true_aligns.append(float(g @ tilde(rollout.prefix(t))))
-        non_critical = [
-            t for t in range(len(rollout)) if t not in task.critical_positions
-        ]
+            g = _span_pull(task, table, tokens[:t], ctx)
+            true_aligns.append(float(g @ tilde(tokens[:t])))
+        non_critical = [t for t in range(task.horizon) if t not in task.critical_positions]
         t_false = int(non_critical[int(rng.choice(len(non_critical)))])
-        g = _span_pull(task, table, rollout, t_false, ctx)
-        false_aligns.append(float(g @ tilde(rollout.prefix(t_false))))
+        g = _span_pull(task, table, tokens[:t_false], ctx)
+        false_aligns.append(float(g @ tilde(tokens[:t_false])))
 
     gamma = float(np.mean(true_aligns))
     b = float(-np.mean(false_aligns))

@@ -35,7 +35,6 @@ from .errors import (
     require_finite_fields,
 )
 from .policy import PolicyTable, PrefixKey, softmax
-from .routing import CharSpan
 
 REGIMES = ("under_allocated", "confident_wrong", "mixed")
 
@@ -99,26 +98,6 @@ class PrivilegedContext:
     context_id: int
     label: str
     offsets: dict
-
-
-@dataclass
-class Rollout:
-    """One sampled sequence with outcome and sample-time log-probs."""
-
-    prompt_id: str
-    tokens: tuple[int, ...]
-    outcome: int
-    logprobs: np.ndarray
-
-    def prefix(self, t: int) -> PrefixKey:
-        return self.tokens[:t]
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def token_char_intervals(self) -> list[tuple[int, int]]:
-        """Tokens are atomic: position t occupies characters [t, t+1)."""
-        return [(t, t + 1) for t in range(len(self.tokens))]
 
 
 @dataclass
@@ -213,27 +192,6 @@ class SynthTask:
         for t, tok in enumerate(tokens):
             state = self._step_state(state, t, tok)
         return 0 if state == _DEAD else 1
-
-    def _reachable(self, state: int) -> bool:
-        # From GUARD an accepting continuation always exists because the
-        # trap set is a strict subset of the vocabulary; from START the
-        # accepting token itself is available.
-        return state != _DEAD
-
-    def root_cause(self, tokens: tuple[int, ...]) -> int | None:
-        """Earliest position whose token cut off every accepting continuation.
-
-        Returns None when that position is not a critical one: the oracle
-        then declines to mark a root cause rather than guess. The
-        per-sequence reference for ``oracle_span_mask``.
-        """
-        state = _START
-        for t, tok in enumerate(tokens):
-            nxt = self._step_state(state, t, tok)
-            if self._reachable(state) and not self._reachable(nxt):
-                return t if t in self.critical_positions else None
-            state = nxt
-        return None
 
     # ----- exact enumeration -----------------------------------------------
 
@@ -598,12 +556,11 @@ class SampledGroup:
 
     ``prefixes`` lists the distinct prefixes the group visited, in
     sampling order, and ``prefix_index[i, t]`` is the entry of position t
-    of rollout i. Each rollout's ``logprobs`` is a row of ``logprobs``.
+    of rollout i. Row i of each (G, ...) array is rollout i.
     ``states[i, t]`` is the acceptance-machine state of rollout i before
     position t; the outcomes are read off its last column.
     """
 
-    rollouts: list
     tokens: np.ndarray  # (G, T) sampled token ids
     logprobs: np.ndarray  # (G, T) sample-time log-probs
     outcomes: np.ndarray  # (G,) verifier outcomes
@@ -671,12 +628,7 @@ def sample_group(
     # math.log, not np.log: the two differ in the last bit on some inputs.
     logprobs = np.array([math.log(p) for p in probs.ravel().tolist()]).reshape(size, horizon)
     outcomes = (states[:, -1] != _DEAD).astype(np.int64)
-    rollouts = [
-        Rollout(task.prompt_id, seq, outcome, logprobs[row])
-        for row, (seq, outcome) in enumerate(zip(map(tuple, tokens.tolist()), outcomes.tolist()))
-    ]
     return SampledGroup(
-        rollouts=rollouts,
         tokens=tokens,
         logprobs=logprobs,
         outcomes=outcomes,
@@ -684,29 +636,6 @@ def sample_group(
         prefix_index=prefix_index,
         states=states,
     )
-
-
-@dataclass(frozen=True)
-class OracleAnnotation:
-    """Span record mirroring the annotator output schema.
-
-    Spans are token-index intervals (tokens are atomic characters here).
-    Error spans appear only on rejected rollouts and key spans only on
-    accepted ones; at most three spans of one to three consecutive
-    positions each.
-    """
-
-    spans: tuple[CharSpan, ...]
-    span_type: str
-    outcome: int
-    context_index: int
-
-    def __post_init__(self) -> None:
-        if len(self.spans) > 3:
-            raise InternalConsistencyError("annotator emits at most 3 spans")
-        for s in self.spans:
-            if not (1 <= s.end - s.start <= 3):
-                raise InternalConsistencyError("spans cover 1-3 positions")
 
 
 def _runs(positions: list[int]) -> list[tuple[int, int]]:
@@ -721,73 +650,54 @@ def _runs(positions: list[int]) -> list[tuple[int, int]]:
 
 
 def oracle_annotate(
-    rollout: Rollout,
-    task: SynthTask,
-    precision: float = 1.0,
-    rng: np.random.Generator | None = None,
-) -> OracleAnnotation:
-    """Deterministic oracle spans, optionally corrupted to precision q.
+    task: SynthTask, group: SampledGroup, precision: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each rollout's privileged context and the (G, T) span mask, before
+    the coverage cap, with every span kept with probability ``precision``.
 
-    Accepted rollouts get key spans on the critical positions they
-    traversed; rejected rollouts get an error span on the root-cause
-    position when it is critical, otherwise no span. With probability
-    1 - q each true span is replaced by a random non-critical position,
-    realizing the Bernoulli precision model.
+    The true spans: an accepted rollout is marked on the runs of critical
+    positions (``_runs``, so at most three of them); a rejected one on its
+    root cause, the first position where its machine state goes dead,
+    when that position is critical, and otherwise not at all. Tokens are
+    atomic, so a span is a run of mask positions.
+
+    At precision 1 the only draw is one context uniform per rollout, all
+    in one ``draw_contexts`` call. Below 1 each rollout in turn draws its
+    context, then one uniform per true span; where the uniform exceeds
+    ``precision`` the span is replaced by one non-critical position,
+    ``rng.choice`` over them (the Bernoulli precision model).
     """
     if not (0.0 <= precision <= 1.0):
         raise RangeError("precision must lie in [0, 1]")
-    rng = rng or np.random.default_rng(0)
-    context_index = int(draw_contexts(task, rng, 1)[0])
-    label = task.contexts[context_index].label
-
-    if rollout.outcome == 1:
-        true_positions = [t for t in task.critical_positions if t < len(rollout)]
-    else:
-        rc = task.root_cause(rollout.tokens)
-        true_positions = [rc] if rc is not None else []
-
-    non_critical = [
-        t for t in range(len(rollout)) if t not in task.critical_positions
-    ]
-    spans: list[CharSpan] = []
-    for start, end in _runs(sorted(true_positions)):
-        if precision < 1.0 and rng.random() > precision and non_critical:
-            fake = int(rng.choice(len(non_critical)))
-            pos = non_critical[fake]
-            spans.append(CharSpan(pos, pos + 1, label))
-        else:
-            spans.append(CharSpan(start, end, label))
-    return OracleAnnotation(
-        spans=tuple(spans),
-        span_type=label,
-        outcome=rollout.outcome,
-        context_index=context_index,
-    )
-
-
-def oracle_span_mask(task: SynthTask, group: SampledGroup) -> np.ndarray:
-    """(G, T) span mask of ``oracle_annotate`` at precision 1, before the
-    coverage cap, as ``project_spans_to_mask`` gives it row by row.
-
-    An accepted rollout is marked on the runs of critical positions
-    (``_runs``, so at most three of them); a rejected one on its root cause
-    when that position is critical. The root cause is the first position
-    where the group's machine state goes dead. No generator is read: at
-    precision 1 the annotator's only draw is its context.
-    """
     size, horizon = group.tokens.shape
     critical = sorted(t for t in task.critical_positions if t < horizon)
+    key_runs = _runs(critical)
     key = np.zeros(horizon, dtype=bool)
-    for start, end in _runs(critical):
+    for start, end in key_runs:
         key[start:end] = True
     is_critical = np.zeros(horizon, dtype=bool)
     is_critical[critical] = True
     dead = group.states[:, 1:] == _DEAD
     root = dead.argmax(axis=1)
-    mask = np.where(dead[:, -1:], False, key)
-    marked = np.flatnonzero(dead[:, -1] & is_critical[root])
-    mask[marked, root[marked]] = True
-    return mask
+    failed = dead[:, -1]
+    has_root = failed & is_critical[root]
+    mask = np.where(failed[:, None], False, key)
+    mask[has_root, root[has_root]] = True
+    if precision == 1.0:
+        return draw_contexts(task, rng, size), mask
+    non_critical = np.flatnonzero(~is_critical)
+    uniforms = np.empty(size)
+    for i in range(size):
+        uniforms[i] = rng.random()  # the context, as draw_contexts(task, rng, 1)
+        if not failed[i]:
+            runs = key_runs
+        else:
+            runs = [(root[i], root[i] + 1)] if has_root[i] else []
+        for start, end in runs:
+            if rng.random() > precision and non_critical.size:
+                mask[i, start:end] = False
+                mask[i, non_critical[rng.choice(non_critical.size)]] = True
+    return inverse_cdf(task.context_probs, uniforms), mask
 
 
 def single_route_params(**overrides) -> TaskParams:

@@ -17,12 +17,15 @@ was batched:
 * ``reference_softmax``: the one-row softmax behind the stacked one;
 * ``reference_expected_reward``: the depth-first recursion behind the
   level-wise exact evaluation;
-* ``reference_annotate``: per-rollout ``oracle_annotate``, span projection
-  and coverage cap behind the group's span mask;
+* ``reference_annotate``: the per-rollout annotator with character spans
+  (``Rollout``, ``CharSpan``, ``reference_oracle_annotate`` and
+  ``reference_root_cause``), ``project_spans_to_mask`` and the weighted
+  ``enforce_coverage_cap`` behind the group annotator and its cap;
 * ``reference_credit_ratios``: per-rollout ``credit_concentration``.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +35,7 @@ from routedkl.errors import (
     InternalConsistencyError,
     NonFiniteInputError,
     RangeError,
+    RoutedKlError,
     UndefinedDivergenceError,
 )
 from routedkl.grpo import ClipConfig
@@ -41,11 +45,9 @@ from routedkl.routing import (
     RoutedLossReport,
     RoutingConfig,
     coverage_cap,
-    enforce_coverage_cap,
-    project_spans_to_mask,
     rho,
 )
-from routedkl.tasks import _DEAD, _FREE, _START, Rollout, oracle_annotate
+from routedkl.tasks import _DEAD, _FREE, _START, _runs, draw_contexts
 
 
 def fd_kl_logit_grad(logits, teacher, forward, h=1e-6):
@@ -384,6 +386,23 @@ def reference_routed_loss_rows(
     return report, grads
 
 
+@dataclass
+class Rollout:
+    """One sampled sequence with outcome and sample-time log-probs."""
+
+    prompt_id: str
+    tokens: tuple[int, ...]
+    outcome: int
+    logprobs: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.tokens)
+
+    def token_char_intervals(self) -> list[tuple[int, int]]:
+        """Tokens are atomic: position t occupies characters [t, t+1)."""
+        return [(t, t + 1) for t in range(len(self.tokens))]
+
+
 def reference_sample_sequence(table, task, rng, dists=None) -> Rollout:
     """Per-token reference for ``tasks.sample_group``: one sequence, one
     ``Generator.choice`` per token, kept from before groups were sampled
@@ -438,15 +457,109 @@ def reference_expected_reward(task, table):
     return value((), _START, 0)
 
 
-def reference_annotate(task, rollouts, precision, rng, alpha):
-    """Per-rollout contexts and capped span masks: ``oracle_annotate``,
-    ``project_spans_to_mask`` and ``enforce_coverage_cap`` with unit
-    weights, rollout by rollout on one generator."""
+@dataclass(frozen=True)
+class CharSpan:
+    """Half-open annotated interval with a coarse type label."""
+
+    start: int
+    end: int
+    span_type: str
+
+    def __post_init__(self) -> None:
+        if not self.start < self.end:
+            raise RangeError(f"span [{self.start}, {self.end}) is empty")
+
+
+class SpanAlignmentError(RoutedKlError):
+    """Token character intervals overlap or are out of order."""
+
+
+def project_spans_to_mask(spans, token_char_intervals):
+    """Mark token t iff its character interval intersects any span."""
+    prev_end = None
+    for start, end in token_char_intervals:
+        if start >= end:
+            raise SpanAlignmentError("empty token interval")
+        if prev_end is not None and start < prev_end:
+            raise SpanAlignmentError("token intervals overlap or are unordered")
+        prev_end = end
+    mask = np.zeros(len(token_char_intervals), dtype=np.int8)
+    for span in spans:
+        for t, (start, end) in enumerate(token_char_intervals):
+            if span.start < end and start < span.end:
+                mask[t] = 1
+    return mask
+
+
+def enforce_coverage_cap(mask, weights, alpha):
+    """Keep at most ceil(alpha * len) marked tokens, by descending weight.
+
+    Ties break toward the lower index, so unit weights keep the lowest
+    marked positions, as the runner's ``cumsum`` cap does.
+    """
+    mask = np.asarray(mask, dtype=np.int8)
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != mask.shape:
+        raise DimensionError("weights and mask lengths differ")
+    cap = coverage_cap(alpha, mask.size)
+    marked = np.flatnonzero(mask)
+    if marked.size <= cap:
+        return mask.copy()
+    order = sorted(marked, key=lambda t: (-weights[t], t))
+    capped = np.zeros_like(mask)
+    capped[order[:cap]] = 1
+    return capped
+
+
+def reference_root_cause(task, tokens):
+    """Earliest position whose token cut off every accepting continuation,
+    or None when that position is not critical; stepped through
+    ``_step_state`` token by token."""
+    state = _START
+    for t, tok in enumerate(tokens):
+        nxt = task._step_state(state, t, tok)
+        if state != _DEAD and nxt == _DEAD:
+            return t if t in task.critical_positions else None
+        state = nxt
+    return None
+
+
+def reference_oracle_annotate(rollout, task, precision, rng):
+    """One rollout's (context index, spans): the per-rollout annotator
+    behind ``tasks.oracle_annotate``, draw for draw."""
+    if not (0.0 <= precision <= 1.0):
+        raise RangeError("precision must lie in [0, 1]")
+    context_index = int(draw_contexts(task, rng, 1)[0])
+    label = task.contexts[context_index].label
+    if rollout.outcome == 1:
+        true_positions = [t for t in task.critical_positions if t < len(rollout)]
+    else:
+        rc = reference_root_cause(task, rollout.tokens)
+        true_positions = [rc] if rc is not None else []
+    non_critical = [t for t in range(len(rollout)) if t not in task.critical_positions]
+    spans = []
+    for start, end in _runs(sorted(true_positions)):
+        if precision < 1.0 and rng.random() > precision and non_critical:
+            pos = non_critical[int(rng.choice(len(non_critical)))]
+            spans.append(CharSpan(pos, pos + 1, label))
+        else:
+            spans.append(CharSpan(start, end, label))
+    if len(spans) > 3 or any(not 1 <= s.end - s.start <= 3 for s in spans):
+        raise InternalConsistencyError("at most 3 spans of 1-3 positions each")
+    return context_index, spans
+
+
+def reference_annotate(task, tokens, precision, rng, alpha):
+    """Per-rollout contexts and capped span masks of the (G, T) ``tokens``:
+    ``reference_oracle_annotate``, ``project_spans_to_mask`` and
+    ``enforce_coverage_cap`` with unit weights, rollout by rollout on one
+    generator. Outcomes come from ``task.verifier``."""
     contexts, masks = [], []
-    for rollout in rollouts:
-        ann = oracle_annotate(rollout, task, precision, rng)
-        mask = project_spans_to_mask(list(ann.spans), rollout.token_char_intervals())
-        contexts.append(ann.context_index)
+    for seq in map(tuple, np.asarray(tokens).tolist()):
+        rollout = Rollout(task.prompt_id, seq, task.verifier(seq), np.zeros(len(seq)))
+        context, spans = reference_oracle_annotate(rollout, task, precision, rng)
+        mask = project_spans_to_mask(spans, rollout.token_char_intervals())
+        contexts.append(context)
         masks.append(enforce_coverage_cap(mask, np.ones(len(rollout)), alpha).astype(bool))
     return np.array(contexts), np.array(masks)
 

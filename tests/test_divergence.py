@@ -7,15 +7,12 @@ from routedkl.divergence import (
     fkl_clipped_value_and_grad,
     fkl_logit_grad,
     kl,
-    log_ratio_stats,
-    mixed_beta_grad,
     rkl_clipped_value_and_grad,
     rkl_logit_grad,
 )
 from routedkl.errors import (
     DimensionError,
     InvalidDistributionError,
-    RangeError,
     RoutedKlError,
     UndefinedDivergenceError,
 )
@@ -81,11 +78,9 @@ class TestLogitGradients:
     def test_one_row_routines_reject_a_stack(self):
         # Only the clipped KLs and their terms take (N, V) stacks.
         stack = np.array([[0.9, 0.1], [0.5, 0.5]])
-        for fn in (kl, log_ratio_stats, fkl_logit_grad, rkl_logit_grad):
+        for fn in (kl, fkl_logit_grad, rkl_logit_grad):
             with pytest.raises(InvalidDistributionError):
                 fn(stack, stack)
-        with pytest.raises(InvalidDistributionError):
-            mixed_beta_grad(stack, stack, 0.5)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(0)
@@ -109,10 +104,6 @@ class TestLogitGradients:
         assert abs(fkl_logit_grad(p, q).sum()) < 1e-10
         assert abs(rkl_logit_grad(p, q).sum()) < 1e-10
 
-    def test_log_ratio_stats_consistency(self):
-        stats = log_ratio_stats(STUDENT, TEACHER)
-        assert stats.r_bar == pytest.approx(float((STUDENT * stats.r).sum()), abs=1e-12)
-
 
 class TestRegimeAsymmetries:
     def test_under_allocation_fkl_dominates(self):
@@ -128,8 +119,8 @@ class TestRegimeAsymmetries:
             p = q.copy()
             p[0] = eps * q[0]
             p /= p.sum()
-            stats = log_ratio_stats(p, q)
-            if abs(stats.r_bar) > 5:
+            r = np.log(p) - np.log(q)
+            if abs(float((p * r).sum())) > 5:
                 continue
             fkl_entry = abs(fkl_logit_grad(p, q)[0])
             rkl_entry = abs(rkl_logit_grad(p, q)[0])
@@ -158,10 +149,10 @@ class TestRegimeAsymmetries:
             p = softmax(logits)
             q = rng.dirichlet(np.ones(v)) + 1e-3
             q /= q.sum()
-            stats = log_ratio_stats(p, q)
+            r = np.log(p) - np.log(q)
             grad = rkl_logit_grad(p, q)
             for tok in range(v):
-                if stats.r[tok] > stats.r_bar:
+                if r[tok] > float((p * r).sum()):
                     assert (logits - 0.1 * grad)[tok] < logits[tok]
 
     def test_fkl_descent_lowers_over_allocated_logit(self):
@@ -175,27 +166,6 @@ class TestRegimeAsymmetries:
             for tok in range(v):
                 if p[tok] > q[tok]:
                     assert (logits - 0.1 * grad)[tok] < logits[tok]
-
-
-class TestBetaMixture:
-    def test_endpoints(self):
-        np.testing.assert_allclose(
-            mixed_beta_grad(STUDENT, TEACHER, 1.0), fkl_logit_grad(STUDENT, TEACHER), atol=1e-15
-        )
-        np.testing.assert_allclose(
-            mixed_beta_grad(STUDENT, TEACHER, 0.0), rkl_logit_grad(STUDENT, TEACHER), atol=1e-15
-        )
-
-    def test_midpoint_frozen_value(self):
-        np.testing.assert_allclose(
-            mixed_beta_grad(STUDENT, TEACHER, 0.5),
-            [0.29887510598012987, -0.29887510598012987],
-            atol=1e-9,
-        )
-
-    def test_range_error(self):
-        with pytest.raises(RangeError):
-            mixed_beta_grad(STUDENT, TEACHER, 1.2)
 
 
 class TestClipping:

@@ -12,28 +12,33 @@ from routedkl.errors import (
     NonFiniteInputError,
     RangeError,
     RoutedKlError,
-    SpanAlignmentError,
 )
 from routedkl.grpo import ClipConfig, group_advantages
 from routedkl.policy import softmax
 from routedkl.routing import (
-    CharSpan,
     RoutingConfig,
     coverage_cap,
-    enforce_coverage_cap,
     lambda_schedule,
-    project_spans_to_mask,
     rho,
     routed_loss_rows,
     schedule_weight_sums,
 )
 
-from oracles import interval_intersection_mask, reference_routed_loss_rows
+from oracles import (
+    CharSpan,
+    SpanAlignmentError,
+    enforce_coverage_cap,
+    interval_intersection_mask,
+    project_spans_to_mask,
+    reference_routed_loss_rows,
+)
 
 ATOMIC = [(t, t + 1) for t in range(8)]
 
 
 class TestSpanProjection:
+    """The character-span projection behind ``oracles.reference_annotate``."""
+
     def test_no_spans(self):
         np.testing.assert_array_equal(project_spans_to_mask([], ATOMIC), np.zeros(8, dtype=np.int8))
 
@@ -63,6 +68,9 @@ class TestSpanProjection:
 
 
 class TestCoverageCap:
+    """The weighted cap behind ``oracles.reference_annotate``; with unit
+    weights it is the runner's ``cumsum`` cap."""
+
     def test_under_cap_unchanged(self):
         mask = np.zeros(10, dtype=np.int8)
         mask[[2, 5]] = 1

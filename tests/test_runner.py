@@ -541,16 +541,16 @@ class TestGroupArrays:
             group, table, scale = record["group"], record["table"], record["step"].adv_scale
             annot = record["annot"]
             contexts = [
-                int(annot.choice(len(task.contexts), p=task.context_probs)) for _ in group.rollouts
+                int(annot.choice(len(task.contexts), p=task.context_probs)) for _ in group.tokens
             ]
             advantages = group_advantages(group.outcomes.astype(float))
             assert (scale is None) == (not np.any(advantages > 0))
-            for i, rollout in enumerate(group.rollouts):
-                for t, y in enumerate(rollout.tokens):
+            for i, tokens in enumerate(map(tuple, group.tokens.tolist())):
+                for t, y in enumerate(tokens):
                     if advantages[i] <= 0:
                         assert scale is None or scale[i, t] == 1.0
                         continue
-                    prefix = rollout.tokens[:t]
+                    prefix = tokens[:t]
                     q = task.teacher_dist(table, contexts[i], prefix)[y]
                     p = table.student_dist(task.prompt_id, prefix)[y]
                     assert scale[i, t] == min(max(q / p, 1.0 - eps), 1.0 + eps)
@@ -583,7 +583,7 @@ class TestArrayAnnotationAndCredit:
         group = sample_group(table, task, np.random.default_rng(seed), size)
         rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
         ctx, mask = runner._annotate(task, group, precision, rng, alpha)
-        want_ctx, want_mask = reference_annotate(task, group.rollouts, precision, ref_rng, alpha)
+        want_ctx, want_mask = reference_annotate(task, group.tokens, precision, ref_rng, alpha)
         assert ctx.tolist() == want_ctx.tolist()
         assert mask.dtype == bool and mask.tolist() == want_mask.tolist()
         assert rng.random() == ref_rng.random()

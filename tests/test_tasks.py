@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from routedkl.errors import EnumerationBudgetError, RangeError
 from routedkl.policy import PolicyTable, softmax
-from routedkl.routing import coverage_cap, enforce_coverage_cap, project_spans_to_mask
+from routedkl.routing import coverage_cap
 from routedkl.tasks import (
     _DEAD,
     _START,
@@ -24,6 +24,7 @@ from oracles import (
     enumerate_expected_reward,
     fd_reward_gradient,
     reference_expected_reward,
+    reference_root_cause,
     reference_sample_sequence,
 )
 
@@ -154,18 +155,19 @@ class TestSampling:
     def test_rollout_fields(self):
         task = generate_task("under_allocated", 0)
         table = task.make_table()
-        rollout = sample_group(table, task, np.random.default_rng(0), 1).rollouts[0]
-        assert len(rollout) == task.horizon
-        assert rollout.outcome in (0, 1)
+        group = sample_group(table, task, np.random.default_rng(0), 1)
+        tokens = tuple(group.tokens[0].tolist())
+        assert group.tokens.shape == group.logprobs.shape == (1, task.horizon)
+        assert group.outcomes[0] in (0, 1)
         for t in range(task.horizon):
-            dist = table.student_dist(task.prompt_id, rollout.prefix(t))
-            assert rollout.logprobs[t] == pytest.approx(np.log(dist[rollout.tokens[t]]), abs=1e-12)
+            dist = table.student_dist(task.prompt_id, tokens[:t])
+            assert group.logprobs[0, t] == pytest.approx(np.log(dist[tokens[t]]), abs=1e-12)
 
     def test_deterministic_given_rng(self):
         task = generate_task("confident_wrong", 2)
-        a = sample_group(task.make_table(), task, np.random.default_rng(7), 1).rollouts[0]
-        b = sample_group(task.make_table(), task, np.random.default_rng(7), 1).rollouts[0]
-        assert a.tokens == b.tokens
+        a = sample_group(task.make_table(), task, np.random.default_rng(7), 1)
+        b = sample_group(task.make_table(), task, np.random.default_rng(7), 1)
+        assert a.tokens.tolist() == b.tokens.tolist()
 
 
 def _random_table(vocab, seed, zero_frac):
@@ -199,11 +201,9 @@ class TestGroupStreamAlignment:
         dists = {}
         group = sample_group(table, task, rng, size, dists)
         ref = [reference_sample_sequence(table, task, ref_rng) for _ in range(size)]
-        assert [r.tokens for r in group.rollouts] == [r.tokens for r in ref]
-        assert [r.outcome for r in group.rollouts] == [r.outcome for r in ref]
         assert group.outcomes.tolist() == [r.outcome for r in ref]
-        for got, want in zip(group.rollouts, ref):
-            assert got.logprobs.tobytes() == want.logprobs.tobytes()
+        for got, want in zip(group.logprobs, ref):
+            assert got.tobytes() == want.logprobs.tobytes()
         assert group.tokens.tolist() == [list(r.tokens) for r in ref]
         assert group.logprobs.tobytes() == np.stack([r.logprobs for r in ref]).tobytes()
         assert rng.random() == ref_rng.random()
@@ -224,9 +224,9 @@ class TestGroupStreamAlignment:
         table = task.make_table()
         a, b = np.random.default_rng(4), np.random.default_rng(4)
         for _ in range(20):
-            got, want = sample_group(table, task, a, 1).rollouts[0], reference_sample_sequence(table, task, b)
-            assert got.tokens == want.tokens
-            assert got.logprobs.tobytes() == want.logprobs.tobytes()
+            got, want = sample_group(table, task, a, 1), reference_sample_sequence(table, task, b)
+            assert tuple(got.tokens[0].tolist()) == want.tokens
+            assert got.logprobs[0].tobytes() == want.logprobs.tobytes()
         assert a.random() == b.random()
 
     @given(
@@ -307,7 +307,7 @@ class TestBatchedTaskPaths:
         table = _random_table(vocab, seed, zero_frac)
         group = sample_group(table, task, np.random.default_rng(seed), size)
         for i, seq in enumerate(map(tuple, group.tokens.tolist())):
-            assert group.outcomes[i] == group.rollouts[i].outcome == task.verifier(seq)
+            assert group.outcomes[i] == task.verifier(seq)
             state = _START
             for t, tok in enumerate(seq):
                 assert group.states[i, t] == state
@@ -315,7 +315,7 @@ class TestBatchedTaskPaths:
             assert group.states[i, -1] == state
             dead = np.flatnonzero(group.states[i, 1:] == _DEAD)
             first = int(dead[0]) if dead.size else None
-            want = task.root_cause(seq)
+            want = reference_root_cause(task, seq)
             assert want == (first if first in task.critical_positions else None)
 
     @pytest.mark.parametrize("regime", ["under_allocated", "confident_wrong", "mixed"])
@@ -332,52 +332,51 @@ class TestBatchedTaskPaths:
 
 
 class TestOracleAnnotate:
+    """The group annotator on groups of one rollout."""
+
     @staticmethod
     def _rollout_with_outcome(task, outcome, rng):
         table = task.make_table()
         for _ in range(4000):
-            r = sample_group(table, task, rng, 1).rollouts[0]
-            if r.outcome == outcome:
-                return r
+            group = sample_group(table, task, rng, 1)
+            if group.outcomes[0] == outcome:
+                return group
         raise AssertionError("no rollout with requested outcome")
 
     def test_perfect_precision_marks_critical(self):
         task = generate_task("confident_wrong", 0)
         rng = np.random.default_rng(0)
-        rollout = self._rollout_with_outcome(task, 1, rng)
-        ann = oracle_annotate(rollout, task, 1.0, rng)
-        marked = {t for s in ann.spans for t in range(s.start, s.end)}
-        assert marked == set(task.critical_positions)
-        assert ann.outcome == 1
+        group = self._rollout_with_outcome(task, 1, rng)
+        _, mask = oracle_annotate(task, group, 1.0, rng)
+        assert set(np.flatnonzero(mask[0]).tolist()) == set(task.critical_positions)
+        assert group.outcomes[0] == 1
 
     def test_rejected_rollout_marks_root_cause(self):
         task = generate_task("confident_wrong", 0)
         rng = np.random.default_rng(1)
-        rollout = self._rollout_with_outcome(task, 0, rng)
-        ann = oracle_annotate(rollout, task, 1.0, rng)
-        assert ann.outcome == 0
-        marked = {t for s in ann.spans for t in range(s.start, s.end)}
-        assert marked == {0}  # earliest critical divergence
+        group = self._rollout_with_outcome(task, 0, rng)
+        _, mask = oracle_annotate(task, group, 1.0, rng)
+        assert group.outcomes[0] == 0
+        assert np.flatnonzero(mask[0]).tolist() == [0]  # earliest critical divergence
 
     def test_non_critical_divergence_yields_no_span(self):
         task = generate_task("under_allocated", 0, chain_params())
         rng = np.random.default_rng(2)
         for _ in range(3000):
-            r = sample_group(task.make_table(), task, rng, 1).rollouts[0]
-            if r.outcome == 0 and r.tokens[0] == task.alt_token:
-                ann = oracle_annotate(r, task, 1.0, rng)
-                assert ann.spans == ()
+            group = sample_group(task.make_table(), task, rng, 1)
+            if group.outcomes[0] == 0 and group.tokens[0, 0] == task.alt_token:
+                _, mask = oracle_annotate(task, group, 1.0, rng)
+                assert not mask.any()
                 return
         raise AssertionError("no trapped rollout found")
 
     def test_zero_precision_marks_non_critical(self):
         task = generate_task("confident_wrong", 0)
         rng = np.random.default_rng(3)
-        rollout = self._rollout_with_outcome(task, 1, rng)
+        group = self._rollout_with_outcome(task, 1, rng)
         for _ in range(20):
-            ann = oracle_annotate(rollout, task, 0.0, rng)
-            marked = {t for s in ann.spans for t in range(s.start, s.end)}
-            assert marked.isdisjoint(task.critical_positions)
+            _, mask = oracle_annotate(task, group, 0.0, rng)
+            assert set(np.flatnonzero(mask[0]).tolist()).isdisjoint(task.critical_positions)
 
     def test_precision_estimator_converges(self):
         # Empirical true-critical fraction tracks q within 0.03 over ten
@@ -385,32 +384,42 @@ class TestOracleAnnotate:
         task = generate_task("confident_wrong", 0)
         rng = np.random.default_rng(4)
         table = task.make_table()
+        critical = list(task.critical_positions)
         for q in (0.3, 0.7, 0.9):
             hits, total = 0, 0
             while total < 10_000:
-                rollout = sample_group(table, task, rng, 1).rollouts[0]
-                ann = oracle_annotate(rollout, task, q, rng)
-                for s in ann.spans:
-                    for t in range(s.start, s.end):
-                        total += 1
-                        hits += t in task.critical_positions
+                group = sample_group(table, task, rng, 1)
+                _, mask = oracle_annotate(task, group, q, rng)
+                total += int(mask.sum())
+                hits += int(mask[0, critical].sum())
             assert abs(hits / total - q) < 0.03
 
     def test_annotations_respect_coverage_after_projection(self):
         task = generate_task("mixed", 1, TaskParams(vocab=8, horizon=8, trap_position=4))
         rng = np.random.default_rng(5)
         table = task.make_table()
-        assert len(task.critical_positions) <= coverage_cap(0.25, task.horizon)
+        cap = coverage_cap(0.25, task.horizon)
+        assert len(task.critical_positions) <= cap
         for _ in range(200):
-            rollout = sample_group(table, task, rng, 1).rollouts[0]
-            ann = oracle_annotate(rollout, task, 1.0, rng)
-            mask = project_spans_to_mask(list(ann.spans), rollout.token_char_intervals())
-            capped = enforce_coverage_cap(mask, np.ones(len(rollout)), 0.25)
-            assert capped.sum() <= coverage_cap(0.25, len(rollout))
+            group = sample_group(table, task, rng, 1)
+            _, mask = oracle_annotate(task, group, 1.0, rng)
+            capped = mask & (np.cumsum(mask, axis=1) <= cap)
+            assert capped.sum() <= cap
 
     def test_annotation_type_is_a_context_label(self):
         task = generate_task("under_allocated", 0)
         rng = np.random.default_rng(6)
-        rollout = sample_group(task.make_table(), task, rng, 1).rollouts[0]
-        ann = oracle_annotate(rollout, task, 1.0, rng)
-        assert ann.span_type == task.contexts[ann.context_index].label
+        group = sample_group(task.make_table(), task, rng, 1)
+        ref = copy.deepcopy(rng)
+        ctx, mask = oracle_annotate(task, group, 1.0, rng)
+        # The span type is the drawn context's label: one context uniform.
+        assert ctx.tolist() == draw_contexts(task, ref, 1).tolist()
+        assert 0 <= ctx[0] < len(task.contexts) and mask.shape == (1, task.horizon)
+
+    @pytest.mark.parametrize("precision", [-0.1, 1.1, float("nan")])
+    def test_precision_outside_the_unit_interval_is_rejected(self, precision):
+        task = generate_task("under_allocated", 0)
+        rng = np.random.default_rng(7)
+        group = sample_group(task.make_table(), task, rng, 2)
+        with pytest.raises(RangeError):
+            oracle_annotate(task, group, precision, rng)
