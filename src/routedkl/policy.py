@@ -1,15 +1,14 @@
 """Tabular contextual softmax policies over small integer vocabularies.
 
-A policy is a table of logit rows keyed by (prompt id, prefix of sampled
-tokens). Rows materialize lazily from an init function, so only visited
-prefixes occupy memory. The teacher view of the table shares parameters
-with the student: teacher rows are the student rows as of the last sync,
-shifted by a per-context logit offset.
+A policy is a prefix trie: each visited (prompt id, prefix of sampled
+tokens) is a node, numbered in first-visit order, whose logit row
+materializes lazily from an init function. The teacher view shares
+parameters with the student: teacher rows are the student rows as of the
+last sync, shifted by a per-context logit offset.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -21,7 +20,6 @@ from .errors import (
 )
 
 PrefixKey = tuple[int, ...]
-RowKey = tuple[str, PrefixKey]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -33,6 +31,15 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     expd = np.exp(shifted)
     return expd / expd.sum(axis=-1, keepdims=True)
+
+
+def cdf_rows(dist: np.ndarray) -> np.ndarray:
+    """Cumulative sums over the last axis divided by their last entry, the
+    cdf that ``Generator.choice`` searches. Each row of a stack gets the
+    bytes it gets on its own."""
+    cdf = np.add.accumulate(dist, axis=-1)
+    cdf /= cdf[..., -1:]
+    return cdf
 
 
 def validate_distribution(probs: np.ndarray, name: str = "dist") -> np.ndarray:
@@ -169,56 +176,88 @@ def truncate_and_floor(dist: np.ndarray, top_k: int, p_min: float) -> np.ndarray
     return q
 
 
-@dataclass
 class PolicyTable:
-    """Shared student/teacher logit table.
+    """Shared student/teacher logit table over a prefix trie.
 
-    Student rows live in ``rows`` and are the only mutable parameters.
-    Teacher lookups resolve against a snapshot of the student rows taken
-    at the last ``sync_teacher`` call (the same parameters under a
-    different prompt), plus an optional per-context logit offset supplied
-    by the caller. ``teacher_lookups`` counts teacher-side resolutions so
-    a run can assert the teacher path is skipped when the KL channel is
-    closed.
+    Node ``i`` holds the key ``keys[i] = (prompt, prefix)`` and the student
+    row ``logits[i]``, the only mutable parameters; ``child[i, v]`` is the
+    node of ``prefix + (v,)``, or -1 while unvisited. Both arrays grow by
+    doubling, so a row view (``student_logits``, ``rows``) is valid until
+    the next row is materialized: re-fetch it after anything that may
+    visit a new prefix.
+
+    Teacher rows are the student rows of the last ``sync_teacher`` call
+    plus an optional per-context logit offset; a lookup materializes
+    nothing and counts in ``teacher_lookups``, so a run can assert the
+    teacher path is skipped when the KL channel is closed.
     """
 
-    vocab: int
-    init_logits: Callable[[str, PrefixKey], np.ndarray]
-    rows: dict = field(default_factory=dict)
-    synced_rows: dict = field(default_factory=dict)
-    teacher_lookups: int = 0
-    sync_count: int = 0
+    def __init__(self, vocab: int, init_logits: Callable[[str, PrefixKey], np.ndarray]) -> None:
+        self.vocab = vocab
+        self.init_logits = init_logits
+        self.logits = self.synced = np.empty((0, vocab))
+        self.child = np.empty((0, vocab), dtype=np.int64)
+        self.keys: list = []
+        self.ids: dict = {}  # key -> node id
+        self.teacher_lookups = 0
+        self.sync_count = 0
+
+    @property
+    def rows(self) -> dict:
+        """``{(prompt, prefix): row view}`` in node order, built per access."""
+        return dict(zip(self.keys, self.logits))
 
     def _init_row(self, prompt: str, prefix: PrefixKey) -> np.ndarray:
-        row = np.asarray(self.init_logits(prompt, prefix), dtype=float).copy()
+        row = np.array(self.init_logits(prompt, prefix), dtype=float)
         if row.shape != (self.vocab,):
             raise InvalidDistributionError(
                 f"init row has shape {row.shape}, expected ({self.vocab},)"
             )
         return row
 
+    def _materialize(self, keys: list) -> list:
+        """Node ids of the distinct ``keys``, adding new ones in order."""
+        start = len(self.keys)
+        ids = [self.ids.setdefault(key, len(self.ids)) for key in keys]
+        self.keys += [key for key, i in zip(keys, ids) if i >= start]
+        n = len(self.keys)
+        if n > len(self.logits):
+            pad = max(n, 2 * len(self.logits), 16) - start
+            self.logits = np.concatenate([self.logits[:start], np.empty((pad, self.vocab))])
+            self.child = np.concatenate([self.child[:start], np.full((pad, self.vocab), -1)])
+        if n > start:
+            self.logits[start:n] = [self._init_row(*key) for key in self.keys[start:]]
+        return ids
+
+    def node(self, prompt: str, prefix: PrefixKey) -> int:
+        """Node id of ``(prompt, prefix)``, materializing its row if new."""
+        return self._materialize([(prompt, tuple(prefix))])[0]
+
+    def children(self, nodes: np.ndarray, tokens: np.ndarray) -> np.ndarray:
+        """Node of each ``nodes[i]`` extended by ``tokens[i]``. The missing
+        (node, token) pairs are deduplicated and materialized in
+        first-visit order, with contiguous ids."""
+        out = self.child[nodes, tokens]
+        if (out < 0).any():
+            pairs = list(dict.fromkeys(
+                (p, v) for p, v, i in zip(nodes.tolist(), tokens.tolist(), out.tolist()) if i < 0
+            ))
+            new = self._materialize([(self.keys[p][0], self.keys[p][1] + (v,)) for p, v in pairs])
+            for (p, v), i in zip(pairs, new):
+                self.child[p, v] = i
+            out = self.child[nodes, tokens]
+        return out
+
     def student_logits(self, prompt: str, prefix: PrefixKey) -> np.ndarray:
-        key = (prompt, tuple(prefix))
-        row = self.rows.get(key)
-        if row is None:
-            row = self._init_row(prompt, key[1])
-            self.rows[key] = row
-        return row
+        i = self.node(prompt, prefix)  # before reading logits: it may grow
+        return self.logits[i]
 
     def student_dist(self, prompt: str, prefix: PrefixKey) -> np.ndarray:
         return softmax(self.student_logits(prompt, prefix))
 
-    def student_dists(self, prompt: str, prefixes: list) -> np.ndarray:
-        """(P, V) student distributions at ``prefixes``, one softmax for
-        all; rows are materialized in the order given. The stack is
-        read-only, so its rows can be shared through distribution maps."""
-        dists = softmax(np.array([self.student_logits(prompt, p) for p in prefixes]))
-        dists.flags.writeable = False
-        return dists
-
     def sync_teacher(self) -> None:
         """Snapshot current student rows as the teacher base."""
-        self.synced_rows = {k: v.copy() for k, v in self.rows.items()}
+        self.synced = self.logits[: len(self.keys)].copy()
         self.sync_count += 1
 
     def teacher_logits(
@@ -230,11 +269,9 @@ class PolicyTable:
         init value, which is what the student row held then.
         """
         self.teacher_lookups += 1
-        key = (prompt, tuple(prefix))
-        base = self.synced_rows.get(key)
-        if base is None:
-            base = self._init_row(prompt, key[1])
-        out = base.copy()
+        prefix = tuple(prefix)
+        i = self.ids.get((prompt, prefix), len(self.synced))
+        out = self.synced[i].copy() if i < len(self.synced) else self._init_row(prompt, prefix)
         if offset is not None:
             offset = np.asarray(offset, dtype=float)
             if offset.shape != (self.vocab,):
@@ -242,20 +279,47 @@ class PolicyTable:
             out += offset
         return out
 
-    def teacher_dist(
-        self, prompt: str, prefix: PrefixKey, offset: np.ndarray | None = None
-    ) -> np.ndarray:
-        return softmax(self.teacher_logits(prompt, prefix, offset))
-
-    def apply_gradients(self, grads: dict, learning_rate: float) -> None:
-        """One descent step on the student rows: theta <- theta - lr * g."""
-        for (prompt, prefix), g in grads.items():
-            row = self.student_logits(prompt, prefix)
-            row -= learning_rate * np.asarray(g, dtype=float)
+    def apply_gradients(self, nodes: np.ndarray, grads: np.ndarray, learning_rate: float) -> None:
+        """One descent step on distinct nodes' rows: theta <- theta - lr * g."""
+        self.logits[nodes] -= learning_rate * grads
 
     def copy(self) -> "PolicyTable":
         dup = PolicyTable(vocab=self.vocab, init_logits=self.init_logits)
-        dup.rows = {k: v.copy() for k, v in self.rows.items()}
-        dup.synced_rows = {k: v.copy() for k, v in self.synced_rows.items()}
-        dup.sync_count = self.sync_count
+        n = len(self.keys)
+        dup.logits, dup.child = self.logits[:n].copy(), self.child[:n].copy()
+        dup.keys, dup.ids = list(self.keys), dict(self.ids)
+        dup.synced, dup.sync_count = self.synced.copy(), self.sync_count
         return dup
+
+
+class StudentDists:
+    """Student distributions and their ``cdf_rows`` for a table's nodes
+    ``[0, n)``, kept by a caller across steps. ``read`` computes the nodes
+    made since the last read as one stack and ``refresh`` the nodes whose
+    rows changed; a stack's rows get the bytes they get alone, so a
+    current row equals a fresh ``student_dist``."""
+
+    def __init__(self) -> None:
+        self.dists = self.cdfs = np.empty((0, 0))
+        self.n = 0
+
+    def read(self, table: PolicyTable) -> np.ndarray:
+        """Read-only (n, V) distributions of every node; also fills ``cdfs[:n]``."""
+        n, start = len(table.keys), self.n
+        if n > start:
+            if n > len(self.dists):
+                old = self.dists[:start], self.cdfs[:start]
+                cap = max(n, 2 * len(self.dists))
+                self.dists, self.cdfs = np.empty((cap, table.vocab)), np.empty((cap, table.vocab))
+                if start:
+                    self.dists[:start], self.cdfs[:start] = old
+            self.refresh(table, slice(start, n))
+            self.n = n
+        out = self.dists[:n]
+        out.flags.writeable = False
+        return out
+
+    def refresh(self, table: PolicyTable, nodes) -> None:
+        """Recompute the rows of ``nodes`` after an update."""
+        self.dists[nodes] = dists = softmax(table.logits[nodes])
+        self.cdfs[nodes] = cdf_rows(dists)

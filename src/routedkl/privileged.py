@@ -24,17 +24,19 @@ from .errors import (
 from .policy import validate_distribution
 
 
-def context_variance(probs: np.ndarray, dists: np.ndarray) -> float:
-    """V = sum_v Var_c[q_c(v)] under context probabilities ``probs``."""
+def context_variance(probs: np.ndarray, dists: np.ndarray) -> float | np.ndarray:
+    """V = sum_v Var_c[q_c(v)] under context probabilities ``probs``, of
+    one (n_contexts, vocab) matrix or of each matrix of a stack, each with
+    the bytes it gets on its own."""
     probs = np.asarray(probs, dtype=float)
     dists = np.asarray(dists, dtype=float)
-    if dists.ndim != 2 or dists.shape[0] != probs.size:
-        raise DimensionError("dists must be (n_contexts, vocab)")
+    if dists.ndim not in (2, 3) or dists.shape[-2] != probs.size:
+        raise DimensionError("dists must be (n_contexts, vocab) or a stack of them")
     if abs(probs.sum() - 1.0) > 1e-9 or np.any(probs < 0):
         raise RangeError("context probabilities must form a distribution")
     mean = probs @ dists
-    var = probs @ (dists - mean) ** 2
-    return float(var.sum())
+    var = (probs @ (dists - mean[..., None, :]) ** 2).sum(axis=-1)
+    return float(var) if dists.ndim == 2 else var
 
 
 def context_mean(probs: np.ndarray, dists: np.ndarray) -> np.ndarray:
@@ -58,13 +60,14 @@ def deviation_vector(
     return delta
 
 
-def expected_deviation_sq(probs: np.ndarray, dists: np.ndarray) -> float:
-    """E_c ||delta||^2, computed by enumerating the finite context set."""
+def expected_deviation_sq(probs: np.ndarray, dists: np.ndarray) -> float | np.ndarray:
+    """E_c ||delta||^2, computed by enumerating the finite context set, of
+    one (n_contexts, vocab) matrix or of each matrix of a stack."""
     probs = np.asarray(probs, dtype=float)
     dists = np.asarray(dists, dtype=float)
-    mean = context_mean(probs, dists)
-    diffs = dists - mean
-    return float((probs * (diffs**2).sum(axis=1)).sum())
+    diffs = dists - context_mean(probs, dists)[..., None, :]
+    out = (probs * (diffs**2).sum(axis=-1)).sum(axis=-1)
+    return float(out) if dists.ndim == 2 else out
 
 
 @dataclass

@@ -20,67 +20,28 @@ Runs are deterministic given (config, seed): sampling, annotation, and
 evaluation each draw from their own spawned generator so methods sharing
 a seed see identical rollout streams until their parameters diverge.
 
-The step carries its G rollouts of the task's horizon T as one batch:
+The policy is a prefix trie (``policy.PolicyTable``): each visited
+(prompt, prefix) is an integer node, in first-visit order, with a row in
+an (N, V) logit array and an (N, V) child table; only visited prefixes
+are stored (~1.9k of the 37,449 a V = 8, T = 6 horizon allows). A step
+carries its G rollouts as (G, T) arrays whose ``prefix_index`` holds the
+nodes: ``tasks.sample_group`` walks the child table, ``_step_tensors``
+gathers the loss inputs, ``routing.routed_loss_rows`` returns the flat
+positions that carry a gradient with their rows, ``_apply_row_grads``
+sums them per node in token order, and ``SynthTask.expected_reward``
+walks the tree one level of nodes at a time.
 
-* ``tasks.sample_group`` draws ``rng.random((G, T))`` once and picks each
-  token by the inverse CDF of its prefix's distribution, which is what
-  ``Generator.choice(p=dist)`` does with the uniform it draws: same
-  tokens, same log-probs, same stream position as G per-token loops. The
-  rows missing at a position come from one ``PolicyTable.student_dists``
-  call, one softmax for all of them. Each rollout's acceptance-machine
-  state advances through the task's (T, 4, V) transition table
-  (``SynthTask.transitions``, built on first use), so the outcomes and
-  the root causes are read off the group's (G, T + 1) state array.
-* ``tasks.oracle_annotate`` annotates the whole group: one context per
-  rollout and a (G, T) span mask, key runs on accepted rollouts and the
-  root cause, when critical, on rejected ones, each span faked with
-  probability ``1 - annotator_precision``. The coverage cap keeps each
-  row's lowest ``ceil(alpha T)`` marked positions. The annotator's and
-  RLSD's context draws use the same inverse CDF, one uniform per
-  rollout, in rollout order.
-* ``_step_tensors`` builds the student rows (G, T, V), the log ratios and
-  the span mask (G, T), the teacher rows of the KL positions in
-  (rollout, position) order, and the ledger's two terms at every span
-  position. ``routed_loss_rows`` takes them as they are and returns the
-  flat (G T) indices of the positions that carry a logit gradient with
-  their gradient rows; the parameter update, the ledger, the entropy
-  column and the credit ratios read those arrays. Its KL block runs only
-  when a KL row exists, so a closed-channel step (most steps after the
-  KL window) pays only for the GRPO surrogate, and a dead-zone group
-  yields no gradient row and no update. The credit ratios of
-  all rollouts are computed over the (G, T) credit array and equal
-  ``metrics.credit_concentration`` row by row.
-* Exact evaluation (``SynthTask.expected_reward``) walks the tree one
-  level at a time and reads each level's rows from the student cache,
-  computing the missing ones with one ``student_dists`` call.
-* The policy stays a dict of logit rows built on first visit. A dense
-  (n_rows, V) table would hold every prefix the horizon allows (37,449
-  rows at V = 8, T = 6, against the ~1.9k a run visits), and the run and
-  its synced copy would pay that in memory.
-
-Each distinct distribution is computed once per parameter change. Teacher
-rows change only at ``sync_teacher`` and student rows only at
-``apply_gradients``:
-
-* ``RunState.teacher_cache`` holds, per prefix, the read-only
-  (n_contexts, V) teacher matrix (one softmax over its context rows) and
-  its context variance and expected squared deviation, the ledger's two
-  terms. An entry lives for one sync generation (``table.sync_count``),
-  and the cache is emptied on every step whose channel is closed, so a
-  teacher read then misses, goes through ``PolicyTable.teacher_logits``
-  and trips the closed-channel guard.
-* ``RunState.student_cache`` maps a prefix to its read-only student
-  distribution for the whole run. Sampling, the loss inputs, both lift
-  reads and exact evaluation read it and add the rows they miss. After
-  ``apply_gradients`` the prefixes it changed are recomputed with one
-  ``student_dists`` call, so an entry always equals a fresh
-  ``student_dist``: ``softmax`` gives each row of a stack the bytes it
-  gets on its own. The cache is kept on the run state, not on
-  ``PolicyTable``, whose rows callers may mutate in place.
-* ``RunState.validation_reward`` keeps the last exact E[R]. An update
-  that changes a row drops it; a step that changes no row (a dead-zone
-  GRPO group has zero advantage) reuses it and skips the tree walk,
-  which would materialize no new row either.
+Each distinct distribution is computed once per parameter change. The
+run-level ``RunState.student_cache`` (``policy.StudentDists``) computes
+the nodes created since its last read, and the update recomputes the
+nodes it changed, so a row always equals a fresh ``student_dist``; it
+lives on the run state because callers may mutate ``PolicyTable`` rows
+in place. ``RunState.teacher_cache`` holds each node's teacher matrix and
+ledger terms for one sync generation, and is emptied on every step whose
+channel is closed, so a teacher read then goes through
+``PolicyTable.teacher_logits`` and trips the closed-channel guard. A step
+that changes no row (a dead-zone GRPO group) reuses the stored exact
+E[R], ``RunState.validation_reward``.
 
 ``fork`` empties both caches of the copy, and ``run_experiment`` empties
 them when the run ends, so a kept state holds its parameters only.
@@ -114,7 +75,7 @@ from .errors import (
 )
 from .grpo import ClipConfig, group_advantages
 from .metrics import LiftSample, delta_lift
-from .policy import PolicyTable, _entropy, masked_row_sum
+from .policy import PolicyTable, StudentDists, _entropy, masked_row_sum
 from .privileged import (
     ExposureLedger,
     context_variance,
@@ -249,6 +210,24 @@ class RunLog:
         return "\n".join(lines) + "\n"
 
 
+class TeacherCache:
+    """Per node, for one sync generation (``sync``): the (n_contexts, V)
+    teacher matrix and its ledger terms, context variance and expected
+    squared deviation; ``have`` marks the nodes filled."""
+
+    def __init__(self) -> None:
+        self.sync, self.have = -1, np.zeros(0, dtype=bool)
+        self.matrices = self.terms = None
+
+    def grow(self, cap: int, shape: tuple) -> None:
+        """Room for ``cap`` nodes, keeping the entries."""
+        n, old = len(self.have), (self.have, self.matrices, self.terms)
+        self.have, self.terms = np.zeros(cap, dtype=bool), np.empty((cap, 2))
+        self.matrices = np.empty((cap, *shape))
+        if n:
+            self.have[:n], self.matrices[:n], self.terms[:n] = old
+
+
 @dataclass
 class RunState:
     cfg: RunConfig
@@ -260,20 +239,16 @@ class RunState:
     eval_tokens: list
     k: int = 0
     credit_ratios: list = field(default_factory=list)
-    # prefix -> (teacher matrix, context variance, expected deviation^2),
-    # valid while table.sync_count == teacher_cache_sync; see _teacher_rows.
-    teacher_cache: dict = field(default_factory=dict)
-    teacher_cache_sync: int = -1
-    # prefix -> read-only student distribution, recomputed for the rows
-    # apply_gradients changes; see _apply_row_grads.
-    student_cache: dict = field(default_factory=dict)
+    teacher_cache: TeacherCache = field(default_factory=TeacherCache)
+    student_cache: StudentDists = field(default_factory=StudentDists)
     # Exact E[R] of the current rows, None once an update changed a row.
     validation_reward: float | None = None
 
     def fork(self) -> "RunState":
         """Deep snapshot so two methods can be advanced from one state."""
         # Empty caches: deep copies of the read-only rows would be writable.
-        return copy.deepcopy(replace(self, teacher_cache={}, student_cache={}))
+        empty = replace(self, teacher_cache=TeacherCache(), student_cache=StudentDists())
+        return copy.deepcopy(empty)
 
 
 def should_sync(k: int, n: int, lam_k: float) -> bool:
@@ -348,35 +323,32 @@ def init_run(cfg: RunConfig) -> RunState:
     )
 
 
-def _teacher_rows(state: RunState, prefix: tuple) -> tuple[np.ndarray, float, float]:
-    """Read-only (n_contexts, V) teacher rows at ``prefix`` and their
-    context variance and expected squared deviation, cached per sync.
-
-    A miss goes through ``PolicyTable.teacher_logits`` and so counts as
-    teacher lookups.
-    """
-    table, task = state.table, state.task
-    if state.teacher_cache_sync != table.sync_count:
-        state.teacher_cache.clear()
-        state.teacher_cache_sync = table.sync_count
-    entry = state.teacher_cache.get(prefix)
-    if entry is None:
-        matrix = task.teacher_dist_matrix(table, prefix)
-        matrix.flags.writeable = False
-        entry = state.teacher_cache[prefix] = (
-            matrix,
-            context_variance(task.context_probs, matrix),
-            expected_deviation_sq(task.context_probs, matrix),
-        )
-    return entry
+def _teacher_rows(state: RunState, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The teacher cache's read-only (N, n_contexts, V) matrices and (N, 2)
+    ledger terms with the entries of ``nodes`` filled: one counted
+    ``teacher_dist_matrix`` call per missing node, stacked terms."""
+    table, task, cache = state.table, state.task, state.teacher_cache
+    if cache.sync != table.sync_count:
+        cache.sync, cache.have[:] = table.sync_count, False
+    if len(cache.have) < len(table.keys):
+        cache.grow(len(table.logits), (len(task.contexts), task.vocab))
+    missing = np.unique(nodes[~cache.have[nodes]])
+    if missing.size:
+        matrices = np.array([task.teacher_dist_matrix(table, table.keys[n][1]) for n in missing])
+        cache.matrices[missing] = matrices
+        cache.terms[missing, 0] = context_variance(task.context_probs, matrices)
+        cache.terms[missing, 1] = expected_deviation_sq(task.context_probs, matrices)
+        cache.have[missing] = True
+    view = cache.matrices.view()
+    view.flags.writeable = False
+    return view, cache.terms
 
 
 def _eval_probs(state: RunState) -> np.ndarray:
     """Student probability of each lift-evaluation token, read from the
-    student cache: every eval token sits at the root, which sampling reads
-    first."""
-    cache = state.student_cache
-    return np.array([cache[prefix][v] for prefix, v in state.eval_tokens])
+    student cache: every eval token sits at the root, which sampling reads."""
+    dists, ids, prompt = state.student_cache.dists, state.table.ids, state.task.prompt_id
+    return np.array([dists[ids[prompt, prefix], v] for prefix, v in state.eval_tokens])
 
 
 @dataclass
@@ -391,15 +363,6 @@ class _StepTensors:
     variance: np.ndarray | None = None  # (G, T) ledger terms at span positions, 0 elsewhere
     deviation: np.ndarray | None = None
     adv_scale: np.ndarray | None = None  # (G, T) per-token advantage multiplier
-
-
-def _teacher_stack(state: RunState, group: SampledGroup, flat: np.ndarray) -> tuple:
-    """Cache entries of the distinct prefixes at flat positions ``flat``,
-    and each position's index into them."""
-    slot: dict = {}
-    inverse = [slot.setdefault(r, len(slot)) for r in group.prefix_index.ravel()[flat].tolist()]
-    entries = [_teacher_rows(state, group.prefixes[r]) for r in slot]
-    return entries, np.array(inverse, dtype=np.int64)
 
 
 def _annotate(
@@ -439,8 +402,7 @@ def _step_tensors(
     """
     cfg, task = state.cfg, state.task
     size, horizon = group.tokens.shape
-    cache = state.student_cache
-    student = np.array([cache[p] for p in group.prefixes])[group.prefix_index]
+    student = state.student_cache.read(state.table)[group.prefix_index]
     picked = np.take_along_axis(student, group.tokens[..., None], axis=2)[..., 0]
     step = _StepTensors(
         student=student,
@@ -458,27 +420,25 @@ def _step_tensors(
                 task, group, cfg.annotator_precision, state.rng_annot, routing.alpha
             )
         span = np.flatnonzero(step.mask)
-        entries, inverse = _teacher_stack(state, group, span)
+        nodes = group.prefix_index.ravel()[span]
+        matrices, terms = _teacher_rows(state, nodes)
         variance, deviation = np.zeros((2, size * horizon))
-        variance[span] = np.array([e[1] for e in entries])[inverse]
-        deviation[span] = np.array([e[2] for e in entries])[inverse]
+        variance[span], deviation[span] = terms[nodes].T
         step.variance = variance.reshape(size, horizon)
         step.deviation = deviation.reshape(size, horizon)
         # Span positions are all error spans on a failed rollout, all key
         # spans on an accepted one.
         branch = np.where(group.outcomes == 0, routing.mu_e, routing.mu_k)[span // horizon] == 1
         step.kl_rows = span[branch]
-        if entries:
-            matrices = np.array([e[0] for e in entries])
-            step.teacher = matrices[inverse[branch], ctx[step.kl_rows // horizon]]
+        step.teacher = matrices[nodes[branch], ctx[step.kl_rows // horizon]]
     elif rlsd_open:
         ctx = draw_contexts(task, state.rng_annot, size)
         winners = np.flatnonzero(advantages > 0)
         if winners.size:
             flat = (winners[:, None] * horizon + np.arange(horizon)).ravel()
-            entries, inverse = _teacher_stack(state, group, flat)
-            matrices = np.array([e[0] for e in entries])
-            teacher_prob = matrices[inverse, ctx[flat // horizon], group.tokens.ravel()[flat]]
+            nodes = group.prefix_index.ravel()[flat]
+            matrices, _ = _teacher_rows(state, nodes)
+            teacher_prob = matrices[nodes, ctx[flat // horizon], group.tokens.ravel()[flat]]
             scale = np.ones(size * horizon)
             scale[flat] = rlsd_weight(teacher_prob, picked.ravel()[flat], cfg.rlsd_eps_w).clipped
             step.adv_scale = scale.reshape(size, horizon)
@@ -488,23 +448,24 @@ def _step_tensors(
 def _apply_row_grads(
     state: RunState, group: SampledGroup, rows: np.ndarray, grads: np.ndarray
 ) -> None:
-    """Sum the token gradient rows per prefix, in token order, and step.
+    """Sum the token gradient rows per node, in token order, and step.
 
-    The changed rows are recomputed in the student cache with one
-    ``student_dists`` call, and the stored exact E[R] is dropped.
+    Each sum starts from the node's first row and adds the others in flat
+    order (``np.add.at``), as a sequential loop does; ``np.add.reduceat``
+    would reassociate the adds. The changed rows are recomputed in the
+    student cache, and the stored exact E[R] is dropped.
     """
     if not rows.size:
         return
-    summed: dict = {}
-    for r, vec in zip(group.prefix_index.ravel()[rows].tolist(), grads):
-        summed[r] = summed[r] + vec if r in summed else vec
-    prompt = state.task.prompt_id
-    changed = [group.prefixes[r] for r in summed]
-    state.table.apply_gradients(
-        {(prompt, prefix): vec for prefix, vec in zip(changed, summed.values())},
-        state.cfg.learning_rate,
+    nodes, first, inverse = np.unique(
+        group.prefix_index.ravel()[rows], return_index=True, return_inverse=True
     )
-    state.student_cache.update(zip(changed, state.table.student_dists(prompt, changed)))
+    summed = grads[first]
+    rest = np.ones(rows.size, dtype=bool)
+    rest[first] = False
+    np.add.at(summed, inverse[rest], grads[rest])
+    state.table.apply_gradients(nodes, summed, state.cfg.learning_rate)
+    state.student_cache.refresh(state.table, nodes)
     state.validation_reward = None
 
 
@@ -591,7 +552,7 @@ def train_step(state: RunState) -> dict:
         if should_sync(k, routing.sync_n, lam):
             table.sync_teacher()
     if not (lam > 0.0 or rlsd_open):
-        state.teacher_cache.clear()  # any teacher read now misses and is counted
+        state.teacher_cache.have[:] = False  # any teacher read now misses and is counted
 
     group = sample_group(table, task, state.rng_rollout, cfg.group_size, state.student_cache)
     rewards = group.outcomes.astype(float)
@@ -702,8 +663,8 @@ def run_experiment(cfg: RunConfig, state: RunState | None = None) -> tuple[RunLo
     log = RunLog()
     for _ in range(cfg.steps):
         log.rows.append(train_step(state))
-    state.student_cache.clear()  # a kept state holds its parameters only
-    state.teacher_cache.clear()
+    # A kept state holds its parameters only.
+    state.student_cache, state.teacher_cache = StudentDists(), TeacherCache()
 
     lifts = [row["delta_lift"] for row in log.rows if row["delta_lift"] is not None]
     log.summary = {

@@ -34,7 +34,7 @@ from .errors import (
     RangeError,
     require_finite_fields,
 )
-from .policy import PolicyTable, PrefixKey, softmax
+from .policy import PolicyTable, PrefixKey, StudentDists, cdf_rows, softmax
 
 REGIMES = ("under_allocated", "confident_wrong", "mixed")
 
@@ -132,7 +132,7 @@ class SynthTask:
         self, table: PolicyTable, context_index: int, prefix: PrefixKey
     ) -> np.ndarray:
         offset = self.context_offset(context_index, len(prefix))
-        return table.teacher_dist(self.prompt_id, prefix, offset)
+        return softmax(table.teacher_logits(self.prompt_id, prefix, offset))
 
     def teacher_dist_matrix(
         self, table: PolicyTable, prefix: PrefixKey
@@ -202,33 +202,31 @@ class SynthTask:
                 f"V^T = {self.vocab}^{self.horizon} exceeds the enumeration budget"
             )
 
-    def expected_reward(self, table: PolicyTable, dists: dict | None = None) -> float:
+    def expected_reward(self, table: PolicyTable, dists: StudentDists | None = None) -> float:
         """Exact E[R] under the student policy, by pruned tree enumeration.
 
-        The tree is walked one level at a time. A level's live prefixes
-        (neither dead nor free, before the horizon) are read from ``dists``,
-        an optional ``{prefix: student distribution}`` map as in
-        ``sample_group``; the ones missing there take one ``student_dists``
-        call and are added to it. A child is expanded only if its
-        probability is nonzero, so the rows materialized are those of a
-        depth-first walk, in its order. A dead child is worth 0, a free or
-        final one 1. Values are summed bottom-up left to right over the
-        children, ``cumsum(dist * value)``, which is the depth-first sum's
-        order: a skipped zero-probability child adds an exact 0.
+        The tree is walked one level of node ids at a time, each level's
+        live nodes (neither dead nor free, before the horizon) read from
+        ``dists``, an optional student cache as in ``sample_group``. A
+        child is expanded only if its probability is nonzero, so the rows
+        materialized are those of a depth-first walk. A dead child is worth
+        0, a free or final one 1. Values are summed bottom-up left to right
+        over the children, ``cumsum(dist * value)``, which is the
+        depth-first sum's order: a skipped zero-probability child adds 0.
         """
         self.check_budget()
-        dists = {} if dists is None else dists
+        dists = StudentDists() if dists is None else dists
         trans = self.transitions
         leaf_value, inner = self._tree_tables
         levels = []
-        prefixes, states = [()], np.array([_START])
+        nodes, states = np.array([table.node(self.prompt_id, ())]), np.array([_START])
         for t in range(self.horizon):
-            dist = _student_rows(table, self.prompt_id, prefixes, dists)
+            dist = dists.read(table)[nodes]
             rows, tokens = np.nonzero(inner[t, states] & (dist != 0.0))
             levels.append((dist, leaf_value[t, states], rows, tokens))
             if not rows.size:
                 break
-            prefixes = [prefixes[r] + (v,) for r, v in zip(rows.tolist(), tokens.tolist())]
+            nodes = table.children(nodes[rows], tokens)
             states = trans[t, states[rows], tokens]
         below = np.empty(0)  # the deepest level has no inner children
         for dist, value, rows, tokens in reversed(levels):
@@ -262,11 +260,7 @@ class SynthTask:
                 )
             exp_val = float(dist @ child_vals)
             row_grad = reach * dist * (child_vals - exp_val)
-            key = (self.prompt_id, prefix)
-            if key in grads:
-                grads[key] = grads[key] + row_grad
-            else:
-                grads[key] = row_grad
+            grads[(self.prompt_id, prefix)] = row_grad  # each prefix is walked once
             return exp_val
 
         walk((), _START, 0, 1.0)
@@ -529,34 +523,30 @@ def _check_certificate_params(regime: str, p: TaskParams, drawn: list) -> None:
 # ----- sampling and annotation ----------------------------------------------
 
 
-def inverse_cdf(dist: np.ndarray, u) -> np.ndarray:
-    """Indices drawn from ``dist`` by the uniforms ``u``.
+def inverse_cdf(cdf: np.ndarray, u) -> np.ndarray:
+    """Indices drawn by the uniforms ``u`` from ``cdf = policy.cdf_rows(dist)``.
 
-    ``dist`` is one distribution shared by all uniforms, or a (n, V)
-    stack with one row per uniform. Each index is ``cdf.searchsorted(u, side="right")`` with
-    ``cdf = dist.cumsum(); cdf /= cdf[-1]``, what ``Generator.choice(
-    len(dist), p=dist)`` returns for the uniform it draws, so a caller
-    that draws ``rng.random()`` itself consumes the stream exactly as
-    ``choice`` would. The cdf is sorted, so the search is a count of the
-    entries at most ``u``.
+    ``cdf`` is one distribution's, shared by all uniforms, or a (n, V)
+    stack with one row per uniform. Each index is ``cdf.searchsorted(u,
+    side="right")``, what ``Generator.choice(len(dist), p=dist)`` returns
+    for the uniform it draws, so a caller that draws ``rng.random()``
+    itself consumes the stream exactly as ``choice`` would. The cdf is
+    sorted, so the search is a count of the entries at most ``u``.
     """
-    cdf = np.cumsum(dist, axis=-1)
-    cdf /= cdf[..., -1:]
     return (cdf <= np.asarray(u)[..., None]).sum(axis=-1)
 
 
 def draw_contexts(task: SynthTask, rng: np.random.Generator, size: int) -> np.ndarray:
     """``size`` privileged-context indices, one uniform each."""
-    return inverse_cdf(task.context_probs, rng.random(size))
+    return inverse_cdf(cdf_rows(task.context_probs), rng.random(size))
 
 
 @dataclass
 class SampledGroup:
     """Rollouts of the task's horizon sampled together, as (G, T) arrays.
 
-    ``prefixes`` lists the distinct prefixes the group visited, in
-    sampling order, and ``prefix_index[i, t]`` is the entry of position t
-    of rollout i. Row i of each (G, ...) array is rollout i.
+    ``prefix_index[i, t]`` is the table's node id of the prefix of
+    position t of rollout i. Row i of each (G, ...) array is rollout i.
     ``states[i, t]`` is the acceptance-machine state of rollout i before
     position t; the outcomes are read off its last column.
     """
@@ -564,20 +554,8 @@ class SampledGroup:
     tokens: np.ndarray  # (G, T) sampled token ids
     logprobs: np.ndarray  # (G, T) sample-time log-probs
     outcomes: np.ndarray  # (G,) verifier outcomes
-    prefixes: list
-    prefix_index: np.ndarray  # (G, T) indices into prefixes
+    prefix_index: np.ndarray  # (G, T) node ids
     states: np.ndarray  # (G, T + 1) acceptance-machine states
-
-
-def _student_rows(table: PolicyTable, prompt: str, prefixes: list, dists: dict) -> np.ndarray:
-    """(P, V) student distributions at ``prefixes``: rows found in the
-    ``{prefix: distribution}`` map ``dists`` are reused, and the missing
-    ones come from one ``student_dists`` call, in the order given, and are
-    added to it."""
-    missing = [prefix for prefix in prefixes if prefix not in dists]
-    if missing:
-        dists.update(zip(missing, table.student_dists(prompt, missing)))
-    return np.array([dists[prefix] for prefix in prefixes])
 
 
 def sample_group(
@@ -585,7 +563,7 @@ def sample_group(
     task: SynthTask,
     rng: np.random.Generator,
     size: int,
-    dists: dict | None = None,
+    dists: StudentDists | None = None,
 ) -> SampledGroup:
     """Sample ``size`` sequences from the student policy and verify them.
 
@@ -593,18 +571,16 @@ def sample_group(
     rollout-major order, and each token is picked by ``inverse_cdf`` of
     its prefix's distribution: the tokens, log-probs and stream position
     of ``size`` successive per-token ``Generator.choice`` loops. Positions
-    are filled left to right, all rollouts at once.
+    are filled left to right, all rollouts at once. Each rollout's node
+    advances through ``table.children``, which materializes a position's
+    new prefixes in first-visit order, and its machine state through
+    ``task.transitions``, so the group is verified as it is sampled.
 
-    ``dists`` is an optional ``{prefix: student distribution}`` map: a row
-    found there is reused and the rows missing at a position are computed
-    by one ``student_dists`` call and added, so a group takes at most one
-    softmax per position. The caller keeps the map current; a run's map
+    Rows and cdf rows are read from ``dists``, an optional student cache
+    (``policy.StudentDists``) that the caller keeps current; a run's cache
     lives across steps and is refreshed at the update (``runner``).
-
-    Each rollout's machine state advances through ``task.transitions``
-    with its token, so the group is verified as it is sampled.
     """
-    dists = {} if dists is None else dists
+    dists = StudentDists() if dists is None else dists
     horizon = task.horizon
     uniforms = rng.random((size, horizon))
     tokens = np.empty((size, horizon), dtype=np.int64)
@@ -612,19 +588,16 @@ def sample_group(
     prefix_index = np.empty((size, horizon), dtype=np.int64)
     states = np.full((size, horizon + 1), _START, dtype=np.int64)
     trans = task.transitions
-    prefixes: list = []
-    keys = [()] * size  # each rollout's prefix at position t
+    node = np.full(size, table.node(task.prompt_id, ()))
     for t in range(horizon):
-        slot: dict = {}
-        which = np.array([slot.setdefault(key, len(slot)) for key in keys])
-        row_of = _student_rows(table, task.prompt_id, list(slot), dists)[which]
-        picked = inverse_cdf(row_of, uniforms[:, t])
+        if t:
+            node = table.children(node, picked)
+        prefix_index[:, t] = node
+        rows = dists.read(table)
+        picked = inverse_cdf(dists.cdfs[node], uniforms[:, t])
         tokens[:, t] = picked
-        probs[:, t] = row_of[np.arange(size), picked]
+        probs[:, t] = rows[node, picked]
         states[:, t + 1] = trans[t, states[:, t], picked]
-        prefix_index[:, t] = len(prefixes) + which
-        prefixes.extend(slot)
-        keys = [key + (tok,) for key, tok in zip(keys, picked.tolist())]
     # math.log, not np.log: the two differ in the last bit on some inputs.
     logprobs = np.array([math.log(p) for p in probs.ravel().tolist()]).reshape(size, horizon)
     outcomes = (states[:, -1] != _DEAD).astype(np.int64)
@@ -632,7 +605,6 @@ def sample_group(
         tokens=tokens,
         logprobs=logprobs,
         outcomes=outcomes,
-        prefixes=prefixes,
         prefix_index=prefix_index,
         states=states,
     )
@@ -697,7 +669,7 @@ def oracle_annotate(
             if rng.random() > precision and non_critical.size:
                 mask[i, start:end] = False
                 mask[i, non_critical[rng.choice(non_critical.size)]] = True
-    return inverse_cdf(task.context_probs, uniforms), mask
+    return inverse_cdf(cdf_rows(task.context_probs), uniforms), mask
 
 
 def single_route_params(**overrides) -> TaskParams:

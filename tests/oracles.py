@@ -21,7 +21,11 @@ was batched:
   (``Rollout``, ``CharSpan``, ``reference_oracle_annotate`` and
   ``reference_root_cause``), ``project_spans_to_mask`` and the weighted
   ``enforce_coverage_cap`` behind the group annotator and its cap;
-* ``reference_credit_ratios``: per-rollout ``credit_concentration``.
+* ``reference_credit_ratios``: per-rollout ``credit_concentration``;
+* ``reference_row_update``: the per-prefix dict loop behind the node-indexed
+  parameter update;
+* ``reference_context_variance`` and ``reference_expected_deviation_sq``:
+  the one-matrix ledger terms behind the stacked ones.
 """
 
 import math
@@ -132,15 +136,16 @@ def enumerate_expected_reward(task, table):
 
 
 def fd_reward_gradient(task, table, key, h=1e-6):
-    """Finite differences of E[R] w.r.t. one logit row."""
-    row = table.student_logits(*key)
-    grad = np.zeros_like(row)
-    for v in range(row.size):
-        row[v] += h
+    """Finite differences of E[R] w.r.t. one logit row. The row is
+    re-fetched before each write: enumeration materializes rows, and a row
+    view is valid only until the next row is materialized."""
+    grad = np.zeros(table.vocab)
+    for v in range(table.vocab):
+        table.student_logits(*key)[v] += h
         up = enumerate_expected_reward(task, table)
-        row[v] -= 2 * h
+        table.student_logits(*key)[v] -= 2 * h
         down = enumerate_expected_reward(task, table)
-        row[v] += h
+        table.student_logits(*key)[v] += h
         grad[v] = (up - down) / (2 * h)
     return grad
 
@@ -573,3 +578,31 @@ def reference_credit_ratios(credit, mask):
         if mask[i].any() and not mask[i].all()
     ]
     return np.array([r for r in ratios if r is not None])
+
+
+def reference_row_update(table, nodes, grads, learning_rate):
+    """Sum the token gradient rows per node, ``summed[r] + vec`` in token
+    order, then step each node's row in place, ``row -= lr * g``: the dict
+    loop behind ``runner._apply_row_grads``, kept from before rows were
+    node ids."""
+    summed = {}
+    for r, vec in zip(nodes.tolist(), grads):
+        summed[r] = summed[r] + vec if r in summed else vec
+    for r, g in summed.items():
+        row = table.logits[r]
+        row -= learning_rate * np.asarray(g, dtype=float)
+
+
+def reference_context_variance(probs, dists):
+    """``privileged.context_variance`` of one (n_contexts, V) matrix, as it
+    was before it took stacks."""
+    mean = probs @ dists
+    var = probs @ (dists - mean) ** 2
+    return float(var.sum())
+
+
+def reference_expected_deviation_sq(probs, dists):
+    """``privileged.expected_deviation_sq`` of one (n_contexts, V) matrix,
+    as it was before it took stacks."""
+    diffs = dists - probs @ dists
+    return float((probs * (diffs**2).sum(axis=1)).sum())

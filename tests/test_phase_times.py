@@ -19,3 +19,36 @@ def test_phase_times_accounts_for_the_whole_step(tmp_path):
     assert list(phases)[-1] == "rest" and len(phases) == 10
     assert all(p["us_per_step"] > 0 for name, p in phases.items() if name != "rest")
     assert abs(sum(p["share"] for p in phases.values()) - 1.0) < 1e-9
+
+
+def test_baseline_alternates_two_trees_in_the_bench_layout(tmp_path):
+    out = tmp_path / "bench.json"
+    subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "phase_times.py"), "--src", str(ROOT / "src"),
+         "--baseline", str(ROOT / "src"), "--workload", "alltoken", "--cycles", "1",
+         "--repeats", "2", "--json", str(out)],
+        check=True, capture_output=True, text=True,
+    )
+    bench = json.loads(out.read_text())
+    assert {"what", "command", "machine", "trees", "workloads"} <= set(bench)
+    assert bench["trees"] == {"parent": str(ROOT / "src"), "change": str(ROOT / "src")}
+    res = bench["workloads"]["alltoken"]
+    assert list(res) == ["parent", "change"]
+    for tree in res.values():
+        assert tree["steps_per_repeat"] == 300
+        assert len(tree["step_us"]) == 2 and all(us > 0 for us in tree["step_us"])
+        phases = tree["phases_us_per_step"]
+        assert list(phases)[-1] == "rest" and len(phases) == 10
+        assert all(len(reps) == 2 for reps in phases.values())
+        for rep in range(2):
+            share = sum(reps[rep] for reps in tree["phases_share"].values())
+            assert abs(share - 1.0) < 1e-3  # shares are rounded to 4 places
+
+
+def test_baseline_must_hold_a_package(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "phase_times.py"), "--src", str(ROOT / "src"),
+         "--baseline", str(tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2 and "no routedkl package" in proc.stderr

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from routedkl.errors import InfeasibleFloorError, InvalidDistributionError, NonFiniteInputError
 from routedkl.policy import (
     PolicyTable,
+    StudentDists,
     entropy,
     floor_fixed_point,
     masked_row_sum,
@@ -76,11 +77,17 @@ class TestBatchedSoftmax:
         with pytest.raises(NonFiniteInputError):
             softmax(np.array([[0.0, 1.0], [0.0, np.inf]]))
 
-    def test_student_dists_materialize_in_order(self):
+    def test_student_cache_reads_nodes_in_first_visit_order(self):
         table = PolicyTable(vocab=5, init_logits=lambda _, prefix: np.arange(5.0) * len(prefix))
-        prefixes = [(2,), (), (0, 1)]
-        got = table.student_dists("p", prefixes)
+        cache = StudentDists()
+        root = table.node("p", ())
+        first = table.children(np.array([root, root, root]), np.array([2, 0, 2]))
+        second = table.children(first, np.array([1, 1, 3]))
+        assert first.tolist() == [1, 2, 1] and second.tolist() == [3, 4, 5]
+        prefixes = [(), (2,), (0,), (2, 1), (0, 1), (2, 3)]
         assert list(table.rows) == [("p", p) for p in prefixes]
+        got = cache.read(table)
+        assert not got.flags.writeable
         for prefix, row in zip(prefixes, got):
             assert row.tobytes() == table.student_dist("p", prefix).tobytes()
 
@@ -302,12 +309,55 @@ class TestPolicyTable:
     def test_teacher_lookup_counter(self):
         table = self._table()
         assert table.teacher_lookups == 0
-        table.teacher_dist("p", ())
+        table.teacher_logits("p", ())
         assert table.teacher_lookups == 1
 
     def test_apply_gradients_descends(self):
         table = self._table()
-        table.apply_gradients({("p", ()): np.array([1.0, 0.0, 0.0, 0.0])}, 0.5)
+        table.apply_gradients(np.array([table.node("p", ())]), np.array([[1.0, 0.0, 0.0, 0.0]]), 0.5)
         np.testing.assert_allclose(
             table.student_logits("p", ()), [-0.5, 0.0, 0.0, 0.0], atol=1e-15
         )
+
+    def test_row_view_is_valid_until_the_next_row_is_materialized(self):
+        table = self._table()
+        view = table.student_logits("p", ())
+        capacity = len(table.logits)
+        for v in range(capacity):  # one row more than the array holds
+            table.student_logits("p", (v % 4, v // 4))
+        assert len(table.logits) > capacity
+        view += 1.0  # a stale view writes to the dead buffer
+        assert table.rows["p", ()].tolist() == [0.0] * 4
+        table.student_logits("p", ())[0] += 1.0  # re-fetched
+        assert table.rows["p", ()].tolist() == [1.0, 0.0, 0.0, 0.0]
+
+    def test_rows_are_keyed_in_first_visit_order(self):
+        # What perfbench reads: a (prompt, prefix) -> row mapping whose
+        # length counts the materialized rows.
+        table = PolicyTable(vocab=3, init_logits=lambda prompt, prefix: np.full(3, float(len(prefix))))
+        order = [("p", (2, 1)), ("p", ()), ("q", ()), ("p", (2,)), ("p", (2, 1, 0))]
+        for n, (prompt, prefix) in enumerate(order):
+            table.student_logits(prompt, prefix)
+            assert len(table.rows) == n + 1
+        table.children(np.array([table.node("p", (2,)), 1]), np.array([1, 0]))  # (2, 1) exists
+        table.teacher_logits("p", (0, 0))  # teacher lookups materialize nothing
+        order.append(("p", (0,)))
+        assert list(table.rows) == order and len(table.rows) == len(order)
+        assert all(key in table.rows for key in order) and ("p", (0, 0)) not in table.rows
+        for prompt, prefix in order:
+            assert table.rows[prompt, prefix].tolist() == [float(len(prefix))] * 3
+        with pytest.raises(KeyError):
+            table.rows["p", (1,)]
+
+    def test_copy_rows_do_not_follow_the_source(self):
+        table = self._table()
+        table.student_logits("p", (1,))[:] = 2.0
+        table.sync_teacher()
+        dup = table.copy()
+        rows = dup.rows
+        table.student_logits("p", (1,))[0] = 5.0
+        table.student_logits("p", (3,))
+        table.apply_gradients(np.array([0]), np.ones((1, 4)), 1.0)
+        assert list(rows) == [("p", (1,))] and len(rows) == 1
+        assert rows["p", (1,)].tolist() == [2.0] * 4
+        assert dup.teacher_logits("p", (1,)).tolist() == [2.0] * 4

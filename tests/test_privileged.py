@@ -14,6 +14,8 @@ from routedkl.privileged import (
 )
 from routedkl.routing import RoutingConfig, lambda_schedule
 
+from oracles import reference_context_variance, reference_expected_deviation_sq
+
 TWO_CTX = ContextSet(
     probs=np.array([0.5, 0.5]),
     dists_by_position={0: np.array([[0.8, 0.2], [0.6, 0.4]])},
@@ -44,6 +46,34 @@ class TestPrivilegedVariance:
         probs = rng.dirichlet(np.ones(m))
         dists = np.stack([rng.dirichlet(np.ones(v)) for _ in range(m)])
         assert context_variance(probs, dists) >= 0.0
+
+
+class TestStackedLedgerTerms:
+    """A stack of teacher matrices gets each matrix's one-matrix bytes."""
+
+    @given(
+        n_contexts=st.integers(1, 6),
+        vocab=st.integers(2, 16),
+        n_matrices=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_stack_equals_the_one_matrix_reference(self, n_contexts, vocab, n_matrices, seed):
+        rng = np.random.default_rng(seed)
+        probs = rng.dirichlet(np.ones(n_contexts))
+        if abs(probs.sum() - 1.0) > 1e-9:
+            return
+        stack = rng.dirichlet(np.ones(vocab), size=(n_matrices, n_contexts))
+        variance = context_variance(probs, stack)
+        deviation = expected_deviation_sq(probs, stack)
+        assert variance.shape == deviation.shape == (n_matrices,)
+        for m, dists in enumerate(stack):
+            want = reference_context_variance(probs, dists)
+            assert np.float64(variance[m]).tobytes() == np.float64(want).tobytes()
+            assert context_variance(probs, dists) == want
+            want = reference_expected_deviation_sq(probs, dists)
+            assert np.float64(deviation[m]).tobytes() == np.float64(want).tobytes()
+            assert expected_deviation_sq(probs, dists) == want
 
 
 class TestPrivilegedDeviation:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from routedkl import cli, runner
 from routedkl.errors import ConfigError, EnumerationBudgetError, InternalConsistencyError
 from routedkl.grpo import group_advantages
 from routedkl.metrics import credit_concentration
-from routedkl.policy import PolicyTable
+from routedkl.policy import PolicyTable, StudentDists
 from routedkl.privileged import context_variance, expected_deviation_sq
 from routedkl.routing import RoutingConfig, lambda_schedule
 from routedkl.runner import (
@@ -30,7 +31,7 @@ from routedkl.runner import (
 )
 from routedkl.tasks import TaskParams, chain_params, generate_task, sample_group
 
-from oracles import reference_annotate, reference_credit_ratios
+from oracles import reference_annotate, reference_credit_ratios, reference_row_update
 
 FAST_PARAMS = chain_params(vocab=6, horizon=3, p_star=0.004, alt_mass=0.85, n_contexts=2)
 FAST_ROUTING = RoutingConfig(w0=1.0, t_start=4, t_decay=8, sync_n=5, tau=10.0, alpha=0.5)
@@ -283,17 +284,18 @@ class TestTeacherCache:
         state = init_run(cfg)
         for _ in range(FAST_ROUTING.sync_n):  # steps 0..4; step 5 syncs first
             train_step(state)
-        stale = runner._teacher_rows(state, ())[0]
+        root = state.table.ids[state.task.prompt_id, ()]
+        stale = runner._teacher_rows(state, np.array([root]))[0][root].copy()
         build = runner._step_tensors
         used = []
 
         def capture(state, group, *args):
             step = build(state, group, *args)
             horizon = group.tokens.shape[1]
-            used.extend(
-                (tuple(group.tokens[f // horizon, : f % horizon].tolist()), q)
-                for f, q in zip(step.kl_rows.tolist(), step.teacher)
-            )
+            for f, q in zip(step.kl_rows.tolist(), step.teacher):
+                node = group.prefix_index[f // horizon, f % horizon]
+                assert state.table.keys[node][1] == tuple(group.tokens[f // horizon, : f % horizon].tolist())
+                used.append((node, q))
             return step
 
         monkeypatch.setattr(runner, "_step_tensors", capture)
@@ -301,26 +303,29 @@ class TestTeacherCache:
         assert state.table.sync_count == 3  # init snapshot, k = 0, k = 5
         synced = state.table.copy()  # same teacher snapshot, separate counter
         task = state.task
-        fresh = {p: task.teacher_dist_matrix(synced, p) for p in state.teacher_cache}
-        assert not np.array_equal(fresh[()], stale)
-        for prefix, (matrix, variance, deviation) in state.teacher_cache.items():
-            np.testing.assert_array_equal(matrix, fresh[prefix])
-            assert variance == context_variance(task.context_probs, fresh[prefix])
-            assert deviation == expected_deviation_sq(task.context_probs, fresh[prefix])
+        cache = state.teacher_cache
+        filled = np.flatnonzero(cache.have).tolist()
+        fresh = {n: task.teacher_dist_matrix(synced, synced.keys[n][1]) for n in filled}
+        assert not np.array_equal(fresh[root], stale)
+        for node in filled:
+            np.testing.assert_array_equal(cache.matrices[node], fresh[node])
+            assert cache.terms[node, 0] == context_variance(task.context_probs, fresh[node])
+            assert cache.terms[node, 1] == expected_deviation_sq(task.context_probs, fresh[node])
         assert used
-        for prefix, q in used:
-            assert any(np.array_equal(q, row) for row in fresh[prefix])
+        for node, q in used:
+            assert any(np.array_equal(q, row) for row in fresh[node])
 
     def test_closed_channel_read_through_cache_raises(self, monkeypatch):
         cfg = fast_cfg("routed_fkl_key")
         state = init_run(cfg)
         while effective_lambda(cfg, state.k) > 0.0:
             train_step(state)
-        assert () in state.teacher_cache  # filled while the channel was open
+        root = state.table.ids[state.task.prompt_id, ()]
+        assert state.teacher_cache.have[root]  # filled while the channel was open
         build = runner._step_tensors
 
         def peeking(state, *args):
-            runner._teacher_rows(state, ())
+            runner._teacher_rows(state, np.array([root]))
             return build(state, *args)
 
         monkeypatch.setattr(runner, "_step_tensors", peeking)
@@ -330,7 +335,9 @@ class TestTeacherCache:
     def test_cached_rows_are_read_only(self):
         state = init_run(fast_cfg("alltoken_kl_persistent"))
         train_step(state)
-        matrix, _, _ = runner._teacher_rows(state, ())
+        root = state.table.ids[state.task.prompt_id, ()]
+        matrices, _ = runner._teacher_rows(state, np.array([root]))
+        matrix = matrices[root]
         with pytest.raises(ValueError):
             matrix[0, 0] = 0.5
         with pytest.raises(ValueError):
@@ -348,9 +355,10 @@ class TestStudentCache:
         for _ in range(state.cfg.steps):
             row = train_step(state)
             fresh = state.table.copy()
-            assert set(state.student_cache) == {prefix for _, prefix in state.table.rows}
-            for prefix, dist in state.student_cache.items():
-                assert not dist.flags.writeable
+            assert state.student_cache.n == len(state.table.rows)  # no row left to compute
+            dists = state.student_cache.read(state.table)
+            assert not dists.flags.writeable
+            for dist, (_, prefix) in zip(dists, state.table.rows, strict=True):
                 assert dist.tobytes() == fresh.student_dist(prompt, prefix).tobytes()
             want = state.task.expected_reward(fresh)
             assert np.float64(state.validation_reward).tobytes() == np.float64(want).tobytes()
@@ -360,9 +368,9 @@ class TestStudentCache:
         state = init_run(fast_cfg("routed_both"))
         for _ in range(6):
             train_step(state)
-        assert state.student_cache and state.teacher_cache
+        assert state.student_cache.n and state.teacher_cache.have.any()
         fork = state.fork()
-        assert fork.student_cache == {} and fork.teacher_cache == {}
+        assert fork.student_cache.n == 0 and not fork.teacher_cache.have.any()
         for _ in range(10):
             assert train_step(state) == train_step(fork)
             assert list(state.table.rows) == list(fork.table.rows)
@@ -371,7 +379,7 @@ class TestStudentCache:
 
     def test_run_experiment_drops_both_caches(self):
         _, state = run_experiment(fast_cfg("routed_both", steps=6))
-        assert state.student_cache == {} and state.teacher_cache == {}
+        assert state.student_cache.n == 0 and not state.teacher_cache.have.any()
 
     def test_softmax_only_for_changed_rows(self, monkeypatch):
         # Past step 20 a grpo_only corner run materializes few new rows. A
@@ -418,6 +426,99 @@ class TestStudentCache:
             assert len(calls) == len(walks) == int(updated)
             seen[updated] += 1
         assert seen[False] and seen[True]
+
+
+class TestRowUpdate:
+    """The node-indexed update against the per-prefix dict loop, byte for
+    byte, with the student cache refreshed for the changed rows."""
+
+    @staticmethod
+    def _check(prefix_index, rows, grads, learning_rate, seed):
+        vocab = grads.shape[1]
+        n_nodes = int(prefix_index.max()) + 1
+
+        def init(prompt, prefix):
+            logits = np.random.default_rng([seed, int(prompt)]).normal(0.0, 2.0, vocab)
+            logits[::3] = 0.0
+            return logits
+
+        table = PolicyTable(vocab=vocab, init_logits=init)
+        for k in range(n_nodes):
+            table.node(str(k), ())
+        ref = table.copy()
+        state = SimpleNamespace(
+            table=table, cfg=SimpleNamespace(learning_rate=learning_rate),
+            student_cache=StudentDists(), validation_reward=0.5,
+        )
+        state.student_cache.read(table)
+        runner._apply_row_grads(state, SimpleNamespace(prefix_index=prefix_index), rows, grads)
+        reference_row_update(ref, prefix_index.ravel()[rows], grads, learning_rate)
+        assert table.logits[:n_nodes].tobytes() == ref.logits[:n_nodes].tobytes()
+        assert state.student_cache.read(table).tobytes() == StudentDists().read(table).tobytes()
+        assert state.validation_reward == (None if rows.size else 0.5)
+
+    @staticmethod
+    def _grads(rng, n_rows, vocab):
+        grads = rng.normal(0.0, 1.0, (n_rows, vocab)) * 10.0 ** rng.integers(-8, 4, (n_rows, vocab))
+        grads[rng.random(grads.shape) < 0.2] = -0.0
+        grads[rng.random(grads.shape) < 0.1] = 0.0
+        return grads
+
+    @given(
+        size=st.integers(1, 12),
+        horizon=st.integers(1, 6),
+        n_nodes=st.integers(1, 30),
+        hot=st.sampled_from([0.0, 0.5, 0.9]),
+        keep=st.sampled_from([0.3, 1.0]),
+        learning_rate=st.sampled_from([0.0, 0.1, 0.5, 3.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_update_equals_the_dict_loop(self, size, horizon, n_nodes, hot, keep, learning_rate, seed):
+        rng = np.random.default_rng(seed)
+        prefix_index = rng.integers(0, n_nodes, (size, horizon))
+        prefix_index[rng.random((size, horizon)) < hot] = 0
+        rows = np.flatnonzero(rng.random(size * horizon) < keep)
+        self._check(prefix_index, rows, self._grads(rng, rows.size, 8), learning_rate, seed)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_a_node_hit_by_every_rollout(self, seed):
+        # G = 12 rollouts share their first prefix: one node sums 12 rows,
+        # with -0.0 entries among them.
+        rng = np.random.default_rng(seed)
+        prefix_index = np.column_stack([np.zeros(12, dtype=np.int64), rng.integers(1, 6, 12)])
+        rows = np.arange(24)
+        grads = self._grads(rng, 24, 8)
+        grads[0, :4] = -0.0
+        assert np.signbit(grads[0, 0])
+        self._check(prefix_index, rows, grads, 0.5, seed)
+
+
+class TestPerfbenchContract:
+    """What the benchmark's checks and tracer read from a run's table."""
+
+    def test_teacher_lookups_count_every_teacher_logits_call(self, monkeypatch):
+        # A deep-cli-shaped run: mixed regime at horizon 6, both methods
+        # that read the teacher, across the KL window's end.
+        calls = {}
+        lookup = PolicyTable.teacher_logits
+
+        def counting(table, *args, **kwargs):
+            calls[id(table)] = calls.get(id(table), 0) + 1
+            return lookup(table, *args, **kwargs)
+
+        monkeypatch.setattr(PolicyTable, "teacher_logits", counting)
+        routing = RoutingConfig(w0=2.0, t_start=10, t_decay=50, sync_n=10, tau=10.0, alpha=0.25)
+        for method in ("routed_both", "rlsd_weighted"):
+            cfg = RunConfig(
+                method=method, regime="mixed", seed=3, steps=70, group_size=8,
+                learning_rate=0.5, routing=routing, task_params=TaskParams(vocab=8, horizon=6),
+            )
+            _, state = run_experiment(cfg)
+            table = state.table
+            assert table.teacher_lookups > 0
+            assert calls[id(table)] == table.teacher_lookups
+            assert len(table.rows) == len(set(table.rows)) == len(table.keys)
 
 
 class TestKlBlockGuard:

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from routedkl.errors import EnumerationBudgetError, RangeError
-from routedkl.policy import PolicyTable, softmax
+from routedkl import policy
+from routedkl.policy import PolicyTable, StudentDists, softmax
 from routedkl.routing import coverage_cap
 from routedkl.tasks import (
     _DEAD,
@@ -198,7 +199,7 @@ class TestGroupStreamAlignment:
         task = generate_task("under_allocated", 0, params)
         table = _random_table(vocab, seed, zero_frac)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        dists = {}
+        dists = StudentDists()
         group = sample_group(table, task, rng, size, dists)
         ref = [reference_sample_sequence(table, task, ref_rng) for _ in range(size)]
         assert group.outcomes.tolist() == [r.outcome for r in ref]
@@ -207,13 +208,15 @@ class TestGroupStreamAlignment:
         assert group.tokens.tolist() == [list(r.tokens) for r in ref]
         assert group.logprobs.tobytes() == np.stack([r.logprobs for r in ref]).tobytes()
         assert rng.random() == ref_rng.random()
-        # Every position points at its prefix, listed once, with its row.
-        assert len(set(group.prefixes)) == len(group.prefixes) == len(dists)
+        # Every position points at its prefix's node, listed once, with its row.
+        assert len(set(table.rows)) == len(table.rows) == dists.n
+        assert set(group.prefix_index.ravel().tolist()) == set(range(dists.n))
+        rows = dists.read(table)
         for i, r in enumerate(ref):
             for t in range(horizon):
-                prefix = group.prefixes[group.prefix_index[i, t]]
-                assert prefix == r.tokens[:t]
-                assert dists[prefix].tobytes() == table.student_dist(task.prompt_id, prefix).tobytes()
+                node = group.prefix_index[i, t]
+                assert table.keys[node] == (task.prompt_id, r.tokens[:t])
+                assert rows[node].tobytes() == table.student_dist(task.prompt_id, r.tokens[:t]).tobytes()
 
     def test_rows_with_zero_entries_are_exercised(self):
         table = _random_table(6, 3, 0.7)
@@ -281,22 +284,29 @@ class TestBatchedTaskPaths:
 
     @pytest.mark.parametrize("regime", ["under_allocated", "mixed"])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_expected_reward_through_a_filled_map(self, regime, seed):
-        # One sampled rollout puts part of the tree's rows in the map.
+    def test_expected_reward_through_a_filled_map(self, regime, seed, monkeypatch):
+        # One sampled rollout puts part of the tree's rows in the cache.
         task = generate_task(regime, seed, chain_params(vocab=5, horizon=4))
         table = task.make_table()
-        dists = {}
+        dists = StudentDists()
         sample_group(table, task, np.random.default_rng(seed), 1, dists)
-        filled = dict(dists)
+        filled = dists.read(table).copy()
         ref = table.copy()
+        softmaxed = []
+        stack_softmax = policy.softmax
+        monkeypatch.setattr(policy, "softmax", lambda z: softmaxed.append(len(z)) or stack_softmax(z))
         got = task.expected_reward(table, dists)
+        monkeypatch.undo()
         want = task.expected_reward(ref)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
         assert list(table.rows) == list(ref.rows)
-        assert set(dists) == {prefix for _, prefix in table.rows} > set(filled)
-        assert all(dists[prefix] is dist for prefix, dist in filled.items())
-        for prefix, dist in dists.items():
-            assert dist.tobytes() == ref.student_dist(task.prompt_id, prefix).tobytes()
+        rows = dists.read(table)
+        assert len(rows) == len(table.rows) > len(filled)
+        # The filled rows are kept: only the rows new to the walk are computed.
+        assert sum(softmaxed) == len(rows) - len(filled)
+        assert rows[: len(filled)].tobytes() == filled.tobytes()
+        for row, (_, prefix) in zip(rows, table.rows, strict=True):
+            assert row.tobytes() == ref.student_dist(task.prompt_id, prefix).tobytes()
 
     @given(size=st.integers(1, 16), zero_frac=st.sampled_from([0.0, 0.5]), **task_shapes)
     @settings(max_examples=200, deadline=None)

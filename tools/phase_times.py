@@ -2,6 +2,8 @@
 
     python3 tools/phase_times.py --src src --workload corner alltoken deep-cli \\
         --seed 1 --cycles 2 --repeats 3 --json phases.json
+    python3 tools/phase_times.py --src src --baseline ../parent/src \\
+        --seed 1 --cycles 2 --repeats 5 --json BENCH.json
 
 Imports ``routedkl`` from ``--src`` and runs the configs of the three
 perfbench workloads (``perfbench/worker.py``) through ``studies`` and
@@ -17,6 +19,12 @@ config seeds perfbench's worker gives it for ``--seed``. The printed
 µs/step of each phase is the median over repetitions, and its share is of
 the median step. The numbers are wall-clock and vary with the host, so
 compare two source trees by alternating runs on one machine.
+
+With ``--baseline SRC`` the tool compares two trees that way: each
+repetition of each workload runs once per tree, each run in a fresh
+interpreter, and the trees alternate which goes first. The JSON holds the
+per-repetition µs/step and shares of each phase under ``parent``
+(``--baseline``) and ``change`` (``--src``).
 """
 
 from __future__ import annotations
@@ -26,7 +34,9 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
+import tempfile
 import time
 
 PHASES = (
@@ -170,21 +180,8 @@ def machine() -> dict:
     }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", required=True, help="directory that holds the routedkl package")
-    parser.add_argument("--workload", nargs="+", choices=("corner", "alltoken", "deep-cli"),
-                        default=["corner", "alltoken", "deep-cli"])
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--cycles", type=int, default=2)
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--json", default=None, help="also write the results here")
-    args = parser.parse_args(argv)
-    if args.seed < 0 or args.cycles < 1 or args.repeats < 1:
-        parser.error("need --seed >= 0, --cycles >= 1 and --repeats >= 1")
-    if not os.path.isfile(os.path.join(args.src, "routedkl", "__init__.py")):
-        parser.error(f"no routedkl package under {args.src}")
-
+def measure_tree(args) -> dict:
+    """Median phase times of the ``--src`` tree, imported in this process."""
     sys.path.insert(0, os.path.abspath(args.src))
     import routedkl
     import routedkl.studies
@@ -200,6 +197,88 @@ def main(argv=None) -> int:
               f"{res['steps_per_repeat']} steps per repetition")
         for name, phase in res["phases"].items():
             print(f"  {name:18s} {phase['us_per_step']:9.1f} us/step {100 * phase['share']:6.1f}%")
+    return out
+
+
+def _one_repetition(src: str, workload: str, seed: int, cycles: int) -> dict:
+    """One repetition of ``workload`` on the tree ``src``, in a fresh interpreter."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "phases.json")
+        subprocess.run(
+            [sys.executable, os.path.abspath(__file__), "--src", src, "--workload", workload,
+             "--seed", str(seed), "--cycles", str(cycles), "--repeats", "1", "--json", out],
+            check=True, capture_output=True, text=True,
+        )
+        with open(out) as fh:
+            return json.load(fh)["workloads"][workload]
+
+
+def compare(args) -> dict:
+    """Alternating repetitions of the ``--baseline`` and ``--src`` trees,
+    in the layout of the repository's ``BENCH_*.json`` files."""
+    trees = {"parent": args.baseline, "change": args.src}
+    out = {
+        "what": "Per-phase wall time of runner.train_step on the perfbench workload configs, "
+                "parent against change. Each list holds one value per repetition; each "
+                "repetition ran the trees in fresh interpreters, alternating which went first. "
+                "Shares are of that repetition's step.",
+        "command": " ".join(["python3", "tools/phase_times.py", *sys.argv[1:]]),
+        "machine": machine(),
+        "trees": trees,
+        "workloads": {},
+    }
+    for workload in args.workload:
+        runs: dict = {name: [] for name in trees}
+        for rep in range(args.repeats):
+            order = list(trees) if rep % 2 == 0 else list(trees)[::-1]
+            for name in order:
+                runs[name].append(_one_repetition(trees[name], workload, args.seed, args.cycles))
+        out["workloads"][workload] = {
+            name: {
+                "steps_per_repeat": reps[0]["steps_per_repeat"],
+                "step_us": [round(r["step_us"], 1) for r in reps],
+                "phases_us_per_step": {
+                    phase: [round(r["phases"][phase]["us_per_step"], 1) for r in reps]
+                    for phase in reps[0]["phases"]
+                },
+                "phases_share": {
+                    phase: [round(r["phases"][phase]["share"], 4) for r in reps]
+                    for phase in reps[0]["phases"]
+                },
+            }
+            for name, reps in runs.items()
+        }
+        med = {name: statistics.median(res["step_us"]) for name, res in out["workloads"][workload].items()}
+        print(f"{workload}: parent {med['parent']:.1f} us/step, change {med['change']:.1f} us/step "
+              f"({100 * (med['change'] / med['parent'] - 1):+.1f}%), medians of {args.repeats}")
+        for phase in out["workloads"][workload]["parent"]["phases_us_per_step"]:
+            a, b = (statistics.median(out["workloads"][workload][name]["phases_us_per_step"][phase])
+                    for name in trees)
+            print(f"  {phase:18s} {a:9.1f} -> {b:9.1f} us/step")
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", required=True, help="directory that holds the routedkl package")
+    parser.add_argument("--workload", nargs="+", choices=("corner", "alltoken", "deep-cli"),
+                        default=["corner", "alltoken", "deep-cli"])
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--cycles", type=int, default=2)
+    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--json", default=None, help="also write the results here")
+    parser.add_argument("--baseline", default=None,
+                        help="a second routedkl source directory to alternate with --src")
+    args = parser.parse_args(argv)
+    if args.seed < 0 or args.cycles < 1 or args.repeats < 1:
+        parser.error("need --seed >= 0, --cycles >= 1 and --repeats >= 1")
+    for src in filter(None, (args.src, args.baseline)):
+        if not os.path.isfile(os.path.join(src, "routedkl", "__init__.py")):
+            parser.error(f"no routedkl package under {src}")
+    if args.baseline:
+        out = compare(args)
+    else:
+        out = measure_tree(args)
     if args.json:
         with open(args.json, "w") as fh:
             json.dump(out, fh, indent=1)
