@@ -8,7 +8,9 @@ with respect to the student logits of p = softmax(l):
     d KL_F / d l_v = p_v - q_v
     d KL_R / d l_v = p_v * (r_v - rbar),   r_v = log(p_v / q_v)
 
-Both are zero-sum because softmax is shift invariant.
+Both are zero-sum because softmax is shift invariant. The clipped
+forms of both directions share one core, ``_clipped_kl``, which takes a
+stack that mixes forward and reverse rows in one pass.
 """
 
 from __future__ import annotations
@@ -60,16 +62,11 @@ def rkl_logit_grad(student: np.ndarray, teacher: np.ndarray) -> np.ndarray:
 
 def clip_per_vocab_kl(kl_terms: np.ndarray, tau: float) -> np.ndarray:
     """Clamp per-vocabulary KL contributions to [-tau, tau] before the
-    position sum."""
+    position sum; ``np.minimum(np.maximum(...))``, the bytes of ``np.clip``
+    without its Python dispatch."""
     if tau <= 0:
         raise RangeError(f"tau={tau} must be positive")
-    return np.clip(np.asarray(kl_terms, dtype=float), -tau, tau)
-
-
-def _row_values(clipped: np.ndarray) -> float | np.ndarray:
-    """Sum of each row's clipped terms; a float for one row."""
-    values = clipped.sum(axis=-1)
-    return float(values) if values.ndim == 0 else values
+    return np.minimum(np.maximum(np.asarray(kl_terms, dtype=float), -tau), tau)
 
 
 def fkl_clipped_value_and_grad(
@@ -85,18 +82,7 @@ def fkl_clipped_value_and_grad(
     p, q = _check_pair(student, teacher, validate_rows)
     if np.any(p[q > 0] <= 0):
         raise UndefinedDivergenceError("student vanishes on teacher support")
-    return _fkl_clipped(p, q, tau)
-
-
-def _fkl_clipped(p: np.ndarray, q: np.ndarray, tau: float) -> tuple[float | np.ndarray, np.ndarray]:
-    """``fkl_clipped_value_and_grad`` of rows already checked. The terms
-    q_v log(q_v / p_v) are 0 where q_v = 0; no log of 0 is taken."""
-    nz = q > 0
-    terms = np.where(nz, q * (np.log(np.where(nz, q, 1.0)) - np.log(np.where(nz, p, 1.0))), 0.0)
-    clipped = clip_per_vocab_kl(terms, tau)
-    live = clipped == terms
-    grad = p * masked_row_sum(q, live)[..., None]
-    return _row_values(clipped), np.where(live, grad - q, grad)
+    return _clipped_kl(p, q, False, tau)
 
 
 def rkl_clipped_value_and_grad(
@@ -104,16 +90,27 @@ def rkl_clipped_value_and_grad(
 ) -> tuple[float | np.ndarray, np.ndarray]:
     """Clipped reverse-KL value and its exact student-logit gradient, of one
     row or of each row of a (N, V) stack."""
-    return _rkl_clipped(*_require_positive(*_check_pair(student, teacher, validate_rows)), tau)
+    return _clipped_kl(*_require_positive(*_check_pair(student, teacher, validate_rows)), True, tau)
 
 
-def _rkl_clipped(p: np.ndarray, q: np.ndarray, tau: float) -> tuple[float | np.ndarray, np.ndarray]:
-    """``rkl_clipped_value_and_grad`` of rows already checked."""
-    r = np.log(p) - np.log(q)
-    terms = p * r
+def _clipped_kl(
+    p: np.ndarray, q: np.ndarray, reverse, tau: float
+) -> tuple[float | np.ndarray, np.ndarray]:
+    """Clipped KL value and student-logit gradient of rows already checked:
+    KL(p || q) where ``reverse`` holds (a bool, or a (N, 1) column), KL(q ||
+    p) elsewhere. The terms are a r, r = log(a / b), (a, b) = (p, q) reversed
+    and (q, p) forward, and 0 where a = 0, taking no log of 0. With s = -1 and
+    u = p (r + 1) reversed, s = 1 and u = q forward, the gradient is
+    s p sum_live(u), less s u on the live (unclipped) entries.
+    """
+    a, b = np.where(reverse, p, q), np.where(reverse, q, p)
+    nz = a > 0
+    r = np.log(np.where(nz, a, 1.0)) - np.log(np.where(nz, b, 1.0))
+    terms = np.where(nz, a * r, 0.0)
     clipped = clip_per_vocab_kl(terms, tau)
     live = clipped == terms
-    # d(p_v r_v)/d l_u = p_v (1[u=v] - p_u)(r_v + 1); summed over live v.
-    w = p * (r + 1.0)
-    pull = -p * masked_row_sum(w, live)[..., None]
-    return _row_values(clipped), np.where(live, pull + w, pull)
+    u = np.where(reverse, p * (r + 1.0), q)
+    sign = np.where(reverse, -1.0, 1.0)
+    grad = sign * p * masked_row_sum(u, live)[..., None]
+    values = clipped.sum(axis=-1)
+    return (float(values) if values.ndim == 0 else values), np.where(live, grad - sign * u, grad)

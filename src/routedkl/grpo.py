@@ -56,7 +56,7 @@ def grpo_token_losses(
     the logit gradient.
     """
     log_ratio = np.asarray(log_ratio, dtype=float)
-    if not np.all(np.isfinite(log_ratio)):
+    if not np.isfinite(log_ratio).all():
         raise NonFiniteInputError("log ratio must be finite")
     ratio = np.exp(log_ratio)
     clamped = np.minimum(np.maximum(ratio, 1.0 - clip.eps_low), 1.0 + clip.eps_high)

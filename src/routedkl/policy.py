@@ -138,7 +138,7 @@ def floor_fixed_point(q: np.ndarray, p_min: float) -> np.ndarray:
     vals = np.sort(rows, axis=1)
     scale = 1.0 / vals.sum(axis=1)
     out = rows * scale[:, None]
-    pinned = np.flatnonzero(vals[:, 0] * scale < p_min)
+    pinned = (vals[:, 0] * scale < p_min).nonzero()[0]
     if pinned.size:
         order = np.argsort(rows[pinned], axis=1, kind="stable")
         vals = np.take_along_axis(rows[pinned], order, axis=1)

@@ -5,9 +5,9 @@ error spans (failed rollouts, reverse KL toward the teacher), key spans
 (successful rollouts, forward KL), or non-span (plain GRPO). The KL
 channel carries weight lambda_k, which is flat during warm-up, ramps
 linearly to zero, and stays there; rho_k = 1 - lambda_k / w0 smoothly
-returns span tokens to GRPO as the channel closes. The kernel runs its
-KL block only when a KL row exists, so a step whose channel is closed
-costs only the GRPO surrogate.
+returns span tokens to GRPO as the channel closes. The kernel's KL block
+takes a step's error and key rows as one stack, in one pass, and runs
+only when a KL row exists: a closed channel costs only the GRPO surrogate.
 """
 
 from __future__ import annotations
@@ -17,12 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import (
-    _fkl_clipped,
-    _rkl_clipped,
-    fkl_clipped_value_and_grad,
-    rkl_clipped_value_and_grad,
-)
+from .divergence import _clipped_kl, fkl_clipped_value_and_grad, rkl_clipped_value_and_grad
 from .errors import (
     DimensionError,
     InternalConsistencyError,
@@ -30,7 +25,7 @@ from .errors import (
     require_finite_fields,
 )
 from .grpo import ClipConfig, grpo_token_losses
-from .policy import floor_fixed_point, simplex_rows, truncate_and_floor
+from .policy import floor_fixed_point, truncate_and_floor
 
 
 @dataclass(frozen=True)
@@ -133,9 +128,10 @@ def _running_sum(values: np.ndarray) -> float:
     """0.0 + values[0] + values[1] + ..., left to right.
 
     The order a per-token loop accumulates in; ``np.sum`` adds pairwise.
-    Adding 0.0 at the end gives the loop's +0.0 for an all-zero input.
+    Adding 0.0 at the end gives the loop's +0.0 for an all-zero input, and
+    makes dropping +0.0 entries from ``values`` leave the bytes unchanged.
     """
-    return float(np.cumsum(values)[-1]) + 0.0 if values.size else 0.0
+    return float(values.cumsum()[-1]) + 0.0 if values.size else 0.0
 
 
 def _floored_kl_rows(
@@ -143,41 +139,37 @@ def _floored_kl_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Floored, clipped KL value and student-logit gradient of each row.
 
-    ``reverse`` marks the reverse-KL (error-span) rows. Input rows are
-    checked once, here; both rows are floored in one ``floor_fixed_point``
-    stack, and each direction's rows go through its unchecked clipped KL
-    as one stack. The per-row reference is ``truncate_and_floor`` on both
-    rows followed by the clipped KL; if it rejects a row, the first such
-    row is run through it and raises its error.
+    ``reverse`` marks the reverse-KL (error-span) rows. The input rows are
+    checked once, here, as one stack: nonnegative entries (a NaN fails
+    this) and sums within 1e-9 of 1 (an infinity fails this), the checks
+    of ``validate_distribution``. The sums normalize both rows for one
+    ``floor_fixed_point`` stack, and the rows of both directions go
+    through ``_clipped_kl`` as one stack. The per-row reference is
+    ``truncate_and_floor`` on both rows followed by the clipped KL; if the
+    stack fails a check, its rows run through the reference in order and
+    the first one it rejects raises its error.
     """
     m, vocab = student.shape
     if m == 0:
         return np.empty(0), np.empty((0, vocab))
     p_min = cfg.floor_p_min
     both = np.concatenate((student, teacher))
-    ok = simplex_rows(both)
-    ok = ok[:m] & ok[m:]
-    if vocab >= 2 and p_min * vocab < 1.0:
-        if not ok.all():
-            both = both[np.concatenate((ok, ok))]
-        floored = floor_fixed_point(both / both.sum(axis=1, keepdims=True), p_min)
-        p, q = floored[: len(floored) // 2], floored[len(floored) // 2 :]
+    # Rows are summed only once all entries are nonnegative: no inf - inf.
+    ok = vocab >= 2 and p_min * vocab < 1.0 and (both >= 0).all()
+    if ok:
+        sums = both.sum(axis=1)
+        ok = (np.abs(sums - 1.0) <= 1e-9).all()
+    if ok:
+        floored = floor_fixed_point(both / sums[:, None], p_min)
+        p, q, rev = floored[:m], floored[m:], reverse[:, None]
         if p_min == 0.0:  # zero entries survive; the KL may be undefined
-            fkl_ok = ~((p <= 0) & (q > 0)).any(axis=1)
-            rkl_ok = (p > 0).all(axis=1) & (q > 0).all(axis=1)
-            ok[ok] = np.where(reverse[ok], rkl_ok, fkl_ok)
-    else:
-        ok[:] = False
-    if not ok.all():
-        j = int(np.argmin(ok))
-        kl = rkl_clipped_value_and_grad if reverse[j] else fkl_clipped_value_and_grad
-        kl(*(truncate_and_floor(row[j], vocab, p_min) for row in (student, teacher)), cfg.tau)
-        raise InternalConsistencyError(f"KL row {j} was rejected only as part of the stack")
-    values, grads = np.empty(m), np.empty((m, vocab))
-    for sel, kl in ((~reverse, _fkl_clipped), (reverse, _rkl_clipped)):
-        if sel.any():
-            values[sel], grads[sel] = kl(p[sel], q[sel], cfg.tau)
-    return values, grads
+            ok = not ((p <= 0) & ((q > 0) | rev) | (q <= 0) & rev).any()
+    if not ok:
+        for j in range(m):
+            kl = rkl_clipped_value_and_grad if reverse[j] else fkl_clipped_value_and_grad
+            kl(*(truncate_and_floor(row[j], vocab, p_min) for row in (student, teacher)), cfg.tau)
+        raise InternalConsistencyError("KL rows were rejected only as a stack")
+    return _clipped_kl(p, q, rev, cfg.tau)
 
 
 def routed_loss_rows(
@@ -237,12 +229,12 @@ def routed_loss_rows(
     failed = np.asarray(failed, dtype=bool)
     in_span = np.asarray(in_span, dtype=bool)
     n_span = in_span.sum(axis=1)
-    if np.any(n_span > coverage_cap(cfg.alpha, horizon)):
+    if (n_span > coverage_cap(cfg.alpha, horizon)).any():
         raise InternalConsistencyError("span mask exceeds the coverage cap")
     student, in_span = student.reshape(-1, vocab), in_span.ravel()
     kl_on = (lam > 0.0) & np.where(failed, bool(cfg.mu_e), bool(cfg.mu_k))
-    kl_mask = in_span & np.repeat(kl_on, horizon)
-    kl_rows = np.flatnonzero(kl_mask)
+    kl_mask = in_span & kl_on.repeat(horizon)
+    kl_rows = kl_mask.nonzero()[0]
     teacher = np.asarray(teacher, dtype=float)
     if teacher.shape != (kl_rows.size, vocab):
         raise DimensionError(
@@ -252,7 +244,7 @@ def routed_loss_rows(
     inv_len = 1.0 / horizon
 
     # GRPO term, rho-scaled on span tokens while the channel is open.
-    tok_adv = np.repeat(np.asarray(advantages, dtype=float), horizon)
+    tok_adv = np.asarray(advantages, dtype=float).repeat(horizon)
     if adv_scale is not None:
         tok_adv = tok_adv * np.ravel(adv_scale)
     loss, factor = grpo_token_losses(np.ravel(log_ratio), tok_adv, clip)
@@ -261,7 +253,7 @@ def routed_loss_rows(
     grpo_nonspan = _running_sum(share[~in_span])
     weight = np.where(in_span, rho_k, 1.0) * inv_len / g
     has_grpo = (factor != 0.0) & (weight != 0.0)
-    grpo_rows = np.flatnonzero(has_grpo)
+    grpo_rows = has_grpo.nonzero()[0]
     fw = (factor * weight)[grpo_rows]
     score = -student[grpo_rows] * fw[:, None]
     score[np.arange(fw.size), np.ravel(sampled)[grpo_rows]] += fw
@@ -273,20 +265,21 @@ def routed_loss_rows(
         grads = np.zeros_like(student)
         grads[grpo_rows] = score
         kl_item = kl_rows // horizon
-        kl_error_row = failed[kl_item]
-        kl_values, kl_grads = _floored_kl_rows(student[kl_rows], teacher, kl_error_row, cfg)
+        kl_values, kl_grads = _floored_kl_rows(student[kl_rows], teacher, failed[kl_item], cfg)
         kl_term = kl_grads * (lam * inv_len / g)
         grads[kl_rows] = np.where(has_grpo[kl_rows, None], grads[kl_rows] + kl_term, kl_term)
-        err_sum = np.bincount(kl_item[kl_error_row], kl_values[kl_error_row], minlength=g)
-        key_sum = np.bincount(kl_item[~kl_error_row], kl_values[~kl_error_row], minlength=g)
-        kl_error = _running_sum(err_sum * inv_len / g)
-        kl_key = _running_sum(key_sum * inv_len / g)
-        n_err = np.where(failed, n_span, 0)
-        n_key = n_span - n_err
-        e, s = n_err > 0, n_key > 0
-        kl_error_sm = _running_sum((err_sum[e] / n_err[e]) * (n_span[e] * inv_len) / g)
-        kl_key_sm = _running_sum((key_sum[s] / n_key[s]) * (n_span[s] * inv_len) / g)
-        has_grad = np.flatnonzero(has_grpo | kl_mask)
+        # A rollout's KL rows are all error rows or all key rows, so one
+        # per-rollout sum serves both branches; the other branch's entries
+        # would be +0.0.
+        kl_sum = np.bincount(kl_item, kl_values, minlength=g)
+        branch = kl_sum * inv_len / g
+        kl_error, kl_key = _running_sum(branch[failed]), _running_sum(branch[~failed])
+        spanned = n_span > 0
+        n = n_span[spanned]
+        span_mean = (kl_sum[spanned] / n) * (n * inv_len) / g
+        on_error = failed[spanned]
+        kl_error_sm, kl_key_sm = _running_sum(span_mean[on_error]), _running_sum(span_mean[~on_error])
+        has_grad = (has_grpo | kl_mask).nonzero()[0]
         grads = grads[has_grad]
 
     total = (

@@ -332,8 +332,9 @@ def _teacher_rows(state: RunState, nodes: np.ndarray) -> tuple[np.ndarray, np.nd
         cache.sync, cache.have[:] = table.sync_count, False
     if len(cache.have) < len(table.keys):
         cache.grow(len(table.logits), (len(task.contexts), task.vocab))
-    missing = np.unique(nodes[~cache.have[nodes]])
-    if missing.size:
+    have = cache.have[nodes]
+    if not have.all():
+        missing = np.unique(nodes[~have])
         matrices = np.array([task.teacher_dist_matrix(table, table.keys[n][1]) for n in missing])
         cache.matrices[missing] = matrices
         cache.terms[missing, 0] = context_variance(task.context_probs, matrices)
@@ -402,8 +403,8 @@ def _step_tensors(
     """
     cfg, task = state.cfg, state.task
     size, horizon = group.tokens.shape
-    student = state.student_cache.read(state.table)[group.prefix_index]
-    picked = np.take_along_axis(student, group.tokens[..., None], axis=2)[..., 0]
+    dists = state.student_cache.read(state.table)
+    student, picked = dists[group.prefix_index], dists[group.prefix_index, group.tokens]
     step = _StepTensors(
         student=student,
         log_ratio=np.log(picked) - group.logprobs,

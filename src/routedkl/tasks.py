@@ -164,6 +164,14 @@ class SynthTask:
         return _GUARD
 
     @cached_property
+    def context_cdf(self) -> np.ndarray:
+        """Read-only ``cdf_rows(context_probs)``, built on first use;
+        ``context_probs`` must not change after."""
+        cdf = cdf_rows(self.context_probs)
+        cdf.flags.writeable = False
+        return cdf
+
+    @cached_property
     def transitions(self) -> np.ndarray:
         """(T, 4, V) table of ``_step_state``: the next state by position,
         state and token. Built on first use, so constructing a task does
@@ -538,7 +546,7 @@ def inverse_cdf(cdf: np.ndarray, u) -> np.ndarray:
 
 def draw_contexts(task: SynthTask, rng: np.random.Generator, size: int) -> np.ndarray:
     """``size`` privileged-context indices, one uniform each."""
-    return inverse_cdf(cdf_rows(task.context_probs), rng.random(size))
+    return inverse_cdf(task.context_cdf, rng.random(size))
 
 
 @dataclass
@@ -669,7 +677,7 @@ def oracle_annotate(
             if rng.random() > precision and non_critical.size:
                 mask[i, start:end] = False
                 mask[i, non_critical[rng.choice(non_critical.size)]] = True
-    return inverse_cdf(cdf_rows(task.context_probs), uniforms), mask
+    return inverse_cdf(task.context_cdf, uniforms), mask
 
 
 def single_route_params(**overrides) -> TaskParams:

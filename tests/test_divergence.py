@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from routedkl.divergence import (
+    _clipped_kl,
     clip_per_vocab_kl,
     fkl_clipped_value_and_grad,
     fkl_logit_grad,
@@ -283,6 +284,28 @@ class TestClippedKlMatchesReference:
                     assert type(got[0]) is float
                     assert np.float64(got[0]).tobytes() == np.float64(w[0]).tobytes()
                     assert got[1].tobytes() == w[1].tobytes()
+
+    @given(floored_pairs(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_mixed_direction_stack_equals_the_reference(self, pair, seed):
+        # One core call for a stack of forward and reverse rows; rows the
+        # reference rejects (zero entries under reverse KL) are left out,
+        # as the kernel checks its rows before the core.
+        student, teacher, tau = pair
+        reverse = np.random.default_rng(seed).random(len(student)) < 0.5
+        want = [
+            _result_or_error(
+                reference_rkl_clipped_value_and_grad if rev else reference_fkl_clipped_value_and_grad,
+                p, q, tau,
+            )
+            for p, q, rev in zip(student, teacher, reverse)
+        ]
+        keep = np.array([not isinstance(w, type) for w in want])
+        values, grads = _clipped_kl(student[keep], teacher[keep], reverse[keep, None], tau)
+        assert values.shape == (keep.sum(),) and grads.shape == (keep.sum(), student.shape[1])
+        for (value, grad), got_value, got_grad in zip([w for w in want if not isinstance(w, type)], values, grads):
+            assert got_value.tobytes() == np.float64(value).tobytes()
+            assert got_grad.tobytes() == grad.tobytes()
 
     def test_zero_entries_take_no_log_of_zero(self):
         # Zero teacher entries leave forward KL defined; reverse KL is not.

@@ -3,12 +3,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_phase_times_accounts_for_the_whole_step(tmp_path):
+    # One repetition: every ref/step value is its µs/step over the mean
+    # reference-kernel time, so the phases sum to the step in either unit.
     out = tmp_path / "phases.json"
-    subprocess.run(
+    proc = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "phase_times.py"), "--src", str(ROOT / "src"),
          "--workload", "alltoken", "--cycles", "1", "--repeats", "1", "--json", str(out)],
         check=True, capture_output=True, text=True,
@@ -19,6 +23,12 @@ def test_phase_times_accounts_for_the_whole_step(tmp_path):
     assert list(phases)[-1] == "rest" and len(phases) == 10
     assert all(p["us_per_step"] > 0 for name, p in phases.items() if name != "rest")
     assert abs(sum(p["share"] for p in phases.values()) - 1.0) < 1e-9
+    assert res["ref_us"] > 0
+    assert res["step_ref"] == pytest.approx(res["step_us"] / res["ref_us"], rel=1e-12)
+    for name, phase in phases.items():
+        assert phase["ref_per_step"] == pytest.approx(phase["us_per_step"] / res["ref_us"], rel=1e-9), name
+    assert sum(p["ref_per_step"] for p in phases.values()) == pytest.approx(res["step_ref"], rel=1e-9)
+    assert f"{res['step_ref']:.3f} ref/step" in proc.stdout
 
 
 def test_baseline_alternates_two_trees_in_the_bench_layout(tmp_path):
@@ -40,6 +50,13 @@ def test_baseline_alternates_two_trees_in_the_bench_layout(tmp_path):
         phases = tree["phases_us_per_step"]
         assert list(phases)[-1] == "rest" and len(phases) == 10
         assert all(len(reps) == 2 for reps in phases.values())
+        assert list(tree["phases_ref_per_step"]) == list(phases)
+        assert all(len(reps) == 2 for reps in tree["phases_ref_per_step"].values())
+        assert len(tree["step_ref"]) == 2 and all(ref > 0 for ref in tree["step_ref"])
+        assert len(tree["ref_us"]) == 2 and all(us > 0 for us in tree["ref_us"])
+        for rep in range(2):
+            ref = sum(reps[rep] for reps in tree["phases_ref_per_step"].values())
+            assert abs(ref - tree["step_ref"][rep]) < 1e-3  # rounded to 4 places
         for rep in range(2):
             share = sum(reps[rep] for reps in tree["phases_share"].values())
             assert abs(share - 1.0) < 1e-3  # shares are rounded to 4 places

@@ -12,11 +12,13 @@ from routedkl.errors import (
     NonFiniteInputError,
     RangeError,
     RoutedKlError,
+    UndefinedDivergenceError,
 )
 from routedkl.grpo import ClipConfig, group_advantages
 from routedkl.policy import softmax
 from routedkl.routing import (
     RoutingConfig,
+    _floored_kl_rows,
     coverage_cap,
     lambda_schedule,
     rho,
@@ -30,7 +32,10 @@ from oracles import (
     enforce_coverage_cap,
     interval_intersection_mask,
     project_spans_to_mask,
+    reference_fkl_clipped_value_and_grad,
+    reference_rkl_clipped_value_and_grad,
     reference_routed_loss_rows,
+    reference_truncate_and_floor,
 )
 
 ATOMIC = [(t, t + 1) for t in range(8)]
@@ -547,6 +552,108 @@ class TestBatchMatchesReference:
         adv = group_advantages(np.array([1.0, 0.0, 1.0]))
         cfg = RoutingConfig(tau=10.0, alpha=0.5, mu_e=1, mu_k=1)
         self._compare(_kernel_inputs(group, adv, cfg.w0, cfg))
+
+
+@st.composite
+def kl_row_stacks(draw):
+    """Unfloored (M, V) student and teacher stacks with mixed directions
+    and a config: the clip binds (tau = 1e-3), the floor pins (p_min near
+    1/V, or peaked rows at the production floor 1e-6), or p_min = 0 with
+    exact zeros in the teacher rows of forward-KL rows."""
+    vocab = draw(st.integers(2, 12))
+    m = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    case = draw(st.sampled_from(["plain", "clip", "pin", "peaked", "zero"]))
+    p_min = {"pin": 0.9 / vocab, "zero": 0.0}.get(case, 1e-6)
+    tau = 1e-3 if case == "clip" else 10.0 ** draw(st.floats(-2.0, 1.0))
+    reverse = rng.random(m) < 0.5
+    if case == "peaked":
+        student = softmax(rng.normal(0.0, 30.0, (m, vocab)))
+        teacher = softmax(np.log(student + 1e-300) + rng.normal(0.0, 1.0, (m, vocab)))
+    else:
+        student = rng.dirichlet(np.full(vocab, draw(st.sampled_from([0.3, 1.0, 5.0]))), size=m)
+        teacher = np.array([_teacher_row(rng, row, draw(st.booleans())) for row in student])
+    if case == "zero":
+        zeros = (rng.random((m, vocab)) < 0.3) & ~reverse[:, None]
+        zeros[np.arange(m), teacher.argmax(axis=1)] = False
+        teacher[zeros] = 0.0
+        teacher /= teacher.sum(axis=1, keepdims=True)
+    return student, teacher, reverse, RoutingConfig(tau=tau, floor_p_min=p_min)
+
+
+def _reference_kl_rows(student, teacher, reverse, cfg):
+    """Each row through the one-row reference floor and clipped KL; the
+    (value, grad) pairs, or the first row's error."""
+    vocab, out = student.shape[1], []
+    for p, q, rev in zip(student, teacher, reverse):
+        try:
+            p_f, q_f = (reference_truncate_and_floor(row, vocab, cfg.floor_p_min) for row in (p, q))
+            kl = reference_rkl_clipped_value_and_grad if rev else reference_fkl_clipped_value_and_grad
+            out.append(kl(p_f, q_f, cfg.tau))
+        except RoutedKlError as exc:
+            return exc
+    return out
+
+
+class TestFlooredKlRows:
+    """The kernel's one-pass floored KL of a mixed-direction stack against
+    the one-row reference floor and clipped KLs, byte for byte."""
+
+    @staticmethod
+    def _run(student, teacher, reverse, cfg):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                return _floored_kl_rows(student, teacher, reverse, cfg)
+            except RoutedKlError as exc:
+                return exc
+
+    @given(kl_row_stacks())
+    @settings(max_examples=300, deadline=None)
+    def test_rows_equal_the_reference(self, stack):
+        want = _reference_kl_rows(*stack)
+        got = self._run(*stack)
+        if isinstance(want, RoutedKlError):
+            assert type(got) is type(want)
+            return
+        values, grads = got
+        assert len(values) == len(want)
+        for (value, grad), got_value, got_grad in zip(want, values, grads):
+            assert got_value.tobytes() == np.float64(value).tobytes()
+            assert got_grad.tobytes() == grad.tobytes()
+
+    @given(kl_row_stacks(), st.integers(0, 2**32 - 1),
+           st.sampled_from(["scaled", "negative", "nan", "inf", "inf-inf", "undefined"]))
+    @settings(max_examples=200, deadline=None)
+    def test_one_bad_row_raises_the_reference_error(self, stack, seed, fault):
+        student, teacher, reverse, cfg = stack
+        rng = np.random.default_rng(seed)
+        j, v = int(rng.integers(len(student))), int(rng.integers(student.shape[1]))
+        row = (student if rng.random() < 0.5 else teacher)[j]
+        if fault == "scaled":
+            row *= 1.5
+        elif fault == "negative":
+            row[v] = -0.1 - row[v]
+            row[(v + 1) % len(row)] += 1.0 - row.sum()
+        elif fault == "nan":
+            row[v] = np.nan
+        elif fault == "inf":
+            row[v] = np.inf
+        elif fault == "inf-inf":
+            row[v], row[(v + 1) % len(row)] = np.inf, -np.inf
+        else:  # a zero student entry: undefined in both directions without a floor
+            cfg = RoutingConfig(tau=cfg.tau, floor_p_min=0.0)
+            student[j, v] = 0.0
+            student[j] /= student[j].sum()
+            teacher[j, v] = max(teacher[j, v], 0.5)
+            teacher[j] /= teacher[j].sum()
+        want = _reference_kl_rows(student, teacher, reverse, cfg)
+        assert isinstance(want, RoutedKlError)
+        if fault == "undefined":
+            assert isinstance(want, UndefinedDivergenceError)
+        got = self._run(student, teacher, reverse, cfg)
+        assert type(got) is type(want)
+        assert str(got).startswith(str(want))
 
 
 class TestSpanSchema:

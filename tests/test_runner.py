@@ -332,6 +332,28 @@ class TestTeacherCache:
         with pytest.raises(InternalConsistencyError, match="KL channel is closed"):
             train_step(state)
 
+    def test_fully_cached_nodes_change_nothing(self, monkeypatch):
+        state = init_run(fast_cfg("alltoken_kl_persistent"))
+        train_step(state)
+        cache = state.teacher_cache
+        nodes = np.flatnonzero(cache.have)
+        assert nodes.size > 1
+        nodes = np.concatenate([nodes, nodes[::-1]])  # repeats, out of order
+        before = (state.table.teacher_lookups, cache.have.copy(), cache.matrices.copy(), cache.terms.copy())
+        calls = []
+        lookup = PolicyTable.teacher_logits
+
+        def counting(table, *args, **kwargs):
+            calls.append(args)
+            return lookup(table, *args, **kwargs)
+
+        monkeypatch.setattr(PolicyTable, "teacher_logits", counting)
+        matrices, terms = runner._teacher_rows(state, nodes)
+        assert calls == [] and state.table.teacher_lookups == before[0]
+        for got, want in zip((cache.have, cache.matrices, cache.terms), before[1:]):
+            assert got.tobytes() == want.tobytes()
+        assert matrices.tobytes() == before[2].tobytes() and terms is cache.terms
+
     def test_cached_rows_are_read_only(self):
         state = init_run(fast_cfg("alltoken_kl_persistent"))
         train_step(state)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from routedkl.errors import EnumerationBudgetError, RangeError
-from routedkl import policy
+from routedkl import policy, tasks
 from routedkl.policy import PolicyTable, StudentDists, softmax
 from routedkl.routing import coverage_cap
 from routedkl.tasks import (
@@ -250,6 +250,21 @@ class TestGroupStreamAlignment:
         want = [int(ref_rng.choice(n_contexts, p=task.context_probs)) for _ in range(size)]
         assert got.tolist() == want
         assert rng.random() == ref_rng.random()
+
+    def test_context_cdf_is_built_once_and_read_only(self, monkeypatch):
+        task = generate_task("mixed", 0, TaskParams(n_contexts=3))
+        calls = []
+        cdf_rows = policy.cdf_rows
+        monkeypatch.setattr(tasks, "cdf_rows", lambda dist: calls.append(1) or cdf_rows(dist))
+        for _ in range(3):
+            draw_contexts(task, np.random.default_rng(0), 4)
+        assert len(calls) == 1
+        assert task.context_cdf.tobytes() == cdf_rows(task.context_probs).tobytes()
+        with pytest.raises(ValueError):
+            task.context_cdf[0] = 0.5
+        # A replaced task computes its own cdf.
+        other = replace(task, context_probs=np.array([0.5, 0.25, 0.25]))
+        assert other.context_cdf.tolist() == [0.5, 0.75, 1.0]
 
 
 def _random_task(regime, vocab, horizon, trap_position, seed):

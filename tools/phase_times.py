@@ -20,11 +20,18 @@ config seeds perfbench's worker gives it for ``--seed``. The printed
 the median step. The numbers are wall-clock and vary with the host, so
 compare two source trees by alternating runs on one machine.
 
+As perfbench's worker does, the tool runs perfbench's fixed reference
+kernel (``perfbench/refkernel.py``) after every timed step, outside the
+step's time. Each phase is also given in reference units: its time
+divided by the repetition's total kernel time, in ref/step, the unit of
+perfbench's ``step_cost_ref``. The host's speed drifts; this ratio
+largely does not.
+
 With ``--baseline SRC`` the tool compares two trees that way: each
 repetition of each workload runs once per tree, each run in a fresh
 interpreter, and the trees alternate which goes first. The JSON holds the
-per-repetition µs/step and shares of each phase under ``parent``
-(``--baseline``) and ``change`` (``--src``).
+per-repetition µs/step, ref/step and shares of each phase under
+``parent`` (``--baseline``) and ``change`` (``--src``).
 """
 
 from __future__ import annotations
@@ -38,6 +45,10 @@ import subprocess
 import sys
 import tempfile
 import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from refkernel import ReferenceKernel  # noqa: E402
 
 PHASES = (
     ("sampling", "sample_group"),
@@ -91,12 +102,14 @@ def workload_configs(lib, workload: str, seed: int, cycle: int) -> list:
 
 
 class PhaseClock:
-    """Wall time per phase, counted only inside ``train_step``."""
+    """Wall time per phase, counted only inside ``train_step``, and the
+    reference kernel's time ("ref"), run once after every step."""
 
     def __init__(self, runner) -> None:
         self.runner = runner
         self.in_step = False
-        self.totals = dict.fromkeys([name for name, _ in PHASES] + ["step"], 0.0)
+        self.kernel = ReferenceKernel()
+        self.totals = dict.fromkeys([name for name, _ in PHASES] + ["step", "ref"], 0.0)
         self.steps = 0
 
     def _timed(self, name: str, fn):
@@ -133,6 +146,7 @@ class PhaseClock:
                 self.totals["step"] += clock() - t0
                 self.in_step = False
                 self.steps += 1
+                self.totals["ref"] += self.kernel()
 
         runner.train_step = timed_step
 
@@ -142,7 +156,8 @@ class PhaseClock:
 
 
 def measure(lib, clock: PhaseClock, workload: str, seed: int, cycles: int, repeats: int) -> dict:
-    """Median µs/step of each phase over ``repeats`` passes of the cycles."""
+    """Median µs/step and ref/step of each phase over ``repeats`` passes of
+    the cycles; ``ref_us`` is the median of the kernel's mean µs/call."""
     per_rep = []
     for _ in range(repeats):
         clock.reset()
@@ -153,12 +168,19 @@ def measure(lib, clock: PhaseClock, workload: str, seed: int, cycles: int, repea
         us["rest"] = us["step"] - sum(us[name] for name, _ in PHASES)
         per_rep.append(us)
     median = {name: statistics.median(rep[name] for rep in per_rep) for name in per_rep[0]}
-    step = median.pop("step")
+    median_ref = {
+        name: statistics.median(rep[name] / rep["ref"] for rep in per_rep) for name in per_rep[0]
+    }
+    step, ref = median.pop("step"), median.pop("ref")
+    step_ref = median_ref.pop("step")
     return {
         "steps_per_repeat": clock.steps,
         "step_us": step,
+        "step_ref": step_ref,
+        "ref_us": ref,
         "phases": {
-            name: {"us_per_step": us, "share": us / step} for name, us in median.items()
+            name: {"us_per_step": us, "ref_per_step": median_ref[name], "share": us / step}
+            for name, us in median.items()
         },
     }
 
@@ -193,10 +215,11 @@ def measure_tree(args) -> dict:
     for workload in args.workload:
         res = measure(routedkl, clock, workload, args.seed, args.cycles, args.repeats)
         out["workloads"][workload] = res
-        print(f"{workload}: {res['step_us']:.1f} us/step, "
-              f"{res['steps_per_repeat']} steps per repetition")
+        print(f"{workload}: {res['step_us']:.1f} us/step, {res['step_ref']:.3f} ref/step "
+              f"(ref kernel {res['ref_us']:.1f} us), {res['steps_per_repeat']} steps per repetition")
         for name, phase in res["phases"].items():
-            print(f"  {name:18s} {phase['us_per_step']:9.1f} us/step {100 * phase['share']:6.1f}%")
+            print(f"  {name:18s} {phase['us_per_step']:9.1f} us/step {phase['ref_per_step']:7.3f} "
+                  f"ref/step {100 * phase['share']:6.1f}%")
     return out
 
 
@@ -221,7 +244,9 @@ def compare(args) -> dict:
         "what": "Per-phase wall time of runner.train_step on the perfbench workload configs, "
                 "parent against change. Each list holds one value per repetition; each "
                 "repetition ran the trees in fresh interpreters, alternating which went first. "
-                "Shares are of that repetition's step.",
+                "Shares are of that repetition's step. A ref/step value is the time divided by "
+                "the repetition's total time of perfbench's reference kernel, run once after "
+                "every step.",
         "command": " ".join(["python3", "tools/phase_times.py", *sys.argv[1:]]),
         "machine": machine(),
         "trees": trees,
@@ -237,8 +262,14 @@ def compare(args) -> dict:
             name: {
                 "steps_per_repeat": reps[0]["steps_per_repeat"],
                 "step_us": [round(r["step_us"], 1) for r in reps],
+                "step_ref": [round(r["step_ref"], 4) for r in reps],
+                "ref_us": [round(r["ref_us"], 1) for r in reps],
                 "phases_us_per_step": {
                     phase: [round(r["phases"][phase]["us_per_step"], 1) for r in reps]
+                    for phase in reps[0]["phases"]
+                },
+                "phases_ref_per_step": {
+                    phase: [round(r["phases"][phase]["ref_per_step"], 4) for r in reps]
                     for phase in reps[0]["phases"]
                 },
                 "phases_share": {
@@ -248,13 +279,17 @@ def compare(args) -> dict:
             }
             for name, reps in runs.items()
         }
-        med = {name: statistics.median(res["step_us"]) for name, res in out["workloads"][workload].items()}
-        print(f"{workload}: parent {med['parent']:.1f} us/step, change {med['change']:.1f} us/step "
-              f"({100 * (med['change'] / med['parent'] - 1):+.1f}%), medians of {args.repeats}")
-        for phase in out["workloads"][workload]["parent"]["phases_us_per_step"]:
-            a, b = (statistics.median(out["workloads"][workload][name]["phases_us_per_step"][phase])
-                    for name in trees)
-            print(f"  {phase:18s} {a:9.1f} -> {b:9.1f} us/step")
+        res = out["workloads"][workload]
+        med = {name: statistics.median(res[name]["step_us"]) for name in trees}
+        ref = {name: statistics.median(res[name]["step_ref"]) for name in trees}
+        print(f"{workload}: parent {med['parent']:.1f} us/step {ref['parent']:.3f} ref/step, "
+              f"change {med['change']:.1f} us/step {ref['change']:.3f} ref/step "
+              f"({100 * (ref['change'] / ref['parent'] - 1):+.1f}% in ref), "
+              f"medians of {args.repeats}")
+        for phase in res["parent"]["phases_us_per_step"]:
+            a, b = (statistics.median(res[name]["phases_us_per_step"][phase]) for name in trees)
+            c, d = (statistics.median(res[name]["phases_ref_per_step"][phase]) for name in trees)
+            print(f"  {phase:18s} {a:9.1f} -> {b:9.1f} us/step {c:7.3f} -> {d:7.3f} ref/step")
     return out
 
 
