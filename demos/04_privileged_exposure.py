@@ -8,26 +8,22 @@ channel freezes after the schedule closes.
 import numpy as np
 
 from routedkl import (
-    ContextSet,
     ExposureLedger,
     exposure_accumulate,
     rlsd_weight,
 )
-from routedkl.privileged import expected_deviation_sq
+from routedkl.privileged import context_variance, deviation_vector, expected_deviation_sq
 from routedkl.studies import exposure_dichotomy_study
 
 print("== per-position privileged variance ==")
-ctx = ContextSet(
-    probs=np.array([0.5, 0.5]),
-    dists_by_position={0: np.array([[0.8, 0.2], [0.6, 0.4]])},
-)
-print("two contexts (0.8,0.2) and (0.6,0.4): V =", ctx.variance(0))
+probs = np.array([0.5, 0.5])
+dists = np.array([[0.8, 0.2], [0.6, 0.4]])  # one row per context, at one position
+print("two contexts (0.8,0.2) and (0.6,0.4): V =", context_variance(probs, dists))
 
 student = np.array([0.5, 0.5])
-mean_dev = sum(ctx.probs[c] * ctx.deviation(c, student, 0) for c in range(2))
+mean_dev = sum(probs[c] * deviation_vector(probs, dists, c, student) for c in range(2))
 print("context-mean deviation (exact zero)  :", mean_dev)
-print("E_c ||delta||^2 equals V exactly     :",
-      expected_deviation_sq(ctx.probs, ctx.dists_by_position[0]))
+print("E_c ||delta||^2 equals V exactly     :", expected_deviation_sq(probs, dists))
 
 print("\n== ledger mechanics ==")
 ledger = ExposureLedger()

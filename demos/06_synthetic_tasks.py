@@ -11,9 +11,9 @@ task = generate_task("under_allocated", seed=0)
 table = task.make_table()
 student = table.student_dist(task.prompt_id, ())
 print(f"under-allocated: v* = token {task.v_star}, student mass {student[task.v_star]:.4f}")
-for c in range(len(task.contexts)):
-    teacher = softmax(task.init_rows[0] + task.context_offset(c, 0))
-    print(f"  context {task.contexts[c].label}: teacher mass {teacher[task.v_star]:.3f}")
+for c, context in enumerate(task.contexts):
+    teacher = softmax(task.init_rows[0] + task.offsets[c, 0])
+    print(f"  context {context.label}: teacher mass {teacher[task.v_star]:.3f}")
 
 cw = generate_task("confident_wrong", seed=0)
 cw_student = cw.make_table().student_dist(cw.prompt_id, ())

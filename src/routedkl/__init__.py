@@ -11,7 +11,6 @@ from .grpo import ClipConfig, group_advantages, grpo_token_loss
 from .metrics import LiftSample, credit_concentration, delta_lift
 from .policy import PolicyTable, entropy, softmax, truncate_and_floor
 from .privileged import (
-    ContextSet,
     ExposureLedger,
     RlsdWeight,
     exposure_accumulate,

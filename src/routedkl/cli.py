@@ -31,9 +31,10 @@ Config files are INI-style key-value text with nested sections:
 
 The keys of a section are the fields of its config dataclass, typed by
 their annotations: ``[run]`` takes the scalar fields of ``RunConfig``,
-``[routing]`` those of ``RoutingConfig``, ``[clip]`` those of
-``ClipConfig`` and ``[task]`` those of ``TaskParams``; each ``[sweep]``
-key is a ``[run]`` field with a comma-separated list of values. A bool is
+``[routing]`` those of ``RoutingConfig`` but the span actions ``mu_e``
+and ``mu_k``, which the method sets, ``[clip]`` those of ``ClipConfig``
+and ``[task]`` those of ``TaskParams``; each ``[sweep]`` key is a
+``[run]`` field with a comma-separated list of values. A bool is
 one of ``1/true/yes/0/false/no``, and ``none`` or an empty value sets an
 optional field to None. Any other key, section or value, a malformed file,
 and every value its dataclass rejects (every float must be finite) is a
@@ -77,6 +78,9 @@ _NESTED = {
     "clip": ("clip", ClipConfig),
     "task": ("task_params", TaskParams),
 }
+# Fields the method sets (``runner.effective_routing``, or no KL at all),
+# so a value in the file would have no effect.
+_METHOD_SET = {"routing": ("mu_e", "mu_k")}
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
@@ -109,6 +113,8 @@ def _typed_section(sections: dict, name: str, cls) -> dict:
     for key, raw in sections.get(name, {}).items():
         if key not in types:
             raise ConfigError(f"unknown key {key!r} in [{name}]")
+        if key in _METHOD_SET.get(name, ()):
+            raise ConfigError(f"key {key!r} in [{name}] is set by the method, not the file")
         out[key] = _typed_value(name, key, raw, types[key])
     return out
 

@@ -186,10 +186,10 @@ class PolicyTable:
     the next row is materialized: re-fetch it after anything that may
     visit a new prefix.
 
-    Teacher rows are the student rows of the last ``sync_teacher`` call
-    plus an optional per-context logit offset; a lookup materializes
-    nothing and counts in ``teacher_lookups``, so a run can assert the
-    teacher path is skipped when the KL channel is closed.
+    Teacher rows are the student rows of the last ``sync_teacher`` call,
+    to which a task adds its per-context logit offsets; a lookup
+    materializes nothing and counts in ``teacher_lookups``, so a run can
+    assert the teacher path is skipped when the KL channel is closed.
     """
 
     def __init__(self, vocab: int, init_logits: Callable[[str, PrefixKey], np.ndarray]) -> None:
@@ -260,10 +260,8 @@ class PolicyTable:
         self.synced = self.logits[: len(self.keys)].copy()
         self.sync_count += 1
 
-    def teacher_logits(
-        self, prompt: str, prefix: PrefixKey, offset: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Teacher row: last-synced student row plus the context offset.
+    def teacher_logits(self, prompt: str, prefix: PrefixKey) -> np.ndarray:
+        """A fresh copy of the last-synced student row, the teacher's base.
 
         A prefix that had no materialized row at sync time resolves to its
         init value, which is what the student row held then.
@@ -271,13 +269,7 @@ class PolicyTable:
         self.teacher_lookups += 1
         prefix = tuple(prefix)
         i = self.ids.get((prompt, prefix), len(self.synced))
-        out = self.synced[i].copy() if i < len(self.synced) else self._init_row(prompt, prefix)
-        if offset is not None:
-            offset = np.asarray(offset, dtype=float)
-            if offset.shape != (self.vocab,):
-                raise InvalidDistributionError("offset has wrong length")
-            out += offset
-        return out
+        return self.synced[i].copy() if i < len(self.synced) else self._init_row(prompt, prefix)
 
     def apply_gradients(self, nodes: np.ndarray, grads: np.ndarray, learning_rate: float) -> None:
         """One descent step on distinct nodes' rows: theta <- theta - lr * g."""

@@ -70,32 +70,6 @@ def expected_deviation_sq(probs: np.ndarray, dists: np.ndarray) -> float | np.nd
     return float(out) if dists.ndim == 2 else out
 
 
-@dataclass
-class ContextSet:
-    """Finite privileged-context support with per-position teacher rows.
-
-    ``dists_by_position`` maps a token position to an (n_contexts, vocab)
-    matrix of teacher distributions at that position.
-    """
-
-    probs: np.ndarray
-    dists_by_position: dict
-
-    def __post_init__(self) -> None:
-        self.probs = np.asarray(self.probs, dtype=float)
-        if abs(self.probs.sum() - 1.0) > 1e-9:
-            raise RangeError("context probabilities must sum to 1")
-
-    def variance(self, t: int) -> float:
-        """Per-position privileged variance; zero iff context-independent."""
-        return context_variance(self.probs, self.dists_by_position[t])
-
-    def deviation(self, context_index: int, student: np.ndarray, t: int) -> np.ndarray:
-        return deviation_vector(
-            self.probs, self.dists_by_position[t], context_index, student
-        )
-
-
 @dataclass(frozen=True)
 class LedgerRecord:
     k: int

@@ -108,8 +108,7 @@ class RoutedLossReport:
     total = grpo_nonspan + rho * grpo_span
             + lam * (mu_e * kl_error_branch + mu_k * kl_key_branch)
 
-    Branch values are reported in the per-token 1/|y| normalization; the
-    span-mean times |S|/|y| form coincides with it and is recorded too.
+    Branch values are reported in the per-token 1/|y| normalization.
     ``routed_loss_rows`` returns the logit gradients beside the report.
     """
 
@@ -118,8 +117,6 @@ class RoutedLossReport:
     grpo_span: float
     kl_error_branch: float
     kl_key_branch: float
-    kl_error_span_mean_form: float
-    kl_key_span_mean_form: float
     lam: float
     rho: float
 
@@ -228,8 +225,7 @@ def routed_loss_rows(
             raise DimensionError(f"{name} has shape {np.shape(arr)}, not {shape}")
     failed = np.asarray(failed, dtype=bool)
     in_span = np.asarray(in_span, dtype=bool)
-    n_span = in_span.sum(axis=1)
-    if (n_span > coverage_cap(cfg.alpha, horizon)).any():
+    if (in_span.sum(axis=1) > coverage_cap(cfg.alpha, horizon)).any():
         raise InternalConsistencyError("span mask exceeds the coverage cap")
     student, in_span = student.reshape(-1, vocab), in_span.ravel()
     kl_on = (lam > 0.0) & np.where(failed, bool(cfg.mu_e), bool(cfg.mu_k))
@@ -259,7 +255,7 @@ def routed_loss_rows(
     score[np.arange(fw.size), np.ravel(sampled)[grpo_rows]] += fw
 
     # Routed KL on the active branch, when it has a row.
-    kl_error = kl_key = kl_error_sm = kl_key_sm = 0.0
+    kl_error = kl_key = 0.0
     has_grad, grads = grpo_rows, score
     if kl_rows.size:
         grads = np.zeros_like(student)
@@ -271,14 +267,8 @@ def routed_loss_rows(
         # A rollout's KL rows are all error rows or all key rows, so one
         # per-rollout sum serves both branches; the other branch's entries
         # would be +0.0.
-        kl_sum = np.bincount(kl_item, kl_values, minlength=g)
-        branch = kl_sum * inv_len / g
+        branch = np.bincount(kl_item, kl_values, minlength=g) * inv_len / g
         kl_error, kl_key = _running_sum(branch[failed]), _running_sum(branch[~failed])
-        spanned = n_span > 0
-        n = n_span[spanned]
-        span_mean = (kl_sum[spanned] / n) * (n * inv_len) / g
-        on_error = failed[spanned]
-        kl_error_sm, kl_key_sm = _running_sum(span_mean[on_error]), _running_sum(span_mean[~on_error])
         has_grad = (has_grpo | kl_mask).nonzero()[0]
         grads = grads[has_grad]
 
@@ -293,8 +283,6 @@ def routed_loss_rows(
         grpo_span=grpo_span,
         kl_error_branch=kl_error,
         kl_key_branch=kl_key,
-        kl_error_span_mean_form=kl_error_sm,
-        kl_key_span_mean_form=kl_key_sm,
         lam=lam,
         rho=rho_k,
     )

@@ -285,7 +285,7 @@ ALIGNMENT_PARAMS = chain_params(
 def _span_pull(task: SynthTask, table, prefix: tuple, ctx: int):
     """Forward-KL update direction (negative loss gradient) at one prefix."""
     student = truncate_and_floor(table.student_dist(task.prompt_id, prefix), task.vocab, 1e-6)
-    teacher = truncate_and_floor(task.teacher_dist(table, ctx, prefix), task.vocab, 1e-6)
+    teacher = truncate_and_floor(task.teacher_dist_matrix(table, prefix)[ctx], task.vocab, 1e-6)
     return -fkl_logit_grad(student, teacher)
 
 

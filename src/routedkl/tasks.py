@@ -88,16 +88,10 @@ class TaskParams:
 
 @dataclass(frozen=True)
 class PrivilegedContext:
-    """Coarse diagnostic label with its bounded logit effect.
-
-    ``offsets`` maps a token position to the logit offset vector the
-    teacher adds there; positions absent from the map leave the teacher
-    identical to the student.
-    """
+    """Coarse diagnostic label; its logit effect is ``SynthTask.offsets[context_id]``."""
 
     context_id: int
     label: str
-    offsets: dict
 
 
 @dataclass
@@ -114,6 +108,9 @@ class SynthTask:
     bad_token: int | None
     init_rows: dict  # position -> logits row
     contexts: tuple[PrivilegedContext, ...]
+    # (n_contexts, T, V) teacher logit offset of each context at each
+    # depth; a zero row leaves that context's teacher equal to the synced row.
+    offsets: np.ndarray
     context_probs: np.ndarray
     params: TaskParams = field(default_factory=TaskParams)
 
@@ -125,25 +122,10 @@ class SynthTask:
     def make_table(self) -> PolicyTable:
         return PolicyTable(vocab=self.vocab, init_logits=self.init_logits)
 
-    def context_offset(self, context_index: int, position: int) -> np.ndarray | None:
-        return self.contexts[context_index].offsets.get(position)
-
-    def teacher_dist(
-        self, table: PolicyTable, context_index: int, prefix: PrefixKey
-    ) -> np.ndarray:
-        offset = self.context_offset(context_index, len(prefix))
-        return softmax(table.teacher_logits(self.prompt_id, prefix, offset))
-
-    def teacher_dist_matrix(
-        self, table: PolicyTable, prefix: PrefixKey
-    ) -> np.ndarray:
+    def teacher_dist_matrix(self, table: PolicyTable, prefix: PrefixKey) -> np.ndarray:
         """(n_contexts, vocab) teacher distributions at one row: one teacher
-        lookup per context, one softmax for all of them."""
-        position = len(prefix)
-        return softmax(np.array([
-            table.teacher_logits(self.prompt_id, prefix, self.context_offset(c, position))
-            for c in range(len(self.contexts))
-        ]))
+        lookup plus each context's offset at its depth, one softmax."""
+        return softmax(table.teacher_logits(self.prompt_id, prefix) + self.offsets[:, len(prefix)])
 
     # ----- acceptance machine ----------------------------------------------
 
@@ -283,8 +265,8 @@ class SynthTask:
             if t != 0:
                 continue  # certificates are stated at first-position rows
             student = table.student_dist(self.prompt_id, ())
-            for c in range(len(self.contexts)):
-                teacher = softmax(self.init_rows[0] + self.context_offset(c, 0))
+            for offset in self.offsets[:, 0]:
+                teacher = softmax(self.init_rows[0] + offset)
                 if self.regime in ("under_allocated", "mixed"):
                     if not (
                         student[self.v_star] <= 0.01
@@ -318,14 +300,8 @@ class SynthTask:
             "bad_token": self.bad_token,
             "init_rows": {str(t): row.tolist() for t, row in self.init_rows.items()},
             "context_probs": self.context_probs.tolist(),
-            "contexts": [
-                {
-                    "context_id": c.context_id,
-                    "label": c.label,
-                    "offsets": {str(t): o.tolist() for t, o in c.offsets.items()},
-                }
-                for c in self.contexts
-            ],
+            "contexts": [{"context_id": c.context_id, "label": c.label} for c in self.contexts],
+            "offsets": self.offsets.tolist(),
         }
         return json.dumps(payload, sort_keys=True)
 
@@ -437,10 +413,9 @@ def generate_task(
         critical = (0, trap_position)
 
     quirk_pool = [t for t in token_pool if t not in trap_tokens]
-    contexts = []
+    offsets = np.zeros((p.n_contexts, p.horizon, v))
     drawn = []  # each context's teacher boost or suppression target
     for i in range(p.n_contexts):
-        offsets: dict = {}
         targets: dict = {}
         if regime in ("under_allocated", "mixed"):
             boost = float(rng.uniform(p.teacher_boost_low, p.teacher_boost_high))
@@ -458,13 +433,13 @@ def generate_task(
             targets[bad_token] = suppress
             drawn.append(suppress)
             keys = "the teacher suppression"
-        offsets[0] = _offset_for_targets(init_rows[0], targets, keys, base_keys)
+        offsets[i, 0] = _offset_for_targets(init_rows[0], targets, keys, base_keys)
         if regime == "mixed" and trap_position is not None:
             # The context also flags the guarded trap for suppression.
             trap_target = {
                 tok: float(rng.uniform(0.005, 0.02)) for tok in trap_tokens
             }
-            offsets[trap_position] = _offset_for_targets(
+            offsets[i, trap_position] = _offset_for_targets(
                 init_rows[trap_position], trap_target,
                 "n_trap_tokens x the trap suppression (0.005 to 0.02 each)", "trap_mass",
             )
@@ -473,14 +448,9 @@ def generate_task(
             trap_target = {
                 tok: p.distractor_mass / len(trap_tokens) for tok in trap_tokens
             }
-            offsets[trap_position] = _offset_for_targets(
+            offsets[i, trap_position] = _offset_for_targets(
                 init_rows[trap_position], trap_target, "distractor_mass", "trap_mass"
             )
-        contexts.append(
-            PrivilegedContext(
-                context_id=i, label=_CONTEXT_LABELS[i], offsets=offsets
-            )
-        )
 
     task = SynthTask(
         regime=regime,
@@ -494,7 +464,8 @@ def generate_task(
         trap_tokens=trap_tokens,
         bad_token=bad_token,
         init_rows=init_rows,
-        contexts=tuple(contexts),
+        contexts=tuple(PrivilegedContext(i, _CONTEXT_LABELS[i]) for i in range(p.n_contexts)),
+        offsets=offsets,
         context_probs=np.full(p.n_contexts, 1.0 / p.n_contexts),
         params=p,
     )

@@ -15,6 +15,8 @@ was batched:
 * ``reference_sample_sequence``: the per-token ``Generator.choice`` loop
   behind group sampling, draw for draw;
 * ``reference_softmax``: the one-row softmax behind the stacked one;
+* ``reference_teacher_dist_matrix``: the per-context teacher lookup loop
+  behind the one-lookup teacher matrix;
 * ``reference_expected_reward``: the depth-first recursion behind the
   level-wise exact evaluation;
 * ``reference_annotate``: the per-rollout annotator with character spans
@@ -310,8 +312,6 @@ def reference_routed_loss_rows(
     grpo_span = 0.0
     kl_error = 0.0
     kl_key = 0.0
-    kl_error_sm = 0.0
-    kl_key_sm = 0.0
     grads: dict = {}
     inv_len = 1.0 / length
 
@@ -365,10 +365,6 @@ def reference_routed_loss_rows(
 
         kl_error += err_sum * inv_len / g
         kl_key += key_sum * inv_len / g
-        if n_span and is_error:
-            kl_error_sm += (err_sum / n_span) * (n_span * inv_len) / g
-        if n_span and not is_error:
-            kl_key_sm += (key_sum / n_span) * (n_span * inv_len) / g
 
     if next(teacher_rows, None) is not None:
         raise DimensionError("more teacher rows than KL positions")
@@ -383,8 +379,6 @@ def reference_routed_loss_rows(
         grpo_span=grpo_span,
         kl_error_branch=kl_error,
         kl_key_branch=kl_key,
-        kl_error_span_mean_form=kl_error_sm,
-        kl_key_span_mean_form=kl_key_sm,
         lam=lam,
         rho=rho_k,
     )
@@ -439,6 +433,20 @@ def reference_softmax(logits):
     shifted = logits - logits.max()
     expd = np.exp(shifted)
     return expd / expd.sum()
+
+
+def reference_teacher_dist_matrix(task, table, prefix):
+    """Per-context teacher rows at ``prefix``, as ``SynthTask.teacher_dist_matrix``
+    built them before the offsets became one array: one counted teacher
+    lookup per context, its offset added only where the context has one
+    (a nonzero row), and a one-row softmax each."""
+    rows = []
+    for offset in task.offsets[:, len(prefix)]:
+        logits = table.teacher_logits(task.prompt_id, prefix)
+        if offset.any():
+            logits += offset
+        rows.append(reference_softmax(logits))
+    return np.array(rows)
 
 
 def reference_expected_reward(task, table):

@@ -138,6 +138,16 @@ class TestSchema:
         assert _run(tmp_path, _edit(SMALL, "routing", key, value)) == 2
         assert f"unknown key {key!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["routed_fkl_key", "grpo_only"])
+    @pytest.mark.parametrize("key, value", [("mu_e", "1"), ("mu_k", "0")])
+    def test_method_set_routing_keys_are_refused(self, tmp_path, capsys, method, key, value):
+        # The method sets the span actions, so a value in the file would
+        # change only the config hash.
+        text = _edit(_edit(SMALL, "run", "method", method), "routing", key, value)
+        assert _run(tmp_path, text) == 2
+        assert f"key {key!r} in [routing] is set by the method" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_sweep_reads_the_ini_once(self, tmp_path, monkeypatch):
         reads, runs = [], []
         original = configparser.ConfigParser.read

@@ -294,9 +294,10 @@ class TestPolicyTable:
         row = table.student_logits("p", ())
         row += 1.5
         table.sync_teacher()
-        offset = np.array([2.0, 0.0, 0.0, 0.0])
-        teacher = table.teacher_logits("p", (), offset)
-        np.testing.assert_allclose(teacher, row + offset, atol=1e-15)
+        teacher = table.teacher_logits("p", ())
+        assert teacher.tobytes() == row.tobytes()
+        teacher += 2.0  # a fresh copy: the synced row is untouched
+        assert table.teacher_logits("p", ()).tobytes() == row.tobytes()
 
     def test_teacher_is_stale_between_syncs(self):
         table = self._table()

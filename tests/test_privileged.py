@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from routedkl.errors import InternalConsistencyError, RangeError
 from routedkl.privileged import (
-    ContextSet,
     ExposureLedger,
     context_variance,
     deviation_vector,
@@ -16,27 +15,22 @@ from routedkl.routing import RoutingConfig, lambda_schedule
 
 from oracles import reference_context_variance, reference_expected_deviation_sq
 
-TWO_CTX = ContextSet(
-    probs=np.array([0.5, 0.5]),
-    dists_by_position={0: np.array([[0.8, 0.2], [0.6, 0.4]])},
-)
+# Two equally likely contexts and their teacher rows at one position.
+TWO_PROBS = np.array([0.5, 0.5])
+TWO_DISTS = np.array([[0.8, 0.2], [0.6, 0.4]])
 
 
 class TestPrivilegedVariance:
     def test_single_context_zero(self):
-        ctx = ContextSet(probs=np.array([1.0]), dists_by_position={0: np.array([[0.7, 0.3]])})
-        assert ctx.variance(0) == 0.0
+        assert context_variance(np.array([1.0]), np.array([[0.7, 0.3]])) == 0.0
 
     def test_two_context_frozen_value(self):
         # Per-entry population variance 0.01 each, summed over the vocabulary.
-        assert TWO_CTX.variance(0) == pytest.approx(0.02, abs=1e-15)
+        assert context_variance(TWO_PROBS, TWO_DISTS) == pytest.approx(0.02, abs=1e-15)
 
     def test_identical_dists_zero(self):
-        ctx = ContextSet(
-            probs=np.array([0.3, 0.7]),
-            dists_by_position={0: np.array([[0.5, 0.5], [0.5, 0.5]])},
-        )
-        assert ctx.variance(0) == 0.0
+        dists = np.array([[0.5, 0.5], [0.5, 0.5]])
+        assert context_variance(np.array([0.3, 0.7]), dists) == 0.0
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=200)
@@ -78,21 +72,19 @@ class TestStackedLedgerTerms:
 
 class TestPrivilegedDeviation:
     def test_single_context_zero_vector(self):
-        ctx = ContextSet(probs=np.array([1.0]), dists_by_position={0: np.array([[0.7, 0.3]])})
-        np.testing.assert_allclose(
-            ctx.deviation(0, np.array([0.5, 0.5]), 0), 0.0, atol=1e-15
-        )
+        delta = deviation_vector(np.array([1.0]), np.array([[0.7, 0.3]]), 0, np.array([0.5, 0.5]))
+        np.testing.assert_allclose(delta, 0.0, atol=1e-15)
 
     def test_zero_mean_over_contexts(self):
         student = np.array([0.5, 0.5])
         total = np.zeros(2)
         for c in range(2):
-            total += TWO_CTX.probs[c] * TWO_CTX.deviation(c, student, 0)
+            total += TWO_PROBS[c] * deviation_vector(TWO_PROBS, TWO_DISTS, c, student)
         np.testing.assert_allclose(total, 0.0, atol=1e-12)
 
     def test_norm_squared_matches_enumeration(self):
         student = np.array([0.5, 0.5])
-        delta = TWO_CTX.deviation(0, student, 0)
+        delta = deviation_vector(TWO_PROBS, TWO_DISTS, 0, student)
         assert float((delta**2).sum()) == pytest.approx(0.02, abs=1e-12)
 
     @given(st.integers(min_value=0, max_value=10**6))

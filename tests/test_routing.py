@@ -116,13 +116,11 @@ class TestPartition:
     def test_key_spans_on_accept(self):
         rep, grads = self._spans_at(1)
         assert rep.kl_key_branch > 0 and rep.kl_error_branch == 0.0
-        assert rep.kl_key_span_mean_form > 0 and rep.kl_error_span_mean_form == 0.0
         assert set(grads) == {(0, 2), (0, 5)}
 
     def test_error_spans_on_reject(self):
         rep, grads = self._spans_at(0)
         assert rep.kl_error_branch > 0 and rep.kl_key_branch == 0.0
-        assert rep.kl_error_span_mean_form > 0 and rep.kl_key_span_mean_form == 0.0
         assert set(grads) == {(0, 2), (0, 5)}
 
     def test_empty_mask_all_nonspan(self):
@@ -167,7 +165,7 @@ class TestSchedule:
             rho(0.6, 0.5)
 
 
-def _group(rng, g=3, length=4, vocab=6, masked=(1,), outcomes=None, teacher_dist=None):
+def _group(rng, g=3, length=4, vocab=6, masked=(1,), outcomes=None, teacher_row=None):
     """Kernel inputs of a toy group marked at ``masked`` in every rollout.
 
     ``span_teacher`` (G, T, V) holds a teacher row at every span position;
@@ -182,7 +180,7 @@ def _group(rng, g=3, length=4, vocab=6, masked=(1,), outcomes=None, teacher_dist
     for i in range(g):
         student[i] = [rng.dirichlet(np.ones(vocab)) for _ in range(length)]
         for t in masked:
-            span_teacher[i, t] = teacher_dist if teacher_dist is not None else rng.dirichlet(np.ones(vocab))
+            span_teacher[i, t] = teacher_row if teacher_row is not None else rng.dirichlet(np.ones(vocab))
         sampled[i] = rng.integers(0, vocab, size=length)
     return dict(
         student=student,
@@ -230,15 +228,6 @@ class TestRoutedStepLoss:
                 )
                 assert rep.total == pytest.approx(expected, abs=1e-10)
 
-    def test_span_mean_form_coincides(self):
-        rng = np.random.default_rng(1)
-        group = _group(rng, outcomes=[1, 0, 1])
-        adv = group_advantages(np.array([1.0, 0.0, 1.0]))
-        cfg = RoutingConfig(tau=100.0, alpha=0.5, mu_e=1, mu_k=1)
-        rep, _ = _run_kernel(group, adv, 0, cfg)
-        assert rep.kl_error_branch == pytest.approx(rep.kl_error_span_mean_form, abs=1e-12)
-        assert rep.kl_key_branch == pytest.approx(rep.kl_key_span_mean_form, abs=1e-12)
-
     def test_post_decay_ignores_teacher(self):
         # lambda = 0 takes no teacher rows at all; any row is one too many.
         rng = np.random.default_rng(2)
@@ -256,7 +245,7 @@ class TestRoutedStepLoss:
         # All-correct group: GRPO silent, forward-KL alive on key spans only.
         rng = np.random.default_rng(3)
         teacher = rng.dirichlet(np.ones(6))
-        group = _group(rng, teacher_dist=teacher)
+        group = _group(rng, teacher_row=teacher)
         adv = group_advantages(np.ones(3))
         _, grads = _run_kernel(group, adv, 0, self.CFG)
         assert set(grads) == {(i, 1) for i in range(3)}
@@ -267,7 +256,7 @@ class TestRoutedStepLoss:
     def test_student_equals_teacher_kills_kl(self):
         rng = np.random.default_rng(4)
         shared = rng.dirichlet(np.ones(6))
-        group = _group(rng, outcomes=[1, 0, 1], teacher_dist=shared)
+        group = _group(rng, outcomes=[1, 0, 1], teacher_row=shared)
         group["student"][:] = shared
         group["sampled"][:] = 0
         cfg = RoutingConfig(tau=100.0, alpha=0.5, mu_e=1, mu_k=1)
@@ -358,14 +347,14 @@ class TestRoutedStepLoss:
         rng = np.random.default_rng(8)
         vocab = 6
         teacher = rng.dirichlet(np.ones(vocab))
-        group = _group(rng, g=1, teacher_dist=teacher, outcomes=[1])
+        group = _group(rng, g=1, teacher_row=teacher, outcomes=[1])
         adv = np.zeros(1)
         cfg = RoutingConfig(tau=1e6, alpha=0.5, floor_p_min=0.0)
         _, grads = _run_kernel(group, adv, 0, cfg)
         expected = fkl_logit_grad(group["student"][0, 1], teacher) * cfg.w0 / 4.0
         np.testing.assert_allclose(grads[(0, 1)], expected, atol=1e-10)
 
-        group = _group(rng, g=1, teacher_dist=teacher, outcomes=[0])
+        group = _group(rng, g=1, teacher_row=teacher, outcomes=[0])
         cfg = RoutingConfig(tau=1e6, alpha=0.5, floor_p_min=0.0, mu_e=1, mu_k=0)
         _, grads = _run_kernel(group, adv, 0, cfg)
         expected = rkl_logit_grad(group["student"][0, 1], teacher) * cfg.w0 / 4.0
@@ -463,10 +452,7 @@ class TestBatchMatchesReference:
 
     CLIP = ClipConfig(eps_low=0.2, eps_high=0.28)
     CFG_KEY = RoutingConfig(tau=100.0, alpha=0.5)
-    BRANCHES = (
-        "total", "grpo_nonspan", "grpo_span", "kl_error_branch", "kl_key_branch",
-        "kl_error_span_mean_form", "kl_key_span_mean_form",
-    )
+    BRANCHES = ("total", "grpo_nonspan", "grpo_span", "kl_error_branch", "kl_key_branch")
 
     def _compare(self, inputs):
         ref, ref_err = _report_or_error(reference_routed_loss_rows, **inputs, clip=self.CLIP)

@@ -29,6 +29,7 @@ from routedkl.runner import (
     should_sync,
     train_step,
 )
+from routedkl.studies import LIFT_GROUP, LIFT_LR, LIFT_PARAMS, LIFT_ROUTING, study_run_config
 from routedkl.tasks import TaskParams, chain_params, generate_task, sample_group
 
 from oracles import reference_annotate, reference_credit_ratios, reference_row_update
@@ -237,7 +238,7 @@ class TestMethodBehaviour:
         build = runner._step_tensors
 
         def peeking(state, *args):
-            state.task.teacher_dist(state.table, 0, ())
+            state.task.teacher_dist_matrix(state.table, ())
             return build(state, *args)
 
         monkeypatch.setattr(runner, "_step_tensors", peeking)
@@ -520,8 +521,10 @@ class TestPerfbenchContract:
     """What the benchmark's checks and tracer read from a run's table."""
 
     def test_teacher_lookups_count_every_teacher_logits_call(self, monkeypatch):
-        # A deep-cli-shaped run: mixed regime at horizon 6, both methods
-        # that read the teacher, across the KL window's end.
+        # Deep-cli-shaped runs (mixed regime at horizon 6) of every method
+        # that reads the teacher, across the KL window's end; the
+        # all-token baseline with its frozen teacher, as the alltoken
+        # workload runs it.
         calls = {}
         lookup = PolicyTable.teacher_logits
 
@@ -531,11 +534,21 @@ class TestPerfbenchContract:
 
         monkeypatch.setattr(PolicyTable, "teacher_logits", counting)
         routing = RoutingConfig(w0=2.0, t_start=10, t_decay=50, sync_n=10, tau=10.0, alpha=0.25)
-        for method in ("routed_both", "rlsd_weighted"):
-            cfg = RunConfig(
+        methods = ("routed_both", "rlsd_weighted", "routed_fkl_key", "routed_rkl_error")
+        configs = [
+            RunConfig(
                 method=method, regime="mixed", seed=3, steps=70, group_size=8,
                 learning_rate=0.5, routing=routing, task_params=TaskParams(vocab=8, horizon=6),
             )
+            for method in methods
+        ]
+        configs.append(study_run_config(
+            "alltoken_kl_persistent", "under_allocated", 3, LIFT_PARAMS, steps=60,
+            learning_rate=LIFT_LR, teacher_sync="frozen", routing=LIFT_ROUTING,
+            group_size=LIFT_GROUP,
+        ))
+        for cfg in configs:
+            calls.clear()  # a freed table's id may be reused by the next run's
             _, state = run_experiment(cfg)
             table = state.table
             assert table.teacher_lookups > 0
@@ -674,7 +687,7 @@ class TestGroupArrays:
                         assert scale is None or scale[i, t] == 1.0
                         continue
                     prefix = tokens[:t]
-                    q = task.teacher_dist(table, contexts[i], prefix)[y]
+                    q = task.teacher_dist_matrix(table, prefix)[contexts[i], y]
                     p = table.student_dist(task.prompt_id, prefix)[y]
                     assert scale[i, t] == min(max(q / p, 1.0 - eps), 1.0 + eps)
                     weighted += 1.0 - eps < scale[i, t] < 1.0 + eps

@@ -27,6 +27,7 @@ from oracles import (
     reference_expected_reward,
     reference_root_cause,
     reference_sample_sequence,
+    reference_teacher_dist_matrix,
 )
 
 SMALL = TaskParams(vocab=4, horizon=3, p_star=0.004, n_contexts=2)
@@ -52,7 +53,7 @@ class TestGenerateTask:
         student = softmax(task.init_rows[0])
         assert student[task.v_star] <= 0.01
         for c in range(len(task.contexts)):
-            teacher = softmax(task.init_rows[0] + task.context_offset(c, 0))
+            teacher = softmax(task.init_rows[0] + task.offsets[c, 0])
             assert student[task.v_star] <= 0.01 * teacher[task.v_star]
             assert teacher[task.v_star] >= 0.5
 
@@ -61,7 +62,7 @@ class TestGenerateTask:
         student = softmax(task.init_rows[0])
         assert student[task.bad_token] >= 0.7
         for c in range(len(task.contexts)):
-            teacher = softmax(task.init_rows[0] + task.context_offset(c, 0))
+            teacher = softmax(task.init_rows[0] + task.offsets[c, 0])
             assert teacher[task.bad_token] <= 0.05
 
     def test_critical_positions_strict_subset(self):
@@ -351,9 +352,46 @@ class TestBatchedTaskPaths:
         for prefix in [(), (1,), (2, 5), (0, 3, 1)]:
             before = table.teacher_lookups
             matrix = task.teacher_dist_matrix(table, prefix)
-            assert table.teacher_lookups - before == len(task.contexts)
-            for c in range(len(task.contexts)):
-                assert matrix[c].tobytes() == task.teacher_dist(table, c, prefix).tobytes()
+            assert table.teacher_lookups - before == 1  # one row serves every context
+            want = reference_teacher_dist_matrix(task, table, prefix)
+            assert matrix.shape == (len(task.contexts), task.vocab)
+            assert matrix.tobytes() == want.tobytes()
+
+    @given(
+        n_contexts=st.integers(1, 6),
+        quirk=st.sampled_from([0.0, 0.05]),
+        distractor=st.sampled_from([0.0, 0.5]),
+        **task_shapes,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_teacher_matrix_equals_the_per_context_loop(
+        self, regime, vocab, horizon, trap, seed, n_contexts, quirk, distractor
+    ):
+        # Some contexts have no offset at some depths (every depth but the
+        # first and the trap's, and the trap's unless mixed or distracted).
+        # Rows are read at every depth once an update has moved the student
+        # past the sync, at prefixes first visited after the sync, and at
+        # random prefixes that may never have been visited.
+        params = chain_params(
+            vocab=vocab, horizon=horizon, trap_position=1 + trap % (horizon - 1),
+            n_contexts=n_contexts, quirk_mass=quirk, distractor_mass=distractor,
+        )
+        task = generate_task(regime, seed % 100, params)
+        table, rng = _random_table(vocab, seed, 0.3), np.random.default_rng(seed)
+        sample_group(table, task, rng, 4)
+        table.sync_teacher()
+        synced = len(table.keys)
+        table.apply_gradients(np.arange(synced), rng.normal(size=(synced, vocab)), 0.5)
+        sample_group(table, task, rng, 8)
+        unvisited = [tuple(rng.integers(0, vocab, t).tolist()) for t in range(horizon)]
+        prefixes = [prefix for _, prefix in table.keys] + unvisited
+        assert {len(prefix) for prefix in prefixes} == set(range(horizon))
+        for prefix in prefixes:
+            before = table.teacher_lookups
+            got = task.teacher_dist_matrix(table, prefix)
+            assert table.teacher_lookups == before + 1
+            want = reference_teacher_dist_matrix(task, table, prefix)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestOracleAnnotate:
