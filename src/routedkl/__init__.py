@@ -8,7 +8,6 @@ reproduce the regime-dependent choice between the two KL directions.
 
 from .divergence import clip_per_vocab_kl, fkl_logit_grad, kl, rkl_logit_grad
 from .grpo import ClipConfig, group_advantages, grpo_token_loss
-from .metrics import LiftSample, credit_concentration, delta_lift
 from .policy import PolicyTable, entropy, softmax, truncate_and_floor
 from .privileged import (
     ExposureLedger,

@@ -41,7 +41,8 @@ and every value its dataclass rejects (every float must be finite) is a
 config error that names the key, section or line. A run writes its files
 under the stem ``{method}_{regime}_seed{seed}``, so a sweep whose axes
 would give two runs one stem is refused before anything runs, and a run
-never replaces a summary written by a different config.
+never replaces a summary or abort snapshot written by a different config;
+a sweep checks this for every run before the first one starts.
 
 Exit codes: 0 success, 2 config error, 3 numeric failure (including an
 exceeded enumeration budget), 4 invariant violation.
@@ -64,7 +65,7 @@ from .errors import (
 )
 from .grpo import ClipConfig
 from .routing import RoutingConfig
-from .runner import RunConfig, output_stem, run_experiment
+from .runner import RunConfig, output_stem, refuse_overwrite, run_experiment
 from .tasks import TaskParams
 
 EXIT_OK = 0
@@ -168,10 +169,12 @@ def load_sweep(path: str, overrides: dict | None = None) -> list[tuple[dict, Run
     return [(combo, _run_config(sections, {**combo, **(overrides or {})})) for combo in combos]
 
 
-def _check_distinct_stems(runs: list[tuple[dict, RunConfig]]) -> None:
-    """Refuse a sweep in which two runs would write one output stem."""
+def _check_outputs(runs: list[tuple[dict, RunConfig]]) -> None:
+    """Refuse a sweep in which two runs would write one output stem, or
+    one run would replace another config's outputs."""
     seen: dict = {}
     for combo, cfg in runs:
+        refuse_overwrite(cfg)
         stem = output_stem(cfg)
         where = (cfg.out_dir, stem)
         if where in seen:
@@ -224,7 +227,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK if failures == 0 else EXIT_INVARIANT
         if args.command == "sweep":
             runs = load_sweep(args.config, {} if args.out is None else {"out_dir": args.out})
-            _check_distinct_stems(runs)
+            _check_outputs(runs)
             for _, cfg in runs:
                 log, _ = run_experiment(cfg)
                 print(

@@ -50,8 +50,8 @@ Every batched piece has its per-row or per-rollout reference in
 ``tests/oracles.py``, and property tests require equal bytes.
 
 A non-finite loss, lift or logged value raises ``NumericFailureError``
-after writing the abort snapshot ``{stem}_abort_diagnostics.json`` to
-``out_dir``, one per run stem.
+after writing the abort snapshot ``{stem}_abort_diagnostics.json``, with
+the run's config hash, to ``out_dir``, one per run stem.
 """
 
 from __future__ import annotations
@@ -74,7 +74,6 @@ from .errors import (
     require_finite_fields,
 )
 from .grpo import ClipConfig, group_advantages
-from .metrics import LiftSample, delta_lift
 from .policy import PolicyTable, StudentDists, _entropy, masked_row_sum
 from .privileged import (
     ExposureLedger,
@@ -236,7 +235,7 @@ class RunState:
     ledger: ExposureLedger
     rng_rollout: np.random.Generator
     rng_annot: np.random.Generator
-    eval_tokens: list
+    eval_tokens: np.ndarray  # root token ids of the lift-evaluation set
     k: int = 0
     credit_ratios: list = field(default_factory=list)
     teacher_cache: TeacherCache = field(default_factory=TeacherCache)
@@ -286,17 +285,14 @@ def _method_routing(method: str, routing: RoutingConfig) -> RoutingConfig:
     return replace(routing, **_SPAN_ACTIONS.get(method, {}))
 
 
-def build_eval_token_set(task: SynthTask, table: PolicyTable) -> list:
+def build_eval_token_set(task: SynthTask, table: PolicyTable) -> np.ndarray:
     """Frozen lift-evaluation set from the pre-training policy snapshot.
 
-    Tokens at the first critical row whose context-mean teacher
-    probability exceeds the student's at the snapshot; the
-    teacher-supported flag is fixed here, before any update.
+    The root tokens whose context-mean teacher probability exceeds the
+    student's at the snapshot, fixed here, before any update.
     """
     student = table.student_dist(task.prompt_id, ())
-    matrix = task.teacher_dist_matrix(table, ())
-    mean_teacher = task.context_probs @ matrix
-    return [((), v) for v in range(task.vocab) if mean_teacher[v] > student[v]]
+    return np.flatnonzero(task.context_probs @ task.teacher_dist_matrix(table, ()) > student)
 
 
 def init_run(cfg: RunConfig) -> RunState:
@@ -348,8 +344,7 @@ def _teacher_rows(state: RunState, nodes: np.ndarray) -> tuple[np.ndarray, np.nd
 def _eval_probs(state: RunState) -> np.ndarray:
     """Student probability of each lift-evaluation token, read from the
     student cache: every eval token sits at the root, which sampling reads."""
-    dists, ids, prompt = state.student_cache.dists, state.table.ids, state.task.prompt_id
-    return np.array([dists[ids[prompt, prefix], v] for prefix, v in state.eval_tokens])
+    return state.student_cache.dists[state.table.ids[state.task.prompt_id, ()], state.eval_tokens]
 
 
 @dataclass
@@ -493,8 +488,9 @@ def _update_ledger(state: RunState, step: _StepTensors, lam: float) -> None:
 
 
 def _credit_ratios(credit: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """``metrics.credit_concentration`` of every (G, T) row it is defined
-    for (both regions present, nonzero outside mean), in row order."""
+    """Per (G, T) row, mean credit inside the mask over mean credit
+    outside, for the rows it is defined for (both regions present,
+    nonzero outside mean), in row order."""
     mixed = mask.any(axis=1) & ~mask.all(axis=1)
     credit, mask = credit[mixed], mask[mixed]
     inside = masked_row_sum(credit, mask) / mask.sum(axis=1)
@@ -529,6 +525,7 @@ def _dump_diagnostics(state: RunState, rewards: np.ndarray, total: float) -> Non
         "step": state.k,
         "method": state.cfg.method,
         "seed": state.cfg.seed,
+        "config_hash": state.cfg.config_hash(),
         "loss": repr(total),
         "batch_rewards": rewards.tolist(),
         "rows": {
@@ -591,16 +588,12 @@ def train_step(state: RunState) -> dict:
     for probs in (probs_before, probs_after):
         if not probs.all():
             _dump_diagnostics(state, rewards, total)
-            token = state.eval_tokens[int(np.argmin(probs))][1]
+            token = state.eval_tokens[int(np.argmin(probs))]
             raise NumericFailureError(
                 f"non-finite delta_lift at step {k}: the student probability of eval "
                 f"token {token} underflowed to 0"
             )
-    samples = [
-        LiftSample(0, v, float(np.log(b)), float(np.log(a)), True)
-        for ((_, v), b, a) in zip(state.eval_tokens, probs_before, probs_after)
-    ]
-    lift = delta_lift(samples)
+    lift = _mean(np.log(probs_after) - np.log(probs_before)) if probs_after.size else None
     if state.validation_reward is None:
         state.validation_reward = task.expected_reward(table, state.student_cache)
 
@@ -628,27 +621,31 @@ def output_stem(cfg: RunConfig) -> str:
     return f"{cfg.method}_{cfg.regime}_seed{cfg.seed}"
 
 
-def _refuse_overwrite(cfg: RunConfig) -> None:
-    """Raise ConfigError if out_dir is not a directory and cannot become
-    one, or if it holds another config's run under this stem."""
+def refuse_overwrite(cfg: RunConfig) -> None:
+    """Raise ConfigError if out_dir is set but is not a directory and
+    cannot become one, or if it holds another config's summary or abort
+    snapshot under this stem."""
+    if cfg.out_dir is None:
+        return
     found = os.path.abspath(cfg.out_dir)
     while not os.path.exists(found):
         found = os.path.dirname(found)
     if not os.path.isdir(found):
         raise ConfigError(f"out_dir {cfg.out_dir!r}: {found!r} is not a directory")
-    path = os.path.join(cfg.out_dir, f"{output_stem(cfg)}_summary.json")
-    if not os.path.exists(path):
-        return
-    try:
-        with open(path) as fh:
-            found = json.load(fh).get("config_hash")
-    except (OSError, ValueError, AttributeError):
-        found = None
-    if found != cfg.config_hash():
-        raise ConfigError(
-            f"{path} belongs to config {found}, not {cfg.config_hash()}; "
-            "refusing to overwrite it"
-        )
+    for suffix in ("summary", "abort_diagnostics"):
+        path = os.path.join(cfg.out_dir, f"{output_stem(cfg)}_{suffix}.json")
+        if not os.path.exists(path):
+            continue
+        try:
+            with open(path) as fh:
+                found = json.load(fh).get("config_hash")
+        except (OSError, ValueError, AttributeError):
+            found = None
+        if found != cfg.config_hash():
+            raise ConfigError(
+                f"{path} belongs to config {found}, not {cfg.config_hash()}; "
+                "refusing to overwrite it"
+            )
 
 
 def run_experiment(cfg: RunConfig, state: RunState | None = None) -> tuple[RunLog, RunState]:
@@ -658,8 +655,7 @@ def run_experiment(cfg: RunConfig, state: RunState | None = None) -> tuple[RunLo
     CSV output. Outputs of a run with a different config hash under the
     same stem are never replaced: the run is refused before it starts.
     """
-    if cfg.out_dir is not None:
-        _refuse_overwrite(cfg)
+    refuse_overwrite(cfg)
     state = state or init_run(cfg)
     log = RunLog()
     for _ in range(cfg.steps):

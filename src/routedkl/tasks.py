@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -112,7 +112,6 @@ class SynthTask:
     # depth; a zero row leaves that context's teacher equal to the synced row.
     offsets: np.ndarray
     context_probs: np.ndarray
-    params: TaskParams = field(default_factory=TaskParams)
 
     # ----- policy plumbing -------------------------------------------------
 
@@ -467,7 +466,6 @@ def generate_task(
         contexts=tuple(PrivilegedContext(i, _CONTEXT_LABELS[i]) for i in range(p.n_contexts)),
         offsets=offsets,
         context_probs=np.full(p.n_contexts, 1.0 / p.n_contexts),
-        params=p,
     )
     _check_certificate_params(regime, p, drawn)
     task.assert_certificates()

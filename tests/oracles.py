@@ -23,7 +23,11 @@ was batched:
   (``Rollout``, ``CharSpan``, ``reference_oracle_annotate`` and
   ``reference_root_cause``), ``project_spans_to_mask`` and the weighted
   ``enforce_coverage_cap`` behind the group annotator and its cap;
-* ``reference_credit_ratios``: per-rollout ``credit_concentration``;
+* ``reference_credit_concentration`` and ``reference_credit_ratios``: the
+  one-rollout credit ratio and its per-rollout loop behind the array
+  credit ratios;
+* ``reference_delta_lift``: the per-token log-prob change averaged by
+  ``np.mean``, behind the array lift;
 * ``reference_row_update``: the per-prefix dict loop behind the node-indexed
   parameter update;
 * ``reference_context_variance`` and ``reference_expected_deviation_sq``:
@@ -45,7 +49,6 @@ from routedkl.errors import (
     UndefinedDivergenceError,
 )
 from routedkl.grpo import ClipConfig
-from routedkl.metrics import credit_concentration
 from routedkl.policy import check_floor, validate_distribution
 from routedkl.routing import (
     RoutedLossReport,
@@ -577,15 +580,47 @@ def reference_annotate(task, tokens, precision, rng, alpha):
     return np.array(contexts), np.array(masks)
 
 
+def reference_credit_concentration(
+    per_token_credit: np.ndarray, mask: np.ndarray
+) -> float | None:
+    """Mean credit inside the mask divided by mean credit outside.
+
+    Credit is the per-position update magnitude (L2 norm of the logit
+    gradient times step size, computed by the caller). Returns None when
+    either region is empty or the outside mean is zero.
+    """
+    credit = np.asarray(per_token_credit, dtype=float)
+    mask = np.asarray(mask, dtype=bool)
+    if credit.shape != mask.shape:
+        raise DimensionError("credit and mask lengths differ")
+    if np.any(credit < 0):
+        raise RangeError("credit must be nonnegative")
+    inside = credit[mask]
+    outside = credit[~mask]
+    if inside.size == 0 or outside.size == 0:
+        return None
+    outside_mean = float(outside.mean())
+    if outside_mean == 0.0:
+        return None
+    return float(inside.mean()) / outside_mean
+
+
 def reference_credit_ratios(credit, mask):
-    """``credit_concentration`` of every row with both regions, dropping
-    the rows it leaves undefined."""
+    """``reference_credit_concentration`` of every row with both regions,
+    dropping the rows it leaves undefined."""
     ratios = [
-        credit_concentration(credit[i], mask[i])
+        reference_credit_concentration(credit[i], mask[i])
         for i in range(len(mask))
         if mask[i].any() and not mask[i].all()
     ]
     return np.array([r for r in ratios if r is not None])
+
+
+def reference_delta_lift(probs_before, probs_after):
+    """Mean of ``log(after) - log(before)`` over the eval tokens, one
+    scalar ``np.log`` each, as ``np.mean`` of a list; None for no tokens."""
+    diffs = [float(np.log(a)) - float(np.log(b)) for b, a in zip(probs_before, probs_after)]
+    return float(np.mean(diffs)) if diffs else None
 
 
 def reference_row_update(table, nodes, grads, learning_rate):

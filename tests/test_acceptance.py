@@ -13,8 +13,7 @@ import pytest
 
 from routedkl.divergence import fkl_logit_grad, rkl_logit_grad
 from routedkl.grpo import group_advantages
-from routedkl.metrics import delta_lift
-from routedkl.policy import PolicyTable, softmax
+from routedkl.policy import softmax
 from routedkl.privileged import rlsd_weight
 from routedkl.routing import (
     RoutingConfig,

@@ -290,6 +290,22 @@ class TestBadInputsNameTheKey:
             "routed_both_mixed_seed1_abort_diagnostics.json",
         ]
 
+    def test_another_configs_abort_snapshot_is_kept(self, tmp_path, capsys):
+        # The snapshot carries its config hash: a run of another config under
+        # the stem is refused before it starts, the same config may rerun.
+        snapshot = tmp_path / "out" / "routed_both_mixed_seed1_abort_diagnostics.json"
+        aborting = _edit(SMALL, "run", "learning_rate", "1e9")
+        assert _run(tmp_path, aborting) == 3
+        written = snapshot.read_bytes()
+        capsys.readouterr()
+        for lr in ("1e8", "0.3"):
+            assert _run(tmp_path, _edit(SMALL, "run", "learning_rate", lr)) == 2
+            assert "refusing to overwrite" in capsys.readouterr().err
+        assert snapshot.read_bytes() == written
+        assert not list((tmp_path / "out").glob("*.csv"))
+        assert _run(tmp_path, aborting) == 3
+        assert snapshot.read_bytes() == written
+
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_out_naming_a_file_is_refused_before_any_step(self, tmp_path, capsys, monkeypatch, command):
         # Refused as a config error naming out_dir, before the run starts.

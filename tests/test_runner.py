@@ -1,7 +1,6 @@
 import configparser
 import copy
 import json
-import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -15,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from routedkl import cli, runner
 from routedkl.errors import ConfigError, EnumerationBudgetError, InternalConsistencyError
 from routedkl.grpo import group_advantages
-from routedkl.metrics import credit_concentration
 from routedkl.policy import PolicyTable, StudentDists
 from routedkl.privileged import context_variance, expected_deviation_sq
 from routedkl.routing import RoutingConfig, lambda_schedule
@@ -32,7 +30,13 @@ from routedkl.runner import (
 from routedkl.studies import LIFT_GROUP, LIFT_LR, LIFT_PARAMS, LIFT_ROUTING, study_run_config
 from routedkl.tasks import TaskParams, chain_params, generate_task, sample_group
 
-from oracles import reference_annotate, reference_credit_ratios, reference_row_update
+from oracles import (
+    reference_annotate,
+    reference_credit_concentration,
+    reference_credit_ratios,
+    reference_delta_lift,
+    reference_row_update,
+)
 
 FAST_PARAMS = chain_params(vocab=6, horizon=3, p_star=0.004, alt_mass=0.85, n_contexts=2)
 FAST_ROUTING = RoutingConfig(w0=1.0, t_start=4, t_decay=8, sync_n=5, tau=10.0, alpha=0.5)
@@ -266,17 +270,49 @@ class TestMethodBehaviour:
         assert np.all(step.log_ratio == 0.0)
 
     def test_eval_token_set_is_teacher_supported(self):
+        # The root tokens whose context-mean teacher probability exceeds
+        # the student's at the snapshot, as an int array.
         cfg = fast_cfg(steps=1)
         state = init_run(cfg)
         eval_set = build_eval_token_set(state.task, state.task.make_table())
-        assert eval_set  # non-empty
+        assert eval_set.dtype.kind == "i" and eval_set.size  # non-empty
         fresh = state.task.make_table()
         student = fresh.student_dist(state.task.prompt_id, ())
         matrix = state.task.teacher_dist_matrix(fresh, ())
         mean_teacher = state.task.context_probs @ matrix
-        for prefix, v in eval_set:
-            assert prefix == ()
-            assert mean_teacher[v] > student[v]
+        supported = [v for v in range(state.task.vocab) if mean_teacher[v] > student[v]]
+        assert eval_set.tolist() == supported
+        assert state.eval_tokens.tolist() == supported
+
+    @pytest.mark.parametrize(
+        "method",
+        ["routed_fkl_key", "routed_both", "grpo_only", "alltoken_kl_persistent", "rlsd_weighted"],
+    )
+    def test_lift_equals_the_per_token_mean(self, monkeypatch, method):
+        # Every logged lift is the per-token mean of the log-prob changes of
+        # the eval tokens, byte for byte; a dead-zone step with the KL
+        # channel closed changes no row and logs 0.0.
+        probs = []
+        read = runner._eval_probs
+
+        def capture(state):
+            probs.append(read(state))
+            return probs[-1]
+
+        monkeypatch.setattr(runner, "_eval_probs", capture)
+        log, _ = run_experiment(fast_cfg(method, steps=40))
+        assert len(probs) == 2 * len(log.rows)
+        for row, before, after in zip(log.rows, probs[::2], probs[1::2]):
+            assert repr(row["delta_lift"]) == repr(reference_delta_lift(before, after))
+        dead = [r for r in log.rows if r["lambda"] == 0.0 and r["train_reward"] in (0.0, 1.0)]
+        assert dead or method == "alltoken_kl_persistent"
+        assert all(repr(r["delta_lift"]) == "0.0" for r in dead)
+
+    def test_empty_eval_set_logs_no_lift(self):
+        # No eval token: the lift is absent, not zero.
+        state = init_run(fast_cfg())
+        state.eval_tokens = state.eval_tokens[:0]
+        assert train_step(state)["delta_lift"] is None
 
 
 class TestTeacherCache:
@@ -638,7 +674,7 @@ class TestGroupArrays:
         return steps
 
     def test_credit_concentration_reads_per_token_norms(self, monkeypatch):
-        # Each step's ratio is the mean of metrics.credit_concentration
+        # Each step's ratio is the mean of reference_credit_concentration
         # over the rollouts with both regions, on per-token gradient norms.
         steps = self._capture(monkeypatch)
         cfg = fast_cfg("routed_both", steps=10)
@@ -653,7 +689,7 @@ class TestGroupArrays:
                     cfg.learning_rate * float(np.linalg.norm(grads[f])) if f in grads else 0.0
                     for f in range(i * horizon, (i + 1) * horizon)
                 ])
-                ratios.append(credit_concentration(credit, mask[i]))
+                ratios.append(reference_credit_concentration(credit, mask[i]))
             ratios = [r for r in ratios if r is not None]
             if ratios:
                 expected.append(float(np.mean(ratios)))
@@ -738,6 +774,31 @@ class TestArrayAnnotationAndCredit:
         mask = rng.random((size, horizon)) < rng.random()
         got = runner._credit_ratios(credit, mask)
         assert got.tobytes() == reference_credit_ratios(credit, mask).tobytes()
+
+    @pytest.mark.parametrize(
+        "credit, mask, want",
+        [
+            ([1.0] * 10, [True] * 3 + [False] * 7, [1.0]),
+            ([8.5, 8.5, 1.0, 1.0], [True, True, False, False], [8.5]),
+            ([1.0, 1.0, 0.0, 0.0], [True, True, False, False], []),
+            ([1.0] * 4, [True] * 4, []),
+        ],
+        ids=["uniform", "arithmetic", "zero_outside", "all_span"],
+    )
+    def test_credit_ratio_fixtures(self, credit, mask, want):
+        # One row each; a row with a zero outside mean or one region only
+        # has no ratio.
+        assert runner._credit_ratios(np.array([credit]), np.array([mask])).tolist() == want
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=200)
+    def test_own_top_mass_mask_at_least_one(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 20))
+        credit = rng.random(n)
+        mask = np.zeros(n, dtype=bool)
+        mask[np.argsort(-credit)[: int(rng.integers(1, n - 1))]] = True
+        assert (runner._credit_ratios(credit[None], mask[None]) >= 1.0).all()
 
 
 class TestCli:
@@ -901,6 +962,20 @@ learning_rate = 0.1, 0.7
         # The same config may rewrite its own outputs.
         assert cli.main(["run", str(tmp_path / "lr0.1.ini"), "--out", str(out)]) == 0
         assert summary.read_bytes() == written
+
+    def test_sweep_checks_every_run_before_the_first(self, tmp_path, capsys):
+        # Seed 1's outputs belong to another config, so the sweep is refused
+        # before seed 0 runs.
+        out = tmp_path / "out"
+        (tmp_path / "run.ini").write_text(self.CONFIG.replace("seed = 3", "seed = 1"))
+        assert cli.main(["run", str(tmp_path / "run.ini"), "--out", str(out)]) == 0
+        written = {p.name: p.read_bytes() for p in out.iterdir()}
+        sweep = self.CONFIG.replace("learning_rate = 0.3", "learning_rate = 0.7")
+        (tmp_path / "sweep.ini").write_text(sweep + "[sweep]\nseed = 0, 1\n")
+        assert cli.main(["sweep", str(tmp_path / "sweep.ini"), "--out", str(out)]) == 2
+        assert "refusing to overwrite" in capsys.readouterr().err
+        assert not list(out.glob("*seed0*"))
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == written
 
     def test_sweep_subcommand(self, tmp_path):
         cfg_path = tmp_path / "sweep.ini"

@@ -1,8 +1,6 @@
 import subprocess
 import sys
 
-import numpy as np
-
 from routedkl.checks import run_checks
 from routedkl.studies import (
     exposure_dichotomy_study,
