@@ -1,15 +1,14 @@
 """Tabular contextual softmax policies over small integer vocabularies.
 
-A policy is a prefix trie: each visited (prompt id, prefix of sampled
-tokens) is a node, numbered in first-visit order, whose logit row
-materializes lazily from an init function. The teacher view shares
-parameters with the student: teacher rows are the student rows as of the
-last sync, shifted by a per-context logit offset.
+A policy is a prefix trie over one prompt, stored as columns: each visited
+prefix is a node, numbered in first-visit order, added with its depth's
+init row. The teacher view shares parameters with the student: teacher rows
+are the student rows as of the last sync, shifted by a per-context offset.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+import copy
 
 import numpy as np
 
@@ -177,74 +176,82 @@ def truncate_and_floor(dist: np.ndarray, top_k: int, p_min: float) -> np.ndarray
 
 
 class PolicyTable:
-    """Shared student/teacher logit table over a prefix trie.
+    """Shared student/teacher logit table over the prefix trie of one prompt.
 
-    Node ``i`` holds the key ``keys[i] = (prompt, prefix)`` and the student
-    row ``logits[i]``, the only mutable parameters; ``child[i, v]`` is the
-    node of ``prefix + (v,)``, or -1 while unvisited. Both arrays grow by
-    doubling, so a row view (``student_logits``, ``rows``) is valid until
-    the next row is materialized: re-fetch it after anything that may
-    visit a new prefix.
+    Node 0 is the root, the empty prefix. Node ``i > 0`` extends node
+    ``parent[i] < i`` by ``token[i]`` at ``depth[i]``; ``child[i, v]`` is
+    the node extending ``i`` by ``v``, or -1 while unvisited. The student
+    row ``logits[i]``, the only mutable parameters, starts as
+    ``init_rows[depth[i]]``. The columns grow by doubling, so a row view
+    (``student_logits``, ``rows``) is valid until the next node is added.
 
     Teacher rows are the student rows of the last ``sync_teacher`` call,
-    to which a task adds its per-context logit offsets; a lookup
-    materializes nothing and counts in ``teacher_lookups``, so a run can
-    assert the teacher path is skipped when the KL channel is closed.
+    to which a task adds its per-context logit offsets; a lookup counts in
+    ``teacher_lookups``, so a run can assert the teacher path is skipped
+    when the KL channel is closed.
     """
 
-    def __init__(self, vocab: int, init_logits: Callable[[str, PrefixKey], np.ndarray]) -> None:
-        self.vocab = vocab
-        self.init_logits = init_logits
-        self.logits = self.synced = np.empty((0, vocab))
-        self.child = np.empty((0, vocab), dtype=np.int64)
-        self.keys: list = []
-        self.ids: dict = {}  # key -> node id
-        self.teacher_lookups = 0
-        self.sync_count = 0
+    _COLUMNS = ("logits", "child", "parent", "token", "depth")
+
+    def __init__(self, init_rows: np.ndarray, prompt: str) -> None:
+        init_rows = np.array(init_rows, dtype=float)
+        if init_rows.ndim != 2 or not init_rows.size:
+            raise InvalidDistributionError(f"init rows of shape {init_rows.shape}, not (depths, V)")
+        self.init_rows, self.prompt, self.vocab = init_rows, prompt, init_rows.shape[1]
+        self.logits = self.synced = np.empty((0, self.vocab))
+        self.child = np.empty((0, self.vocab), dtype=np.int64)
+        self.parent = self.token = self.depth = np.empty(0, dtype=np.int64)
+        self.n = self.teacher_lookups = self.sync_count = 0
+        self._append(np.array([-1]), np.array([-1]), np.array([0]))  # the root
+
+    def _append(self, parents: np.ndarray, tokens: np.ndarray, depths: np.ndarray) -> None:
+        """Add nodes as the contiguous id block ``[n, n + len(parents))``."""
+        rows = self.init_rows[depths]  # before any write: a depth past the rows raises
+        start, n = self.n, self.n + len(parents)
+        if n > len(self.logits):  # the new tail repeats old entries until they are added
+            cap = max(n, 2 * len(self.logits), 16)
+            for name in self._COLUMNS:
+                column = getattr(self, name)
+                setattr(self, name, np.resize(column[:start], (cap, *column.shape[1:])))
+        self.logits[start:n], self.child[start:n] = rows, -1
+        self.parent[start:n], self.token[start:n], self.depth[start:n] = parents, tokens, depths
+        if start:
+            self.child[parents, tokens] = np.arange(start, n)
+        self.n = n
 
     @property
     def rows(self) -> dict:
-        """``{(prompt, prefix): row view}`` in node order, built per access."""
-        return dict(zip(self.keys, self.logits))
-
-    def _init_row(self, prompt: str, prefix: PrefixKey) -> np.ndarray:
-        row = np.array(self.init_logits(prompt, prefix), dtype=float)
-        if row.shape != (self.vocab,):
-            raise InvalidDistributionError(
-                f"init row has shape {row.shape}, expected ({self.vocab},)"
-            )
-        return row
-
-    def _materialize(self, keys: list) -> list:
-        """Node ids of the distinct ``keys``, adding new ones in order."""
-        start = len(self.keys)
-        ids = [self.ids.setdefault(key, len(self.ids)) for key in keys]
-        self.keys += [key for key, i in zip(keys, ids) if i >= start]
-        n = len(self.keys)
-        if n > len(self.logits):
-            pad = max(n, 2 * len(self.logits), 16) - start
-            self.logits = np.concatenate([self.logits[:start], np.empty((pad, self.vocab))])
-            self.child = np.concatenate([self.child[:start], np.full((pad, self.vocab), -1)])
-        if n > start:
-            self.logits[start:n] = [self._init_row(*key) for key in self.keys[start:]]
-        return ids
+        """``{(prompt, prefix): row view}`` in node order, built in one pass."""
+        prefixes = [()]
+        for p, v in zip(self.parent[1 : self.n].tolist(), self.token[1 : self.n].tolist()):
+            prefixes.append(prefixes[p] + (v,))
+        return {(self.prompt, prefix): row for prefix, row in zip(prefixes, self.logits)}
 
     def node(self, prompt: str, prefix: PrefixKey) -> int:
-        """Node id of ``(prompt, prefix)``, materializing its row if new."""
-        return self._materialize([(prompt, tuple(prefix))])[0]
+        """Node id of ``(prompt, prefix)``, walking down from the root and
+        adding any missing node on the way."""
+        if prompt != self.prompt:
+            raise KeyError(f"the table holds prompt {self.prompt!r}, not {prompt!r}")
+        i = 0
+        for v in prefix:
+            if not 0 <= v < self.vocab:
+                raise KeyError(f"token {v!r} outside the vocabulary [0, {self.vocab})")
+            if self.child.item(i, v) < 0:
+                self._append(np.array([i]), np.array([v]), self.depth[[i]] + 1)
+            i = self.child.item(i, v)
+        return i
 
     def children(self, nodes: np.ndarray, tokens: np.ndarray) -> np.ndarray:
         """Node of each ``nodes[i]`` extended by ``tokens[i]``. The missing
-        (node, token) pairs are deduplicated and materialized in
-        first-visit order, with contiguous ids."""
+        (node, token) pairs are deduplicated and added in first-visit
+        order, as one contiguous id block."""
         out = self.child[nodes, tokens]
-        if (out < 0).any():
-            pairs = list(dict.fromkeys(
-                (p, v) for p, v, i in zip(nodes.tolist(), tokens.tolist(), out.tolist()) if i < 0
-            ))
-            new = self._materialize([(self.keys[p][0], self.keys[p][1] + (v,)) for p, v in pairs])
-            for (p, v), i in zip(pairs, new):
-                self.child[p, v] = i
+        missing = out < 0
+        if missing.any():
+            codes = nodes[missing] * self.vocab + tokens[missing]
+            new = np.array(list(dict.fromkeys(codes.tolist())))
+            parents = new // self.vocab
+            self._append(parents, new % self.vocab, self.depth[parents] + 1)
             out = self.child[nodes, tokens]
         return out
 
@@ -257,39 +264,35 @@ class PolicyTable:
 
     def sync_teacher(self) -> None:
         """Snapshot current student rows as the teacher base."""
-        self.synced = self.logits[: len(self.keys)].copy()
+        self.synced = self.logits[: self.n].copy()
         self.sync_count += 1
 
-    def teacher_logits(self, prompt: str, prefix: PrefixKey) -> np.ndarray:
-        """A fresh copy of the last-synced student row, the teacher's base.
-
-        A prefix that had no materialized row at sync time resolves to its
-        init value, which is what the student row held then.
-        """
+    def teacher_logits(self, node: int) -> np.ndarray:
+        """A fresh copy of a node's last-synced student row, the teacher's
+        base. A node added after the sync resolves to its depth's init row,
+        which is what its student row held then."""
         self.teacher_lookups += 1
-        prefix = tuple(prefix)
-        i = self.ids.get((prompt, prefix), len(self.synced))
-        return self.synced[i].copy() if i < len(self.synced) else self._init_row(prompt, prefix)
+        synced = node < len(self.synced)
+        return (self.synced[node] if synced else self.init_rows[self.depth[node]]).copy()
 
     def apply_gradients(self, nodes: np.ndarray, grads: np.ndarray, learning_rate: float) -> None:
         """One descent step on distinct nodes' rows: theta <- theta - lr * g."""
         self.logits[nodes] -= learning_rate * grads
 
     def copy(self) -> "PolicyTable":
-        dup = PolicyTable(vocab=self.vocab, init_logits=self.init_logits)
-        n = len(self.keys)
-        dup.logits, dup.child = self.logits[:n].copy(), self.child[:n].copy()
-        dup.keys, dup.ids = list(self.keys), dict(self.ids)
-        dup.synced, dup.sync_count = self.synced.copy(), self.sync_count
+        """An independent copy with its own teacher-lookup counter."""
+        dup = copy.deepcopy(self)
+        dup.teacher_lookups = 0
         return dup
 
 
 class StudentDists:
     """Student distributions and their ``cdf_rows`` for a table's nodes
-    ``[0, n)``, kept by a caller across steps. ``read`` computes the nodes
-    made since the last read as one stack and ``refresh`` the nodes whose
-    rows changed; a stack's rows get the bytes they get alone, so a
-    current row equals a fresh ``student_dist``."""
+    ``[0, n)``, kept by a caller across steps. ``read`` fills the nodes
+    added since the last read from per-depth rows, or from one stacked
+    softmax where a row's bytes differ from its init row, and ``refresh``
+    the nodes whose rows changed; a stack's rows get the bytes they get
+    alone, so a current row equals a fresh ``student_dist``."""
 
     def __init__(self) -> None:
         self.dists = self.cdfs = np.empty((0, 0))
@@ -297,15 +300,22 @@ class StudentDists:
 
     def read(self, table: PolicyTable) -> np.ndarray:
         """Read-only (n, V) distributions of every node; also fills ``cdfs[:n]``."""
-        n, start = len(table.keys), self.n
+        n, start = table.n, self.n
         if n > start:
-            if n > len(self.dists):
-                old = self.dists[:start], self.cdfs[:start]
-                cap = max(n, 2 * len(self.dists))
-                self.dists, self.cdfs = np.empty((cap, table.vocab)), np.empty((cap, table.vocab))
+            if n > len(self.dists):  # grown to the table's capacity
+                grown = np.empty((2, len(table.logits), table.vocab))
                 if start:
-                    self.dists[:start], self.cdfs[:start] = old
-            self.refresh(table, slice(start, n))
+                    grown[:, :start] = self.dists[:start], self.cdfs[:start]
+                self.dists, self.cdfs = grown
+            if not start:
+                self.init_dists = softmax(table.init_rows)
+                self.init_cdfs = cdf_rows(self.init_dists)
+            depth = table.depth[start:n]
+            self.dists[start:n], self.cdfs[start:n] = self.init_dists[depth], self.init_cdfs[depth]
+            init = table.init_rows[depth].view(np.int64)
+            moved = (table.logits[start:n].view(np.int64) != init).any(axis=1)
+            if moved.any():
+                self.refresh(table, start + np.flatnonzero(moved))
             self.n = n
         out = self.dists[:n]
         out.flags.writeable = False

@@ -20,24 +20,25 @@ Runs are deterministic given (config, seed): sampling, annotation, and
 evaluation each draw from their own spawned generator so methods sharing
 a seed see identical rollout streams until their parameters diverge.
 
-The policy is a prefix trie (``policy.PolicyTable``): each visited
-(prompt, prefix) is an integer node, in first-visit order, with a row in
-an (N, V) logit array and an (N, V) child table; only visited prefixes
-are stored (~1.9k of the 37,449 a V = 8, T = 6 horizon allows). A step
-carries its G rollouts as (G, T) arrays whose ``prefix_index`` holds the
-nodes: ``tasks.sample_group`` walks the child table, ``_step_tensors``
-gathers the loss inputs, ``routing.routed_loss_rows`` returns the flat
-positions that carry a gradient with their rows, ``_apply_row_grads``
-sums them per node in token order, and ``SynthTask.expected_reward``
-walks the tree one level of nodes at a time.
+The policy is a prefix trie stored as columns (``policy.PolicyTable``):
+each visited prefix is an integer node, in first-visit order from the
+root, node 0, with parent, token, depth, child and logit columns; only
+visited prefixes are stored (~1.9k of the 37,449 a V = 8, T = 6 horizon
+allows). A step carries its G rollouts as (G, T) arrays whose
+``prefix_index`` holds the nodes: ``tasks.sample_group`` walks the child
+table, ``_step_tensors`` gathers the loss inputs,
+``routing.routed_loss_rows`` returns the flat positions that carry a
+gradient with their rows, ``_apply_row_grads`` sums them per node in token
+order, and ``SynthTask.expected_reward`` walks the tree one level of nodes
+at a time.
 
 Each distinct distribution is computed once per parameter change. The
-run-level ``RunState.student_cache`` (``policy.StudentDists``) computes
-the nodes created since its last read, and the update recomputes the
-nodes it changed, so a row always equals a fresh ``student_dist``; it
-lives on the run state because callers may mutate ``PolicyTable`` rows
-in place. ``RunState.teacher_cache`` holds each node's teacher matrix and
-ledger terms for one sync generation, and is emptied on every step whose
+run-level ``RunState.student_cache`` (``policy.StudentDists``) fills the
+nodes created since its last read, and the update recomputes the nodes
+it changed, so a row always equals a fresh ``student_dist``; it lives on
+the run state because callers may mutate ``PolicyTable`` rows in place.
+``RunState.teacher_cache`` holds each node's teacher matrix and ledger
+terms for one sync generation, and is emptied on every step whose
 channel is closed, so a teacher read then goes through
 ``PolicyTable.teacher_logits`` and trips the closed-channel guard. A step
 that changes no row (a dead-zone GRPO group) reuses the stored exact
@@ -292,7 +293,8 @@ def build_eval_token_set(task: SynthTask, table: PolicyTable) -> np.ndarray:
     student's at the snapshot, fixed here, before any update.
     """
     student = table.student_dist(task.prompt_id, ())
-    return np.flatnonzero(task.context_probs @ task.teacher_dist_matrix(table, ()) > student)
+    teacher = task.teacher_dist_matrix(table, np.zeros(1, dtype=np.int64))[0]  # the root
+    return np.flatnonzero(task.context_probs @ teacher > student)
 
 
 def init_run(cfg: RunConfig) -> RunState:
@@ -321,17 +323,17 @@ def init_run(cfg: RunConfig) -> RunState:
 
 def _teacher_rows(state: RunState, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The teacher cache's read-only (N, n_contexts, V) matrices and (N, 2)
-    ledger terms with the entries of ``nodes`` filled: one counted
-    ``teacher_dist_matrix`` call per missing node, stacked terms."""
+    ledger terms with the entries of ``nodes`` filled, all missing nodes
+    in one ``teacher_dist_matrix`` call."""
     table, task, cache = state.table, state.task, state.teacher_cache
     if cache.sync != table.sync_count:
         cache.sync, cache.have[:] = table.sync_count, False
-    if len(cache.have) < len(table.keys):
+    if len(cache.have) < table.n:
         cache.grow(len(table.logits), (len(task.contexts), task.vocab))
     have = cache.have[nodes]
     if not have.all():
         missing = np.unique(nodes[~have])
-        matrices = np.array([task.teacher_dist_matrix(table, table.keys[n][1]) for n in missing])
+        matrices = task.teacher_dist_matrix(table, missing)
         cache.matrices[missing] = matrices
         cache.terms[missing, 0] = context_variance(task.context_probs, matrices)
         cache.terms[missing, 1] = expected_deviation_sq(task.context_probs, matrices)
@@ -343,8 +345,8 @@ def _teacher_rows(state: RunState, nodes: np.ndarray) -> tuple[np.ndarray, np.nd
 
 def _eval_probs(state: RunState) -> np.ndarray:
     """Student probability of each lift-evaluation token, read from the
-    student cache: every eval token sits at the root, which sampling reads."""
-    return state.student_cache.dists[state.table.ids[state.task.prompt_id, ()], state.eval_tokens]
+    student cache: every eval token sits at the root, node 0."""
+    return state.student_cache.dists[0, state.eval_tokens]
 
 
 @dataclass

@@ -285,7 +285,8 @@ ALIGNMENT_PARAMS = chain_params(
 def _span_pull(task: SynthTask, table, prefix: tuple, ctx: int):
     """Forward-KL update direction (negative loss gradient) at one prefix."""
     student = truncate_and_floor(table.student_dist(task.prompt_id, prefix), task.vocab, 1e-6)
-    teacher = truncate_and_floor(task.teacher_dist_matrix(table, prefix)[ctx], task.vocab, 1e-6)
+    node = np.array([table.node(task.prompt_id, prefix)])
+    teacher = truncate_and_floor(task.teacher_dist_matrix(table, node)[0, ctx], task.vocab, 1e-6)
     return -fkl_logit_grad(student, teacher)
 
 
@@ -388,9 +389,10 @@ def post_decay_equivalence_probe(
     for _ in range(extra_steps):
         train_step(state)
         train_step(fork)
-        n = len(state.table.keys)
-        identical = state.table.keys == fork.table.keys and np.array_equal(
-            state.table.logits[:n], fork.table.logits[:n]
+        a, b, n = state.table, fork.table, state.table.n
+        identical = n == b.n and all(
+            np.array_equal(getattr(a, col)[:n], getattr(b, col)[:n])
+            for col in ("parent", "token", "logits")
         )
         if not identical:
             break

@@ -106,7 +106,7 @@ class SynthTask:
     trap_position: int | None
     trap_tokens: tuple[int, ...]
     bad_token: int | None
-    init_rows: dict  # position -> logits row
+    init_rows: np.ndarray  # (T, V) init logits row of each depth
     contexts: tuple[PrivilegedContext, ...]
     # (n_contexts, T, V) teacher logit offset of each context at each
     # depth; a zero row leaves that context's teacher equal to the synced row.
@@ -119,12 +119,14 @@ class SynthTask:
         return self.init_rows[len(prefix)]
 
     def make_table(self) -> PolicyTable:
-        return PolicyTable(vocab=self.vocab, init_logits=self.init_logits)
+        return PolicyTable(self.init_rows, self.prompt_id)
 
-    def teacher_dist_matrix(self, table: PolicyTable, prefix: PrefixKey) -> np.ndarray:
-        """(n_contexts, vocab) teacher distributions at one row: one teacher
-        lookup plus each context's offset at its depth, one softmax."""
-        return softmax(table.teacher_logits(self.prompt_id, prefix) + self.offsets[:, len(prefix)])
+    def teacher_dist_matrix(self, table: PolicyTable, nodes: np.ndarray) -> np.ndarray:
+        """(M, n_contexts, vocab) teacher distributions at the M ``nodes``:
+        one counted teacher lookup per node plus each context's offset at
+        the node's depth, under one softmax."""
+        base = np.array([table.teacher_logits(i) for i in nodes.tolist()])
+        return softmax(base[:, None] + self.offsets[:, table.depth[nodes]].swapaxes(0, 1))
 
     # ----- acceptance machine ----------------------------------------------
 
@@ -208,7 +210,7 @@ class SynthTask:
         trans = self.transitions
         leaf_value, inner = self._tree_tables
         levels = []
-        nodes, states = np.array([table.node(self.prompt_id, ())]), np.array([_START])
+        nodes, states = np.zeros(1, dtype=np.int64), np.array([_START])  # the root
         for t in range(self.horizon):
             dist = dists.read(table)[nodes]
             rows, tokens = np.nonzero(inner[t, states] & (dist != 0.0))
@@ -297,7 +299,7 @@ class SynthTask:
             "trap_position": self.trap_position,
             "trap_tokens": list(self.trap_tokens),
             "bad_token": self.bad_token,
-            "init_rows": {str(t): row.tolist() for t, row in self.init_rows.items()},
+            "init_rows": {str(t): row.tolist() for t, row in enumerate(self.init_rows)},
             "context_probs": self.context_probs.tolist(),
             "contexts": [{"context_id": c.context_id, "label": c.label} for c in self.contexts],
             "offsets": self.offsets.tolist(),
@@ -398,14 +400,14 @@ def generate_task(
     else:
         base_keys = "p_star and alt_mass"
         need = f"p_star > 0 and p_star + alt_mass < 1, got {p.p_star!r} + {p.alt_mass!r}"
-    init_rows = {0: _logits_from_probs(probs0, need)}
-    for t in range(1, p.horizon):
-        if trap_position is not None and t == trap_position:
-            trap_probs = np.full(v, (1.0 - p.trap_mass) / (v - len(trap_tokens)))
-            trap_probs[list(trap_tokens)] = p.trap_mass / len(trap_tokens)
-            init_rows[t] = _logits_from_probs(trap_probs, f"0 < trap_mass < 1, got {p.trap_mass!r}")
-        else:
-            init_rows[t] = np.zeros(v)
+    init_rows = np.zeros((p.horizon, v))
+    init_rows[0] = _logits_from_probs(probs0, need)
+    if trap_position is not None:
+        trap_probs = np.full(v, (1.0 - p.trap_mass) / (v - len(trap_tokens)))
+        trap_probs[list(trap_tokens)] = p.trap_mass / len(trap_tokens)
+        init_rows[trap_position] = _logits_from_probs(
+            trap_probs, f"0 < trap_mass < 1, got {p.trap_mass!r}"
+        )
 
     critical: tuple[int, ...] = (0,)
     if regime == "mixed" and trap_position is not None:
@@ -565,7 +567,7 @@ def sample_group(
     prefix_index = np.empty((size, horizon), dtype=np.int64)
     states = np.full((size, horizon + 1), _START, dtype=np.int64)
     trans = task.transitions
-    node = np.full(size, table.node(task.prompt_id, ()))
+    node = np.zeros(size, dtype=np.int64)  # the root
     for t in range(horizon):
         if t:
             node = table.children(node, picked)

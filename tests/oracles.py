@@ -16,7 +16,9 @@ was batched:
   behind group sampling, draw for draw;
 * ``reference_softmax``: the one-row softmax behind the stacked one;
 * ``reference_teacher_dist_matrix``: the per-context teacher lookup loop
-  behind the one-lookup teacher matrix;
+  behind the stacked teacher matrices;
+* ``ReferenceTrie``: the dict-of-tuples prefix trie behind the columnar
+  ``PolicyTable``;
 * ``reference_expected_reward``: the depth-first recursion behind the
   level-wise exact evaluation;
 * ``reference_annotate``: the per-rollout annotator with character spans
@@ -438,18 +440,49 @@ def reference_softmax(logits):
     return expd / expd.sum()
 
 
-def reference_teacher_dist_matrix(task, table, prefix):
-    """Per-context teacher rows at ``prefix``, as ``SynthTask.teacher_dist_matrix``
-    built them before the offsets became one array: one counted teacher
-    lookup per context, its offset added only where the context has one
-    (a nonzero row), and a one-row softmax each."""
+def reference_teacher_dist_matrix(task, table, node):
+    """Per-context teacher rows at one node, as ``SynthTask.teacher_dist_matrix``
+    built them before the offsets became one array and nodes were stacked:
+    one counted teacher lookup per context, its offset added only where the
+    context has one (a nonzero row), and a one-row softmax each."""
     rows = []
-    for offset in task.offsets[:, len(prefix)]:
-        logits = table.teacher_logits(task.prompt_id, prefix)
+    for offset in task.offsets[:, table.depth[node]]:
+        logits = table.teacher_logits(node)
         if offset.any():
             logits += offset
         rows.append(reference_softmax(logits))
     return np.array(rows)
+
+
+class ReferenceTrie:
+    """The prefix trie as ``PolicyTable`` kept it before its nodes became
+    columns: a ``keys`` list of ``(prompt, prefix)`` tuples, an ``ids`` dict
+    and one init row per new key. ``node`` adds a prefix's missing
+    ancestors root first; ``children`` adds the missing (node, token) pairs
+    in first-visit order."""
+
+    def __init__(self, init_rows, prompt):
+        self.init_rows, self.keys, self.ids, self.logits = init_rows, [], {}, []
+        self.node(prompt, ())
+
+    def _add(self, key):
+        if key not in self.ids:
+            self.ids[key] = len(self.keys)
+            self.keys.append(key)
+            self.logits.append(np.array(self.init_rows[len(key[1])], dtype=float))
+        return self.ids[key]
+
+    def node(self, prompt, prefix):
+        for t in range(len(prefix) + 1):
+            i = self._add((prompt, tuple(prefix[:t])))
+        return i
+
+    def children(self, nodes, tokens):
+        out = []
+        for p, v in zip(nodes, tokens):
+            prompt, prefix = self.keys[p]
+            out.append(self._add((prompt, prefix + (v,))))
+        return out
 
 
 def reference_expected_reward(task, table):

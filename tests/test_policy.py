@@ -20,6 +20,7 @@ from oracles import (
     reference_entropy,
     reference_softmax,
     reference_truncate_and_floor,
+    ReferenceTrie,
 )
 
 
@@ -78,7 +79,7 @@ class TestBatchedSoftmax:
             softmax(np.array([[0.0, 1.0], [0.0, np.inf]]))
 
     def test_student_cache_reads_nodes_in_first_visit_order(self):
-        table = PolicyTable(vocab=5, init_logits=lambda _, prefix: np.arange(5.0) * len(prefix))
+        table = PolicyTable(np.arange(3.0)[:, None] * np.arange(5.0), "p")  # depth d: d * arange
         cache = StudentDists()
         root = table.node("p", ())
         first = table.children(np.array([root, root, root]), np.array([2, 0, 2]))
@@ -281,37 +282,46 @@ class TestTruncateAndFloor:
 class TestPolicyTable:
     @staticmethod
     def _table(vocab=4):
-        return PolicyTable(vocab=vocab, init_logits=lambda prompt, prefix: np.zeros(vocab))
+        return PolicyTable(np.zeros((4, vocab)), "p")
 
     def test_rows_materialize_lazily(self):
         table = self._table()
-        assert not table.rows
+        assert list(table.rows) == [("p", ())]  # the root, node 0
         table.student_logits("p", (1, 2))
-        assert ("p", (1, 2)) in table.rows
+        assert list(table.rows) == [("p", ()), ("p", (1,)), ("p", (1, 2))]
 
     def test_student_and_teacher_share_parameters(self):
         table = self._table()
         row = table.student_logits("p", ())
         row += 1.5
         table.sync_teacher()
-        teacher = table.teacher_logits("p", ())
+        teacher = table.teacher_logits(0)
         assert teacher.tobytes() == row.tobytes()
         teacher += 2.0  # a fresh copy: the synced row is untouched
-        assert table.teacher_logits("p", ()).tobytes() == row.tobytes()
+        assert table.teacher_logits(0).tobytes() == row.tobytes()
 
     def test_teacher_is_stale_between_syncs(self):
         table = self._table()
         table.student_logits("p", ())
         table.sync_teacher()
         table.rows[("p", ())] += 3.0
-        teacher = table.teacher_logits("p", ())
+        teacher = table.teacher_logits(0)
         np.testing.assert_allclose(teacher, np.zeros(4), atol=1e-15)
 
     def test_teacher_lookup_counter(self):
         table = self._table()
         assert table.teacher_lookups == 0
-        table.teacher_logits("p", ())
+        table.teacher_logits(0)
         assert table.teacher_lookups == 1
+
+    def test_a_node_added_after_the_sync_reads_its_init_row(self):
+        table = PolicyTable(np.arange(3.0)[:, None] * np.ones(4), "p")
+        table.student_logits("p", (1,))[:] = 5.0
+        table.sync_teacher()
+        deep = table.node("p", (1, 2))
+        table.student_logits("p", (1, 2))[:] = 7.0
+        assert table.teacher_logits(1).tolist() == [5.0] * 4
+        assert table.teacher_logits(deep).tolist() == [2.0] * 4
 
     def test_apply_gradients_descends(self):
         table = self._table()
@@ -324,7 +334,7 @@ class TestPolicyTable:
         table = self._table()
         view = table.student_logits("p", ())
         capacity = len(table.logits)
-        for v in range(capacity):  # one row more than the array holds
+        for v in range(capacity):  # more rows than the array holds
             table.student_logits("p", (v % 4, v // 4))
         assert len(table.logits) > capacity
         view += 1.0  # a stale view writes to the dead buffer
@@ -334,21 +344,38 @@ class TestPolicyTable:
 
     def test_rows_are_keyed_in_first_visit_order(self):
         # What perfbench reads: a (prompt, prefix) -> row mapping whose
-        # length counts the materialized rows.
-        table = PolicyTable(vocab=3, init_logits=lambda prompt, prefix: np.full(3, float(len(prefix))))
-        order = [("p", (2, 1)), ("p", ()), ("q", ()), ("p", (2,)), ("p", (2, 1, 0))]
-        for n, (prompt, prefix) in enumerate(order):
-            table.student_logits(prompt, prefix)
-            assert len(table.rows) == n + 1
-        table.children(np.array([table.node("p", (2,)), 1]), np.array([1, 0]))  # (2, 1) exists
-        table.teacher_logits("p", (0, 0))  # teacher lookups materialize nothing
-        order.append(("p", (0,)))
-        assert list(table.rows) == order and len(table.rows) == len(order)
-        assert all(key in table.rows for key in order) and ("p", (0, 0)) not in table.rows
-        for prompt, prefix in order:
-            assert table.rows[prompt, prefix].tolist() == [float(len(prefix))] * 3
+        # length counts the nodes. The root comes first and a prefix's
+        # missing ancestors are added before it.
+        table = PolicyTable(np.arange(4.0)[:, None] * np.ones(3), "p")  # depth d: all d
+        table.student_logits("p", (2, 1))
+        order = [(), (2,), (2, 1)]
+        assert list(table.rows) == [("p", p) for p in order]
+        table.student_logits("p", ())
+        # (2, 1) exists; (0,) and (2, 0) are new, in first-visit order.
+        got = table.children(np.array([1, 0, 1, 0]), np.array([1, 0, 0, 0]))
+        assert got.tolist() == [2, 3, 4, 3]
+        table.teacher_logits(3)  # teacher lookups add no node
+        table.student_logits("p", (2, 1, 0))
+        order += [(0,), (2, 0), (2, 1, 0)]
+        assert list(table.rows) == [("p", p) for p in order] and table.n == len(order)
+        for prefix in order:
+            assert table.rows["p", prefix].tolist() == [float(len(prefix))] * 3
         with pytest.raises(KeyError):
             table.rows["p", (1,)]
+        with pytest.raises(KeyError):
+            table.node("q", ())  # one prompt per table
+        with pytest.raises(KeyError):
+            table.node("p", (3,))  # outside the vocabulary
+
+    def test_init_rows_must_be_a_finite_matrix(self):
+        with pytest.raises(InvalidDistributionError):
+            PolicyTable(np.zeros(4), "p")
+        with pytest.raises(NonFiniteInputError):  # at the first read
+            StudentDists().read(PolicyTable(np.array([[0.0, 1.0], [0.0, np.inf]]), "p"))
+        table = PolicyTable(np.zeros((2, 3)), "p")
+        with pytest.raises(IndexError):
+            table.node("p", (0, 1))  # no init row at depth 2
+        assert table.n == 2  # the prefix's ancestor, not the prefix
 
     def test_copy_rows_do_not_follow_the_source(self):
         table = self._table()
@@ -359,6 +386,81 @@ class TestPolicyTable:
         table.student_logits("p", (1,))[0] = 5.0
         table.student_logits("p", (3,))
         table.apply_gradients(np.array([0]), np.ones((1, 4)), 1.0)
-        assert list(rows) == [("p", (1,))] and len(rows) == 1
+        assert list(rows) == [("p", ()), ("p", (1,))] and len(rows) == 2
+        assert rows["p", ()].tolist() == [0.0] * 4
         assert rows["p", (1,)].tolist() == [2.0] * 4
-        assert dup.teacher_logits("p", (1,)).tolist() == [2.0] * 4
+        assert dup.teacher_logits(1).tolist() == [2.0] * 4
+
+    @given(
+        ops=st.lists(
+            st.one_of(
+                st.tuples(st.just("node"), st.lists(st.integers(0, 3), max_size=4)),
+                st.tuples(
+                    st.just("children"),
+                    st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 3)), min_size=1, max_size=12),
+                ),
+            ),
+            max_size=12,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_columns_equal_the_reference_trie(self, ops, seed):
+        init_rows = np.random.default_rng(seed).normal(size=(5, 4))
+        table, ref = PolicyTable(init_rows, "p"), ReferenceTrie(init_rows, "p")
+        for kind, arg in ops:
+            if kind == "node":
+                assert table.node("p", tuple(arg)) == ref.node("p", tuple(arg))
+                continue
+            open_nodes = np.flatnonzero(table.depth[: table.n] < len(init_rows) - 1)
+            nodes = open_nodes[[i % len(open_nodes) for i, _ in arg]]
+            tokens = np.array([v for _, v in arg])
+            got = table.children(nodes, tokens)
+            assert got.tolist() == ref.children(nodes.tolist(), tokens.tolist())
+        n = table.n
+        assert list(table.rows) == ref.keys and list(table.copy().rows) == ref.keys
+        assert table.logits[:n].tobytes() == np.array(ref.logits).tobytes()
+        for i, (_, prefix) in enumerate(ref.keys[1:], start=1):
+            assert table.depth[i] == len(prefix) and table.token[i] == prefix[-1]
+            assert table.parent[i] == ref.ids["p", prefix[:-1]]
+            assert table.child[table.parent[i], table.token[i]] == i
+
+
+class TestStudentDists:
+    @staticmethod
+    def _fresh(table):
+        return softmax(table.logits[: table.n])
+
+    def test_new_nodes_take_their_depths_rows(self, monkeypatch):
+        from routedkl import policy
+
+        table = PolicyTable(np.random.default_rng(0).normal(size=(3, 5)), "p")
+        table.children(np.zeros(5, dtype=np.int64), np.arange(5))
+        cache = StudentDists()
+        cache.read(table)  # computes the per-depth rows
+        table.children(np.arange(1, 6), np.arange(5))
+        calls = []
+        stack_softmax = policy.softmax
+        monkeypatch.setattr(policy, "softmax", lambda z: calls.append(len(z)) or stack_softmax(z))
+        got = cache.read(table)
+        assert calls == []  # every new row is its depth's init row
+        assert got.tobytes() == self._fresh(table).tobytes()
+        assert cache.cdfs[: table.n].tobytes() == policy.cdf_rows(self._fresh(table)).tobytes()
+
+    def test_a_row_changed_before_the_first_read_gets_its_own_softmax(self):
+        init_rows = np.random.default_rng(1).normal(size=(3, 5))
+        # A trained table read by a new cache, as a forked run's is.
+        table = PolicyTable(init_rows, "p")
+        table.children(np.zeros(5, dtype=np.int64), np.arange(5))
+        table.apply_gradients(np.array([0, 3]), np.eye(5)[:2], 0.5)
+        got = StudentDists().read(table)
+        assert got.tobytes() == self._fresh(table).tobytes()
+        assert got[3].tobytes() != softmax(init_rows[1]).tobytes()
+        # A row written through student_logits between two reads.
+        cache = StudentDists()
+        cache.read(table)
+        table.student_logits("p", (1, 4))[2] += 3.0
+        table.student_logits("p", (1, 3))
+        got = cache.read(table)
+        assert got.tobytes() == self._fresh(table).tobytes()
+        assert got[6].tobytes() != got[7].tobytes() == softmax(init_rows[2]).tobytes()

@@ -242,7 +242,7 @@ class TestMethodBehaviour:
         build = runner._step_tensors
 
         def peeking(state, *args):
-            state.task.teacher_dist_matrix(state.table, ())
+            state.task.teacher_dist_matrix(state.table, np.zeros(1, dtype=np.int64))
             return build(state, *args)
 
         monkeypatch.setattr(runner, "_step_tensors", peeking)
@@ -278,7 +278,7 @@ class TestMethodBehaviour:
         assert eval_set.dtype.kind == "i" and eval_set.size  # non-empty
         fresh = state.task.make_table()
         student = fresh.student_dist(state.task.prompt_id, ())
-        matrix = state.task.teacher_dist_matrix(fresh, ())
+        matrix = state.task.teacher_dist_matrix(fresh, np.zeros(1, dtype=np.int64))[0]
         mean_teacher = state.task.context_probs @ matrix
         supported = [v for v in range(state.task.vocab) if mean_teacher[v] > student[v]]
         assert eval_set.tolist() == supported
@@ -321,17 +321,17 @@ class TestTeacherCache:
         state = init_run(cfg)
         for _ in range(FAST_ROUTING.sync_n):  # steps 0..4; step 5 syncs first
             train_step(state)
-        root = state.table.ids[state.task.prompt_id, ()]
+        root = 0
         stale = runner._teacher_rows(state, np.array([root]))[0][root].copy()
         build = runner._step_tensors
         used = []
 
         def capture(state, group, *args):
             step = build(state, group, *args)
-            horizon = group.tokens.shape[1]
+            horizon, keys = group.tokens.shape[1], list(state.table.rows)
             for f, q in zip(step.kl_rows.tolist(), step.teacher):
                 node = group.prefix_index[f // horizon, f % horizon]
-                assert state.table.keys[node][1] == tuple(group.tokens[f // horizon, : f % horizon].tolist())
+                assert keys[node][1] == tuple(group.tokens[f // horizon, : f % horizon].tolist())
                 used.append((node, q))
             return step
 
@@ -342,7 +342,7 @@ class TestTeacherCache:
         task = state.task
         cache = state.teacher_cache
         filled = np.flatnonzero(cache.have).tolist()
-        fresh = {n: task.teacher_dist_matrix(synced, synced.keys[n][1]) for n in filled}
+        fresh = dict(zip(filled, task.teacher_dist_matrix(synced, np.array(filled))))
         assert not np.array_equal(fresh[root], stale)
         for node in filled:
             np.testing.assert_array_equal(cache.matrices[node], fresh[node])
@@ -357,7 +357,7 @@ class TestTeacherCache:
         state = init_run(cfg)
         while effective_lambda(cfg, state.k) > 0.0:
             train_step(state)
-        root = state.table.ids[state.task.prompt_id, ()]
+        root = 0
         assert state.teacher_cache.have[root]  # filled while the channel was open
         build = runner._step_tensors
 
@@ -394,7 +394,7 @@ class TestTeacherCache:
     def test_cached_rows_are_read_only(self):
         state = init_run(fast_cfg("alltoken_kl_persistent"))
         train_step(state)
-        root = state.table.ids[state.task.prompt_id, ()]
+        root = 0
         matrices, _ = runner._teacher_rows(state, np.array([root]))
         matrix = matrices[root]
         with pytest.raises(ValueError):
@@ -496,14 +496,12 @@ class TestRowUpdate:
         vocab = grads.shape[1]
         n_nodes = int(prefix_index.max()) + 1
 
-        def init(prompt, prefix):
-            logits = np.random.default_rng([seed, int(prompt)]).normal(0.0, 2.0, vocab)
-            logits[::3] = 0.0
-            return logits
-
-        table = PolicyTable(vocab=vocab, init_logits=init)
-        for k in range(n_nodes):
-            table.node(str(k), ())
+        table = PolicyTable(np.zeros((n_nodes, vocab)), "p")
+        for k in range(1, n_nodes):  # node k extends node (k - 1) // vocab
+            table.children(np.array([(k - 1) // vocab]), np.array([(k - 1) % vocab]))
+        logits = np.random.default_rng(seed).normal(0.0, 2.0, (n_nodes, vocab))
+        logits[:, ::3] = 0.0
+        table.logits[:n_nodes] = logits
         ref = table.copy()
         state = SimpleNamespace(
             table=table, cfg=SimpleNamespace(learning_rate=learning_rate),
@@ -589,7 +587,30 @@ class TestPerfbenchContract:
             table = state.table
             assert table.teacher_lookups > 0
             assert calls[id(table)] == table.teacher_lookups
-            assert len(table.rows) == len(set(table.rows)) == len(table.keys)
+            assert len(table.rows) == len(set(table.rows)) == table.n
+
+    def test_copied_rows_are_keyed_by_node(self):
+        # perfbench's exact reward reads ``table.copy().rows`` by
+        # (prompt_id, prefix) and ``task.init_logits`` for absent prefixes.
+        cfg = RunConfig(
+            method="routed_both", regime="mixed", seed=3, steps=20, group_size=8,
+            learning_rate=0.5, task_params=TaskParams(vocab=8, horizon=6),
+        )
+        _, state = run_experiment(cfg)
+        table, task = state.table, state.task
+        want = []
+        for i in range(table.n):  # walk up from every node
+            prefix, j = [], i
+            while j:
+                prefix.append(int(table.token[j]))
+                j = table.parent[j]
+            want.append((task.prompt_id, tuple(reversed(prefix))))
+        rows = table.copy().rows
+        assert list(rows) == want and table.n > 100
+        assert np.array(list(rows.values())).tobytes() == table.logits[: table.n].tobytes()
+        for t in range(task.horizon):
+            prefix = (t % task.vocab,) * t
+            assert task.init_logits(task.prompt_id, prefix).tobytes() == task.init_rows[t].tobytes()
 
 
 class TestKlBlockGuard:
@@ -723,7 +744,8 @@ class TestGroupArrays:
                         assert scale is None or scale[i, t] == 1.0
                         continue
                     prefix = tokens[:t]
-                    q = task.teacher_dist_matrix(table, prefix)[contexts[i], y]
+                    node = np.array([table.node(task.prompt_id, prefix)])
+                    q = task.teacher_dist_matrix(table, node)[0, contexts[i], y]
                     p = table.student_dist(task.prompt_id, prefix)[y]
                     assert scale[i, t] == min(max(q / p, 1.0 - eps), 1.0 + eps)
                     weighted += 1.0 - eps < scale[i, t] < 1.0 + eps
@@ -751,7 +773,7 @@ class TestArrayAnnotationAndCredit:
         params = chain_params(vocab=vocab, horizon=horizon, trap_position=1 + trap % (horizon - 1))
         task = generate_task(regime, seed % 100, params)
         # Uniform logits, so every branch of the acceptance machine is sampled.
-        table = PolicyTable(vocab=vocab, init_logits=lambda prompt, prefix: np.zeros(vocab))
+        table = PolicyTable(np.zeros((horizon, vocab)), task.prompt_id)
         group = sample_group(table, task, np.random.default_rng(seed), size)
         rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
         ctx, mask = runner._annotate(task, group, precision, rng, alpha)

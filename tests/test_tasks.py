@@ -172,16 +172,27 @@ class TestSampling:
         assert a.tokens.tolist() == b.tokens.tolist()
 
 
-def _random_table(vocab, seed, zero_frac):
+def _random_rows(rng, shape, zero_frac):
     """Random logit rows; entries set to -1000 get probability exactly 0."""
+    rows = rng.normal(0.0, 2.0, shape)
+    rows[rng.random(shape) < zero_frac] = -1000.0
+    return rows
 
-    def init(prompt, prefix):
-        rng = np.random.default_rng([seed, len(prefix), *prefix])
-        logits = rng.normal(0.0, 2.0, vocab)
-        logits[rng.random(vocab) < zero_frac] = -1000.0
-        return logits
 
-    return PolicyTable(vocab=vocab, init_logits=init)
+def _random_table(vocab, seed, zero_frac, prompt="p", depths=6):
+    """A table with random per-depth init rows."""
+    return PolicyTable(_random_rows(np.random.default_rng(seed), (depths, vocab), zero_frac), prompt)
+
+
+def _vary_every_prefix(table, horizon, seed, zero_frac):
+    """Add every prefix shorter than ``horizon``, level by level, and give
+    each its own random row seeded by the prefix, so rows at one depth
+    differ by prefix."""
+    vocab, level = table.vocab, np.zeros(1, dtype=np.int64)
+    for _ in range(1, horizon):
+        level = table.children(np.repeat(level, vocab), np.tile(np.arange(vocab), len(level)))
+    for i, (_, prefix) in enumerate(table.rows):
+        table.logits[i] = _random_rows(np.random.default_rng([seed, len(prefix), *prefix]), vocab, zero_frac)
 
 
 class TestGroupStreamAlignment:
@@ -198,7 +209,11 @@ class TestGroupStreamAlignment:
     def test_same_tokens_logprobs_and_stream(self, vocab, horizon, size, seed, zero_frac):
         params = TaskParams(vocab=vocab, horizon=horizon, trap_position=1)
         task = generate_task("under_allocated", 0, params)
-        table = _random_table(vocab, seed, zero_frac)
+        # Odd seeds give every prefix its own row; even seeds keep the
+        # per-depth init rows, which the cache fills without a softmax.
+        table = _random_table(vocab, seed, zero_frac, task.prompt_id)
+        if seed % 2:
+            _vary_every_prefix(table, horizon, seed, zero_frac)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         dists = StudentDists()
         group = sample_group(table, task, rng, size, dists)
@@ -209,18 +224,22 @@ class TestGroupStreamAlignment:
         assert group.tokens.tolist() == [list(r.tokens) for r in ref]
         assert group.logprobs.tobytes() == np.stack([r.logprobs for r in ref]).tobytes()
         assert rng.random() == ref_rng.random()
-        # Every position points at its prefix's node, listed once, with its row.
+        # Every position points at its prefix's node, with its row; a table
+        # grown only by the group holds exactly the group's nodes, each once.
         assert len(set(table.rows)) == len(table.rows) == dists.n
-        assert set(group.prefix_index.ravel().tolist()) == set(range(dists.n))
-        rows = dists.read(table)
+        visited = set(group.prefix_index.ravel().tolist())
+        assert visited <= set(range(dists.n)) if seed % 2 else visited == set(range(dists.n))
+        rows, keys = dists.read(table), list(table.rows)
         for i, r in enumerate(ref):
             for t in range(horizon):
                 node = group.prefix_index[i, t]
-                assert table.keys[node] == (task.prompt_id, r.tokens[:t])
+                assert keys[node] == (task.prompt_id, r.tokens[:t])
                 assert rows[node].tobytes() == table.student_dist(task.prompt_id, r.tokens[:t]).tobytes()
 
     def test_rows_with_zero_entries_are_exercised(self):
         table = _random_table(6, 3, 0.7)
+        assert all((table.student_dist("p", (0,) * t) == 0).any() for t in range(2))
+        _vary_every_prefix(table, 2, 3, 0.7)
         assert any((table.student_dist("p", (v,)) == 0).any() for v in range(6))
 
     def test_size_one_groups_follow_the_reference_loop(self):
@@ -292,7 +311,10 @@ class TestBatchedTaskPaths:
         self, regime, vocab, horizon, trap, seed, zero_frac
     ):
         task = _random_task(regime, vocab, horizon, 1 + trap % (horizon - 1), seed % 100)
-        ref_table, table = (_random_table(vocab, seed, zero_frac) for _ in range(2))
+        ref_table, table = (_random_table(vocab, seed, zero_frac, task.prompt_id) for _ in range(2))
+        if seed % 2:
+            for t in (ref_table, table):
+                _vary_every_prefix(t, horizon, seed, zero_frac)
         want = reference_expected_reward(task, ref_table)
         got = task.expected_reward(table)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
@@ -318,8 +340,9 @@ class TestBatchedTaskPaths:
         assert list(table.rows) == list(ref.rows)
         rows = dists.read(table)
         assert len(rows) == len(table.rows) > len(filled)
-        # The filled rows are kept: only the rows new to the walk are computed.
-        assert sum(softmaxed) == len(rows) - len(filled)
+        # The filled rows are kept, and every row new to the walk holds its
+        # depth's init row, so it takes that depth's softmax: none is computed.
+        assert softmaxed == []
         assert rows[: len(filled)].tobytes() == filled.tobytes()
         for row, (_, prefix) in zip(rows, table.rows, strict=True):
             assert row.tobytes() == ref.student_dist(task.prompt_id, prefix).tobytes()
@@ -330,7 +353,7 @@ class TestBatchedTaskPaths:
         self, regime, vocab, horizon, trap, seed, size, zero_frac
     ):
         task = _random_task(regime, vocab, horizon, 1 + trap % (horizon - 1), seed % 100)
-        table = _random_table(vocab, seed, zero_frac)
+        table = _random_table(vocab, seed, zero_frac, task.prompt_id)
         group = sample_group(table, task, np.random.default_rng(seed), size)
         for i, seq in enumerate(map(tuple, group.tokens.tolist())):
             assert group.outcomes[i] == task.verifier(seq)
@@ -347,15 +370,22 @@ class TestBatchedTaskPaths:
     @pytest.mark.parametrize("regime", ["under_allocated", "confident_wrong", "mixed"])
     def test_teacher_matrix_is_the_per_context_rows(self, regime):
         task = generate_task(regime, 3, TaskParams(n_contexts=4, horizon=4))
-        table = _random_table(task.vocab, 3, 0.3)
+        table = _random_table(task.vocab, 3, 0.3, task.prompt_id)
         table.sync_teacher()
-        for prefix in [(), (1,), (2, 5), (0, 3, 1)]:
+        nodes = np.array([table.node(task.prompt_id, p) for p in [(), (1,), (2, 5), (0, 3, 1)]])
+        for node in nodes:
             before = table.teacher_lookups
-            matrix = task.teacher_dist_matrix(table, prefix)
+            matrix = task.teacher_dist_matrix(table, node[None])
             assert table.teacher_lookups - before == 1  # one row serves every context
-            want = reference_teacher_dist_matrix(task, table, prefix)
-            assert matrix.shape == (len(task.contexts), task.vocab)
-            assert matrix.tobytes() == want.tobytes()
+            want = reference_teacher_dist_matrix(task, table, node)
+            assert matrix.shape == (1, len(task.contexts), task.vocab)
+            assert matrix[0].tobytes() == want.tobytes()
+        before = table.teacher_lookups
+        stacked = task.teacher_dist_matrix(table, nodes)
+        assert table.teacher_lookups - before == len(nodes)  # one lookup per node
+        assert stacked.tobytes() == np.array([
+            reference_teacher_dist_matrix(task, table, node) for node in nodes
+        ]).tobytes()
 
     @given(
         n_contexts=st.integers(1, 6),
@@ -371,27 +401,28 @@ class TestBatchedTaskPaths:
         # first and the trap's, and the trap's unless mixed or distracted).
         # Rows are read at every depth once an update has moved the student
         # past the sync, at prefixes first visited after the sync, and at
-        # random prefixes that may never have been visited.
+        # random prefixes added just before the read, all in one stack.
         params = chain_params(
             vocab=vocab, horizon=horizon, trap_position=1 + trap % (horizon - 1),
             n_contexts=n_contexts, quirk_mass=quirk, distractor_mass=distractor,
         )
         task = generate_task(regime, seed % 100, params)
-        table, rng = _random_table(vocab, seed, 0.3), np.random.default_rng(seed)
+        table, rng = _random_table(vocab, seed, 0.3, task.prompt_id), np.random.default_rng(seed)
         sample_group(table, task, rng, 4)
         table.sync_teacher()
-        synced = len(table.keys)
+        synced = table.n
         table.apply_gradients(np.arange(synced), rng.normal(size=(synced, vocab)), 0.5)
         sample_group(table, task, rng, 8)
         unvisited = [tuple(rng.integers(0, vocab, t).tolist()) for t in range(horizon)]
-        prefixes = [prefix for _, prefix in table.keys] + unvisited
-        assert {len(prefix) for prefix in prefixes} == set(range(horizon))
-        for prefix in prefixes:
-            before = table.teacher_lookups
-            got = task.teacher_dist_matrix(table, prefix)
-            assert table.teacher_lookups == before + 1
-            want = reference_teacher_dist_matrix(task, table, prefix)
-            assert got.tobytes() == want.tobytes()
+        nodes = [table.node(task.prompt_id, prefix) for prefix in unvisited]
+        nodes = rng.permutation(np.arange(table.n).tolist() + nodes)  # out of order, repeats
+        assert set(table.depth[nodes].tolist()) == set(range(horizon))
+        before = table.teacher_lookups
+        got = task.teacher_dist_matrix(table, nodes)
+        assert table.teacher_lookups == before + len(nodes)
+        for node, matrix in zip(nodes, got, strict=True):
+            want = reference_teacher_dist_matrix(task, table, node)
+            assert matrix.tobytes() == want.tobytes()
 
 
 class TestOracleAnnotate:
