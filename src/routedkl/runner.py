@@ -29,7 +29,7 @@ allows). A step carries its G rollouts as (G, T) arrays whose
 table, ``_step_tensors`` gathers the loss inputs,
 ``routing.routed_loss_rows`` returns the flat positions that carry a
 gradient with their rows, ``_apply_row_grads`` sums them per node in token
-order, and ``SynthTask.expected_reward`` walks the tree one level of nodes
+order, and ``SynthTask.expected_reward`` sums the tree one level of nodes
 at a time.
 
 Each distinct distribution is computed once per parameter change. The
@@ -42,10 +42,11 @@ terms for one sync generation, and is emptied on every step whose
 channel is closed, so a teacher read then goes through
 ``PolicyTable.teacher_logits`` and trips the closed-channel guard. A step
 that changes no row (a dead-zone GRPO group) reuses the stored exact
-E[R], ``RunState.validation_reward``.
-
-``fork`` empties both caches of the copy, and ``run_experiment`` empties
-them when the run ends, so a kept state holds its parameters only.
+E[R], ``RunState.validation_reward``; any other step re-sums the levels
+kept from the last tree walk, ``RunState.reward_tree``, and walks again
+only when an inner child's probability leaves or reaches exactly 0.
+``fork`` and the end of ``run_experiment`` empty all three, so a kept
+state holds its parameters only.
 
 Every batched piece has its per-row or per-rollout reference in
 ``tests/oracles.py``, and property tests require equal bytes.
@@ -91,6 +92,7 @@ from .routing import (
 )
 from .tasks import (
     REGIMES,
+    RewardTree,
     SampledGroup,
     SynthTask,
     TaskParams,
@@ -241,6 +243,7 @@ class RunState:
     credit_ratios: list = field(default_factory=list)
     teacher_cache: TeacherCache = field(default_factory=TeacherCache)
     student_cache: StudentDists = field(default_factory=StudentDists)
+    reward_tree: RewardTree = field(default_factory=RewardTree)
     # Exact E[R] of the current rows, None once an update changed a row.
     validation_reward: float | None = None
 
@@ -248,6 +251,7 @@ class RunState:
         """Deep snapshot so two methods can be advanced from one state."""
         # Empty caches: deep copies of the read-only rows would be writable.
         empty = replace(self, teacher_cache=TeacherCache(), student_cache=StudentDists())
+        empty.reward_tree = RewardTree()
         return copy.deepcopy(empty)
 
 
@@ -597,7 +601,9 @@ def train_step(state: RunState) -> dict:
             )
     lift = _mean(np.log(probs_after) - np.log(probs_before)) if probs_after.size else None
     if state.validation_reward is None:
-        state.validation_reward = task.expected_reward(table, state.student_cache)
+        state.validation_reward = task.expected_reward(
+            table, state.student_cache, state.reward_tree
+        )
 
     row = {
         "step": k,
@@ -664,6 +670,7 @@ def run_experiment(cfg: RunConfig, state: RunState | None = None) -> tuple[RunLo
         log.rows.append(train_step(state))
     # A kept state holds its parameters only.
     state.student_cache, state.teacher_cache = StudentDists(), TeacherCache()
+    state.reward_tree = RewardTree()
 
     lifts = [row["delta_lift"] for row in log.rows if row["delta_lift"] is not None]
     log.summary = {

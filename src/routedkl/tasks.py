@@ -94,6 +94,13 @@ class PrivilegedContext:
     label: str
 
 
+class RewardTree:
+    """The last ``SynthTask.expected_reward`` walk over one table, kept by a caller."""
+
+    def __init__(self) -> None:
+        self.levels, self.nodes, self.inner, self.expand = [], None, None, None
+
+
 @dataclass
 class SynthTask:
     regime: str
@@ -164,16 +171,6 @@ class SynthTask:
             for t in range(self.horizon)
         ])
 
-    @cached_property
-    def _tree_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """``transitions`` as the evaluation tree reads it: a child's value
-        as a leaf (0 dead, 1 otherwise) and whether it is an inner node
-        (neither dead nor free, before the horizon)."""
-        trans = self.transitions
-        inner = (trans != _DEAD) & (trans != _FREE)
-        inner[-1] = False
-        return np.where(trans == _DEAD, 0.0, 1.0), inner
-
     def verifier(self, tokens: tuple[int, ...]) -> int:
         """Deterministic binary outcome for a full sequence; the per-sequence
         reference for the outcomes ``sample_group`` reads off ``transitions``."""
@@ -193,7 +190,9 @@ class SynthTask:
                 f"V^T = {self.vocab}^{self.horizon} exceeds the enumeration budget"
             )
 
-    def expected_reward(self, table: PolicyTable, dists: StudentDists | None = None) -> float:
+    def expected_reward(
+        self, table: PolicyTable, dists: StudentDists | None = None, tree: RewardTree | None = None
+    ) -> float:
         """Exact E[R] under the student policy, by pruned tree enumeration.
 
         The tree is walked one level of node ids at a time, each level's
@@ -204,26 +203,47 @@ class SynthTask:
         0, a free or final one 1. Values are summed bottom-up left to right
         over the children, ``cumsum(dist * value)``, which is the
         depth-first sum's order: a skipped zero-probability child adds 0.
+
+        ``tree``, a ``RewardTree`` kept for ``table``, holds the last walk.
+        While the inner children of zero probability stay the same, a walk
+        adds no node and sums the same rows alike, so its levels are reused.
         """
         self.check_budget()
         dists = StudentDists() if dists is None else dists
+        tree = RewardTree() if tree is None else tree
+        dist = dists.read(table)[tree.nodes] if tree.levels else None
+        if dist is None or not ((tree.inner & (dist != 0.0)) == tree.expand).all():
+            dist = self._walk(table, dists, tree)
+        below = np.empty(0)  # the deepest level has no inner children
+        for nodes, value, rows, tokens in reversed(tree.levels):
+            value[rows, tokens] = below  # the same entries on every sum
+            below = (dist[nodes] * value).cumsum(axis=1)[:, -1]
+        return float(below[0])
+
+    def _walk(self, table: PolicyTable, dists: StudentDists, tree: RewardTree) -> np.ndarray:
+        """Walk into ``tree`` the stacked nodes, their inner and expanded children
+        and per level a slice, values and expanded (rows, tokens); return the rows."""
         trans = self.transitions
-        leaf_value, inner = self._tree_tables
-        levels = []
+        inner = (trans != _DEAD) & (trans != _FREE)  # neither dead nor free,
+        inner[-1] = False  # before the horizon
+        leaf_value = np.where(trans == _DEAD, 0.0, 1.0)
+        levels, parts, start = [], [], 0
         nodes, states = np.zeros(1, dtype=np.int64), np.array([_START])  # the root
         for t in range(self.horizon):
             dist = dists.read(table)[nodes]
-            rows, tokens = np.nonzero(inner[t, states] & (dist != 0.0))
-            levels.append((dist, leaf_value[t, states], rows, tokens))
+            live = inner[t, states]
+            expand = live & (dist != 0.0)
+            rows, tokens = np.nonzero(expand)
+            levels.append((slice(start, start + len(nodes)), leaf_value[t, states], rows, tokens))
+            parts.append((nodes, dist, live, expand))
+            start += len(nodes)
             if not rows.size:
                 break
             nodes = table.children(nodes[rows], tokens)
             states = trans[t, states[rows], tokens]
-        below = np.empty(0)  # the deepest level has no inner children
-        for dist, value, rows, tokens in reversed(levels):
-            value[rows, tokens] = below
-            below = (dist * value).cumsum(axis=1)[:, -1]
-        return float(below[0])
+        tree.levels = levels
+        tree.nodes, dist, tree.inner, tree.expand = (np.concatenate(p) for p in zip(*parts))
+        return dist
 
     def reward_gradient(self, table: PolicyTable) -> dict:
         """Exact gradient of E[R] w.r.t. every student logit row.

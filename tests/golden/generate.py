@@ -20,7 +20,16 @@ credit concentration is in no CSV):
 
 Any change to the numbers a run writes changes a hash.
 
-    PYTHONPATH=src python tests/golden/generate.py            # rewrite hashes.json
+There is one hash set per path numpy's float64 ``exp`` and ``log`` take:
+its AVX-512 kernels differ from libm in the last bit on some inputs, and
+every other path equals ``math.exp``/``math.log``. ``hashes.json`` holds the
+AVX-512 set and ``hashes_libm.json`` the libm set. ``numpy_path`` tells
+them apart by a probe, not a CPU flag: ``probe_inputs.json`` holds inputs
+on which the AVX-512 kernels and libm differ. ``generate.py`` writes the set
+of its own path and, on the AVX-512 path, runs itself again with
+``NO_AVX512`` in the environment to write the libm set.
+
+    PYTHONPATH=src python tests/golden/generate.py            # rewrite both sets
     PYTHONPATH=src python tests/golden/generate.py --dump DIR # also write the CSVs
     PYTHONPATH=src python tests/golden/generate.py --compare OLD NEW # diff two dumps
 
@@ -38,14 +47,40 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 from dataclasses import replace
+
+import numpy as np
 
 from routedkl.routing import RoutingConfig
 from routedkl.runner import METHODS, RunConfig, run_experiment
 from routedkl.studies import LIFT_GROUP, LIFT_LR, LIFT_PARAMS, LIFT_ROUTING, LIFT_STEPS, study_run_config
 from routedkl.tasks import REGIMES, TaskParams, chain_params
 
-HASHES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "hashes.json")
+HERE = os.path.dirname(os.path.abspath(__file__))
+HASH_SETS = {
+    "avx512": os.path.join(HERE, "hashes.json"),
+    "libm": os.path.join(HERE, "hashes_libm.json"),
+}
+PROBE = os.path.join(HERE, "probe_inputs.json")
+# numpy's CPU dispatch without its AVX-512 targets: exp and log take libm's path.
+NO_AVX512 = {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"}
+
+
+def numpy_path() -> str:
+    """"libm" if numpy's ``exp`` and ``log`` equal ``math``'s on every probe
+    input, else "avx512"."""
+    with open(PROBE) as fh:
+        probe = json.load(fh)
+    for name in ("exp", "log"):
+        xs = [float.fromhex(x) for x in probe[name]]
+        if getattr(np, name)(np.array(xs)).tolist() != [getattr(math, name)(x) for x in xs]:
+            return "avx512"
+    return "libm"
+
+
+HASHES = HASH_SETS[numpy_path()]  # the set this interpreter's runs write
 
 SEEDS = (0, 1)
 PARAMS = chain_params(vocab=6, horizon=3, p_star=0.004, alt_mass=0.85, n_contexts=2)
@@ -110,12 +145,14 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def golden_hashes(dump_dir: str | None = None) -> dict:
+def golden_hashes(dump_dir: str | None = None, stems: tuple[str, ...] | None = None) -> dict:
     """{stem: {"csv": sha256, "ledger": sha256[, "summary": sha256]}} for
-    every run of the matrix; the summary text is what ``run_experiment``
-    writes to ``{stem}_summary.json``."""
+    every run of the matrix, or of ``stems`` only; the summary text is what
+    ``run_experiment`` writes to ``{stem}_summary.json``."""
     out = {}
     for stem, cfg, with_summary in matrix():
+        if stems is not None and stem not in stems:
+            continue
         log, state = run_experiment(cfg)
         texts = {".csv": log.to_csv(), "_ledger.csv": state.ledger.to_csv()}
         if with_summary:
@@ -178,9 +215,15 @@ def main() -> None:
     if args.compare is not None:
         print("\n".join(compare(*args.compare)))
         return
-    with open(HASHES, "w") as fh:
+    path, child = numpy_path(), NO_AVX512.items() <= os.environ.items()
+    if child and path != "libm":
+        raise SystemExit(f"numpy's exp and log still differ from libm with {NO_AVX512} set")
+    with open(HASH_SETS[path], "w") as fh:
         json.dump(golden_hashes(args.dump), fh, sort_keys=True, indent=2)
         fh.write("\n")
+    if not child and path != "libm":  # the libm set, without --dump
+        env = {**os.environ, **NO_AVX512}
+        subprocess.run([sys.executable, os.path.abspath(__file__)], env=env, check=True)
 
 
 if __name__ == "__main__":

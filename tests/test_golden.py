@@ -1,11 +1,28 @@
 """Every run of the golden matrix writes the same bytes as when it was recorded."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from golden.generate import HASHES, compare, golden_hashes
+import routedkl
+from golden.generate import HASH_SETS, HASHES, NO_AVX512, compare, golden_hashes
+
+# Runs of every block of the matrix whose hashes differ between the sets.
+LIBM_STEMS = (
+    "routed_fkl_key_mixed_seed0",
+    "grpo_only_under_allocated_seed0",
+    "alltoken_kl_persistent_mixed_seed1",
+    "rlsd_weighted_confident_wrong_seed0",
+    "deep_routed_both_mixed_seed0",
+    "precision_routed_both_mixed_seed0",
+    "lift_routed_fkl_key_under_allocated_seed0",
+    "clip_routed_both_mixed_seed0",
+)
 
 
 @pytest.fixture(scope="module")
@@ -52,3 +69,25 @@ def test_compare_reports_per_row_max_abs_diff(dump, tmp_path):
     assert float(per_row[2]) == 0.25
     assert set(per_row[:2] + per_row[3:]) == {"0"}
     assert all(": max 0 |" in line for line in changed.values())
+
+
+def test_libm_set_without_avx512_dispatch():
+    # A numpy whose AVX-512 dispatch is off takes libm's exp and log; its
+    # runs must write the libm set, which differs from the AVX-512 set on
+    # these runs.
+    sets = {}
+    for path, name in HASH_SETS.items():
+        with open(name) as fh:
+            sets[path] = json.load(fh)
+    assert sorted(sets["libm"]) == sorted(sets["avx512"])
+    assert all(sets["libm"][stem] != sets["avx512"][stem] for stem in LIBM_STEMS)
+    paths = [str(Path(routedkl.__file__).parents[1]), str(Path(__file__).parent)]
+    env = {**os.environ, **NO_AVX512, "PYTHONPATH": os.pathsep.join(paths)}
+    code = (
+        "import json; from golden.generate import golden_hashes, numpy_path; "
+        f"print(json.dumps([numpy_path(), golden_hashes(stems={LIBM_STEMS!r})]))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    path, got = json.loads(out.stdout)
+    assert path == "libm"
+    assert got == {stem: sets["libm"][stem] for stem in LIBM_STEMS}

@@ -30,11 +30,14 @@ from routedkl.runner import (
 from routedkl.studies import LIFT_GROUP, LIFT_LR, LIFT_PARAMS, LIFT_ROUTING, study_run_config
 from routedkl.tasks import TaskParams, chain_params, generate_task, sample_group
 
+from golden.generate import DEEP_ROUTING
+
 from oracles import (
     reference_annotate,
     reference_credit_concentration,
     reference_credit_ratios,
     reference_delta_lift,
+    reference_expected_reward,
     reference_row_update,
 )
 
@@ -439,6 +442,49 @@ class TestStudentCache:
     def test_run_experiment_drops_both_caches(self):
         _, state = run_experiment(fast_cfg("routed_both", steps=6))
         assert state.student_cache.n == 0 and not state.teacher_cache.have.any()
+
+    def test_fork_and_run_end_empty_the_reward_tree(self):
+        state = init_run(fast_cfg("routed_both"))
+        for _ in range(6):
+            train_step(state)
+        levels = state.reward_tree.levels
+        assert levels
+        assert not state.fork().reward_tree.levels
+        assert state.reward_tree.levels is levels  # the source keeps its tree
+        _, state = run_experiment(fast_cfg("routed_both", steps=6))
+        assert not state.reward_tree.levels
+
+    def test_one_walk_per_run_until_a_probability_reaches_or_leaves_zero(self, monkeypatch):
+        # The golden matrix's deep shape. Its zero pattern never changes, so
+        # the run walks once; a child forced to probability exactly 0 and
+        # back makes one walk each. Every stored E[R] is the recursion's.
+        cfg = RunConfig(
+            method="routed_both", regime="mixed", seed=0, steps=24, group_size=8,
+            learning_rate=0.5, routing=DEEP_ROUTING, task_params=TaskParams(vocab=8, horizon=6),
+        )
+        state = init_run(cfg)
+        walks = []
+        walk = state.task._walk
+        monkeypatch.setattr(state.task, "_walk", lambda *args: walks.append(1) or walk(*args))
+
+        def step_and_check():
+            train_step(state)
+            want = reference_expected_reward(state.task, state.table.copy())
+            assert np.float64(state.validation_reward).tobytes() == np.float64(want).tobytes()
+
+        for _ in range(12):
+            step_and_check()
+        assert len(walks) == 1
+        tree = state.reward_tree
+        row, token = np.argwhere(tree.expand[1:])[0] + (1, 0)  # an inner child below the root
+        node = tree.nodes[row]
+        for logit, n_walks in ((-1e4, 2), (0.0, 3)):
+            state.table.logits[node, token] = logit
+            state.student_cache.refresh(state.table, np.array([node]))
+            state.validation_reward = None
+            for _ in range(6):
+                step_and_check()
+            assert len(walks) == n_walks
 
     def test_softmax_only_for_changed_rows(self, monkeypatch):
         # Past step 20 a grpo_only corner run materializes few new rows. A

@@ -16,6 +16,7 @@ from routedkl.tasks import (
     chain_params,
     draw_contexts,
     generate_task,
+    RewardTree,
     oracle_annotate,
     sample_group,
     single_route_params,
@@ -319,6 +320,44 @@ class TestBatchedTaskPaths:
         got = task.expected_reward(table)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
         assert set(table.rows) == set(ref_table.rows)
+
+    @given(
+        zero_frac=st.sampled_from([0.0, 0.3, 0.6]),
+        flip_frac=st.sampled_from([0.0, 0.1, 0.4]),
+        evals=st.integers(2, 6),
+        **task_shapes,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_kept_tree_equals_a_fresh_walk(
+        self, regime, vocab, horizon, trap, seed, zero_frac, flip_frac, evals
+    ):
+        # Twin tables take the same row updates and the same sampled growth
+        # between evaluations; one is evaluated through a kept tree, the
+        # other by a fresh walk each time. An update flips a share of its
+        # entries to -1000 (probability exactly 0) or back from it.
+        task = _random_task(regime, vocab, horizon, 1 + trap % (horizon - 1), seed % 100)
+        kept, walked = (_random_table(vocab, seed, zero_frac, task.prompt_id) for _ in range(2))
+        if seed % 2:
+            for t in (kept, walked):
+                _vary_every_prefix(t, horizon, seed, zero_frac)
+        tree, dists, rng = RewardTree(), StudentDists(), np.random.default_rng(seed)
+        for k in range(evals):
+            got = task.expected_reward(kept, dists, tree)
+            want = task.expected_reward(walked)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            for table, cache in ((kept, dists), (walked, None)):
+                sample_group(table, task, np.random.default_rng([seed, k]), 3, cache)
+            picked = [rng.choice(tree.nodes, 2), rng.integers(0, kept.n, 2)]  # tree and table nodes
+            nodes = np.unique(np.concatenate(picked))
+            rows = kept.logits[nodes] + rng.normal(0.0, 0.5, (len(nodes), vocab))
+            flip = rng.random(rows.shape) < flip_frac
+            rows[flip] = np.where(rows[flip] < -500.0, rng.normal(0.0, 2.0, flip.sum()), -1000.0)
+            dists.read(kept)  # the sampled nodes are filled before the update, as in a step
+            kept.logits[nodes] = walked.logits[nodes] = rows
+            dists.refresh(kept, nodes)
+        assert kept.n == walked.n
+        for name in ("parent", "token", "logits"):
+            assert getattr(kept, name)[: kept.n].tobytes() == getattr(walked, name)[: kept.n].tobytes()
 
     @pytest.mark.parametrize("regime", ["under_allocated", "mixed"])
     @pytest.mark.parametrize("seed", [0, 1])
