@@ -9,14 +9,14 @@ from routedkl.tasks import chain_params
 print("== regime construction and certificates ==")
 task = generate_task("under_allocated", seed=0)
 table = task.make_table()
-student = table.student_dist(task.prompt_id, ())
+student = table.student_dist(())
 print(f"under-allocated: v* = token {task.v_star}, student mass {student[task.v_star]:.4f}")
 for c, context in enumerate(task.contexts):
     teacher = softmax(task.init_rows[0] + task.offsets[c, 0])
     print(f"  context {context.label}: teacher mass {teacher[task.v_star]:.3f}")
 
 cw = generate_task("confident_wrong", seed=0)
-cw_student = cw.make_table().student_dist(cw.prompt_id, ())
+cw_student = cw.make_table().student_dist(())
 print(f"confident-wrong: trap = token {cw.bad_token}, student mass {cw_student[cw.bad_token]:.3f}, "
       f"teacher suppresses it below 0.05 in every context")
 
@@ -54,6 +54,6 @@ print(f"requested precision 0.7, measured {hits / total:.3f} over {total} select
 print("\n== exact enumeration oracles ==")
 print("expected reward:", round(task.expected_reward(table), 6))
 grads = task.reward_gradient(table)
-root = grads[(task.prompt_id, ())]
+root = grads[0]  # node 0 is the root
 print("reward gradient at the first row (zero-sum):", np.round(root, 4))
 print("largest entry sits on the accepting token:", int(np.argmax(root)) == task.v_star)

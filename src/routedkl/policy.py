@@ -227,11 +227,9 @@ class PolicyTable:
             prefixes.append(prefixes[p] + (v,))
         return {(self.prompt, prefix): row for prefix, row in zip(prefixes, self.logits)}
 
-    def node(self, prompt: str, prefix: PrefixKey) -> int:
-        """Node id of ``(prompt, prefix)``, walking down from the root and
-        adding any missing node on the way."""
-        if prompt != self.prompt:
-            raise KeyError(f"the table holds prompt {self.prompt!r}, not {prompt!r}")
+    def node(self, prefix: PrefixKey) -> int:
+        """Node id of ``prefix``, the address of its rows, walking down from
+        the root and adding any missing node on the way."""
         i = 0
         for v in prefix:
             if not 0 <= v < self.vocab:
@@ -255,12 +253,12 @@ class PolicyTable:
             out = self.child[nodes, tokens]
         return out
 
-    def student_logits(self, prompt: str, prefix: PrefixKey) -> np.ndarray:
-        i = self.node(prompt, prefix)  # before reading logits: it may grow
+    def student_logits(self, prefix: PrefixKey) -> np.ndarray:
+        i = self.node(prefix)  # before reading logits: it may grow
         return self.logits[i]
 
-    def student_dist(self, prompt: str, prefix: PrefixKey) -> np.ndarray:
-        return softmax(self.student_logits(prompt, prefix))
+    def student_dist(self, prefix: PrefixKey) -> np.ndarray:
+        return softmax(self.student_logits(prefix))
 
     def sync_teacher(self) -> None:
         """Snapshot current student rows as the teacher base."""

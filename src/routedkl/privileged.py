@@ -11,7 +11,6 @@ holds with equality at C_s = 1 and is asserted on every ledger append.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +19,7 @@ from .errors import (
     DimensionError,
     InternalConsistencyError,
     RangeError,
+    csv_text,
 )
 from .policy import validate_distribution
 
@@ -97,14 +97,9 @@ class ExposureLedger:
     bound: float = 0.0
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("step,lambda,masked_variance,exposure_lhs,bound_rhs\n")
-        for rec in self.records:
-            buf.write(
-                f"{rec.k},{rec.lam!r},{rec.masked_variance_mean!r},"
-                f"{rec.exposure_lhs!r},{rec.bound_rhs!r}\n"
-            )
-        return buf.getvalue()
+        return csv_text("step,lambda,masked_variance,exposure_lhs,bound_rhs", (
+            (r.k, r.lam, r.masked_variance_mean, r.exposure_lhs, r.bound_rhs) for r in self.records
+        ))
 
 
 def exposure_accumulate(

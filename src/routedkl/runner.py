@@ -73,6 +73,7 @@ from .errors import (
     ConfigError,
     InternalConsistencyError,
     NumericFailureError,
+    csv_text,
     require_finite_fields,
 )
 from .grpo import ClipConfig, group_advantages
@@ -186,30 +187,11 @@ class RunLog:
     summary: dict = field(default_factory=dict)
 
     def to_csv(self) -> str:
-        lines = [",".join(CSV_COLUMNS)]
-        for row in self.rows:
-            cells = []
-            for col in CSV_COLUMNS:
-                value = row[col]
-                if isinstance(value, float):
-                    cells.append(repr(float(value)))
-                elif value is None:
-                    cells.append("")
-                else:
-                    cells.append(str(value))
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        return csv_text(",".join(CSV_COLUMNS), ([row[c] for c in CSV_COLUMNS] for row in self.rows))
 
     def to_long_csv(self) -> str:
-        lines = ["step,series,value"]
-        for row in self.rows:
-            for col in CSV_COLUMNS[1:]:
-                value = row[col]
-                if value is None:
-                    continue
-                cell = repr(float(value)) if isinstance(value, float) else str(value)
-                lines.append(f"{row['step']},{col},{cell}")
-        return "\n".join(lines) + "\n"
+        cells = ((row["step"], col, row[col]) for row in self.rows for col in CSV_COLUMNS[1:])
+        return csv_text("step,series,value", (c for c in cells if c[2] is not None))
 
 
 class TeacherCache:
@@ -296,7 +278,7 @@ def build_eval_token_set(task: SynthTask, table: PolicyTable) -> np.ndarray:
     The root tokens whose context-mean teacher probability exceeds the
     student's at the snapshot, fixed here, before any update.
     """
-    student = table.student_dist(task.prompt_id, ())
+    student = table.student_dist(())
     teacher = task.teacher_dist_matrix(table, np.zeros(1, dtype=np.int64))[0]  # the root
     return np.flatnonzero(task.context_probs @ teacher > student)
 
@@ -657,12 +639,12 @@ def refuse_overwrite(cfg: RunConfig) -> None:
 
 
 def run_experiment(cfg: RunConfig, state: RunState | None = None) -> tuple[RunLog, RunState]:
-    """Run the configured training loop; optionally emit CSV artifacts.
+    """Run the configured training loop; with ``out_dir``, write the step
+    CSV, the summary JSON and, when present, the ledger and long CSVs.
 
     Deterministic given (config, seed): two runs produce byte-identical
-    CSV output. Outputs of a run with a different config hash under the
-    same stem are never replaced: the run is refused before it starts.
-    """
+    output. Outputs of a run with a different config hash under the same
+    stem are never replaced: the run is refused before it starts."""
     refuse_overwrite(cfg)
     state = state or init_run(cfg)
     log = RunLog()
@@ -693,16 +675,14 @@ def run_experiment(cfg: RunConfig, state: RunState | None = None) -> tuple[RunLo
 
     if cfg.out_dir is not None:
         os.makedirs(cfg.out_dir, exist_ok=True)
-        stem = output_stem(cfg)
-        with open(os.path.join(cfg.out_dir, f"{stem}.csv"), "w", newline="") as fh:
-            fh.write(log.to_csv())
-        with open(os.path.join(cfg.out_dir, f"{stem}_summary.json"), "w") as fh:
-            json.dump(log.summary, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        summary = json.dumps(log.summary, sort_keys=True, indent=2) + "\n"
+        texts = {".csv": log.to_csv(), "_summary.json": summary}
         if state.ledger.records:
-            with open(os.path.join(cfg.out_dir, f"{stem}_ledger.csv"), "w", newline="") as fh:
-                fh.write(state.ledger.to_csv())
+            texts["_ledger.csv"] = state.ledger.to_csv()
         if cfg.emit_plot_data:
-            with open(os.path.join(cfg.out_dir, f"{stem}_long.csv"), "w", newline="") as fh:
-                fh.write(log.to_long_csv())
+            texts["_long.csv"] = log.to_long_csv()
+        stem = os.path.join(cfg.out_dir, output_stem(cfg))
+        for suffix, text in texts.items():
+            with open(stem + suffix, "w", newline="") as fh:
+                fh.write(text)
     return log, state

@@ -14,7 +14,7 @@ import numpy as np
 
 from .divergence import fkl_logit_grad
 from .errors import RangeError
-from .policy import truncate_and_floor
+from .policy import StudentDists, softmax, truncate_and_floor
 from .privileged import ExposureLedger
 from .routing import RoutingConfig
 from .runner import RunConfig, init_run, run_experiment, train_step
@@ -282,11 +282,11 @@ ALIGNMENT_PARAMS = chain_params(
 )
 
 
-def _span_pull(task: SynthTask, table, prefix: tuple, ctx: int):
-    """Forward-KL update direction (negative loss gradient) at one prefix."""
-    student = truncate_and_floor(table.student_dist(task.prompt_id, prefix), task.vocab, 1e-6)
-    node = np.array([table.node(task.prompt_id, prefix)])
-    teacher = truncate_and_floor(task.teacher_dist_matrix(table, node)[0, ctx], task.vocab, 1e-6)
+def _span_pull(task: SynthTask, table, node: int, ctx: int):
+    """Forward-KL update direction (negative loss gradient) at one node."""
+    student = truncate_and_floor(softmax(table.logits[node]), task.vocab, 1e-6)
+    teacher = task.teacher_dist_matrix(table, np.array([node]))[0, ctx]
+    teacher = truncate_and_floor(teacher, task.vocab, 1e-6)
     return -fkl_logit_grad(student, teacher)
 
 
@@ -310,25 +310,27 @@ def alignment_threshold_study(
     table = task.make_table()
     table.sync_teacher()
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    oracle = task.reward_gradient(table)
+    # The table is never updated, so one student cache stays exact.
+    dists = StudentDists()
+    oracle = task.reward_gradient(table, dists)
 
-    def tilde(prefix):
-        return oracle.get((task.prompt_id, prefix), np.zeros(task.vocab))
+    def tilde(node):
+        return oracle[node] if node < len(oracle) else np.zeros(task.vocab)
 
     true_aligns, false_aligns = [], []
     for _ in range(n_rollouts):
-        group = sample_group(table, task, rng, 1)
+        group = sample_group(table, task, rng, 1, dists)
         if group.outcomes[0] != 1:
             continue
-        tokens = tuple(group.tokens[0].tolist())
+        nodes = group.prefix_index[0].tolist()
         ctx = int(rng.choice(len(task.contexts), p=task.context_probs))
         for t in task.critical_positions:
-            g = _span_pull(task, table, tokens[:t], ctx)
-            true_aligns.append(float(g @ tilde(tokens[:t])))
+            g = _span_pull(task, table, nodes[t], ctx)
+            true_aligns.append(float(g @ tilde(nodes[t])))
         non_critical = [t for t in range(task.horizon) if t not in task.critical_positions]
         t_false = int(non_critical[int(rng.choice(len(non_critical)))])
-        g = _span_pull(task, table, tokens[:t_false], ctx)
-        false_aligns.append(float(g @ tilde(tokens[:t_false])))
+        g = _span_pull(task, table, nodes[t_false], ctx)
+        false_aligns.append(float(g @ tilde(nodes[t_false])))
 
     gamma = float(np.mean(true_aligns))
     b = float(-np.mean(false_aligns))

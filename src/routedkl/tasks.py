@@ -245,65 +245,53 @@ class SynthTask:
         tree.nodes, dist, tree.inner, tree.expand = (np.concatenate(p) for p in zip(*parts))
         return dist
 
-    def reward_gradient(self, table: PolicyTable) -> dict:
-        """Exact gradient of E[R] w.r.t. every student logit row.
+    def reward_gradient(
+        self, table: PolicyTable, dists: StudentDists | None = None, tree: RewardTree | None = None
+    ) -> np.ndarray:
+        """Exact gradient of E[R] w.r.t. every student logit row, as
+        (table.n, V) rows indexed by node.
 
-        Row gradient at prefix P is reach(P) * pi * (C - E[R | P]) where C
-        holds the child values; rows on decided branches get zero and are
-        omitted.
-        """
-        self.check_budget()
-        grads: dict = {}
-
-        def walk(prefix: PrefixKey, state: int, t: int, reach: float) -> float:
-            if state == _DEAD:
-                return 0.0
-            if state == _FREE or t == self.horizon:
-                return 1.0
-            dist = table.student_dist(self.prompt_id, prefix)
-            child_vals = np.zeros(self.vocab)
-            for v in range(self.vocab):
-                child_vals[v] = walk(
-                    prefix + (v,),
-                    self._step_state(state, t, v),
-                    t + 1,
-                    reach * dist[v],
-                )
-            exp_val = float(dist @ child_vals)
-            row_grad = reach * dist * (child_vals - exp_val)
-            grads[(self.prompt_id, prefix)] = row_grad  # each prefix is walked once
-            return exp_val
-
-        walk((), _START, 0, 1.0)
+        The row of node P is reach(P) * pi * (C - E[R | P]), C the child
+        values that ``expected_reward`` fills into the levels it keeps in
+        ``tree``; one top-down pass over them carries the reach. A node off
+        the walk (decided, of zero reach, or added after the call) gets a
+        zero row."""
+        dists = StudentDists() if dists is None else dists
+        tree = RewardTree() if tree is None else tree
+        self.expected_reward(table, dists, tree)
+        dist = dists.read(table)[tree.nodes]
+        grads = np.zeros((table.n, self.vocab))
+        reach = np.ones(1)  # the root's
+        for nodes, value, rows, tokens in tree.levels:
+            d = dist[nodes]
+            below = (d * value).cumsum(axis=1)[:, -1]
+            grads[tree.nodes[nodes]] = reach[:, None] * d * (value - below[:, None])
+            reach = reach[rows] * d[rows, tokens]
         return grads
 
     # ----- certificates ----------------------------------------------------
 
-    def assert_certificates(self, table: PolicyTable | None = None) -> None:
-        """Re-assert the regime inequalities on the constructed tables."""
-        table = table or self.make_table()
-        for t in self.critical_positions:
-            if t != 0:
-                continue  # certificates are stated at first-position rows
-            student = table.student_dist(self.prompt_id, ())
-            for offset in self.offsets[:, 0]:
-                teacher = softmax(self.init_rows[0] + offset)
-                if self.regime in ("under_allocated", "mixed"):
-                    if not (
-                        student[self.v_star] <= 0.01
-                        and student[self.v_star] <= 0.01 * teacher[self.v_star]
-                    ):
-                        raise InternalConsistencyError(
-                            "under-allocation certificate failed"
-                        )
-                if self.regime == "confident_wrong":
-                    if not (
-                        teacher[self.bad_token] <= 0.05
-                        and student[self.bad_token] >= 0.7
-                    ):
-                        raise InternalConsistencyError(
-                            "confident-wrong certificate failed"
-                        )
+    def assert_certificates(self) -> None:
+        """Re-assert the regime inequalities on the constructed rows."""
+        student = softmax(self.init_rows[0])  # certificates are stated at the root
+        for offset in self.offsets[:, 0]:
+            teacher = softmax(self.init_rows[0] + offset)
+            if self.regime in ("under_allocated", "mixed"):
+                if not (
+                    student[self.v_star] <= 0.01
+                    and student[self.v_star] <= 0.01 * teacher[self.v_star]
+                ):
+                    raise InternalConsistencyError(
+                        "under-allocation certificate failed"
+                    )
+            if self.regime == "confident_wrong":
+                if not (
+                    teacher[self.bad_token] <= 0.05
+                    and student[self.bad_token] >= 0.7
+                ):
+                    raise InternalConsistencyError(
+                        "confident-wrong certificate failed"
+                    )
 
     # ----- serialization ---------------------------------------------------
 

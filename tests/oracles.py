@@ -21,6 +21,8 @@ was batched:
   ``PolicyTable``;
 * ``reference_expected_reward``: the depth-first recursion behind the
   level-wise exact evaluation;
+* ``reference_reward_gradient``: the per-prefix recursion behind the exact
+  reward gradient taken from the kept evaluation levels;
 * ``reference_annotate``: the per-rollout annotator with character spans
   (``Rollout``, ``CharSpan``, ``reference_oracle_annotate`` and
   ``reference_root_cause``), ``project_spans_to_mask`` and the weighted
@@ -137,22 +139,22 @@ def enumerate_expected_reward(task, table):
     for seq in seqs:
         prob = 1.0
         for t in range(task.horizon):
-            prob *= table.student_dist(task.prompt_id, seq[:t])[seq[t]]
+            prob *= table.student_dist(seq[:t])[seq[t]]
         total += prob * task.verifier(seq)
     return total
 
 
-def fd_reward_gradient(task, table, key, h=1e-6):
-    """Finite differences of E[R] w.r.t. one logit row. The row is
-    re-fetched before each write: enumeration materializes rows, and a row
-    view is valid only until the next row is materialized."""
+def fd_reward_gradient(task, table, node, h=1e-6):
+    """Finite differences of E[R] w.r.t. one node's logit row. The row is
+    indexed afresh for each write: enumeration adds nodes, and a row view
+    is valid only until the next node is added."""
     grad = np.zeros(table.vocab)
     for v in range(table.vocab):
-        table.student_logits(*key)[v] += h
+        table.logits[node, v] += h
         up = enumerate_expected_reward(task, table)
-        table.student_logits(*key)[v] -= 2 * h
+        table.logits[node, v] -= 2 * h
         down = enumerate_expected_reward(task, table)
-        table.student_logits(*key)[v] += h
+        table.logits[node, v] += h
         grad[v] = (up - down) / (2 * h)
     return grad
 
@@ -418,7 +420,7 @@ def reference_sample_sequence(table, task, rng, dists=None) -> Rollout:
         prefix = tuple(tokens)
         dist = dists.get(prefix)
         if dist is None:
-            dist = dists[prefix] = table.student_dist(task.prompt_id, prefix)
+            dist = dists[prefix] = table.student_dist(prefix)
         tok = int(rng.choice(task.vocab, p=dist))
         logprobs[t] = math.log(dist[tok])
         tokens.append(tok)
@@ -495,7 +497,7 @@ def reference_expected_reward(task, table):
             return 0.0
         if state == _FREE or t == task.horizon:
             return 1.0
-        dist = table.student_dist(task.prompt_id, prefix)
+        dist = table.student_dist(prefix)
         total = 0.0
         for v in range(task.vocab):
             if dist[v] == 0.0:
@@ -504,6 +506,35 @@ def reference_expected_reward(task, table):
         return total
 
     return value((), _START, 0)
+
+
+def reference_reward_gradient(task, table):
+    """``{prefix: row}`` of the exact gradient of E[R], by recursion over
+    every prefix in a live state: the per-prefix walk behind
+    ``SynthTask.reward_gradient``. A row is reach(P) * pi * (C - E[R | P]),
+    C the child values. E[R | P] is summed left to right, the depth-first
+    order of ``reference_expected_reward``. The walk also enters children
+    of probability 0, adding their nodes to the table."""
+    grads = {}
+
+    def walk(prefix, state, t, reach):
+        if state == _DEAD:
+            return 0.0
+        if state == _FREE or t == task.horizon:
+            return 1.0
+        dist = table.student_dist(prefix)
+        child_vals = np.zeros(task.vocab)
+        for v in range(task.vocab):
+            state_v = task._step_state(state, t, v)
+            child_vals[v] = walk(prefix + (v,), state_v, t + 1, reach * dist[v])
+        exp_val = 0.0
+        for v in range(task.vocab):
+            exp_val += dist[v] * child_vals[v]
+        grads[prefix] = reach * dist * (child_vals - exp_val)  # each prefix is walked once
+        return exp_val
+
+    walk((), _START, 0, 1.0)
+    return grads
 
 
 @dataclass(frozen=True)

@@ -81,7 +81,7 @@ class TestBatchedSoftmax:
     def test_student_cache_reads_nodes_in_first_visit_order(self):
         table = PolicyTable(np.arange(3.0)[:, None] * np.arange(5.0), "p")  # depth d: d * arange
         cache = StudentDists()
-        root = table.node("p", ())
+        root = table.node(())
         first = table.children(np.array([root, root, root]), np.array([2, 0, 2]))
         second = table.children(first, np.array([1, 1, 3]))
         assert first.tolist() == [1, 2, 1] and second.tolist() == [3, 4, 5]
@@ -90,7 +90,7 @@ class TestBatchedSoftmax:
         got = cache.read(table)
         assert not got.flags.writeable
         for prefix, row in zip(prefixes, got):
-            assert row.tobytes() == table.student_dist("p", prefix).tobytes()
+            assert row.tobytes() == table.student_dist(prefix).tobytes()
 
 
 class TestEntropy:
@@ -287,12 +287,12 @@ class TestPolicyTable:
     def test_rows_materialize_lazily(self):
         table = self._table()
         assert list(table.rows) == [("p", ())]  # the root, node 0
-        table.student_logits("p", (1, 2))
+        table.student_logits((1, 2))
         assert list(table.rows) == [("p", ()), ("p", (1,)), ("p", (1, 2))]
 
     def test_student_and_teacher_share_parameters(self):
         table = self._table()
-        row = table.student_logits("p", ())
+        row = table.student_logits(())
         row += 1.5
         table.sync_teacher()
         teacher = table.teacher_logits(0)
@@ -302,7 +302,7 @@ class TestPolicyTable:
 
     def test_teacher_is_stale_between_syncs(self):
         table = self._table()
-        table.student_logits("p", ())
+        table.student_logits(())
         table.sync_teacher()
         table.rows[("p", ())] += 3.0
         teacher = table.teacher_logits(0)
@@ -316,30 +316,30 @@ class TestPolicyTable:
 
     def test_a_node_added_after_the_sync_reads_its_init_row(self):
         table = PolicyTable(np.arange(3.0)[:, None] * np.ones(4), "p")
-        table.student_logits("p", (1,))[:] = 5.0
+        table.student_logits((1,))[:] = 5.0
         table.sync_teacher()
-        deep = table.node("p", (1, 2))
-        table.student_logits("p", (1, 2))[:] = 7.0
+        deep = table.node((1, 2))
+        table.student_logits((1, 2))[:] = 7.0
         assert table.teacher_logits(1).tolist() == [5.0] * 4
         assert table.teacher_logits(deep).tolist() == [2.0] * 4
 
     def test_apply_gradients_descends(self):
         table = self._table()
-        table.apply_gradients(np.array([table.node("p", ())]), np.array([[1.0, 0.0, 0.0, 0.0]]), 0.5)
+        table.apply_gradients(np.array([table.node(())]), np.array([[1.0, 0.0, 0.0, 0.0]]), 0.5)
         np.testing.assert_allclose(
-            table.student_logits("p", ()), [-0.5, 0.0, 0.0, 0.0], atol=1e-15
+            table.student_logits(()), [-0.5, 0.0, 0.0, 0.0], atol=1e-15
         )
 
     def test_row_view_is_valid_until_the_next_row_is_materialized(self):
         table = self._table()
-        view = table.student_logits("p", ())
+        view = table.student_logits(())
         capacity = len(table.logits)
         for v in range(capacity):  # more rows than the array holds
-            table.student_logits("p", (v % 4, v // 4))
+            table.student_logits((v % 4, v // 4))
         assert len(table.logits) > capacity
         view += 1.0  # a stale view writes to the dead buffer
         assert table.rows["p", ()].tolist() == [0.0] * 4
-        table.student_logits("p", ())[0] += 1.0  # re-fetched
+        table.student_logits(())[0] += 1.0  # re-fetched
         assert table.rows["p", ()].tolist() == [1.0, 0.0, 0.0, 0.0]
 
     def test_rows_are_keyed_in_first_visit_order(self):
@@ -347,15 +347,15 @@ class TestPolicyTable:
         # length counts the nodes. The root comes first and a prefix's
         # missing ancestors are added before it.
         table = PolicyTable(np.arange(4.0)[:, None] * np.ones(3), "p")  # depth d: all d
-        table.student_logits("p", (2, 1))
+        table.student_logits((2, 1))
         order = [(), (2,), (2, 1)]
         assert list(table.rows) == [("p", p) for p in order]
-        table.student_logits("p", ())
+        table.student_logits(())
         # (2, 1) exists; (0,) and (2, 0) are new, in first-visit order.
         got = table.children(np.array([1, 0, 1, 0]), np.array([1, 0, 0, 0]))
         assert got.tolist() == [2, 3, 4, 3]
         table.teacher_logits(3)  # teacher lookups add no node
-        table.student_logits("p", (2, 1, 0))
+        table.student_logits((2, 1, 0))
         order += [(0,), (2, 0), (2, 1, 0)]
         assert list(table.rows) == [("p", p) for p in order] and table.n == len(order)
         for prefix in order:
@@ -363,9 +363,7 @@ class TestPolicyTable:
         with pytest.raises(KeyError):
             table.rows["p", (1,)]
         with pytest.raises(KeyError):
-            table.node("q", ())  # one prompt per table
-        with pytest.raises(KeyError):
-            table.node("p", (3,))  # outside the vocabulary
+            table.node((3,))  # outside the vocabulary
 
     def test_init_rows_must_be_a_finite_matrix(self):
         with pytest.raises(InvalidDistributionError):
@@ -374,17 +372,17 @@ class TestPolicyTable:
             StudentDists().read(PolicyTable(np.array([[0.0, 1.0], [0.0, np.inf]]), "p"))
         table = PolicyTable(np.zeros((2, 3)), "p")
         with pytest.raises(IndexError):
-            table.node("p", (0, 1))  # no init row at depth 2
+            table.node((0, 1))  # no init row at depth 2
         assert table.n == 2  # the prefix's ancestor, not the prefix
 
     def test_copy_rows_do_not_follow_the_source(self):
         table = self._table()
-        table.student_logits("p", (1,))[:] = 2.0
+        table.student_logits((1,))[:] = 2.0
         table.sync_teacher()
         dup = table.copy()
         rows = dup.rows
-        table.student_logits("p", (1,))[0] = 5.0
-        table.student_logits("p", (3,))
+        table.student_logits((1,))[0] = 5.0
+        table.student_logits((3,))
         table.apply_gradients(np.array([0]), np.ones((1, 4)), 1.0)
         assert list(rows) == [("p", ()), ("p", (1,))] and len(rows) == 2
         assert rows["p", ()].tolist() == [0.0] * 4
@@ -410,7 +408,7 @@ class TestPolicyTable:
         table, ref = PolicyTable(init_rows, "p"), ReferenceTrie(init_rows, "p")
         for kind, arg in ops:
             if kind == "node":
-                assert table.node("p", tuple(arg)) == ref.node("p", tuple(arg))
+                assert table.node(tuple(arg)) == ref.node("p", tuple(arg))
                 continue
             open_nodes = np.flatnonzero(table.depth[: table.n] < len(init_rows) - 1)
             nodes = open_nodes[[i % len(open_nodes) for i, _ in arg]]
@@ -459,8 +457,8 @@ class TestStudentDists:
         # A row written through student_logits between two reads.
         cache = StudentDists()
         cache.read(table)
-        table.student_logits("p", (1, 4))[2] += 3.0
-        table.student_logits("p", (1, 3))
+        table.student_logits((1, 4))[2] += 3.0
+        table.student_logits((1, 3))
         got = cache.read(table)
         assert got.tobytes() == self._fresh(table).tobytes()
         assert got[6].tobytes() != got[7].tobytes() == softmax(init_rows[2]).tobytes()

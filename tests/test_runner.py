@@ -280,7 +280,7 @@ class TestMethodBehaviour:
         eval_set = build_eval_token_set(state.task, state.task.make_table())
         assert eval_set.dtype.kind == "i" and eval_set.size  # non-empty
         fresh = state.task.make_table()
-        student = fresh.student_dist(state.task.prompt_id, ())
+        student = fresh.student_dist(())
         matrix = state.task.teacher_dist_matrix(fresh, np.zeros(1, dtype=np.int64))[0]
         mean_teacher = state.task.context_probs @ matrix
         supported = [v for v in range(state.task.vocab) if mean_teacher[v] > student[v]]
@@ -421,7 +421,7 @@ class TestStudentCache:
             dists = state.student_cache.read(state.table)
             assert not dists.flags.writeable
             for dist, (_, prefix) in zip(dists, state.table.rows, strict=True):
-                assert dist.tobytes() == fresh.student_dist(prompt, prefix).tobytes()
+                assert dist.tobytes() == fresh.student_dist(prefix).tobytes()
             want = state.task.expected_reward(fresh)
             assert np.float64(state.validation_reward).tobytes() == np.float64(want).tobytes()
             assert row["validation_reward"] == state.validation_reward
@@ -790,9 +790,9 @@ class TestGroupArrays:
                         assert scale is None or scale[i, t] == 1.0
                         continue
                     prefix = tokens[:t]
-                    node = np.array([table.node(task.prompt_id, prefix)])
+                    node = np.array([table.node(prefix)])
                     q = task.teacher_dist_matrix(table, node)[0, contexts[i], y]
-                    p = table.student_dist(task.prompt_id, prefix)[y]
+                    p = table.student_dist(prefix)[y]
                     assert scale[i, t] == min(max(q / p, 1.0 - eps), 1.0 + eps)
                     weighted += 1.0 - eps < scale[i, t] < 1.0 + eps
         assert weighted > 0

@@ -26,6 +26,7 @@ from oracles import (
     enumerate_expected_reward,
     fd_reward_gradient,
     reference_expected_reward,
+    reference_reward_gradient,
     reference_root_cause,
     reference_sample_sequence,
     reference_teacher_dist_matrix,
@@ -114,23 +115,26 @@ class TestExactEnumeration:
             task = generate_task(regime, 4, SMALL)
             table = task.make_table()
             # Perturb so the check is not at the symmetric init.
-            table.student_logits(task.prompt_id, ())[0] += 0.7
+            table.student_logits(())[0] += 0.7
             pruned = task.expected_reward(table)
             brute = enumerate_expected_reward(task, table)
             assert pruned == pytest.approx(brute, abs=1e-12)
 
     def test_reward_gradient_matches_finite_differences(self):
-        task = generate_task("under_allocated", 4, SMALL)
+        task = generate_task("mixed", 4, SMALL)
         table = task.make_table()
+        table.student_logits(())[0] += 0.7
         grads = task.reward_gradient(table)
-        key = (task.prompt_id, ())
-        fd = fd_reward_gradient(task, table, key)
-        np.testing.assert_allclose(grads[key], fd, atol=1e-5)
+        walked = np.flatnonzero(grads.any(axis=1))
+        assert walked[0] == 0 and len(walked) > 1  # the root and a deeper node
+        for node in walked:
+            fd = fd_reward_gradient(task, table, node)
+            np.testing.assert_allclose(grads[node], fd, atol=1e-5)
 
     def test_gradient_rows_zero_sum(self):
         task = generate_task("mixed", 5, SMALL)
         grads = task.reward_gradient(task.make_table())
-        for vec in grads.values():
+        for vec in grads:
             assert abs(vec.sum()) < 1e-12
 
     def test_constant_reward_gives_zero_gradient(self):
@@ -143,9 +147,7 @@ class TestExactEnumeration:
         task_all.bad_token = task.vocab
         table = task_all.make_table()
         assert task_all.expected_reward(table) == pytest.approx(1.0, abs=1e-12)
-        grads = task_all.reward_gradient(table)
-        for vec in grads.values():
-            np.testing.assert_allclose(vec, 0.0, atol=1e-12)
+        np.testing.assert_allclose(task_all.reward_gradient(table), 0.0, atol=1e-12)
 
     def test_budget_guard(self):
         with pytest.raises(EnumerationBudgetError):
@@ -163,7 +165,7 @@ class TestSampling:
         assert group.tokens.shape == group.logprobs.shape == (1, task.horizon)
         assert group.outcomes[0] in (0, 1)
         for t in range(task.horizon):
-            dist = table.student_dist(task.prompt_id, tokens[:t])
+            dist = table.student_dist(tokens[:t])
             assert group.logprobs[0, t] == pytest.approx(np.log(dist[tokens[t]]), abs=1e-12)
 
     def test_deterministic_given_rng(self):
@@ -235,13 +237,13 @@ class TestGroupStreamAlignment:
             for t in range(horizon):
                 node = group.prefix_index[i, t]
                 assert keys[node] == (task.prompt_id, r.tokens[:t])
-                assert rows[node].tobytes() == table.student_dist(task.prompt_id, r.tokens[:t]).tobytes()
+                assert rows[node].tobytes() == table.student_dist(r.tokens[:t]).tobytes()
 
     def test_rows_with_zero_entries_are_exercised(self):
         table = _random_table(6, 3, 0.7)
-        assert all((table.student_dist("p", (0,) * t) == 0).any() for t in range(2))
+        assert all((table.student_dist((0,) * t) == 0).any() for t in range(2))
         _vary_every_prefix(table, 2, 3, 0.7)
-        assert any((table.student_dist("p", (v,)) == 0).any() for v in range(6))
+        assert any((table.student_dist((v,)) == 0).any() for v in range(6))
 
     def test_size_one_groups_follow_the_reference_loop(self):
         task = generate_task("mixed", 2)
@@ -321,6 +323,30 @@ class TestBatchedTaskPaths:
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
         assert set(table.rows) == set(ref_table.rows)
 
+    @given(zero_frac=st.sampled_from([0.0, 0.3, 0.6]), **task_shapes)
+    @settings(max_examples=200, deadline=None)
+    def test_reward_gradient_from_the_levels_is_the_recursion(
+        self, regime, vocab, horizon, trap, seed, zero_frac
+    ):
+        task = _random_task(regime, vocab, horizon, 1 + trap % (horizon - 1), seed % 100)
+        table = _random_table(vocab, seed, zero_frac, task.prompt_id)
+        if seed % 2:
+            _vary_every_prefix(table, horizon, seed, zero_frac)
+        grads = task.reward_gradient(table)
+        assert grads.shape == (table.n, vocab)
+        # The recursion also enters children of probability 0, and adds
+        # the nodes the levels skipped: past the returned rows, their
+        # reference rows must be zero.
+        want = reference_reward_gradient(task, table)
+        walked = [table.node(prefix) for prefix in want]
+        for node, row in zip(walked, want.values()):
+            got = grads[node] if node < len(grads) else np.zeros(vocab)
+            # Equal entries. Where a child has probability 0 the entry is a
+            # zero whose sign follows a child value only the recursion knows.
+            assert np.array_equal(got, row)
+        decided = np.setdiff1d(np.arange(len(grads)), walked)
+        assert not grads[decided].any()
+
     @given(
         zero_frac=st.sampled_from([0.0, 0.3, 0.6]),
         flip_frac=st.sampled_from([0.0, 0.1, 0.4]),
@@ -384,7 +410,7 @@ class TestBatchedTaskPaths:
         assert softmaxed == []
         assert rows[: len(filled)].tobytes() == filled.tobytes()
         for row, (_, prefix) in zip(rows, table.rows, strict=True):
-            assert row.tobytes() == ref.student_dist(task.prompt_id, prefix).tobytes()
+            assert row.tobytes() == ref.student_dist(prefix).tobytes()
 
     @given(size=st.integers(1, 16), zero_frac=st.sampled_from([0.0, 0.5]), **task_shapes)
     @settings(max_examples=200, deadline=None)
@@ -411,7 +437,7 @@ class TestBatchedTaskPaths:
         task = generate_task(regime, 3, TaskParams(n_contexts=4, horizon=4))
         table = _random_table(task.vocab, 3, 0.3, task.prompt_id)
         table.sync_teacher()
-        nodes = np.array([table.node(task.prompt_id, p) for p in [(), (1,), (2, 5), (0, 3, 1)]])
+        nodes = np.array([table.node(p) for p in [(), (1,), (2, 5), (0, 3, 1)]])
         for node in nodes:
             before = table.teacher_lookups
             matrix = task.teacher_dist_matrix(table, node[None])
@@ -453,7 +479,7 @@ class TestBatchedTaskPaths:
         table.apply_gradients(np.arange(synced), rng.normal(size=(synced, vocab)), 0.5)
         sample_group(table, task, rng, 8)
         unvisited = [tuple(rng.integers(0, vocab, t).tolist()) for t in range(horizon)]
-        nodes = [table.node(task.prompt_id, prefix) for prefix in unvisited]
+        nodes = [table.node(prefix) for prefix in unvisited]
         nodes = rng.permutation(np.arange(table.n).tolist() + nodes)  # out of order, repeats
         assert set(table.depth[nodes].tolist()) == set(range(horizon))
         before = table.teacher_lookups

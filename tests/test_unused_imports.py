@@ -1,14 +1,17 @@
-"""No module of the library or the tests imports a name it never reads.
+"""No module of the library or the tests imports a name it never reads,
+and no function of the library takes a parameter it never reads.
 
 No linter ships with the project, and deleting code tends to leave its
-imports behind; ``ast`` is enough to find them. ``__init__.py`` is left
-out because its imports are the package's exports.
+imports and parameters behind; ``ast`` is enough to find them.
+``__init__.py`` is left out of the import check because its imports are
+the package's exports.
 """
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).parents[1]
+LIBRARY = sorted((ROOT / "src" / "routedkl").glob("*.py"))
 SOURCES = sorted(
     [p for p in (ROOT / "src" / "routedkl").glob("*.py") if p.name != "__init__.py"]
     + list((ROOT / "tests").glob("*.py"))
@@ -40,3 +43,52 @@ def test_no_unused_imports():
         if (names := unused_imports(path.read_text()))
     }
     assert found == {}
+
+
+def unused_parameters(source: str) -> list[str]:
+    """``function.parameter`` for each parameter in ``source``, other than
+    ``self``, that its function's body never reads; a method's name is
+    qualified by its class."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name, args = f"{scope}{child.name}", child.args
+                params = [*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs, args.kwarg]
+                read = {
+                    n.id for stmt in child.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                }
+                found.extend(
+                    f"{name}.{p.arg}" for p in params if p and p.arg != "self" and p.arg not in read
+                )
+                visit(child, f"{name}.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{scope}{child.name}.")
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_unused_parameters_finds_an_unread_parameter():
+    source = (
+        "def f(a, b, *args, c, **kw):\n    b = 1\n    return kw\n"
+        "class K:\n    def m(self, x, y):\n"
+        "        def g():\n            return x\n        return g\n"
+    )
+    assert unused_parameters(source) == ["f.a", "f.b", "f.args", "f.c", "K.m.y"]
+
+
+def test_no_unused_parameters():
+    found = {
+        str(path.relative_to(ROOT)): names
+        for path in LIBRARY
+        if (names := unused_parameters(path.read_text()))
+    }
+    # The one exception: perfbench calls ``init_logits(prompt, prefix)``
+    # for every prefix a run's table lacks, and the row depends on the
+    # prefix alone.
+    assert found == {"src/routedkl/tasks.py": ["SynthTask.init_logits.prompt"]}
