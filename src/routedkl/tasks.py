@@ -208,17 +208,25 @@ class SynthTask:
         While the inner children of zero probability stay the same, a walk
         adds no node and sums the same rows alike, so its levels are reused.
         """
+        tree = RewardTree() if tree is None else tree
+        return float(self._sum_levels(table, dists, tree)[1][0][0])
+
+    def _sum_levels(
+        self, table: PolicyTable, dists: StudentDists | None, tree: RewardTree
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Fill the child values of ``tree``'s levels, walking first unless
+        they can be reused; return the rows of ``tree.nodes`` and, top down,
+        each level's E[R | node]."""
         self.check_budget()
         dists = StudentDists() if dists is None else dists
-        tree = RewardTree() if tree is None else tree
         dist = dists.read(table)[tree.nodes] if tree.levels else None
         if dist is None or not ((tree.inner & (dist != 0.0)) == tree.expand).all():
             dist = self._walk(table, dists, tree)
-        below = np.empty(0)  # the deepest level has no inner children
+        belows = [np.empty(0)]  # the deepest level has no inner children
         for nodes, value, rows, tokens in reversed(tree.levels):
-            value[rows, tokens] = below  # the same entries on every sum
-            below = (dist[nodes] * value).cumsum(axis=1)[:, -1]
-        return float(below[0])
+            value[rows, tokens] = belows[-1]  # the same entries on every sum
+            belows.append((dist[nodes] * value).cumsum(axis=1)[:, -1])
+        return dist, belows[:0:-1]
 
     def _walk(self, table: PolicyTable, dists: StudentDists, tree: RewardTree) -> np.ndarray:
         """Walk into ``tree`` the stacked nodes, their inner and expanded children
@@ -245,26 +253,19 @@ class SynthTask:
         tree.nodes, dist, tree.inner, tree.expand = (np.concatenate(p) for p in zip(*parts))
         return dist
 
-    def reward_gradient(
-        self, table: PolicyTable, dists: StudentDists | None = None, tree: RewardTree | None = None
-    ) -> np.ndarray:
-        """Exact gradient of E[R] w.r.t. every student logit row, as
-        (table.n, V) rows indexed by node.
-
-        The row of node P is reach(P) * pi * (C - E[R | P]), C the child
-        values that ``expected_reward`` fills into the levels it keeps in
-        ``tree``; one top-down pass over them carries the reach. A node off
-        the walk (decided, of zero reach, or added after the call) gets a
-        zero row."""
-        dists = StudentDists() if dists is None else dists
-        tree = RewardTree() if tree is None else tree
-        self.expected_reward(table, dists, tree)
-        dist = dists.read(table)[tree.nodes]
+    def reward_gradient(self, table: PolicyTable, dists: StudentDists | None = None) -> np.ndarray:
+        """Exact gradient of E[R] w.r.t. every student logit row, as (table.n, V)
+        rows indexed by node: reach(P) * pi * (C - E[R | P]) for node P, from
+        the child values and sums ``expected_reward`` leaves on a fresh walk's
+        levels, in one top-down pass that carries the reach. A node off the
+        walk (decided or of zero reach) has a zero row; one added after the
+        call is outside the rows, and a caller must read it as zeros."""
+        tree = RewardTree()
+        dist, belows = self._sum_levels(table, dists, tree)
         grads = np.zeros((table.n, self.vocab))
         reach = np.ones(1)  # the root's
-        for nodes, value, rows, tokens in tree.levels:
+        for (nodes, value, rows, tokens), below in zip(tree.levels, belows):
             d = dist[nodes]
-            below = (d * value).cumsum(axis=1)[:, -1]
             grads[tree.nodes[nodes]] = reach[:, None] * d * (value - below[:, None])
             reach = reach[rows] * d[rows, tokens]
         return grads
