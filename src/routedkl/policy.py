@@ -90,7 +90,7 @@ def masked_row_sum(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     counts = mask.sum(axis=1)
     packed = np.take_along_axis(values, np.argsort(~mask, axis=1, kind="stable"), axis=1)
     sums = np.empty(len(values))
-    for count in np.unique(counts).tolist():
+    for count in np.flatnonzero(np.bincount(counts)).tolist():
         rows = counts == count
         sums[rows] = packed[rows, :count].sum(axis=1)
     return sums.reshape(shape)
@@ -182,8 +182,9 @@ class PolicyTable:
     ``parent[i] < i`` by ``token[i]`` at ``depth[i]``; ``child[i, v]`` is
     the node extending ``i`` by ``v``, or -1 while unvisited. The student
     row ``logits[i]``, the only mutable parameters, starts as
-    ``init_rows[depth[i]]``. The columns grow by doubling, so a row view
-    (``student_logits``, ``rows``) is valid until the next node is added.
+    ``init_rows[depth[i]]``. Each ``add_paths`` call adds one id block. The
+    columns grow by doubling, so a row view (``student_logits``, ``rows``)
+    is valid until the next node is added.
 
     Teacher rows are the student rows of the last ``sync_teacher`` call,
     to which a task adds its per-context logit offsets; a lookup counts in
@@ -234,24 +235,37 @@ class PolicyTable:
         for v in prefix:
             if not 0 <= v < self.vocab:
                 raise KeyError(f"token {v!r} outside the vocabulary [0, {self.vocab})")
-            if self.child.item(i, v) < 0:
-                self._append(np.array([i]), np.array([v]), self.depth[[i]] + 1)
-            i = self.child.item(i, v)
+            i = self.children(np.array([i]), np.array([v])).item()
         return i
 
     def children(self, nodes: np.ndarray, tokens: np.ndarray) -> np.ndarray:
-        """Node of each ``nodes[i]`` extended by ``tokens[i]``. The missing
-        (node, token) pairs are deduplicated and added in first-visit
-        order, as one contiguous id block."""
+        """Node of each ``nodes[i]`` extended by ``tokens[i]``, the
+        one-column case of ``add_paths``: the missing (node, token) pairs
+        are added in first-visit order, as one contiguous id block."""
         out = self.child[nodes, tokens]
-        missing = out < 0
-        if missing.any():
-            codes = nodes[missing] * self.vocab + tokens[missing]
-            new = np.array(list(dict.fromkeys(codes.tolist())))
-            parents = new // self.vocab
-            self._append(parents, new % self.vocab, self.depth[parents] + 1)
-            out = self.child[nodes, tokens]
+        if (out < 0).any():
+            out = self.add_paths(np.stack((nodes, out), axis=1), tokens[:, None])[:, 1]
         return out
+
+    def add_paths(self, paths: np.ndarray, tokens: np.ndarray) -> np.ndarray:
+        """Fill in place, and return, the -1 entries (prefixes not yet
+        stored) of the (N, L) ``paths``: row i walks down from the stored
+        node ``paths[i, 0]``, ``paths[i, t]`` extending ``paths[i, t - 1]``
+        by ``tokens[i, t - 1]``. They are added as one id block, column by
+        column and in first-visit order within a column, as one ``children``
+        call per column adds them."""
+        cols, rows = np.nonzero(paths.T < 0)
+        start, vocab, new, depths = self.n, self.vocab, {}, []
+        for t, i in zip(cols.tolist(), rows.tolist()):
+            code = paths.item(i, t - 1) * vocab + tokens.item(i, t - 1)
+            node = new.get(code)
+            if node is None:
+                node = new[code] = start + len(depths)
+                depths.append(self.depth.item(paths.item(i, 0)) + t)
+            paths[i, t] = node
+        codes = np.fromiter(new, dtype=np.int64, count=len(new))
+        self._append(codes // vocab, codes % vocab, np.array(depths))
+        return paths
 
     def student_logits(self, prefix: PrefixKey) -> np.ndarray:
         i = self.node(prefix)  # before reading logits: it may grow

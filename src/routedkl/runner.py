@@ -310,7 +310,7 @@ def init_run(cfg: RunConfig) -> RunState:
 def _teacher_rows(state: RunState, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The teacher cache's read-only (N, n_contexts, V) matrices and (N, 2)
     ledger terms with the entries of ``nodes`` filled, all missing nodes
-    in one ``teacher_dist_matrix`` call."""
+    in one ``teacher_dist_matrix`` call, each once and in increasing order."""
     table, task, cache = state.table, state.task, state.teacher_cache
     if cache.sync != table.sync_count:
         cache.sync, cache.have[:] = table.sync_count, False
@@ -318,7 +318,7 @@ def _teacher_rows(state: RunState, nodes: np.ndarray) -> tuple[np.ndarray, np.nd
         cache.grow(len(table.logits), (len(task.contexts), task.vocab))
     have = cache.have[nodes]
     if not have.all():
-        missing = np.unique(nodes[~have])
+        missing = np.flatnonzero(np.bincount(nodes[~have]))
         matrices = task.teacher_dist_matrix(table, missing)
         cache.matrices[missing] = matrices
         cache.terms[missing, 0] = context_variance(task.context_probs, matrices)
@@ -434,19 +434,21 @@ def _apply_row_grads(
 ) -> None:
     """Sum the token gradient rows per node, in token order, and step.
 
-    Each sum starts from the node's first row and adds the others in flat
+    A stable argsort of the rows' nodes gives each node, in increasing
+    order, its first row; its sum starts there and adds the others in flat
     order (``np.add.at``), as a sequential loop does; ``np.add.reduceat``
     would reassociate the adds. The changed rows are recomputed in the
     student cache, and the stored exact E[R] is dropped.
     """
     if not rows.size:
         return
-    nodes, first, inverse = np.unique(
-        group.prefix_index.ravel()[rows], return_index=True, return_inverse=True
-    )
+    flat = group.prefix_index.ravel()[rows]
+    order = flat.argsort(kind="stable")
+    head = np.concatenate(([True], flat[order[1:]] != flat[order[:-1]]))
+    rank = order.argsort()  # each row's place in node order
+    first = order[head]
+    nodes, inverse, rest = flat[first], head.cumsum()[rank] - 1, ~head[rank]
     summed = grads[first]
-    rest = np.ones(rows.size, dtype=bool)
-    rest[first] = False
     np.add.at(summed, inverse[rest], grads[rest])
     state.table.apply_gradients(nodes, summed, state.cfg.learning_rate)
     state.student_cache.refresh(state.table, nodes)

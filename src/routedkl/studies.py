@@ -313,9 +313,13 @@ def alignment_threshold_study(
     # The table is never updated, so one student cache stays exact.
     dists = StudentDists()
     oracle = task.reward_gradient(table, dists)
+    aligns: dict[tuple[int, int], float] = {}
 
-    def tilde(node):
-        return oracle[node] if node < len(oracle) else np.zeros(task.vocab)
+    def align(node: int, ctx: int) -> float:  # the table is fixed: one pull per pair
+        if (node, ctx) not in aligns:
+            tilde = oracle[node] if node < len(oracle) else np.zeros(task.vocab)
+            aligns[node, ctx] = float(_span_pull(task, table, node, ctx) @ tilde)
+        return aligns[node, ctx]
 
     true_aligns, false_aligns = [], []
     for _ in range(n_rollouts):
@@ -324,13 +328,10 @@ def alignment_threshold_study(
             continue
         nodes = group.prefix_index[0].tolist()
         ctx = int(rng.choice(len(task.contexts), p=task.context_probs))
-        for t in task.critical_positions:
-            g = _span_pull(task, table, nodes[t], ctx)
-            true_aligns.append(float(g @ tilde(nodes[t])))
+        true_aligns.extend(align(nodes[t], ctx) for t in task.critical_positions)
         non_critical = [t for t in range(task.horizon) if t not in task.critical_positions]
         t_false = int(non_critical[int(rng.choice(len(non_critical)))])
-        g = _span_pull(task, table, nodes[t_false], ctx)
-        false_aligns.append(float(g @ tilde(nodes[t_false])))
+        false_aligns.append(align(nodes[t_false], ctx))
 
     gamma = float(np.mean(true_aligns))
     b = float(-np.mean(false_aligns))

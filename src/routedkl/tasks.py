@@ -559,33 +559,41 @@ def sample_group(
     rollout-major order, and each token is picked by ``inverse_cdf`` of
     its prefix's distribution: the tokens, log-probs and stream position
     of ``size`` successive per-token ``Generator.choice`` loops. Positions
-    are filled left to right, all rollouts at once. Each rollout's node
-    advances through ``table.children``, which materializes a position's
-    new prefixes in first-visit order, and its machine state through
+    are filled left to right, all rollouts at once, in one descent of the
+    stored trie (``table.child``). A rollout leaves it at its first prefix
+    not stored; that prefix and its extensions hold their depth's init
+    row, so the positions left are drawn at once from the per-depth init
+    cdfs, and one ``table.add_paths`` call adds the group's new prefixes
+    as one id block. The machine states advance through
     ``task.transitions``, so the group is verified as it is sampled.
 
     Rows and cdf rows are read from ``dists``, an optional student cache
-    (``policy.StudentDists``) that the caller keeps current; a run's cache
-    lives across steps and is refreshed at the update (``runner``).
+    (``policy.StudentDists``) that the caller keeps current, as a run does.
     """
     dists = StudentDists() if dists is None else dists
     horizon = task.horizon
     uniforms = rng.random((size, horizon))
     tokens = np.empty((size, horizon), dtype=np.int64)
-    probs = np.empty((size, horizon))
-    prefix_index = np.empty((size, horizon), dtype=np.int64)
-    states = np.full((size, horizon + 1), _START, dtype=np.int64)
-    trans = task.transitions
-    node = np.zeros(size, dtype=np.int64)  # the root
+    prefix_index = np.full((size, horizon), -1, dtype=np.int64)
+    dists.read(table)
+    node, on = np.zeros(size, dtype=np.int64), slice(None)  # at the root, every rollout
     for t in range(horizon):
-        if t:
-            node = table.children(node, picked)
-        prefix_index[:, t] = node
-        rows = dists.read(table)
-        picked = inverse_cdf(dists.cdfs[node], uniforms[:, t])
-        tokens[:, t] = picked
-        probs[:, t] = rows[node, picked]
-        states[:, t + 1] = trans[t, states[:, t], picked]
+        prefix_index[on, t] = node
+        picked = tokens[on, t] = inverse_cdf(dists.cdfs[node], uniforms[on, t])
+        if t + 1 == horizon:
+            break
+        node = table.child[node, picked]
+        stored = node >= 0
+        if not stored.all():
+            on, node = np.arange(size)[on][stored], node[stored]
+    if isinstance(on, np.ndarray):  # some rollouts left the stored trie
+        off = prefix_index < 0
+        tokens[off] = inverse_cdf(dists.init_cdfs[off.nonzero()[1]], uniforms[off])
+        table.add_paths(prefix_index, tokens)
+    probs = dists.read(table)[prefix_index, tokens]
+    states = np.full((size, horizon + 1), _START, dtype=np.int64)
+    for t in range(horizon):
+        states[:, t + 1] = task.transitions[t, states[:, t], tokens[:, t]]
     # math.log, not np.log: the two differ in the last bit on some inputs.
     logprobs = np.array([math.log(p) for p in probs.ravel().tolist()]).reshape(size, horizon)
     outcomes = (states[:, -1] != _DEAD).astype(np.int64)

@@ -29,6 +29,13 @@ def test_phase_times_accounts_for_the_whole_step(tmp_path):
         assert phase["ref_per_step"] == pytest.approx(phase["us_per_step"] / res["ref_us"], rel=1e-9), name
     assert sum(p["ref_per_step"] for p in phases.values()) == pytest.approx(res["step_ref"], rel=1e-9)
     assert f"{res['step_ref']:.3f} ref/step" in proc.stdout
+    # The trie grows by one id block per sampled group at most, and the
+    # step sorts no node array with numpy.unique.
+    counts = res["counts_per_step"]
+    assert list(counts) == ["appends", "new nodes", "unique calls"]
+    assert 0 < counts["appends"] <= 1 and counts["appends"] <= counts["new nodes"]
+    assert counts["unique calls"] == 0
+    assert f"  {'appends':18s} {counts['appends']:9.3f} per step" in proc.stdout
 
 
 def test_baseline_alternates_two_trees_in_the_bench_layout(tmp_path):
@@ -60,6 +67,11 @@ def test_baseline_alternates_two_trees_in_the_bench_layout(tmp_path):
         for rep in range(2):
             share = sum(reps[rep] for reps in tree["phases_share"].values())
             assert abs(share - 1.0) < 1e-3  # shares are rounded to 4 places
+        # The counts repeat exactly from one repetition to the next.
+        counts = tree["counts_per_step"]
+        assert list(counts) == ["appends", "new nodes", "unique calls"]
+        assert all(len(reps) == 2 and reps[0] == reps[1] for reps in counts.values())
+    assert res["parent"]["counts_per_step"] == res["change"]["counts_per_step"]
 
 
 def test_baseline_must_hold_a_package(tmp_path):

@@ -212,6 +212,19 @@ class TestMaskedRowSum:
             assert np.float64(total).tobytes() == row[m].sum().tobytes()
 
 
+    def test_rows_of_every_count_in_a_stack(self, monkeypatch):
+        # Counts 0 (an empty sum is 0.0), 1, 3 and 5 in one (2, 3, 5) stack,
+        # with numpy.unique refused: the counts come from their bincount.
+        values = np.random.default_rng(7).normal(size=(2, 3, 5)) * 1e3
+        mask = np.zeros((2, 3, 5), dtype=bool)
+        mask[0, 1, 2] = mask[0, 2, :3] = mask[1, 0] = mask[1, 2, ::2] = True
+        monkeypatch.setattr(np, "unique", None)
+        got = masked_row_sum(values, mask)
+        assert got.shape == (2, 3) and got[0, 0] == got[1, 1] == 0.0
+        for row, m, total in zip(values.reshape(6, 5), mask.reshape(6, 5), got.ravel()):
+            assert np.float64(total).tobytes() == row[m].sum().tobytes()
+
+
 class TestStackValidation:
     def test_first_failing_row_sets_the_error(self):
         rows = np.full((3, 2), 0.5)

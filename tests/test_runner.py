@@ -597,6 +597,39 @@ class TestRowUpdate:
         self._check(prefix_index, rows, grads, 0.5, seed)
 
 
+class TestNoUniqueOnTheStepPath:
+    """The step's node bookkeeping (teacher rows, row update, masked sums)
+    runs with ``numpy.unique`` refused, on each benchmark workload's shape."""
+
+    @staticmethod
+    def _config(shape, method):
+        from routedkl.studies import CORNER_LR, CORNER_UNDER_PARAMS, LIFT_STEPS
+
+        if shape == "corner":
+            return study_run_config(method, "under_allocated", 5, CORNER_UNDER_PARAMS, steps=8,
+                                    learning_rate=CORNER_LR["under_allocated"])
+        if shape == "alltoken":
+            return study_run_config(method, "under_allocated", 5, LIFT_PARAMS, steps=LIFT_STEPS,
+                                    learning_rate=LIFT_LR, teacher_sync="frozen",
+                                    routing=LIFT_ROUTING, group_size=LIFT_GROUP)
+        return RunConfig(method=method, regime="mixed", seed=5, steps=8, group_size=8,
+                         learning_rate=0.5, routing=DEEP_ROUTING,
+                         task_params=TaskParams(vocab=8, horizon=6))
+
+    @pytest.mark.parametrize("shape, method", [
+        ("corner", "routed_fkl_key"), ("alltoken", "alltoken_kl_persistent"),
+        ("deep-cli", "routed_both"), ("deep-cli", "rlsd_weighted"),
+    ])
+    def test_train_step_without_unique(self, shape, method, monkeypatch):
+        state = init_run(self._config(shape, method))
+        n, logits = state.table.n, state.table.logits[:1].copy()
+        monkeypatch.setattr(np, "unique", None)
+        for _ in range(3):
+            train_step(state)
+        assert state.table.n > n and state.table.teacher_lookups > 0
+        assert state.table.logits[:1].tobytes() != logits.tobytes()
+
+
 class TestPerfbenchContract:
     """What the benchmark's checks and tracer read from a run's table."""
 

@@ -30,6 +30,7 @@ from oracles import (
     reference_root_cause,
     reference_sample_sequence,
     reference_teacher_dist_matrix,
+    ReferenceTrie,
 )
 
 SMALL = TaskParams(vocab=4, horizon=3, p_star=0.004, n_contexts=2)
@@ -288,6 +289,66 @@ class TestGroupStreamAlignment:
         # A replaced task computes its own cdf.
         other = replace(task, context_probs=np.array([0.5, 0.25, 0.25]))
         assert other.context_cdf.tolist() == [0.5, 0.75, 1.0]
+
+
+def _reference_columns(ref, vocab):
+    """The parent, token, depth, child and logits columns of a ``ReferenceTrie``."""
+    prefixes = [prefix for _, prefix in ref.keys]
+    parent = np.array([-1] + [ref.ids[ref.keys[0][0], p[:-1]] for p in prefixes[1:]])
+    token = np.array([-1] + [p[-1] for p in prefixes[1:]])
+    child = np.full((len(prefixes), vocab), -1)
+    child[parent[1:], token[1:]] = np.arange(1, len(prefixes))
+    depth = np.array([len(p) for p in prefixes])
+    return dict(parent=parent, token=token, depth=depth, child=child, logits=np.array(ref.logits))
+
+
+class TestGroupGrowth:
+    """A group's new prefixes, added as one id block, against one
+    ``ReferenceTrie.children`` call per position."""
+
+    @given(
+        vocab=st.integers(4, 6),
+        horizon=st.integers(2, 4),
+        size=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        zero_frac=st.sampled_from([0.0, 0.3, 0.7]),
+        stored=st.sampled_from(["root", "partial", "all"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_one_block_equals_per_position_children(self, vocab, horizon, size, seed, zero_frac, stored):
+        task = generate_task("under_allocated", 0, TaskParams(vocab=vocab, horizon=horizon, trap_position=1))
+        table = _random_table(vocab, seed, zero_frac, task.prompt_id)
+        ref = ReferenceTrie(table.init_rows, task.prompt_id)
+        rng = np.random.default_rng([seed, 1])
+        if stored == "partial":
+            for _ in range(int(rng.integers(1, 8))):
+                prefix = tuple(rng.integers(0, vocab, int(rng.integers(1, horizon))).tolist())
+                assert table.node(prefix) == ref.node(task.prompt_id, prefix)
+        elif stored == "all":
+            level = np.zeros(1, dtype=np.int64)
+            for _ in range(1, horizon):
+                nodes, tokens = np.repeat(level, vocab), np.tile(np.arange(vocab), len(level))
+                want = ref.children(nodes.tolist(), tokens.tolist())
+                level = table.children(nodes, tokens)
+                assert level.tolist() == want
+        before = table.n
+        appends, append = [], PolicyTable._append
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(PolicyTable, "_append", lambda t, *args: appends.append(len(args[0])) or append(t, *args))
+            group = sample_group(table, task, rng, size)
+        assert len(appends) <= 1 and sum(appends) == table.n - before
+        if stored == "all":
+            assert appends == []
+        if stored == "root":  # every rollout leaves the stored trie at t = 1
+            assert (group.prefix_index[:, 1:] >= before).all()
+        assert (group.prefix_index[:, 0] == 0).all()
+        for t in range(1, horizon):
+            want = ref.children(group.prefix_index[:, t - 1].tolist(), group.tokens[:, t - 1].tolist())
+            assert group.prefix_index[:, t].tolist() == want
+        assert table.n == len(ref.keys)
+        for name, column in _reference_columns(ref, vocab).items():
+            got = getattr(table, name)[: table.n]
+            assert got.dtype == column.dtype and got.tobytes() == column.tobytes(), name
 
 
 def _random_task(regime, vocab, horizon, trap_position, seed):

@@ -14,6 +14,11 @@ the step calls on its task. "rest" is the step's wall time outside those
 phases (schedule, teacher sync, checks, the log row). Only calls made
 inside ``train_step`` count.
 
+Three counts per step show the trie's growth and sorting inside
+``train_step``: "appends", the calls of ``PolicyTable._append`` (each
+adds one contiguous id block of nodes); "new nodes", the nodes those
+calls add; and "unique calls", the calls of ``numpy.unique``.
+
 A repetition runs every cycle of the workload once; cycle ``c`` uses the
 config seeds perfbench's worker gives it for ``--seed``. The printed
 µs/step of each phase is the median over repetitions, and its share is of
@@ -47,6 +52,8 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from refkernel import ReferenceKernel  # noqa: E402
 
@@ -61,6 +68,7 @@ PHASES = (
     ("lift reads", "_eval_probs"),
     ("exact evaluation", "SynthTask.expected_reward"),
 )
+COUNTS = ("appends", "new nodes", "unique calls")
 SEEDS_PER_RUN = 1000  # as perfbench/worker.py: cycle c of --seed n uses seeds from n * 1000 + c
 
 
@@ -102,14 +110,16 @@ def workload_configs(lib, workload: str, seed: int, cycle: int) -> list:
 
 
 class PhaseClock:
-    """Wall time per phase, counted only inside ``train_step``, and the
-    reference kernel's time ("ref"), run once after every step."""
+    """Wall time per phase and the ``COUNTS``, counted only inside
+    ``train_step``, and the reference kernel's time ("ref"), run once
+    after every step."""
 
     def __init__(self, runner) -> None:
         self.runner = runner
         self.in_step = False
         self.kernel = ReferenceKernel()
         self.totals = dict.fromkeys([name for name, _ in PHASES] + ["step", "ref"], 0.0)
+        self.counts = dict.fromkeys(COUNTS, 0)
         self.steps = 0
 
     def _timed(self, name: str, fn):
@@ -149,16 +159,31 @@ class PhaseClock:
                 self.totals["ref"] += self.kernel()
 
         runner.train_step = timed_step
+        table, append, unique = runner.PolicyTable, runner.PolicyTable._append, numpy.unique
+
+        def counted_append(table_self, parents, *args):
+            if self.in_step:
+                self.counts["appends"] += 1
+                self.counts["new nodes"] += len(parents)
+            return append(table_self, parents, *args)
+
+        def counted_unique(*args, **kwargs):
+            if self.in_step:
+                self.counts["unique calls"] += 1
+            return unique(*args, **kwargs)
+
+        table._append, numpy.unique = counted_append, counted_unique
 
     def reset(self) -> None:
         self.totals = dict.fromkeys(self.totals, 0.0)
+        self.counts = dict.fromkeys(self.counts, 0)
         self.steps = 0
 
 
 def measure(lib, clock: PhaseClock, workload: str, seed: int, cycles: int, repeats: int) -> dict:
     """Median µs/step and ref/step of each phase over ``repeats`` passes of
     the cycles; ``ref_us`` is the median of the kernel's mean µs/call."""
-    per_rep = []
+    per_rep, counts = [], []
     for _ in range(repeats):
         clock.reset()
         for cycle in range(cycles):
@@ -167,6 +192,7 @@ def measure(lib, clock: PhaseClock, workload: str, seed: int, cycles: int, repea
         us = {name: 1e6 * t / clock.steps for name, t in clock.totals.items()}
         us["rest"] = us["step"] - sum(us[name] for name, _ in PHASES)
         per_rep.append(us)
+        counts.append({name: n / clock.steps for name, n in clock.counts.items()})
     median = {name: statistics.median(rep[name] for rep in per_rep) for name in per_rep[0]}
     median_ref = {
         name: statistics.median(rep[name] / rep["ref"] for rep in per_rep) for name in per_rep[0]
@@ -178,6 +204,7 @@ def measure(lib, clock: PhaseClock, workload: str, seed: int, cycles: int, repea
         "step_us": step,
         "step_ref": step_ref,
         "ref_us": ref,
+        "counts_per_step": {name: statistics.median(c[name] for c in counts) for name in COUNTS},
         "phases": {
             name: {"us_per_step": us, "ref_per_step": median_ref[name], "share": us / step}
             for name, us in median.items()
@@ -186,8 +213,6 @@ def measure(lib, clock: PhaseClock, workload: str, seed: int, cycles: int, repea
 
 
 def machine() -> dict:
-    import numpy
-
     model = platform.processor()
     try:
         with open("/proc/cpuinfo") as fh:
@@ -220,6 +245,8 @@ def measure_tree(args) -> dict:
         for name, phase in res["phases"].items():
             print(f"  {name:18s} {phase['us_per_step']:9.1f} us/step {phase['ref_per_step']:7.3f} "
                   f"ref/step {100 * phase['share']:6.1f}%")
+        for name, n in res["counts_per_step"].items():
+            print(f"  {name:18s} {n:9.3f} per step")
     return out
 
 
@@ -264,6 +291,9 @@ def compare(args) -> dict:
                 "step_us": [round(r["step_us"], 1) for r in reps],
                 "step_ref": [round(r["step_ref"], 4) for r in reps],
                 "ref_us": [round(r["ref_us"], 1) for r in reps],
+                "counts_per_step": {
+                    name: [round(r["counts_per_step"][name], 4) for r in reps] for name in COUNTS
+                },
                 "phases_us_per_step": {
                     phase: [round(r["phases"][phase]["us_per_step"], 1) for r in reps]
                     for phase in reps[0]["phases"]
@@ -290,6 +320,9 @@ def compare(args) -> dict:
             a, b = (statistics.median(res[name]["phases_us_per_step"][phase]) for name in trees)
             c, d = (statistics.median(res[name]["phases_ref_per_step"][phase]) for name in trees)
             print(f"  {phase:18s} {a:9.1f} -> {b:9.1f} us/step {c:7.3f} -> {d:7.3f} ref/step")
+        for name in COUNTS:
+            a, b = (statistics.median(res[tree]["counts_per_step"][name]) for tree in trees)
+            print(f"  {name:18s} {a:9.3f} -> {b:9.3f} per step")
     return out
 
 
