@@ -49,7 +49,6 @@ in_span[:, 1] = True  # both branches active: one teacher row per rollout
 cfg = RoutingConfig(tau=10.0, alpha=0.5, mu_e=1, mu_k=1)
 report, _, _ = routed_loss_rows(
     student=student,
-    log_ratio=np.zeros((len(outcomes), length)),
     sampled=sampled,
     in_span=in_span,
     failed=outcomes == 0,

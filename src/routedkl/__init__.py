@@ -7,7 +7,7 @@ reproduce the regime-dependent choice between the two KL directions.
 """
 
 from .divergence import clip_per_vocab_kl, fkl_logit_grad, kl, rkl_logit_grad
-from .grpo import ClipConfig, group_advantages, grpo_token_loss
+from .grpo import group_advantages
 from .policy import PolicyTable, entropy, softmax, truncate_and_floor
 from .privileged import (
     ExposureLedger,

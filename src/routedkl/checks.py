@@ -117,7 +117,6 @@ def run_checks(fast: bool = False, report=print) -> int:
     cfg = RoutingConfig(tau=10.0, alpha=0.5)
     _, rows, grads = routed_loss_rows(
         student=student,
-        log_ratio=np.zeros((1, 3)),
         sampled=np.array([[0, 1, 2]]),
         in_span=np.array([[False, True, False]]),
         failed=np.array([False]),

@@ -16,10 +16,6 @@ Config files are INI-style key-value text with nested sections:
     t_decay = 50
     tau = 10.0
 
-    [clip]
-    eps_low = 0.2
-    eps_high = 0.28
-
     [task]
     vocab = 8
     horizon = 3
@@ -32,9 +28,11 @@ Config files are INI-style key-value text with nested sections:
 The keys of a section are the fields of its config dataclass, typed by
 their annotations: ``[run]`` takes the scalar fields of ``RunConfig``,
 ``[routing]`` those of ``RoutingConfig`` but the span actions ``mu_e``
-and ``mu_k``, which the method sets, ``[clip]`` those of ``ClipConfig``
-and ``[task]`` those of ``TaskParams``; each ``[sweep]`` key is a
-``[run]`` field with a comma-separated list of values. A bool is
+and ``mu_k``, which the method sets, and ``[task]`` those of
+``TaskParams``; each ``[sweep]`` key is a ``[run]`` field with a
+comma-separated list of values. There is no ratio clip section: the GRPO
+term is on-policy (one update per sampled group), so clip bounds would
+change no run, and ``[clip]`` is refused as an unknown section. A bool is
 one of ``1/true/yes/0/false/no``, and ``none`` or an empty value sets an
 optional field to None. Any other key, section or value, a malformed file,
 and every value its dataclass rejects (every float must be finite) is a
@@ -63,7 +61,6 @@ from .errors import (
     NumericFailureError,
     RoutedKlError,
 )
-from .grpo import ClipConfig
 from .routing import RoutingConfig
 from .runner import RunConfig, output_stem, refuse_overwrite, run_experiment
 from .tasks import TaskParams
@@ -76,7 +73,6 @@ EXIT_INVARIANT = 4
 # Section -> (RunConfig field, config dataclass) of the nested configs.
 _NESTED = {
     "routing": ("routing", RoutingConfig),
-    "clip": ("clip", ClipConfig),
     "task": ("task_params", TaskParams),
 }
 # Fields the method sets (``runner.effective_routing``, or no KL at all),

@@ -1,28 +1,19 @@
-"""Group-relative advantages and the clipped policy-gradient surrogate."""
+"""Group-relative advantages.
+
+The GRPO term is on-policy: a run samples a group and applies one update
+to it, so the student that scores the tokens is the student that sampled
+them and the importance ratio is 1. The clipped surrogate then reduces to
+``-A`` per token, for its loss and its gradient factor alike, whatever the
+clip bounds; ``routing.routed_loss_rows`` uses that form directly.
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteInputError, RangeError, require_finite_fields
-
-
-@dataclass(frozen=True)
-class ClipConfig:
-    """Asymmetric ratio clip; the high side is wider than the low side."""
-
-    eps_low: float = 0.2
-    eps_high: float = 0.28
-
-    def __post_init__(self) -> None:
-        require_finite_fields(self)
-        if not (0 < self.eps_low <= self.eps_high):
-            raise RangeError(
-                f"need 0 < eps_low <= eps_high, got ({self.eps_low}, {self.eps_high})"
-            )
+from .errors import RangeError
 
 
 def group_advantages(rewards: np.ndarray) -> np.ndarray:
@@ -43,33 +34,3 @@ def group_advantages(rewards: np.ndarray) -> np.ndarray:
         return np.zeros_like(r)
     return dev / sigma
 
-
-def grpo_token_losses(
-    log_ratio: np.ndarray, advantage: np.ndarray, clip: ClipConfig = ClipConfig()
-) -> tuple[np.ndarray, np.ndarray]:
-    """Clipped surrogate of each token of matching token arrays.
-
-    Returns the (loss, grad_factor) arrays, where loss = -min(rho*A,
-    clamp(rho)*A), rho = exp(log_ratio), and grad_factor = d loss / d log
-    pi(y_t). A factor is zero exactly when the clip binds against the
-    improvement direction; multiply it by the score vector (e_y - pi) to get
-    the logit gradient.
-    """
-    log_ratio = np.asarray(log_ratio, dtype=float)
-    if not np.isfinite(log_ratio).all():
-        raise NonFiniteInputError("log ratio must be finite")
-    ratio = np.exp(log_ratio)
-    clamped = np.minimum(np.maximum(ratio, 1.0 - clip.eps_low), 1.0 + clip.eps_high)
-    s_free = ratio * advantage
-    s_clip = clamped * advantage
-    loss = -np.minimum(s_free, s_clip)
-    grad_factor = np.where(s_free <= s_clip, -s_free, 0.0)
-    return loss, grad_factor
-
-
-def grpo_token_loss(
-    log_ratio: float, advantage: float, clip: ClipConfig = ClipConfig()
-) -> tuple[float, float]:
-    """``grpo_token_losses`` of one token, as (loss, grad_factor) floats."""
-    loss, factor = grpo_token_losses(np.array([log_ratio]), np.array([advantage]), clip)
-    return float(loss[0]), float(factor[0])

@@ -7,7 +7,7 @@ channel carries weight lambda_k, which is flat during warm-up, ramps
 linearly to zero, and stays there; rho_k = 1 - lambda_k / w0 smoothly
 returns span tokens to GRPO as the channel closes. The kernel's KL block
 takes a step's error and key rows as one stack, in one pass, and runs
-only when a KL row exists: a closed channel costs only the GRPO surrogate.
+only when a KL row exists: a closed channel costs only the GRPO term.
 """
 
 from __future__ import annotations
@@ -24,13 +24,12 @@ from .errors import (
     RangeError,
     require_finite_fields,
 )
-from .grpo import ClipConfig, grpo_token_losses
 from .policy import floor_fixed_point, truncate_and_floor
 
 
 @dataclass(frozen=True)
 class RoutingConfig:
-    """Corner action, coverage cap, clip, and schedule constants."""
+    """Corner action, coverage cap, KL clip, and schedule constants."""
 
     mu_e: int = 0
     mu_k: int = 1
@@ -54,8 +53,12 @@ class RoutingConfig:
             raise RangeError("floor_p_min must be nonnegative")
         if self.w0 <= 0:
             raise RangeError("w0 must be positive")
-        if self.t_start < 0 or self.t_decay <= 0 or self.sync_n <= 0:
-            raise RangeError("need t_start >= 0, t_decay > 0 and sync_n > 0")
+        if self.t_start < 0:
+            raise RangeError(f"t_start must be nonnegative, got {self.t_start}")
+        if self.t_decay <= 0:
+            raise RangeError(f"t_decay must be positive, got {self.t_decay}")
+        if self.sync_n <= 0:
+            raise RangeError(f"sync_n must be positive, got {self.sync_n}")
 
 
 def coverage_cap(alpha: float, length: int) -> int:
@@ -171,7 +174,6 @@ def _floored_kl_rows(
 
 def routed_loss_rows(
     student: np.ndarray,
-    log_ratio: np.ndarray,
     sampled: np.ndarray,
     in_span: np.ndarray,
     failed: np.ndarray,
@@ -179,18 +181,22 @@ def routed_loss_rows(
     advantages: np.ndarray,
     lam: float,
     cfg: RoutingConfig,
-    clip: ClipConfig = ClipConfig(),
     adv_scale: np.ndarray | None = None,
 ) -> tuple[RoutedLossReport, np.ndarray, np.ndarray]:
     """The routed loss of a group of G rollouts of length T.
 
-    ``student`` holds the (G, T, V) student rows; ``log_ratio``,
-    ``sampled``, ``in_span`` (the span mask) and the optional per-token
-    advantage multiplier ``adv_scale`` are (G, T); ``failed`` (outcome 0)
+    ``student`` holds the (G, T, V) student rows; ``sampled``,
+    ``in_span`` (the span mask) and the optional per-token advantage
+    multiplier ``adv_scale`` are (G, T); ``failed`` (outcome 0)
     and ``advantages`` are (G,). ``teacher`` holds one (M, V) row per KL
     position in (rollout, position) order: the span positions of the
     rollouts whose branch is active (error spans on failed rollouts under
     mu_e, key spans on accepted ones under mu_k) while lam > 0.
+
+    The GRPO term is on-policy: the rows that score the tokens are the
+    rows that sampled them, so each token's surrogate loss and gradient
+    factor are ``-A`` (times ``adv_scale``), the clipped surrogate at
+    ratio 1 for any clip bounds.
 
     Error spans use reverse KL (student first), key spans forward KL
     (teacher first); per-vocabulary contributions are clamped at tau with
@@ -198,13 +204,13 @@ def routed_loss_rows(
     floored first. With lam = 0 there are no teacher rows. The KL block
     runs only when a KL row exists; without one the KL fields are the +0.0
     of an empty sum and the GRPO score rows are the result, so a
-    closed-channel group costs only the GRPO surrogate.
+    closed-channel group costs only the GRPO score rows.
 
     Returns the report, the flat indices into G*T of the positions that
     carry a logit gradient, ascending, and their (K, V) gradient rows.
     Sums taken in (rollout, position) order, and every gradient row, equal
-    a per-token loop over the one-row routines (``grpo_token_loss``,
-    ``truncate_and_floor`` and the clipped KLs) bit for bit.
+    a per-token loop over the one-row routines (``truncate_and_floor`` and
+    the clipped KLs) bit for bit.
     """
     rho_k = rho(lam, cfg.w0)
     student = np.asarray(student, dtype=float)
@@ -214,7 +220,6 @@ def routed_loss_rows(
     if g == 0 or horizon == 0:
         raise DimensionError(f"empty rollout group: (G, T) = {(g, horizon)}")
     for name, arr, shape in (
-        ("log_ratio", log_ratio, (g, horizon)),
         ("sampled", sampled, (g, horizon)),
         ("in_span", in_span, (g, horizon)),
         ("adv_scale", adv_scale, (g, horizon)),
@@ -239,11 +244,12 @@ def routed_loss_rows(
         )
     inv_len = 1.0 / horizon
 
-    # GRPO term, rho-scaled on span tokens while the channel is open.
+    # GRPO term, rho-scaled on span tokens while the channel is open. On
+    # policy the ratio is 1, so a token's loss and gradient factor are -A.
     tok_adv = np.asarray(advantages, dtype=float).repeat(horizon)
     if adv_scale is not None:
         tok_adv = tok_adv * np.ravel(adv_scale)
-    loss, factor = grpo_token_losses(np.ravel(log_ratio), tok_adv, clip)
+    loss = factor = -tok_adv
     share = loss * inv_len / g
     grpo_span = _running_sum(share[in_span])
     grpo_nonspan = _running_sum(share[~in_span])

@@ -76,7 +76,7 @@ from .errors import (
     csv_text,
     require_finite_fields,
 )
-from .grpo import ClipConfig, group_advantages
+from .grpo import group_advantages
 from .policy import PolicyTable, StudentDists, _entropy, masked_row_sum
 from .privileged import (
     ExposureLedger,
@@ -136,7 +136,6 @@ class RunConfig:
     group_size: int = 8
     learning_rate: float = 0.1
     routing: RoutingConfig = RoutingConfig()
-    clip: ClipConfig = ClipConfig()
     task_params: TaskParams | None = None
     task_seed: int | None = None  # defaults to seed
     annotator_precision: float = 1.0
@@ -340,7 +339,6 @@ class _StepTensors:
     """The loss inputs of one step's rollout group; see ``_step_tensors``."""
 
     student: np.ndarray  # (G, T, V) student rows
-    log_ratio: np.ndarray  # (G, T) log pi_theta(y_t) - log pi_old(y_t)
     mask: np.ndarray  # (G, T) span mask after the coverage cap
     kl_rows: np.ndarray  # (M,) flat positions whose span branch is active
     teacher: np.ndarray  # (M, V) teacher rows of kl_rows
@@ -372,9 +370,9 @@ def _step_tensors(
 ) -> _StepTensors:
     """The step's loss inputs as (G, T) arrays, for every method.
 
-    The log ratios compare the student rows with the sample-time
-    log-probs; one optimizer step per batch makes them zero up to the last
-    bit of ``np.log`` against ``math.log``. With the KL channel open
+    The student rows are read from the cache that sampled the group, and
+    the step updates the table only after its loss, so the GRPO term is
+    on-policy (ratio 1) and needs no log-probs. With the KL channel open
     (lam > 0) each rollout is annotated, masked and capped (the all-token
     baseline masks every position and draws only the context), teacher
     rows are gathered at the span positions of the active branch and the
@@ -387,10 +385,8 @@ def _step_tensors(
     cfg, task = state.cfg, state.task
     size, horizon = group.tokens.shape
     dists = state.student_cache.read(state.table)
-    student, picked = dists[group.prefix_index], dists[group.prefix_index, group.tokens]
     step = _StepTensors(
-        student=student,
-        log_ratio=np.log(picked) - group.logprobs,
+        student=dists[group.prefix_index],
         mask=np.zeros((size, horizon), dtype=bool),
         kl_rows=np.empty(0, dtype=np.int64),
         teacher=np.empty((0, task.vocab)),
@@ -422,9 +418,10 @@ def _step_tensors(
             flat = (winners[:, None] * horizon + np.arange(horizon)).ravel()
             nodes = group.prefix_index.ravel()[flat]
             matrices, _ = _teacher_rows(state, nodes)
-            teacher_prob = matrices[nodes, ctx[flat // horizon], group.tokens.ravel()[flat]]
+            tokens = group.tokens.ravel()[flat]
+            teacher_prob = matrices[nodes, ctx[flat // horizon], tokens]
             scale = np.ones(size * horizon)
-            scale[flat] = rlsd_weight(teacher_prob, picked.ravel()[flat], cfg.rlsd_eps_w).clipped
+            scale[flat] = rlsd_weight(teacher_prob, dists[nodes, tokens], cfg.rlsd_eps_w).clipped
             step.adv_scale = scale.reshape(size, horizon)
     return step
 
@@ -550,7 +547,6 @@ def train_step(state: RunState) -> dict:
     step = _step_tensors(state, group, advantages, routing, lam, rlsd_open)
     report, grad_rows, grads = routed_loss_rows(
         student=step.student,
-        log_ratio=step.log_ratio,
         sampled=group.tokens,
         in_span=step.mask,
         failed=group.outcomes == 0,
@@ -558,7 +554,6 @@ def train_step(state: RunState) -> dict:
         advantages=advantages,
         lam=lam,
         cfg=routing,
-        clip=cfg.clip,
         adv_scale=step.adv_scale,
     )
     if not (lam > 0.0 or rlsd_open) and table.teacher_lookups != lookups_before:

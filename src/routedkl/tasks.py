@@ -540,7 +540,6 @@ class SampledGroup:
     """
 
     tokens: np.ndarray  # (G, T) sampled token ids
-    logprobs: np.ndarray  # (G, T) sample-time log-probs
     outcomes: np.ndarray  # (G,) verifier outcomes
     prefix_index: np.ndarray  # (G, T) node ids
     states: np.ndarray  # (G, T + 1) acceptance-machine states
@@ -557,8 +556,8 @@ def sample_group(
 
     One ``rng.random((size, T))`` draw supplies a uniform per token in
     rollout-major order, and each token is picked by ``inverse_cdf`` of
-    its prefix's distribution: the tokens, log-probs and stream position
-    of ``size`` successive per-token ``Generator.choice`` loops. Positions
+    its prefix's distribution: the tokens and stream position of ``size``
+    successive per-token ``Generator.choice`` loops. Positions
     are filled left to right, all rollouts at once, in one descent of the
     stored trie (``table.child``). A rollout leaves it at its first prefix
     not stored; that prefix and its extensions hold their depth's init
@@ -568,7 +567,8 @@ def sample_group(
     ``task.transitions``, so the group is verified as it is sampled.
 
     Rows and cdf rows are read from ``dists``, an optional student cache
-    (``policy.StudentDists``) that the caller keeps current, as a run does.
+    (``policy.StudentDists``) that the caller keeps current, as a run does;
+    the rows of the prefixes the group adds are filled at its next read.
     """
     dists = StudentDists() if dists is None else dists
     horizon = task.horizon
@@ -590,16 +590,12 @@ def sample_group(
         off = prefix_index < 0
         tokens[off] = inverse_cdf(dists.init_cdfs[off.nonzero()[1]], uniforms[off])
         table.add_paths(prefix_index, tokens)
-    probs = dists.read(table)[prefix_index, tokens]
     states = np.full((size, horizon + 1), _START, dtype=np.int64)
     for t in range(horizon):
         states[:, t + 1] = task.transitions[t, states[:, t], tokens[:, t]]
-    # math.log, not np.log: the two differ in the last bit on some inputs.
-    logprobs = np.array([math.log(p) for p in probs.ravel().tolist()]).reshape(size, horizon)
     outcomes = (states[:, -1] != _DEAD).astype(np.int64)
     return SampledGroup(
         tokens=tokens,
-        logprobs=logprobs,
         outcomes=outcomes,
         prefix_index=prefix_index,
         states=states,

@@ -4,7 +4,9 @@ The matrix is 6 methods x 3 regimes x 2 seeds at group size 4 and 16 steps
 on a vocab-6 chain task (horizon 3, horizon 4 for ``mixed``), with a short
 KL window so every method crosses its open and closed phases. Two blocks
 follow it, stored with the hash of the run's summary JSON as well (the
-credit concentration is in no CSV):
+credit concentration is in no CSV) and the hash of the final trie, the
+``parent``, ``token`` and ``depth`` columns of its ``n`` nodes (node ids
+appear in no artifact, so this pins the order in which nodes are added):
 
 * ``deep_*``: the shape of perfbench's deep-cli sweep (``mixed``, V = 8,
   T = 6, G = 8) for 24 steps with a KL window that opens and closes, for
@@ -145,10 +147,16 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _trie_sha(table) -> str:
+    """sha256 of the table's node columns, as little-endian int64."""
+    columns = (table.parent, table.token, table.depth)
+    return hashlib.sha256(b"".join(col[: table.n].astype("<i8").tobytes() for col in columns)).hexdigest()
+
+
 def golden_hashes(dump_dir: str | None = None, stems: tuple[str, ...] | None = None) -> dict:
-    """{stem: {"csv": sha256, "ledger": sha256[, "summary": sha256]}} for
-    every run of the matrix, or of ``stems`` only; the summary text is what
-    ``run_experiment`` writes to ``{stem}_summary.json``."""
+    """{stem: {"csv": sha256, "ledger": sha256[, "summary": sha256, "trie":
+    sha256]}} for every run of the matrix, or of ``stems`` only; the summary
+    text is what ``run_experiment`` writes to ``{stem}_summary.json``."""
     out = {}
     for stem, cfg, with_summary in matrix():
         if stems is not None and stem not in stems:
@@ -159,6 +167,8 @@ def golden_hashes(dump_dir: str | None = None, stems: tuple[str, ...] | None = N
             texts["_summary.json"] = json.dumps(log.summary, sort_keys=True, indent=2) + "\n"
         kinds = {".csv": "csv", "_ledger.csv": "ledger", "_summary.json": "summary"}
         out[stem] = {kinds[suffix]: _sha(text) for suffix, text in texts.items()}
+        if with_summary:
+            out[stem]["trie"] = _trie_sha(state.table)
         if dump_dir is not None:
             os.makedirs(dump_dir, exist_ok=True)
             for suffix, text in texts.items():

@@ -7,7 +7,9 @@ library code must reproduce bit for bit, each kept from before its path
 was batched:
 
 * ``reference_routed_loss_rows``: the per-token loop behind the
-  array-form routed loss, over the one-row routines below;
+  array-form routed loss, over the one-row routines below, with the
+  clipped PPO surrogate at a given log ratio (0, the on-policy ratio the
+  library's loss assumes, by default);
 * ``reference_truncate_and_floor``, ``reference_fkl_clipped_value_and_grad``,
   ``reference_rkl_clipped_value_and_grad``, ``reference_entropy`` and
   ``reference_grpo_token_loss``: the one-row floor, clipped KLs, entropy
@@ -38,7 +40,6 @@ was batched:
   the one-matrix ledger terms behind the stacked ones.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +53,6 @@ from routedkl.errors import (
     RoutedKlError,
     UndefinedDivergenceError,
 )
-from routedkl.grpo import ClipConfig
 from routedkl.policy import check_floor, validate_distribution
 from routedkl.routing import (
     RoutedLossReport,
@@ -249,14 +249,15 @@ def reference_entropy(dist):
     return float(-(nz * np.log(nz)).sum())
 
 
-def reference_grpo_token_loss(log_ratio, advantage, clip=ClipConfig()):
+def reference_grpo_token_loss(log_ratio, advantage, eps_low=0.2, eps_high=0.28):
     """Clipped surrogate (loss, grad_factor) of one token in Python floats,
     as ``grpo.grpo_token_loss`` was before it became the one-element case
-    of ``grpo_token_losses``."""
+    of ``grpo_token_losses``; the bounds are the defaults its
+    ``ClipConfig`` had."""
     if not np.isfinite(log_ratio):
         raise NonFiniteInputError("log ratio must be finite")
     rho = float(np.exp(log_ratio))
-    clamped = min(max(rho, 1.0 - clip.eps_low), 1.0 + clip.eps_high)
+    clamped = min(max(rho, 1.0 - eps_low), 1.0 + eps_high)
     s_free = rho * advantage
     s_clip = clamped * advantage
     loss = -min(s_free, s_clip)
@@ -278,7 +279,6 @@ def reference_group_advantages(rewards):
 
 def reference_routed_loss_rows(
     student: np.ndarray,
-    log_ratio: np.ndarray,
     sampled: np.ndarray,
     in_span: np.ndarray,
     failed: np.ndarray,
@@ -286,15 +286,19 @@ def reference_routed_loss_rows(
     advantages: np.ndarray,
     lam: float,
     cfg: RoutingConfig,
-    clip: ClipConfig = ClipConfig(),
     adv_scale: np.ndarray | None = None,
+    log_ratio: np.ndarray | None = None,
+    eps_low: float = 0.2,
+    eps_high: float = 0.28,
 ) -> tuple[RoutedLossReport, dict]:
     """Per-token reference for ``routing.routed_loss_rows``, on its inputs.
 
     The loss as one Python loop over tokens calling the one-row reference
     routines, kept from before the loss became array arithmetic; the floor
-    keeps the full vocabulary and the clip is two-sided, as in
-    ``RoutingConfig``.
+    keeps the full vocabulary and the KL clip is two-sided, as in
+    ``RoutingConfig``. The GRPO term is the clipped surrogate at
+    ``log_ratio`` (G, T) with ratio bounds ``eps_low`` and ``eps_high``;
+    the library's on-policy loss is the case ``log_ratio = None``, ratio 1.
     Teacher rows are consumed in order, one per span position of a
     rollout whose branch is active. Returns the report and the logit
     gradients keyed by (rollout, position).
@@ -339,7 +343,8 @@ def reference_routed_loss_rows(
             span_t = bool(in_span[i, t])
             # GRPO term, rho-scaled on span tokens while the channel is open.
             tok_adv = adv if adv_scale is None else adv * float(adv_scale[i, t])
-            loss_t, factor = reference_grpo_token_loss(float(log_ratio[i, t]), tok_adv, clip)
+            log_rho = 0.0 if log_ratio is None else float(log_ratio[i, t])
+            loss_t, factor = reference_grpo_token_loss(log_rho, tok_adv, eps_low, eps_high)
             weight = (rho_k if span_t else 1.0) * inv_len / g
             if span_t:
                 grpo_span += loss_t * inv_len / g
@@ -394,12 +399,13 @@ def reference_routed_loss_rows(
 
 @dataclass
 class Rollout:
-    """One sampled sequence with outcome and sample-time log-probs."""
+    """One sampled sequence with its outcome and, when sampled, the
+    acceptance-machine state before each position and after the last."""
 
     prompt_id: str
     tokens: tuple[int, ...]
     outcome: int
-    logprobs: np.ndarray
+    states: tuple[int, ...] = ()
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -415,21 +421,21 @@ def reference_sample_sequence(table, task, rng, dists=None) -> Rollout:
     as arrays."""
     dists = {} if dists is None else dists
     tokens: list[int] = []
-    logprobs = np.empty(task.horizon)
+    states = [_START]
     for t in range(task.horizon):
         prefix = tuple(tokens)
         dist = dists.get(prefix)
         if dist is None:
             dist = dists[prefix] = table.student_dist(prefix)
         tok = int(rng.choice(task.vocab, p=dist))
-        logprobs[t] = math.log(dist[tok])
+        states.append(task._step_state(states[-1], t, tok))
         tokens.append(tok)
     seq = tuple(tokens)
     return Rollout(
         prompt_id=task.prompt_id,
         tokens=seq,
         outcome=task.verifier(seq),
-        logprobs=logprobs,
+        states=tuple(states),
     )
 
 
@@ -636,7 +642,7 @@ def reference_annotate(task, tokens, precision, rng, alpha):
     generator. Outcomes come from ``task.verifier``."""
     contexts, masks = [], []
     for seq in map(tuple, np.asarray(tokens).tolist()):
-        rollout = Rollout(task.prompt_id, seq, task.verifier(seq), np.zeros(len(seq)))
+        rollout = Rollout(task.prompt_id, seq, task.verifier(seq))
         context, spans = reference_oracle_annotate(rollout, task, precision, rng)
         mask = project_spans_to_mask(spans, rollout.token_char_intervals())
         contexts.append(context)

@@ -118,7 +118,6 @@ def test_criterion_03_dead_zone_preservation():
         lam = lambda_schedule(k, cfg)
         return routed_loss_rows(
             student=student,
-            log_ratio=np.zeros((g, length)),
             sampled=sampled,
             in_span=in_span,
             failed=np.zeros(g, dtype=bool),

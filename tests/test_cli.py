@@ -12,7 +12,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from routedkl import cli, runner
-from routedkl.grpo import ClipConfig
 from routedkl.routing import RoutingConfig
 from routedkl.runner import METHODS, RunConfig
 from routedkl.tasks import REGIMES, TaskParams
@@ -21,7 +20,8 @@ CONFIGS = Path(__file__).parents[1] / "configs"
 
 # configs/corner_under.ini as the parser read it before the config
 # dataclasses became the only schema (floor_top_k and clip_two_sided,
-# since deleted, were None and True).
+# since deleted, were None and True), less the [clip] section that the
+# on-policy GRPO term made inert.
 CORNER_UNDER = {
     "method": "routed_fkl_key",
     "regime": "under_allocated",
@@ -33,7 +33,6 @@ CORNER_UNDER = {
         "mu_e": 0, "mu_k": 1, "alpha": 0.25, "tau": 10.0, "w0": 2.0,
         "t_start": 10, "t_decay": 50, "sync_n": 10, "floor_p_min": 1e-06,
     },
-    "clip": {"eps_low": 0.2, "eps_high": 0.28},
     "task_params": {
         "vocab": 8, "horizon": 3, "p_star": 0.005, "alt_mass": 0.9,
         "trap_mass": 0.25, "n_trap_tokens": 2, "trap_position": 2,
@@ -65,10 +64,6 @@ t_decay = 2
 sync_n = 1
 tau = 1.0
 alpha = 0.5
-
-[clip]
-eps_low = 0.2
-eps_high = 0.28
 
 [task]
 vocab = 5
@@ -262,8 +257,38 @@ class TestBadInputsNameTheKey:
         assert "no section headers" in capsys.readouterr().err
 
     def test_unknown_section(self, tmp_path, capsys):
-        assert _run(tmp_path, self.CORNER.replace("[clip]", "[clips]")) == 2
-        assert "[clips]" in capsys.readouterr().err
+        # [clip] included: the GRPO term is on-policy, so ratio clip bounds
+        # would change no run.
+        for section in ("clips", "clip"):
+            assert _run(tmp_path, self.CORNER + f"\n[{section}]\neps_low = 0.2\n") == 2
+            assert f"unknown section [{section}]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [("t_decay", "0"), ("sync_n", "0"), ("t_start", "-1")])
+    def test_schedule_bounds_name_their_key(self, tmp_path, capsys, key, value):
+        assert _run(tmp_path, _edit(SMALL, "routing", key, value)) == 2
+        err = capsys.readouterr().err
+        assert [k for k in ("t_start", "t_decay", "sync_n") if k in err] == [key]
+        assert not (tmp_path / "out").exists()
+
+    def test_schedule_bounds_accept_their_edge(self, tmp_path):
+        assert _run(tmp_path, _edit(SMALL, "routing", "t_decay", "1")) == 0
+
+    def test_zero_rlsd_clip_is_accepted(self, tmp_path, monkeypatch):
+        # eps_w = 0 pins the RLSD weight at 1: allowed, and the run weights
+        # its winners' tokens with it.
+        calls = []
+        weight = runner.rlsd_weight
+
+        def counting(*args):
+            calls.append(args[-1])
+            return weight(*args)
+
+        monkeypatch.setattr(runner, "rlsd_weight", counting)
+        text = _edit(SMALL, "run", "method", "rlsd_weighted")
+        text = _edit(_edit(text, "run", "rlsd_eps_w", "0"), "run", "steps", "6")
+        assert _run(tmp_path, text) == 0
+        assert calls and set(calls) == {0.0}
 
     def test_empty_sweep_axis(self, tmp_path, capsys):
         (tmp_path / "cfg.ini").write_text(SMALL + "[sweep]\nseed = ,\n")
@@ -336,7 +361,7 @@ CHOICES = {
     ("run", "teacher_sync"): ["interval", "frozen", "never"],
     ("run", "emit_plot_data"): ["yes", "no", "ture", "2"],
 }
-SECTIONS = {"run": RunConfig, "routing": RoutingConfig, "clip": ClipConfig, "task": TaskParams}
+SECTIONS = {"run": RunConfig, "routing": RoutingConfig, "task": TaskParams}
 FUZZ_KEYS = [
     (section, f.name, f.type)
     for section, cls in SECTIONS.items()

@@ -1,11 +1,29 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from routedkl.errors import NonFiniteInputError, RangeError
-from routedkl.grpo import ClipConfig, group_advantages, grpo_token_loss, grpo_token_losses
+from routedkl.grpo import group_advantages
 
 from oracles import reference_group_advantages, reference_grpo_token_loss
+
+
+def _demo(name):
+    """The module of ``demos/{name}.py``, loaded without running its demo."""
+    path = Path(__file__).parents[1] / "demos" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"demo_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# Runs apply one update per sampled group, so the library's GRPO term is
+# the surrogate at ratio 1 (-A); the clipped surrogate for ratios away
+# from 1 is demo 03's.
+grpo_token_loss = _demo("03_grpo_dead_zones").clipped_surrogate
 
 
 class TestGroupAdvantages:
@@ -51,7 +69,10 @@ class TestGroupAdvantages:
 
 
 class TestGrpoTokenLoss:
+    """Demo 03's clipped surrogate against the one-token reference."""
+
     def test_on_policy_unclipped(self):
+        # Ratio 1, the library's case: loss and factor are both -A.
         loss, factor = grpo_token_loss(0.0, 1.0)
         assert loss == -1.0
         assert factor == -1.0
@@ -81,27 +102,26 @@ class TestGrpoTokenLoss:
         assert factor == pytest.approx(1.5, abs=1e-12)
 
     def test_raising_eps_high_enlarges_upper_region(self):
-        tight = ClipConfig(eps_low=0.2, eps_high=0.28)
-        wide = ClipConfig(eps_low=0.2, eps_high=0.6)
-        _, f_tight = grpo_token_loss(np.log(1.5), 1.0, tight)
-        _, f_wide = grpo_token_loss(np.log(1.5), 1.0, wide)
+        tight, wide = (0.2, 0.28), (0.2, 0.6)
+        _, f_tight = grpo_token_loss(np.log(1.5), 1.0, *tight)
+        _, f_wide = grpo_token_loss(np.log(1.5), 1.0, *wide)
         assert f_tight == 0.0 and f_wide != 0.0
         # Below one the behaviour is unchanged.
         for lr_ in (np.log(0.5), np.log(0.9)):
-            assert grpo_token_loss(lr_, 1.0, tight) == grpo_token_loss(lr_, 1.0, wide)
-            assert grpo_token_loss(lr_, -1.0, tight) == grpo_token_loss(lr_, -1.0, wide)
+            for adv in (1.0, -1.0):
+                got_tight = np.array(grpo_token_loss(lr_, adv, *tight))
+                assert got_tight.tobytes() == np.array(grpo_token_loss(lr_, adv, *wide)).tobytes()
 
     def test_surrogate_matches_brute_force(self):
         # Sign analysis of the min against a literal evaluation.
         rng = np.random.default_rng(0)
-        clip = ClipConfig()
         for _ in range(300):
             lr_ = float(rng.normal(scale=0.5))
             adv = float(rng.normal())
             rho = np.exp(lr_)
-            clamped = np.clip(rho, 1 - clip.eps_low, 1 + clip.eps_high)
+            clamped = np.clip(rho, 1 - 0.2, 1 + 0.28)
             expected = -min(rho * adv, clamped * adv)
-            loss, _ = grpo_token_loss(lr_, adv, clip)
+            loss, _ = grpo_token_loss(lr_, adv)
             assert loss == pytest.approx(expected, abs=1e-12)
 
     @given(
@@ -112,13 +132,13 @@ class TestGrpoTokenLoss:
     )
     @settings(max_examples=500)
     def test_one_token_equals_the_reference(self, log_ratio, advantage, eps):
-        clip = ClipConfig(*eps)
-        want = reference_grpo_token_loss(log_ratio, advantage, clip)
-        got = grpo_token_loss(log_ratio, advantage, clip)
-        assert all(type(x) is float for x in got)
-        assert np.array(got).tobytes() == np.array(want).tobytes()
-        loss, factor = grpo_token_losses(np.array([log_ratio]), np.array([advantage]), clip)
-        assert np.array([loss[0], factor[0]]).tobytes() == np.array(want).tobytes()
+        want = np.array(reference_grpo_token_loss(log_ratio, advantage, *eps))
+        got = grpo_token_loss(log_ratio, advantage, *eps)
+        assert np.array(got).tobytes() == want.tobytes()
+        loss, factor = grpo_token_loss(np.array([log_ratio]), np.array([advantage]), *eps)
+        assert np.array([loss[0], factor[0]]).tobytes() == want.tobytes()
+        if log_ratio == 0.0:  # on policy: -A whatever the bounds
+            assert want.tobytes() == np.array([-advantage, -advantage]).tobytes()
 
     @given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=200)
@@ -126,7 +146,7 @@ class TestGrpoTokenLoss:
         rng = np.random.default_rng(seed)
         log_ratio = np.where(rng.random(n) < 0.3, 0.0, rng.normal(0.0, 0.5, n))
         advantage = np.where(rng.random(n) < 0.2, 0.0, rng.normal(0.0, 1.0, n))
-        loss, factor = grpo_token_losses(log_ratio, advantage)
+        loss, factor = grpo_token_loss(log_ratio, advantage)
         for i in range(n):
             want = reference_grpo_token_loss(float(log_ratio[i]), float(advantage[i]))
             assert np.array([loss[i], factor[i]]).tobytes() == np.array(want).tobytes()
@@ -140,4 +160,4 @@ class TestGrpoTokenLoss:
 
     def test_clip_config_validation(self):
         with pytest.raises(RangeError):
-            ClipConfig(eps_low=0.3, eps_high=0.2)
+            grpo_token_loss(0.0, 1.0, eps_low=0.3, eps_high=0.2)

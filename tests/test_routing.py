@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from routedkl.divergence import fkl_logit_grad, rkl_logit_grad
 from routedkl.errors import (
@@ -14,7 +14,7 @@ from routedkl.errors import (
     RoutedKlError,
     UndefinedDivergenceError,
 )
-from routedkl.grpo import ClipConfig, group_advantages
+from routedkl.grpo import group_advantages
 from routedkl.policy import softmax
 from routedkl.routing import (
     RoutingConfig,
@@ -184,7 +184,6 @@ def _group(rng, g=3, length=4, vocab=6, masked=(1,), outcomes=None, teacher_row=
         sampled[i] = rng.integers(0, vocab, size=length)
     return dict(
         student=student,
-        log_ratio=np.zeros((g, length)),
         sampled=sampled,
         in_span=in_span,
         failed=outcomes == 0,
@@ -318,7 +317,6 @@ class TestRoutedStepLoss:
         with pytest.raises(DimensionError):
             routed_loss_rows(
                 student=np.zeros((1, 0, 4)),
-                log_ratio=np.zeros((1, 0)),
                 sampled=np.zeros((1, 0), dtype=int),
                 in_span=np.zeros((1, 0), dtype=bool),
                 failed=np.zeros(1, dtype=bool),
@@ -390,7 +388,6 @@ def loss_groups(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     student = np.empty((g, length, vocab))
-    log_ratio = np.empty((g, length))
     sampled = np.empty((g, length), dtype=np.int64)
     in_span = np.zeros((g, length), dtype=bool)
     adv_scale = np.ones((g, length))
@@ -406,7 +403,6 @@ def loss_groups(draw):
             student[i] /= student[i].sum(axis=1, keepdims=True)
         n_span = rng.integers(0, coverage_cap(alpha, length) + 1)
         in_span[i, rng.choice(length, size=n_span, replace=False)] = True
-        log_ratio[i] = np.where(rng.random(length) < 0.3, 0.0, rng.normal(0.0, 0.3, length))
         sampled[i] = rng.integers(0, vocab, size=length)
         active = lam > 0.0 and (cfg.mu_e if outcome == 0 else cfg.mu_k)
         for t in np.flatnonzero(in_span[i]):
@@ -421,7 +417,6 @@ def loss_groups(draw):
     rewards = np.asarray(outcomes, dtype=float)
     return dict(
         student=student,
-        log_ratio=log_ratio,
         sampled=sampled,
         in_span=in_span,
         failed=rewards == 0.0,
@@ -448,17 +443,17 @@ def _report_or_error(fn, *args, **kwargs):
 
 
 class TestBatchMatchesReference:
-    """The array-form loss against the per-token reference loop."""
+    """The array-form loss against the per-token reference loop at log
+    ratio 0: a run's GRPO term is on-policy."""
 
-    CLIP = ClipConfig(eps_low=0.2, eps_high=0.28)
     CFG_KEY = RoutingConfig(tau=100.0, alpha=0.5)
     BRANCHES = ("total", "grpo_nonspan", "grpo_span", "kl_error_branch", "kl_key_branch")
 
-    def _compare(self, inputs):
-        ref, ref_err = _report_or_error(reference_routed_loss_rows, **inputs, clip=self.CLIP)
+    def _compare(self, inputs, **clip):
+        ref, ref_err = _report_or_error(reference_routed_loss_rows, **inputs, **clip)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got, got_err = _report_or_error(routed_loss_rows, **inputs, clip=self.CLIP)
+            got, got_err = _report_or_error(routed_loss_rows, **inputs)
         assert got_err == ref_err
         if ref is None:
             return
@@ -467,9 +462,9 @@ class TestBatchMatchesReference:
         assert [divmod(i, length) for i in idx.tolist()] == list(ref_grads)
         for grad, (key, want) in zip(grads, ref_grads.items()):
             assert grad.tobytes() == want.tobytes(), key
-        for name in self.BRANCHES:
-            assert getattr(report, name) == pytest.approx(getattr(ref_report, name), rel=1e-12, abs=1e-300)
-        assert (report.lam, report.rho) == (ref_report.lam, ref_report.rho)
+        got_fields = np.array([getattr(report, name) for name in (*self.BRANCHES, "lam", "rho")])
+        want_fields = np.array([getattr(ref_report, name) for name in (*self.BRANCHES, "lam", "rho")])
+        assert got_fields.tobytes() == want_fields.tobytes()
 
     @given(loss_groups())
     @settings(max_examples=300, deadline=None)
@@ -479,7 +474,7 @@ class TestBatchMatchesReference:
     def _compare_closed(self, inputs):
         """``_compare``, and the KL fields are the +0.0 of an empty sum."""
         self._compare(inputs)
-        report, idx, grads = routed_loss_rows(**inputs, clip=self.CLIP)
+        report, idx, grads = routed_loss_rows(**inputs)
         for name in self.BRANCHES[3:]:
             value = getattr(report, name)
             assert value == 0.0 and np.copysign(1.0, value) == 1.0, name
@@ -508,15 +503,13 @@ class TestBatchMatchesReference:
         idx, grads = self._compare_closed(inputs)
         assert idx.size == 12 and grads.shape == (12, 5)
 
-    @given(loss_groups(), st.sampled_from([np.nan, np.inf, -np.inf]))
-    @settings(max_examples=40, deadline=None)
-    def test_non_finite_log_ratio_raises_like_reference(self, inputs, bad):
-        # One fault per group: which of two errors comes first is not pinned.
-        assume(_report_or_error(routed_loss_rows, **inputs)[1] is None)
-        inputs["log_ratio"][-1, -1] = bad
-        with pytest.raises(NonFiniteInputError):
-            routed_loss_rows(**inputs, clip=self.CLIP)
-        self._compare(inputs)
+    @given(loss_groups(), st.sampled_from([(0.2, 0.28), (0.1, 0.1), (0.05, 0.5), (0.9, 10.0)]))
+    @settings(max_examples=60, deadline=None)
+    def test_clip_bounds_change_nothing_at_ratio_one(self, inputs, eps):
+        # The clipped surrogate at ratio 1 is -A for any bounds, so the
+        # kernel, which takes no bounds, equals the reference under each.
+        eps_low, eps_high = eps
+        self._compare(inputs, eps_low=eps_low, eps_high=eps_high)
 
     @pytest.mark.parametrize("row", [[0.5, 0.5, 0.5, 0.5], [np.nan, 0.5, 0.25, 0.25]])
     def test_off_simplex_student_row_raises_like_reference(self, row):

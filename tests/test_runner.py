@@ -252,25 +252,29 @@ class TestMethodBehaviour:
         with pytest.raises(InternalConsistencyError, match="KL channel is closed"):
             train_step(state)
 
-    def test_first_step_ratio_is_exactly_one(self):
-        # One optimizer step per batch: the recomputed log-prob is the
-        # sample-time value up to the last bit. Sampling takes math.log and
-        # the recomputation np.log, which differ by one ulp on some inputs
-        # (19 of 18,000 tokens on the lift config); this seed's tokens hit
-        # none of them, so here exp(log ratio) == 1.0 exactly.
-        from routedkl.tasks import sample_group
+    def test_scoring_rows_are_the_sampling_rows(self, monkeypatch):
+        # One update per sampled group, after its loss: the student rows
+        # the loss reads are the rows the group was sampled from, byte for
+        # byte, so the GRPO ratio is exactly 1 and no log-prob is needed.
+        sampled, scored = [], []
+        sample, loss = runner.sample_group, runner.routed_loss_rows
 
-        cfg = fast_cfg(steps=1)
-        state = init_run(cfg)
-        group = sample_group(
-            state.table, state.task, state.rng_rollout, cfg.group_size, state.student_cache
-        )
-        advantages = np.zeros(cfg.group_size)
-        step = runner._step_tensors(
-            state, group, advantages, effective_routing(cfg), 0.0, False
-        )
-        assert step.log_ratio.shape == (cfg.group_size, state.task.horizon)
-        assert np.all(step.log_ratio == 0.0)
+        def sampling(table, *args):
+            group = sample(table, *args)
+            sampled.append(StudentDists().read(table)[group.prefix_index])
+            return group
+
+        def scoring(**kwargs):
+            scored.append(kwargs["student"])
+            return loss(**kwargs)
+
+        monkeypatch.setattr(runner, "sample_group", sampling)
+        monkeypatch.setattr(runner, "routed_loss_rows", scoring)
+        log, _ = run_experiment(fast_cfg("rlsd_weighted", steps=8))
+        assert len(sampled) == len(scored) == 8
+        assert len({row["validation_reward"] for row in log.rows}) > 1  # the policy moved
+        for at_sampling, at_loss in zip(sampled, scored):
+            assert at_sampling.tobytes() == at_loss.tobytes()
 
     def test_eval_token_set_is_teacher_supported(self):
         # The root tokens whose context-mean teacher probability exceeds
@@ -1017,8 +1021,8 @@ seed = 0, 1
             ("routing", "w0", "inf"),
             ("routing", "floor_p_min", "nan"),
             ("routing", "alpha", "nan"),
-            ("clip", "eps_high", "inf"),
-            ("clip", "eps_low", "nan"),
+            ("run", "learning_rate", "inf"),
+            ("run", "annotator_precision", "nan"),
             ("task", "p_star", "nan"),
             ("task", "trap_mass", "-inf"),
             ("task", "teacher_boost_high", "inf"),

@@ -163,11 +163,12 @@ class TestSampling:
         table = task.make_table()
         group = sample_group(table, task, np.random.default_rng(0), 1)
         tokens = tuple(group.tokens[0].tolist())
-        assert group.tokens.shape == group.logprobs.shape == (1, task.horizon)
+        assert group.tokens.shape == group.prefix_index.shape == (1, task.horizon)
+        assert group.states.shape == (1, task.horizon + 1)
         assert group.outcomes[0] in (0, 1)
         for t in range(task.horizon):
-            dist = table.student_dist(tokens[:t])
-            assert group.logprobs[0, t] == pytest.approx(np.log(dist[tokens[t]]), abs=1e-12)
+            assert table.student_dist(tokens[:t])[tokens[t]] > 0.0
+            assert table.node(tokens[:t]) == group.prefix_index[0, t]
 
     def test_deterministic_given_rng(self):
         task = generate_task("confident_wrong", 2)
@@ -210,7 +211,7 @@ class TestGroupStreamAlignment:
         zero_frac=st.sampled_from([0.0, 0.3, 0.7]),
     )
     @settings(max_examples=150, deadline=None)
-    def test_same_tokens_logprobs_and_stream(self, vocab, horizon, size, seed, zero_frac):
+    def test_same_tokens_states_and_stream(self, vocab, horizon, size, seed, zero_frac):
         params = TaskParams(vocab=vocab, horizon=horizon, trap_position=1)
         task = generate_task("under_allocated", 0, params)
         # Odd seeds give every prefix its own row; even seeds keep the
@@ -223,17 +224,15 @@ class TestGroupStreamAlignment:
         group = sample_group(table, task, rng, size, dists)
         ref = [reference_sample_sequence(table, task, ref_rng) for _ in range(size)]
         assert group.outcomes.tolist() == [r.outcome for r in ref]
-        for got, want in zip(group.logprobs, ref):
-            assert got.tobytes() == want.logprobs.tobytes()
         assert group.tokens.tolist() == [list(r.tokens) for r in ref]
-        assert group.logprobs.tobytes() == np.stack([r.logprobs for r in ref]).tobytes()
+        assert group.states.tolist() == [list(r.states) for r in ref]
         assert rng.random() == ref_rng.random()
         # Every position points at its prefix's node, with its row; a table
         # grown only by the group holds exactly the group's nodes, each once.
-        assert len(set(table.rows)) == len(table.rows) == dists.n
+        rows, keys = dists.read(table), list(table.rows)
+        assert len(set(keys)) == len(keys) == dists.n == table.n
         visited = set(group.prefix_index.ravel().tolist())
         assert visited <= set(range(dists.n)) if seed % 2 else visited == set(range(dists.n))
-        rows, keys = dists.read(table), list(table.rows)
         for i, r in enumerate(ref):
             for t in range(horizon):
                 node = group.prefix_index[i, t]
@@ -253,7 +252,8 @@ class TestGroupStreamAlignment:
         for _ in range(20):
             got, want = sample_group(table, task, a, 1), reference_sample_sequence(table, task, b)
             assert tuple(got.tokens[0].tolist()) == want.tokens
-            assert got.logprobs[0].tobytes() == want.logprobs.tobytes()
+            assert tuple(got.states[0].tolist()) == want.states
+            assert [table.node(want.tokens[:t]) for t in range(task.horizon)] == got.prefix_index[0].tolist()
         assert a.random() == b.random()
 
     @given(
