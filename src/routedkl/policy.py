@@ -20,6 +20,9 @@ from .errors import (
 
 PrefixKey = tuple[int, ...]
 
+# Entries from which numpy's float sum goes pairwise instead of left to right.
+PAIRWISE = 8
+
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax over the last axis with max-subtraction; exact under shift
@@ -80,19 +83,27 @@ def masked_row_sum(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Sum over the last axis of the entries of ``values`` where ``mask``
     holds, each equal to the 1-d ``values[mask].sum()`` of its row.
 
-    Each row's entries are packed in order and rows of one count are summed
-    as one (R, count) array, which sums each row as the 1-d sum does.
+    Below ``PAIRWISE`` entries the 1-d sum adds left to right from 0.0, as
+    one ``bincount`` of the entries by row does. From ``PAIRWISE`` on numpy
+    sums pairwise, so those rows' entries are packed in order and rows of
+    one count are summed as one (R, count) array, which sums each row as
+    the 1-d sum does.
     """
     if mask.all():
         return values.sum(axis=-1)
     shape = values.shape[:-1]
     values, mask = values.reshape(-1, values.shape[-1]), mask.reshape(-1, mask.shape[-1])
+    sums = np.bincount(mask.nonzero()[0], values[mask], minlength=len(values))
+    if mask.shape[1] < PAIRWISE:
+        return sums.reshape(shape)
     counts = mask.sum(axis=1)
-    packed = np.take_along_axis(values, np.argsort(~mask, axis=1, kind="stable"), axis=1)
-    sums = np.empty(len(values))
-    for count in np.flatnonzero(np.bincount(counts)).tolist():
-        rows = counts == count
-        sums[rows] = packed[rows, :count].sum(axis=1)
+    long = (counts >= PAIRWISE).nonzero()[0]
+    if long.size:
+        values, mask, counts = values[long], mask[long], counts[long]
+        packed = np.take_along_axis(values, np.argsort(~mask, axis=1, kind="stable"), axis=1)
+        for count in np.flatnonzero(np.bincount(counts)).tolist():
+            rows = counts == count
+            sums[long[rows]] = packed[rows, :count].sum(axis=1)
     return sums.reshape(shape)
 
 

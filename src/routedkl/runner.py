@@ -77,7 +77,7 @@ from .errors import (
     require_finite_fields,
 )
 from .grpo import group_advantages
-from .policy import PolicyTable, StudentDists, _entropy, masked_row_sum
+from .policy import PAIRWISE, PolicyTable, StudentDists, _entropy, masked_row_sum
 from .privileged import (
     ExposureLedger,
     context_variance,
@@ -342,7 +342,7 @@ class _StepTensors:
     mask: np.ndarray  # (G, T) span mask after the coverage cap
     kl_rows: np.ndarray  # (M,) flat positions whose span branch is active
     teacher: np.ndarray  # (M, V) teacher rows of kl_rows
-    variance: np.ndarray | None = None  # (G, T) ledger terms at span positions, 0 elsewhere
+    variance: np.ndarray | None = None  # (G,) ledger terms summed over each rollout's span
     deviation: np.ndarray | None = None
     adv_scale: np.ndarray | None = None  # (G, T) per-token advantage multiplier
 
@@ -376,7 +376,8 @@ def _step_tensors(
     (lam > 0) each rollout is annotated, masked and capped (the all-token
     baseline masks every position and draws only the context), teacher
     rows are gathered at the span positions of the active branch and the
-    ledger's two terms at every span position. Otherwise the mask is empty
+    ledger's two terms are summed per rollout over every span position,
+    left to right from 0.0 (``bincount``). Otherwise the mask is empty
     and every token is plain GRPO; inside the RLSD window one context is
     drawn per rollout and rollouts with positive advantage carry the
     clipped teacher/student ratio of each sampled token as their advantage
@@ -402,13 +403,12 @@ def _step_tensors(
         span = np.flatnonzero(step.mask)
         nodes = group.prefix_index.ravel()[span]
         matrices, terms = _teacher_rows(state, nodes)
-        variance, deviation = np.zeros((2, size * horizon))
-        variance[span], deviation[span] = terms[nodes].T
-        step.variance = variance.reshape(size, horizon)
-        step.deviation = deviation.reshape(size, horizon)
+        item = span // horizon
+        step.variance = np.bincount(item, terms[nodes, 0], minlength=size)
+        step.deviation = np.bincount(item, terms[nodes, 1], minlength=size)
         # Span positions are all error spans on a failed rollout, all key
         # spans on an accepted one.
-        branch = np.where(group.outcomes == 0, routing.mu_e, routing.mu_k)[span // horizon] == 1
+        branch = np.where(group.outcomes == 0, routing.mu_e, routing.mu_k)[item] == 1
         step.kl_rows = span[branch]
         step.teacher = matrices[nodes[branch], ctx[step.kl_rows // horizon]]
     elif rlsd_open:
@@ -461,27 +461,41 @@ def _mean(values: np.ndarray) -> float:
 def _update_ledger(state: RunState, step: _StepTensors, lam: float) -> None:
     """Per-step exposure record: exact context variance and deviation moment.
 
-    Each rollout's terms are summed left to right over its span positions
-    and divided by its length; the record takes their mean.
+    Each rollout's span sum of the terms (``_step_tensors``) is divided by
+    its length; the record takes their mean.
     """
     inv_len = 1.0 / step.mask.shape[1]
     exposure_accumulate(
-        state.ledger,
-        state.k,
-        lam,
-        _mean(np.cumsum(step.variance, axis=1)[:, -1] * inv_len),
-        _mean(np.cumsum(step.deviation, axis=1)[:, -1] * inv_len),
+        state.ledger, state.k, lam, _mean(step.variance * inv_len), _mean(step.deviation * inv_len)
     )
 
 
-def _credit_ratios(credit: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Per (G, T) row, mean credit inside the mask over mean credit
-    outside, for the rows it is defined for (both regions present,
-    nonzero outside mean), in row order."""
-    mixed = mask.any(axis=1) & ~mask.all(axis=1)
-    credit, mask = credit[mixed], mask[mixed]
-    inside = masked_row_sum(credit, mask) / mask.sum(axis=1)
-    outside = masked_row_sum(credit, ~mask) / (~mask).sum(axis=1)
+def _credit_ratios(mask: np.ndarray, rows: np.ndarray, credit: np.ndarray) -> np.ndarray:
+    """Per (G, T) row of ``mask``, mean credit inside the mask over mean
+    credit outside, for the rows it is defined for (both regions present,
+    nonzero outside mean), in row order. Credit is the nonnegative
+    ``credit[i]`` at the ascending flat positions ``rows`` and 0 elsewhere.
+
+    Each region's sum is one ``bincount`` of the credit by (rollout,
+    region): the sum of the region's row left to right from 0.0, where the
+    zeros elsewhere add nothing, as a region of fewer than ``PAIRWISE``
+    positions is summed. A row with a larger region is summed by
+    ``masked_row_sum`` on its dense credit.
+    """
+    size, horizon = mask.shape
+    inside_n = mask.sum(axis=1)
+    mixed = (inside_n > 0) & (inside_n < horizon)
+    sums = np.bincount(rows // horizon * 2 + mask.ravel()[rows], credit, minlength=2 * size)
+    sums = sums.reshape(size, 2)
+    if horizon > PAIRWISE:
+        long = (mixed & (np.maximum(inside_n, horizon - inside_n) >= PAIRWISE)).nonzero()[0]
+        if long.size:
+            dense = np.zeros(mask.size)
+            dense[rows] = credit
+            dense, region = dense.reshape(mask.shape)[long], mask[long]
+            sums[long] = masked_row_sum(np.stack((dense, dense)), np.stack((~region, region))).T
+    inside = sums[mixed, 1] / inside_n[mixed]
+    outside = sums[mixed, 0] / (horizon - inside_n[mixed])
     kept = outside != 0.0
     return inside[kept] / outside[kept]
 
@@ -494,11 +508,9 @@ def _track_credit_concentration(
     have both."""
     if not (mask.any(axis=1) & ~mask.all(axis=1)).any():
         return
-    credit = np.zeros(mask.size)
     # Equals np.linalg.norm row by row; norm(axis=1) rounds differently.
     norms = np.sqrt(np.matmul(grads[:, None, :], grads[:, :, None]))[:, 0, 0]
-    credit[rows] = state.cfg.learning_rate * norms
-    ratios = _credit_ratios(credit.reshape(mask.shape), mask)
+    ratios = _credit_ratios(mask, rows, state.cfg.learning_rate * norms)
     if ratios.size:
         state.credit_ratios.append(_mean(ratios))
 

@@ -171,6 +171,21 @@ class SynthTask:
             for t in range(self.horizon)
         ])
 
+    @cached_property
+    def span_layout(self) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
+        """The annotator's constants: the runs of critical positions
+        (``_runs``) and read-only (T,) masks of the positions in those runs
+        and of the critical positions. Built on first use; the critical
+        positions, all in [0, T), must not change after."""
+        critical = sorted(self.critical_positions)
+        key_runs = _runs(critical)
+        key, is_critical = np.zeros((2, self.horizon), dtype=bool)
+        for start, end in key_runs:
+            key[start:end] = True
+        is_critical[critical] = True
+        key.flags.writeable = is_critical.flags.writeable = False
+        return key_runs, key, is_critical
+
     def verifier(self, tokens: tuple[int, ...]) -> int:
         """Deterministic binary outcome for a full sequence; the per-sequence
         reference for the outcomes ``sample_group`` reads off ``transitions``."""
@@ -633,14 +648,8 @@ def oracle_annotate(
     """
     if not (0.0 <= precision <= 1.0):
         raise RangeError("precision must lie in [0, 1]")
-    size, horizon = group.tokens.shape
-    critical = sorted(t for t in task.critical_positions if t < horizon)
-    key_runs = _runs(critical)
-    key = np.zeros(horizon, dtype=bool)
-    for start, end in key_runs:
-        key[start:end] = True
-    is_critical = np.zeros(horizon, dtype=bool)
-    is_critical[critical] = True
+    size = len(group.tokens)
+    key_runs, key, is_critical = task.span_layout
     dead = group.states[:, 1:] == _DEAD
     root = dead.argmax(axis=1)
     failed = dead[:, -1]

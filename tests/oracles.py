@@ -37,7 +37,9 @@ was batched:
 * ``reference_row_update``: the per-prefix dict loop behind the node-indexed
   parameter update;
 * ``reference_context_variance`` and ``reference_expected_deviation_sq``:
-  the one-matrix ledger terms behind the stacked ones.
+  the one-matrix ledger terms behind the stacked ones;
+* ``reference_ledger_terms``: the per-rollout loop over span positions
+  behind the exposure record's per-rollout sums.
 """
 
 from dataclasses import dataclass
@@ -719,3 +721,23 @@ def reference_expected_deviation_sq(probs, dists):
     as it was before it took stacks."""
     diffs = dists - probs @ dists
     return float((probs * (diffs**2).sum(axis=1)).sum())
+
+
+def reference_ledger_terms(task, table, prefix_index, mask):
+    """One step's exposure-record terms ``(masked_variance_mean,
+    deviation_sq_mean)``: each rollout's one-matrix context variance and
+    expected squared deviation of its per-node teacher matrices, added
+    left to right from 0.0 over its span positions and scaled by 1/T, then
+    ``np.mean`` over the rollouts."""
+    inv_len = 1.0 / np.shape(mask)[1]
+    variances, deviations = [], []
+    for nodes, row in zip(np.asarray(prefix_index).tolist(), np.asarray(mask).tolist()):
+        variance = deviation = 0.0
+        for node, in_span in zip(nodes, row):
+            if in_span:
+                matrix = reference_teacher_dist_matrix(task, table, node)
+                variance += reference_context_variance(task.context_probs, matrix)
+                deviation += reference_expected_deviation_sq(task.context_probs, matrix)
+        variances.append(variance * inv_len)
+        deviations.append(deviation * inv_len)
+    return float(np.mean(variances)), float(np.mean(deviations))

@@ -36,6 +36,48 @@ def test_phase_times_accounts_for_the_whole_step(tmp_path):
     assert 0 < counts["appends"] <= 1 and counts["appends"] <= counts["new nodes"]
     assert counts["unique calls"] == 0
     assert f"  {'appends':18s} {counts['appends']:9.3f} per step" in proc.stdout
+    # Every all-token step has its KL window open.
+    window, closed = res["by_window"]["window"], res["by_window"]["closed"]
+    assert window["steps_per_repeat"] == 300 and window["time_share"] == 1.0
+    assert window["us_per_step"] == pytest.approx(res["step_us"], rel=1e-12)
+    assert window["ref_per_step"] == pytest.approx(res["step_ref"], rel=1e-12)
+    assert closed == {"steps_per_repeat": 0, "us_per_step": None, "ref_per_step": None,
+                      "time_share": 0.0}
+    assert "window steps" in proc.stdout and "closed steps" not in proc.stdout
+
+
+def test_steps_split_by_window_state(tmp_path, monkeypatch):
+    out = tmp_path / "phases.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "phase_times.py"), "--src", str(ROOT / "src"),
+         "--workload", "corner", "--cycles", "1", "--repeats", "1", "--json", str(out)],
+        check=True, capture_output=True, text=True,
+    )
+    res = json.loads(out.read_text())["workloads"]["corner"]
+    # The window steps are the steps whose KL weight is positive.
+    monkeypatch.setattr(sys, "path", [str(ROOT / "tools"), *sys.path])
+    import phase_times
+    import routedkl.studies
+
+    configs = phase_times.workload_configs(routedkl, "corner", 1, 0)
+    open_steps = sum(
+        routedkl.runner.effective_lambda(cfg, k) > 0.0 for cfg in configs for k in range(cfg.steps)
+    )
+    window, closed = res["by_window"]["window"], res["by_window"]["closed"]
+    assert 0 < open_steps < res["steps_per_repeat"]
+    assert window["steps_per_repeat"] == open_steps
+    assert closed["steps_per_repeat"] == res["steps_per_repeat"] - open_steps
+    assert window["time_share"] + closed["time_share"] == pytest.approx(1.0, rel=1e-12)
+    total = sum(w["steps_per_repeat"] * w["us_per_step"] for w in (window, closed))
+    assert total == pytest.approx(res["steps_per_repeat"] * res["step_us"], rel=1e-9)
+    for state in (window, closed):
+        assert state["ref_per_step"] == pytest.approx(state["us_per_step"] / res["ref_us"], rel=1e-9)
+        assert state["time_share"] == pytest.approx(
+            state["steps_per_repeat"] * state["us_per_step"]
+            / (res["steps_per_repeat"] * res["step_us"]), rel=1e-9)
+    line = (f"  {'window steps':18s} {window['us_per_step']:9.1f} us/step "
+            f"{window['ref_per_step']:7.3f} ref/step")
+    assert line in proc.stdout and "closed steps" in proc.stdout
 
 
 def test_baseline_alternates_two_trees_in_the_bench_layout(tmp_path):
@@ -71,6 +113,11 @@ def test_baseline_alternates_two_trees_in_the_bench_layout(tmp_path):
         counts = tree["counts_per_step"]
         assert list(counts) == ["appends", "new nodes", "unique calls"]
         assert all(len(reps) == 2 and reps[0] == reps[1] for reps in counts.values())
+        window, closed = tree["by_window"]["window"], tree["by_window"]["closed"]
+        assert window["steps_per_repeat"] == 300 and len(window["us_per_step"]) == 2
+        assert len(window["ref_per_step"]) == 2 and all(ref > 0 for ref in window["ref_per_step"])
+        assert closed == {"steps_per_repeat": 0, "us_per_step": [None] * 2,
+                          "ref_per_step": [None] * 2}
     assert res["parent"]["counts_per_step"] == res["change"]["counts_per_step"]
 
 

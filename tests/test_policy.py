@@ -224,6 +224,21 @@ class TestMaskedRowSum:
         for row, m, total in zip(values.reshape(6, 5), mask.reshape(6, 5), got.ravel()):
             assert np.float64(total).tobytes() == row[m].sum().tobytes()
 
+    def test_rows_around_the_pairwise_threshold(self):
+        # Rows of 7, 8 and 9 entries in one stack, with -0.0 entries and an
+        # all -0.0 row: left to right below 8 entries, pairwise from 8.
+        rng = np.random.default_rng(11)
+        values = rng.normal(size=(8, 10)) * 10.0 ** rng.integers(-8, 8, (8, 10))
+        values[rng.random((8, 10)) < 0.2] = -0.0
+        values[1, :8], values[7] = [1.0] + [2.0**-53] * 7, -0.0
+        mask = np.zeros((8, 10), dtype=bool)
+        for row, count in enumerate((7, 8, 9, 7, 8, 9, 3, 7)):
+            mask[row, rng.permutation(10)[:count] if row != 1 else slice(8)] = True
+        got = masked_row_sum(values, mask)
+        assert got[1] == 1.0 + 3 * 2.0**-52  # 1.0 added left to right
+        for row, m, total in zip(values, mask, got):
+            assert np.float64(total).tobytes() == row[m].sum().tobytes()
+
 
 class TestStackValidation:
     def test_first_failing_row_sets_the_error(self):

@@ -36,6 +36,7 @@ from oracles import (
     reference_annotate,
     reference_credit_concentration,
     reference_credit_ratios,
+    reference_ledger_terms,
     reference_delta_lift,
     reference_expected_reward,
     reference_row_update,
@@ -800,6 +801,40 @@ class TestGroupArrays:
         assert expected
         assert np.array(state.credit_ratios).tobytes() == np.array(expected).tobytes()
 
+    @pytest.mark.parametrize(
+        "method, overrides",
+        [
+            ("routed_fkl_key", dict(regime="mixed", task_params=TaskParams(vocab=5, horizon=6))),
+            ("alltoken_kl_persistent", dict(teacher_sync="frozen", task_params=TaskParams(horizon=6))),
+        ],
+    )
+    def test_ledger_records_equal_the_per_rollout_loop(self, monkeypatch, method, overrides):
+        # Every record's two terms, byte for byte, against the span loop on
+        # the table as the step found it; the routed run counts error spans
+        # that carry no KL. A generated task offsets at most two depths, so
+        # at most two terms of a rollout are nonzero and any order sums
+        # them alike; offsets at every depth make the order show.
+        steps = self._capture(monkeypatch)
+        cfg = fast_cfg(method, steps=16, **overrides)
+        state = init_run(cfg)
+        state.task.offsets = np.random.default_rng(5).normal(size=state.task.offsets.shape)
+        _, state = run_experiment(cfg, state)
+        records = state.ledger.records
+        assert records and len({r.k for r in records}) == len(records)
+        spans = set()
+        for r in records:
+            record = steps[r.k]
+            mask = record["step"].mask
+            spans.update(mask.sum(axis=1).tolist())
+            want = reference_ledger_terms(
+                state.task, record["table"], record["group"].prefix_index, mask
+            )
+            got = (r.masked_variance_mean, r.deviation_sq_mean)
+            assert np.array(got).tobytes() == np.array(want).tobytes(), r.k
+        # The routed run's rollouts hold different span counts; the
+        # all-token run's span is the whole horizon.
+        assert len(spans) > 1 if method == "routed_fkl_key" else spans == {state.task.horizon}
+
     def test_setup_leaves_the_automaton_unbuilt(self):
         # init_run is timed as set-up; the transition table is first built
         # by the first sampled group.
@@ -873,11 +908,15 @@ class TestArrayAnnotationAndCredit:
     )
     @settings(max_examples=300, deadline=None)
     def test_credit_ratios_equal_credit_concentration(self, size, horizon, zero_frac, seed):
+        # The step passes the credit of its gradient rows only: every
+        # nonzero entry and some of the zero ones (a zero-norm row).
+        # Horizons 9-12 hold regions of 8 or more positions.
         rng = np.random.default_rng(seed)
         credit = rng.random((size, horizon)) * 10.0 ** rng.integers(-8, 4, (size, horizon))
         credit[rng.random((size, horizon)) < zero_frac] = 0.0
         mask = rng.random((size, horizon)) < rng.random()
-        got = runner._credit_ratios(credit, mask)
+        rows = np.flatnonzero((credit > 0) | (rng.random((size, horizon)) < 0.5))
+        got = runner._credit_ratios(mask, rows, credit.ravel()[rows])
         assert got.tobytes() == reference_credit_ratios(credit, mask).tobytes()
 
     @pytest.mark.parametrize(
@@ -887,13 +926,18 @@ class TestArrayAnnotationAndCredit:
             ([8.5, 8.5, 1.0, 1.0], [True, True, False, False], [8.5]),
             ([1.0, 1.0, 0.0, 0.0], [True, True, False, False], []),
             ([1.0] * 4, [True] * 4, []),
+            # Horizon 9, 8 positions outside: numpy's pairwise sum of them
+            # is 1 + 3 * 2**-52, a left-to-right sum 1.0.
+            ([1.0] + [2.0**-53] * 7 + [2.0], [False] * 8 + [True], [16.0 / (1.0 + 3 * 2.0**-52)]),
         ],
-        ids=["uniform", "arithmetic", "zero_outside", "all_span"],
+        ids=["uniform", "arithmetic", "zero_outside", "all_span", "pairwise_outside"],
     )
     def test_credit_ratio_fixtures(self, credit, mask, want):
-        # One row each; a row with a zero outside mean or one region only
-        # has no ratio.
-        assert runner._credit_ratios(np.array([credit]), np.array([mask])).tolist() == want
+        # One row each, every position a gradient row; a row with a zero
+        # outside mean or one region only has no ratio.
+        rows = np.arange(len(credit))
+        got = runner._credit_ratios(np.array([mask]), rows, np.array(credit))
+        assert got.tolist() == want == reference_credit_ratios(np.array([credit]), np.array([mask])).tolist()
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=200)
@@ -903,7 +947,7 @@ class TestArrayAnnotationAndCredit:
         credit = rng.random(n)
         mask = np.zeros(n, dtype=bool)
         mask[np.argsort(-credit)[: int(rng.integers(1, n - 1))]] = True
-        assert (runner._credit_ratios(credit[None], mask[None]) >= 1.0).all()
+        assert (runner._credit_ratios(mask[None], np.arange(n), credit) >= 1.0).all()
 
 
 class TestCli:

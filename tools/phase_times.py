@@ -14,6 +14,11 @@ the step calls on its task. "rest" is the step's wall time outside those
 phases (schedule, teacher sync, checks, the log row). Only calls made
 inside ``train_step`` count.
 
+Steps are also split by window state: "window" steps are those whose
+KL channel is open (the log row's lambda > 0), "closed" steps the rest,
+RLSD's window included, since it carries no KL. Each class gets its own
+µs/step and ref/step, so the cost of an open step is measured directly.
+
 Three counts per step show the trie's growth and sorting inside
 ``train_step``: "appends", the calls of ``PolicyTable._append`` (each
 adds one contiguous id block of nodes); "new nodes", the nodes those
@@ -69,6 +74,7 @@ PHASES = (
     ("exact evaluation", "SynthTask.expected_reward"),
 )
 COUNTS = ("appends", "new nodes", "unique calls")
+WINDOW_STATES = ("window", "closed")
 SEEDS_PER_RUN = 1000  # as perfbench/worker.py: cycle c of --seed n uses seeds from n * 1000 + c
 
 
@@ -121,6 +127,7 @@ class PhaseClock:
         self.totals = dict.fromkeys([name for name, _ in PHASES] + ["step", "ref"], 0.0)
         self.counts = dict.fromkeys(COUNTS, 0)
         self.steps = 0
+        self.by_window = {state: [0, 0.0] for state in WINDOW_STATES}  # steps, seconds
 
     def _timed(self, name: str, fn):
         clock = time.perf_counter
@@ -151,12 +158,17 @@ class PhaseClock:
             self.in_step = True
             t0 = clock()
             try:
-                return step(state)
+                row = step(state)
             finally:
-                self.totals["step"] += clock() - t0
+                elapsed = clock() - t0
+                self.totals["step"] += elapsed
                 self.in_step = False
                 self.steps += 1
                 self.totals["ref"] += self.kernel()
+            tally = self.by_window["window" if row["lambda"] > 0.0 else "closed"]
+            tally[0] += 1
+            tally[1] += elapsed
+            return row
 
         runner.train_step = timed_step
         table, append, unique = runner.PolicyTable, runner.PolicyTable._append, numpy.unique
@@ -178,12 +190,16 @@ class PhaseClock:
         self.totals = dict.fromkeys(self.totals, 0.0)
         self.counts = dict.fromkeys(self.counts, 0)
         self.steps = 0
+        self.by_window = {state: [0, 0.0] for state in WINDOW_STATES}
 
 
 def measure(lib, clock: PhaseClock, workload: str, seed: int, cycles: int, repeats: int) -> dict:
     """Median µs/step and ref/step of each phase over ``repeats`` passes of
-    the cycles; ``ref_us`` is the median of the kernel's mean µs/call."""
-    per_rep, counts = [], []
+    the cycles; ``ref_us`` is the median of the kernel's mean µs/call.
+    ``by_window`` gives the same for the window and closed steps, each
+    class's ref/step over the repetition's mean kernel time; a class with
+    no steps has None."""
+    per_rep, counts, windows = [], [], []
     for _ in range(repeats):
         clock.reset()
         for cycle in range(cycles):
@@ -193,6 +209,10 @@ def measure(lib, clock: PhaseClock, workload: str, seed: int, cycles: int, repea
         us["rest"] = us["step"] - sum(us[name] for name, _ in PHASES)
         per_rep.append(us)
         counts.append({name: n / clock.steps for name, n in clock.counts.items()})
+        windows.append({
+            state: (n, 1e6 * t / n if n else None, t / clock.totals["step"], us["ref"])
+            for state, (n, t) in clock.by_window.items()
+        })
     median = {name: statistics.median(rep[name] for rep in per_rep) for name in per_rep[0]}
     median_ref = {
         name: statistics.median(rep[name] / rep["ref"] for rep in per_rep) for name in per_rep[0]
@@ -205,10 +225,25 @@ def measure(lib, clock: PhaseClock, workload: str, seed: int, cycles: int, repea
         "step_ref": step_ref,
         "ref_us": ref,
         "counts_per_step": {name: statistics.median(c[name] for c in counts) for name in COUNTS},
+        "by_window": {state: _window_medians([w[state] for w in windows]) for state in WINDOW_STATES},
         "phases": {
             name: {"us_per_step": us, "ref_per_step": median_ref[name], "share": us / step}
             for name, us in median.items()
         },
+    }
+
+
+def _window_medians(reps: list) -> dict:
+    """Medians of one window state's (steps, µs/step, time share, ref µs)
+    over the repetitions."""
+    steps = reps[0][0]
+    if not steps:
+        return {"steps_per_repeat": 0, "us_per_step": None, "ref_per_step": None, "time_share": 0.0}
+    return {
+        "steps_per_repeat": steps,
+        "us_per_step": statistics.median(us for _, us, _, _ in reps),
+        "ref_per_step": statistics.median(us / ref for _, us, _, ref in reps),
+        "time_share": statistics.median(share for _, _, share, _ in reps),
     }
 
 
@@ -247,6 +282,11 @@ def measure_tree(args) -> dict:
                   f"ref/step {100 * phase['share']:6.1f}%")
         for name, n in res["counts_per_step"].items():
             print(f"  {name:18s} {n:9.3f} per step")
+        for state, w in res["by_window"].items():
+            if w["steps_per_repeat"]:
+                print(f"  {state + ' steps':18s} {w['us_per_step']:9.1f} us/step "
+                      f"{w['ref_per_step']:7.3f} ref/step {w['steps_per_repeat']:6d} steps, "
+                      f"{100 * w['time_share']:.1f}% of step time")
     return out
 
 
@@ -306,6 +346,14 @@ def compare(args) -> dict:
                     phase: [round(r["phases"][phase]["share"], 4) for r in reps]
                     for phase in reps[0]["phases"]
                 },
+                "by_window": {
+                    state: {
+                        "steps_per_repeat": reps[0]["by_window"][state]["steps_per_repeat"],
+                        **{key: [_round(r["by_window"][state][key], places) for r in reps]
+                           for key, places in (("us_per_step", 1), ("ref_per_step", 4))},
+                    }
+                    for state in WINDOW_STATES
+                },
             }
             for name, reps in runs.items()
         }
@@ -323,7 +371,17 @@ def compare(args) -> dict:
         for name in COUNTS:
             a, b = (statistics.median(res[tree]["counts_per_step"][name]) for tree in trees)
             print(f"  {name:18s} {a:9.3f} -> {b:9.3f} per step")
+        for state in WINDOW_STATES:
+            if res["parent"]["by_window"][state]["steps_per_repeat"]:
+                a, b = (statistics.median(res[t]["by_window"][state]["us_per_step"]) for t in trees)
+                c, d = (statistics.median(res[t]["by_window"][state]["ref_per_step"]) for t in trees)
+                print(f"  {state + ' steps':18s} {a:9.1f} -> {b:9.1f} us/step "
+                      f"{c:7.3f} -> {d:7.3f} ref/step")
     return out
+
+
+def _round(value, places: int):
+    return None if value is None else round(value, places)
 
 
 def main(argv=None) -> int:
