@@ -107,6 +107,31 @@ def masked_row_sum(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return sums.reshape(shape)
 
 
+def region_sums(region: np.ndarray, flat: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per row of the (R, N) boolean ``region``, the (R, 2) sums outside and
+    inside it of the (R, N) array that holds ``values`` at the ascending
+    flat positions ``flat`` and 0.0 elsewhere, each equal to the 1-d
+    ``masked_row_sum`` of its region.
+
+    Adding the zeros elsewhere left to right from 0.0 changes nothing, so
+    one ``bincount`` by (row, region) gives every region of fewer than
+    ``PAIRWISE`` positions; a row with a larger region is summed densely.
+    """
+    size, n = region.shape
+    sums = np.bincount(flat // n * 2 + region.ravel()[flat], values, minlength=2 * size)
+    sums = sums.reshape(size, 2)
+    if n < PAIRWISE:
+        return sums
+    inside_n = region.sum(axis=1)
+    long = (np.maximum(inside_n, n - inside_n) >= PAIRWISE).nonzero()[0]
+    if long.size:
+        dense = np.zeros(region.size)
+        dense[flat] = values
+        dense, region = dense.reshape(region.shape)[long], region[long]
+        sums[long] = masked_row_sum(np.stack((dense, dense)), np.stack((~region, region))).T
+    return sums
+
+
 def entropy(dist: np.ndarray) -> float | np.ndarray:
     """Shannon entropy in nats of a distribution, or of each row of a stack,
     with the 0*log(0) = 0 convention."""

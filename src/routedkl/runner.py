@@ -77,7 +77,7 @@ from .errors import (
     require_finite_fields,
 )
 from .grpo import group_advantages
-from .policy import PAIRWISE, PolicyTable, StudentDists, _entropy, masked_row_sum
+from .policy import PolicyTable, StudentDists, _entropy, region_sums
 from .privileged import (
     ExposureLedger,
     context_variance,
@@ -475,25 +475,11 @@ def _credit_ratios(mask: np.ndarray, rows: np.ndarray, credit: np.ndarray) -> np
     credit outside, for the rows it is defined for (both regions present,
     nonzero outside mean), in row order. Credit is the nonnegative
     ``credit[i]`` at the ascending flat positions ``rows`` and 0 elsewhere.
-
-    Each region's sum is one ``bincount`` of the credit by (rollout,
-    region): the sum of the region's row left to right from 0.0, where the
-    zeros elsewhere add nothing, as a region of fewer than ``PAIRWISE``
-    positions is summed. A row with a larger region is summed by
-    ``masked_row_sum`` on its dense credit.
     """
-    size, horizon = mask.shape
+    horizon = mask.shape[1]
     inside_n = mask.sum(axis=1)
     mixed = (inside_n > 0) & (inside_n < horizon)
-    sums = np.bincount(rows // horizon * 2 + mask.ravel()[rows], credit, minlength=2 * size)
-    sums = sums.reshape(size, 2)
-    if horizon > PAIRWISE:
-        long = (mixed & (np.maximum(inside_n, horizon - inside_n) >= PAIRWISE)).nonzero()[0]
-        if long.size:
-            dense = np.zeros(mask.size)
-            dense[rows] = credit
-            dense, region = dense.reshape(mask.shape)[long], mask[long]
-            sums[long] = masked_row_sum(np.stack((dense, dense)), np.stack((~region, region))).T
+    sums = region_sums(mask, rows, credit)
     inside = sums[mixed, 1] / inside_n[mixed]
     outside = sums[mixed, 0] / (horizon - inside_n[mixed])
     kept = outside != 0.0

@@ -10,8 +10,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "bench_pairs.py"
 
-# Stands in for perfbench/run.py: logs its tree and arguments, then prints
-# a line and the JSON result. Costs per run come from the tree's list, in
+# Stands in for each tree's perfbench/run.py: logs its tree and arguments,
+# then prints a line and the JSON result. Costs per run come from the tree's list, in
 # call order; a cost of 0 reports correct: false.
 STUB = """
 import json, sys
@@ -32,19 +32,18 @@ print(json.dumps({"correct": cost > 0, "attempted": 6, "failed": int(cost == 0),
 
 def _trees(tmp_path, parent_costs, change_costs):
     for name, costs in (("parent", parent_costs), ("change", change_costs)):
-        (tmp_path / name).mkdir()
+        (tmp_path / name / "perfbench").mkdir(parents=True)
+        (tmp_path / name / "perfbench" / "run.py").write_text(STUB)
         (tmp_path / name / "costs.json").write_text(json.dumps(costs))
     shutil.copy(ROOT / "BENCHMARK.json", tmp_path / "change")
-    (tmp_path / "stub.py").write_text(STUB)
-    return f"{sys.executable} {tmp_path / 'stub.py'}"
 
 
-def _run(tmp_path, command, pairs, *extra):
+def _run(tmp_path, pairs):
     out = tmp_path / "pairs.json"
     proc = subprocess.run(
         [sys.executable, str(TOOL), "--parent", str(tmp_path / "parent"), "--change",
          str(tmp_path / "change"), "--workload", "corner", "--seed", "3", "--pairs", str(pairs),
-         "--seconds", "0.5", "--json", str(out), "--command", command, *extra],
+         "--seconds", "0.5", "--json", str(out)],
         check=True, capture_output=True, text=True,
     )
     return json.loads(out.read_text()), proc.stdout
@@ -53,8 +52,8 @@ def _run(tmp_path, command, pairs, *extra):
 def test_pairs_alternate_and_summarise(tmp_path):
     parent = [[2.0, 0.10], [2.2, 0.11], [1.8, 0.09], [2.1, 0.10]]
     change = [[1.5, 0.20], [1.6, 0.21], [1.4, 0.19], [2.3, 0.20]]
-    command = _trees(tmp_path, parent, change)
-    bench, stdout = _run(tmp_path, command, 4)
+    _trees(tmp_path, parent, change)
+    bench, stdout = _run(tmp_path, 4)
 
     calls = [json.loads(line) for line in (tmp_path / "calls.log").read_text().splitlines()]
     assert [tree for tree, _ in calls] == ["parent", "change", "change", "parent"] * 2
@@ -80,18 +79,34 @@ def test_pairs_alternate_and_summarise(tmp_path):
     assert cost["change_vs_parent"] == pytest.approx(1.55 / 2.05 - 1)
     assert cost["parent_quartile_distance"] == pytest.approx((q3 - q1) / 2.05)
     assert cost["better_in"] == "3 of 4" and cost["resolved"] and cost["within_bound"]
+    assert not cost["claimable"]  # 3 of 4 is fewer than 9 of 10
     assert cost["bound"] == 0.08 and cost["better"] == "lower"
 
     flat = res["metrics"]["step_ref_p50"]
     assert flat["better_in"] == "0 of 4" and not flat["resolved"] and flat["within_bound"]
     setup = res["metrics"]["setup_s"]  # twice the parent: outside its 25% bound
-    assert setup["resolved"] and not setup["within_bound"]
+    assert setup["resolved"] and not setup["within_bound"] and not setup["claimable"]
     assert "step_cost_ref" in stdout and "better in 3 of 4" in stdout
 
 
+def test_claimable_needs_nine_of_ten_pairs(tmp_path):
+    # Both metrics fall by a resolved margin in the median; the cost reads
+    # lower in 9 of 10 pairs, the setup time in only 8.
+    parent = [[2.0 + 0.01 * i, 0.10 + 0.001 * i] for i in range(10)]
+    change = [[1.5 + 0.01 * i, 0.08 + 0.001 * i] for i in range(10)]
+    change[3][0], change[5][1], change[8][1] = 3.0, 0.2, 0.2
+    _trees(tmp_path, parent, change)
+    bench, stdout = _run(tmp_path, 10)
+    metrics = bench["workloads"]["corner"]["metrics"]
+    cost, setup = metrics["step_cost_ref"], metrics["setup_s"]
+    assert cost["better_in"] == "9 of 10" and cost["resolved"] and cost["claimable"]
+    assert setup["better_in"] == "8 of 10" and setup["resolved"] and not setup["claimable"]
+    assert stdout.count("claimable") == 1
+
+
 def test_incorrect_run_is_recorded(tmp_path):
-    command = _trees(tmp_path, [[2.0, 0.1], [2.0, 0.1]], [[1.0, 0.1], [0.0, 0.1]])
-    bench, _ = _run(tmp_path, command, 2)
+    _trees(tmp_path, [[2.0, 0.1], [2.0, 0.1]], [[1.0, 0.1], [0.0, 0.1]])
+    bench, _ = _run(tmp_path, 2)
     res = bench["workloads"]["corner"]
     assert res["all_correct"] is False
     assert [p["change"]["correct"] for p in res["pairs"]] == [True, False]

@@ -9,6 +9,7 @@ from routedkl.policy import (
     entropy,
     floor_fixed_point,
     masked_row_sum,
+    region_sums,
     softmax,
     truncate_and_floor,
     validate_distribution,
@@ -238,6 +239,32 @@ class TestMaskedRowSum:
         assert got[1] == 1.0 + 3 * 2.0**-52  # 1.0 added left to right
         for row, m, total in zip(values, mask, got):
             assert np.float64(total).tobytes() == row[m].sum().tobytes()
+
+
+class TestRegionSums:
+    @given(
+        horizon=st.integers(1, 12),
+        n_rows=st.integers(0, 8),
+        inside=st.floats(0.0, 1.0),
+        present=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_dense_sum_of_each_region(self, horizon, n_rows, inside, present, seed):
+        # Sparse values, -0.0 among them, against the dense array's 1-d sums
+        # of each row's two regions, across the pairwise threshold.
+        rng = np.random.default_rng(seed)
+        region = rng.random((n_rows, horizon)) < inside
+        flat = np.flatnonzero(rng.random(n_rows * horizon) < present)
+        values = rng.normal(size=flat.size) * 10.0 ** rng.integers(-8, 8, flat.size)
+        values[rng.random(flat.size) < 0.1] = -0.0
+        dense = np.zeros(n_rows * horizon)
+        dense[flat] = values
+        got = region_sums(region, flat, values)
+        assert got.shape == (n_rows, 2)
+        for row, m, (out, ins) in zip(dense.reshape(n_rows, horizon), region, got):
+            assert np.float64(out).tobytes() == row[~m].sum().tobytes()
+            assert np.float64(ins).tobytes() == row[m].sum().tobytes()
 
 
 class TestStackValidation:

@@ -16,20 +16,18 @@ JSON gives each side's values in pair order, their median and quartiles
 the parent's, and in how many pairs the change read better (lower, for
 every end-to-end metric it declares now). A metric is "resolved" when
 the medians differ by more than the distance between the parent's
-quartiles, and "within bound" when the change's median is not worse than
-the parent's by more than the metric's bound. A run that exits nonzero or
+quartiles; "claimable" as a gain when it is resolved, the change's median
+is the better one and the change read better in at least 9 of every 10
+pairs; and "within bound" when the change's median is not worse than the
+parent's by more than the metric's bound. A run that exits nonzero or
 reports ``correct: false`` is recorded and counted, and the pair keeps the
 values it printed.
-
-``--command`` replaces ``python3 perfbench/run.py`` (split as a shell
-line), so the tool can be tested with a stub.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import shlex
 import statistics
 import subprocess
 import sys
@@ -42,10 +40,10 @@ from phase_times import machine  # noqa: E402
 SIDES = ("parent", "change")
 
 
-def run_once(command: list[str], tree: str, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run in ``tree``: its exit code and its JSON result."""
     proc = subprocess.run(
-        [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
          "--trace", "0"],
         cwd=tree, capture_output=True, text=True,
     )
@@ -82,6 +80,7 @@ def summarise(pairs: list[dict], spec: dict) -> dict:
     spread = quartiles(values["parent"])
     better = sum((c < p) if lower else (c > p) for p, c in zip(values["parent"], values["change"]))
     worse_by = (median["change"] / median["parent"] - 1) * (1 if lower else -1)
+    resolved = abs(median["change"] - median["parent"]) > spread[1] - spread[0]
     return {
         "unit": spec["unit"],
         "better": spec["better"],
@@ -94,7 +93,8 @@ def summarise(pairs: list[dict], spec: dict) -> dict:
         "change_vs_parent": median["change"] / median["parent"] - 1,
         "parent_quartile_distance": (spread[1] - spread[0]) / median["parent"],
         "better_in": f"{better} of {len(both)}",
-        "resolved": abs(median["change"] - median["parent"]) > spread[1] - spread[0],
+        "resolved": resolved,
+        "claimable": resolved and worse_by < 0 and 10 * better >= 9 * len(both),
         "within_bound": worse_by <= spec["bound"],
     }
 
@@ -108,17 +108,13 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--json", required=True, help="write the pairs and summaries here")
-    parser.add_argument("--command", default=None,
-                        help="benchmark command run in each tree (default: python3 perfbench/run.py)")
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.seed < 0 or args.seconds <= 0:
         parser.error("need --pairs >= 1, --seed >= 0 and --seconds > 0")
     trees = {"parent": args.parent, "change": args.change}
-    command = shlex.split(args.command) if args.command else [sys.executable, "perfbench/run.py"]
-    if args.command is None:
-        for tree in trees.values():
-            if not (Path(tree) / "perfbench" / "run.py").is_file():
-                parser.error(f"no perfbench/run.py under {tree}")
+    for tree in trees.values():
+        if not (Path(tree) / "perfbench" / "run.py").is_file():
+            parser.error(f"no perfbench/run.py under {tree}")
     bench = Path(args.change) / "BENCHMARK.json"
     if not bench.is_file():
         parser.error(f"no BENCHMARK.json under {args.change}")
@@ -141,7 +137,7 @@ def main(argv=None) -> int:
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             pair = {"first": order[0]}
             for side in order:
-                pair[side] = run_once(command, trees[side], workload, args.seed, args.seconds)
+                pair[side] = run_once(trees[side], workload, args.seed, args.seconds)
             pairs.append(pair)
         summary = {spec["name"]: summarise(pairs, spec) for spec in specs}
         out["workloads"][workload] = {
@@ -155,7 +151,8 @@ def main(argv=None) -> int:
             if s["pairs"]:
                 print(f"  {name:14s} {s['median']['parent']:10.4g} -> {s['median']['change']:10.4g} "
                       f"({100 * s['change_vs_parent']:+.1f}%, better in {s['better_in']}, parent "
-                      f"quartile distance {100 * s['parent_quartile_distance']:.1f}%)")
+                      f"quartile distance {100 * s['parent_quartile_distance']:.1f}%"
+                      f"{', claimable' if s['claimable'] else ''})")
     with open(args.json, "w") as fh:
         json.dump(out, fh, indent=1)
         fh.write("\n")
