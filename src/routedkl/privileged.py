@@ -108,12 +108,11 @@ def exposure_accumulate(
     lam: float,
     masked_variance_mean: float,
     deviation_sq_mean: float,
-    tol: float = 1e-12,
 ) -> ExposureLedger:
     """Append one step record, keeping the per-step inequality invariant."""
     lhs_term = lam**2 * deviation_sq_mean
     rhs_term = ledger.c_s**2 * lam**2 * masked_variance_mean
-    if lhs_term > rhs_term + tol:
+    if lhs_term > rhs_term + 1e-12:
         raise InternalConsistencyError(
             f"exposure bound violated at step {k}: {lhs_term} > {rhs_term}"
         )
@@ -138,7 +137,6 @@ class RlsdWeight:
 
     raw: float | np.ndarray
     clipped: float | np.ndarray
-    eps_w: float
 
 
 def rlsd_weight(
@@ -159,4 +157,4 @@ def rlsd_weight(
         raise RangeError("eps_w must lie in [0, 1)")
     raw = teacher_prob / student_prob
     clipped = np.minimum(np.maximum(raw, 1.0 - eps_w), 1.0 + eps_w)
-    return RlsdWeight(raw=raw, clipped=clipped, eps_w=eps_w)
+    return RlsdWeight(raw=raw, clipped=clipped)

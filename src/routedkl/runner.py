@@ -77,7 +77,7 @@ from .errors import (
     require_finite_fields,
 )
 from .grpo import group_advantages
-from .policy import PolicyTable, StudentDists, _entropy, region_sums
+from .policy import PolicyTable, StudentDists, _entropy, region_sums, softmax
 from .privileged import (
     ExposureLedger,
     context_variance,
@@ -271,14 +271,16 @@ def _method_routing(method: str, routing: RoutingConfig) -> RoutingConfig:
     return replace(routing, **_SPAN_ACTIONS.get(method, {}))
 
 
-def build_eval_token_set(task: SynthTask, table: PolicyTable) -> np.ndarray:
+def build_eval_token_set(task: SynthTask) -> np.ndarray:
     """Frozen lift-evaluation set from the pre-training policy snapshot.
 
     The root tokens whose context-mean teacher probability exceeds the
-    student's at the snapshot, fixed here, before any update.
+    student's at the snapshot, fixed here, before any update; the
+    student's root row and the teacher's base are then the task's root
+    init row.
     """
-    student = table.student_dist(())
-    teacher = task.teacher_dist_matrix(table, np.zeros(1, dtype=np.int64))[0]  # the root
+    student = softmax(task.init_rows[0])
+    teacher = softmax(task.init_rows[0] + task.offsets[:, 0])
     return np.flatnonzero(task.context_probs @ teacher > student)
 
 
@@ -290,9 +292,7 @@ def init_run(cfg: RunConfig) -> RunState:
     seeds = np.random.SeedSequence(cfg.seed).spawn(3)
     rng_rollout = np.random.default_rng(seeds[0])
     rng_annot = np.random.default_rng(seeds[1])
-    # Snapshot-policy eval set, built on a scratch table so the run
-    # table's teacher-lookup counter reflects training only.
-    eval_tokens = build_eval_token_set(task, task.make_table())
+    eval_tokens = build_eval_token_set(task)
     if cfg.method != "grpo_only":
         table.sync_teacher()  # teacher starts as the step-0 student
     return RunState(
@@ -531,9 +531,8 @@ def train_step(state: RunState) -> dict:
     routing = effective_routing(cfg)
     rlsd_open = cfg.method == "rlsd_weighted" and lambda_schedule(k, cfg.routing) > 0.0
 
-    if cfg.method != "grpo_only" and cfg.teacher_sync == "interval":
-        if should_sync(k, routing.sync_n, lam):
-            table.sync_teacher()
+    if cfg.teacher_sync == "interval" and should_sync(k, routing.sync_n, lam):
+        table.sync_teacher()
     if not (lam > 0.0 or rlsd_open):
         state.teacher_cache.have[:] = False  # any teacher read now misses and is counted
 

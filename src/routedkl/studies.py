@@ -24,7 +24,6 @@ from .tasks import (
     chain_params,
     generate_task,
     sample_group,
-    single_route_params,
 )
 
 # Schedule shared by every method inside the corner study: a stronger,
@@ -72,7 +71,7 @@ CORNER_CONFIDENT_PARAMS = TaskParams(
 # once bootstrapped; context quirks cap what the frozen-teacher all-token
 # baseline can reach; a strong KL window covers the climb so the routed
 # method snaps first. Runs stop after every arm has passed its knee.
-LIFT_PARAMS = single_route_params(
+LIFT_PARAMS = TaskParams(
     vocab=8,
     horizon=3,
     p_star=0.007,
@@ -218,15 +217,13 @@ def exposure_dichotomy_study(
     steps: int = 1000,
     seed: int = 0,
     learning_rate: float = 0.0,
-    alltoken_sync: str = "frozen",
 ) -> ExposureStudyResult:
-    """Exposure ledgers for the persistent all-token arm vs the routed arm.
+    """Exposure ledgers for the persistent all-token arm, whose teacher is
+    frozen, vs the routed arm.
 
     With learning_rate = 0 the policy is stationary, so the all-token arm
     accumulates exactly linearly while the routed arm freezes once the
-    schedule hits zero. With training and an interval-synced all-token
-    teacher, the per-step contextual variance drifts upward as the student
-    absorbs the context quirks, so the exposure gap widens super-linearly.
+    schedule hits zero.
     """
     base = dict(
         regime="under_allocated",
@@ -239,7 +236,7 @@ def exposure_dichotomy_study(
     alltoken_cfg = RunConfig(
         method="alltoken_kl_persistent",
         routing=RoutingConfig(w0=0.5, t_start=10, t_decay=30, tau=10.0),
-        teacher_sync=alltoken_sync,
+        teacher_sync="frozen",
         **base,
     )
     routed_cfg = RunConfig(
@@ -292,7 +289,6 @@ def _span_pull(task: SynthTask, table, node: int, ctx: int):
 
 def alignment_threshold_study(
     seed: int = 0,
-    q_grid: np.ndarray | None = None,
     n_rollouts: int = 4000,
 ) -> AlignmentStudyResult:
     """Locate the annotator-precision threshold where selected-span signal
@@ -302,10 +298,9 @@ def alignment_threshold_study(
     and B are measured as the conditional mean alignments of the
     forward-KL gradient on true key positions and on false selections;
     the measured inner-product curve is affine in q and crosses zero at
-    q* = B / (gamma + B).
+    q* = B / (gamma + B). The curve is sampled at q = 0, 0.05, ..., 1.
     """
-    if q_grid is None:
-        q_grid = np.linspace(0.0, 1.0, 21)
+    q_grid = np.linspace(0.0, 1.0, 21)
     task = generate_task("under_allocated", seed, ALIGNMENT_PARAMS)
     table = task.make_table()
     table.sync_teacher()

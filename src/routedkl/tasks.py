@@ -673,11 +673,6 @@ def oracle_annotate(
     return inverse_cdf(task.context_cdf, uniforms), mask
 
 
-def single_route_params(**overrides) -> TaskParams:
-    """Single accepting token at the critical position; no guarded branch."""
-    return replace(TaskParams(), alt_mass=0.0, **overrides)
-
-
 def chain_params(**overrides) -> TaskParams:
     """Accepting alternative plus downstream traps on the guarded branch."""
     base = TaskParams(alt_mass=0.9, p_star=0.005, trap_mass=0.25)

@@ -18,7 +18,14 @@ appear in no artifact, so this pins the order in which nodes are added):
   on most KL rows;
 * ``clip_*`` and ``nofloor_*``: ``routed_both`` of the deep shape with
   tau = 1e-3, where per-vocabulary terms clip in both KL directions, and
-  with floor_p_min = 0.
+  with floor_p_min = 0;
+* ``offsets_*``: ``alltoken_kl_persistent`` of the deep shape, with the
+  task's teacher offsets replaced after ``init_run`` by normal draws at
+  every depth. A generated task offsets at most two depths, so at most
+  two of a rollout's ledger terms are nonzero and any order sums them
+  alike; here every term is nonzero, the re-synced teacher rows differ
+  from node to node, and the order in which a rollout's terms are summed
+  shows in the ledger.
 
 Any change to the numbers a run writes changes a hash.
 
@@ -56,7 +63,7 @@ from dataclasses import replace
 import numpy as np
 
 from routedkl.routing import RoutingConfig
-from routedkl.runner import METHODS, RunConfig, run_experiment
+from routedkl.runner import METHODS, RunConfig, init_run, run_experiment
 from routedkl.studies import LIFT_GROUP, LIFT_LR, LIFT_PARAMS, LIFT_ROUTING, LIFT_STEPS, study_run_config
 from routedkl.tasks import REGIMES, TaskParams, chain_params
 
@@ -140,6 +147,7 @@ def matrix() -> list[tuple[str, RunConfig, bool]]:
     runs.append(("clip_routed_both_mixed_seed0", cfg, True))
     cfg = _deep("routed_both", 0, replace(DEEP_ROUTING, floor_p_min=0.0))
     runs.append(("nofloor_routed_both_mixed_seed0", cfg, True))
+    runs.append(("offsets_alltoken_kl_persistent_mixed_seed0", _deep("alltoken_kl_persistent", 0), True))
     return runs
 
 
@@ -161,7 +169,10 @@ def golden_hashes(dump_dir: str | None = None, stems: tuple[str, ...] | None = N
     for stem, cfg, with_summary in matrix():
         if stems is not None and stem not in stems:
             continue
-        log, state = run_experiment(cfg)
+        state = init_run(cfg)
+        if stem.startswith("offsets_"):
+            state.task.offsets = np.random.default_rng(cfg.seed).normal(size=state.task.offsets.shape)
+        log, state = run_experiment(cfg, state)
         texts = {".csv": log.to_csv(), "_ledger.csv": state.ledger.to_csv()}
         if with_summary:
             texts["_summary.json"] = json.dumps(log.summary, sort_keys=True, indent=2) + "\n"

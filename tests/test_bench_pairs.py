@@ -104,6 +104,28 @@ def test_claimable_needs_nine_of_ten_pairs(tmp_path):
     assert stdout.count("claimable") == 1
 
 
+@pytest.mark.parametrize(
+    "pairs, failing, claimable",
+    [(10, None, True), (9, None, False), (11, 5, False)],
+    ids=["ten-pairs", "nine-pairs", "change-fails-more"],
+)
+def test_claim_needs_ten_correct_pairs_and_no_added_failures(tmp_path, pairs, failing, claimable):
+    # The change's cost is lower by a resolved margin in every correct
+    # pair. Nine pairs are too few to claim; with an eleventh pair whose
+    # change run fails, ten correct pairs remain, but the change then
+    # fails more operations than the parent.
+    parent = [[2.0 + 0.01 * i, 0.1] for i in range(pairs)]
+    change = [[1.5 + 0.01 * i, 0.1] for i in range(pairs)]
+    if failing is not None:
+        change[failing][0] = 0.0
+    _trees(tmp_path, parent, change)
+    bench, _ = _run(tmp_path, pairs)
+    cost = bench["workloads"]["corner"]["metrics"]["step_cost_ref"]
+    correct = pairs - (failing is not None)
+    assert cost["pairs"] == correct and cost["better_in"] == f"{correct} of {correct}"
+    assert cost["resolved"] and cost["claimable"] is claimable
+
+
 def test_incorrect_run_is_recorded(tmp_path):
     _trees(tmp_path, [[2.0, 0.1], [2.0, 0.1]], [[1.0, 0.1], [0.0, 0.1]])
     bench, _ = _run(tmp_path, 2)
@@ -111,6 +133,11 @@ def test_incorrect_run_is_recorded(tmp_path):
     assert res["all_correct"] is False
     assert [p["change"]["correct"] for p in res["pairs"]] == [True, False]
     assert res["pairs"][1]["change"]["failed"] == 1
+    assert res["pairs"][1]["change"]["metrics"]["step_cost_ref"] == 0.0
+    # The failing run's cost enters neither the medians nor the win count.
+    cost = res["metrics"]["step_cost_ref"]
+    assert cost["pairs"] == 1 and cost["parent"] == [2.0] and cost["change"] == [1.0]
+    assert cost["better_in"] == "1 of 1"
 
 
 def test_trees_must_hold_perfbench(tmp_path):

@@ -22,6 +22,7 @@ LIBM_STEMS = (
     "precision_routed_both_mixed_seed0",
     "lift_routed_fkl_key_under_allocated_seed0",
     "clip_routed_both_mixed_seed0",
+    "offsets_alltoken_kl_persistent_mixed_seed0",
 )
 
 

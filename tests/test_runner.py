@@ -282,7 +282,7 @@ class TestMethodBehaviour:
         # the student's at the snapshot, as an int array.
         cfg = fast_cfg(steps=1)
         state = init_run(cfg)
-        eval_set = build_eval_token_set(state.task, state.task.make_table())
+        eval_set = build_eval_token_set(state.task)
         assert eval_set.dtype.kind == "i" and eval_set.size  # non-empty
         fresh = state.task.make_table()
         student = fresh.student_dist(())

@@ -19,7 +19,6 @@ from routedkl.tasks import (
     RewardTree,
     oracle_annotate,
     sample_group,
-    single_route_params,
 )
 
 from oracles import (
@@ -87,7 +86,7 @@ class TestVerifier:
         assert task.verifier(seq) == 1
 
     def test_flipping_critical_token_rejects(self):
-        task = generate_task("under_allocated", 0, single_route_params())
+        task = generate_task("under_allocated", 0, TaskParams())
         accept = (task.v_star, 0, 0)
         assert task.verifier(accept) == 1
         wrong = tuple(

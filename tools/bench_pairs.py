@@ -9,35 +9,55 @@ runs ``perfbench/run.py --workload W --seed S --seconds X --trace 0`` once
 in each tree, from the tree's root; pair i runs the parent first when i is
 even and the change first when it is odd, so a drift of the host's speed
 falls on both sides alike. The run's last output line is its JSON result.
+``tools/phase_times.py --baseline`` pairs its repetitions with the same
+alternation and summarises them with the same rule.
 
 For every end-to-end metric of the change tree's ``BENCHMARK.json`` the
 JSON gives each side's values in pair order, their median and quartiles
 (``statistics.quantiles``, inclusive method), the change's median against
 the parent's, and in how many pairs the change read better (lower, for
-every end-to-end metric it declares now). A metric is "resolved" when
-the medians differ by more than the distance between the parent's
-quartiles; "claimable" as a gain when it is resolved, the change's median
-is the better one and the change read better in at least 9 of every 10
-pairs; and "within bound" when the change's median is not worse than the
-parent's by more than the metric's bound. A run that exits nonzero or
-reports ``correct: false`` is recorded and counted, and the pair keeps the
-values it printed.
+every end-to-end metric it declares now). Only pairs in which both runs
+are correct enter these values. A metric is "resolved" when the medians
+differ by more than the distance between the parent's quartiles;
+"claimable" as a gain when it is resolved over at least 10 such pairs, the
+change's median is the better one, the change read better in at least 9
+of every 10 of them (ties count for neither) and the change's runs report
+no more failed operations in all than the parent's; and "within bound"
+when the change's median is not worse than the parent's by more than the
+metric's bound. A run that exits nonzero or reports ``correct: false`` is
+recorded and counted, and the pair keeps the values it printed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "tools"))
-from phase_times import machine  # noqa: E402
+import numpy
 
 SIDES = ("parent", "change")
+MIN_CLAIM_PAIRS = 10
+
+
+def machine() -> dict:
+    model = platform.processor()
+    try:
+        with open("/proc/cpuinfo") as fh:
+            model = next(line.split(":", 1)[1].strip() for line in fh if line.startswith("model name"))
+    except (OSError, StopIteration):
+        pass
+    return {
+        "nproc": os.cpu_count(),
+        "cpu": model,
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+    }
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
@@ -61,6 +81,19 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
+def alternate(n: int, run) -> list[dict]:
+    """``n`` pairs of ``run(side)`` results, one per side; pair i runs the
+    parent first when i is even and the change first when it is odd."""
+    pairs = []
+    for i in range(n):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        pair = {"first": order[0]}
+        for side in order:
+            pair[side] = run(side)
+        pairs.append(pair)
+    return pairs
+
+
 def quartiles(values: list[float]) -> list[float]:
     if len(values) < 2:
         return [values[0], values[0]]
@@ -70,16 +103,22 @@ def quartiles(values: list[float]) -> list[float]:
 
 def summarise(pairs: list[dict], spec: dict) -> dict:
     """Medians, quartiles, win count and verdicts of one metric over the
-    pairs where both sides report it."""
+    pairs where both sides are correct and report it. A spec whose bound
+    is None gets no bound verdict; a parent median of 0 gets no ratios."""
     name, lower = spec["name"], spec["better"] == "lower"
-    both = [p for p in pairs if name in p["parent"]["metrics"] and name in p["change"]["metrics"]]
+    both = [
+        p for p in pairs
+        if all(p[side]["correct"] and name in p[side]["metrics"] for side in SIDES)
+    ]
     if not both:
         return {"pairs": 0}
     values = {side: [p[side]["metrics"][name] for p in both] for side in SIDES}
     median = {side: statistics.median(v) for side, v in values.items()}
     spread = quartiles(values["parent"])
     better = sum((c < p) if lower else (c > p) for p, c in zip(values["parent"], values["change"]))
-    worse_by = (median["change"] / median["parent"] - 1) * (1 if lower else -1)
+    better_median = (median["change"] < median["parent"]) if lower else (median["change"] > median["parent"])
+    failed = {side: sum(p[side]["failed"] or 0 for p in pairs) for side in SIDES}
+    ratio = median["change"] / median["parent"] - 1 if median["parent"] else None
     resolved = abs(median["change"] - median["parent"]) > spread[1] - spread[0]
     return {
         "unit": spec["unit"],
@@ -90,13 +129,34 @@ def summarise(pairs: list[dict], spec: dict) -> dict:
         "change": values["change"],
         "median": median,
         "quartiles": {"parent": spread, "change": quartiles(values["change"])},
-        "change_vs_parent": median["change"] / median["parent"] - 1,
-        "parent_quartile_distance": (spread[1] - spread[0]) / median["parent"],
+        "change_vs_parent": ratio,
+        "parent_quartile_distance": (spread[1] - spread[0]) / median["parent"] if median["parent"] else None,
         "better_in": f"{better} of {len(both)}",
         "resolved": resolved,
-        "claimable": resolved and worse_by < 0 and 10 * better >= 9 * len(both),
-        "within_bound": worse_by <= spec["bound"],
+        "claimable": (resolved and better_median and len(both) >= MIN_CLAIM_PAIRS
+                      and 10 * better >= 9 * len(both) and failed["change"] <= failed["parent"]),
+        "within_bound": None if spec["bound"] is None else ratio * (1 if lower else -1) <= spec["bound"],
     }
+
+
+def _percent(value, sign: str = "+") -> str:
+    return "n/a" if value is None else f"{100 * value:{sign}.1f}%"
+
+
+def report(workload: str, pairs: list[dict], specs: list[dict]) -> dict:
+    """A workload's pairs, whether every run was correct and each spec's
+    summary, printed one line per metric that some pair reports."""
+    summary = {spec["name"]: summarise(pairs, spec) for spec in specs}
+    all_correct = all(p[side]["correct"] for p in pairs for side in SIDES)
+    print(f"{workload}: {len(pairs)} pairs, all correct: {all_correct}")
+    width = max(map(len, summary))
+    for name, s in summary.items():
+        if s["pairs"]:
+            print(f"  {name:{width}s} {s['median']['parent']:10.4g} -> {s['median']['change']:10.4g} "
+                  f"({_percent(s['change_vs_parent'])}, better in {s['better_in']}, parent "
+                  f"quartile distance {_percent(s['parent_quartile_distance'], '')}"
+                  f"{', claimable' if s['claimable'] else ''})")
+    return {"pairs": pairs, "all_correct": all_correct, "metrics": summary}
 
 
 def main(argv=None) -> int:
@@ -132,27 +192,8 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     for workload in args.workload:
-        pairs = []
-        for i in range(args.pairs):
-            order = SIDES if i % 2 == 0 else SIDES[::-1]
-            pair = {"first": order[0]}
-            for side in order:
-                pair[side] = run_once(trees[side], workload, args.seed, args.seconds)
-            pairs.append(pair)
-        summary = {spec["name"]: summarise(pairs, spec) for spec in specs}
-        out["workloads"][workload] = {
-            "pairs": pairs,
-            "all_correct": all(p[side]["correct"] for p in pairs for side in SIDES),
-            "metrics": summary,
-        }
-        print(f"{workload}: {args.pairs} pairs, all correct: "
-              f"{out['workloads'][workload]['all_correct']}")
-        for name, s in summary.items():
-            if s["pairs"]:
-                print(f"  {name:14s} {s['median']['parent']:10.4g} -> {s['median']['change']:10.4g} "
-                      f"({100 * s['change_vs_parent']:+.1f}%, better in {s['better_in']}, parent "
-                      f"quartile distance {100 * s['parent_quartile_distance']:.1f}%"
-                      f"{', claimable' if s['claimable'] else ''})")
+        pairs = alternate(args.pairs, lambda side: run_once(trees[side], workload, args.seed, args.seconds))
+        out["workloads"][workload] = report(workload, pairs, specs)
     with open(args.json, "w") as fh:
         json.dump(out, fh, indent=1)
         fh.write("\n")

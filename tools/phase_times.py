@@ -3,11 +3,11 @@
     python3 tools/phase_times.py --src src --workload corner alltoken deep-cli \\
         --seed 1 --cycles 2 --repeats 3 --json phases.json
     python3 tools/phase_times.py --src src --baseline ../parent/src \\
-        --seed 1 --cycles 2 --repeats 5 --json BENCH.json
+        --seed 1 --cycles 2 --repeats 10 --json BENCH.json
 
-Imports ``routedkl`` from ``--src`` and runs the configs of the three
-perfbench workloads (``perfbench/worker.py``) through ``studies`` and
-``RunConfig`` with ``run_experiment``, writing no artifacts. Each phase of
+Imports ``routedkl`` from ``--src`` and runs with ``run_experiment`` the
+configs that the workloads of ``perfbench/worker.py`` (``WORKLOADS``) give
+for each cycle, writing no artifacts. Each phase of
 ``runner.train_step`` is timed by wrapping the ``runner`` module attribute
 that performs it; exact evaluation is ``SynthTask.expected_reward``, which
 the step calls on its task. "rest" is the step's wall time outside those
@@ -39,9 +39,12 @@ largely does not.
 
 With ``--baseline SRC`` the tool compares two trees that way: each
 repetition of each workload runs once per tree, each run in a fresh
-interpreter, and the trees alternate which goes first. The JSON holds the
-per-repetition µs/step, ref/step and shares of each phase under
-``parent`` (``--baseline``) and ``change`` (``--src``).
+interpreter, paired and alternated by ``bench_pairs.alternate``. Each side
+of a pair keeps all its repetition measured; ``bench_pairs.summarise``
+gives the step's ref/step, each phase's, each window class's and each
+count its medians, quartiles, win count and verdicts, under the claim
+rule of ``tools/bench_pairs.py``. The JSON has bench_pairs' layout, with
+``parent`` the ``--baseline`` tree and ``change`` the ``--src`` tree.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import statistics
 import subprocess
 import sys
@@ -60,7 +62,9 @@ from pathlib import Path
 import numpy
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from bench_pairs import alternate, machine, report  # noqa: E402
 from refkernel import ReferenceKernel  # noqa: E402
+from worker import WORKLOADS  # noqa: E402
 
 PHASES = (
     ("sampling", "sample_group"),
@@ -75,44 +79,17 @@ PHASES = (
 )
 COUNTS = ("appends", "new nodes", "unique calls")
 WINDOW_STATES = ("window", "closed")
-SEEDS_PER_RUN = 1000  # as perfbench/worker.py: cycle c of --seed n uses seeds from n * 1000 + c
-
-
-def workload_configs(lib, workload: str, seed: int, cycle: int) -> list:
-    """The run configs of one perfbench workload cycle."""
-    st, runner = lib.studies, lib.runner
-    base = seed * SEEDS_PER_RUN
-    if workload == "corner":
-        return [
-            st.study_run_config(
-                method, regime, base + cycle, params,
-                steps=st.CORNER_STEPS[regime], learning_rate=st.CORNER_LR[regime],
-            )
-            for regime, params in (
-                ("under_allocated", st.CORNER_UNDER_PARAMS),
-                ("confident_wrong", st.CORNER_CONFIDENT_PARAMS),
-            )
-            for method in ("routed_fkl_key", "routed_rkl_error", "grpo_only")
-        ]
-    if workload == "alltoken":
-        return [st.study_run_config(
-            "alltoken_kl_persistent", "under_allocated", base + cycle, st.LIFT_PARAMS,
-            steps=st.LIFT_STEPS, learning_rate=st.LIFT_LR, teacher_sync="frozen",
-            routing=st.LIFT_ROUTING, group_size=st.LIFT_GROUP,
-        )]
-    # deep-cli: the configs its `routedkl sweep` INI parses to.
-    routing = lib.routing.RoutingConfig(
-        w0=2.0, t_start=10, t_decay=50, sync_n=10, tau=10.0, alpha=0.25
+# What --baseline summarises of a repetition: ref/step of the step, of each
+# phase and of each window class, and each count per step.
+SPECS = [
+    {"name": name, "unit": unit, "better": "lower", "bound": None}
+    for names, unit in (
+        (["step", *(name for name, _ in PHASES), "rest", *(f"{s} steps" for s in WINDOW_STATES)],
+         "ref/step"),
+        (COUNTS, "count/step"),
     )
-    return [
-        runner.RunConfig(
-            method=method, regime="mixed", seed=s, steps=120, group_size=8,
-            learning_rate=0.5, routing=routing,
-            task_params=lib.tasks.TaskParams(vocab=8, horizon=6), emit_plot_data=True,
-        )
-        for method in ("routed_both", "rlsd_weighted")
-        for s in (base + 2 * cycle, base + 2 * cycle + 1)
-    ]
+    for name in names
+]
 
 
 class PhaseClock:
@@ -199,11 +176,13 @@ def measure(lib, clock: PhaseClock, workload: str, seed: int, cycles: int, repea
     ``by_window`` gives the same for the window and closed steps, each
     class's ref/step over the repetition's mean kernel time; a class with
     no steps has None."""
+    bench = WORKLOADS[workload](lib, seed, None)
     per_rep, counts, windows = [], [], []
     for _ in range(repeats):
         clock.reset()
         for cycle in range(cycles):
-            for cfg in workload_configs(lib, workload, seed, cycle):
+            # deep-cli's configs also name the sweep's output directory; none is written here.
+            for cfg in bench.configs(cycle, None) if workload == "deep-cli" else bench.configs(cycle):
                 lib.runner.run_experiment(cfg)
         us = {name: 1e6 * t / clock.steps for name, t in clock.totals.items()}
         us["rest"] = us["step"] - sum(us[name] for name, _ in PHASES)
@@ -247,21 +226,6 @@ def _window_medians(reps: list) -> dict:
     }
 
 
-def machine() -> dict:
-    model = platform.processor()
-    try:
-        with open("/proc/cpuinfo") as fh:
-            model = next(line.split(":", 1)[1].strip() for line in fh if line.startswith("model name"))
-    except (OSError, StopIteration):
-        pass
-    return {
-        "nproc": os.cpu_count(),
-        "cpu": model,
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-    }
-
-
 def measure_tree(args) -> dict:
     """Median phase times of the ``--src`` tree, imported in this process."""
     sys.path.insert(0, os.path.abspath(args.src))
@@ -291,7 +255,9 @@ def measure_tree(args) -> dict:
 
 
 def _one_repetition(src: str, workload: str, seed: int, cycles: int) -> dict:
-    """One repetition of ``workload`` on the tree ``src``, in a fresh interpreter."""
+    """One repetition of ``workload`` on the tree ``src``, in a fresh
+    interpreter: all it measured, and under ``metrics`` the values of
+    ``SPECS``. A repetition that fails stops the comparison."""
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "phases.json")
         subprocess.run(
@@ -300,95 +266,42 @@ def _one_repetition(src: str, workload: str, seed: int, cycles: int) -> dict:
             check=True, capture_output=True, text=True,
         )
         with open(out) as fh:
-            return json.load(fh)["workloads"][workload]
+            rep = json.load(fh)["workloads"][workload]
+    metrics = {"step": rep["step_ref"], **{name: p["ref_per_step"] for name, p in rep["phases"].items()}}
+    metrics.update((f"{state} steps", w["ref_per_step"]) for state, w in rep["by_window"].items()
+                   if w["steps_per_repeat"])
+    metrics.update(rep["counts_per_step"])
+    return {"correct": True, "failed": 0, **rep, "metrics": metrics}
 
 
 def compare(args) -> dict:
     """Alternating repetitions of the ``--baseline`` and ``--src`` trees,
-    in the layout of the repository's ``BENCH_*.json`` files."""
+    in the layout of ``tools/bench_pairs.py``."""
     trees = {"parent": args.baseline, "change": args.src}
     out = {
         "what": "Per-phase wall time of runner.train_step on the perfbench workload configs, "
-                "parent against change. Each list holds one value per repetition; each "
-                "repetition ran the trees in fresh interpreters, alternating which went first. "
-                "Shares are of that repetition's step. A ref/step value is the time divided by "
-                "the repetition's total time of perfbench's reference kernel, run once after "
-                "every step.",
+                "parent against change, in pairs of repetitions; each repetition ran its tree "
+                "in a fresh interpreter, and the pairs alternate which tree went first. Shares "
+                "are of that repetition's step. A ref/step value is the time divided by the "
+                "repetition's total time of perfbench's reference kernel, run once after every "
+                "step. Per metric: medians, inclusive quartiles, win counts and verdicts.",
         "command": " ".join(["python3", "tools/phase_times.py", *sys.argv[1:]]),
         "machine": machine(),
         "trees": trees,
+        "seed": args.seed,
+        "cycles": args.cycles,
         "workloads": {},
     }
     for workload in args.workload:
-        runs: dict = {name: [] for name in trees}
-        for rep in range(args.repeats):
-            order = list(trees) if rep % 2 == 0 else list(trees)[::-1]
-            for name in order:
-                runs[name].append(_one_repetition(trees[name], workload, args.seed, args.cycles))
-        out["workloads"][workload] = {
-            name: {
-                "steps_per_repeat": reps[0]["steps_per_repeat"],
-                "step_us": [round(r["step_us"], 1) for r in reps],
-                "step_ref": [round(r["step_ref"], 4) for r in reps],
-                "ref_us": [round(r["ref_us"], 1) for r in reps],
-                "counts_per_step": {
-                    name: [round(r["counts_per_step"][name], 4) for r in reps] for name in COUNTS
-                },
-                "phases_us_per_step": {
-                    phase: [round(r["phases"][phase]["us_per_step"], 1) for r in reps]
-                    for phase in reps[0]["phases"]
-                },
-                "phases_ref_per_step": {
-                    phase: [round(r["phases"][phase]["ref_per_step"], 4) for r in reps]
-                    for phase in reps[0]["phases"]
-                },
-                "phases_share": {
-                    phase: [round(r["phases"][phase]["share"], 4) for r in reps]
-                    for phase in reps[0]["phases"]
-                },
-                "by_window": {
-                    state: {
-                        "steps_per_repeat": reps[0]["by_window"][state]["steps_per_repeat"],
-                        **{key: [_round(r["by_window"][state][key], places) for r in reps]
-                           for key, places in (("us_per_step", 1), ("ref_per_step", 4))},
-                    }
-                    for state in WINDOW_STATES
-                },
-            }
-            for name, reps in runs.items()
-        }
-        res = out["workloads"][workload]
-        med = {name: statistics.median(res[name]["step_us"]) for name in trees}
-        ref = {name: statistics.median(res[name]["step_ref"]) for name in trees}
-        print(f"{workload}: parent {med['parent']:.1f} us/step {ref['parent']:.3f} ref/step, "
-              f"change {med['change']:.1f} us/step {ref['change']:.3f} ref/step "
-              f"({100 * (ref['change'] / ref['parent'] - 1):+.1f}% in ref), "
-              f"medians of {args.repeats}")
-        for phase in res["parent"]["phases_us_per_step"]:
-            a, b = (statistics.median(res[name]["phases_us_per_step"][phase]) for name in trees)
-            c, d = (statistics.median(res[name]["phases_ref_per_step"][phase]) for name in trees)
-            print(f"  {phase:18s} {a:9.1f} -> {b:9.1f} us/step {c:7.3f} -> {d:7.3f} ref/step")
-        for name in COUNTS:
-            a, b = (statistics.median(res[tree]["counts_per_step"][name]) for tree in trees)
-            print(f"  {name:18s} {a:9.3f} -> {b:9.3f} per step")
-        for state in WINDOW_STATES:
-            if res["parent"]["by_window"][state]["steps_per_repeat"]:
-                a, b = (statistics.median(res[t]["by_window"][state]["us_per_step"]) for t in trees)
-                c, d = (statistics.median(res[t]["by_window"][state]["ref_per_step"]) for t in trees)
-                print(f"  {state + ' steps':18s} {a:9.1f} -> {b:9.1f} us/step "
-                      f"{c:7.3f} -> {d:7.3f} ref/step")
+        pairs = alternate(args.repeats, lambda side: _one_repetition(trees[side], workload, args.seed, args.cycles))
+        out["workloads"][workload] = report(workload, pairs, SPECS)
     return out
-
-
-def _round(value, places: int):
-    return None if value is None else round(value, places)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", required=True, help="directory that holds the routedkl package")
-    parser.add_argument("--workload", nargs="+", choices=("corner", "alltoken", "deep-cli"),
-                        default=["corner", "alltoken", "deep-cli"])
+    parser.add_argument("--workload", nargs="+", choices=list(WORKLOADS), default=list(WORKLOADS))
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--cycles", type=int, default=2)
     parser.add_argument("--repeats", type=int, default=3)
