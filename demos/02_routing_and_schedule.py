@@ -46,12 +46,13 @@ for i in range(len(outcomes)):
     sampled[i] = rng.integers(0, vocab, size=length)
 in_span = np.zeros((len(outcomes), length), dtype=bool)
 in_span[:, 1] = True  # both branches active: one teacher row per rollout
-cfg = RoutingConfig(tau=10.0, alpha=0.5, mu_e=1, mu_k=1)
+cfg = RoutingConfig(tau=10.0, alpha=0.5)
 report, _, _ = routed_loss_rows(
     student=student,
     sampled=sampled,
     in_span=in_span,
     failed=outcomes == 0,
+    kl_on=np.ones(len(outcomes), dtype=bool),
     teacher=np.tile(teacher, (len(outcomes), 1)),
     advantages=group_advantages(outcomes.astype(float)),
     lam=lambda_schedule(0, cfg),

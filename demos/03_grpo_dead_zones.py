@@ -71,7 +71,8 @@ def main():
             sampled=sampled,
             in_span=in_span,
             failed=np.zeros(group, dtype=bool),
-            teacher=np.tile(teacher, (group if lam > 0 else 0, 1)),  # key spans under mu_k
+            kl_on=np.ones(group, dtype=bool),
+            teacher=np.tile(teacher, (group if lam > 0 else 0, 1)),  # the key spans' KL rows
             advantages=adv,
             lam=lam,
             cfg=cfg,

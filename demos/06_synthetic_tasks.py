@@ -35,7 +35,7 @@ rng = np.random.default_rng(0)
 shown = 0
 while shown < 4:
     group = sample_group(chain_table, chain, rng, 1)
-    ctx, mask = oracle_annotate(chain, group, precision=1.0, rng=rng)
+    ctx, mask = oracle_annotate(chain, group, precision=1.0, rng=rng, alpha=1.0)
     tokens, label = tuple(group.tokens[0].tolist()), chain.contexts[ctx[0]].label
     print(f"tokens {tokens}  outcome {group.outcomes[0]}  spans {runs(mask[0])}  type {label}")
     shown += 1
@@ -46,7 +46,7 @@ print("\n== annotator precision model ==")
 hits, total = 0, 0
 while total < 3000:
     group = sample_group(chain_table, chain, rng, 1)
-    _, mask = oracle_annotate(chain, group, precision=0.7, rng=rng)
+    _, mask = oracle_annotate(chain, group, precision=0.7, rng=rng, alpha=1.0)
     total += int(mask.sum())
     hits += int(mask[0, list(chain.critical_positions)].sum())
 print(f"requested precision 0.7, measured {hits / total:.3f} over {total} selections")

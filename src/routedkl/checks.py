@@ -120,6 +120,7 @@ def run_checks(fast: bool = False, report=print) -> int:
         sampled=np.array([[0, 1, 2]]),
         in_span=np.array([[False, True, False]]),
         failed=np.array([False]),
+        kl_on=np.array([True]),
         teacher=teacher,
         advantages=np.zeros(1),
         lam=lambda_schedule(0, cfg),

@@ -27,16 +27,17 @@ Config files are INI-style key-value text with nested sections:
 
 The keys of a section are the fields of its config dataclass, typed by
 their annotations: ``[run]`` takes the scalar fields of ``RunConfig``,
-``[routing]`` those of ``RoutingConfig`` but the span actions ``mu_e``
-and ``mu_k``, which the method sets, and ``[task]`` those of
+``[routing]`` those of ``RoutingConfig`` and ``[task]`` those of
 ``TaskParams``; each ``[sweep]`` key is a ``[run]`` field with a
 comma-separated list of values. There is no ratio clip section: the GRPO
 term is on-policy (one update per sampled group), so clip bounds would
-change no run, and ``[clip]`` is refused as an unknown section. A bool is
-one of ``1/true/yes/0/false/no``, and ``none`` or an empty value sets an
-optional field to None. Any other key, section or value, a malformed file,
-and every value its dataclass rejects (every float must be finite) is a
-config error that names the key, section or line. A run writes its files
+change no run, and ``[clip]`` is refused as an unknown section. No key
+picks the span branches that carry KL: the method does
+(``runner.KL_BRANCHES``). A bool is one of ``1/true/yes/0/false/no``, and
+``none`` or an empty value sets an optional field to None. Any other key,
+section or value, a malformed file, and every value its dataclass rejects
+(every float must be finite) is a config error that names the key,
+section or line. A run writes its files
 under the stem ``{method}_{regime}_seed{seed}``, so a sweep whose axes
 would give two runs one stem is refused before anything runs, and a run
 never replaces a summary or abort snapshot written by a different config;
@@ -75,9 +76,6 @@ _NESTED = {
     "routing": ("routing", RoutingConfig),
     "task": ("task_params", TaskParams),
 }
-# Fields the method sets (``runner.effective_routing``, or no KL at all),
-# so a value in the file would have no effect.
-_METHOD_SET = {"routing": ("mu_e", "mu_k")}
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
@@ -110,8 +108,6 @@ def _typed_section(sections: dict, name: str, cls) -> dict:
     for key, raw in sections.get(name, {}).items():
         if key not in types:
             raise ConfigError(f"unknown key {key!r} in [{name}]")
-        if key in _METHOD_SET.get(name, ()):
-            raise ConfigError(f"key {key!r} in [{name}] is set by the method, not the file")
         out[key] = _typed_value(name, key, raw, types[key])
     return out
 

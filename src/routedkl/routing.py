@@ -5,9 +5,12 @@ error spans (failed rollouts, reverse KL toward the teacher), key spans
 (successful rollouts, forward KL), or non-span (plain GRPO). The KL
 channel carries weight lambda_k, which is flat during warm-up, ramps
 linearly to zero, and stays there; rho_k = 1 - lambda_k / w0 smoothly
-returns span tokens to GRPO as the channel closes. The kernel's KL block
-takes a step's error and key rows as one stack, in one pass, and runs
-only when a KL row exists: a closed channel costs only the GRPO term.
+returns span tokens to GRPO as the channel closes. The annotator caps
+each rollout's span mask at ``coverage_cap`` positions, and the method
+decides which rollouts' span branch carries KL (``runner.KL_BRANCHES``);
+the kernel takes both as given. Its KL block takes a step's error and key
+rows as one stack, in one pass, and runs only when a KL row exists: a
+closed channel costs only the GRPO term.
 """
 
 from __future__ import annotations
@@ -29,10 +32,8 @@ from .policy import floor_fixed_point, truncate_and_floor
 
 @dataclass(frozen=True)
 class RoutingConfig:
-    """Corner action, coverage cap, KL clip, and schedule constants."""
+    """Coverage cap, KL clip, floor, and schedule constants."""
 
-    mu_e: int = 0
-    mu_k: int = 1
     alpha: float = 0.25
     tau: float = 0.05
     w0: float = 0.5
@@ -43,8 +44,6 @@ class RoutingConfig:
 
     def __post_init__(self) -> None:
         require_finite_fields(self)
-        if self.mu_e not in (0, 1) or self.mu_k not in (0, 1):
-            raise RangeError("mu_e and mu_k are binary action selectors")
         if not (0 < self.alpha <= 1):
             raise RangeError(f"alpha={self.alpha} outside (0, 1]")
         if self.tau <= 0:
@@ -109,9 +108,10 @@ class RoutedLossReport:
     """Loss decomposition of one rollout group.
 
     total = grpo_nonspan + rho * grpo_span
-            + lam * (mu_e * kl_error_branch + mu_k * kl_key_branch)
+            + lam * (kl_error_branch + kl_key_branch)
 
-    Branch values are reported in the per-token 1/|y| normalization.
+    Branch values are reported in the per-token 1/|y| normalization; a
+    branch that carries no KL row is the +0.0 of an empty sum.
     ``routed_loss_rows`` returns the logit gradients beside the report.
     """
 
@@ -122,16 +122,6 @@ class RoutedLossReport:
     kl_key_branch: float
     lam: float
     rho: float
-
-
-def _running_sum(values: np.ndarray) -> float:
-    """0.0 + values[0] + values[1] + ..., left to right.
-
-    The order a per-token loop accumulates in; ``np.sum`` adds pairwise.
-    Adding 0.0 at the end gives the loop's +0.0 for an all-zero input, and
-    makes dropping +0.0 entries from ``values`` leave the bytes unchanged.
-    """
-    return float(values.cumsum()[-1]) + 0.0 if values.size else 0.0
 
 
 def _floored_kl_rows(
@@ -177,6 +167,7 @@ def routed_loss_rows(
     sampled: np.ndarray,
     in_span: np.ndarray,
     failed: np.ndarray,
+    kl_on: np.ndarray,
     teacher: np.ndarray,
     advantages: np.ndarray,
     lam: float,
@@ -187,11 +178,12 @@ def routed_loss_rows(
 
     ``student`` holds the (G, T, V) student rows; ``sampled``,
     ``in_span`` (the span mask) and the optional per-token advantage
-    multiplier ``adv_scale`` are (G, T); ``failed`` (outcome 0)
-    and ``advantages`` are (G,). ``teacher`` holds one (M, V) row per KL
-    position in (rollout, position) order: the span positions of the
-    rollouts whose branch is active (error spans on failed rollouts under
-    mu_e, key spans on accepted ones under mu_k) while lam > 0.
+    multiplier ``adv_scale`` are (G, T); ``failed`` (outcome 0),
+    ``kl_on`` (the rollouts whose span branch carries KL, which the method
+    decides) and ``advantages`` are (G,). The span mask is taken as given:
+    the annotator has applied the coverage cap. ``teacher`` holds one
+    (M, V) row per KL position in (rollout, position) order: the span
+    positions of the ``kl_on`` rollouts while lam > 0.
 
     The GRPO term is on-policy: the rows that score the tokens are the
     rows that sampled them, so each token's surrogate loss and gradient
@@ -224,16 +216,14 @@ def routed_loss_rows(
         ("in_span", in_span, (g, horizon)),
         ("adv_scale", adv_scale, (g, horizon)),
         ("failed", failed, (g,)),
+        ("kl_on", kl_on, (g,)),
         ("advantages", advantages, (g,)),
     ):
         if arr is not None and np.shape(arr) != shape:
             raise DimensionError(f"{name} has shape {np.shape(arr)}, not {shape}")
     failed = np.asarray(failed, dtype=bool)
-    in_span = np.asarray(in_span, dtype=bool)
-    if (in_span.sum(axis=1) > coverage_cap(cfg.alpha, horizon)).any():
-        raise InternalConsistencyError("span mask exceeds the coverage cap")
-    student, in_span = student.reshape(-1, vocab), in_span.ravel()
-    kl_on = (lam > 0.0) & np.where(failed, bool(cfg.mu_e), bool(cfg.mu_k))
+    student, in_span = student.reshape(-1, vocab), np.asarray(in_span, dtype=bool).ravel()
+    kl_on = (lam > 0.0) & np.asarray(kl_on, dtype=bool)
     kl_mask = in_span & kl_on.repeat(horizon)
     kl_rows = kl_mask.nonzero()[0]
     teacher = np.asarray(teacher, dtype=float)
@@ -251,8 +241,8 @@ def routed_loss_rows(
         tok_adv = tok_adv * np.ravel(adv_scale)
     loss = factor = -tok_adv
     share = loss * inv_len / g
-    grpo_span = _running_sum(share[in_span])
-    grpo_nonspan = _running_sum(share[~in_span])
+    # Each region's sum adds left to right from 0.0, as a per-token loop.
+    grpo_nonspan, grpo_span = np.bincount(in_span, share, minlength=2).tolist()
     weight = np.where(in_span, rho_k, 1.0) * inv_len / g
     has_grpo = (factor != 0.0) & (weight != 0.0)
     grpo_rows = has_grpo.nonzero()[0]
@@ -271,18 +261,14 @@ def routed_loss_rows(
         kl_term = kl_grads * (lam * inv_len / g)
         grads[kl_rows] = np.where(has_grpo[kl_rows, None], grads[kl_rows] + kl_term, kl_term)
         # A rollout's KL rows are all error rows or all key rows, so one
-        # per-rollout sum serves both branches; the other branch's entries
-        # would be +0.0.
+        # per-rollout sum serves both branches, which add their rollouts'
+        # sums left to right from 0.0.
         branch = np.bincount(kl_item, kl_values, minlength=g) * inv_len / g
-        kl_error, kl_key = _running_sum(branch[failed]), _running_sum(branch[~failed])
+        kl_key, kl_error = np.bincount(failed, branch, minlength=2).tolist()
         has_grad = (has_grpo | kl_mask).nonzero()[0]
         grads = grads[has_grad]
 
-    total = (
-        grpo_nonspan
-        + rho_k * grpo_span
-        + lam * (cfg.mu_e * kl_error + cfg.mu_k * kl_key)
-    )
+    total = grpo_nonspan + rho_k * grpo_span + lam * (kl_error + kl_key)
     report = RoutedLossReport(
         total=total,
         grpo_nonspan=grpo_nonspan,

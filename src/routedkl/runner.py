@@ -3,8 +3,10 @@
 One step samples a group of rollouts, verifies and annotates them, builds
 the group's loss inputs, and applies a single gradient step to the shared
 policy table. All six methods share one loss assembly,
-``routing.routed_loss_rows``; a method only decides the span mask, the
-teacher rows, the KL weight and a per-token advantage multiplier. Methods:
+``routing.routed_loss_rows``; a method only decides the span mask, which
+rollouts' span branch carries KL (``KL_BRANCHES``), the KL weight and a
+per-token advantage multiplier. The annotator applies the coverage cap.
+Methods:
 
 * ``routed_fkl_key``     forward KL on key spans (default corner action)
 * ``routed_rkl_error``   reverse KL on error spans
@@ -60,12 +62,12 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import functools
 import hashlib
 import json
 import math
 import os
 from dataclasses import dataclass, field, replace
+from typing import NoReturn
 
 import numpy as np
 
@@ -85,12 +87,7 @@ from .privileged import (
     exposure_accumulate,
     rlsd_weight,
 )
-from .routing import (
-    RoutingConfig,
-    coverage_cap,
-    lambda_schedule,
-    routed_loss_rows,
-)
+from .routing import RoutingConfig, lambda_schedule, routed_loss_rows
 from .tasks import (
     REGIMES,
     RewardTree,
@@ -112,7 +109,15 @@ METHODS = (
     "rlsd_weighted",
 )
 
-ROUTED_FAMILY = ("routed_fkl_key", "routed_rkl_error", "routed_both")
+# Per KL method, whether its KL reaches (the error spans of a failed
+# rollout, the key spans of an accepted one); the other methods run with
+# lam = 0 and carry none.
+KL_BRANCHES = {
+    "routed_fkl_key": (False, True),
+    "routed_rkl_error": (True, False),
+    "routed_both": (True, True),
+    "alltoken_kl_persistent": (True, True),
+}
 
 CSV_COLUMNS = (
     "step",
@@ -246,29 +251,9 @@ def should_sync(k: int, n: int, lam_k: float) -> bool:
 def effective_lambda(cfg: RunConfig, k: int) -> float:
     if cfg.method == "alltoken_kl_persistent":
         return cfg.routing.w0
-    if cfg.method in ROUTED_FAMILY:
+    if cfg.method in KL_BRANCHES:
         return lambda_schedule(k, cfg.routing)
     return 0.0
-
-
-_SPAN_ACTIONS = {
-    "routed_fkl_key": dict(mu_e=0, mu_k=1),
-    "routed_rkl_error": dict(mu_e=1, mu_k=0),
-    "routed_both": dict(mu_e=1, mu_k=1),
-    "alltoken_kl_persistent": dict(mu_e=1, mu_k=1, alpha=1.0),
-}
-
-
-def effective_routing(cfg: RunConfig) -> RoutingConfig:
-    """The method's span actions (mu_e, mu_k) and coverage cap."""
-    return _method_routing(cfg.method, cfg.routing)
-
-
-@functools.lru_cache(maxsize=64)
-def _method_routing(method: str, routing: RoutingConfig) -> RoutingConfig:
-    # Keyed on the values, not stored on the run state: a forked state's
-    # cfg can be swapped for another method's.
-    return replace(routing, **_SPAN_ACTIONS.get(method, {}))
 
 
 def build_eval_token_set(task: SynthTask) -> np.ndarray:
@@ -340,31 +325,17 @@ class _StepTensors:
 
     student: np.ndarray  # (G, T, V) student rows
     mask: np.ndarray  # (G, T) span mask after the coverage cap
-    kl_rows: np.ndarray  # (M,) flat positions whose span branch is active
-    teacher: np.ndarray  # (M, V) teacher rows of kl_rows
+    kl_on: np.ndarray  # (G,) rollouts whose span branch carries KL
+    teacher: np.ndarray  # (M, V) teacher rows of the kl_on rollouts' span positions
     variance: np.ndarray | None = None  # (G,) ledger terms summed over each rollout's span
     deviation: np.ndarray | None = None
     adv_scale: np.ndarray | None = None  # (G, T) per-token advantage multiplier
-
-
-def _annotate(
-    task: SynthTask,
-    group: SampledGroup,
-    precision: float,
-    rng: np.random.Generator,
-    alpha: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each rollout's oracle context and (G, T) span mask after the cap,
-    which keeps a row's lowest ``ceil(alpha T)`` marked positions."""
-    ctx, mask = oracle_annotate(task, group, precision, rng)
-    return ctx, mask & (np.cumsum(mask, axis=1) <= coverage_cap(alpha, mask.shape[1]))
 
 
 def _step_tensors(
     state: RunState,
     group: SampledGroup,
     advantages: np.ndarray,
-    routing: RoutingConfig,
     lam: float,
     rlsd_open: bool,
 ) -> _StepTensors:
@@ -373,15 +344,16 @@ def _step_tensors(
     The student rows are read from the cache that sampled the group, and
     the step updates the table only after its loss, so the GRPO term is
     on-policy (ratio 1) and needs no log-probs. With the KL channel open
-    (lam > 0) each rollout is annotated, masked and capped (the all-token
-    baseline masks every position and draws only the context), teacher
-    rows are gathered at the span positions of the active branch and the
-    ledger's two terms are summed per rollout over every span position,
-    left to right from 0.0 (``bincount``). Otherwise the mask is empty
-    and every token is plain GRPO; inside the RLSD window one context is
-    drawn per rollout and rollouts with positive advantage carry the
-    clipped teacher/student ratio of each sampled token as their advantage
-    multiplier.
+    (lam > 0) each rollout is annotated, masked and capped by
+    ``oracle_annotate`` (the all-token baseline masks every position and
+    draws only the context), ``kl_on`` is read off the outcomes and the
+    method's ``KL_BRANCHES`` entry, teacher rows are gathered at the span
+    positions of the ``kl_on`` rollouts, and the ledger's two terms are
+    summed per rollout over every span position, left to right from 0.0
+    (``bincount``). Otherwise the mask is empty and every token is plain
+    GRPO; inside the RLSD window one context is drawn per rollout and
+    rollouts with positive advantage carry the clipped teacher/student
+    ratio of each sampled token as their advantage multiplier.
     """
     cfg, task = state.cfg, state.task
     size, horizon = group.tokens.shape
@@ -389,7 +361,7 @@ def _step_tensors(
     step = _StepTensors(
         student=dists[group.prefix_index],
         mask=np.zeros((size, horizon), dtype=bool),
-        kl_rows=np.empty(0, dtype=np.int64),
+        kl_on=np.zeros(size, dtype=bool),
         teacher=np.empty((0, task.vocab)),
     )
     if lam > 0.0:
@@ -397,8 +369,8 @@ def _step_tensors(
             ctx = draw_contexts(task, state.rng_annot, size)
             step.mask[:] = True
         else:
-            ctx, step.mask = _annotate(
-                task, group, cfg.annotator_precision, state.rng_annot, routing.alpha
+            ctx, step.mask = oracle_annotate(
+                task, group, cfg.annotator_precision, state.rng_annot, cfg.routing.alpha
             )
         span = np.flatnonzero(step.mask)
         nodes = group.prefix_index.ravel()[span]
@@ -408,9 +380,9 @@ def _step_tensors(
         step.deviation = np.bincount(item, terms[nodes, 1], minlength=size)
         # Span positions are all error spans on a failed rollout, all key
         # spans on an accepted one.
-        branch = np.where(group.outcomes == 0, routing.mu_e, routing.mu_k)[item] == 1
-        step.kl_rows = span[branch]
-        step.teacher = matrices[nodes[branch], ctx[step.kl_rows // horizon]]
+        step.kl_on = np.where(group.outcomes == 0, *KL_BRANCHES[cfg.method])
+        on = step.kl_on[item]
+        step.teacher = matrices[nodes[on], ctx[item[on]]]
     elif rlsd_open:
         ctx = draw_contexts(task, state.rng_annot, size)
         winners = np.flatnonzero(advantages > 0)
@@ -501,26 +473,28 @@ def _track_credit_concentration(
         state.credit_ratios.append(_mean(ratios))
 
 
-def _dump_diagnostics(state: RunState, rewards: np.ndarray, total: float) -> None:
-    """Write an abort snapshot next to the run output when possible."""
-    if state.cfg.out_dir is None:
-        return
-    os.makedirs(state.cfg.out_dir, exist_ok=True)
-    payload = {
-        "step": state.k,
-        "method": state.cfg.method,
-        "seed": state.cfg.seed,
-        "config_hash": state.cfg.config_hash(),
-        "loss": repr(total),
-        "batch_rewards": rewards.tolist(),
-        "rows": {
-            f"{prompt}/{prefix}": row.tolist()
-            for (prompt, prefix), row in state.table.rows.items()
-        },
-    }
-    path = os.path.join(state.cfg.out_dir, f"{output_stem(state.cfg)}_abort_diagnostics.json")
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
+def _abort(state: RunState, rewards: np.ndarray, total: float, message: str) -> NoReturn:
+    """Write an abort snapshot next to the run output when there is one,
+    then raise ``NumericFailureError(message)``."""
+    cfg = state.cfg
+    if cfg.out_dir is not None:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+        payload = {
+            "step": state.k,
+            "method": cfg.method,
+            "seed": cfg.seed,
+            "config_hash": cfg.config_hash(),
+            "loss": repr(total),
+            "batch_rewards": rewards.tolist(),
+            "rows": {
+                f"{prompt}/{prefix}": row.tolist()
+                for (prompt, prefix), row in state.table.rows.items()
+            },
+        }
+        path = os.path.join(cfg.out_dir, f"{output_stem(cfg)}_abort_diagnostics.json")
+        with open(path, "w") as fh:
+            json.dump(payload, fh, sort_keys=True, indent=2)
+    raise NumericFailureError(message)
 
 
 def train_step(state: RunState) -> dict:
@@ -528,10 +502,9 @@ def train_step(state: RunState) -> dict:
     cfg, task, table = state.cfg, state.task, state.table
     k = state.k
     lam = effective_lambda(cfg, k)
-    routing = effective_routing(cfg)
     rlsd_open = cfg.method == "rlsd_weighted" and lambda_schedule(k, cfg.routing) > 0.0
 
-    if cfg.teacher_sync == "interval" and should_sync(k, routing.sync_n, lam):
+    if cfg.teacher_sync == "interval" and should_sync(k, cfg.routing.sync_n, lam):
         table.sync_teacher()
     if not (lam > 0.0 or rlsd_open):
         state.teacher_cache.have[:] = False  # any teacher read now misses and is counted
@@ -541,16 +514,17 @@ def train_step(state: RunState) -> dict:
     advantages = group_advantages(rewards)
 
     lookups_before = table.teacher_lookups
-    step = _step_tensors(state, group, advantages, routing, lam, rlsd_open)
+    step = _step_tensors(state, group, advantages, lam, rlsd_open)
     report, grad_rows, grads = routed_loss_rows(
         student=step.student,
         sampled=group.tokens,
         in_span=step.mask,
         failed=group.outcomes == 0,
+        kl_on=step.kl_on,
         teacher=step.teacher,
         advantages=advantages,
         lam=lam,
-        cfg=routing,
+        cfg=cfg.routing,
         adv_scale=step.adv_scale,
     )
     if not (lam > 0.0 or rlsd_open) and table.teacher_lookups != lookups_before:
@@ -561,20 +535,19 @@ def train_step(state: RunState) -> dict:
 
     total = report.total
     if not np.isfinite(total):
-        _dump_diagnostics(state, rewards, total)
-        raise NumericFailureError(f"non-finite loss at step {k}: {total!r}")
+        _abort(state, rewards, total, f"non-finite loss at step {k}: {total!r}")
 
     probs_before = _eval_probs(state)
     _apply_row_grads(state, group, grad_rows, grads)
     probs_after = _eval_probs(state)
     for probs in (probs_before, probs_after):
         if not probs.all():
-            _dump_diagnostics(state, rewards, total)
             token = state.eval_tokens[int(np.argmin(probs))]
-            raise NumericFailureError(
+            message = (
                 f"non-finite delta_lift at step {k}: the student probability of eval "
                 f"token {token} underflowed to 0"
             )
+            _abort(state, rewards, total, message)
     lift = _mean(np.log(probs_after) - np.log(probs_before)) if probs_after.size else None
     if state.validation_reward is None:
         state.validation_reward = task.expected_reward(
@@ -594,8 +567,7 @@ def train_step(state: RunState) -> dict:
     }
     for col, value in row.items():
         if isinstance(value, float) and not math.isfinite(value):
-            _dump_diagnostics(state, rewards, total)
-            raise NumericFailureError(f"non-finite {col} at step {k}: {value!r}")
+            _abort(state, rewards, total, f"non-finite {col} at step {k}: {value!r}")
     state.k += 1
     return row
 

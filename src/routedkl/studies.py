@@ -22,9 +22,11 @@ from .tasks import (
     SynthTask,
     TaskParams,
     chain_params,
+    draw_contexts,
     generate_task,
     sample_group,
 )
+from .theory import precision_threshold
 
 # Schedule shared by every method inside the corner study: a stronger,
 # longer KL window than the config defaults (the desk-scale per-entry KL
@@ -322,7 +324,7 @@ def alignment_threshold_study(
         if group.outcomes[0] != 1:
             continue
         nodes = group.prefix_index[0].tolist()
-        ctx = int(rng.choice(len(task.contexts), p=task.context_probs))
+        ctx = int(draw_contexts(task, rng, 1)[0])
         true_aligns.extend(align(nodes[t], ctx) for t in task.critical_positions)
         non_critical = [t for t in range(task.horizon) if t not in task.critical_positions]
         t_false = int(non_critical[int(rng.choice(len(non_critical)))])
@@ -334,7 +336,7 @@ def alignment_threshold_study(
         raise RangeError(
             "alignment study needs positive margin and positive misalignment"
         )
-    q_star = b / (gamma + b)
+    q_star = precision_threshold(gamma, b)
 
     # Independent pass: simulate the corrupting annotator at each grid
     # precision and measure the selected-span inner product directly.

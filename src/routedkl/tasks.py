@@ -35,6 +35,7 @@ from .errors import (
     require_finite_fields,
 )
 from .policy import PolicyTable, PrefixKey, StudentDists, cdf_rows, softmax
+from .routing import coverage_cap
 
 REGIMES = ("under_allocated", "confident_wrong", "mixed")
 
@@ -629,10 +630,15 @@ def _runs(positions: list[int]) -> list[tuple[int, int]]:
 
 
 def oracle_annotate(
-    task: SynthTask, group: SampledGroup, precision: float, rng: np.random.Generator
+    task: SynthTask,
+    group: SampledGroup,
+    precision: float,
+    rng: np.random.Generator,
+    alpha: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Each rollout's privileged context and the (G, T) span mask, before
-    the coverage cap, with every span kept with probability ``precision``.
+    """Each rollout's privileged context and the (G, T) span mask, with
+    every span kept with probability ``precision`` and each row then held
+    to its lowest ``coverage_cap(alpha, T)`` marked positions.
 
     The true spans: an accepted rollout is marked on the runs of critical
     positions (``_runs``, so at most three of them); a rejected one on its
@@ -648,7 +654,9 @@ def oracle_annotate(
     """
     if not (0.0 <= precision <= 1.0):
         raise RangeError("precision must lie in [0, 1]")
-    size = len(group.tokens)
+    if not (0.0 < alpha <= 1.0):
+        raise RangeError(f"alpha={alpha} outside (0, 1]")
+    size, horizon = group.tokens.shape
     key_runs, key, is_critical = task.span_layout
     dead = group.states[:, 1:] == _DEAD
     root = dead.argmax(axis=1)
@@ -657,20 +665,22 @@ def oracle_annotate(
     mask = np.where(failed[:, None], False, key)
     mask[has_root, root[has_root]] = True
     if precision == 1.0:
-        return draw_contexts(task, rng, size), mask
-    non_critical = np.flatnonzero(~is_critical)
-    uniforms = np.empty(size)
-    for i in range(size):
-        uniforms[i] = rng.random()  # the context, as draw_contexts(task, rng, 1)
-        if not failed[i]:
-            runs = key_runs
-        else:
-            runs = [(root[i], root[i] + 1)] if has_root[i] else []
-        for start, end in runs:
-            if rng.random() > precision and non_critical.size:
-                mask[i, start:end] = False
-                mask[i, non_critical[rng.choice(non_critical.size)]] = True
-    return inverse_cdf(task.context_cdf, uniforms), mask
+        ctx = draw_contexts(task, rng, size)
+    else:
+        non_critical = np.flatnonzero(~is_critical)
+        uniforms = np.empty(size)
+        for i in range(size):
+            uniforms[i] = rng.random()  # the context, as draw_contexts(task, rng, 1)
+            if not failed[i]:
+                runs = key_runs
+            else:
+                runs = [(root[i], root[i] + 1)] if has_root[i] else []
+            for start, end in runs:
+                if rng.random() > precision and non_critical.size:
+                    mask[i, start:end] = False
+                    mask[i, non_critical[rng.choice(non_critical.size)]] = True
+        ctx = inverse_cdf(task.context_cdf, uniforms)
+    return ctx, mask & (mask.cumsum(axis=1) <= coverage_cap(alpha, horizon))
 
 
 def chain_params(**overrides) -> TaskParams:

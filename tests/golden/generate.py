@@ -43,9 +43,10 @@ of its own path and, on the AVX-512 path, runs itself again with
     PYTHONPATH=src python tests/golden/generate.py --compare OLD NEW # diff two dumps
 
 A change that moves the numbers on purpose regenerates ``hashes.json`` and
-records in CHANGES.md why, with a per-row comparison of the dumped CSVs
+records in CHANGES.md why, with a per-row comparison of the dumped files
 against the previous code's: ``--compare`` prints, for every CSV of the two
-dumps, the largest absolute difference and the max abs diff of each row.
+dumps, the largest absolute difference and the max abs diff of each row,
+then, for every summary JSON, the keys whose values differ.
 """
 
 from __future__ import annotations
@@ -202,17 +203,24 @@ def _read_rows(path: str) -> list[list[str]]:
         return list(csv.reader(fh))
 
 
+def _pairs(old_dir: str, new_dir: str, suffix: str):
+    """(name, [old path, new path], the dump it is missing from or None) of
+    every file of either dump whose name ends in ``suffix``, by name."""
+    names = set(os.listdir(old_dir)) | set(os.listdir(new_dir))
+    for name in sorted(n for n in names if n.endswith(suffix)):
+        paths = [os.path.join(old_dir, name), os.path.join(new_dir, name)]
+        absent = [d for d, path in zip((old_dir, new_dir), paths) if not os.path.exists(path)]
+        yield name, paths, absent[0] if absent else None
+
+
 def compare(old_dir: str, new_dir: str) -> list[str]:
     """One line per CSV of either dump: the file's max abs diff, then each
     data row's, in row order. A missing file, a changed header or row count,
     and a changed non-numeric cell are reported as such or as inf."""
     lines = []
-    names = sorted(n for n in set(os.listdir(old_dir)) | set(os.listdir(new_dir)) if n.endswith(".csv"))
-    for name in names:
-        paths = [os.path.join(old_dir, name), os.path.join(new_dir, name)]
-        absent = [d for d, path in zip((old_dir, new_dir), paths) if not os.path.exists(path)]
+    for name, paths, absent in _pairs(old_dir, new_dir, ".csv"):
         if absent:
-            lines.append(f"{name}: missing in {absent[0]}")
+            lines.append(f"{name}: missing in {absent}")
             continue
         old, new = map(_read_rows, paths)
         if old[:1] != new[:1] or len(old) != len(new):
@@ -228,13 +236,33 @@ def compare(old_dir: str, new_dir: str) -> list[str]:
     return lines
 
 
+def compare_summaries(old_dir: str, new_dir: str) -> list[str]:
+    """One line per summary JSON of either dump: the keys, in order, whose
+    values differ as JSON text (a key one side lacks differs), or "none";
+    a missing file is reported as such."""
+    lines = []
+    for name, paths, absent in _pairs(old_dir, new_dir, "_summary.json"):
+        if absent:
+            lines.append(f"{name}: missing in {absent}")
+            continue
+        old, new = ({k: json.dumps(v) for k, v in _read_json(p).items()} for p in paths)
+        keys = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
+        lines.append(f"{name}: changed {' '.join(keys) or 'none'}")
+    return lines
+
+
+def _read_json(path: str) -> dict:
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--dump", metavar="DIR", default=None)
     parser.add_argument("--compare", nargs=2, metavar=("OLD_DIR", "NEW_DIR"), default=None)
     args = parser.parse_args()
     if args.compare is not None:
-        print("\n".join(compare(*args.compare)))
+        print("\n".join(compare(*args.compare) + compare_summaries(*args.compare)))
         return
     path, child = numpy_path(), NO_AVX512.items() <= os.environ.items()
     if child and path != "libm":

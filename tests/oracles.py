@@ -284,6 +284,7 @@ def reference_routed_loss_rows(
     sampled: np.ndarray,
     in_span: np.ndarray,
     failed: np.ndarray,
+    kl_on: np.ndarray,
     teacher: np.ndarray,
     advantages: np.ndarray,
     lam: float,
@@ -302,7 +303,7 @@ def reference_routed_loss_rows(
     ``log_ratio`` (G, T) with ratio bounds ``eps_low`` and ``eps_high``;
     the library's on-policy loss is the case ``log_ratio = None``, ratio 1.
     Teacher rows are consumed in order, one per span position of a
-    rollout whose branch is active. Returns the report and the logit
+    ``kl_on`` rollout while lambda > 0. Returns the report and the logit
     gradients keyed by (rollout, position).
 
     Error spans use reverse KL (student first), key spans forward KL
@@ -329,14 +330,11 @@ def reference_routed_loss_rows(
     inv_len = 1.0 / length
 
     for i in range(g):
-        n_span = int(np.count_nonzero(in_span[i]))
-        if n_span > coverage_cap(cfg.alpha, length):
-            raise InternalConsistencyError("span mask exceeds the coverage cap")
         adv = float(advantages[i])
         # Span positions are all error spans on a failed rollout, all key
         # spans on an accepted one.
         is_error = bool(failed[i])
-        kl_on = lam > 0.0 and (cfg.mu_e if is_error else cfg.mu_k)
+        kl_active = lam > 0.0 and bool(kl_on[i])
         err_sum = 0.0
         key_sum = 0.0
 
@@ -359,7 +357,7 @@ def reference_routed_loss_rows(
                 token_grad = score
 
             # Routed KL on the active branch.
-            if kl_on and span_t:
+            if kl_active and span_t:
                 q_t = next(teacher_rows, None)
                 if q_t is None:
                     raise DimensionError(f"teacher rows run out at position {(i, t)}")
@@ -385,7 +383,7 @@ def reference_routed_loss_rows(
     total = (
         grpo_nonspan
         + rho_k * grpo_span
-        + lam * (cfg.mu_e * kl_error + cfg.mu_k * kl_key)
+        + lam * (kl_error + kl_key)
     )
     report = RoutedLossReport(
         total=total,
@@ -583,7 +581,7 @@ def enforce_coverage_cap(mask, weights, alpha):
     """Keep at most ceil(alpha * len) marked tokens, by descending weight.
 
     Ties break toward the lower index, so unit weights keep the lowest
-    marked positions, as the runner's ``cumsum`` cap does.
+    marked positions, as ``tasks.oracle_annotate``'s ``cumsum`` cap does.
     """
     mask = np.asarray(mask, dtype=np.int8)
     weights = np.asarray(weights, dtype=float)

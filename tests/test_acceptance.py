@@ -112,7 +112,7 @@ def test_criterion_03_dead_zone_preservation():
     advantages = group_advantages(np.ones(g))
     assert np.all(advantages == 0.0)
 
-    cfg = RoutingConfig(tau=10.0, alpha=0.5)  # default action: FKL on key spans
+    cfg = RoutingConfig(tau=10.0, alpha=0.5)
 
     def loss_at(k):
         lam = lambda_schedule(k, cfg)
@@ -121,6 +121,7 @@ def test_criterion_03_dead_zone_preservation():
             sampled=sampled,
             in_span=in_span,
             failed=np.zeros(g, dtype=bool),
+            kl_on=np.ones(g, dtype=bool),  # routed_fkl_key: FKL on key spans
             teacher=np.tile(teacher, (g if lam > 0 else 0, 1)),
             advantages=advantages,
             lam=lam,
@@ -329,8 +330,7 @@ def test_criterion_12_coverage_and_schedule_constants():
     cap = coverage_cap(0.25, task.horizon)
     for _ in range(300):
         group = sample_group(table, task, rng, 1)
-        _, mask = oracle_annotate(task, group, 0.8, rng)
-        mask = mask & (np.cumsum(mask, axis=1) <= cap)
+        _, mask = oracle_annotate(task, group, 0.8, rng, 0.25)
         assert mask.sum() <= cap
     _report(12, "coverage cap obeyed; schedule values and weight sums verified",
             f"L1 = {l1}, L2 = {l2:.6f}")

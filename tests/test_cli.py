@@ -30,8 +30,8 @@ CORNER_UNDER = {
     "group_size": 8,
     "learning_rate": 0.7,
     "routing": {
-        "mu_e": 0, "mu_k": 1, "alpha": 0.25, "tau": 10.0, "w0": 2.0,
-        "t_start": 10, "t_decay": 50, "sync_n": 10, "floor_p_min": 1e-06,
+        "alpha": 0.25, "tau": 10.0, "w0": 2.0, "t_start": 10, "t_decay": 50,
+        "sync_n": 10, "floor_p_min": 1e-06,
     },
     "task_params": {
         "vocab": 8, "horizon": 3, "p_star": 0.005, "alt_mass": 0.9,
@@ -125,22 +125,18 @@ class TestSchema:
         assert _run(tmp_path, _edit(SMALL, "run", key, "x")) == 2
         assert f"unknown key {key!r} in [run]" in capsys.readouterr().err
 
-    def test_routing_config_has_nine_fields(self):
-        assert len(dataclasses.fields(RoutingConfig)) == 9
+    def test_routing_config_has_seven_fields(self):
+        assert len(dataclasses.fields(RoutingConfig)) == 7
 
-    @pytest.mark.parametrize("key, value", [("floor_top_k", "4"), ("clip_two_sided", "false")])
+    @pytest.mark.parametrize(
+        "key, value",
+        [("floor_top_k", "4"), ("clip_two_sided", "false"), ("mu_e", "1"), ("mu_k", "0")],
+    )
     def test_deleted_routing_knobs_are_unknown(self, tmp_path, capsys, key, value):
+        # No key picks the span branches that carry KL: the method does
+        # (runner.KL_BRANCHES).
         assert _run(tmp_path, _edit(SMALL, "routing", key, value)) == 2
-        assert f"unknown key {key!r}" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("method", ["routed_fkl_key", "grpo_only"])
-    @pytest.mark.parametrize("key, value", [("mu_e", "1"), ("mu_k", "0")])
-    def test_method_set_routing_keys_are_refused(self, tmp_path, capsys, method, key, value):
-        # The method sets the span actions, so a value in the file would
-        # change only the config hash.
-        text = _edit(_edit(SMALL, "run", "method", method), "routing", key, value)
-        assert _run(tmp_path, text) == 2
-        assert f"key {key!r} in [routing] is set by the method" in capsys.readouterr().err
+        assert f"unknown key {key!r} in [routing]" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_sweep_reads_the_ini_once(self, tmp_path, monkeypatch):

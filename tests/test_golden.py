@@ -10,7 +10,14 @@ from pathlib import Path
 import pytest
 
 import routedkl
-from golden.generate import HASH_SETS, HASHES, NO_AVX512, compare, golden_hashes
+from golden.generate import (
+    HASH_SETS,
+    HASHES,
+    NO_AVX512,
+    compare,
+    compare_summaries,
+    golden_hashes,
+)
 
 # Runs of every block of the matrix whose hashes differ between the sets.
 LIBM_STEMS = (
@@ -70,6 +77,25 @@ def test_compare_reports_per_row_max_abs_diff(dump, tmp_path):
     assert float(per_row[2]) == 0.25
     assert set(per_row[:2] + per_row[3:]) == {"0"}
     assert all(": max 0 |" in line for line in changed.values())
+
+
+def test_compare_summaries_names_the_changed_keys(dump, tmp_path):
+    hashes, first = dump
+    with_summary = sorted(f"{stem}_summary.json" for stem in hashes if "summary" in hashes[stem])
+    assert compare_summaries(str(first), str(first)) == [f"{n}: changed none" for n in with_summary]
+
+    edited = tmp_path / "b"
+    shutil.copytree(first, edited)
+    name, gone = with_summary[0], with_summary[1]
+    summary = json.loads((edited / name).read_text())
+    summary["config_hash"] = "0" * 16
+    summary["extra"] = 1.0
+    (edited / name).write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    (edited / gone).unlink()
+    lines = dict(line.split(": ", 1) for line in compare_summaries(str(first), str(edited)))
+    assert lines.pop(name) == "changed config_hash extra"
+    assert lines.pop(gone) == f"missing in {edited}"
+    assert set(lines.values()) == {"changed none"}
 
 
 def test_libm_set_without_avx512_dispatch():

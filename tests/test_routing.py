@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from routedkl.divergence import fkl_logit_grad, rkl_logit_grad
 from routedkl.errors import (
     DimensionError,
-    InternalConsistencyError,
     InvalidDistributionError,
     NonFiniteInputError,
     RangeError,
@@ -107,11 +106,11 @@ class TestPartition:
     """The outcome routes a rollout's span positions: key spans (forward
     KL) on an accepted rollout, error spans (reverse KL) on a failed one."""
 
-    CFG = RoutingConfig(tau=100.0, alpha=0.25, mu_e=1, mu_k=1)
+    CFG = RoutingConfig(tau=100.0, alpha=0.25)
 
     def _spans_at(self, outcome):
         group = _group(np.random.default_rng(11), g=1, length=8, masked=(2, 5), outcomes=[outcome])
-        return _run_kernel(group, np.zeros(1), 0, self.CFG)
+        return _run_kernel(group, np.zeros(1), 0, self.CFG, BOTH)
 
     def test_key_spans_on_accept(self):
         rep, grads = self._spans_at(1)
@@ -165,11 +164,17 @@ class TestSchedule:
             rho(0.6, 0.5)
 
 
+# Whether the KL reaches (the error spans of a failed rollout, the key
+# spans of an accepted one): the routed_both and routed_fkl_key entries
+# of ``runner.KL_BRANCHES``.
+BOTH, KEY = (True, True), (False, True)
+
+
 def _group(rng, g=3, length=4, vocab=6, masked=(1,), outcomes=None, teacher_row=None):
     """Kernel inputs of a toy group marked at ``masked`` in every rollout.
 
     ``span_teacher`` (G, T, V) holds a teacher row at every span position;
-    ``_kernel_inputs`` passes the rows of the active branch.
+    ``_kernel_inputs`` passes the rows of the ``kl_on`` rollouts.
     """
     outcomes = np.array(outcomes or [1] * g)
     student = np.empty((g, length, vocab))
@@ -191,19 +196,19 @@ def _group(rng, g=3, length=4, vocab=6, masked=(1,), outcomes=None, teacher_row=
     )
 
 
-def _kernel_inputs(group, advantages, lam, cfg):
-    """``routed_loss_rows`` arguments of a ``_group``, with the teacher
-    rows of the active branch."""
+def _kernel_inputs(group, advantages, lam, cfg, branches=KEY):
+    """``routed_loss_rows`` arguments of a ``_group`` whose KL reaches
+    ``branches``, with the teacher rows of the ``kl_on`` rollouts."""
     inputs = dict(group)
     span_teacher = inputs.pop("span_teacher")
-    active = (lam > 0.0) & (np.where(inputs["failed"], cfg.mu_e, cfg.mu_k) == 1)
-    teacher = span_teacher[inputs["in_span"] & active[:, None]]
-    return dict(inputs, teacher=teacher, advantages=advantages, lam=lam, cfg=cfg)
+    kl_on = np.where(inputs["failed"], *branches)
+    teacher = span_teacher[inputs["in_span"] & ((lam > 0.0) & kl_on)[:, None]]
+    return dict(inputs, kl_on=kl_on, teacher=teacher, advantages=advantages, lam=lam, cfg=cfg)
 
 
-def _run_kernel(group, advantages, k, cfg, **kwargs):
+def _run_kernel(group, advantages, k, cfg, branches=KEY, **kwargs):
     """``routed_loss_rows`` at step k; the gradients keyed by (rollout, position)."""
-    inputs = _kernel_inputs(group, advantages, lambda_schedule(k, cfg), cfg)
+    inputs = _kernel_inputs(group, advantages, lambda_schedule(k, cfg), cfg, branches)
     rep, idx, grads = routed_loss_rows(**inputs, **kwargs)
     length = group["student"].shape[1]
     return rep, {divmod(i, length): grad for i, grad in zip(idx.tolist(), grads)}
@@ -218,12 +223,11 @@ class TestRoutedStepLoss:
             for k in (0, 20, 100):
                 group = _group(rng, outcomes=[outcome] * 3)
                 adv = group_advantages(np.array([1.0, 0.0, outcome]))
-                cfg = RoutingConfig(tau=100.0, alpha=0.5, mu_e=1, mu_k=1)
-                rep, _ = _run_kernel(group, adv, k, cfg)
+                rep, _ = _run_kernel(group, adv, k, self.CFG, BOTH)
                 expected = (
                     rep.grpo_nonspan
                     + rep.rho * rep.grpo_span
-                    + rep.lam * (cfg.mu_e * rep.kl_error_branch + cfg.mu_k * rep.kl_key_branch)
+                    + rep.lam * (rep.kl_error_branch + rep.kl_key_branch)
                 )
                 assert rep.total == pytest.approx(expected, abs=1e-10)
 
@@ -258,8 +262,7 @@ class TestRoutedStepLoss:
         group = _group(rng, outcomes=[1, 0, 1], teacher_row=shared)
         group["student"][:] = shared
         group["sampled"][:] = 0
-        cfg = RoutingConfig(tau=100.0, alpha=0.5, mu_e=1, mu_k=1)
-        rep, _ = _run_kernel(group, group_advantages(np.array([1.0, 0.0, 1.0])), 0, cfg)
+        rep, _ = _run_kernel(group, group_advantages(np.array([1.0, 0.0, 1.0])), 0, self.CFG, BOTH)
         assert rep.kl_error_branch == pytest.approx(0.0, abs=1e-9)
         assert rep.kl_key_branch == pytest.approx(0.0, abs=1e-9)
 
@@ -270,10 +273,10 @@ class TestRoutedStepLoss:
         rng = np.random.default_rng(5)
         group = _group(rng, outcomes=[1, 0, 1])
         adv = group_advantages(np.array([1.0, 0.0, 1.0]))
-        cfg = RoutingConfig(tau=100.0, alpha=0.5, mu_e=1, mu_k=1)
+        cfg = self.CFG
         for k in (5, 100):
-            plain = _run_kernel(group, adv, k, cfg)
-            scaled = _run_kernel(group, adv, k, cfg, adv_scale=np.ones((3, 4)))
+            plain = _run_kernel(group, adv, k, cfg, BOTH)
+            scaled = _run_kernel(group, adv, k, cfg, BOTH, adv_scale=np.ones((3, 4)))
             assert plain[0].total == scaled[0].total
             assert plain[1].keys() == scaled[1].keys()
             for key, grad in plain[1].items():
@@ -282,36 +285,28 @@ class TestRoutedStepLoss:
         # Powers of two keep the comparison exact.
         scale = np.array([2.0, 0.5, 4.0, 0.25])
         weighted = np.where(adv[:, None] > 0, scale, 1.0)
-        _, plain = _run_kernel(group, adv, 100, cfg)
-        _, grads = _run_kernel(group, adv, 100, cfg, adv_scale=weighted)
+        _, plain = _run_kernel(group, adv, 100, cfg, BOTH)
+        _, grads = _run_kernel(group, adv, 100, cfg, BOTH, adv_scale=weighted)
         assert grads.keys() == plain.keys()
         for (i, t), grad in plain.items():
             factor = scale[t] if adv[i] > 0 else 1.0
             np.testing.assert_array_equal(grads[(i, t)], grad * factor)
 
         with pytest.raises(DimensionError):
-            _run_kernel(group, adv, 100, cfg, adv_scale=np.ones((3, 3)))
+            _run_kernel(group, adv, 100, cfg, BOTH, adv_scale=np.ones((3, 3)))
 
     def test_action_endpoint_consistency(self):
-        # (mu_e, mu_k) = (0, 0) with lambda > 0 equals the lambda = 0
-        # output except for the rho scaling of span-token GRPO.
+        # No rollout's KL on with lambda > 0 equals the lambda = 0 output
+        # except for the rho scaling of span-token GRPO.
         rng = np.random.default_rng(6)
         group = _group(rng, outcomes=[1, 0, 1])
         adv = group_advantages(np.array([1.0, 0.0, 1.0]))
-        cfg_off = RoutingConfig(tau=100.0, alpha=0.5, mu_e=0, mu_k=0)
-        rep_on, _ = _run_kernel(group, adv, 0, cfg_off)
-        rep_post, _ = _run_kernel(group, adv, 100, cfg_off)
+        rep_on, _ = _run_kernel(group, adv, 0, self.CFG, (False, False))
+        rep_post, _ = _run_kernel(group, adv, 100, self.CFG, (False, False))
         assert rep_on.lam > 0 and rep_on.rho == 0.0
         assert rep_on.grpo_nonspan == pytest.approx(rep_post.grpo_nonspan, abs=1e-12)
         assert rep_on.grpo_span == pytest.approx(rep_post.grpo_span, abs=1e-12)
         assert rep_on.total == pytest.approx(rep_post.total - rep_post.rho * rep_post.grpo_span, abs=1e-12)
-
-    def test_coverage_cap_enforced(self):
-        rng = np.random.default_rng(7)
-        group = _group(rng, masked=(0, 1, 2), outcomes=[1, 1, 1])
-        adv = np.zeros(3)
-        with pytest.raises(InternalConsistencyError):
-            _run_kernel(group, adv, 0, RoutingConfig(tau=100.0, alpha=0.25))
 
     def test_zero_length_rollout_rejected(self):
         with pytest.raises(DimensionError):
@@ -320,6 +315,7 @@ class TestRoutedStepLoss:
                 sampled=np.zeros((1, 0), dtype=int),
                 in_span=np.zeros((1, 0), dtype=bool),
                 failed=np.zeros(1, dtype=bool),
+                kl_on=np.zeros(1, dtype=bool),
                 teacher=np.zeros((0, 4)),
                 advantages=np.zeros(1),
                 lam=0.0,
@@ -336,8 +332,9 @@ class TestRoutedStepLoss:
         for teacher in (span_teacher[:, 1], span_teacher[:1, 1], span_teacher[:2, 1, :5]):
             with pytest.raises(DimensionError):
                 routed_loss_rows(**dict(inputs, teacher=teacher))
-        with pytest.raises(DimensionError):
-            routed_loss_rows(**dict(inputs, advantages=np.zeros(2)))
+        for name in ("advantages", "kl_on"):
+            with pytest.raises(DimensionError, match=name):
+                routed_loss_rows(**dict(inputs, **{name: inputs[name][:2]}))
 
     def test_gradients_match_branch_identities(self):
         # lambda-weighted branch gradients equal the closed-form KL
@@ -353,8 +350,7 @@ class TestRoutedStepLoss:
         np.testing.assert_allclose(grads[(0, 1)], expected, atol=1e-10)
 
         group = _group(rng, g=1, teacher_row=teacher, outcomes=[0])
-        cfg = RoutingConfig(tau=1e6, alpha=0.5, floor_p_min=0.0, mu_e=1, mu_k=0)
-        _, grads = _run_kernel(group, adv, 0, cfg)
+        _, grads = _run_kernel(group, adv, 0, cfg, (True, False))
         expected = rkl_logit_grad(group["student"][0, 1], teacher) * cfg.w0 / 4.0
         np.testing.assert_allclose(grads[(0, 1)], expected, atol=1e-10)
 
@@ -365,19 +361,20 @@ def loss_groups(draw):
     pinned floors (p_min near 1/V, or peaked student and teacher rows at
     the production floor 1e-6, the lift config's pin pattern), clipped
     terms (tau = 1e-3, or a teacher near the student so that single terms
-    clip on either side), zero student entries, and both KL directions."""
+    clip on either side), zero student entries, and both KL directions.
+    ``kl_on`` is drawn per rollout apart from its outcome, so every
+    combination of outcome and branch occurs."""
     vocab = draw(st.sampled_from([4, 6, 8, 9]))
     g = draw(st.integers(1, 4))
     length = draw(st.integers(1, 5))
     outcomes = draw(st.lists(st.integers(0, 1), min_size=g, max_size=g))
+    kl_on = draw(st.lists(st.booleans(), min_size=g, max_size=g))
     scaled = draw(st.lists(st.booleans(), min_size=g, max_size=g))
     alpha = draw(st.sampled_from([0.25, 0.5, 1.0]))
     floor = draw(st.sampled_from(["plain", "pin", "zero", "peaked"]))
     p_min = {"plain": 1e-6, "pin": 0.9 / vocab, "zero": 0.0, "peaked": 1e-6}[floor]
     logit_scale = draw(st.sampled_from([10.0, 30.0, 50.0]))
     cfg = RoutingConfig(
-        mu_e=draw(st.integers(0, 1)),
-        mu_k=draw(st.integers(0, 1)),
         alpha=alpha,
         tau=draw(st.sampled_from([1e-3, 0.02, 0.05, 10.0])),
         floor_p_min=p_min,
@@ -392,7 +389,7 @@ def loss_groups(draw):
     in_span = np.zeros((g, length), dtype=bool)
     adv_scale = np.ones((g, length))
     teacher = []
-    for i, (outcome, scale) in enumerate(zip(outcomes, scaled)):
+    for i, scale in enumerate(scaled):
         if floor == "peaked":
             logits = rng.normal(0.0, logit_scale, (length, vocab))
             student[i] = softmax(logits)
@@ -404,7 +401,7 @@ def loss_groups(draw):
         n_span = rng.integers(0, coverage_cap(alpha, length) + 1)
         in_span[i, rng.choice(length, size=n_span, replace=False)] = True
         sampled[i] = rng.integers(0, vocab, size=length)
-        active = lam > 0.0 and (cfg.mu_e if outcome == 0 else cfg.mu_k)
+        active = lam > 0.0 and kl_on[i]
         for t in np.flatnonzero(in_span[i]):
             if floor == "peaked":  # a synced teacher: the student's logits plus an offset
                 row = softmax(logits[t] + rng.normal(0.0, 1.0, vocab))
@@ -420,6 +417,7 @@ def loss_groups(draw):
         sampled=sampled,
         in_span=in_span,
         failed=rewards == 0.0,
+        kl_on=np.array(kl_on),
         teacher=np.array(teacher).reshape(-1, vocab),
         advantages=group_advantages(rewards) if g > 1 else rng.normal(size=1),
         lam=lam,
@@ -493,8 +491,8 @@ class TestBatchMatchesReference:
         assert idx.size == 12 and grads.shape == (12, 5)
 
     def test_open_channel_with_spans_only_on_the_inactive_branch(self):
-        # mu_e = 0: the error spans of the two failed rollouts carry no KL,
-        # only their rho-scaled GRPO term.
+        # KL on key spans only: the error spans of the two failed rollouts
+        # carry no KL, only their rho-scaled GRPO term.
         group = _group(np.random.default_rng(13), vocab=5, outcomes=[1, 0, 0])
         group["in_span"][0] = False
         adv = group_advantages(np.array([1.0, 0.0, 0.0]))
@@ -529,8 +527,8 @@ class TestBatchMatchesReference:
         group["student"][:] = np.eye(6)[np.arange(4) % 6]
         group["span_teacher"][:, 1] = np.eye(6)[1]
         adv = group_advantages(np.array([1.0, 0.0, 1.0]))
-        cfg = RoutingConfig(tau=10.0, alpha=0.5, mu_e=1, mu_k=1)
-        self._compare(_kernel_inputs(group, adv, cfg.w0, cfg))
+        cfg = RoutingConfig(tau=10.0, alpha=0.5)
+        self._compare(_kernel_inputs(group, adv, cfg.w0, cfg, BOTH))
 
 
 @st.composite

@@ -21,14 +21,13 @@ from routedkl.runner import (
     RunConfig,
     build_eval_token_set,
     effective_lambda,
-    effective_routing,
     init_run,
     run_experiment,
     should_sync,
     train_step,
 )
 from routedkl.studies import LIFT_GROUP, LIFT_LR, LIFT_PARAMS, LIFT_ROUTING, study_run_config
-from routedkl.tasks import TaskParams, chain_params, generate_task, sample_group
+from routedkl.tasks import TaskParams, chain_params, generate_task, oracle_annotate, sample_group
 
 from golden.generate import DEEP_ROUTING
 
@@ -95,14 +94,36 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=key):
             RunConfig(method="grpo_only", **{key: value})
 
-    def test_method_selects_assembly(self):
-        assert effective_routing(fast_cfg("routed_fkl_key")).mu_k == 1
-        assert effective_routing(fast_cfg("routed_fkl_key")).mu_e == 0
-        assert effective_routing(fast_cfg("routed_rkl_error")).mu_e == 1
-        both = effective_routing(fast_cfg("routed_both"))
-        assert both.mu_e == 1 and both.mu_k == 1
-        allt = effective_routing(fast_cfg("alltoken_kl_persistent"))
-        assert allt.alpha == 1.0 and allt.mu_e == 1 and allt.mu_k == 1
+    def test_method_selects_assembly(self, monkeypatch):
+        # The method decides which rollouts carry KL and the kernel is told:
+        # per method, whether the KL reaches (the error spans of a failed
+        # rollout, the key spans of an accepted one), read at the first
+        # step inside the KL window whose group has both outcomes.
+        want = {
+            "routed_fkl_key": (False, True),
+            "routed_rkl_error": (True, False),
+            "routed_both": (True, True),
+            "alltoken_kl_persistent": (True, True),
+            "grpo_only": (False, False),
+            "rlsd_weighted": (False, False),
+        }
+        told = []
+        kernel = runner.routed_loss_rows
+
+        def recording(**kwargs):
+            told.append((kwargs["failed"], kwargs["kl_on"]))
+            return kernel(**kwargs)
+
+        monkeypatch.setattr(runner, "routed_loss_rows", recording)
+        for method, (on_error, on_key) in want.items():
+            state = init_run(fast_cfg(method))
+            told.clear()
+            while not (told and 0 < told[-1][0].sum() < len(told[-1][0])):
+                train_step(state)
+            assert lambda_schedule(state.k - 1, FAST_ROUTING) > 0.0
+            failed, kl_on = told[-1]
+            assert kl_on.dtype == bool
+            assert kl_on.tolist() == np.where(failed, on_error, on_key).tolist(), method
 
     def test_alltoken_lambda_persistent(self):
         cfg = fast_cfg("alltoken_kl_persistent")
@@ -337,7 +358,8 @@ class TestTeacherCache:
         def capture(state, group, *args):
             step = build(state, group, *args)
             horizon, keys = group.tokens.shape[1], list(state.table.rows)
-            for f, q in zip(step.kl_rows.tolist(), step.teacher):
+            kl_rows = np.flatnonzero(step.mask & step.kl_on[:, None])
+            for f, q in zip(kl_rows.tolist(), step.teacher):
                 node = group.prefix_index[f // horizon, f % horizon]
                 assert keys[node][1] == tuple(group.tokens[f // horizon, : f % horizon].tolist())
                 used.append((node, q))
@@ -894,7 +916,7 @@ class TestArrayAnnotationAndCredit:
         table = PolicyTable(np.zeros((horizon, vocab)), task.prompt_id)
         group = sample_group(table, task, np.random.default_rng(seed), size)
         rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-        ctx, mask = runner._annotate(task, group, precision, rng, alpha)
+        ctx, mask = oracle_annotate(task, group, precision, rng, alpha)
         want_ctx, want_mask = reference_annotate(task, group.tokens, precision, ref_rng, alpha)
         assert ctx.tolist() == want_ctx.tolist()
         assert mask.dtype == bool and mask.tolist() == want_mask.tolist()

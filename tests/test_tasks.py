@@ -566,7 +566,7 @@ class TestOracleAnnotate:
         task = generate_task("confident_wrong", 0)
         rng = np.random.default_rng(0)
         group = self._rollout_with_outcome(task, 1, rng)
-        _, mask = oracle_annotate(task, group, 1.0, rng)
+        _, mask = oracle_annotate(task, group, 1.0, rng, 1.0)
         assert set(np.flatnonzero(mask[0]).tolist()) == set(task.critical_positions)
         assert group.outcomes[0] == 1
 
@@ -574,7 +574,7 @@ class TestOracleAnnotate:
         task = generate_task("confident_wrong", 0)
         rng = np.random.default_rng(1)
         group = self._rollout_with_outcome(task, 0, rng)
-        _, mask = oracle_annotate(task, group, 1.0, rng)
+        _, mask = oracle_annotate(task, group, 1.0, rng, 1.0)
         assert group.outcomes[0] == 0
         assert np.flatnonzero(mask[0]).tolist() == [0]  # earliest critical divergence
 
@@ -584,7 +584,7 @@ class TestOracleAnnotate:
         for _ in range(3000):
             group = sample_group(task.make_table(), task, rng, 1)
             if group.outcomes[0] == 0 and group.tokens[0, 0] == task.alt_token:
-                _, mask = oracle_annotate(task, group, 1.0, rng)
+                _, mask = oracle_annotate(task, group, 1.0, rng, 1.0)
                 assert not mask.any()
                 return
         raise AssertionError("no trapped rollout found")
@@ -594,7 +594,7 @@ class TestOracleAnnotate:
         rng = np.random.default_rng(3)
         group = self._rollout_with_outcome(task, 1, rng)
         for _ in range(20):
-            _, mask = oracle_annotate(task, group, 0.0, rng)
+            _, mask = oracle_annotate(task, group, 0.0, rng, 1.0)
             assert set(np.flatnonzero(mask[0]).tolist()).isdisjoint(task.critical_positions)
 
     def test_precision_estimator_converges(self):
@@ -608,7 +608,7 @@ class TestOracleAnnotate:
             hits, total = 0, 0
             while total < 10_000:
                 group = sample_group(table, task, rng, 1)
-                _, mask = oracle_annotate(task, group, q, rng)
+                _, mask = oracle_annotate(task, group, q, rng, 1.0)
                 total += int(mask.sum())
                 hits += int(mask[0, critical].sum())
             assert abs(hits / total - q) < 0.03
@@ -621,16 +621,28 @@ class TestOracleAnnotate:
         assert len(task.critical_positions) <= cap
         for _ in range(200):
             group = sample_group(table, task, rng, 1)
-            _, mask = oracle_annotate(task, group, 1.0, rng)
-            capped = mask & (np.cumsum(mask, axis=1) <= cap)
-            assert capped.sum() <= cap
+            _, mask = oracle_annotate(task, group, 1.0, rng, 0.25)
+            assert mask.sum() <= cap
+        # A cap of one position binds on the two-position key spans: the
+        # mask keeps the lowest marked position of the uncapped mask, from
+        # the same draws.
+        trimmed = 0
+        for _ in range(200):
+            group = sample_group(table, task, rng, 1)
+            uncapped_rng = copy.deepcopy(rng)
+            _, mask = oracle_annotate(task, group, 1.0, rng, 0.1)
+            _, uncapped = oracle_annotate(task, group, 1.0, uncapped_rng, 1.0)
+            marked = np.flatnonzero(uncapped[0])
+            assert np.flatnonzero(mask[0]).tolist() == marked[:1].tolist()
+            trimmed += marked.size > 1
+        assert trimmed
 
     def test_annotation_type_is_a_context_label(self):
         task = generate_task("under_allocated", 0)
         rng = np.random.default_rng(6)
         group = sample_group(task.make_table(), task, rng, 1)
         ref = copy.deepcopy(rng)
-        ctx, mask = oracle_annotate(task, group, 1.0, rng)
+        ctx, mask = oracle_annotate(task, group, 1.0, rng, 1.0)
         # The span type is the drawn context's label: one context uniform.
         assert ctx.tolist() == draw_contexts(task, ref, 1).tolist()
         assert 0 <= ctx[0] < len(task.contexts) and mask.shape == (1, task.horizon)
@@ -641,4 +653,12 @@ class TestOracleAnnotate:
         rng = np.random.default_rng(7)
         group = sample_group(task.make_table(), task, rng, 2)
         with pytest.raises(RangeError):
-            oracle_annotate(task, group, precision, rng)
+            oracle_annotate(task, group, precision, rng, 1.0)
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.25, 1.5, float("nan")])
+    def test_alpha_outside_the_cap_interval_is_rejected(self, alpha):
+        task = generate_task("under_allocated", 0)
+        rng = np.random.default_rng(7)
+        group = sample_group(task.make_table(), task, rng, 2)
+        with pytest.raises(RangeError, match="alpha"):
+            oracle_annotate(task, group, 1.0, rng, alpha)
