@@ -128,14 +128,19 @@ class TestSchema:
     def test_routing_config_has_seven_fields(self):
         assert len(dataclasses.fields(RoutingConfig)) == 7
 
-    @pytest.mark.parametrize(
-        "key, value",
-        [("floor_top_k", "4"), ("clip_two_sided", "false"), ("mu_e", "1"), ("mu_k", "0")],
-    )
+    @pytest.mark.parametrize("key, value", [("floor_top_k", "4"), ("clip_two_sided", "false")])
     def test_deleted_routing_knobs_are_unknown(self, tmp_path, capsys, key, value):
-        # No key picks the span branches that carry KL: the method does
-        # (runner.KL_BRANCHES).
         assert _run(tmp_path, _edit(SMALL, "routing", key, value)) == 2
+        assert f"unknown key {key!r} in [routing]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("method", ["routed_fkl_key", "grpo_only"])
+    @pytest.mark.parametrize("key, value", [("mu_e", "1"), ("mu_k", "0")])
+    def test_method_set_routing_keys_are_refused(self, tmp_path, capsys, method, key, value):
+        # No key picks the span branches that carry KL: the method does
+        # (runner.KL_BRANCHES), so RoutingConfig has no such field.
+        text = _edit(_edit(SMALL, "run", "method", method), "routing", key, value)
+        assert _run(tmp_path, text) == 2
         assert f"unknown key {key!r} in [routing]" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
