@@ -37,11 +37,10 @@ picks the span branches that carry KL: the method does
 ``none`` or an empty value sets an optional field to None. Any other key,
 section or value, a malformed file, and every value its dataclass rejects
 (every float must be finite) is a config error that names the key,
-section or line. A run writes its files
-under the stem ``{method}_{regime}_seed{seed}``, so a sweep whose axes
-would give two runs one stem is refused before anything runs, and a run
-never replaces a summary or abort snapshot written by a different config;
-a sweep checks this for every run before the first one starts.
+section or line. A run writes the files of ``artifacts.ARTIFACTS`` under
+the stem ``{method}_{regime}_seed{seed}``; a sweep whose axes give two
+runs one stem, or a run that would replace another config's files, is
+refused before the first run starts.
 
 Exit codes: 0 success, 2 config error, 3 numeric failure (including an
 exceeded enumeration budget), 4 invariant violation.

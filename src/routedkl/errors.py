@@ -1,4 +1,4 @@
-"""Error types, and the value checks and formatting shared across the library.
+"""Error types, and the finite-value check of the config dataclasses.
 
 Every class subclasses ValueError so callers that only know stdlib
 semantics still get sensible behaviour; the CLI maps them to exit codes.
@@ -63,15 +63,3 @@ def require_finite_fields(config, error: type = RangeError) -> None:
         value = getattr(config, f.name)
         if isinstance(value, float) and not math.isfinite(value):
             raise error(f"{f.name} must be finite, got {value!r}")
-
-
-def csv_text(header: str, rows) -> str:
-    """CSV text of a header line and rows of logged values: a float is
-    written as its ``repr``, None as empty, anything else as ``str``."""
-
-    def cell(value) -> str:
-        if isinstance(value, float):
-            return repr(float(value))
-        return "" if value is None else str(value)
-
-    return "\n".join([header, *(",".join(map(cell, row)) for row in rows)]) + "\n"

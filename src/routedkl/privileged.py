@@ -15,12 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    InternalConsistencyError,
-    RangeError,
-    csv_text,
-)
+from .artifacts import LEDGER, csv_text
+from .errors import DimensionError, InternalConsistencyError, RangeError
 from .policy import validate_distribution
 
 
@@ -97,7 +93,7 @@ class ExposureLedger:
     bound: float = 0.0
 
     def to_csv(self) -> str:
-        return csv_text("step,lambda,masked_variance,exposure_lhs,bound_rhs", (
+        return csv_text(LEDGER, (
             (r.k, r.lam, r.masked_variance_mean, r.exposure_lhs, r.bound_rhs) for r in self.records
         ))
 

@@ -53,9 +53,9 @@ state holds its parameters only.
 Every batched piece has its per-row or per-rollout reference in
 ``tests/oracles.py``, and property tests require equal bytes.
 
-A non-finite loss, lift or logged value raises ``NumericFailureError``
-after writing the abort snapshot ``{stem}_abort_diagnostics.json``, with
-the run's config hash, to ``out_dir``, one per run stem.
+``artifacts.ARTIFACTS`` declares the files a run writes to ``out_dir``:
+those of ``output_texts`` at its end, or the abort snapshot when a
+non-finite loss, lift or logged value raises ``NumericFailureError``.
 """
 
 from __future__ import annotations
@@ -71,13 +71,8 @@ from typing import NoReturn
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    InternalConsistencyError,
-    NumericFailureError,
-    csv_text,
-    require_finite_fields,
-)
+from .artifacts import ABORT, LEDGER, LONG, NAMES, STEPS, SUMMARY, csv_text, json_text, write
+from .errors import ConfigError, InternalConsistencyError, NumericFailureError, require_finite_fields
 from .grpo import group_advantages
 from .policy import PolicyTable, StudentDists, _entropy, region_sums, softmax
 from .privileged import (
@@ -118,19 +113,6 @@ KL_BRANCHES = {
     "routed_both": (True, True),
     "alltoken_kl_persistent": (True, True),
 }
-
-CSV_COLUMNS = (
-    "step",
-    "train_reward",
-    "validation_reward",
-    "entropy",
-    "lambda",
-    "rho",
-    "exposure",
-    "delta_lift",
-    "response_length",
-)
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -191,11 +173,11 @@ class RunLog:
     summary: dict = field(default_factory=dict)
 
     def to_csv(self) -> str:
-        return csv_text(",".join(CSV_COLUMNS), ([row[c] for c in CSV_COLUMNS] for row in self.rows))
+        return csv_text(STEPS, ([row[c] for c in NAMES[STEPS]] for row in self.rows))
 
     def to_long_csv(self) -> str:
-        cells = ((row["step"], col, row[col]) for row in self.rows for col in CSV_COLUMNS[1:])
-        return csv_text("step,series,value", (c for c in cells if c[2] is not None))
+        cells = ((row["step"], col, row[col]) for row in self.rows for col in NAMES[STEPS][1:])
+        return csv_text(LONG, (c for c in cells if c[2] is not None))
 
 
 class TeacherCache:
@@ -478,7 +460,6 @@ def _abort(state: RunState, rewards: np.ndarray, total: float, message: str) -> 
     then raise ``NumericFailureError(message)``."""
     cfg = state.cfg
     if cfg.out_dir is not None:
-        os.makedirs(cfg.out_dir, exist_ok=True)
         payload = {
             "step": state.k,
             "method": cfg.method,
@@ -486,14 +467,9 @@ def _abort(state: RunState, rewards: np.ndarray, total: float, message: str) -> 
             "config_hash": cfg.config_hash(),
             "loss": repr(total),
             "batch_rewards": rewards.tolist(),
-            "rows": {
-                f"{prompt}/{prefix}": row.tolist()
-                for (prompt, prefix), row in state.table.rows.items()
-            },
+            "rows": {f"{p}/{prefix}": row.tolist() for (p, prefix), row in state.table.rows.items()},
         }
-        path = os.path.join(cfg.out_dir, f"{output_stem(cfg)}_abort_diagnostics.json")
-        with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
+        write(cfg.out_dir, output_stem(cfg), {ABORT: json_text(ABORT, payload)})
     raise NumericFailureError(message)
 
 
@@ -579,8 +555,8 @@ def output_stem(cfg: RunConfig) -> str:
 
 def refuse_overwrite(cfg: RunConfig) -> None:
     """Raise ConfigError if out_dir is set but is not a directory and
-    cannot become one, or if it holds another config's summary or abort
-    snapshot under this stem."""
+    cannot become one, or if it holds a file with another config's hash
+    (a summary or abort snapshot) under this stem."""
     if cfg.out_dir is None:
         return
     found = os.path.abspath(cfg.out_dir)
@@ -588,8 +564,8 @@ def refuse_overwrite(cfg: RunConfig) -> None:
         found = os.path.dirname(found)
     if not os.path.isdir(found):
         raise ConfigError(f"out_dir {cfg.out_dir!r}: {found!r} is not a directory")
-    for suffix in ("summary", "abort_diagnostics"):
-        path = os.path.join(cfg.out_dir, f"{output_stem(cfg)}_{suffix}.json")
+    for suffix in (s for s in NAMES if "config_hash" in NAMES[s]):
+        path = os.path.join(cfg.out_dir, output_stem(cfg) + suffix)
         if not os.path.exists(path):
             continue
         try:
@@ -605,8 +581,7 @@ def refuse_overwrite(cfg: RunConfig) -> None:
 
 
 def run_experiment(cfg: RunConfig, state: RunState | None = None) -> tuple[RunLog, RunState]:
-    """Run the configured training loop; with ``out_dir``, write the step
-    CSV, the summary JSON and, when present, the ledger and long CSVs.
+    """Run the configured training loop; with ``out_dir``, write ``output_texts``.
 
     Deterministic given (config, seed): two runs produce byte-identical
     output. Outputs of a run with a different config hash under the same
@@ -621,6 +596,7 @@ def run_experiment(cfg: RunConfig, state: RunState | None = None) -> tuple[RunLo
     state.reward_tree = RewardTree()
 
     lifts = [row["delta_lift"] for row in log.rows if row["delta_lift"] is not None]
+    credit = state.credit_ratios
     log.summary = {
         "method": cfg.method,
         "regime": cfg.regime,
@@ -630,9 +606,7 @@ def run_experiment(cfg: RunConfig, state: RunState | None = None) -> tuple[RunLo
         "final_validation_reward": log.rows[-1]["validation_reward"],
         "final_train_reward": log.rows[-1]["train_reward"],
         "mean_delta_lift": float(np.mean(lifts)) if lifts else None,
-        "mean_credit_concentration": (
-            float(np.mean(state.credit_ratios)) if state.credit_ratios else None
-        ),
+        "mean_credit_concentration": float(np.mean(credit)) if credit else None,
         "credit_norm": "l2",
         "final_exposure": state.ledger.exposure,
         "final_exposure_bound": state.ledger.bound,
@@ -640,15 +614,16 @@ def run_experiment(cfg: RunConfig, state: RunState | None = None) -> tuple[RunLo
     }
 
     if cfg.out_dir is not None:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        summary = json.dumps(log.summary, sort_keys=True, indent=2) + "\n"
-        texts = {".csv": log.to_csv(), "_summary.json": summary}
-        if state.ledger.records:
-            texts["_ledger.csv"] = state.ledger.to_csv()
-        if cfg.emit_plot_data:
-            texts["_long.csv"] = log.to_long_csv()
-        stem = os.path.join(cfg.out_dir, output_stem(cfg))
-        for suffix, text in texts.items():
-            with open(stem + suffix, "w", newline="") as fh:
-                fh.write(text)
+        write(cfg.out_dir, output_stem(cfg), output_texts(cfg, log, state.ledger))
     return log, state
+
+
+def output_texts(cfg: RunConfig, log: RunLog, ledger: ExposureLedger) -> dict:
+    """``{suffix: text}`` of a finished run's files: the step CSV, the summary,
+    the ledger CSV if it has records, the long CSV with ``emit_plot_data``."""
+    texts = {STEPS: log.to_csv(), SUMMARY: json_text(SUMMARY, log.summary)}
+    if ledger.records:
+        texts[LEDGER] = ledger.to_csv()
+    if cfg.emit_plot_data:
+        texts[LONG] = log.to_long_csv()
+    return texts

@@ -195,6 +195,8 @@ class SynthTask:
         state = _START
         for t, tok in enumerate(tokens):
             state = self._step_state(state, t, tok)
+            if state == _DEAD or state == _FREE:
+                break  # absorbing: ``_step_state`` returns either unchanged
         return 0 if state == _DEAD else 1
 
     # ----- exact enumeration -----------------------------------------------

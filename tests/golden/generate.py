@@ -1,4 +1,4 @@
-"""Golden trajectories: sha256 of the step and ledger CSVs over a small matrix.
+"""Golden trajectories: sha256 of the files runs write over a small matrix.
 
 The matrix is 6 methods x 3 regimes x 2 seeds at group size 4 and 16 steps
 on a vocab-6 chain task (horizon 3, horizon 4 for ``mixed``), with a short
@@ -27,7 +27,11 @@ appear in no artifact, so this pins the order in which nodes are added):
   from node to node, and the order in which a rollout's terms are summed
   shows in the ledger.
 
-Any change to the numbers a run writes changes a hash.
+Each hash is of a file's text as ``run_experiment`` writes it
+(``runner.output_texts``), under a kind named after the file's suffix in
+``artifacts.ARTIFACTS``: ``csv``, ``ledger`` and ``summary``. A run with no
+ledger records, which writes no ledger file, hashes the header-only
+ledger. Any change to the numbers a run writes changes a hash.
 
 There is one hash set per path numpy's float64 ``exp`` and ``log`` take:
 its AVX-512 kernels differ from libm in the last bit on some inputs, and
@@ -39,7 +43,7 @@ of its own path and, on the AVX-512 path, runs itself again with
 ``NO_AVX512`` in the environment to write the libm set.
 
     PYTHONPATH=src python tests/golden/generate.py            # rewrite both sets
-    PYTHONPATH=src python tests/golden/generate.py --dump DIR # also write the CSVs
+    PYTHONPATH=src python tests/golden/generate.py --dump DIR # also write the files
     PYTHONPATH=src python tests/golden/generate.py --compare OLD NEW # diff two dumps
 
 A change that moves the numbers on purpose regenerates ``hashes.json`` and
@@ -63,8 +67,9 @@ from dataclasses import replace
 
 import numpy as np
 
+from routedkl.artifacts import ARTIFACTS, LEDGER, SUMMARY, write
 from routedkl.routing import RoutingConfig
-from routedkl.runner import METHODS, RunConfig, init_run, run_experiment
+from routedkl.runner import METHODS, RunConfig, init_run, output_texts, run_experiment
 from routedkl.studies import LIFT_GROUP, LIFT_LR, LIFT_PARAMS, LIFT_ROUTING, LIFT_STEPS, study_run_config
 from routedkl.tasks import REGIMES, TaskParams, chain_params
 
@@ -162,10 +167,22 @@ def _trie_sha(table) -> str:
     return hashlib.sha256(b"".join(col[: table.n].astype("<i8").tobytes() for col in columns)).hexdigest()
 
 
+def _kind(suffix: str) -> str:
+    """A file's hash kind: its suffix without the leading ``_`` and the
+    extension, or the extension alone (``.csv`` is "csv", ``_ledger.csv``
+    "ledger")."""
+    name, _, extension = suffix.lstrip("_").rpartition(".")
+    return name or extension
+
+
+KINDS = {suffix: _kind(suffix) for suffix in ARTIFACTS}
+
+
 def golden_hashes(dump_dir: str | None = None, stems: tuple[str, ...] | None = None) -> dict:
     """{stem: {"csv": sha256, "ledger": sha256[, "summary": sha256, "trie":
-    sha256]}} for every run of the matrix, or of ``stems`` only; the summary
-    text is what ``run_experiment`` writes to ``{stem}_summary.json``."""
+    sha256]}} for every run of the matrix, or of ``stems`` only, of the texts
+    ``run_experiment`` writes (``runner.output_texts``); a run with no ledger
+    records hashes the header-only ledger."""
     out = {}
     for stem, cfg, with_summary in matrix():
         if stems is not None and stem not in stems:
@@ -174,18 +191,15 @@ def golden_hashes(dump_dir: str | None = None, stems: tuple[str, ...] | None = N
         if stem.startswith("offsets_"):
             state.task.offsets = np.random.default_rng(cfg.seed).normal(size=state.task.offsets.shape)
         log, state = run_experiment(cfg, state)
-        texts = {".csv": log.to_csv(), "_ledger.csv": state.ledger.to_csv()}
-        if with_summary:
-            texts["_summary.json"] = json.dumps(log.summary, sort_keys=True, indent=2) + "\n"
-        kinds = {".csv": "csv", "_ledger.csv": "ledger", "_summary.json": "summary"}
-        out[stem] = {kinds[suffix]: _sha(text) for suffix, text in texts.items()}
+        texts = output_texts(cfg, log, state.ledger)
+        texts.setdefault(LEDGER, state.ledger.to_csv())
+        if not with_summary:
+            del texts[SUMMARY]
+        out[stem] = {KINDS[suffix]: _sha(text) for suffix, text in texts.items()}
         if with_summary:
             out[stem]["trie"] = _trie_sha(state.table)
         if dump_dir is not None:
-            os.makedirs(dump_dir, exist_ok=True)
-            for suffix, text in texts.items():
-                with open(os.path.join(dump_dir, stem + suffix), "w", newline="") as fh:
-                    fh.write(text)
+            write(dump_dir, stem, texts)
     return out
 
 
@@ -241,7 +255,7 @@ def compare_summaries(old_dir: str, new_dir: str) -> list[str]:
     values differ as JSON text (a key one side lacks differs), or "none";
     a missing file is reported as such."""
     lines = []
-    for name, paths, absent in _pairs(old_dir, new_dir, "_summary.json"):
+    for name, paths, absent in _pairs(old_dir, new_dir, SUMMARY):
         if absent:
             lines.append(f"{name}: missing in {absent}")
             continue

@@ -324,13 +324,21 @@ def test_criterion_12_coverage_and_schedule_constants():
     assert l1 == pytest.approx(d1, abs=1e-10)
     assert l2 == pytest.approx(d2, abs=1e-10)
 
-    task = generate_task("under_allocated", 3)
+    # Two critical positions against a cap of one: the cap has to trim.
+    task = generate_task("mixed", 3)
     table = task.make_table()
     rng = np.random.default_rng(112)
     cap = coverage_cap(0.25, task.horizon)
+    trimmed = 0
     for _ in range(300):
         group = sample_group(table, task, rng, 1)
+        # The same draws without the cap (alpha = 1 marks up to T positions).
+        before = rng.bit_generator.state
+        _, uncapped = oracle_annotate(task, group, 0.8, rng, 1.0)
+        rng.bit_generator.state = before
         _, mask = oracle_annotate(task, group, 0.8, rng, 0.25)
         assert mask.sum() <= cap
+        trimmed += int(uncapped.sum() > cap)
+    assert trimmed > 0
     _report(12, "coverage cap obeyed; schedule values and weight sums verified",
-            f"L1 = {l1}, L2 = {l2:.6f}")
+            f"L1 = {l1}, L2 = {l2:.6f}, {trimmed} of 300 masks trimmed")

@@ -1,22 +1,27 @@
 """Every run of the golden matrix writes the same bytes as when it was recorded."""
 
+import hashlib
 import json
 import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import routedkl
+from routedkl.runner import output_stem, run_experiment
 from golden.generate import (
     HASH_SETS,
     HASHES,
+    KINDS,
     NO_AVX512,
     compare,
     compare_summaries,
     golden_hashes,
+    matrix,
 )
 
 # Runs of every block of the matrix whose hashes differ between the sets.
@@ -52,6 +57,20 @@ def test_golden_trajectories_unchanged(dump):
         if got[stem].get(kind) != expected[stem].get(kind)
     ]
     assert not changed, f"trajectories changed: {changed}"
+
+
+def test_goldens_pin_the_written_files(tmp_path):
+    # The hashes are of the bytes a run writes to out_dir, every kind.
+    stem = "deep_routed_both_mixed_seed0"
+    cfg = next(replace(cfg, out_dir=str(tmp_path)) for name, cfg, _ in matrix() if name == stem)
+    run_experiment(cfg)
+    written = {
+        KINDS[path.name[len(output_stem(cfg)):]]: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.iterdir()
+    }
+    with open(HASHES) as fh:
+        expected = json.load(fh)[stem]
+    assert written == {kind: sha for kind, sha in expected.items() if kind != "trie"}
 
 
 def test_compare_reports_per_row_max_abs_diff(dump, tmp_path):

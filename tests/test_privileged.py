@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from routedkl.artifacts import LEDGER, NAMES
 from routedkl.errors import InternalConsistencyError, RangeError
 from routedkl.privileged import (
     ExposureLedger,
@@ -149,7 +150,7 @@ class TestExposureLedger:
         exposure_accumulate(ledger, 0, 0.5, 0.1, 0.1)
         text = ledger.to_csv()
         header, row = text.strip().split("\n")
-        assert header == "step,lambda,masked_variance,exposure_lhs,bound_rhs"
+        assert header == ",".join(NAMES[LEDGER])
         assert row.startswith("0,0.5,0.1,")
 
 

@@ -1,4 +1,5 @@
 import copy
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -107,6 +108,18 @@ class TestVerifier:
         task = generate_task("confident_wrong", 1)
         seq = (task.bad_token, 1, 2)
         assert task.verifier(seq) == task.verifier(seq) == 0
+
+    @pytest.mark.parametrize("regime", ["under_allocated", "confident_wrong", "mixed"])
+    def test_equals_a_full_walk(self, regime):
+        # The verifier stops at the first dead or free state; walking every
+        # token of every sequence must give the same outcome.
+        for seed, params in itertools.product(range(3), (None, chain_params(vocab=4, horizon=4))):
+            task = generate_task(regime, seed, params)
+            for seq in itertools.product(range(task.vocab), repeat=task.horizon):
+                state = _START
+                for t, tok in enumerate(seq):
+                    state = task._step_state(state, t, tok)
+                assert task.verifier(seq) == int(state != _DEAD)
 
 
 class TestExactEnumeration:

@@ -1,5 +1,6 @@
-"""No module of the library or the tests imports a name it never reads,
-and no function of the library takes a parameter it never reads.
+"""No module of the library, the tests, the golden generator, the tools or
+the demos imports a name it never reads, and no function of the library
+takes a parameter it never reads.
 
 No linter ships with the project, and deleting code tends to leave its
 imports and parameters behind; ``ast`` is enough to find them.
@@ -14,7 +15,7 @@ ROOT = Path(__file__).parents[1]
 LIBRARY = sorted((ROOT / "src" / "routedkl").glob("*.py"))
 SOURCES = sorted(
     [p for p in (ROOT / "src" / "routedkl").glob("*.py") if p.name != "__init__.py"]
-    + list((ROOT / "tests").glob("*.py"))
+    + [p for d in ("tests", "tests/golden", "tools", "demos") for p in (ROOT / d).glob("*.py")]
 )
 
 
