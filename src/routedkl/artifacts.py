@@ -32,7 +32,7 @@ ARTIFACTS = {
         ("lambda", "float", "weight", "KL weight of the step"),
         ("masked_variance", "float", "prob^2", "group mean of the span-summed context variance V_t over T"),
         ("exposure_lhs", "float", "exposure", "cumulative privileged exposure"),
-        ("bound_rhs", "float", "exposure", "its cumulative bound, the sum of C_s^2 lambda^2 masked_variance"),
+        ("bound_rhs", "float", "exposure", "its cumulative bound, the sum of lambda^2 masked_variance (C_s = 1)"),
     )),
     "_summary.json": Artifact("The run's summary; always written.", (
         ("method", "str", "-", "training method"),

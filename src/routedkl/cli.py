@@ -129,10 +129,7 @@ def _read(path: str) -> dict:
 def _run_config(sections: dict, overrides: dict) -> RunConfig:
     kwargs = {**_typed_section(sections, "run", RunConfig), **overrides}
     for section, (name, cls) in _NESTED.items():
-        values = _typed_section(sections, section, cls)
-        # No [task] section means the regime's default task parameters.
-        if values or name != "task_params":
-            kwargs[name] = cls(**values)
+        kwargs[name] = cls(**_typed_section(sections, section, cls))
     return RunConfig(**kwargs)
 
 

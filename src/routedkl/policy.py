@@ -2,8 +2,9 @@
 
 A policy is a prefix trie over one prompt, stored as columns: each visited
 prefix is a node, numbered in first-visit order, added with its depth's
-init row. The teacher view shares parameters with the student: teacher rows
-are the student rows as of the last sync, shifted by a per-context offset.
+init row and that row's softmax. The teacher view shares parameters with
+the student: teacher rows are the student rows as of the last sync,
+shifted by a per-context offset.
 """
 
 from __future__ import annotations
@@ -218,7 +219,10 @@ class PolicyTable:
     ``parent[i] < i`` by ``token[i]`` at ``depth[i]``; ``child[i, v]`` is
     the node extending ``i`` by ``v``, or -1 while unvisited. The student
     row ``logits[i]``, the only mutable parameters, starts as
-    ``init_rows[depth[i]]``. Each ``add_paths`` call adds one id block. The
+    ``init_rows[depth[i]]``, and ``dists[i]`` holds its softmax: a new
+    node takes its depth's ``init_dists`` row, and ``refresh`` recomputes
+    the rows ``apply_gradients`` changes, so each equals a fresh
+    ``student_dist``. Each ``add_paths`` call adds one id block. The
     columns grow by doubling, so a row view (``student_logits``, ``rows``)
     is valid until the next node is added.
 
@@ -228,14 +232,16 @@ class PolicyTable:
     when the KL channel is closed.
     """
 
-    _COLUMNS = ("logits", "child", "parent", "token", "depth")
+    _COLUMNS = ("logits", "dists", "child", "parent", "token", "depth")
 
     def __init__(self, init_rows: np.ndarray, prompt: str) -> None:
         init_rows = np.array(init_rows, dtype=float)
         if init_rows.ndim != 2 or not init_rows.size:
             raise InvalidDistributionError(f"init rows of shape {init_rows.shape}, not (depths, V)")
         self.init_rows, self.prompt, self.vocab = init_rows, prompt, init_rows.shape[1]
-        self.logits = self.synced = np.empty((0, self.vocab))
+        self.init_dists = softmax(init_rows)
+        self.init_cdfs = cdf_rows(self.init_dists)  # for draws below the stored trie
+        self.logits = self.dists = self.synced = np.empty((0, self.vocab))
         self.child = np.empty((0, self.vocab), dtype=np.int64)
         self.parent = self.token = self.depth = np.empty(0, dtype=np.int64)
         self.n = self.teacher_lookups = self.sync_count = 0
@@ -250,7 +256,8 @@ class PolicyTable:
             for name in self._COLUMNS:
                 column = getattr(self, name)
                 setattr(self, name, np.resize(column[:start], (cap, *column.shape[1:])))
-        self.logits[start:n], self.child[start:n] = rows, -1
+        self.logits[start:n], self.dists[start:n] = rows, self.init_dists[depths]
+        self.child[start:n] = -1
         self.parent[start:n], self.token[start:n], self.depth[start:n] = parents, tokens, depths
         if start:
             self.child[parents, tokens] = np.arange(start, n)
@@ -308,6 +315,7 @@ class PolicyTable:
         return self.logits[i]
 
     def student_dist(self, prefix: PrefixKey) -> np.ndarray:
+        """A fresh softmax of the prefix's row, the reference ``dists`` equals."""
         return softmax(self.student_logits(prefix))
 
     def sync_teacher(self) -> None:
@@ -326,50 +334,17 @@ class PolicyTable:
     def apply_gradients(self, nodes: np.ndarray, grads: np.ndarray, learning_rate: float) -> None:
         """One descent step on distinct nodes' rows: theta <- theta - lr * g."""
         self.logits[nodes] -= learning_rate * grads
+        self.refresh(nodes)
+
+    def refresh(self, nodes) -> None:
+        """Recompute ``dists`` of ``nodes`` from their logit rows, as one
+        stacked softmax whose rows get the bytes they get alone. A caller
+        that writes ``logits`` in place calls this for the rows it wrote
+        before anything reads ``dists``."""
+        self.dists[nodes] = softmax(self.logits[nodes])
 
     def copy(self) -> "PolicyTable":
         """An independent copy with its own teacher-lookup counter."""
         dup = copy.deepcopy(self)
         dup.teacher_lookups = 0
         return dup
-
-
-class StudentDists:
-    """Student distributions and their ``cdf_rows`` for a table's nodes
-    ``[0, n)``, kept by a caller across steps. ``read`` fills the nodes
-    added since the last read from per-depth rows, or from one stacked
-    softmax where a row's bytes differ from its init row, and ``refresh``
-    the nodes whose rows changed; a stack's rows get the bytes they get
-    alone, so a current row equals a fresh ``student_dist``."""
-
-    def __init__(self) -> None:
-        self.dists = self.cdfs = np.empty((0, 0))
-        self.n = 0
-
-    def read(self, table: PolicyTable) -> np.ndarray:
-        """Read-only (n, V) distributions of every node; also fills ``cdfs[:n]``."""
-        n, start = table.n, self.n
-        if n > start:
-            if n > len(self.dists):  # grown to the table's capacity
-                grown = np.empty((2, len(table.logits), table.vocab))
-                if start:
-                    grown[:, :start] = self.dists[:start], self.cdfs[:start]
-                self.dists, self.cdfs = grown
-            if not start:
-                self.init_dists = softmax(table.init_rows)
-                self.init_cdfs = cdf_rows(self.init_dists)
-            depth = table.depth[start:n]
-            self.dists[start:n], self.cdfs[start:n] = self.init_dists[depth], self.init_cdfs[depth]
-            init = table.init_rows[depth].view(np.int64)
-            moved = (table.logits[start:n].view(np.int64) != init).any(axis=1)
-            if moved.any():
-                self.refresh(table, start + np.flatnonzero(moved))
-            self.n = n
-        out = self.dists[:n]
-        out.flags.writeable = False
-        return out
-
-    def refresh(self, table: PolicyTable, nodes) -> None:
-        """Recompute the rows of ``nodes`` after an update."""
-        self.dists[nodes] = dists = softmax(table.logits[nodes])
-        self.cdfs[nodes] = cdf_rows(dists)

@@ -81,13 +81,13 @@ class ExposureLedger:
     """Running cumulative-exposure accumulators with the bound asserted.
 
     exposure = sum_k lam_k^2 * mean_t m_t E_c||delta_t||^2
-    bound    = C_s^2 * sum_k lam_k^2 * mean_t m_t V_t
+    bound    = sum_k lam_k^2 * mean_t m_t V_t
 
+    The bound is the score-operator bound at the tabular constant C_s = 1.
     The inequality exposure <= bound is checked term by term on every
-    append; at tabular parameterization it holds with equality at C_s = 1.
+    append; at tabular parameterization it holds with equality.
     """
 
-    c_s: float = 1.0
     records: list = field(default_factory=list)
     exposure: float = 0.0
     bound: float = 0.0
@@ -107,7 +107,7 @@ def exposure_accumulate(
 ) -> ExposureLedger:
     """Append one step record, keeping the per-step inequality invariant."""
     lhs_term = lam**2 * deviation_sq_mean
-    rhs_term = ledger.c_s**2 * lam**2 * masked_variance_mean
+    rhs_term = lam**2 * masked_variance_mean
     if lhs_term > rhs_term + 1e-12:
         raise InternalConsistencyError(
             f"exposure bound violated at step {k}: {lhs_term} > {rhs_term}"

@@ -18,37 +18,37 @@ Methods:
   ratio as the per-token advantage multiplier on rollouts with positive
   advantage while the KL window is open; empty mask, no KL
 
-Runs are deterministic given (config, seed): sampling, annotation, and
-evaluation each draw from their own spawned generator so methods sharing
-a seed see identical rollout streams until their parameters diverge.
+Runs are deterministic given (config, seed): sampling and annotation each
+draw from their own spawned generator, so methods sharing a seed see
+identical rollout streams until their parameters diverge; exact
+evaluation draws nothing.
 
 The policy is a prefix trie stored as columns (``policy.PolicyTable``):
 each visited prefix is an integer node, in first-visit order from the
-root, node 0, with parent, token, depth, child and logit columns; only
-visited prefixes are stored (~1.9k of the 37,449 a V = 8, T = 6 horizon
-allows). A step carries its G rollouts as (G, T) arrays whose
-``prefix_index`` holds the nodes: ``tasks.sample_group`` walks the child
-table, ``_step_tensors`` gathers the loss inputs,
-``routing.routed_loss_rows`` returns the flat positions that carry a
-gradient with their rows, ``_apply_row_grads`` sums them per node in token
-order, and ``SynthTask.expected_reward`` sums the tree one level of nodes
-at a time.
+root, node 0, with parent, token, depth, child, logit and student
+distribution columns; only visited prefixes are stored (~1.9k of the
+37,449 a V = 8, T = 6 horizon allows). A step carries its G rollouts as
+(G, T) arrays whose ``prefix_index`` holds the nodes:
+``tasks.sample_group`` walks the child table, ``_step_tensors`` gathers
+the loss inputs, ``routing.routed_loss_rows`` returns the flat positions
+that carry a gradient with their rows, ``_apply_row_grads`` sums them per
+node in token order, and ``SynthTask.expected_reward`` sums the tree one
+level of nodes at a time.
 
 Each distinct distribution is computed once per parameter change. The
-run-level ``RunState.student_cache`` (``policy.StudentDists``) fills the
-nodes created since its last read, and the update recomputes the nodes
-it changed, so a row always equals a fresh ``student_dist``; it lives on
-the run state because callers may mutate ``PolicyTable`` rows in place.
-``RunState.teacher_cache`` holds each node's teacher matrix and ledger
-terms for one sync generation, and is emptied on every step whose
-channel is closed, so a teacher read then goes through
+table's ``dists`` column gives a new node its depth's init distribution,
+and ``PolicyTable.apply_gradients`` recomputes the rows it changes, so a
+row always equals a fresh ``student_dist``; sampling, the loss, the lift
+and exact E[R] all read it. ``RunState.teacher_cache`` holds each node's
+teacher matrix and ledger terms for one sync generation, and is emptied
+on every step whose channel is closed, so a teacher read then goes through
 ``PolicyTable.teacher_logits`` and trips the closed-channel guard. A step
 that changes no row (a dead-zone GRPO group) reuses the stored exact
 E[R], ``RunState.validation_reward``; any other step re-sums the levels
 kept from the last tree walk, ``RunState.reward_tree``, and walks again
 only when an inner child's probability leaves or reaches exactly 0.
-``fork`` and the end of ``run_experiment`` empty all three, so a kept
-state holds its parameters only.
+``fork`` and the end of ``run_experiment`` empty both, so a kept state
+holds its table but no teacher cache or reward tree.
 
 Every batched piece has its per-row or per-rollout reference in
 ``tests/oracles.py``, and property tests require equal bytes.
@@ -74,7 +74,7 @@ import numpy as np
 from .artifacts import ABORT, LEDGER, LONG, NAMES, STEPS, SUMMARY, csv_text, json_text, write
 from .errors import ConfigError, InternalConsistencyError, NumericFailureError, require_finite_fields
 from .grpo import group_advantages
-from .policy import PolicyTable, StudentDists, _entropy, region_sums, softmax
+from .policy import PolicyTable, _entropy, region_sums, softmax
 from .privileged import (
     ExposureLedger,
     context_variance,
@@ -123,7 +123,7 @@ class RunConfig:
     group_size: int = 8
     learning_rate: float = 0.1
     routing: RoutingConfig = RoutingConfig()
-    task_params: TaskParams | None = None
+    task_params: TaskParams = field(default_factory=TaskParams)
     task_seed: int | None = None  # defaults to seed
     annotator_precision: float = 1.0
     teacher_sync: str = "interval"  # "interval" | "frozen"
@@ -152,7 +152,7 @@ class RunConfig:
             raise ConfigError("teacher_sync must be 'interval' or 'frozen'")
         if not (0.0 <= self.annotator_precision <= 1.0):
             raise ConfigError("annotator precision must lie in [0, 1]")
-        vocab = (self.task_params or TaskParams()).vocab
+        vocab = self.task_params.vocab
         if self.routing.floor_p_min * vocab >= 1.0:
             raise ConfigError(
                 f"floor_p_min * vocab must be < 1, got {self.routing.floor_p_min!r} * {vocab}"
@@ -210,17 +210,14 @@ class RunState:
     k: int = 0
     credit_ratios: list = field(default_factory=list)
     teacher_cache: TeacherCache = field(default_factory=TeacherCache)
-    student_cache: StudentDists = field(default_factory=StudentDists)
     reward_tree: RewardTree = field(default_factory=RewardTree)
     # Exact E[R] of the current rows, None once an update changed a row.
     validation_reward: float | None = None
 
     def fork(self) -> "RunState":
         """Deep snapshot so two methods can be advanced from one state."""
-        # Empty caches: deep copies of the read-only rows would be writable.
-        empty = replace(self, teacher_cache=TeacherCache(), student_cache=StudentDists())
-        empty.reward_tree = RewardTree()
-        return copy.deepcopy(empty)
+        # The copy starts with an empty teacher cache and reward tree.
+        return copy.deepcopy(replace(self, teacher_cache=TeacherCache(), reward_tree=RewardTree()))
 
 
 def should_sync(k: int, n: int, lam_k: float) -> bool:
@@ -256,7 +253,7 @@ def init_run(cfg: RunConfig) -> RunState:
     task = generate_task(cfg.regime, task_seed, cfg.task_params)
     task.check_budget()  # exact evaluation runs every step; fail before the first
     table = task.make_table()
-    seeds = np.random.SeedSequence(cfg.seed).spawn(3)
+    seeds = np.random.SeedSequence(cfg.seed).spawn(2)
     rng_rollout = np.random.default_rng(seeds[0])
     rng_annot = np.random.default_rng(seeds[1])
     eval_tokens = build_eval_token_set(task)
@@ -266,7 +263,7 @@ def init_run(cfg: RunConfig) -> RunState:
         cfg=cfg,
         task=task,
         table=table,
-        ledger=ExposureLedger(c_s=1.0),
+        ledger=ExposureLedger(),
         rng_rollout=rng_rollout,
         rng_annot=rng_annot,
         eval_tokens=eval_tokens,
@@ -297,8 +294,8 @@ def _teacher_rows(state: RunState, nodes: np.ndarray) -> tuple[np.ndarray, np.nd
 
 def _eval_probs(state: RunState) -> np.ndarray:
     """Student probability of each lift-evaluation token, read from the
-    student cache: every eval token sits at the root, node 0."""
-    return state.student_cache.dists[0, state.eval_tokens]
+    table: every eval token sits at the root, node 0."""
+    return state.table.dists[0, state.eval_tokens]
 
 
 @dataclass
@@ -323,8 +320,8 @@ def _step_tensors(
 ) -> _StepTensors:
     """The step's loss inputs as (G, T) arrays, for every method.
 
-    The student rows are read from the cache that sampled the group, and
-    the step updates the table only after its loss, so the GRPO term is
+    The student rows are the table's ``dists`` rows that sampled the group,
+    and the step updates the table only after its loss, so the GRPO term is
     on-policy (ratio 1) and needs no log-probs. With the KL channel open
     (lam > 0) each rollout is annotated, masked and capped by
     ``oracle_annotate`` (the all-token baseline masks every position and
@@ -339,7 +336,7 @@ def _step_tensors(
     """
     cfg, task = state.cfg, state.task
     size, horizon = group.tokens.shape
-    dists = state.student_cache.read(state.table)
+    dists = state.table.dists
     step = _StepTensors(
         student=dists[group.prefix_index],
         mask=np.zeros((size, horizon), dtype=bool),
@@ -388,8 +385,8 @@ def _apply_row_grads(
     A stable argsort of the rows' nodes gives each node, in increasing
     order, its first row; its sum starts there and adds the others in flat
     order (``np.add.at``), as a sequential loop does; ``np.add.reduceat``
-    would reassociate the adds. The changed rows are recomputed in the
-    student cache, and the stored exact E[R] is dropped.
+    would reassociate the adds. The table recomputes the changed rows'
+    distributions, and the stored exact E[R] is dropped.
     """
     if not rows.size:
         return
@@ -402,7 +399,6 @@ def _apply_row_grads(
     summed = grads[first]
     np.add.at(summed, inverse[rest], grads[rest])
     state.table.apply_gradients(nodes, summed, state.cfg.learning_rate)
-    state.student_cache.refresh(state.table, nodes)
     state.validation_reward = None
 
 
@@ -485,7 +481,7 @@ def train_step(state: RunState) -> dict:
     if not (lam > 0.0 or rlsd_open):
         state.teacher_cache.have[:] = False  # any teacher read now misses and is counted
 
-    group = sample_group(table, task, state.rng_rollout, cfg.group_size, state.student_cache)
+    group = sample_group(table, task, state.rng_rollout, cfg.group_size)
     rewards = group.outcomes.astype(float)
     advantages = group_advantages(rewards)
 
@@ -526,9 +522,7 @@ def train_step(state: RunState) -> dict:
             _abort(state, rewards, total, message)
     lift = _mean(np.log(probs_after) - np.log(probs_before)) if probs_after.size else None
     if state.validation_reward is None:
-        state.validation_reward = task.expected_reward(
-            table, state.student_cache, state.reward_tree
-        )
+        state.validation_reward = task.expected_reward(table, state.reward_tree)
 
     row = {
         "step": k,
@@ -591,9 +585,8 @@ def run_experiment(cfg: RunConfig, state: RunState | None = None) -> tuple[RunLo
     log = RunLog()
     for _ in range(cfg.steps):
         log.rows.append(train_step(state))
-    # A kept state holds its parameters only.
-    state.student_cache, state.teacher_cache = StudentDists(), TeacherCache()
-    state.reward_tree = RewardTree()
+    # A kept state holds its table only.
+    state.teacher_cache, state.reward_tree = TeacherCache(), RewardTree()
 
     lifts = [row["delta_lift"] for row in log.rows if row["delta_lift"] is not None]
     credit = state.credit_ratios

@@ -14,7 +14,7 @@ import numpy as np
 
 from .divergence import fkl_logit_grad
 from .errors import RangeError
-from .policy import StudentDists, softmax, truncate_and_floor
+from .policy import softmax, truncate_and_floor
 from .privileged import ExposureLedger
 from .routing import RoutingConfig
 from .runner import RunConfig, init_run, run_experiment, train_step
@@ -307,9 +307,7 @@ def alignment_threshold_study(
     table = task.make_table()
     table.sync_teacher()
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    # The table is never updated, so one student cache stays exact.
-    dists = StudentDists()
-    oracle = task.reward_gradient(table, dists)
+    oracle = task.reward_gradient(table)
     aligns: dict[tuple[int, int], float] = {}
 
     def align(node: int, ctx: int) -> float:  # the table is fixed: one pull per pair
@@ -320,7 +318,7 @@ def alignment_threshold_study(
 
     true_aligns, false_aligns = [], []
     for _ in range(n_rollouts):
-        group = sample_group(table, task, rng, 1, dists)
+        group = sample_group(table, task, rng, 1)
         if group.outcomes[0] != 1:
             continue
         nodes = group.prefix_index[0].tolist()

@@ -34,7 +34,7 @@ from .errors import (
     RangeError,
     require_finite_fields,
 )
-from .policy import PolicyTable, PrefixKey, StudentDists, cdf_rows, softmax
+from .policy import PolicyTable, PrefixKey, cdf_rows, softmax
 from .routing import coverage_cap
 
 REGIMES = ("under_allocated", "confident_wrong", "mixed")
@@ -208,17 +208,15 @@ class SynthTask:
                 f"V^T = {self.vocab}^{self.horizon} exceeds the enumeration budget"
             )
 
-    def expected_reward(
-        self, table: PolicyTable, dists: StudentDists | None = None, tree: RewardTree | None = None
-    ) -> float:
+    def expected_reward(self, table: PolicyTable, tree: RewardTree | None = None) -> float:
         """Exact E[R] under the student policy, by pruned tree enumeration.
 
         The tree is walked one level of node ids at a time, each level's
         live nodes (neither dead nor free, before the horizon) read from
-        ``dists``, an optional student cache as in ``sample_group``. A
-        child is expanded only if its probability is nonzero, so the rows
-        materialized are those of a depth-first walk. A dead child is worth
-        0, a free or final one 1. Values are summed bottom-up left to right
+        ``table.dists``, which the table keeps current. A child is expanded
+        only if its probability is nonzero, so the rows materialized are
+        those of a depth-first walk. A dead child is worth 0, a free or
+        final one 1. Values are summed bottom-up left to right
         over the children, ``cumsum(dist * value)``, which is the
         depth-first sum's order: a skipped zero-probability child adds 0.
 
@@ -227,26 +225,25 @@ class SynthTask:
         adds no node and sums the same rows alike, so its levels are reused.
         """
         tree = RewardTree() if tree is None else tree
-        return float(self._sum_levels(table, dists, tree)[1][0][0])
+        return float(self._sum_levels(table, tree)[1][0][0])
 
     def _sum_levels(
-        self, table: PolicyTable, dists: StudentDists | None, tree: RewardTree
+        self, table: PolicyTable, tree: RewardTree
     ) -> tuple[np.ndarray, list[np.ndarray]]:
         """Fill the child values of ``tree``'s levels, walking first unless
         they can be reused; return the rows of ``tree.nodes`` and, top down,
         each level's E[R | node]."""
         self.check_budget()
-        dists = StudentDists() if dists is None else dists
-        dist = dists.read(table)[tree.nodes] if tree.levels else None
+        dist = table.dists[tree.nodes] if tree.levels else None
         if dist is None or not ((tree.inner & (dist != 0.0)) == tree.expand).all():
-            dist = self._walk(table, dists, tree)
+            dist = self._walk(table, tree)
         belows = [np.empty(0)]  # the deepest level has no inner children
         for nodes, value, rows, tokens in reversed(tree.levels):
             value[rows, tokens] = belows[-1]  # the same entries on every sum
             belows.append((dist[nodes] * value).cumsum(axis=1)[:, -1])
         return dist, belows[:0:-1]
 
-    def _walk(self, table: PolicyTable, dists: StudentDists, tree: RewardTree) -> np.ndarray:
+    def _walk(self, table: PolicyTable, tree: RewardTree) -> np.ndarray:
         """Walk into ``tree`` the stacked nodes, their inner and expanded children
         and per level a slice, values and expanded (rows, tokens); return the rows."""
         trans = self.transitions
@@ -256,7 +253,7 @@ class SynthTask:
         levels, parts, start = [], [], 0
         nodes, states = np.zeros(1, dtype=np.int64), np.array([_START])  # the root
         for t in range(self.horizon):
-            dist = dists.read(table)[nodes]
+            dist = table.dists[nodes]
             live = inner[t, states]
             expand = live & (dist != 0.0)
             rows, tokens = np.nonzero(expand)
@@ -271,7 +268,7 @@ class SynthTask:
         tree.nodes, dist, tree.inner, tree.expand = (np.concatenate(p) for p in zip(*parts))
         return dist
 
-    def reward_gradient(self, table: PolicyTable, dists: StudentDists | None = None) -> np.ndarray:
+    def reward_gradient(self, table: PolicyTable) -> np.ndarray:
         """Exact gradient of E[R] w.r.t. every student logit row, as (table.n, V)
         rows indexed by node: reach(P) * pi * (C - E[R | P]) for node P, from
         the child values and sums ``expected_reward`` leaves on a fresh walk's
@@ -279,7 +276,7 @@ class SynthTask:
         walk (decided or of zero reach) has a zero row; one added after the
         call is outside the rows, and a caller must read it as zeros."""
         tree = RewardTree()
-        dist, belows = self._sum_levels(table, dists, tree)
+        dist, belows = self._sum_levels(table, tree)
         grads = np.zeros((table.n, self.vocab))
         reach = np.ones(1)  # the root's
         for (nodes, value, rows, tokens), below in zip(tree.levels, belows):
@@ -398,7 +395,6 @@ def generate_task(
     trap_tokens: tuple[int, ...] = ()
     trap_position = None
 
-    probs0 = np.full(v, 1.0 / v)
     if regime in ("under_allocated", "mixed"):
         v_star = int(token_pool.pop())
         rest = 1.0 - p.p_star
@@ -411,7 +407,7 @@ def generate_task(
         if alt_token is not None:
             probs0[alt_token] = p.alt_mass
         probs0[others] = rest / len(others)
-        if alt_token is not None or regime == "mixed":
+        if alt_token is not None:  # always in the mixed regime
             trap_position = p.trap_position
             trap_tokens = tuple(
                 int(token_pool.pop()) for _ in range(p.n_trap_tokens)
@@ -437,7 +433,7 @@ def generate_task(
         )
 
     critical: tuple[int, ...] = (0,)
-    if regime == "mixed" and trap_position is not None:
+    if regime == "mixed":
         critical = (0, trap_position)
 
     quirk_pool = [t for t in token_pool if t not in trap_tokens]
@@ -462,7 +458,7 @@ def generate_task(
             drawn.append(suppress)
             keys = "the teacher suppression"
         offsets[i, 0] = _offset_for_targets(init_rows[0], targets, keys, base_keys)
-        if regime == "mixed" and trap_position is not None:
+        if regime == "mixed":
             # The context also flags the guarded trap for suppression.
             trap_target = {
                 tok: float(rng.uniform(0.005, 0.02)) for tok in trap_tokens
@@ -568,7 +564,6 @@ def sample_group(
     task: SynthTask,
     rng: np.random.Generator,
     size: int,
-    dists: StudentDists | None = None,
 ) -> SampledGroup:
     """Sample ``size`` sequences from the student policy and verify them.
 
@@ -580,24 +575,20 @@ def sample_group(
     stored trie (``table.child``). A rollout leaves it at its first prefix
     not stored; that prefix and its extensions hold their depth's init
     row, so the positions left are drawn at once from the per-depth init
-    cdfs, and one ``table.add_paths`` call adds the group's new prefixes
-    as one id block. The machine states advance through
-    ``task.transitions``, so the group is verified as it is sampled.
-
-    Rows and cdf rows are read from ``dists``, an optional student cache
-    (``policy.StudentDists``) that the caller keeps current, as a run does;
-    the rows of the prefixes the group adds are filled at its next read.
+    cdfs (``table.init_cdfs``), and one ``table.add_paths`` call adds the
+    group's new prefixes as one id block. The machine states advance
+    through ``task.transitions``, so the group is verified as it is
+    sampled. A stored prefix's cdf is ``cdf_rows`` of its ``table.dists``
+    row, computed per column for the rollouts still on the trie.
     """
-    dists = StudentDists() if dists is None else dists
     horizon = task.horizon
     uniforms = rng.random((size, horizon))
     tokens = np.empty((size, horizon), dtype=np.int64)
     prefix_index = np.full((size, horizon), -1, dtype=np.int64)
-    dists.read(table)
     node, on = np.zeros(size, dtype=np.int64), slice(None)  # at the root, every rollout
     for t in range(horizon):
         prefix_index[on, t] = node
-        picked = tokens[on, t] = inverse_cdf(dists.cdfs[node], uniforms[on, t])
+        picked = tokens[on, t] = inverse_cdf(cdf_rows(table.dists[node]), uniforms[on, t])
         if t + 1 == horizon:
             break
         node = table.child[node, picked]
@@ -606,7 +597,7 @@ def sample_group(
             on, node = np.arange(size)[on][stored], node[stored]
     if isinstance(on, np.ndarray):  # some rollouts left the stored trie
         off = prefix_index < 0
-        tokens[off] = inverse_cdf(dists.init_cdfs[off.nonzero()[1]], uniforms[off])
+        tokens[off] = inverse_cdf(table.init_cdfs[off.nonzero()[1]], uniforms[off])
         table.add_paths(prefix_index, tokens)
     states = np.full((size, horizon + 1), _START, dtype=np.int64)
     for t in range(horizon):

@@ -149,7 +149,8 @@ def enumerate_expected_reward(task, table):
 def fd_reward_gradient(task, table, node, h=1e-6):
     """Finite differences of E[R] w.r.t. one node's logit row. The row is
     indexed afresh for each write: enumeration adds nodes, and a row view
-    is valid only until the next node is added."""
+    is valid only until the next node is added. The restored row is
+    refreshed, so the table's distributions stay current."""
     grad = np.zeros(table.vocab)
     for v in range(table.vocab):
         table.logits[node, v] += h
@@ -158,6 +159,7 @@ def fd_reward_gradient(task, table, node, h=1e-6):
         down = enumerate_expected_reward(task, table)
         table.logits[node, v] += h
         grad[v] = (up - down) / (2 * h)
+    table.refresh([node])
     return grad
 
 

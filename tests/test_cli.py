@@ -120,6 +120,13 @@ class TestSchema:
         (tmp_path / "cfg.ini").write_text(_edit(text, "run", "task_seed", "none"))
         assert cli.load_config(str(tmp_path / "cfg.ini")).task_seed is None
 
+    def test_missing_nested_sections_take_the_defaults(self, tmp_path):
+        (tmp_path / "cfg.ini").write_text("[run]\nmethod = grpo_only\nregime = mixed\n")
+        cfg = cli.load_config(str(tmp_path / "cfg.ini"))
+        default = RunConfig(method="grpo_only", regime="mixed")
+        assert cfg == default and cfg.task_params == TaskParams()
+        assert cfg.config_hash() == default.config_hash()
+
     @pytest.mark.parametrize("key", ["routing", "clip", "task_params"])
     def test_run_section_rejects_nested_fields(self, tmp_path, capsys, key):
         assert _run(tmp_path, _edit(SMALL, "run", key, "x")) == 2

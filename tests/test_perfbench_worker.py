@@ -1,16 +1,29 @@
 """The benchmark worker runs one cycle of each workload, plain and traced,
 and its runs pass their checks: seed 0 compares each run's summary with
 ``perfbench/reference.json``, and a traced run checks the tracer's counts
-against the policy table's."""
+against the policy table's. The run files the worker reads are files that
+``artifacts.ARTIFACTS`` declares."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from routedkl.artifacts import ARTIFACTS
+
 ROOT = Path(__file__).parents[1]
+
+
+def test_worker_opens_only_declared_run_files():
+    # The worker spells the run files it reads by hand; a file renamed in
+    # ARTIFACTS must fail here, not only in the deep-cli workload.
+    text = (ROOT / "perfbench" / "worker.py").read_text()
+    suffixes = set(re.findall(r"\{stem\}([^\"'{}]+)[\"']", text))
+    assert "_summary.json" in suffixes, "the pattern no longer finds the worker's file names"
+    assert sorted(suffixes - set(ARTIFACTS)) == []
 
 
 @pytest.mark.parametrize("mode", ["plain", "traced"])

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from routedkl.errors import InfeasibleFloorError, InvalidDistributionError, NonFiniteInputError
 from routedkl.policy import (
     PolicyTable,
-    StudentDists,
+    cdf_rows,
     entropy,
     floor_fixed_point,
     masked_row_sum,
@@ -81,16 +81,13 @@ class TestBatchedSoftmax:
 
     def test_student_cache_reads_nodes_in_first_visit_order(self):
         table = PolicyTable(np.arange(3.0)[:, None] * np.arange(5.0), "p")  # depth d: d * arange
-        cache = StudentDists()
         root = table.node(())
         first = table.children(np.array([root, root, root]), np.array([2, 0, 2]))
         second = table.children(first, np.array([1, 1, 3]))
         assert first.tolist() == [1, 2, 1] and second.tolist() == [3, 4, 5]
         prefixes = [(), (2,), (0,), (2, 1), (0, 1), (2, 3)]
         assert list(table.rows) == [("p", p) for p in prefixes]
-        got = cache.read(table)
-        assert not got.flags.writeable
-        for prefix, row in zip(prefixes, got):
+        for prefix, row in zip(prefixes, table.dists[: table.n], strict=True):
             assert row.tobytes() == table.student_dist(prefix).tobytes()
 
 
@@ -423,8 +420,8 @@ class TestPolicyTable:
     def test_init_rows_must_be_a_finite_matrix(self):
         with pytest.raises(InvalidDistributionError):
             PolicyTable(np.zeros(4), "p")
-        with pytest.raises(NonFiniteInputError):  # at the first read
-            StudentDists().read(PolicyTable(np.array([[0.0, 1.0], [0.0, np.inf]]), "p"))
+        with pytest.raises(NonFiniteInputError):  # the init distributions are computed at once
+            PolicyTable(np.array([[0.0, 1.0], [0.0, np.inf]]), "p")
         table = PolicyTable(np.zeros((2, 3)), "p")
         with pytest.raises(IndexError):
             table.node((0, 1))  # no init row at depth 2
@@ -480,6 +477,8 @@ class TestPolicyTable:
 
 
 class TestStudentDists:
+    """The table's student distributions, ``PolicyTable.dists``."""
+
     @staticmethod
     def _fresh(table):
         return softmax(table.logits[: table.n])
@@ -487,33 +486,32 @@ class TestStudentDists:
     def test_new_nodes_take_their_depths_rows(self, monkeypatch):
         from routedkl import policy
 
-        table = PolicyTable(np.random.default_rng(0).normal(size=(3, 5)), "p")
+        init_rows = np.random.default_rng(0).normal(size=(3, 5))
+        table = PolicyTable(init_rows, "p")
+        assert table.init_dists.tobytes() == softmax(init_rows).tobytes()
+        assert table.init_cdfs.tobytes() == cdf_rows(softmax(init_rows)).tobytes()
         table.children(np.zeros(5, dtype=np.int64), np.arange(5))
-        cache = StudentDists()
-        cache.read(table)  # computes the per-depth rows
-        table.children(np.arange(1, 6), np.arange(5))
         calls = []
         stack_softmax = policy.softmax
         monkeypatch.setattr(policy, "softmax", lambda z: calls.append(len(z)) or stack_softmax(z))
-        got = cache.read(table)
+        table.children(np.arange(1, 6), np.arange(5))
         assert calls == []  # every new row is its depth's init row
-        assert got.tobytes() == self._fresh(table).tobytes()
-        assert cache.cdfs[: table.n].tobytes() == policy.cdf_rows(self._fresh(table)).tobytes()
+        assert table.dists[: table.n].tobytes() == self._fresh(table).tobytes()
 
-    def test_a_row_changed_before_the_first_read_gets_its_own_softmax(self):
+    def test_updated_and_refreshed_rows_get_their_own_softmax(self):
         init_rows = np.random.default_rng(1).normal(size=(3, 5))
-        # A trained table read by a new cache, as a forked run's is.
         table = PolicyTable(init_rows, "p")
         table.children(np.zeros(5, dtype=np.int64), np.arange(5))
         table.apply_gradients(np.array([0, 3]), np.eye(5)[:2], 0.5)
-        got = StudentDists().read(table)
-        assert got.tobytes() == self._fresh(table).tobytes()
-        assert got[3].tobytes() != softmax(init_rows[1]).tobytes()
-        # A row written through student_logits between two reads.
-        cache = StudentDists()
-        cache.read(table)
+        assert table.dists[: table.n].tobytes() == self._fresh(table).tobytes()
+        assert table.dists[3].tobytes() != softmax(init_rows[1]).tobytes()
+        # A row written in place through student_logits keeps its old
+        # distribution until the writer refreshes it.
         table.student_logits((1, 4))[2] += 3.0
+        stale = table.dists[6].copy()
         table.student_logits((1, 3))
-        got = cache.read(table)
+        assert table.dists[6].tobytes() == stale.tobytes() == softmax(init_rows[2]).tobytes()
+        table.refresh(np.array([6]))
+        got = table.dists[: table.n]
         assert got.tobytes() == self._fresh(table).tobytes()
         assert got[6].tobytes() != got[7].tobytes() == softmax(init_rows[2]).tobytes()

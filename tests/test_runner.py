@@ -15,7 +15,7 @@ from routedkl import cli, runner
 from routedkl.artifacts import NAMES, STEPS
 from routedkl.errors import ConfigError, EnumerationBudgetError, InternalConsistencyError
 from routedkl.grpo import group_advantages
-from routedkl.policy import PolicyTable, StudentDists
+from routedkl.policy import PolicyTable, softmax
 from routedkl.privileged import context_variance, expected_deviation_sq
 from routedkl.routing import RoutingConfig, lambda_schedule
 from routedkl.runner import (
@@ -280,7 +280,7 @@ class TestMethodBehaviour:
 
         def sampling(table, *args):
             group = sample(table, *args)
-            sampled.append(StudentDists().read(table)[group.prefix_index])
+            sampled.append(softmax(table.logits[group.prefix_index]))
             return group
 
         def scoring(**kwargs):
@@ -431,8 +431,8 @@ class TestTeacherCache:
 
 
 class TestStudentCache:
-    """The run-level student cache and the stored exact E[R] equal what a
-    fresh computation gives, byte for byte."""
+    """The table's student distributions and the stored exact E[R] equal
+    what a fresh computation gives, byte for byte."""
 
     @pytest.mark.parametrize("method", runner.METHODS)
     def test_entries_and_stored_reward_are_fresh(self, method):
@@ -441,22 +441,51 @@ class TestStudentCache:
         for _ in range(state.cfg.steps):
             row = train_step(state)
             fresh = state.table.copy()
-            assert state.student_cache.n == len(state.table.rows)  # no row left to compute
-            dists = state.student_cache.read(state.table)
-            assert not dists.flags.writeable
+            dists = state.table.dists[: state.table.n]
             for dist, (_, prefix) in zip(dists, state.table.rows, strict=True):
                 assert dist.tobytes() == fresh.student_dist(prefix).tobytes()
             want = state.task.expected_reward(fresh)
             assert np.float64(state.validation_reward).tobytes() == np.float64(want).tobytes()
             assert row["validation_reward"] == state.validation_reward
 
+    def test_table_dists_are_the_softmax_of_the_logits(self):
+        # Byte for byte, after every writer of logits or nodes: sampling, a
+        # walk that adds nodes, an update, a fork and an in-place write.
+        def assert_fresh(table):
+            n = table.n
+            assert table.dists[:n].tobytes() == softmax(table.logits[:n]).tobytes()
+
+        params = TaskParams(vocab=5, horizon=4)
+        state = init_run(fast_cfg("routed_both", regime="mixed", task_params=params))
+        table, task = state.table, state.task
+        group = sample_group(table, task, np.random.default_rng(0), 4)
+        assert table.n > 1
+        assert_fresh(table)
+        n = table.n
+        task.expected_reward(table)
+        assert table.n > n
+        assert_fresh(table)
+        nodes = np.unique(group.prefix_index)
+        table.apply_gradients(nodes, np.random.default_rng(1).normal(size=(len(nodes), 5)), 0.5)
+        assert_fresh(table)
+        for _ in range(4):
+            train_step(state)
+        fork = state.fork()
+        assert_fresh(fork.table)
+        train_step(fork)
+        assert_fresh(fork.table)
+        table.logits[nodes[-1]] += 2.0
+        table.refresh(nodes[-1:])
+        assert_fresh(table)
+
     def test_fork_starts_empty_and_advances_identically(self):
         state = init_run(fast_cfg("routed_both"))
         for _ in range(6):
             train_step(state)
-        assert state.student_cache.n and state.teacher_cache.have.any()
+        assert state.teacher_cache.have.any()
         fork = state.fork()
-        assert fork.student_cache.n == 0 and not fork.teacher_cache.have.any()
+        assert not fork.teacher_cache.have.any()
+        assert fork.table.dists[: fork.table.n].tobytes() == state.table.dists[: state.table.n].tobytes()
         for _ in range(10):
             assert train_step(state) == train_step(fork)
             assert list(state.table.rows) == list(fork.table.rows)
@@ -465,7 +494,7 @@ class TestStudentCache:
 
     def test_run_experiment_drops_both_caches(self):
         _, state = run_experiment(fast_cfg("routed_both", steps=6))
-        assert state.student_cache.n == 0 and not state.teacher_cache.have.any()
+        assert not state.teacher_cache.have.any()
 
     def test_fork_and_run_end_empty_the_reward_tree(self):
         state = init_run(fast_cfg("routed_both"))
@@ -504,7 +533,7 @@ class TestStudentCache:
         node = tree.nodes[row]
         for logit, n_walks in ((-1e4, 2), (0.0, 3)):
             state.table.logits[node, token] = logit
-            state.student_cache.refresh(state.table, np.array([node]))
+            state.table.refresh(np.array([node]))
             state.validation_reward = None
             for _ in range(6):
                 step_and_check()
@@ -559,7 +588,7 @@ class TestStudentCache:
 
 class TestRowUpdate:
     """The node-indexed update against the per-prefix dict loop, byte for
-    byte, with the student cache refreshed for the changed rows."""
+    byte, with the table's distributions refreshed for the changed rows."""
 
     @staticmethod
     def _check(prefix_index, rows, grads, learning_rate, seed):
@@ -572,16 +601,15 @@ class TestRowUpdate:
         logits = np.random.default_rng(seed).normal(0.0, 2.0, (n_nodes, vocab))
         logits[:, ::3] = 0.0
         table.logits[:n_nodes] = logits
+        table.refresh(np.arange(n_nodes))
         ref = table.copy()
         state = SimpleNamespace(
-            table=table, cfg=SimpleNamespace(learning_rate=learning_rate),
-            student_cache=StudentDists(), validation_reward=0.5,
+            table=table, cfg=SimpleNamespace(learning_rate=learning_rate), validation_reward=0.5,
         )
-        state.student_cache.read(table)
         runner._apply_row_grads(state, SimpleNamespace(prefix_index=prefix_index), rows, grads)
         reference_row_update(ref, prefix_index.ravel()[rows], grads, learning_rate)
         assert table.logits[:n_nodes].tobytes() == ref.logits[:n_nodes].tobytes()
-        assert state.student_cache.read(table).tobytes() == StudentDists().read(table).tobytes()
+        assert table.dists[:n_nodes].tobytes() == softmax(table.logits[:n_nodes]).tobytes()
         assert state.validation_reward == (None if rows.size else 0.5)
 
     @staticmethod

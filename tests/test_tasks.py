@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from routedkl.errors import EnumerationBudgetError, RangeError
 from routedkl import policy, tasks
-from routedkl.policy import PolicyTable, StudentDists, softmax
+from routedkl.policy import PolicyTable, softmax
 from routedkl.routing import coverage_cap
 from routedkl.tasks import (
     _DEAD,
@@ -129,6 +129,7 @@ class TestExactEnumeration:
             table = task.make_table()
             # Perturb so the check is not at the symmetric init.
             table.student_logits(())[0] += 0.7
+            table.refresh([0])
             pruned = task.expected_reward(table)
             brute = enumerate_expected_reward(task, table)
             assert pruned == pytest.approx(brute, abs=1e-12)
@@ -137,6 +138,7 @@ class TestExactEnumeration:
         task = generate_task("mixed", 4, SMALL)
         table = task.make_table()
         table.student_logits(())[0] += 0.7
+        table.refresh([0])
         grads = task.reward_gradient(table)
         walked = np.flatnonzero(grads.any(axis=1))
         assert walked[0] == 0 and len(walked) > 1  # the root and a deeper node
@@ -210,6 +212,7 @@ def _vary_every_prefix(table, horizon, seed, zero_frac):
         level = table.children(np.repeat(level, vocab), np.tile(np.arange(vocab), len(level)))
     for i, (_, prefix) in enumerate(table.rows):
         table.logits[i] = _random_rows(np.random.default_rng([seed, len(prefix), *prefix]), vocab, zero_frac)
+    table.refresh(np.arange(table.n))
 
 
 class TestGroupStreamAlignment:
@@ -227,13 +230,12 @@ class TestGroupStreamAlignment:
         params = TaskParams(vocab=vocab, horizon=horizon, trap_position=1)
         task = generate_task("under_allocated", 0, params)
         # Odd seeds give every prefix its own row; even seeds keep the
-        # per-depth init rows, which the cache fills without a softmax.
+        # per-depth init rows, which the table fills without a softmax.
         table = _random_table(vocab, seed, zero_frac, task.prompt_id)
         if seed % 2:
             _vary_every_prefix(table, horizon, seed, zero_frac)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        dists = StudentDists()
-        group = sample_group(table, task, rng, size, dists)
+        group = sample_group(table, task, rng, size)
         ref = [reference_sample_sequence(table, task, ref_rng) for _ in range(size)]
         assert group.outcomes.tolist() == [r.outcome for r in ref]
         assert group.tokens.tolist() == [list(r.tokens) for r in ref]
@@ -241,10 +243,10 @@ class TestGroupStreamAlignment:
         assert rng.random() == ref_rng.random()
         # Every position points at its prefix's node, with its row; a table
         # grown only by the group holds exactly the group's nodes, each once.
-        rows, keys = dists.read(table), list(table.rows)
-        assert len(set(keys)) == len(keys) == dists.n == table.n
+        rows, keys = table.dists[: table.n], list(table.rows)
+        assert len(set(keys)) == len(keys) == table.n
         visited = set(group.prefix_index.ravel().tolist())
-        assert visited <= set(range(dists.n)) if seed % 2 else visited == set(range(dists.n))
+        assert visited <= set(range(table.n)) if seed % 2 else visited == set(range(table.n))
         for i, r in enumerate(ref):
             for t in range(horizon):
                 node = group.prefix_index[i, t]
@@ -439,21 +441,21 @@ class TestBatchedTaskPaths:
         if seed % 2:
             for t in (kept, walked):
                 _vary_every_prefix(t, horizon, seed, zero_frac)
-        tree, dists, rng = RewardTree(), StudentDists(), np.random.default_rng(seed)
+        tree, rng = RewardTree(), np.random.default_rng(seed)
         for k in range(evals):
-            got = task.expected_reward(kept, dists, tree)
+            got = task.expected_reward(kept, tree)
             want = task.expected_reward(walked)
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
-            for table, cache in ((kept, dists), (walked, None)):
-                sample_group(table, task, np.random.default_rng([seed, k]), 3, cache)
+            for table in (kept, walked):
+                sample_group(table, task, np.random.default_rng([seed, k]), 3)
             picked = [rng.choice(tree.nodes, 2), rng.integers(0, kept.n, 2)]  # tree and table nodes
             nodes = np.unique(np.concatenate(picked))
             rows = kept.logits[nodes] + rng.normal(0.0, 0.5, (len(nodes), vocab))
             flip = rng.random(rows.shape) < flip_frac
             rows[flip] = np.where(rows[flip] < -500.0, rng.normal(0.0, 2.0, flip.sum()), -1000.0)
-            dists.read(kept)  # the sampled nodes are filled before the update, as in a step
             kept.logits[nodes] = walked.logits[nodes] = rows
-            dists.refresh(kept, nodes)
+            for table in (kept, walked):
+                table.refresh(nodes)
         assert kept.n == walked.n
         for name in ("parent", "token", "logits"):
             assert getattr(kept, name)[: kept.n].tobytes() == getattr(walked, name)[: kept.n].tobytes()
@@ -461,25 +463,25 @@ class TestBatchedTaskPaths:
     @pytest.mark.parametrize("regime", ["under_allocated", "mixed"])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_expected_reward_through_a_filled_map(self, regime, seed, monkeypatch):
-        # One sampled rollout puts part of the tree's rows in the cache.
+        # One sampled rollout adds part of the tree's nodes to the table.
         task = generate_task(regime, seed, chain_params(vocab=5, horizon=4))
         table = task.make_table()
-        dists = StudentDists()
-        sample_group(table, task, np.random.default_rng(seed), 1, dists)
-        filled = dists.read(table).copy()
+        sample_group(table, task, np.random.default_rng(seed), 1)
+        filled = table.dists[: table.n].copy()
         ref = table.copy()
         softmaxed = []
         stack_softmax = policy.softmax
         monkeypatch.setattr(policy, "softmax", lambda z: softmaxed.append(len(z)) or stack_softmax(z))
-        got = task.expected_reward(table, dists)
+        got = task.expected_reward(table)
         monkeypatch.undo()
         want = task.expected_reward(ref)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
         assert list(table.rows) == list(ref.rows)
-        rows = dists.read(table)
+        rows = table.dists[: table.n]
         assert len(rows) == len(table.rows) > len(filled)
-        # The filled rows are kept, and every row new to the walk holds its
-        # depth's init row, so it takes that depth's softmax: none is computed.
+        # The sampled nodes' rows are kept, and every node new to the walk
+        # holds its depth's init row, so it takes that depth's
+        # distribution: no softmax is computed.
         assert softmaxed == []
         assert rows[: len(filled)].tobytes() == filled.tobytes()
         for row, (_, prefix) in zip(rows, table.rows, strict=True):
